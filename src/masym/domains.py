@@ -268,8 +268,8 @@ class CriticalPlanes:
     def __post_init__(self):
         if not self.lam0 < self.Lam0:
             raise GeometryError(f"expected lam0 < Lam0, got {self.lam0} >= {self.Lam0}")
-        if self.Lam2 > self.Lam0 + 1e-9:
-            raise GeometryError(f"expected Lam2 <= Lam0, got {self.Lam2} > {self.Lam0}")
+        if self.Lam0 > self.Lam2 + 1e-9:
+            raise GeometryError(f"expected Lam0 <= Lam2, got {self.Lam0} > {self.Lam2}")
 
 
 @dataclass(frozen=True)
@@ -487,6 +487,14 @@ def _implicit_boundary_param(domain):
     return param
 
 
+def _ellipse_symmetric_along(domain, nu):
+    """True when nu is a principal direction, so the central plane normal to
+    nu is a plane of symmetry; a slanted nu has Lam0 <= Lam2 < center . nu."""
+    a2 = np.asarray(domain.semi_axes) ** 2
+    skew = a2 * nu - np.dot(a2 * nu, nu) * nu
+    return bool(np.linalg.norm(skew) <= 1e-12 * np.max(a2))
+
+
 def _orthogonality_plane(domain, nu, resolution):
     """First plane position with a boundary normal orthogonal to nu, plus witness."""
     if isinstance(domain, Ball):
@@ -595,9 +603,9 @@ def critical_planes(domain, nu, resolution=None):
             orthogonality_witness=sub.orthogonality_witness,
         )
 
-    if isinstance(domain, Ellipse):
-        # centrally symmetric: reflection about the central plane preserves
-        # the domain, and past it the reflected cap pokes outside
+    if isinstance(domain, Ellipse) and _ellipse_symmetric_along(domain, nu):
+        # reflection about the central plane preserves the domain, and past
+        # it the reflected cap pokes outside
         Lam0 = float(np.dot(domain.center, nu))
     else:
         Lam0 = _bisect_sup(
@@ -606,9 +614,9 @@ def critical_planes(domain, nu, resolution=None):
         )
     Lam1, tw = _tangency_plane(domain, nu, lam0, Lam0, resolution, tol)
     Lam2, ow = _orthogonality_plane(domain, nu, resolution)
-    # snap tiny bisection residue so the Lam2 <= Lam0 invariant is not
+    # snap tiny bisection residue so the Lam0 <= Lam2 invariant is not
     # tripped by one half-tolerance of slack
-    if Lam2 > Lam0 and Lam2 - Lam0 < 4 * tol:
+    if Lam0 > Lam2 and Lam0 - Lam2 < 4 * tol:
         Lam0 = Lam2
     return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam1=Lam1, Lam2=Lam2,
                           tangency_witness=tw, orthogonality_witness=ow)

@@ -113,6 +113,15 @@ class StencilGrid:
     every stencil direction each node stores either an interior
     neighbor or the fraction rho of the arm at which the boundary is
     crossed (the arm value there is the Dirichlet constant).
+
+    The arm tables of all D stencil directions and their opposites are
+    built once, in the constructor, and stacked: an ``int32`` neighbor
+    array and a rho array of shape (2 D, N), row k for the k-th
+    direction of ``pairs`` (flattened pair by pair) and row D + k for
+    its opposite, plus the per-direction factor
+    K = 2 / ((rho+ + rho-) |v|^2 h^2).  :meth:`arms` returns row views,
+    and the operator reads every second difference of a field with one
+    gather from ``append(u, c)``.
     """
 
     def __init__(self, domain, h, stencil_width=2):
@@ -138,7 +147,17 @@ class StencilGrid:
         self.node_xy = self.points[ii, jj]                # (N, 2)
         self.n_nodes = len(ii)
         self.pairs = _orthogonal_pairs(stencil_width)
-        self._arm_cache = {}
+        dirs = [v for pair in self.pairs for v in pair]
+        rows = dirs + [(-p, -q) for p, q in dirs]
+        self._row = {v: k for k, v in enumerate(rows)}
+        tables = [self._arm_table(v) for v in rows]
+        self._nbr = np.array([nbr for nbr, _ in tables], dtype=np.int32)
+        self._rho = np.array([rho for _, rho in tables])
+        D = len(dirs)
+        ell2 = (self.h ** 2) * np.array([[p * p + q * q] for p, q in dirs], dtype=float)
+        self._K = 2.0 / ((self._rho[:D] + self._rho[D:]) * ell2)
+        for a in (self._nbr, self._rho, self._K):
+            a.flags.writeable = False
 
     def _boundary_fraction(self, pts, step):
         """Largest t in (0, 1] with pts + t*step still inside, by bisection."""
@@ -151,10 +170,8 @@ class StencilGrid:
             hi = np.where(ins, hi, mid)
         return np.maximum(0.5 * (lo + hi), 1e-6)
 
-    def arms(self, v):
+    def _arm_table(self, v):
         """Arm table along +v: (neighbor unknown index or -1, rho)."""
-        if v in self._arm_cache:
-            return self._arm_cache[v]
         dv = np.array(v)
         ij2 = self.node_ij + dv
         ok = (ij2[:, 0] >= 0) & (ij2[:, 0] < self.nx) & (ij2[:, 1] >= 0) & (ij2[:, 1] < self.ny)
@@ -165,8 +182,28 @@ class StencilGrid:
         if cut.any():
             step = self.h * dv.astype(float)
             rho[cut] = self._boundary_fraction(self.node_xy[cut], step)
-        self._arm_cache[v] = (nbr, rho)
-        return self._arm_cache[v]
+        return nbr, rho
+
+    def arms(self, v):
+        """Arm table along stencil direction ``v`` or its opposite.
+
+        Returns read-only row views ``(neighbor unknown index or -1, rho)``
+        of the stacked tables.
+        """
+        k = self._row[tuple(v)]
+        return self._nbr[k], self._rho[k]
+
+    def _second_differences(self, u, c):
+        """Every stencil second difference of ``u``, shape (pairs, 2, N).
+
+        One gather from ``append(u, c)`` reads all arm values; index -1
+        picks up the boundary constant.  The arithmetic is that of
+        :meth:`second_difference`, so the values are bit-identical.
+        """
+        D = len(self._K)
+        g = np.append(u, c)[self._nbr]
+        val = self._K * ((g[:D] - u) / self._rho[:D] + (g[D:] - u) / self._rho[D:])
+        return val.reshape(len(self.pairs), 2, self.n_nodes)
 
     def second_difference(self, v, u, c):
         """Cut-cell second difference along v for interior values u, boundary c.
@@ -198,13 +235,9 @@ def _ma_and_active(grid, u, c):
     nondegenerate at non-convex iterates, which Newton needs to recover
     from them.
     """
-    vals = []
-    for v, w in grid.pairs:
-        a = grid.second_difference(v, u, c)[0]
-        b = grid.second_difference(w, u, c)[0]
-        vals.append(np.maximum(a, 0.0) * np.maximum(b, 0.0)
-                    + np.minimum(a, 0.0) + np.minimum(b, 0.0))
-    vals = np.stack(vals)
+    sd = grid._second_differences(u, c)
+    a, b = sd[:, 0], sd[:, 1]
+    vals = np.maximum(a, 0.0) * np.maximum(b, 0.0) + np.minimum(a, 0.0) + np.minimum(b, 0.0)
     active = np.argmin(vals, axis=0)
     return vals[active, np.arange(grid.n_nodes)], active
 
@@ -369,13 +402,8 @@ class GridSolution:
         g = self.grid
         flags = []
         for i in range(self.m):
-            ok = True
-            for v, w in g.pairs:
-                for d in (v, w):
-                    val = g.second_difference(d, self.fields[i], self.cs[i])[0]
-                    if np.any(val < -tol / g.h ** 2):
-                        ok = False
-            flags.append(ok)
+            sd = g._second_differences(self.fields[i], self.cs[i])
+            flags.append(not np.any(sd < -tol / g.h ** 2))
         return tuple(flags)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -91,6 +92,18 @@ def det_gradient(M):
     return np.swapaxes(adjugate(M), -1, -2)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre01(order):
+    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _det2(M):
+    """Determinants of a stack of 2x2 matrices in closed form."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
 def mean_value_matrix(H_a, H_b, order=None):
     """A = integral_0^1 adj((1-t) H_a + t H_b) dt by Gauss-Legendre.
 
@@ -103,9 +116,7 @@ def mean_value_matrix(H_a, H_b, order=None):
     n = H_a.shape[-1]
     if order is None:
         order = max(4, n + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(int(order))
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    t, w = _gauss_legendre01(int(order))
     A = np.zeros_like(H_a)
     for tk, wk in zip(t, w):
         A += wk * adjugate((1.0 - tk) * H_a + tk * H_b)
@@ -147,6 +158,51 @@ def _interp(grid, arr):
                                    bounds_error=False, fill_value=np.nan)
 
 
+class _SolutionData:
+    """Plane-independent data of one solution, each piece built on first use.
+
+    A sweep makes one and hands it to every frame and certificate, so
+    the derivative fields, their interpolators and the discrete operator
+    of the unreflected fields are computed once per solution instead of
+    once per plane position.
+    """
+
+    def __init__(self, solution):
+        self.solution = solution
+
+    @cached_property
+    def derivs(self):
+        """Per component: :func:`_derivative_fields` of the ghost-extended array."""
+        return [_derivative_fields(self.solution, i) for i in range(self.solution.m)]
+
+    @cached_property
+    def valid(self):
+        """Nodes whose derivative stencil is valid for every component."""
+        valid_all = np.ones(self.solution.grid.inside.shape, dtype=bool)
+        for f in self.derivs:
+            valid_all &= f["valid"]
+        return valid_all
+
+    @cached_property
+    def cell_ok(self):
+        """Interpolator of the combined validity mask (1 where a cell is valid)."""
+        return _interp(self.solution.grid, self.valid.astype(float))
+
+    @cached_property
+    def interp(self):
+        """Per component: interpolators of the value and derivative fields."""
+        g = self.solution.grid
+        return [{k: _interp(g, f[k]) for k in ("E", "ux", "uy", "uxx", "uyy", "uxy")}
+                for f in self.derivs]
+
+    @cached_property
+    def det_op(self):
+        """(m, N) discrete operator values of the unreflected fields."""
+        sol = self.solution
+        return np.stack([_ma_and_active(sol.grid, u, c)[0]
+                         for u, c in zip(sol.fields, sol.cs)])
+
+
 def _hessian_at_nodes(fields, ij):
     H = np.empty((len(ij), 2, 2))
     H[:, 0, 0] = fields["uxx"][ij[:, 0], ij[:, 1]]
@@ -155,11 +211,12 @@ def _hessian_at_nodes(fields, ij):
     return H
 
 
-def _hessian_interp(grid, fields, pts):
+def _hessian_at(fns, pts):
+    """Interpolated Hessians at ``pts`` from the interpolators in ``fns``."""
     H = np.empty((len(pts), 2, 2))
-    H[:, 0, 0] = _interp(grid, fields["uxx"])(pts)
-    H[:, 1, 1] = _interp(grid, fields["uyy"])(pts)
-    H[:, 0, 1] = H[:, 1, 0] = _interp(grid, fields["uxy"])(pts)
+    H[:, 0, 0] = fns["uxx"](pts)
+    H[:, 1, 1] = fns["uyy"](pts)
+    H[:, 0, 1] = H[:, 1, 0] = fns["uxy"](pts)
     return H
 
 
@@ -211,7 +268,7 @@ class MovingPlaneFrame:
         return np.abs(self.xy @ self.nu - self.lam) <= tol
 
 
-def build_frame(solution, nu, lam, include_plane=True):
+def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
     Off-grid reflected points use bilinear interpolation of the values
@@ -221,6 +278,7 @@ def build_frame(solution, nu, lam, include_plane=True):
     rather than re-differenced, so they inherit the interior accuracy of
     the unreflected fields.
     """
+    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     lam = float(lam)
@@ -232,15 +290,10 @@ def build_frame(solution, nu, lam, include_plane=True):
     refl = reflect_point(xy, nu, lam)
 
     m = solution.m
-    flds = [_derivative_fields(solution, i) for i in range(m)]
-    valid_all = np.ones(g.inside.shape, dtype=bool)
-    for f in flds:
-        valid_all &= f["valid"]
     # a reflected point is usable when its whole interpolation cell is valid
-    cell_ok_fn = _interp(g, valid_all.astype(float))
     refl_inside = g.domain.contains(refl)
     with np.errstate(invalid="ignore"):
-        cell = cell_ok_fn(refl)
+        cell = data.cell_ok(refl)
     refl_ok = refl_inside & np.isfinite(cell)
     value_ok = refl_ok  # value interpolation needs the cell in the padded box
     n_exited = int(np.sum(~refl_inside))
@@ -250,7 +303,7 @@ def build_frame(solution, nu, lam, include_plane=True):
     cell = cell[keep]
     K = len(idx)
     ij = g.node_ij[idx]
-    node_valid = valid_all[ij[:, 0], ij[:, 1]] if K else np.zeros(0, dtype=bool)
+    node_valid = data.valid[ij[:, 0], ij[:, 1]] if K else np.zeros(0, dtype=bool)
     deriv_ok = node_valid & (cell > 1.0 - 1e-12)
 
     Q = np.eye(2) - 2.0 * np.outer(nu, nu)
@@ -261,15 +314,15 @@ def build_frame(solution, nu, lam, include_plane=True):
     hess_u = np.empty((m, K, 2, 2))
     hess_u_lam = np.empty((m, K, 2, 2))
     for i in range(m):
-        f = flds[i]
+        f, fns = data.derivs[i], data.interp[i]
         u[i] = solution.fields[i][idx]
-        u_lam[i] = _interp(g, f["E"])(refl)
+        u_lam[i] = fns["E"](refl)
         grad_u[i, :, 0] = f["ux"][ij[:, 0], ij[:, 1]]
         grad_u[i, :, 1] = f["uy"][ij[:, 0], ij[:, 1]]
-        graw = np.stack([_interp(g, f["ux"])(refl), _interp(g, f["uy"])(refl)], axis=-1)
+        graw = np.stack([fns["ux"](refl), fns["uy"](refl)], axis=-1)
         grad_u_lam[i] = graw @ Q.T
         hess_u[i] = _hessian_at_nodes(f, ij)
-        hess_u_lam[i] = Q @ _hessian_interp(g, f, refl) @ Q
+        hess_u_lam[i] = Q @ _hessian_at(fns, refl) @ Q
 
     # Discrete determinants of the original and the reflected field with
     # the scheme's own wide-stencil operator.  Both carry the same
@@ -283,12 +336,10 @@ def build_frame(solution, nu, lam, include_plane=True):
         g.domain.level(refl_all) < -3.0 * g.h)
     trust_dense = minimum_filter(g.inside & refl_val_dense,
                                  size=2 * g.width + 1, mode="constant")
-    det_op = np.empty((m, K))
+    det_op = data.det_op[:, idx]
     det_op_lam = np.empty((m, K))
     for i in range(m):
-        vals, _ = _ma_and_active(g, solution.fields[i], solution.cs[i])
-        det_op[i] = vals[idx]
-        u_lam_all = _interp(g, flds[i]["E"])(refl_all)
+        u_lam_all = data.interp[i]["E"](refl_all)
         u_lam_all = np.where(np.isfinite(u_lam_all), u_lam_all, solution.cs[i])
         vals_l, _ = _ma_and_active(g, u_lam_all, solution.cs[i])
         det_op_lam[i] = vals_l[idx]
@@ -337,15 +388,14 @@ def linearize(frame, system, quad_order=None):
     c = np.zeros(m)
     d = np.zeros((m, m, K))
     flagged = []
-    nodes, weights = np.polynomial.legendre.leggauss(int(quad_order))
-    t_samples = 0.5 * (nodes + 1.0)
+    t_samples, _ = _gauss_legendre01(int(quad_order))
     for i in range(m):
         Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
         A[i] = mean_value_matrix(Ha, Hb, order=quad_order)
         bad = np.zeros(K, dtype=bool)
         for tk in t_samples:
             Mt = (1.0 - tk) * Ha + tk * Hb
-            bad |= ~((np.linalg.det(Mt) > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
+            bad |= ~((_det2(Mt) > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
         bad &= frame.deriv_ok
         if bad.any():
             # symmetrize and push eigenvalues up to a tiny floor
@@ -406,8 +456,8 @@ def verify_elliptic_inequality(lin, frame, tol=None, trace_from_operator=True):
                + np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
                + lin.c[i] * frame.U[i])
         rhs = np.einsum("jk,jk->k", lin.d[i], frame.U)
-        scale = np.maximum(1.0, np.maximum(np.abs(np.linalg.det(frame.hess_u[i])),
-                                           np.abs(np.linalg.det(frame.hess_u_lam[i]))))
+        scale = np.maximum(1.0, np.maximum(np.abs(_det2(frame.hess_u[i])),
+                                           np.abs(_det2(frame.hess_u_lam[i]))))
         tol_node = (10.0 * g.h ** 2) * scale if tol is None else tol
         margin = lhs - rhs
         bad = ok & (margin < -tol_node)
@@ -430,13 +480,14 @@ def verify_elliptic_inequality(lin, frame, tol=None, trace_from_operator=True):
 # ---------------------------------------------------------------------------
 # certificates
 
-def certify_monotonicity(solution, nu, planes, tol=None):
+def certify_monotonicity(solution, nu, planes, tol=None, *, _data=None):
     """Directional derivative check: d_nu u < 0 strictly left of the plane.
 
     Certifies the strict inequality as <= -margin at every interior node
     with x . nu < Lam0 - h, margin defaulting to 10 h^2 times a local
     gradient scale.  Failure is a verdict with a witness, not an error.
     """
+    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     h = g.h
@@ -444,7 +495,7 @@ def certify_monotonicity(solution, nu, planes, tol=None):
            "components": [], "passed": True}
     proj = g.node_xy @ nu
     for i in range(solution.m):
-        f = _derivative_fields(solution, i)
+        f = data.derivs[i]
         ij = g.node_ij
         ok = f["valid"][ij[:, 0], ij[:, 1]] & (proj < planes.Lam0 - h)
         dnu = (f["ux"][ij[:, 0], ij[:, 1]] * nu[0]
@@ -481,7 +532,7 @@ def _domain_symmetric(domain, nu, lam, samples=512):
     return bool(np.max(np.abs(domain.level(refl))) < 1e-7 * domain.bbox_diameter())
 
 
-def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720):
+def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
@@ -497,7 +548,8 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720):
         report["applicable"] = False
         report["verdict"] = "not-applicable"
         return report
-    frame = build_frame(solution, nu, Lam0)
+    data = _data if _data is not None else _SolutionData(solution)
+    frame = build_frame(solution, nu, Lam0, _data=data)
     resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
     report["mirror_residual"] = resid
     scale = max(1.0, max(float(np.max(np.abs(f))) for f in solution.fields))
@@ -508,7 +560,7 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720):
         th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         for i in range(solution.m):
-            fn = _interp(g, solution.extended_array(i))
+            fn = data.interp[i]["E"]
             worst = 0.0
             for frac in (0.2, 0.4, 0.6, 0.8):
                 vals = fn(c + frac * g.domain.radius * ring)
@@ -543,7 +595,7 @@ def _boundary_samples(domain, k=256):
     return None, None
 
 
-def boundary_checks(solution, domain=None):
+def boundary_checks(solution, domain=None, *, _data=None):
     """Hopf outward derivative, interior Laplacian sign and tube corner checks.
 
     The normal derivative is a one-sided difference from just inside the
@@ -552,6 +604,7 @@ def boundary_checks(solution, domain=None):
     cross derivative taken along the inward axis directions must be
     positive.
     """
+    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     domain = domain or g.domain
     h = g.h
@@ -563,7 +616,7 @@ def boundary_checks(solution, domain=None):
         entries = []
         s = 2.0 * h
         for i in range(solution.m):
-            fn = _interp(g, solution.extended_array(i))
+            fn = data.interp[i]["E"]
             innerv = fn(pts - s * normals)
             keep = np.isfinite(innerv) & domain.contains(pts - s * normals)
             dn = (solution.cs[i] - innerv[keep]) / s
@@ -578,7 +631,7 @@ def boundary_checks(solution, domain=None):
     lap_entries = []
     ij = g.node_ij
     for i in range(solution.m):
-        f = _derivative_fields(solution, i)
+        f = data.derivs[i]
         ok = f["valid"][ij[:, 0], ij[:, 1]]
         lap = f["uxx"][ij[:, 0], ij[:, 1]] + f["uyy"][ij[:, 0], ij[:, 1]]
         lap_entries.append({"component": i + 1,
@@ -592,7 +645,7 @@ def boundary_checks(solution, domain=None):
         s = 2.0 * h
         entries = []
         for i in range(solution.m):
-            fn = _interp(g, solution.extended_array(i))
+            fn = data.interp[i]["E"]
             ci = solution.cs[i]
             # inward one-sided cross differences; boundary faces carry c
             top = float((ci - fn([[x_min + s, H - s]])[0]) / s ** 2)
@@ -652,6 +705,13 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
     Each position gets a frame, the cap bound U <= tol, and (when the
     system is supplied) a linearization with the elliptic-inequality
     audit.  The final position doubles as the symmetry certificate.
+
+    Everything that does not depend on the plane position is computed
+    once per call and shared by every frame, the symmetry frame, the
+    monotonicity certificate and the boundary checks: the derivative
+    fields of the ghost-extended arrays, the combined validity mask and
+    its interpolator, the interpolators of the value and derivative
+    fields, and the discrete operator of the unreflected fields.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -660,11 +720,12 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
     h = g.h
     lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (
         np.arange(1, n_lambdas + 1) / n_lambdas)
+    data = _SolutionData(solution)
     entries = []
     total_viol = 0
     all_ok = True
     for lam in lams:
-        frame = build_frame(solution, nu, float(lam))
+        frame = build_frame(solution, nu, float(lam), _data=data)
         entry = {"lambda": float(lam), "n_nodes": int(len(frame.node_idx)),
                  "n_exited": frame.n_exited}
         if frame.empty:
@@ -685,9 +746,9 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
                 total_viol += ei["total_violations"]
         all_ok = all_ok and entry["cap_nonpositive"]
         entries.append(entry)
-    mono = certify_monotonicity(solution, nu, planes)
-    sym = certify_symmetry(solution, nu, planes.Lam0)
-    bnd = boundary_checks(solution)
+    mono = certify_monotonicity(solution, nu, planes, _data=data)
+    sym = certify_symmetry(solution, nu, planes.Lam0, _data=data)
+    bnd = boundary_checks(solution, _data=data)
     passed = (all_ok and total_viol == 0 and mono["passed"]
               and sym.get("passed", True))
     return MovingPlaneReport(

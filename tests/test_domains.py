@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from masym.domains import (Ball, Ellipse, GeometryError, SmoothLevelSet, Tube,
-                           critical_planes, domain_from_json, domain_to_json,
-                           half_domain_mask, reflect_point)
+from masym.domains import (Ball, CriticalPlanes, Ellipse, GeometryError,
+                           SmoothLevelSet, Tube, critical_planes, domain_from_json,
+                           domain_to_json, half_domain_mask, reflect_point)
 
 
 def test_reflect_point_involution():
@@ -47,6 +47,21 @@ def test_ellipse_critical_planes_exact():
     cp = critical_planes(e, [0.0, 1.0])
     assert abs(cp.lam0 + 1.0) <= 1e-9
     assert abs(cp.Lam0) <= 1e-9
+
+
+def test_ellipse_slanted_direction_planes():
+    """Off the principal axes the central plane is no symmetry plane:
+    Lam0 is found by bisection and sits at Lam2 = -sqrt(0.9), below 0."""
+    e = Ellipse(center=(0.0, 0.0), semi_axes=(2.0, 1.0))
+    s = 1.0 / np.sqrt(2.0)
+    cp = critical_planes(e, [s, s])
+    assert cp.lam0 < cp.Lam0 <= cp.Lam2 + 1e-9
+    assert abs(cp.Lam2 + np.sqrt(0.9)) <= 1e-9
+    assert abs(cp.Lam0 - cp.Lam2) <= 1e-4
+    tube = Tube(cross_section=e, half_height=1.0)
+    cpt = critical_planes(tube, [s, s, 0.0])
+    assert cpt.lam0 < cpt.Lam0 <= cpt.Lam2 + 1e-9
+    assert abs(cpt.Lam0 - cp.Lam0) <= 1e-6
 
 
 def test_offcenter_ball_planes():
@@ -97,6 +112,15 @@ def test_smooth_level_set_matches_ball():
     cp = critical_planes(d, [1.0, 0.0])
     assert abs(cp.lam0 + 1.0) <= 1e-3
     assert abs(cp.Lam0) <= 1e-3
+
+
+def test_critical_planes_invariant_lam0_below_lam2():
+    """Lam0 <= Lam2 (Lam0 = min(Lam1, Lam2)); a Lam0 past Lam2 is rejected."""
+    cp = CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.2, Lam1=0.0, Lam2=-0.1)
+    assert cp.Lam0 < cp.Lam2
+    CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 5e-10, Lam1=0.0, Lam2=-0.1)
+    with pytest.raises(GeometryError):
+        CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 1e-8, Lam1=0.0, Lam2=-0.1)
 
 
 def test_half_domain_mask():

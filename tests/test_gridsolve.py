@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from masym.domains import Ball, Ellipse, Tube
+from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube
 from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
-                             ma_operator_discrete, read_solution_binary,
+                             _ma_and_active, ma_operator_discrete,
+                             read_solution_binary,
                              solve_scalar_fd, solve_system_fd,
                              stencil_directions, write_solution_binary,
                              write_solution_csv)
@@ -12,6 +13,16 @@ from masym.rhs import power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
+OPERATOR_DOMAINS = {
+    "ball": DISK,
+    "ellipse": Ellipse(center=(0.1, 0.0), semi_axes=(1.0, 0.5)),
+    "tube": Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=0.75),
+    "levelset": SmoothLevelSet(
+        phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.3 * np.exp(x[..., 0]) - 1.3,
+        grad_phi=lambda x: np.stack([2.0 * x[..., 0] + 0.3 * np.exp(x[..., 0]),
+                                     2.0 * x[..., 1]], axis=-1),
+        bbox=((-1.2, 1.0), (-1.1, 1.1))),
+}
 
 
 def test_stencil_directions_primitive():
@@ -141,3 +152,49 @@ def test_convexity_audit_flags_corruption():
     xy = sol.grid.node_xy
     sol.fields[0] = sol.fields[0] + 0.05 * np.sin(8.0 * np.pi * xy[:, 0])
     assert not all(sol.convexity_audit())
+
+
+def _reference_arm(grid, v):
+    """Arm table along v built directly from the node index and the domain."""
+    ij2 = grid.node_ij + np.array(v)
+    ok = (ij2[:, 0] >= 0) & (ij2[:, 0] < grid.nx) & (ij2[:, 1] >= 0) & (ij2[:, 1] < grid.ny)
+    nbr = -np.ones(grid.n_nodes, dtype=int)
+    nbr[ok] = grid.index[ij2[ok, 0], ij2[ok, 1]]
+    rho = np.ones(grid.n_nodes)
+    cut = nbr < 0
+    rho[cut] = grid._boundary_fraction(grid.node_xy[cut], grid.h * np.array(v, dtype=float))
+    return nbr, rho
+
+
+def _reference_operator(grid, u, c):
+    """Per-pair loop over second_difference: the operator without stacked tables."""
+    vals = []
+    for v, w in grid.pairs:
+        a = grid.second_difference(v, u, c)[0]
+        b = grid.second_difference(w, u, c)[0]
+        vals.append(np.maximum(a, 0.0) * np.maximum(b, 0.0)
+                    + np.minimum(a, 0.0) + np.minimum(b, 0.0))
+    vals = np.stack(vals)
+    active = np.argmin(vals, axis=0)
+    return vals[active, np.arange(grid.n_nodes)], active
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(OPERATOR_DOMAINS))
+def test_stacked_operator_matches_per_pair_loop(name, width):
+    grid = StencilGrid(OPERATOR_DOMAINS[name], 1.0 / 16.0, width)
+    for p, q in stencil_directions(width):
+        for v in ((p, q), (-p, -q)):
+            nbr, rho = grid.arms(v)
+            ref_nbr, ref_rho = _reference_arm(grid, v)
+            np.testing.assert_array_equal(nbr, ref_nbr)
+            np.testing.assert_array_equal(rho, ref_rho)
+    xy = grid.node_xy
+    rng = np.random.default_rng(width)
+    for u, c in ((np.sum(xy ** 2, axis=1) - 1.0, 0.0),
+                 (np.sin(3.0 * xy[:, 0]) * np.cos(2.0 * xy[:, 1]), 0.5),
+                 (rng.normal(size=grid.n_nodes), -1.0)):
+        vals, active = _ma_and_active(grid, u, c)
+        ref_vals, ref_active = _reference_operator(grid, u, c)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(active, ref_active)

@@ -6,8 +6,8 @@ import pytest
 from masym.domains import Ball, SmoothLevelSet, Tube, critical_planes
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
-from masym.movingplane import (adjugate, boundary_checks, build_frame,
-                               certify_monotonicity, certify_symmetry,
+from masym.movingplane import (_SolutionData, adjugate, boundary_checks,
+                               build_frame, certify_monotonicity, certify_symmetry,
                                det_gradient, lambda_sweep, linearize,
                                mean_value_matrix, verify_elliptic_inequality,
                                write_heatmap_svg)
@@ -227,6 +227,42 @@ def test_diagonal_direction_sweep(coupled):
     rep = lambda_sweep(coupled, [s, s], planes, n_lambdas=4,
                        system=power_coupled_system(1.0, 1.0))
     assert rep.total_ei_violations == 0
+
+
+@pytest.fixture(scope="module")
+def coupled16():
+    return solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0),
+                           FdParams(h=1.0 / 16.0))
+
+
+FRAME_ARRAYS = ("node_idx", "xy", "reflected_xy", "deriv_ok", "u", "u_lam", "U",
+                "grad_u", "grad_u_lam", "grad_U", "hess_u", "hess_u_lam", "hess_U",
+                "det_op", "det_op_lam", "op_ok")
+
+
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))])
+def test_shared_sweep_data_changes_nothing(coupled16, nu):
+    """Frames and sweep entries built from shared data equal standalone ones."""
+    system = power_coupled_system(1.0, 1.0)
+    planes = critical_planes(DISK, nu)
+    n = 6
+    rep = lambda_sweep(coupled16, nu, planes, n_lambdas=n, system=system)
+    lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
+    data = _SolutionData(coupled16)
+    for lam, entry in zip(lams, rep.entries):
+        frame = build_frame(coupled16, nu, float(lam))
+        shared = build_frame(coupled16, nu, float(lam), _data=data)
+        assert shared.n_exited == frame.n_exited
+        for name in FRAME_ARRAYS:
+            np.testing.assert_array_equal(getattr(shared, name), getattr(frame, name))
+        assert entry["n_nodes"] == len(frame.node_idx)
+        assert entry["n_exited"] == frame.n_exited
+        assert entry["U_max"] == float(np.max(frame.U))
+        lin = linearize(frame, system)
+        ei = verify_elliptic_inequality(lin, frame)
+        assert entry["ei_violations"] == ei["total_violations"]
+        assert entry["ei_worst_margin"] == ei["worst_margin"]
+        assert entry["flagged_nonpd"] == list(lin.n_flagged)
 
 
 def test_heatmap_svg(tmp_path, quadratic):
