@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 failed certificate, 2 config validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .domains import GeometryError, critical_planes, domain_from_json, domain_to_json
+from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
 from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid,
                         solve_system_fd, write_solution_binary, write_solution_csv)
@@ -81,6 +83,14 @@ def load_config(path):
     for key in ("alpha", "beta", "R", "tol"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
             raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be positive")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
+    allowed = list(FdParams.__dataclass_fields__)
+    for key in params:
+        if key not in allowed:
+            raise ConfigError(f"{path}:{_key_line(path, key)}: unknown params key {key!r}; "
+                              f"allowed: {', '.join(allowed)}")
     return cfg
 
 
@@ -110,9 +120,11 @@ class Emitter:
         self.files = []
         os.makedirs(out_dir, exist_ok=True)
         self.lock = os.path.join(out_dir, ".lock")
-        if os.path.exists(self.lock):
-            raise ConfigError(f"output directory {out_dir} is locked by another run")
-        with open(self.lock, "w") as fh:
+        try:
+            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise ConfigError(f"output directory {out_dir} is locked by another run") from None
+        with os.fdopen(fd, "w") as fh:
             fh.write("locked\n")
 
     def path(self, name):
@@ -129,11 +141,10 @@ class Emitter:
             with open(os.path.join(self.out, name), "rb") as fh:
                 manifest["artifacts"][name] = hashlib.sha256(fh.read()).hexdigest()
         _json_dump(manifest, os.path.join(self.out, "manifest.json"))
-        os.remove(self.lock)
         self.say(f"wrote {len(self.files)} artifacts + manifest to {self.out}")
 
-    def abort(self):
-        if os.path.exists(self.lock):
+    def release(self):
+        with contextlib.suppress(FileNotFoundError):
             os.remove(self.lock)
 
 
@@ -322,18 +333,18 @@ def main(argv=None):
         status = _RUNNERS[cfg["command"]](cfg, emit, seed)
         emit.finish()
         return status
-    except (SolverDivergence, DivergenceError) as err:
+    except (SolverDivergence, DivergenceError, ExpressionDomainError) as err:
         report = os.path.join(args.out, "divergence.json")
         _json_dump({"error": str(err),
                     "history": [list(hh) if isinstance(hh, (list, tuple)) else hh
                                 for hh in getattr(err, "history", [])]}, report)
-        emit.abort()
         print(f"solver divergence: {err} (report: {report})", file=sys.stderr)
         return 3
     except (ConfigError, ConfigurationError, GeometryError, KeyError) as err:
-        emit.abort()
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    finally:
+        emit.release()
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ pairs of the product of (clamped) second differences, a degenerate
 elliptic scheme that selects convex solutions.  Stencil arms that cross
 the boundary are shortened to the exact crossing point against the
 constant Dirichlet value (cut cells), so smooth domains carry no
-staircase error.  Scalar problems go through damped Newton with an
-explicit Euler fallback; coupled systems run Gauss-Seidel sweeps over
-the components with the coupling frozen one sweep back.
+staircase error.  Scalar problems and coupled systems run one sweep
+loop: each sweep re-evaluates every component's source at the current
+fields and takes one damped Newton solve of that component's operator
+equation.  Every linearization (the Newton Jacobian, the Laplace start
+and the gradient) reads the stacked arm table of the grid.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .rhs import RhsSystem, eval_f
+from .rhs import eval_f
 
 __all__ = [
     "FdParams",
@@ -40,7 +41,12 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Both Newton and the Euler fallback failed; carries iteration history."""
+    """The grid solve failed; carries the Newton and sweep history.
+
+    Raised when a source is non-positive or non-finite, when a Newton
+    step is singular or non-finite, when the line search is exhausted,
+    when Newton reaches ``max_newton`` or when the sweeps reach their cap.
+    """
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -52,13 +58,7 @@ class FdParams:
     h: float = 1.0 / 64.0
     tol: float = 1e-8
     stencil_width: int = 2
-    newton_damping: float = 1.0
     max_newton: int = 60
-    max_euler: int = 200_000
-    max_picard: int = 200
-    max_sweeps: int = 400
-    sweep_relaxation: float = 1.0
-    tol_convex: float = 1e-8
 
     def to_json(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -210,7 +210,9 @@ class StencilGrid:
 
         Returns (value, coeff_center, coeff_plus, coeff_minus, nbr_plus,
         nbr_minus); the coefficient arrays define the linear dependence on
-        the unknowns (boundary arms contribute constants).
+        the unknowns (boundary arms contribute constants).  The solver
+        reads the stacked tables instead; this per-direction form is the
+        reference the tests compare them against.
         """
         np_, rp = self.arms(v)
         nm, rm = self.arms((-v[0], -v[1]))
@@ -252,24 +254,37 @@ def ma_operator_discrete(grid, u, node=None, c=0.0):
     return vals if node is None else float(vals[node])
 
 
-def _laplace_init(grid, rhs, c):
-    """Solve the cut-cell Poisson problem Delta u = rhs with u = c on the boundary."""
+def _pair_rows(grid, pair, gains):
+    """Gain-weighted linear rows of the second differences of one pair per node.
+
+    Row i is ``gains[0, i]`` times the cut-cell second difference along
+    the first direction of pair ``pair[i]`` plus ``gains[1, i]`` times the
+    one along its second direction, as a linear map of the interior
+    values.  All rows come from the stacked arm table in one pass;
+    boundary arms hold no unknown and drop out.
+    """
     N = grid.n_nodes
-    rows, cols, data = [], [], []
-    b = np.asarray(rhs, dtype=float).copy()
-    u0 = np.zeros(N)
-    for v in ((1, 0), (0, 1)):
-        _, cc, cp, cm, np_, nm = grid.second_difference(v, u0, 0.0)
-        rows.append(np.arange(N)); cols.append(np.arange(N)); data.append(cc)
-        okp = np_ >= 0
-        rows.append(np.arange(N)[okp]); cols.append(np_[okp]); data.append(cp[okp])
-        b[~okp] -= c * (2.0 / ((grid.arms(v)[1] + grid.arms((-v[0], -v[1]))[1]) * grid.h ** 2) / grid.arms(v)[1])[~okp]
-        okm = nm >= 0
-        rows.append(np.arange(N)[okm]); cols.append(nm[okm]); data.append(cm[okm])
-        b[~okm] -= c * (2.0 / ((grid.arms(v)[1] + grid.arms((-v[0], -v[1]))[1]) * grid.h ** 2) / grid.arms((-v[0], -v[1]))[1])[~okm]
-    A = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N))
-    return spla.spsolve(A, b)
+    D = len(grid._K)
+    idx = np.arange(N)
+    r = 2 * pair + np.arange(2)[:, None]              # (2, N) direction rows
+    K = grid._K[r, idx]
+    rp, rm = grid._rho[r, idx], grid._rho[D + r, idx]
+    nbr = np.stack([np.broadcast_to(idx, (2, N)), grid._nbr[r, idx], grid._nbr[D + r, idx]])
+    coeff = np.stack([-K * (1.0 / rp + 1.0 / rm), K / rp, K / rm])
+    ok = nbr >= 0
+    rows = np.broadcast_to(idx, nbr.shape)[ok]
+    return sp.csr_matrix(((gains * coeff)[ok], (rows, nbr[ok])), shape=(N, N))
+
+
+def _laplace_init(grid, rhs, c):
+    """Solve the cut-cell Poisson problem Delta u = rhs with u = c on the boundary.
+
+    A constant is harmonic against its own boundary value, so u - c
+    solves the problem with zero boundary data.
+    """
+    N = grid.n_nodes
+    axes = np.full(N, grid._row[(1, 0)] // 2)
+    return spla.spsolve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
 
 
 def _newton_matrix(grid, u, c, active, floor=1e-8):
@@ -278,29 +293,21 @@ def _newton_matrix(grid, u, c, active, floor=1e-8):
     Where a factor is clamped the penalty contributes a unit gain, so
     every row stays uniformly elliptic.
     """
-    N = grid.n_nodes
-    rows, cols, data = [], [], []
-    idx = np.arange(N)
-    for k, (v, w) in enumerate(grid.pairs):
-        sel = active == k
-        if not sel.any():
-            continue
-        a, acc, acp, acm, anp, anm = grid.second_difference(v, u, c)
-        bq, bcc, bcp, bcm, bnp, bnm = grid.second_difference(w, u, c)
-        ap = np.maximum(a, 0.0)
-        bp = np.maximum(bq, 0.0)
-        ga = np.where(a > 0, np.maximum(bp, floor), 1.0)
-        gb = np.where(bq > 0, np.maximum(ap, floor), 1.0)
-        for coeff, nbr, gain in ((acc, idx, ga), (acp, anp, ga), (acm, anm, ga),
-                                 (bcc, idx, gb), (bcp, bnp, gb), (bcm, bnm, gb)):
-            ok = sel & (nbr >= 0) & (coeff != 0.0)
-            rows.append(idx[ok]); cols.append(nbr[ok]); data.append((gain * coeff)[ok])
-    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N, N))
+    sd = grid._second_differences(u, c)[active, :, np.arange(grid.n_nodes)].T
+    gains = np.where(sd > 0, np.maximum(np.maximum(sd[::-1], 0.0), floor), 1.0)
+    return _pair_rows(grid, active, gains)
+
+
+def gradient_at_nodes(grid, u, c):
+    """Centered cut-cell first differences at interior nodes, shape (N, 2)."""
+    plus = [grid._row[(1, 0)], grid._row[(0, 1)]]
+    minus = [grid._row[(-1, 0)], grid._row[(0, -1)]]
+    g = np.append(u, c)[grid._nbr[plus + minus]]
+    return ((g[:2] - g[2:]) / ((grid._rho[plus] + grid._rho[minus]) * grid.h)).T
 
 
 def _solve_operator_equation(grid, gh, c, u, params, history):
-    """Newton iterations for MA(u) = gh, with an Euler fallback on stagnation."""
+    """Damped Newton for MA(u) = gh; raises DivergenceError naming why it failed."""
     res, active = _ma_and_active(grid, u, c)
     res = res - gh
     best = float(np.max(np.abs(res)))
@@ -309,44 +316,76 @@ def _solve_operator_equation(grid, gh, c, u, params, history):
     for it in range(params.max_newton):
         if best <= params.tol * scale:
             return u
-        J = _newton_matrix(grid, u, c, active)
-        try:
-            delta = spla.spsolve(J, -res)
-        except Exception:
-            break
+        delta = spla.spsolve(_newton_matrix(grid, u, c, active), -res)
         if not np.all(np.isfinite(delta)):
-            break
-        step = params.newton_damping
-        improved = False
+            raise DivergenceError(
+                f"Newton step is singular or non-finite at residual {best:.3e}", history)
+        step = 1.0
         for _ in range(30):
             u_try = u + step * delta
             r_try, a_try = _ma_and_active(grid, u_try, c)
             r_try = r_try - gh
             m_try = float(np.linalg.norm(r_try))
             if m_try < merit * (1.0 - 1e-4 * step):
-                u, res, active = u_try, r_try, a_try
-                merit = m_try
-                best = float(np.max(np.abs(res)))
-                improved = True
                 break
             step *= 0.5
+        else:
+            history.append(("newton", it, best))
+            raise DivergenceError(
+                f"Newton line search exhausted at residual {best:.3e}", history)
+        u, res, active, merit = u_try, r_try, a_try, m_try
+        best = float(np.max(np.abs(res)))
         history.append(("newton", it, best))
-        if not improved:
-            break
     if best <= params.tol * scale:
         return u
-    # Euler fallback: parabolic relaxation toward MA(u) = gh
-    dt = grid.h ** 2 / 4.0
-    for it in range(params.max_euler):
-        res, _ = _ma_and_active(grid, u, c)
-        res = res - gh
-        nrm = float(np.max(np.abs(res)))
-        if nrm <= params.tol * scale:
-            history.append(("euler", it, nrm))
-            return u
-        u = u + dt * res
-    history.append(("euler", params.max_euler, nrm))
-    raise DivergenceError(f"operator solve stalled at residual {nrm:.3e}", history)
+    raise DivergenceError(
+        f"Newton reached max_newton = {params.max_newton} at residual {best:.3e}", history)
+
+
+_MAX_SWEEPS = 400
+
+
+def _sweep_solve(grid, source, cs, params, init=None):
+    """Fixed point of det D^2 u_i = source(i, fields, grad u_i) over the components.
+
+    Each sweep evaluates every component's source at the current fields
+    (the components already updated in this sweep included) and takes one
+    Newton solve of its operator equation.  Unless ``init`` gives the
+    starting fields, the first sweep starts component i from the Laplace
+    solve of Delta u = 2 sqrt(source), with u_i = c_i and the later
+    components at c_j - 0.1.  A sweep after the first that changes no field
+    by more than 10 tol max(1, |u|_inf) ends the loop; the first cannot,
+    since its sources saw those placeholder values.
+    """
+    N = grid.n_nodes
+    if init is None:
+        fields = [np.full(N, c - 0.1) for c in cs]
+    else:
+        fields = [np.asarray(f, dtype=float) for f in init]
+    history = []
+    for sweep in range(_MAX_SWEEPS):
+        change = 0.0
+        for i, c in enumerate(cs):
+            if sweep == 0 and init is None:
+                fields[i] = np.full(N, c)
+                g0 = np.broadcast_to(source(i, fields, np.zeros((N, 2))), (N,))
+                fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12)), c)
+            grad = gradient_at_nodes(grid, fields[i], c)
+            gh = np.broadcast_to(np.asarray(source(i, fields, grad), dtype=float), (N,))
+            bad = ~(gh > 0)
+            if bad.any():
+                raise DivergenceError(
+                    f"source of component {i + 1} is non-positive or non-finite at "
+                    f"{int(bad.sum())} nodes (ellipticity needs f > 0)", history)
+            u = _solve_operator_equation(grid, gh, c, fields[i], params, history)
+            change = max(change, float(np.max(np.abs(u - fields[i]))))
+            fields[i] = u
+        history.append(("sweep", sweep, change))
+        scale = max(1.0, max(float(np.max(np.abs(f))) for f in fields))
+        if sweep > 0 and change <= 10.0 * params.tol * scale:
+            return fields
+    raise DivergenceError(
+        f"sweeps did not converge in {_MAX_SWEEPS} sweeps (change {change:.3e})", history)
 
 
 @dataclass
@@ -411,83 +450,37 @@ def solve_scalar_fd(domain, g, c, params=None, grid=None, init=None):
     """Solve det D^2 u = g(x, u, grad u) with constant Dirichlet data.
 
     ``g`` is a vectorized callable g(xy, u, grad) -> (N,); dependence on
-    (u, grad u) is handled by an outer Picard loop around the Newton
-    operator solve.  Returns the interior value array; pair with the grid
-    (or use :func:`solve_system_fd` for a full :class:`GridSolution`).
+    (u, grad u) is handled by the sweep loop of :func:`solve_system_fd`
+    with one component.  ``init`` replaces the Laplace start.  Returns
+    the interior value array and the grid (or use :func:`solve_system_fd`
+    for a full :class:`GridSolution`).
     """
     params = params or FdParams()
     if grid is None:
         grid = StencilGrid(domain, params.h, params.stencil_width)
-    history = []
-    zeros = np.zeros(grid.n_nodes)
-    if init is None:
-        g0 = np.maximum(np.asarray(g(grid.node_xy, np.full(grid.n_nodes, c), np.zeros((grid.n_nodes, 2))), dtype=float), 1e-12)
-        g0 = np.broadcast_to(g0, (grid.n_nodes,))
-        u = _laplace_init(grid, 2.0 * np.sqrt(g0), c)
-    else:
-        u = init.copy()
-    for it in range(params.max_picard):
-        grad = gradient_at_nodes(grid, u, c)
-        gh = np.broadcast_to(np.asarray(g(grid.node_xy, u, grad), dtype=float),
-                             (grid.n_nodes,))
-        if np.any(gh <= 0):
-            raise DivergenceError("source must stay positive (ellipticity)", history)
-        u_new = _solve_operator_equation(grid, gh, c, u, params, history)
-        change = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        history.append(("picard", it, change))
-        if change <= params.tol * max(1.0, float(np.max(np.abs(u)))):
-            break
-    else:
-        raise DivergenceError("outer Picard loop did not converge", history)
+    (u,) = _sweep_solve(grid, lambda i, fields, grad: g(grid.node_xy, fields[0], grad),
+                        (c,), params, init=None if init is None else [init])
     return u, grid
 
 
-def gradient_at_nodes(grid, u, c):
-    """Centered cut-cell first differences at interior nodes."""
-    out = np.zeros((grid.n_nodes, 2))
-    for k, v in enumerate(((1, 0), (0, 1))):
-        np_, rp = grid.arms(v)
-        nm, rm = grid.arms((-v[0], -v[1]))
-        gp = np.where(np_ >= 0, u[np.maximum(np_, 0)], c)
-        gm = np.where(nm >= 0, u[np.maximum(nm, 0)], c)
-        out[:, k] = (gp - gm) / ((rp + rm) * grid.h)
-    return out
-
-
 def solve_system_fd(domain, system, cs, params=None):
-    """Gauss-Seidel over components for the coupled system.
+    """Solve the coupled system by sweeps over its components.
 
-    Each sweep solves every scalar problem with the other components
-    frozen from the previous sweep (gradients included).  Returns a
-    :class:`GridSolution`.
+    Each sweep takes one Newton operator solve per component, with the
+    other components at their latest values (gradients included).
+    Returns a :class:`GridSolution`.
     """
     params = params or FdParams()
     if len(cs) != system.m:
         raise ValueError("one boundary constant per component is required")
     grid = StencilGrid(domain, params.h, params.stencil_width)
-    m = system.m
-    fields = [np.full(grid.n_nodes, cs[i] - 0.1) for i in range(m)]
-    first = True
-    for sweep in range(params.max_sweeps):
-        change = 0.0
-        for i in range(m):
-            def g(xy, u, grad, i=i):
-                z = np.stack([fields[j] if j != i else u for j in range(m)], axis=-1)
-                return eval_f(system, i + 1, xy, z, grad)
-            u_new, _ = solve_scalar_fd(domain, g, cs[i], params, grid=grid,
-                                       init=None if first else fields[i])
-            w = params.sweep_relaxation if not first else 1.0
-            u_rel = (1.0 - w) * fields[i] + w * u_new
-            change = max(change, float(np.max(np.abs(u_rel - fields[i]))))
-            fields[i] = u_rel
-        first = False
-        if change <= params.tol * 10:
-            break
-    else:
-        raise DivergenceError("component sweeps did not converge", [("sweep", sweep, change)])
+
+    def source(i, fields, grad):
+        return eval_f(system, i + 1, grid.node_xy, np.stack(fields, axis=-1), grad)
+
+    fields = _sweep_solve(grid, source, cs, params)
     sol = GridSolution(grid=grid, fields=fields, cs=tuple(cs))
-    sol.convex = sol.convexity_audit(params.tol_convex)
+    sol.convex = sol.convexity_audit()
     return sol
 
 

@@ -532,12 +532,14 @@ def _domain_symmetric(domain, nu, lam, samples=512):
     return bool(np.max(np.abs(domain.level(refl))) < 1e-7 * domain.bbox_diameter())
 
 
-def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None):
+def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
+                     _frame=None):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
     about the plane.  The residual floor is the bilinear interpolation
-    error, order h^2, and is stated in the report.
+    error, order h^2, and is stated in the report.  ``_frame`` is the
+    frame at Lam0 when the caller has already built it.
     """
     g = solution.grid
     nu = _as_unit(nu, 2)
@@ -549,7 +551,7 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None):
         report["verdict"] = "not-applicable"
         return report
     data = _data if _data is not None else _SolutionData(solution)
-    frame = build_frame(solution, nu, Lam0, _data=data)
+    frame = _frame if _frame is not None else build_frame(solution, nu, Lam0, _data=data)
     resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
     report["mirror_residual"] = resid
     scale = max(1.0, max(float(np.max(np.abs(f))) for f in solution.fields))
@@ -704,7 +706,8 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
 
     Each position gets a frame, the cap bound U <= tol, and (when the
     system is supplied) a linearization with the elliptic-inequality
-    audit.  The final position doubles as the symmetry certificate.
+    audit.  The final position is exactly Lam0, and its frame doubles as
+    the symmetry certificate's.
 
     Everything that does not depend on the plane position is computed
     once per call and shared by every frame, the symmetry frame, the
@@ -720,6 +723,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
     h = g.h
     lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (
         np.arange(1, n_lambdas + 1) / n_lambdas)
+    lams[-1] = planes.Lam0
     data = _SolutionData(solution)
     entries = []
     total_viol = 0
@@ -747,7 +751,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
         all_ok = all_ok and entry["cap_nonpositive"]
         entries.append(entry)
     mono = certify_monotonicity(solution, nu, planes, _data=data)
-    sym = certify_symmetry(solution, nu, planes.Lam0, _data=data)
+    sym = certify_symmetry(solution, nu, planes.Lam0, _data=data, _frame=frame)
     bnd = boundary_checks(solution, _data=data)
     passed = (all_ok and total_viol == 0 and mono["passed"]
               and sym.get("passed", True))

@@ -149,9 +149,10 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
     for it in range(max_iter):
         G = np.asarray(g(r, u, du), dtype=float)
         G = np.broadcast_to(G, r.shape)
-        if np.any(G <= 0):
+        if not np.all(G > 0):
             raise SolverDivergence(
-                "source became non-positive during the radial fixed point", history)
+                "source became non-positive or non-finite during the radial fixed point",
+                history)
         integ = _weighted_cumint(r, G, n)
         du_new = integ ** (1.0 / n)
         total = cumulative_trapezoid(du_new, r, initial=0.0)

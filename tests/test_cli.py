@@ -80,19 +80,45 @@ def test_negative_parameter_rejected(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+GRID_CFG = {
+    "command": "solve-grid",
+    "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "system": {"alpha": 1.0, "beta": 1.0},
+    "cs": [0.0, 0.0],
+}
+
+
 def test_divergence_exit_code_and_report(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "command": "solve-grid",
-        "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        "system": {"alpha": 1.0, "beta": 1.0},
-        "cs": [0.0, 0.0],
-        "params": {"h": 0.0625, "max_newton": 1, "max_euler": 3},
-    })
+    cfg = write_config(tmp_path, dict(GRID_CFG, params={"h": 0.0625, "max_newton": 1}))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
     report = read_json(out / "divergence.json")
-    assert "error" in report
+    assert "Newton reached max_newton = 1" in report["error"]
+    assert len(report["history"]) > 0
     assert not (out / ".lock").exists()
+
+
+def test_deleted_params_key_rejected_without_lock(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text('{"command": "solve-grid",\n "system": {"alpha": 1.0, "beta": 1.0},\n'
+                    ' "params": {"h": 0.0625,\n  "max_euler": 3}}\n')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "old.json:4" in err and "max_euler" in err
+    assert "Traceback" not in err
+    assert not (out / ".lock").exists()
+
+
+def test_expression_domain_error_is_a_divergence(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(GRID_CFG, system=["log(z1)"], cs=[0.0],
+                                      params={"h": 0.0625}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "log of a non-positive argument" in read_json(out / "divergence.json")["error"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
 def test_certify_quadratic_fixture(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube
 from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
-                             _ma_and_active, ma_operator_discrete,
+                             _laplace_init, _ma_and_active, _newton_matrix,
+                             gradient_at_nodes, ma_operator_discrete,
                              read_solution_binary,
                              solve_scalar_fd, solve_system_fd,
                              stencil_directions, write_solution_binary,
@@ -106,8 +109,19 @@ def test_coupled_system_solution():
 def test_divergence_reports_history():
     with pytest.raises(DivergenceError) as err:
         solve_scalar_fd(DISK, lambda xy, u, grad: 4.0 + np.sum(xy ** 2, axis=1), 0.0,
-                        FdParams(h=1.0 / 32.0, max_newton=1, max_euler=3))
+                        FdParams(h=1.0 / 32.0, max_newton=1))
     assert len(err.value.history) > 0
+    assert "Newton reached max_newton = 1" in str(err.value)
+
+
+def test_nonfinite_source_rejected_before_any_newton_step():
+    def g(xy, u, grad):
+        return np.where(xy[:, 0] > 0.5, np.nan, 1.0 + 3.0 * xy[:, 0] ** 2)
+
+    with pytest.raises(DivergenceError) as err:
+        solve_scalar_fd(DISK, g, 0.0, P32)
+    assert "non-finite" in str(err.value)
+    assert err.value.history == []
 
 
 def test_nonpositive_source_rejected():
@@ -179,9 +193,50 @@ def _reference_operator(grid, u, c):
     return vals[active, np.arange(grid.n_nodes)], active
 
 
+def _reference_rows(grid, entries):
+    """Per-pair second_difference assembly of gain-weighted pair rows.
+
+    ``entries`` lists ((v, w), node mask, gain along v, gain along w);
+    returns the matrix in sorted CSC form.
+    """
+    N = grid.n_nodes
+    idx = np.arange(N)
+    rows, cols, data = [], [], []
+    for (v, w), sel, ga, gb in entries:
+        _, acc, acp, acm, anp, anm = grid.second_difference(v, np.zeros(N), 0.0)
+        _, bcc, bcp, bcm, bnp, bnm = grid.second_difference(w, np.zeros(N), 0.0)
+        for coeff, nbr, gain in ((acc, idx, ga), (acp, anp, ga), (acm, anm, ga),
+                                 (bcc, idx, gb), (bcp, bnp, gb), (bcm, bnm, gb)):
+            ok = sel & (nbr >= 0) & (coeff != 0.0)
+            rows.append(idx[ok]); cols.append(nbr[ok]); data.append((gain * coeff)[ok])
+    A = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N)).tocsc()
+    A.sort_indices()
+    return A
+
+
+def _reference_newton_matrix(grid, u, c, active, floor=1e-8):
+    entries = []
+    for k, (v, w) in enumerate(grid.pairs):
+        a = grid.second_difference(v, u, c)[0]
+        b = grid.second_difference(w, u, c)[0]
+        entries.append(((v, w), active == k,
+                        np.where(a > 0, np.maximum(np.maximum(b, 0.0), floor), 1.0),
+                        np.where(b > 0, np.maximum(np.maximum(a, 0.0), floor), 1.0)))
+    return _reference_rows(grid, entries)
+
+
+def _assert_same_csc(A, ref):
+    A = A.tocsc()
+    A.sort_indices()
+    np.testing.assert_array_equal(A.indptr, ref.indptr)
+    np.testing.assert_array_equal(A.indices, ref.indices)
+    np.testing.assert_array_equal(A.data, ref.data)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(OPERATOR_DOMAINS))
-def test_stacked_operator_matches_per_pair_loop(name, width):
+def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
     grid = StencilGrid(OPERATOR_DOMAINS[name], 1.0 / 16.0, width)
     for p, q in stencil_directions(width):
         for v in ((p, q), (-p, -q)):
@@ -189,6 +244,12 @@ def test_stacked_operator_matches_per_pair_loop(name, width):
             ref_nbr, ref_rho = _reference_arm(grid, v)
             np.testing.assert_array_equal(nbr, ref_nbr)
             np.testing.assert_array_equal(rho, ref_rho)
+    ones = np.ones(grid.n_nodes)
+    solved = []
+    monkeypatch.setattr(gridsolve.spla, "spsolve", lambda A, b: solved.append(A) or 0.0 * b)
+    _laplace_init(grid, ones, 0.0)
+    _assert_same_csc(solved[0], _reference_rows(
+        grid, [(((1, 0), (0, 1)), ones > 0, ones, ones)]))
     xy = grid.node_xy
     rng = np.random.default_rng(width)
     for u, c in ((np.sum(xy ** 2, axis=1) - 1.0, 0.0),
@@ -198,3 +259,12 @@ def test_stacked_operator_matches_per_pair_loop(name, width):
         ref_vals, ref_active = _reference_operator(grid, u, c)
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(active, ref_active)
+        _assert_same_csc(_newton_matrix(grid, u, c, active),
+                         _reference_newton_matrix(grid, u, c, active))
+        grad = gradient_at_nodes(grid, u, c)
+        for k, v in enumerate(((1, 0), (0, 1))):
+            gp, gm = (np.where(n >= 0, u[np.maximum(n, 0)], c)
+                      for n, _ in (grid.arms(v), grid.arms((-v[0], -v[1]))))
+            rho = grid.arms(v)[1] + grid.arms((-v[0], -v[1]))[1]
+            np.testing.assert_array_equal(grad[:, k], (gp - gm) / (rho * grid.h))
+

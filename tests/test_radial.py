@@ -96,6 +96,14 @@ def test_nonpositive_source_rejected():
         solve_scalar_radial(lambda r, u, du: r - 0.5, n=2, R=1.0, c=0.0)
 
 
+def test_nonfinite_source_rejected_at_first_iteration():
+    with pytest.raises(SolverDivergence) as err:
+        solve_scalar_radial(lambda r, u, du: np.where(r > 0.5, np.nan, 1.0 + 3.0 * r ** 2),
+                            n=2, R=1.0, c=0.0)
+    assert "non-finite" in str(err.value)
+    assert err.value.history == []
+
+
 def test_coupled_subcritical_unique_solution():
     res = solve_coupled_radial(1.0, 2.0, 2)
     assert not isinstance(res, NoSolution)
