@@ -44,6 +44,13 @@ _ALLOWED_KEYS = {
 }
 
 
+_DOMAIN_KEYS = {
+    "ball": ("shape", "center", "radius"),
+    "ellipse": ("shape", "center", "semi_axes"),
+    "tube": ("shape", "cross_section", "half_height"),
+}
+
+
 class ConfigError(ValueError):
     """Config file failed validation; message carries file and line."""
 
@@ -86,12 +93,31 @@ def load_config(path):
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
-    allowed = list(FdParams.__dataclass_fields__)
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(f"{path}:{_key_line(path, key)}: unknown params key {key!r}; "
-                              f"allowed: {', '.join(allowed)}")
+    _check_keys(path, params, FdParams.__dataclass_fields__, "params")
+    if "domain" in cfg:
+        _check_domain(path, cfg["domain"], "domain")
+    system = cfg.get("system")
+    if isinstance(system, dict):
+        _check_keys(path, system, ("alpha", "beta") if "alpha" in system
+                    else RhsSystem.__dataclass_fields__, "system")
     return cfg
+
+
+def _check_keys(path, obj, allowed, where):
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{path}:{_key_line(path, key)}: unknown {where} key {key!r}; "
+                              f"allowed: {', '.join(allowed)}")
+
+
+def _check_domain(path, obj, where):
+    """Reject a domain that is not an object, has an unknown shape or unknown keys."""
+    if not isinstance(obj, dict) or obj.get("shape") not in _DOMAIN_KEYS:
+        raise ConfigError(f"{path}:{_key_line(path, where)}: {where} must be a JSON object "
+                          f"with shape one of {', '.join(_DOMAIN_KEYS)}")
+    _check_keys(path, obj, _DOMAIN_KEYS[obj["shape"]], where)
+    if "cross_section" in obj:
+        _check_domain(path, obj["cross_section"], "cross_section")
 
 
 def _system_from_config(obj):
@@ -198,7 +224,9 @@ def cmd_solve_grid(cfg, emit, seed):
     _json_dump({"domain": domain_to_json(domain), "system": system.to_json(),
                 "h": sol.grid.h, "n_nodes": sol.grid.n_nodes,
                 "min": [float(np.min(f)) for f in sol.fields],
-                "convex": list(sol.convex)}, emit.path("summary.json"))
+                "convex": list(sol.convex), "sweeps": len(sol.history),
+                "factorizations": sum(r["factorizations"] for r in sol.history)},
+               emit.path("summary.json"))
     emit.say(f"grid solution on {sol.grid.n_nodes} nodes, "
              f"min values {[round(float(np.min(f)), 6) for f in sol.fields]}")
     return 0

@@ -7,9 +7,11 @@ the boundary are shortened to the exact crossing point against the
 constant Dirichlet value (cut cells), so smooth domains carry no
 staircase error.  Scalar problems and coupled systems run one sweep
 loop: each sweep re-evaluates every component's source at the current
-fields and takes one damped Newton solve of that component's operator
-equation.  Every linearization (the Newton Jacobian, the Laplace start
-and the gradient) reads the stacked arm table of the grid.
+fields and takes one damped Newton step on that component's operator
+equation, unless its residual is already within tolerance.  Every
+linearization (the Newton Jacobian, the Laplace start and the gradient)
+reads the stacked arm table of the grid, and every linear solve factors
+its matrix once, without pivoting.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,11 +43,12 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """The grid solve failed; carries the Newton and sweep history.
+    """The grid solve failed; carries the sweep history.
 
     Raised when a source is non-positive or non-finite, when a Newton
-    step is singular or non-finite, when the line search is exhausted,
-    when Newton reaches ``max_newton`` or when the sweeps reach their cap.
+    step is singular or non-finite, when the line search is exhausted or
+    when the sweeps reach ``max_newton``.  ``history`` holds one record
+    per sweep, as :attr:`GridSolution.history` does.
     """
 
     def __init__(self, message, history):
@@ -193,17 +196,22 @@ class StencilGrid:
         k = self._row[tuple(v)]
         return self._nbr[k], self._rho[k]
 
-    def _second_differences(self, u, c):
+    def _second_differences(self, u, c, rows=None):
         """Every stencil second difference of ``u``, shape (pairs, 2, N).
 
         One gather from ``append(u, c)`` reads all arm values; index -1
         picks up the boundary constant.  The arithmetic is that of
         :meth:`second_difference`, so the values are bit-identical.
+        ``rows`` restricts the result to those nodes, shape (pairs, 2,
+        len(rows)); only their values and their neighbors' are read.
         """
         D = len(self._K)
-        g = np.append(u, c)[self._nbr]
-        val = self._K * ((g[:D] - u) / self._rho[:D] + (g[D:] - u) / self._rho[D:])
-        return val.reshape(len(self.pairs), 2, self.n_nodes)
+        nbr, rho, K, uc = self._nbr, self._rho, self._K, u
+        if rows is not None:
+            nbr, rho, K, uc = nbr[:, rows], rho[:, rows], K[:, rows], u[rows]
+        g = np.append(u, c)[nbr]
+        val = K * ((g[:D] - uc) / rho[:D] + (g[D:] - uc) / rho[D:])
+        return val.reshape(len(self.pairs), 2, -1)
 
     def second_difference(self, v, u, c):
         """Cut-cell second difference along v for interior values u, boundary c.
@@ -227,7 +235,7 @@ class StencilGrid:
         return val, cc, cp, cm, np_, nm
 
 
-def _ma_and_active(grid, u, c):
+def _ma_and_active(grid, u, c, rows=None):
     """Vectorized operator value and the active pair index per node.
 
     Negative directional second differences are clamped out of the
@@ -235,13 +243,13 @@ def _ma_and_active(grid, u, c):
     of the determinant scheme.  For a positive source the two forms have
     the same solutions, but the penalty keeps the linearization
     nondegenerate at non-convex iterates, which Newton needs to recover
-    from them.
+    from them.  ``rows`` restricts the evaluation to those nodes.
     """
-    sd = grid._second_differences(u, c)
+    sd = grid._second_differences(u, c, rows)
     a, b = sd[:, 0], sd[:, 1]
     vals = np.maximum(a, 0.0) * np.maximum(b, 0.0) + np.minimum(a, 0.0) + np.minimum(b, 0.0)
     active = np.argmin(vals, axis=0)
-    return vals[active, np.arange(grid.n_nodes)], active
+    return vals[active, np.arange(vals.shape[1])], active
 
 
 def ma_operator_discrete(grid, u, node=None, c=0.0):
@@ -284,7 +292,7 @@ def _laplace_init(grid, rhs, c):
     """
     N = grid.n_nodes
     axes = np.full(N, grid._row[(1, 0)] // 2)
-    return spla.spsolve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
+    return _factor_solve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
 
 
 def _newton_matrix(grid, u, c, active, floor=1e-8):
@@ -306,56 +314,60 @@ def gradient_at_nodes(grid, u, c):
     return ((g[:2] - g[2:]) / ((grid._rho[plus] + grid._rho[minus]) * grid.h)).T
 
 
-def _solve_operator_equation(grid, gh, c, u, params, history):
-    """Damped Newton for MA(u) = gh; raises DivergenceError naming why it failed."""
-    res, active = _ma_and_active(grid, u, c)
-    res = res - gh
+def _factor_solve(A, b):
+    """Solve A x = b by a sparse LU factored without pivoting, then drop it.
+
+    The Newton and Laplace matrices are negated M-matrices (a Z-pattern
+    with weak row dominance, strict at cut arms), for which Gaussian
+    elimination is stable without pivoting; a symmetric minimum-degree
+    ordering on A + A^T then keeps the fill low.  SuperLU raises
+    ``RuntimeError`` when the factor is exactly singular.
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve(b)
+
+
+def _newton_step(grid, gh, c, u, res, active, history):
+    """One damped Newton step for MA(u) = gh from ``u`` with residual ``res``.
+
+    Returns the new field and the number of line-search halvings; raises
+    DivergenceError, carrying ``history``, naming why the step failed.
+    """
     best = float(np.max(np.abs(res)))
+    try:
+        delta = _factor_solve(_newton_matrix(grid, u, c, active), -res)
+    except RuntimeError:  # SuperLU: factor is exactly singular
+        delta = None
+    if delta is None or not np.all(np.isfinite(delta)):
+        raise DivergenceError(
+            f"Newton step is singular or non-finite at residual {best:.3e}", history)
     merit = float(np.linalg.norm(res))
-    scale = max(1.0, float(np.max(np.abs(gh))))
-    for it in range(params.max_newton):
-        if best <= params.tol * scale:
-            return u
-        delta = spla.spsolve(_newton_matrix(grid, u, c, active), -res)
-        if not np.all(np.isfinite(delta)):
-            raise DivergenceError(
-                f"Newton step is singular or non-finite at residual {best:.3e}", history)
-        step = 1.0
-        for _ in range(30):
-            u_try = u + step * delta
-            r_try, a_try = _ma_and_active(grid, u_try, c)
-            r_try = r_try - gh
-            m_try = float(np.linalg.norm(r_try))
-            if m_try < merit * (1.0 - 1e-4 * step):
-                break
-            step *= 0.5
-        else:
-            history.append(("newton", it, best))
-            raise DivergenceError(
-                f"Newton line search exhausted at residual {best:.3e}", history)
-        u, res, active, merit = u_try, r_try, a_try, m_try
-        best = float(np.max(np.abs(res)))
-        history.append(("newton", it, best))
-    if best <= params.tol * scale:
-        return u
-    raise DivergenceError(
-        f"Newton reached max_newton = {params.max_newton} at residual {best:.3e}", history)
-
-
-_MAX_SWEEPS = 400
+    step = 1.0
+    for halvings in range(30):
+        u_try = u + step * delta
+        m_try = float(np.linalg.norm(_ma_and_active(grid, u_try, c)[0] - gh))
+        if m_try < merit * (1.0 - 1e-4 * step):
+            return u_try, halvings
+        step *= 0.5
+    raise DivergenceError(f"Newton line search exhausted at residual {best:.3e}", history)
 
 
 def _sweep_solve(grid, source, cs, params, init=None):
     """Fixed point of det D^2 u_i = source(i, fields, grad u_i) over the components.
 
     Each sweep evaluates every component's source at the current fields
-    (the components already updated in this sweep included) and takes one
-    Newton solve of its operator equation.  Unless ``init`` gives the
-    starting fields, the first sweep starts component i from the Laplace
-    solve of Delta u = 2 sqrt(source), with u_i = c_i and the later
-    components at c_j - 0.1.  A sweep after the first that changes no field
-    by more than 10 tol max(1, |u|_inf) ends the loop; the first cannot,
-    since its sources saw those placeholder values.
+    (the components already updated in this sweep included).  A component
+    whose residual is within tol max(1, |source|_inf) takes no step; any
+    other takes one damped Newton step.  Unless ``init`` gives the starting
+    fields, the first sweep starts component i from the Laplace solve of
+    Delta u = 2 sqrt(source), with u_i = c_i and the later components at
+    c_j - 0.1.  The loop returns after the first sweep in which no
+    component was initialized or stepped, so every returned component is
+    within tol at the returned fields; ``params.max_newton`` caps the sweeps.
+
+    Returns the fields and the history: one record per sweep with the
+    residual of each component before its step, the line-search halvings
+    and the factorizations of that sweep.
     """
     N = grid.n_nodes
     if init is None:
@@ -363,13 +375,14 @@ def _sweep_solve(grid, source, cs, params, init=None):
     else:
         fields = [np.asarray(f, dtype=float) for f in init]
     history = []
-    for sweep in range(_MAX_SWEEPS):
-        change = 0.0
+    for sweep in range(params.max_newton):
+        record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
         for i, c in enumerate(cs):
             if sweep == 0 and init is None:
                 fields[i] = np.full(N, c)
                 g0 = np.broadcast_to(source(i, fields, np.zeros((N, 2))), (N,))
                 fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12)), c)
+                record["factorizations"] += 1
             grad = gradient_at_nodes(grid, fields[i], c)
             gh = np.broadcast_to(np.asarray(source(i, fields, grad), dtype=float), (N,))
             bad = ~(gh > 0)
@@ -377,15 +390,22 @@ def _sweep_solve(grid, source, cs, params, init=None):
                 raise DivergenceError(
                     f"source of component {i + 1} is non-positive or non-finite at "
                     f"{int(bad.sum())} nodes (ellipticity needs f > 0)", history)
-            u = _solve_operator_equation(grid, gh, c, fields[i], params, history)
-            change = max(change, float(np.max(np.abs(u - fields[i]))))
-            fields[i] = u
-        history.append(("sweep", sweep, change))
-        scale = max(1.0, max(float(np.max(np.abs(f))) for f in fields))
-        if sweep > 0 and change <= 10.0 * params.tol * scale:
-            return fields
+            ma, active = _ma_and_active(grid, fields[i], c)
+            res = ma - gh
+            best = float(np.max(np.abs(res)))
+            record["residuals"].append(best)
+            if best <= params.tol * max(1.0, float(np.max(np.abs(gh)))):
+                continue
+            fields[i], halvings = _newton_step(grid, gh, c, fields[i], res, active,
+                                               history + [record])
+            record["halvings"] += halvings
+            record["factorizations"] += 1
+        history.append(record)
+        if record["factorizations"] == 0:
+            return fields, history
+    worst = max(history[-1]["residuals"]) if history else math.nan
     raise DivergenceError(
-        f"sweeps did not converge in {_MAX_SWEEPS} sweeps (change {change:.3e})", history)
+        f"Newton reached max_newton = {params.max_newton} at residual {worst:.3e}", history)
 
 
 @dataclass
@@ -396,6 +416,7 @@ class GridSolution:
     fields: list                 # per component, values at interior nodes (N,)
     cs: tuple                    # boundary constants
     convex: tuple = ()           # per-field convexity audit outcome
+    history: list = field(default_factory=list)  # per-sweep records of the solve
 
     @property
     def m(self):
@@ -458,17 +479,19 @@ def solve_scalar_fd(domain, g, c, params=None, grid=None, init=None):
     params = params or FdParams()
     if grid is None:
         grid = StencilGrid(domain, params.h, params.stencil_width)
-    (u,) = _sweep_solve(grid, lambda i, fields, grad: g(grid.node_xy, fields[0], grad),
-                        (c,), params, init=None if init is None else [init])
+    (u,), _ = _sweep_solve(grid, lambda i, fields, grad: g(grid.node_xy, fields[0], grad),
+                           (c,), params, init=None if init is None else [init])
     return u, grid
 
 
 def solve_system_fd(domain, system, cs, params=None):
     """Solve the coupled system by sweeps over its components.
 
-    Each sweep takes one Newton operator solve per component, with the
-    other components at their latest values (gradients included).
-    Returns a :class:`GridSolution`.
+    Each sweep takes at most one damped Newton step per component, with
+    the other components at their latest values (gradients included).
+    Returns a :class:`GridSolution` whose ``history`` holds one record per
+    sweep: the residual of each component before its step, the
+    line-search halvings and the factorizations.
     """
     params = params or FdParams()
     if len(cs) != system.m:
@@ -478,8 +501,8 @@ def solve_system_fd(domain, system, cs, params=None):
     def source(i, fields, grad):
         return eval_f(system, i + 1, grid.node_xy, np.stack(fields, axis=-1), grad)
 
-    fields = _sweep_solve(grid, source, cs, params)
-    sol = GridSolution(grid=grid, fields=fields, cs=tuple(cs))
+    fields, history = _sweep_solve(grid, source, cs, params)
+    sol = GridSolution(grid=grid, fields=fields, cs=tuple(cs), history=history)
     sol.convex = sol.convexity_audit()
     return sol
 

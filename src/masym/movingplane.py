@@ -338,11 +338,17 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
                                  size=2 * g.width + 1, mode="constant")
     det_op = data.det_op[:, idx]
     det_op_lam = np.empty((m, K))
+    # the operator at the cap nodes reads the reflected field only there
+    # and at their stencil neighbors
+    near = np.zeros(g.n_nodes, dtype=bool)
+    near[idx] = True
+    nbr = g._nbr[:, idx]
+    near[nbr[nbr >= 0]] = True
     for i in range(m):
-        u_lam_all = data.interp[i]["E"](refl_all)
-        u_lam_all = np.where(np.isfinite(u_lam_all), u_lam_all, solution.cs[i])
-        vals_l, _ = _ma_and_active(g, u_lam_all, solution.cs[i])
-        det_op_lam[i] = vals_l[idx]
+        u_lam_all = np.full(g.n_nodes, solution.cs[i])
+        vals = data.interp[i]["E"](refl_all[near])
+        u_lam_all[near] = np.where(np.isfinite(vals), vals, solution.cs[i])
+        det_op_lam[i] = _ma_and_active(g, u_lam_all, solution.cs[i], rows=idx)[0]
     op_ok = trust_dense[ij[:, 0], ij[:, 1]] if K else np.zeros(0, dtype=bool)
 
     return MovingPlaneFrame(

@@ -98,6 +98,19 @@ def test_divergence_exit_code_and_report(tmp_path, capsys):
     assert not (out / ".lock").exists()
 
 
+def test_solve_grid_summary_counts_are_deterministic(tmp_path):
+    cfg = write_config(tmp_path, dict(GRID_CFG, params={"h": 0.0625}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
+    assert main(["--config", cfg, "--out", str(b), "--quiet"]) == 0
+    summary = read_json(a / "summary.json")
+    # the Laplace start of each component, at least one Newton step, and a
+    # last sweep that takes no step
+    assert summary["sweeps"] >= 2 and summary["factorizations"] >= 3
+    for name in ("summary.json", "solution.bin", "manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_deleted_params_key_rejected_without_lock(tmp_path, capsys):
     path = tmp_path / "old.json"
     path.write_text('{"command": "solve-grid",\n "system": {"alpha": 1.0, "beta": 1.0},\n'
@@ -108,6 +121,24 @@ def test_deleted_params_key_rejected_without_lock(tmp_path, capsys):
     assert "old.json:4" in err and "max_euler" in err
     assert "Traceback" not in err
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ('{"command": "solve-grid",\n "domain": {"shape": "ball", "center": [0.0, 0.0],\n'
+     '  "radius": 1.0, "bogus": 3},\n "system": {"alpha": 1.0, "beta": 1.0}}\n', "bogus", 3),
+    ('{"command": "solve-grid",\n "domain": {"shape": "ball", "center": [0.0, 0.0],\n'
+     '  "radius": 1.0},\n "system": {"alpha": 1.0, "beta": 1.0,\n  "gamma": 2}}\n', "gamma", 5),
+])
+def test_unknown_nested_key_rejected_without_lock(tmp_path, capsys, text, key, line):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"nested.json:{line}" in err and key in err
+    assert "Traceback" not in err
+    assert not (out / ".lock").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_expression_domain_error_is_a_divergence(tmp_path, capsys):

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube
 from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
-                             _laplace_init, _ma_and_active, _newton_matrix,
+                             _factor_solve, _laplace_init, _ma_and_active,
+                             _newton_matrix, _pair_rows,
                              gradient_at_nodes, ma_operator_discrete,
                              read_solution_binary,
                              solve_scalar_fd, solve_system_fd,
                              stencil_directions, write_solution_binary,
                              write_solution_csv)
 from masym.radial import solve_scalar_radial
-from masym.rhs import power_coupled_system
+from masym.rhs import eval_f, power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
@@ -104,6 +106,22 @@ def test_coupled_system_solution():
     # both components satisfy their own discrete equation
     det1 = ma_operator_discrete(sol.grid, sol.fields[0], c=0.0)
     assert np.max(np.abs(det1 - (-sol.fields[1]))) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["ball", "ellipse"])
+def test_coupled_solve_returns_every_component_within_tol(name):
+    system = power_coupled_system(1.0, 2.0)
+    sol = solve_system_fd(OPERATOR_DOMAINS[name], system, (0.0, 0.0), P32)
+    g = sol.grid
+    for i, u in enumerate(sol.fields):
+        f = eval_f(system, i + 1, g.node_xy, np.stack(sol.fields, axis=-1),
+                   gradient_at_nodes(g, u, 0.0))
+        res = ma_operator_discrete(g, u, c=0.0) - f
+        assert np.max(np.abs(res)) <= P32.tol * max(1.0, np.max(np.abs(f)))
+    # the record ends with a sweep that neither factored nor stepped
+    last = sol.history[-1]
+    assert last["factorizations"] == 0 and len(last["residuals"]) == 2
+    assert len(sol.history) <= P32.max_newton
 
 
 def test_divergence_reports_history():
@@ -226,6 +244,25 @@ def _reference_newton_matrix(grid, u, c, active, floor=1e-8):
     return _reference_rows(grid, entries)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(OPERATOR_DOMAINS))
+def test_pivot_free_solve_matches_pivoted_spsolve(name, width):
+    grid = StencilGrid(OPERATOR_DOMAINS[name], 1.0 / 16.0, width)
+    N = grid.n_nodes
+    xy = grid.node_xy
+    rng = np.random.default_rng(width)
+    mats = [_pair_rows(grid, np.full(N, grid._row[(1, 0)] // 2), np.ones((2, N)))]
+    for u, c in ((np.sum(xy ** 2, axis=1) - 1.0, 0.0),
+                 (np.sin(3.0 * xy[:, 0]) * np.cos(2.0 * xy[:, 1]), 0.5),
+                 (rng.normal(size=N), -1.0)):
+        mats.append(_newton_matrix(grid, u, c, _ma_and_active(grid, u, c)[1]))
+    for A in mats:
+        b = rng.normal(size=N)
+        ref = spla.spsolve(A.tocsc(), b)
+        x = _factor_solve(A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _assert_same_csc(A, ref):
     A = A.tocsc()
     A.sort_indices()
@@ -246,7 +283,7 @@ def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
             np.testing.assert_array_equal(rho, ref_rho)
     ones = np.ones(grid.n_nodes)
     solved = []
-    monkeypatch.setattr(gridsolve.spla, "spsolve", lambda A, b: solved.append(A) or 0.0 * b)
+    monkeypatch.setattr(gridsolve, "_factor_solve", lambda A, b: solved.append(A) or 0.0 * b)
     _laplace_init(grid, ones, 0.0)
     _assert_same_csc(solved[0], _reference_rows(
         grid, [(((1, 0), (0, 1)), ones > 0, ones, ones)]))
@@ -259,6 +296,8 @@ def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
         ref_vals, ref_active = _reference_operator(grid, u, c)
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(active, ref_active)
+        rows = np.arange(0, grid.n_nodes, 3)
+        np.testing.assert_array_equal(_ma_and_active(grid, u, c, rows)[0], vals[rows])
         _assert_same_csc(_newton_matrix(grid, u, c, active),
                          _reference_newton_matrix(grid, u, c, active))
         grad = gradient_at_nodes(grid, u, c)
