@@ -21,14 +21,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domains import GeometryError, critical_planes, domain_from_json, domain_to_json
+from .domains import critical_planes, domain_from_json, domain_to_json
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
 from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid,
                         solve_system_fd, write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import ConfigurationError, RhsSystem, check_hypotheses, power_coupled_system
+from .rhs import RhsSystem, check_hypotheses, power_coupled_system
 
 COMMANDS = ("solve-radial", "solve-grid", "certify", "hypotheses",
             "sweep-trichotomy", "linearize")
@@ -90,10 +90,19 @@ def load_config(path):
     for key in ("alpha", "beta", "R", "tol"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
             raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be positive")
+    seed = cfg.get("seed", 0)
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ConfigError(f"{path}:{_key_line(path, 'seed')}: seed must be a non-negative "
+                          f"integer")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
     _check_keys(path, params, FdParams.__dataclass_fields__, "params")
+    for key, value in params.items():
+        try:
+            FdParams(**{key: value})
+        except ValueError as err:
+            raise ConfigError(f"{path}:{_key_line(path, key)}: params {err}") from None
     if "domain" in cfg:
         _check_domain(path, cfg["domain"], "domain")
     system = cfg.get("system")
@@ -112,7 +121,8 @@ def _check_keys(path, obj, allowed, where):
 
 def _check_domain(path, obj, where):
     """Reject a domain that is not an object, has an unknown shape or unknown keys."""
-    if not isinstance(obj, dict) or obj.get("shape") not in _DOMAIN_KEYS:
+    if not (isinstance(obj, dict) and isinstance(obj.get("shape"), str)
+            and obj["shape"] in _DOMAIN_KEYS):
         raise ConfigError(f"{path}:{_key_line(path, where)}: {where} must be a JSON object "
                           f"with shape one of {', '.join(_DOMAIN_KEYS)}")
     _check_keys(path, obj, _DOMAIN_KEYS[obj["shape"]], where)
@@ -368,7 +378,9 @@ def main(argv=None):
                                 for hh in getattr(err, "history", [])]}, report)
         print(f"solver divergence: {err} (report: {report})", file=sys.stderr)
         return 3
-    except (ConfigError, ConfigurationError, GeometryError, KeyError) as err:
+    except (KeyError, TypeError, ValueError) as err:
+        # the package rejects invalid input with ValueError subclasses; a config
+        # value of the wrong type or shape fails with TypeError or ValueError
         print(f"config error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -9,7 +9,7 @@ reflected cap stays inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,13 +69,33 @@ def reflect_point(x, nu, lam):
     return x + 2.0 * (lam - x @ nu)[..., None] * nu
 
 
+def _slab_exit(o, d, lo, hi):
+    """Per-axis exit parameter of rays from inside the slabs lo < x < hi."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0, (hi - o) / d, np.where(d < 0, (lo - o) / d, np.inf))
+
+
+def _unit_sphere_exit(o, d):
+    """Largest root t of |o + t d|^2 = 1 for |o| < 1, inf when d = 0.
+
+    Written so that neither branch subtracts nearly equal numbers.
+    """
+    a = np.sum(d * d, axis=-1)
+    b = np.sum(o * d, axis=-1)
+    c = np.sum(o * o, axis=-1) - 1.0
+    root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b >= 0, -c / (b + root), (root - b) / a)
+
+
 class Domain:
     """Base class for bounded domains.
 
     Subclasses provide ``dimension``, ``bounding_box`` (shape (n, 2)),
     ``level`` (negative inside, zero on the boundary) and, where the
     shape allows, closed forms for the support minimum along a
-    direction.  All instances are immutable and safe to share.
+    direction and for :meth:`ray_exit`.  All instances are immutable and
+    safe to share.
     """
 
     dimension: int
@@ -88,6 +108,31 @@ class Domain:
 
     def contains(self, x):
         return self.level(x) < 0.0
+
+    def ray_exit(self, origins, dirs):
+        """Largest t with ``origins + t * dirs`` still inside, per ray.
+
+        ``origins`` (inside the domain) and ``dirs`` broadcast against each
+        other over leading axes; the last axis is the spatial dimension.
+        A zero direction never leaves and gets ``inf``.  This base version
+        bisects on :meth:`contains` between the origin and the ray's exit
+        from the bounding box until the bracket is two adjacent floats,
+        and returns its inside end; it assumes each ray leaves the domain
+        once, as it does from an interior point of a convex domain.
+        """
+        o, d = np.broadcast_arrays(np.asarray(origins, dtype=float),
+                                   np.asarray(dirs, dtype=float))
+        bb = self.bounding_box()
+        hi = np.min(_slab_exit(o, d, bb[:, 0], bb[:, 1]), axis=-1)
+        lo = np.zeros_like(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            open_ = (mid > lo) & (mid < hi)
+            if not open_.any():
+                return np.where(np.isfinite(hi), lo, np.inf)
+            inside = self.contains(o + mid[..., None] * d)
+            lo = np.where(open_ & inside, mid, lo)
+            hi = np.where(open_ & ~inside, mid, hi)
 
     def support_min(self, nu):
         """inf of x . nu over the domain, or None if no closed form."""
@@ -129,6 +174,10 @@ class Ball(Domain):
 
     def support_min(self, nu):
         return float(np.dot(self.center, nu) - self.radius)
+
+    def ray_exit(self, origins, dirs):
+        o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / self.radius
+        return _unit_sphere_exit(o, np.asarray(dirs, dtype=float) / self.radius)
 
     def boundary_param(self, t):
         if self.dimension != 2:
@@ -173,6 +222,11 @@ class Ellipse(Domain):
         a = np.asarray(self.semi_axes)
         return float(np.dot(self.center, nu) - math.sqrt(float(np.sum((a * nu) ** 2))))
 
+    def ray_exit(self, origins, dirs):
+        a = np.asarray(self.semi_axes)
+        o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / a
+        return _unit_sphere_exit(o, np.asarray(dirs, dtype=float) / a)
+
     def boundary_param(self, t):
         if self.dimension != 2:
             raise NotImplementedError("boundary parametrization is 2-D only")
@@ -210,6 +264,13 @@ class Tube(Domain):
         lc = self.cross_section.level(x[..., :-1])
         la = np.abs(x[..., -1]) - self.half_height
         return np.maximum(lc, la)
+
+    def ray_exit(self, origins, dirs):
+        o, d = np.broadcast_arrays(np.asarray(origins, dtype=float),
+                                   np.asarray(dirs, dtype=float))
+        H = self.half_height
+        return np.minimum(self.cross_section.ray_exit(o[..., :-1], d[..., :-1]),
+                          _slab_exit(o[..., -1], d[..., -1], -H, H))
 
     def support_min(self, nu):
         nu = np.asarray(nu, dtype=float)
@@ -253,16 +314,13 @@ class CriticalPlanes:
 
     lam0   first touch with the domain,
     Lam0   sup of positions whose reflected cap stays inside,
-    Lam1   first internal tangency of the reflected cap away from the plane,
     Lam2   first boundary point where the outer normal is orthogonal to nu.
     """
 
     nu: tuple
     lam0: float
     Lam0: float
-    Lam1: float
     Lam2: float
-    tangency_witness: Optional[tuple] = None
     orthogonality_witness: Optional[tuple] = None
 
     def __post_init__(self):
@@ -319,172 +377,69 @@ def check_convex_in_direction(domain, nu, n_lines=64, n_pts=256):
             )
 
 
-def _support_min_sampled(domain, nu, resolution):
-    bb = domain.bounding_box()
-    n = domain.dimension
-    k = max(8, int(math.ceil(domain.bbox_diameter() / max(resolution, 1e-3))))
-    k = min(k, 400)
-    axes = [np.linspace(bb[i, 0], bb[i, 1], k) for i in range(n)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = domain.contains(mesh)
-    if not inside.any():
-        raise GeometryError("no sample points found inside the domain")
-    proj = mesh[inside] @ nu
-    # refine by a pattern search: march against nu, and allow lateral
-    # moves at the current scale so the minimizer can slide along the
-    # boundary toward the true support point
-    x = mesh[inside][np.argmin(proj)]
-    basis = np.linalg.svd(np.eye(n) - np.outer(nu, nu))[0][:, : n - 1].T
-    step = domain.bbox_diameter() / k
+def _chord_ends(domain, nu):
+    """Boundary points at both ends of 256 chords parallel to nu, for a 2-D domain.
 
-    def march(y, s):
-        while s > resolution * 1e-3:
-            z = y - s * nu
-            if domain.contains(z[None, :])[0]:
-                y = z
-            else:
-                s *= 0.5
-        return y
-
-    x = march(x, step)
-    while step > resolution:
-        improved = False
-        for b in basis:
-            for sgn in (1.0, -1.0):
-                y = x + sgn * step * b
-                if domain.contains(y[None, :])[0]:
-                    y = march(y, step)
-                    if y @ nu < x @ nu - resolution * 1e-3:
-                        x, improved = y, True
-        if not improved:
-            step *= 0.5
-    return float(x @ nu)
-
-
-def _boundary_crossings_2d(domain, nu, lam, coarse=4096):
-    """Parameter values where a 2-D parametrized boundary crosses {x . nu = lam}."""
-    t = np.linspace(0.0, 1.0, coarse, endpoint=False)
-    s = domain.boundary_param(t) @ nu - lam
-    cross = []
-    for i in range(coarse):
-        j = (i + 1) % coarse
-        if s[i] == 0.0:
-            cross.append(t[i])
-        elif s[i] * s[j] < 0:
-            a, b = t[i], t[i] + 1.0 / coarse
-            fa = s[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(domain.boundary_param(mid) @ nu - lam)
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            cross.append(0.5 * (a + b))
-    return cross
-
-
-def _cap_boundary_samples(domain, nu, lam, resolution):
-    """Boundary points of the cap {x in bdry : x . nu < lam}.
-
-    For parametrized 2-D shapes, samples are refined geometrically toward
-    the plane crossings so containment flips are detected even when the
-    plane sits within ~1e-9 of the critical position.
+    The chords are sampled once per direction; the cap tests filter the
+    ends per plane position.
     """
-    diam = domain.bbox_diameter()
-    try:
-        t = np.linspace(0.0, 1.0, max(64, int(diam / max(resolution, 1e-3))), endpoint=False)
-        t = np.minimum(t, 1.0 - 1e-12)
-        pts = domain.boundary_param(t)
-        near = []
-        for tc in _boundary_crossings_2d(domain, nu, lam):
-            offs = np.geomspace(1e-14, 0.25, 48)
-            near.append((tc + offs) % 1.0)
-            near.append((tc - offs) % 1.0)
-        if near:
-            pts = np.vstack([pts, domain.boundary_param(np.concatenate(near))])
-        sel = pts @ nu < lam
-        return pts[sel]
-    except NotImplementedError:
-        pass
-    # implicit shapes: locate boundary by bisection along lines parallel to nu
+    if domain.dimension != 2:
+        raise NotImplementedError("cap sampling is implemented for 2-D domains")
     bb = domain.bounding_box()
-    n = domain.dimension
-    if n != 2:
-        raise NotImplementedError("generic cap sampling is implemented for 2-D domains")
+    diam = domain.bbox_diameter()
     perp = np.array([-nu[1], nu[0]])
-    c = 0.5 * (bb[:, 0] + bb[:, 1])
     offs = np.linspace(-0.5 * diam, 0.5 * diam, 256)
     ts = np.linspace(-0.5 * diam, 0.5 * diam, 512)
-    out = []
-    for o in offs:
-        line = c + o * perp + ts[:, None] * nu
-        inside = domain.contains(line)
-        idx = np.flatnonzero(inside)
-        if len(idx) == 0:
-            continue
-        for lo_i, hi_i, sgn in ((idx[0] - 1, idx[0], -1), (idx[-1], idx[-1] + 1, 1)):
-            if lo_i < 0 or hi_i >= len(ts):
-                continue
-            a, b = ts[lo_i], ts[hi_i]
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if domain.contains((c + o * perp + mid * nu)[None, :])[0] == (sgn < 0):
-                    b = mid
-                else:
-                    a = mid
-            out.append(c + o * perp + 0.5 * (a + b) * nu)
-    pts = np.asarray(out).reshape(-1, 2)
-    return pts[pts @ nu < lam]
+    lines = 0.5 * (bb[:, 0] + bb[:, 1]) + offs[:, None, None] * perp + ts[:, None] * nu
+    inside = domain.contains(lines.reshape(-1, 2)).reshape(len(offs), len(ts))
+    hit = np.flatnonzero(inside.any(axis=1))
+    first = np.argmax(inside[hit], axis=1)
+    last = len(ts) - 1 - np.argmax(inside[hit, ::-1], axis=1)
+    origins = np.concatenate([lines[hit, first], lines[hit, last]])
+    dirs = np.repeat([-nu, nu], len(hit), axis=0)
+    return origins + domain.ray_exit(origins, dirs)[:, None] * dirs
 
 
-def _reflected_cap_contained(domain, nu, lam, resolution):
-    pts = _cap_boundary_samples(domain, nu, lam, resolution)
-    if len(pts) == 0:
-        return True
-    refl = reflect_point(pts, nu, lam)
-    return bool(np.all(domain.level(refl) <= 0.0))
+def _cap_samples(domain, nu, lam, ends):
+    """Boundary points of the cap {x in bdry : x . nu < lam}.
+
+    The chord ends below the plane, plus the boundary points at
+    geometrically spaced depths below it, found by ray exits along the
+    plane from the segment joining the lowest and highest chord ends, so
+    containment flips are detected even when the plane sits within ~1e-9
+    of the critical position.
+    """
+    proj = ends @ nu
+    lo, hi = ends[np.argmin(proj)], ends[np.argmax(proj)]
+    depth = lam - domain.bbox_diameter() * np.geomspace(1e-14, 0.25, 48)
+    frac = (depth - lo @ nu) / ((hi - lo) @ nu)
+    q = lo + frac[(frac > 0) & (frac < 1), None] * (hi - lo)
+    perp = np.array([-nu[1], nu[0]])
+    q, d = np.concatenate([q, q]), np.repeat([perp, -perp], len(q), axis=0)
+    return np.vstack([ends[proj < lam], q + domain.ray_exit(q, d)[:, None] * d])
+
+
+def _reflected_cap_contained(domain, nu, lam, ends):
+    refl = reflect_point(_cap_samples(domain, nu, lam, ends), nu, lam)
+    # a sample on the plane reflects onto itself, where its level is a few
+    # ulps of round-off away from zero
+    return bool(np.all(domain.level(refl) <= 4.0 * np.finfo(float).eps))
 
 
 def _bisect_sup(pred, lo, hi, tol):
-    """sup of {t in [lo, hi] : pred true on [lo, t]}, assuming pred(lo)."""
+    """sup of {t in [lo, hi] : pred true on [lo, t]}, assuming pred(lo).
+
+    Elementwise over array brackets: ``pred`` maps an array of positions
+    to an array of booleans.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(200):
-        if hi - lo <= tol:
+        if np.all(hi - lo <= tol):
             break
         mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+        ok = pred(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _implicit_boundary_param(domain):
-    """Ray-cast parametrization of an implicit 2-D boundary by polar angle.
-
-    Rays start from the deepest sampled interior point, so the map covers
-    the whole boundary of a convex domain without pole gaps.
-    """
-    bb = domain.bounding_box()
-    gx = np.linspace(bb[0, 0], bb[0, 1], 64)
-    gy = np.linspace(bb[1, 0], bb[1, 1], 64)
-    gpts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    center = gpts[int(np.argmin(domain.level(gpts)))]
-    diam = domain.bbox_diameter()
-
-    def param(t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        d = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        lo = np.zeros(len(d))
-        hi = np.full(len(d), diam)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            inside = domain.contains(center + mid[:, None] * d)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return center + (0.5 * (lo + hi))[:, None] * d
-
-    return param
 
 
 def _ellipse_symmetric_along(domain, nu):
@@ -495,7 +450,7 @@ def _ellipse_symmetric_along(domain, nu):
     return bool(np.linalg.norm(skew) <= 1e-12 * np.max(a2))
 
 
-def _orthogonality_plane(domain, nu, resolution):
+def _orthogonality_plane(domain, nu):
     """First plane position with a boundary normal orthogonal to nu, plus witness."""
     if isinstance(domain, Ball):
         return float(np.dot(domain.center, nu)), None
@@ -513,64 +468,43 @@ def _orthogonality_plane(domain, nu, resolution):
         nc = np.linalg.norm(nuc)
         if nc == 0:
             raise GeometryError("moving direction along the tube axis is not supported")
-        sub, wit = _orthogonality_plane(domain.cross_section, nuc / nc, resolution)
+        sub, wit = _orthogonality_plane(domain.cross_section, nuc / nc)
         return nc * sub, wit
-    # parametrized or implicit 2-D: scan boundary samples for sign changes of n . nu
+    pts = _boundary_points_normal_to(domain, nu)
+    k = int(np.argmin(pts @ nu))
+    return float(pts[k] @ nu), tuple(pts[k])
+
+
+def _boundary_points_normal_to(domain, w):
+    """Points of a 2-D boundary where the outer normal is orthogonal to w.
+
+    The boundary is parametrized by polar angle around the deepest sampled
+    interior point (no pole gaps on a convex domain), and every sign
+    change of n . w over 4096 angles is refined by one joint bisection.
+    """
+    bb = domain.bounding_box()
+    axes = [np.linspace(bb[i, 0], bb[i, 1], 64) for i in range(2)]
+    gpts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    center = gpts[int(np.argmin(domain.level(gpts)))]
+
+    def boundary(t):
+        d = np.stack([np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t)], axis=-1)
+        return center + domain.ray_exit(center, d)[:, None] * d
+
+    def dots(t):
+        return domain.boundary_normal(boundary(t)) @ w
+
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    try:
-        domain.boundary_param(np.array([0.0]))
-        param = domain.boundary_param
-    except NotImplementedError:
-        param = _implicit_boundary_param(domain)
-    pts = param(t)
-    dots = np.einsum("ij,j->i", domain.boundary_normal(pts), nu)
-    best, wit = np.inf, None
-    for i in range(len(t)):
-        j = (i + 1) % len(t)
-        if dots[i] == 0.0 or dots[i] * dots[j] < 0:
-            a, b = t[i], t[i] + 1.0 / len(t)
-            fa = dots[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(np.dot(domain.boundary_normal(param(np.array([mid]))[0]), nu))
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            p = param(np.array([0.5 * (a + b)]))[0]
-            if p @ nu < best:
-                best, wit = float(p @ nu), tuple(np.atleast_1d(p))
-    if not np.isfinite(best):
-        raise GeometryError("no orthogonality point found on sampled boundary")
-    return best, wit
-
-
-def _tangency_plane(domain, nu, lam0, Lam0, resolution, tol):
-    """First position where the reflected cap touches the boundary away from the plane."""
-    if isinstance(domain, Ball):
-        return float(np.dot(domain.center, nu)), None
-    diam = domain.bbox_diameter()
-    band = max(10 * tol, 1e-7 * diam)
-
-    def no_tangency(lam):
-        pts = _cap_boundary_samples(domain, nu, lam - band, resolution)
-        if len(pts) == 0:
-            return True
-        refl = reflect_point(pts, nu, lam)
-        return bool(np.all(domain.level(refl) < -0.0))
-
-    lam = _bisect_sup(no_tangency, lam0 + tol, lam0 + diam, tol)
-    pts = _cap_boundary_samples(domain, nu, lam - band, resolution)
-    wit = None
-    if len(pts) > 0:
-        refl = reflect_point(pts, nu, lam + 2 * tol)
-        k = int(np.argmax(domain.level(refl)))
-        wit = tuple(refl[k])
-    return lam, wit
+    s = dots(t)
+    i = np.flatnonzero((s == 0.0) | (s * np.roll(s, -1) < 0))
+    if len(i) == 0:
+        raise GeometryError("no boundary normal orthogonal to the direction was found")
+    return boundary(_bisect_sup(lambda m: dots(m) * s[i] > 0, t[i], t[i] + 1.0 / len(t),
+                                np.finfo(float).eps))
 
 
 def critical_planes(domain, nu, resolution=None):
-    """Compute the four critical plane positions along direction ``nu``.
+    """Compute the critical plane positions along direction ``nu``.
 
     ``resolution`` bounds the bisection tolerance; the default is 1e-9 of
     the bounding-box diameter.  Raises :class:`ConvexityError` when the
@@ -583,43 +517,42 @@ def critical_planes(domain, nu, resolution=None):
     tol = min(resolution, 1e-9 * diam)
     check_convex_in_direction(domain, nu)
 
-    lam0 = domain.support_min(nu)
-    if lam0 is None:
-        lam0 = _support_min_sampled(domain, nu, resolution)
-
-    if isinstance(domain, Ball):
-        c = float(np.dot(domain.center, nu))
-        return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=c, Lam1=c, Lam2=c)
-
     if isinstance(domain, Tube):
         nuc = np.asarray(nu[:-1])
         nc = np.linalg.norm(nuc)
         if abs(nc - 1.0) > 1e-12:
             raise GeometryError("tube critical planes require a direction orthogonal to the axis")
         sub = critical_planes(domain.cross_section, nuc / nc, resolution)
-        return CriticalPlanes(
-            nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam1=sub.Lam1, Lam2=sub.Lam2,
-            tangency_witness=sub.tangency_witness,
-            orthogonality_witness=sub.orthogonality_witness,
-        )
+        return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2,
+                              orthogonality_witness=sub.orthogonality_witness)
+
+    lam0 = domain.support_min(nu)
+    if lam0 is None:
+        # the first touch is where the outer normal is -nu
+        pts = _boundary_points_normal_to(domain, np.array([-nu[1], nu[0]]))
+        lam0 = float(np.min(pts @ nu))
+
+    if isinstance(domain, Ball):
+        c = float(np.dot(domain.center, nu))
+        return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=c, Lam2=c)
 
     if isinstance(domain, Ellipse) and _ellipse_symmetric_along(domain, nu):
         # reflection about the central plane preserves the domain, and past
         # it the reflected cap pokes outside
         Lam0 = float(np.dot(domain.center, nu))
     else:
-        Lam0 = _bisect_sup(
-            lambda lam: _reflected_cap_contained(domain, nu, lam, resolution),
+        ends = _chord_ends(domain, nu)
+        Lam0 = float(_bisect_sup(
+            lambda lam: _reflected_cap_contained(domain, nu, lam, ends),
             lam0 + tol, lam0 + diam, tol,
-        )
-    Lam1, tw = _tangency_plane(domain, nu, lam0, Lam0, resolution, tol)
-    Lam2, ow = _orthogonality_plane(domain, nu, resolution)
+        ))
+    Lam2, ow = _orthogonality_plane(domain, nu)
     # snap tiny bisection residue so the Lam0 <= Lam2 invariant is not
     # tripped by one half-tolerance of slack
     if Lam0 > Lam2 and Lam0 - Lam2 < 4 * tol:
         Lam0 = Lam2
-    return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam1=Lam1, Lam2=Lam2,
-                          tangency_witness=tw, orthogonality_witness=ow)
+    return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2,
+                          orthogonality_witness=ow)
 
 
 def domain_to_json(domain):

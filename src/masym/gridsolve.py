@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .domains import GeometryError
 from .rhs import eval_f
 
 __all__ = [
@@ -58,10 +60,28 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FdParams:
+    """Grid spacing, residual tolerance, stencil width (1, 2 or 3) and sweep cap.
+
+    Raises ``ValueError`` naming the first field that is out of range.
+    """
+
     h: float = 1.0 / 64.0
     tol: float = 1e-8
     stencil_width: int = 2
     max_newton: int = 60
+
+    def __post_init__(self):
+        def typed(v, kind):
+            return isinstance(v, kind) and not isinstance(v, bool)
+
+        for name in ("h", "tol"):
+            v = getattr(self, name)
+            if not (typed(v, numbers.Real) and 0.0 < v < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        if not (typed(self.stencil_width, numbers.Integral) and 1 <= self.stencil_width <= 3):
+            raise ValueError(f"stencil_width must be 1, 2 or 3, got {self.stencil_width!r}")
+        if not (typed(self.max_newton, numbers.Integral) and self.max_newton >= 1):
+            raise ValueError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
 
     def to_json(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -115,7 +135,8 @@ class StencilGrid:
     Interior nodes are the grid nodes strictly inside the domain.  For
     every stencil direction each node stores either an interior
     neighbor or the fraction rho of the arm at which the boundary is
-    crossed (the arm value there is the Dirichlet constant).
+    crossed, from :meth:`Domain.ray_exit` (the arm value there is the
+    Dirichlet constant).
 
     The arm tables of all D stencil directions and their opposites are
     built once, in the constructor, and stacked: an ``int32`` neighbor
@@ -149,6 +170,8 @@ class StencilGrid:
         self.node_ij = np.stack([ii, jj], axis=1)
         self.node_xy = self.points[ii, jj]                # (N, 2)
         self.n_nodes = len(ii)
+        if self.n_nodes == 0:
+            raise GeometryError(f"no node of the grid with h = {self.h} lies inside the domain")
         self.pairs = _orthogonal_pairs(stencil_width)
         dirs = [v for pair in self.pairs for v in pair]
         rows = dirs + [(-p, -q) for p, q in dirs]
@@ -162,17 +185,6 @@ class StencilGrid:
         for a in (self._nbr, self._rho, self._K):
             a.flags.writeable = False
 
-    def _boundary_fraction(self, pts, step):
-        """Largest t in (0, 1] with pts + t*step still inside, by bisection."""
-        lo = np.zeros(len(pts))
-        hi = np.ones(len(pts))
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            ins = self.domain.contains(pts + mid[:, None] * step)
-            lo = np.where(ins, mid, lo)
-            hi = np.where(ins, hi, mid)
-        return np.maximum(0.5 * (lo + hi), 1e-6)
-
     def _arm_table(self, v):
         """Arm table along +v: (neighbor unknown index or -1, rho)."""
         dv = np.array(v)
@@ -182,9 +194,7 @@ class StencilGrid:
         nbr[ok] = self.index[ij2[ok, 0], ij2[ok, 1]]
         rho = np.ones(self.n_nodes)
         cut = nbr < 0
-        if cut.any():
-            step = self.h * dv.astype(float)
-            rho[cut] = self._boundary_fraction(self.node_xy[cut], step)
+        rho[cut] = np.clip(self.domain.ray_exit(self.node_xy[cut], self.h * dv), 1e-6, 1.0)
         return nbr, rho
 
     def arms(self, v):

@@ -220,6 +220,8 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
     if abs(alpha * beta - n * n) <= 1e-9 and alpha * beta != n * n:
         warnings.warn(
             "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",

@@ -57,11 +57,11 @@ def test_ellipse_slanted_direction_planes():
     cp = critical_planes(e, [s, s])
     assert cp.lam0 < cp.Lam0 <= cp.Lam2 + 1e-9
     assert abs(cp.Lam2 + np.sqrt(0.9)) <= 1e-9
-    assert abs(cp.Lam0 - cp.Lam2) <= 1e-4
+    assert abs(cp.Lam0 - cp.Lam2) <= 1e-8
     tube = Tube(cross_section=e, half_height=1.0)
     cpt = critical_planes(tube, [s, s, 0.0])
     assert cpt.lam0 < cpt.Lam0 <= cpt.Lam2 + 1e-9
-    assert abs(cpt.Lam0 - cp.Lam0) <= 1e-6
+    assert abs(cpt.Lam0 - cpt.Lam2) <= 1e-8
 
 
 def test_offcenter_ball_planes():
@@ -104,23 +104,61 @@ def test_tube_planes_cross_direction():
 
 def test_smooth_level_set_matches_ball():
     """A level-set description of the unit disk yields the same planes."""
-    d = SmoothLevelSet(
-        phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
-        grad_phi=lambda x: 2.0 * np.asarray(x, float),
-        bbox=((-1.0, 1.0), (-1.0, 1.0)),
-    )
+    d = _unit_disk_level_set()
     cp = critical_planes(d, [1.0, 0.0])
     assert abs(cp.lam0 + 1.0) <= 1e-3
     assert abs(cp.Lam0) <= 1e-3
 
 
 def test_critical_planes_invariant_lam0_below_lam2():
-    """Lam0 <= Lam2 (Lam0 = min(Lam1, Lam2)); a Lam0 past Lam2 is rejected."""
-    cp = CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.2, Lam1=0.0, Lam2=-0.1)
+    """Lam0 <= Lam2; a Lam0 past Lam2 is rejected."""
+    cp = CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.2, Lam2=-0.1)
     assert cp.Lam0 < cp.Lam2
-    CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 5e-10, Lam1=0.0, Lam2=-0.1)
+    CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 5e-10, Lam2=-0.1)
     with pytest.raises(GeometryError):
-        CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 1e-8, Lam1=0.0, Lam2=-0.1)
+        CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 1e-8, Lam2=-0.1)
+
+
+def _bisected_exit(domain, o, d):
+    """Largest t with o + t d inside, by bisection on contains from a far bracket."""
+    lo, hi = 0.0, 1e3
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if domain.contains(o + mid * d):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _unit_disk_level_set():
+    return SmoothLevelSet(
+        phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+        grad_phi=lambda x: 2.0 * np.asarray(x, float),
+        bbox=((-1.0, 1.0), (-1.0, 1.0)),
+    )
+
+
+@pytest.mark.parametrize("domain", [
+    Ball(center=(0.0, 0.0), radius=1.0),
+    Ellipse(center=(0.3, -0.2), semi_axes=(2.0, 0.5)),
+    Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=2.0),
+    Tube(cross_section=Ellipse(center=(0.1, 0.0), semi_axes=(1.0, 0.5)), half_height=0.7),
+    _unit_disk_level_set(),
+], ids=["ball", "ellipse", "tube", "tube3d", "levelset"])
+def test_ray_exit_matches_bisection(domain):
+    rng = np.random.default_rng(11)
+    bb = domain.bounding_box()
+    o = bb[:, 0] + (bb[:, 1] - bb[:, 0]) * rng.random((400, domain.dimension))
+    o = o[domain.contains(o)][:40]
+    d = rng.normal(size=o.shape) * rng.uniform(0.1, 3.0, size=(len(o), 1))
+    if isinstance(domain, Tube):
+        d[:5, :-1] = 0.0      # along the axis: the cross-section never exits
+    t = domain.ray_exit(o, d)
+    assert t.shape == (len(o),)
+    ref = np.array([_bisected_exit(domain, oi, di) for oi, di in zip(o, d)])
+    assert np.max(np.abs(t - ref)) <= 1e-12
+    assert np.all(np.isinf(domain.ray_exit(o, np.zeros_like(o))))
 
 
 def test_half_domain_mask():

@@ -194,7 +194,8 @@ def _reference_arm(grid, v):
     nbr[ok] = grid.index[ij2[ok, 0], ij2[ok, 1]]
     rho = np.ones(grid.n_nodes)
     cut = nbr < 0
-    rho[cut] = grid._boundary_fraction(grid.node_xy[cut], grid.h * np.array(v, dtype=float))
+    rho[cut] = np.clip(grid.domain.ray_exit(grid.node_xy[cut], grid.h * np.array(v, dtype=float)),
+                       1e-6, 1.0)
     return nbr, rho
 
 
