@@ -21,14 +21,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domains import critical_planes, domain_from_json, domain_to_json
+from .domains import (Ball, GeometryError, critical_planes, domain_from_json,
+                      domain_to_json)
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
 from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid,
                         solve_system_fd, write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import RhsSystem, check_hypotheses, power_coupled_system
+from .rhs import ConfigurationError, RhsSystem, check_hypotheses, power_coupled_system
 
 COMMANDS = ("solve-radial", "solve-grid", "certify", "hypotheses",
             "sweep-trichotomy", "linearize")
@@ -90,10 +91,13 @@ def load_config(path):
     for key in ("alpha", "beta", "R", "tol"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
             raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be positive")
-    seed = cfg.get("seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        raise ConfigError(f"{path}:{_key_line(path, 'seed')}: seed must be a non-negative "
-                          f"integer")
+    # the radial residual check skips three nodes at each end of the grid
+    for key, least in (("seed", 0), ("n", 1), ("grid_size", 6), ("samples", 1),
+                       ("n_lambdas", 2)):
+        value = cfg.get(key, least)
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+            raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be an integer "
+                              f">= {least}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
@@ -196,6 +200,36 @@ def _profile_csv(emit, name, profiles):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def read_config(cfg):
+    """The validated config with its values read into the objects the commands
+    run on.  Reading writes nothing, so a value of the wrong type, shape or
+    range raises here, as a config error, before the output dir is locked."""
+    which, fixture = cfg.get("which"), cfg.get("fixture") == "quadratic"
+    cfg = dict(cfg, params=FdParams.from_json(cfg.get("params", {})),
+               nu=np.asarray(cfg.get("nu", [1.0, 0.0]), dtype=float),
+               which=None if which is None else tuple(which))
+    if "lambda" in cfg:
+        cfg["lambda"] = float(cfg["lambda"])
+    if not all(float(alpha) > 0 and float(beta) > 0 for alpha, beta in cfg.get("pairs", [])):
+        raise ConfigError("pairs must hold positive (alpha, beta) pairs")
+    if "domain" in cfg or fixture:
+        cfg["domain"] = domain_from_json(cfg.get("domain", {"shape": "ball",
+                                                            "center": [0.0, 0.0],
+                                                            "radius": 1.0}))
+        if fixture and not isinstance(cfg["domain"], Ball):
+            raise ConfigError("the quadratic fixture needs a ball domain")
+    if "system" in cfg:
+        system = cfg["system"] = _system_from_config(cfg["system"])
+        cfg["cs"] = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))
+        if len(cfg["cs"]) != system.m:
+            raise ConfigError(f"cs needs {system.m} boundary constants")
+        if "box" in cfg:
+            cfg["box"] = {key: np.asarray(cfg["box"][key], dtype=float).reshape(rows, 2)
+                          for key, rows in (("x", system.n), ("z", system.m),
+                                            ("p", system.n))}
+    return cfg
+
+
 def cmd_solve_radial(cfg, emit, seed):
     alpha, beta = float(cfg["alpha"]), float(cfg["beta"])
     n = int(cfg.get("n", 2))
@@ -219,12 +253,8 @@ def cmd_solve_radial(cfg, emit, seed):
 
 
 def _grid_solution(cfg):
-    domain = domain_from_json(cfg["domain"])
-    system = _system_from_config(cfg["system"])
-    cs = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))
-    params = FdParams.from_json(cfg.get("params", {}))
-    sol = solve_system_fd(domain, system, cs, params)
-    return domain, system, sol
+    domain, system = cfg["domain"], cfg["system"]
+    return domain, system, solve_system_fd(domain, system, cfg["cs"], cfg["params"])
 
 
 def cmd_solve_grid(cfg, emit, seed):
@@ -244,9 +274,7 @@ def cmd_solve_grid(cfg, emit, seed):
 
 def _quadratic_fixture(cfg):
     """Exact paraboloid field on the unit disk: u = |x|^2 - 1, det D^2 u = 4."""
-    domain = domain_from_json(cfg.get("domain", {"shape": "ball",
-                                                "center": [0.0, 0.0], "radius": 1.0}))
-    params = FdParams.from_json(cfg.get("params", {}))
+    domain, params = cfg["domain"], cfg["params"]
     grid = StencilGrid(domain, params.h, params.stencil_width)
     u = np.sum((grid.node_xy - np.asarray(domain.center)) ** 2, axis=1) \
         - domain.radius ** 2
@@ -263,7 +291,7 @@ def cmd_certify(cfg, emit, seed):
         domain, system, sol = _quadratic_fixture(cfg)
     else:
         domain, system, sol = _grid_solution(cfg)
-    nu = cfg.get("nu", [1.0, 0.0])
+    nu = cfg["nu"]
     planes = critical_planes(domain, nu)
     report = lambda_sweep(sol, nu, planes, int(cfg.get("n_lambdas", 16)),
                           system=system)
@@ -274,10 +302,9 @@ def cmd_certify(cfg, emit, seed):
 
 
 def cmd_hypotheses(cfg, emit, seed):
-    system = _system_from_config(cfg["system"])
-    report = check_hypotheses(system, cfg["box"],
+    report = check_hypotheses(cfg["system"], cfg["box"],
                               samples=int(cfg.get("samples", 1024)),
-                              which=cfg.get("which"), seed=seed)
+                              which=cfg["which"], seed=seed)
     _json_dump(report.to_json(), emit.path("hypotheses.json"))
     n_fail = sum(1 for s in report.statuses.values() if s == "fail")
     emit.say(f"hypotheses: {n_fail} failed, "
@@ -315,8 +342,7 @@ def cmd_sweep_trichotomy(cfg, emit, seed):
 
 def cmd_linearize(cfg, emit, seed):
     domain, system, sol = _grid_solution(cfg)
-    nu = cfg.get("nu", [1.0, 0.0])
-    frame = build_frame(sol, nu, float(cfg["lambda"]))
+    frame = build_frame(sol, cfg["nu"], cfg["lambda"])
     lin = linearize(frame, system)
     ei = verify_elliptic_inequality(lin, frame)
     _json_dump({"lambda": frame.lam, "n_nodes": int(len(frame.node_idx)),
@@ -356,8 +382,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
+        cfg = read_config(load_config(args.config))
+    except (KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     seed = int(cfg.get("seed", args.seed))
@@ -378,9 +404,7 @@ def main(argv=None):
                                 for hh in getattr(err, "history", [])]}, report)
         print(f"solver divergence: {err} (report: {report})", file=sys.stderr)
         return 3
-    except (KeyError, TypeError, ValueError) as err:
-        # the package rejects invalid input with ValueError subclasses; a config
-        # value of the wrong type or shape fails with TypeError or ValueError
+    except (ConfigError, ConfigurationError, GeometryError, KeyError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     finally:

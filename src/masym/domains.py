@@ -150,80 +150,22 @@ class Domain:
         raise NotImplementedError(f"{type(self).__name__} has no boundary normal")
 
 
-@dataclass(frozen=True)
-class Ball(Domain):
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryError("ball radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+class _Quadric(Domain):
+    """A ball or ellipse: center and semi-axes; a ball's level is a distance."""
 
     @property
     def dimension(self):
         return len(self.center)
 
     def bounding_box(self):
-        c = np.asarray(self.center)
-        return np.stack([c - self.radius, c + self.radius], axis=1)
-
-    def level(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - np.asarray(self.center), axis=-1) - self.radius
-
-    def support_min(self, nu):
-        return float(np.dot(self.center, nu) - self.radius)
-
-    def ray_exit(self, origins, dirs):
-        o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / self.radius
-        return _unit_sphere_exit(o, np.asarray(dirs, dtype=float) / self.radius)
-
-    def boundary_param(self, t):
-        if self.dimension != 2:
-            raise NotImplementedError("boundary parametrization is 2-D only")
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        c = np.asarray(self.center)
-        return c + self.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def boundary_normal(self, x):
-        d = np.asarray(x, dtype=float) - np.asarray(self.center)
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class Ellipse(Domain):
-    center: tuple
-    semi_axes: tuple
-
-    def __post_init__(self):
-        if any(a <= 0 for a in self.semi_axes):
-            raise GeometryError("ellipse semi-axes must be positive")
-        if len(self.center) != len(self.semi_axes):
-            raise GeometryError("center/semi-axes dimension mismatch")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "semi_axes", tuple(float(a) for a in self.semi_axes))
-
-    @property
-    def dimension(self):
-        return len(self.center)
-
-    def bounding_box(self):
-        c = np.asarray(self.center)
-        a = np.asarray(self.semi_axes)
+        c, a = np.asarray(self.center), self._axes()
         return np.stack([c - a, c + a], axis=1)
 
-    def level(self, x):
-        x = np.asarray(x, dtype=float)
-        t = (x - np.asarray(self.center)) / np.asarray(self.semi_axes)
-        return np.sum(t * t, axis=-1) - 1.0
-
     def support_min(self, nu):
-        a = np.asarray(self.semi_axes)
-        return float(np.dot(self.center, nu) - math.sqrt(float(np.sum((a * nu) ** 2))))
+        return float(np.dot(self.center, nu) - math.sqrt(float(np.sum((self._axes() * nu) ** 2))))
 
     def ray_exit(self, origins, dirs):
-        a = np.asarray(self.semi_axes)
+        a = self._axes()
         o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / a
         return _unit_sphere_exit(o, np.asarray(dirs, dtype=float) / a)
 
@@ -231,13 +173,56 @@ class Ellipse(Domain):
         if self.dimension != 2:
             raise NotImplementedError("boundary parametrization is 2-D only")
         th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        c = np.asarray(self.center)
-        a = np.asarray(self.semi_axes)
-        return c + np.stack([a[0] * np.cos(th), a[1] * np.sin(th)], axis=-1)
+        return np.asarray(self.center) + self._axes() * np.stack([np.cos(th), np.sin(th)],
+                                                                 axis=-1)
 
     def boundary_normal(self, x):
-        d = (np.asarray(x, dtype=float) - np.asarray(self.center)) / np.asarray(self.semi_axes) ** 2
+        d = (np.asarray(x, dtype=float) - np.asarray(self.center)) / self._axes() ** 2
         return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class Ball(_Quadric):
+    center: tuple
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not (0 < self.radius < math.inf and all(map(math.isfinite, self.center))):
+            raise GeometryError("ball radius must be positive and its center finite")
+
+    def _axes(self):
+        return np.full(len(self.center), float(self.radius))
+
+    def support_min(self, nu):
+        return float(np.dot(self.center, nu) - self.radius)
+
+    def level(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x - np.asarray(self.center), axis=-1) - self.radius
+
+
+@dataclass(frozen=True)
+class Ellipse(_Quadric):
+    center: tuple
+    semi_axes: tuple
+
+    def __post_init__(self):
+        if len(self.center) != len(self.semi_axes):
+            raise GeometryError("center/semi-axes dimension mismatch")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "semi_axes", tuple(float(a) for a in self.semi_axes))
+        if not (all(0 < a < math.inf for a in self.semi_axes)
+                and all(map(math.isfinite, self.center))):
+            raise GeometryError("ellipse semi-axes must be positive and its center finite")
+
+    def _axes(self):
+        return np.asarray(self.semi_axes)
+
+    def level(self, x):
+        x = np.asarray(x, dtype=float)
+        t = (x - np.asarray(self.center)) / np.asarray(self.semi_axes)
+        return np.sum(t * t, axis=-1) - 1.0
 
 
 @dataclass(frozen=True)
@@ -248,8 +233,8 @@ class Tube(Domain):
     half_height: float
 
     def __post_init__(self):
-        if self.half_height <= 0:
-            raise GeometryError("tube half-height must be positive")
+        if not 0 < self.half_height < math.inf:
+            raise GeometryError("tube half-height must be positive and finite")
 
     @property
     def dimension(self):
@@ -378,11 +363,11 @@ def check_convex_in_direction(domain, nu, n_lines=64, n_pts=256):
 
 
 def _chord_ends(domain, nu):
-    """Boundary points at both ends of 256 chords parallel to nu, for a 2-D domain.
-
-    The chords are sampled once per direction; the cap tests filter the
-    ends per plane position.
-    """
+    """Boundary points at both ends of 256 chords parallel to nu (2-D), sampled
+    once per direction and filtered per plane position by the cap tests, and
+    the level's round-off at a reflected boundary point: a few ulps of the
+    level's largest magnitude on the chord lines, and as much again per
+    diameter of the largest coordinate, for the coordinates' round-off."""
     if domain.dimension != 2:
         raise NotImplementedError("cap sampling is implemented for 2-D domains")
     bb = domain.bounding_box()
@@ -391,13 +376,16 @@ def _chord_ends(domain, nu):
     offs = np.linspace(-0.5 * diam, 0.5 * diam, 256)
     ts = np.linspace(-0.5 * diam, 0.5 * diam, 512)
     lines = 0.5 * (bb[:, 0] + bb[:, 1]) + offs[:, None, None] * perp + ts[:, None] * nu
-    inside = domain.contains(lines.reshape(-1, 2)).reshape(len(offs), len(ts))
+    level = domain.level(lines.reshape(-1, 2)).reshape(len(offs), len(ts))
+    inside = level < 0.0
     hit = np.flatnonzero(inside.any(axis=1))
     first = np.argmax(inside[hit], axis=1)
     last = len(ts) - 1 - np.argmax(inside[hit, ::-1], axis=1)
     origins = np.concatenate([lines[hit, first], lines[hit, last]])
     dirs = np.repeat([-nu, nu], len(hit), axis=0)
-    return origins + domain.ray_exit(origins, dirs)[:, None] * dirs
+    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(level)) \
+        * (1.0 + np.max(np.abs(lines)) / diam)
+    return origins + domain.ray_exit(origins, dirs)[:, None] * dirs, slack
 
 
 def _cap_samples(domain, nu, lam, ends):
@@ -419,11 +407,11 @@ def _cap_samples(domain, nu, lam, ends):
     return np.vstack([ends[proj < lam], q + domain.ray_exit(q, d)[:, None] * d])
 
 
-def _reflected_cap_contained(domain, nu, lam, ends):
+def _reflected_cap_contained(domain, nu, lam, ends, slack):
+    # a sample on the plane reflects onto itself, where its level is
+    # round-off away from zero
     refl = reflect_point(_cap_samples(domain, nu, lam, ends), nu, lam)
-    # a sample on the plane reflects onto itself, where its level is a few
-    # ulps of round-off away from zero
-    return bool(np.all(domain.level(refl) <= 4.0 * np.finfo(float).eps))
+    return bool(np.all(domain.level(refl) <= slack))
 
 
 def _bisect_sup(pred, lo, hi, tol):
@@ -452,24 +440,12 @@ def _ellipse_symmetric_along(domain, nu):
 
 def _orthogonality_plane(domain, nu):
     """First plane position with a boundary normal orthogonal to nu, plus witness."""
-    if isinstance(domain, Ball):
-        return float(np.dot(domain.center, nu)), None
     if isinstance(domain, Ellipse):
         a = np.asarray(domain.semi_axes)
         w = a * nu
         v = nu / a
         proj = w - (np.dot(w, v) / np.dot(v, v)) * v
-        val = float(np.dot(domain.center, nu) - np.linalg.norm(proj))
-        return val, None
-    if isinstance(domain, Tube):
-        # orthogonality is assessed on the smooth lateral surface; the flat
-        # caps meet every plane orthogonally and are handled by corner checks
-        nuc = np.asarray(nu[:-1])
-        nc = np.linalg.norm(nuc)
-        if nc == 0:
-            raise GeometryError("moving direction along the tube axis is not supported")
-        sub, wit = _orthogonality_plane(domain.cross_section, nuc / nc)
-        return nc * sub, wit
+        return float(np.dot(domain.center, nu) - np.linalg.norm(proj)), None
     pts = _boundary_points_normal_to(domain, nu)
     k = int(np.argmin(pts @ nu))
     return float(pts[k] @ nu), tuple(pts[k])
@@ -503,18 +479,16 @@ def _boundary_points_normal_to(domain, w):
                                 np.finfo(float).eps))
 
 
-def critical_planes(domain, nu, resolution=None):
+def critical_planes(domain, nu):
     """Compute the critical plane positions along direction ``nu``.
 
-    ``resolution`` bounds the bisection tolerance; the default is 1e-9 of
-    the bounding-box diameter.  Raises :class:`ConvexityError` when the
-    domain is not convex along ``nu``.
+    The bisections resolve plane positions to 1e-9 of the bounding-box
+    diameter.  Raises :class:`ConvexityError` when the domain is not
+    convex along ``nu``.
     """
     nu = _as_unit(nu, domain.dimension)
     diam = domain.bbox_diameter()
-    if resolution is None:
-        resolution = 1e-9 * diam
-    tol = min(resolution, 1e-9 * diam)
+    tol = 1e-9 * diam
     check_convex_in_direction(domain, nu)
 
     if isinstance(domain, Tube):
@@ -522,7 +496,7 @@ def critical_planes(domain, nu, resolution=None):
         nc = np.linalg.norm(nuc)
         if abs(nc - 1.0) > 1e-12:
             raise GeometryError("tube critical planes require a direction orthogonal to the axis")
-        sub = critical_planes(domain.cross_section, nuc / nc, resolution)
+        sub = critical_planes(domain.cross_section, nuc / nc)
         return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2,
                               orthogonality_witness=sub.orthogonality_witness)
 
@@ -541,9 +515,9 @@ def critical_planes(domain, nu, resolution=None):
         # it the reflected cap pokes outside
         Lam0 = float(np.dot(domain.center, nu))
     else:
-        ends = _chord_ends(domain, nu)
+        ends, slack = _chord_ends(domain, nu)
         Lam0 = float(_bisect_sup(
-            lambda lam: _reflected_cap_contained(domain, nu, lam, ends),
+            lambda lam: _reflected_cap_contained(domain, nu, lam, ends, slack),
             lam0 + tol, lam0 + diam, tol,
         ))
     Lam2, ow = _orthogonality_plane(domain, nu)

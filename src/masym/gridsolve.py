@@ -150,7 +150,7 @@ class StencilGrid:
 
     def __init__(self, domain, h, stencil_width=2):
         if domain.dimension != 2:
-            raise ValueError("grid solver is 2-D")
+            raise GeometryError("grid solver is 2-D")
         self.domain = domain
         self.h = float(h)
         self.width = stencil_width

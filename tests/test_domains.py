@@ -61,7 +61,23 @@ def test_ellipse_slanted_direction_planes():
     tube = Tube(cross_section=e, half_height=1.0)
     cpt = critical_planes(tube, [s, s, 0.0])
     assert cpt.lam0 < cpt.Lam0 <= cpt.Lam2 + 1e-9
+    assert abs(cpt.Lam0 - cp.Lam0) <= 1e-8
     assert abs(cpt.Lam0 - cpt.Lam2) <= 1e-8
+    assert abs(cpt.Lam2 + np.sqrt(0.9)) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 100.0])
+def test_slanted_ellipse_level_set_planes_do_not_depend_on_level_scale(scale):
+    """The reflected-cap test allows the level's own round-off, so a level
+    set of the slanted ellipse finds Lam0 at -sqrt(0.9) whatever its scale."""
+    d = SmoothLevelSet(
+        phi=lambda x: scale * ((x[..., 0] / 2.0) ** 2 + x[..., 1] ** 2 - 1.0),
+        grad_phi=lambda x: scale * np.stack([x[..., 0] / 2.0, 2.0 * x[..., 1]], axis=-1),
+        bbox=((-2.0, 2.0), (-1.0, 1.0)),
+    )
+    s = 1.0 / np.sqrt(2.0)
+    cp = critical_planes(d, [s, s])
+    assert abs(cp.Lam0 + np.sqrt(0.9)) <= 1e-8
 
 
 def test_offcenter_ball_planes():
