@@ -91,6 +91,10 @@ class FdParams:
         return FdParams(**obj)
 
 
+# bounding-box grid points a StencilGrid may allocate (h = 1/1000 on the unit disk)
+MAX_GRID_POINTS = 2 ** 22
+
+
 def stencil_directions(width):
     """Primitive integer directions (p, q) in the closed upper half plane."""
     if width not in (1, 2, 3):
@@ -146,6 +150,9 @@ class StencilGrid:
     K = 2 / ((rho+ + rho-) |v|^2 h^2).  :meth:`arms` returns row views,
     and the operator reads every second difference of a field with one
     gather from ``append(u, c)``.
+
+    Raises :class:`GeometryError` before allocating anything when the
+    padded bounding box holds more than ``MAX_GRID_POINTS`` grid points.
     """
 
     def __init__(self, domain, h, stencil_width=2):
@@ -159,6 +166,10 @@ class StencilGrid:
         self.x0, self.y0 = bb[0, 0] - pad, bb[1, 0] - pad
         self.nx = int(math.ceil((bb[0, 1] + pad - self.x0) / h)) + 1
         self.ny = int(math.ceil((bb[1, 1] + pad - self.y0) / h)) + 1
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise GeometryError(
+                f"h = {self.h} needs a {self.nx} x {self.ny} grid, more than "
+                f"{MAX_GRID_POINTS} points")
         self.xs = self.x0 + h * np.arange(self.nx)
         self.ys = self.y0 + h * np.arange(self.ny)
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -206,22 +217,17 @@ class StencilGrid:
         k = self._row[tuple(v)]
         return self._nbr[k], self._rho[k]
 
-    def _second_differences(self, u, c, rows=None):
+    def _second_differences(self, u, c):
         """Every stencil second difference of ``u``, shape (pairs, 2, N).
 
         One gather from ``append(u, c)`` reads all arm values; index -1
         picks up the boundary constant.  The arithmetic is that of
         :meth:`second_difference`, so the values are bit-identical.
-        ``rows`` restricts the result to those nodes, shape (pairs, 2,
-        len(rows)); only their values and their neighbors' are read.
         """
         D = len(self._K)
-        nbr, rho, K, uc = self._nbr, self._rho, self._K, u
-        if rows is not None:
-            nbr, rho, K, uc = nbr[:, rows], rho[:, rows], K[:, rows], u[rows]
-        g = np.append(u, c)[nbr]
-        val = K * ((g[:D] - uc) / rho[:D] + (g[D:] - uc) / rho[D:])
-        return val.reshape(len(self.pairs), 2, -1)
+        g = np.append(u, c)[self._nbr]
+        val = self._K * ((g[:D] - u) / self._rho[:D] + (g[D:] - u) / self._rho[D:])
+        return val.reshape(len(self.pairs), 2, self.n_nodes)
 
     def second_difference(self, v, u, c):
         """Cut-cell second difference along v for interior values u, boundary c.
@@ -245,7 +251,7 @@ class StencilGrid:
         return val, cc, cp, cm, np_, nm
 
 
-def _ma_and_active(grid, u, c, rows=None):
+def _ma_and_active(grid, u, c):
     """Vectorized operator value and the active pair index per node.
 
     Negative directional second differences are clamped out of the
@@ -253,9 +259,9 @@ def _ma_and_active(grid, u, c, rows=None):
     of the determinant scheme.  For a positive source the two forms have
     the same solutions, but the penalty keeps the linearization
     nondegenerate at non-convex iterates, which Newton needs to recover
-    from them.  ``rows`` restricts the evaluation to those nodes.
+    from them.
     """
-    sd = grid._second_differences(u, c, rows)
+    sd = grid._second_differences(u, c)
     a, b = sd[:, 0], sd[:, 1]
     vals = np.maximum(a, 0.0) * np.maximum(b, 0.0) + np.minimum(a, 0.0) + np.minimum(b, 0.0)
     active = np.argmin(vals, axis=0)

@@ -18,14 +18,11 @@ of the elliptic inequality satisfied by U.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-
-from scipy.ndimage import minimum_filter
 
 from .domains import reflect_point, _as_unit, Ball, Tube
 from .gridsolve import _ma_and_active
@@ -162,9 +159,9 @@ class _SolutionData:
     """Plane-independent data of one solution, each piece built on first use.
 
     A sweep makes one and hands it to every frame and certificate, so
-    the derivative fields, their interpolators and the discrete operator
-    of the unreflected fields are computed once per solution instead of
-    once per plane position.
+    the derivative fields, the discrete operator of the unreflected
+    fields and the interpolators of both are computed once per solution
+    instead of once per plane position.
     """
 
     def __init__(self, solution):
@@ -201,6 +198,14 @@ class _SolutionData:
         sol = self.solution
         return np.stack([_ma_and_active(sol.grid, u, c)[0]
                          for u, c in zip(sol.fields, sol.cs)])
+
+    @cached_property
+    def det_op_interp(self):
+        """Interpolator of :attr:`det_op`; NaN unless the whole cell is interior."""
+        g = self.solution.grid
+        dense = np.full(g.inside.shape + (self.solution.m,), np.nan)
+        dense[g.node_ij[:, 0], g.node_ij[:, 1]] = self.det_op.T
+        return _interp(g, dense)
 
 
 def _hessian_at_nodes(fields, ij):
@@ -250,9 +255,9 @@ class MovingPlaneFrame:
     hess_u: np.ndarray            # (m, K, 2, 2)
     hess_u_lam: np.ndarray        # (m, K, 2, 2)
     hess_U: np.ndarray            # (m, K, 2, 2)
-    det_op: np.ndarray = None     # (m, K) discrete operator of u at the nodes
-    det_op_lam: np.ndarray = None  # (m, K) same operator on the reflected field
-    op_ok: np.ndarray = None      # (K,) where the reflected operator is trustworthy
+    det_op: np.ndarray            # (m, K) discrete operator of u at the nodes
+    det_op_lam: np.ndarray        # (m, K) det_op interpolated at the reflected points
+    op_ok: np.ndarray             # (K,) where det_op_lam is finite
 
     @property
     def m(self):
@@ -276,7 +281,9 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     reflection is grid aligned the weights collapse and the pairing is
     exact.  Reflected Hessians are conjugated with the reflection matrix
     rather than re-differenced, so they inherit the interior accuracy of
-    the unreflected fields.
+    the unreflected fields.  By reflection invariance of the
+    determinant, the reflected discrete operator is the unreflected one
+    interpolated at the reflected points, where ``op_ok`` finds it finite.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
@@ -290,21 +297,17 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     refl = reflect_point(xy, nu, lam)
 
     m = solution.m
-    # a reflected point is usable when its whole interpolation cell is valid
+    # value interpolation needs the reflected cell in the padded box;
+    # derivatives need the whole cell and the node's own stencil valid
     refl_inside = g.domain.contains(refl)
     with np.errstate(invalid="ignore"):
         cell = data.cell_ok(refl)
-    refl_ok = refl_inside & np.isfinite(cell)
-    value_ok = refl_ok  # value interpolation needs the cell in the padded box
+    keep = refl_inside & np.isfinite(cell)
     n_exited = int(np.sum(~refl_inside))
-
-    keep = value_ok
-    idx, xy, refl = idx[keep], xy[keep], refl[keep]
-    cell = cell[keep]
+    idx, xy, refl, cell = idx[keep], xy[keep], refl[keep], cell[keep]
     K = len(idx)
     ij = g.node_ij[idx]
-    node_valid = data.valid[ij[:, 0], ij[:, 1]] if K else np.zeros(0, dtype=bool)
-    deriv_ok = node_valid & (cell > 1.0 - 1e-12)
+    deriv_ok = data.valid[ij[:, 0], ij[:, 1]] & (cell > 1.0 - 1e-12)
 
     Q = np.eye(2) - 2.0 * np.outer(nu, nu)
     u = np.empty((m, K))
@@ -324,32 +327,10 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
         hess_u[i] = _hessian_at_nodes(f, ij)
         hess_u_lam[i] = Q @ _hessian_at(fns, refl) @ Q
 
-    # Discrete determinants of the original and the reflected field with
-    # the scheme's own wide-stencil operator.  Both carry the same
-    # directional resolution bias, so their difference is free of it,
-    # unlike the difference of raw Hessian determinants.  Trust is
-    # limited to nodes whose whole stencil block reflects into the
-    # domain with margin (cut arms would inject the wrong constant).
-    refl_all = reflect_point(g.node_xy, nu, lam)
-    refl_val_dense = np.zeros(g.inside.shape, dtype=bool)
-    refl_val_dense[g.node_ij[:, 0], g.node_ij[:, 1]] = (
-        g.domain.level(refl_all) < -3.0 * g.h)
-    trust_dense = minimum_filter(g.inside & refl_val_dense,
-                                 size=2 * g.width + 1, mode="constant")
+    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
     det_op = data.det_op[:, idx]
-    det_op_lam = np.empty((m, K))
-    # the operator at the cap nodes reads the reflected field only there
-    # and at their stencil neighbors
-    near = np.zeros(g.n_nodes, dtype=bool)
-    near[idx] = True
-    nbr = g._nbr[:, idx]
-    near[nbr[nbr >= 0]] = True
-    for i in range(m):
-        u_lam_all = np.full(g.n_nodes, solution.cs[i])
-        vals = data.interp[i]["E"](refl_all[near])
-        u_lam_all[near] = np.where(np.isfinite(vals), vals, solution.cs[i])
-        det_op_lam[i] = _ma_and_active(g, u_lam_all, solution.cs[i], rows=idx)[0]
-    op_ok = trust_dense[ij[:, 0], ij[:, 1]] if K else np.zeros(0, dtype=bool)
+    det_op_lam = data.det_op_interp(refl).T
+    op_ok = np.all(np.isfinite(det_op_lam), axis=0)
 
     return MovingPlaneFrame(
         nu=nu, lam=lam, grid=g, node_idx=idx, xy=xy, reflected_xy=refl,
@@ -431,34 +412,29 @@ def linearize(frame, system, quad_order=None):
                                n_flagged=tuple(flagged))
 
 
-def verify_elliptic_inequality(lin, frame, tol=None, trace_from_operator=True):
+def verify_elliptic_inequality(lin, frame, tol=None):
     """Audit tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j on the cap.
 
-    Checked at cap nodes with trustworthy derivatives.  The default
-    tolerance is 10 h^2 times a local determinant scale; nodes breaking
-    the inequality beyond it are counted and the worst one is reported.
+    Checked at cap nodes with trustworthy derivatives and a finite
+    reflected operator (``frame.op_ok``).  The default tolerance is
+    10 h^2 times a local determinant scale; nodes breaking the
+    inequality beyond it are counted and the worst one is reported.
 
-    By default the trace term is evaluated through the determinant
-    difference of the discrete wide-stencil operator (the two are equal
-    by the mean value identity, which is audited separately at machine
-    precision).  Raw Hessian determinants share the solved field's
-    directional resolution bias, which does not cancel between a node
-    and its reflection, so they are kept only as a fallback.
+    The trace term is the determinant difference of the discrete
+    wide-stencil operator, ``det_op_lam - det_op``; the two are equal by
+    the mean value identity, which is audited separately at machine
+    precision.  Both operator values come from the one operator field
+    of the solution, so its directional resolution bias cancels between
+    a node and its reflection, unlike that of raw Hessian determinants.
     """
     g = frame.grid
-    ok = frame.deriv_ok
-    if trace_from_operator and frame.op_ok is not None:
-        ok = ok & frame.op_ok
+    ok = frame.deriv_ok & frame.op_ok
     report = {"tolerance_rule": "10*h^2*scale", "h": g.h, "components": [],
               "n_nodes": int(ok.sum()), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
               "d_nonpositive": bool(np.all(lin.d[:, :, ok] <= 1e-12)) if ok.any() else True}
     for i in range(frame.m):
-        if trace_from_operator and frame.op_ok is not None:
-            trace_term = frame.det_op_lam[i] - frame.det_op[i]
-        else:
-            trace_term = np.einsum("kab,kab->k", lin.A[i], frame.hess_U[i])
-        lhs = (trace_term
+        lhs = (frame.det_op_lam[i] - frame.det_op[i]
                + np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
                + lin.c[i] * frame.U[i])
         rhs = np.einsum("jk,jk->k", lin.d[i], frame.U)
@@ -720,7 +696,8 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
     monotonicity certificate and the boundary checks: the derivative
     fields of the ghost-extended arrays, the combined validity mask and
     its interpolator, the interpolators of the value and derivative
-    fields, and the discrete operator of the unreflected fields.
+    fields, and the discrete operator of the unreflected fields with its
+    interpolator, which gives every frame its reflected operator.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")

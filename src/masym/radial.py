@@ -20,8 +20,7 @@ what the no-solution detector looks for.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -222,6 +221,9 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
         raise ValueError("alpha and beta must be positive")
     if n < 1:
         raise ValueError(f"dimension n must be at least 1, got {n}")
+    if grid_size < 6:
+        # the final residual check skips three nodes at each end
+        raise ValueError(f"grid_size must be at least 6, got {grid_size}")
     if abs(alpha * beta - n * n) <= 1e-9 and alpha * beta != n * n:
         warnings.warn(
             "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",

@@ -10,8 +10,7 @@ bounds, and the reflection/orthogonal invariances of the source term.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -226,7 +225,10 @@ def _box_arrays(box, n, m):
 def _sobol_samples(xb, zb, pb, samples, seed):
     dim = len(xb) + len(zb) + len(pb)
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = eng.random(samples)
+    # the leading `samples` points of the smallest power-of-2 block: the
+    # points random(samples) gives, without its warning that only
+    # power-of-2 counts keep the balance properties
+    u = eng.random_base2(int(samples - 1).bit_length())[:samples]
     lo = np.concatenate([xb[:, 0], zb[:, 0], pb[:, 0]])
     hi = np.concatenate([xb[:, 1], zb[:, 1], pb[:, 1]])
     pts = lo + u * (hi - lo)

@@ -139,6 +139,21 @@ def test_invalid_params_value_rejected_without_lock(tmp_path, capsys, key, value
     assert not (out / "manifest.json").exists()
 
 
+def test_grid_too_large_for_h_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "solve-grid",
+                                  "domain": {"shape": "ball", "center": [0.0, 0.0],
+                                             "radius": 1.0},
+                                  "system": {"alpha": 1.0, "beta": 1.0},
+                                  "params": {"h": 1e-4}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid" in err
+    assert "Traceback" not in err
+    assert not (out / ".lock").exists()
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("text, key, line", [
     ('{"command": "solve-grid",\n "domain": {"shape": "ball", "center": [0.0, 0.0],\n'
      '  "radius": 1.0, "bogus": 3},\n "system": {"alpha": 1.0, "beta": 1.0}}\n', "bogus", 3),

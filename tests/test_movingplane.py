@@ -207,16 +207,32 @@ def test_lambda_sweep_passes(coupled):
     assert "monotonicity" in text
 
 
+def _perturbed(sol):
+    """The negative control: u1 plus a ripple along x1, u2 unchanged."""
+    xy = sol.grid.node_xy
+    return GridSolution(grid=sol.grid,
+                        fields=[sol.fields[0] + 0.02 * np.sin(8.0 * np.pi * xy[:, 0]),
+                                sol.fields[1]],
+                        cs=(0.0, 0.0))
+
+
 def test_lambda_sweep_negative_control(coupled):
-    xy = coupled.grid.node_xy
-    bad = GridSolution(grid=coupled.grid,
-                       fields=[coupled.fields[0]
-                               + 0.02 * np.sin(8.0 * np.pi * xy[:, 0]),
-                               coupled.fields[1]],
-                       cs=(0.0, 0.0))
     planes = critical_planes(DISK, [1.0, 0.0])
-    rep = lambda_sweep(bad, [1.0, 0.0], planes, n_lambdas=6,
+    rep = lambda_sweep(_perturbed(coupled), [1.0, 0.0], planes, n_lambdas=6,
                        system=power_coupled_system(1.0, 1.0))
+    assert not rep.passed
+    assert rep.total_ei_violations >= 1
+
+
+def test_oblique_sweep_of_radial_solution_passes(coupled):
+    """det D^2 u_lam(x) = det D^2 u(x_lam): off-axis planes see no violation."""
+    nu = (np.cos(0.4), np.sin(0.4))
+    system = power_coupled_system(1.0, 1.0)
+    planes = critical_planes(DISK, nu)
+    rep = lambda_sweep(coupled, nu, planes, n_lambdas=16, system=system)
+    assert rep.total_ei_violations == 0
+    assert rep.passed
+    rep = lambda_sweep(_perturbed(coupled), nu, planes, n_lambdas=16, system=system)
     assert not rep.passed
     assert rep.total_ei_violations >= 1
 

@@ -83,6 +83,12 @@ def test_operator_residual_small():
     assert np.max(np.abs(resid)) <= 1e-4
 
 
+@pytest.mark.parametrize("grid_size", [1, 5])
+def test_coupled_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
+    with pytest.raises(ValueError, match="grid_size must be at least 6"):
+        solve_coupled_radial(1.0, 2.0, 2, grid_size=grid_size)
+
+
 def test_profile_validation():
     prof = solve_scalar_radial(lambda r, u, du: 4.0, n=2, R=1.0, c=0.0)
     prof.validate()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ def test_hypotheses_pass_on_power_system():
                       "orthogonal_invariance")
     assert rep.quotient_sign_ok
     assert rep.c_f > 0
+
+
+def test_non_power_of_two_samples_draw_balanced_sobol_points():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rep = check_hypotheses(power_coupled_system(1.0, 1.0), BOX, samples=100, seed=0)
+    assert rep.samples == 100
 
 
 def test_planted_sign_violation_caught_with_witness():
