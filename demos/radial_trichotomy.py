@@ -4,8 +4,10 @@ The pair det D^2 u1 = (-u2)^a, det D^2 u2 = (-u1)^b on the unit ball in
 dimension n has a sharp threshold at a * b = n^2: below it there is
 exactly one radial convex solution, above it at least one, and exactly
 at the threshold none, because a one-parameter scaling family pushes
-every candidate toward zero or infinity.  This script walks a grid of
-exponent products and reports which regime each pair lands in.
+every candidate toward zero or infinity.  The solver finds the
+amplitudes from a 2x2 log-linear system whose determinant is n^2 - a*b,
+so the threshold shows up as a singular system.  This script walks a
+grid of exponent products and reports which regime each pair lands in.
 """
 
 import numpy as np
@@ -25,8 +27,7 @@ def main():
         if isinstance(res, NoSolution):
             drift = "zero" if res.drift_sign < 0 else "infinity"
             print(f"{a:5.1f} {b:5.1f} {a * b:6.2f}  no solution "
-                  f"(amplitude drifts toward {drift}, "
-                  f"scaling residual {res.scaling_residual:.1e})")
+                  f"({res.reason}; amplitude drifts toward {drift})")
             continue
         u1, u2 = res
         regime = "unique" if a * b < N * N else "existing"

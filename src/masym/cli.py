@@ -238,9 +238,7 @@ def cmd_solve_radial(cfg, emit, seed):
                                grid_size=int(cfg.get("grid_size", 2048)))
     if isinstance(res, NoSolution):
         _json_dump({"outcome": "no-solution", "reason": res.reason,
-                    "drift_sign": res.drift_sign,
-                    "scaling_residual": res.scaling_residual},
-                   emit.path("summary.json"))
+                    "drift_sign": res.drift_sign}, emit.path("summary.json"))
         emit.say(f"no radial solution: {res.reason}")
         return 0
     u1, u2 = res

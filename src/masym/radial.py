@@ -11,10 +11,16 @@ volume element gives the closed quadrature form
     u(r)      = c - integral_r^R u'(s) ds,
 
 which is the backbone of all solvers here.  The coupled power system
-det D^2 u1 = (-u2)^a, det D^2 u2 = (-u1)^b is handled by an alternating
-scheme that factors out its exact scaling family; at a*b = n^2 that
-family destroys every fixed point and the iteration drifts, which is
-what the no-solution detector looks for.
+det D^2 u1 = (-u2)^a, det D^2 u2 = (-u1)^b is exactly homogeneous: the
+half-step that solves det D^2 w = (-u)^e maps s*u to s^(e/n) times its
+image.  So the solver iterates on unit-amplitude profiles v_i with
+det D^2 v1 = mu1 (-v2)^a, det D^2 v2 = mu2 (-v1)^b, a problem that stays
+bounded for every exponent pair, and then reads the amplitudes t_i of
+u_i = t_i v_i off the 2x2 linear system
+
+    [[-n, a], [b, -n]] (log t1, log t2) = (log mu1, log mu2),
+
+whose determinant n^2 - a*b vanishes exactly where no solution exists.
 """
 
 from __future__ import annotations
@@ -46,12 +52,15 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class NoSolution:
-    """Returned when the coupled iteration drifts along its scaling family."""
+    """Returned when the coupled pair has no radial solution a float can hold.
+
+    Either a*b = n^2, where the scaling family leaves no amplitude, or the
+    amplitudes exist but their logarithms leave the float64 range.
+    """
 
     reason: str
     drift_sign: int              # -1 toward zero, +1 toward infinity
-    history: tuple               # log-amplitude samples
-    scaling_residual: float      # invariance check on a trial iterate
+    history: tuple               # per-iteration change of the unit profile
 
 
 @dataclass
@@ -106,12 +115,6 @@ def _weighted_cumint(r, G, n):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def _second_derivative(r, du):
-    """d(u')/dr by centered differences, one-sided at the ends."""
-    ddu = np.gradient(du, r, edge_order=2)
-    return ddu
-
-
 def radial_ma_operator(profile, k=None):
     """det D^2 u at grid node(s) k of a radial profile.
 
@@ -119,7 +122,7 @@ def radial_ma_operator(profile, k=None):
     degenerates to u''(0)^n.
     """
     r, du, n = profile.r, profile.du, profile.n
-    ddu = _second_derivative(r, du)
+    ddu = np.gradient(du, r, edge_order=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(r > 0, du / np.where(r > 0, r, 1.0), ddu)
     vals = ddu * ratio ** (n - 1)
@@ -138,6 +141,10 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if grid_size < 4:
+        # the final residual check skips three nodes at the center and one
+        # at the boundary
+        raise ValueError(f"grid_size must be at least 4, got {grid_size}")
     r = np.linspace(0.0, R, grid_size + 1)
     if init is not None:
         u, du = np.interp(r, init.r, init.u), np.interp(r, init.r, init.du)
@@ -180,7 +187,7 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
     return prof
 
 
-def _power_solve(source_u, expo, n, R, grid_size):
+def _power_solve(source_u, expo, n):
     """One alternating half-step: solve det D^2 v = (-u)^expo given u <= 0."""
     r = source_u.r
     G = np.maximum(-source_u.u, 0.0) ** expo
@@ -191,21 +198,15 @@ def _power_solve(source_u, expo, n, R, grid_size):
     return RadialProfile(r=r, u=u, du=du, n=n, c=0.0)
 
 
-def _amplitude(profile):
-    return float(np.max(-profile.u))
+def _scaled(profile, s):
+    return RadialProfile(r=profile.r, u=s * profile.u, du=s * profile.du,
+                         n=profile.n, c=0.0)
 
 
-def _scaling_family_residual(u1, alpha, beta, n, R, grid_size, t=2.0):
-    """Invariance of the half-step under u -> t*u, v -> t^(beta/n)*v.
-
-    At a*b = n^2 this one-parameter family maps solutions to solutions;
-    the residual quantifies how exactly the discrete half-step respects it.
-    """
-    v = _power_solve(u1, beta, n, R, grid_size)
-    u1s = RadialProfile(r=u1.r, u=t * u1.u, du=t * u1.du, n=n, c=0.0)
-    vs = _power_solve(u1s, beta, n, R, grid_size)
-    ref = t ** (beta / n) * v.u
-    return float(np.max(np.abs(vs.u - ref)) / max(1e-300, np.max(np.abs(ref))))
+def _unit(profile):
+    """The profile scaled to max(-u) = 1, and the amplitude it was divided by."""
+    amp = float(np.max(-profile.u))
+    return _scaled(profile, 1.0 / amp), amp
 
 
 def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
@@ -213,9 +214,8 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
     """Radial solutions of the power-coupled pair on the ball of radius R.
 
     Returns a pair of profiles (u1, u2), both negative inside with zero
-    boundary values, or :class:`NoSolution` when the iteration drifts
-    along the scaling family (which happens exactly when alpha*beta is
-    the square of the dimension).
+    boundary values, or :class:`NoSolution` when alpha*beta is the square
+    of the dimension or the amplitudes overflow or underflow a float.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -228,81 +228,74 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
         warnings.warn(
             "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",
             RuntimeWarning, stacklevel=2)
-    q = alpha * beta / n ** 2
     r = np.linspace(0.0, R, grid_size + 1)
     if init is not None:
-        u1 = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
-                           du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
+        start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
+                              du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
     else:
-        u1 = RadialProfile(r=r, u=0.5 * (r ** 2 - R ** 2), du=r.copy(), n=n, c=0.0)
+        start = RadialProfile(r=r, u=0.5 * (r ** 2 - R ** 2), du=r.copy(), n=n, c=0.0)
+    if not (np.all(np.isfinite(start.u)) and np.all(np.isfinite(start.du))
+            and np.max(-start.u) > 0):
+        raise ValueError("init[0] must be finite and negative somewhere")
+    v1, _ = _unit(start)
 
-    rescale = abs(q - 1.0) > 1e-6
-    log_amp = []
-    drift_run, drift_sign = 0, 0
-    u1_prev = u1.u.copy()
+    # the half-steps are homogeneous, T(s*u) = s^(e/n) T(u), so only the
+    # shape is iterated; the amplitudes follow from the log-linear system
+    history = []
     for it in range(max_iter):
-        u2 = _power_solve(u1, beta, n, R, grid_size)
-        u1_new = _power_solve(u2, alpha, n, R, grid_size)
-        a = _amplitude(u1)
-        C = _amplitude(u1_new)
-        if C == 0.0 or not np.isfinite(C):
-            return NoSolution(
-                reason="iterate collapsed or overflowed",
-                drift_sign=-1 if C == 0.0 else 1,
-                history=tuple(log_amp),
-                scaling_residual=float("nan"))
-        if rescale:
-            # the update scales as T(s*u) = s^q T(u); pin the amplitude to
-            # the unique self-consistent value instead of letting the
-            # repelling (q > 1) or slow (q < 1) amplitude mode wander
-            a_star = (C * a ** (-q)) ** (1.0 / (1.0 - q))
-            u1_new = RadialProfile(r=r, u=u1_new.u * (a_star / C),
-                                   du=u1_new.du * (a_star / C), n=n, c=0.0)
-        u_next = (1.0 - damping) * u1.u + damping * u1_new.u
-        du_next = (1.0 - damping) * u1.du + damping * u1_new.du
-        u1 = RadialProfile(r=r, u=u_next, du=du_next, n=n, c=0.0)
-        log_amp.append(np.log(max(_amplitude(u1), 1e-300)))
-        change = float(np.max(np.abs(u1.u - u1_prev)) / max(1e-300, _amplitude(u1)))
-        u1_prev = u1.u.copy()
-        if change <= tol and it > 2:
+        v2, _ = _unit(_power_solve(v1, beta, n))
+        w1, _ = _unit(_power_solve(v2, alpha, n))
+        v1_next, _ = _unit(RadialProfile(r=r, u=(1.0 - damping) * v1.u + damping * w1.u,
+                                         du=(1.0 - damping) * v1.du + damping * w1.du,
+                                         n=n, c=0.0))
+        history.append(float(np.max(np.abs(v1_next.u - v1.u))))
+        v1 = v1_next
+        if history[-1] <= tol and it > 2:
             break
-        # drift detection: classify the log-amplitude slope every 50
-        # iterations; 500 sustained monotone iterations means the scaling
-        # family has destroyed the fixed point
-        if not rescale and it % 50 == 49 and len(log_amp) >= 100:
-            slope = log_amp[-1] - log_amp[-51]
-            sgn = 1 if slope > 1e-12 else (-1 if slope < -1e-12 else 0)
-            if sgn != 0 and sgn == drift_sign:
-                drift_run += 50
-            else:
-                drift_sign, drift_run = sgn, 50
-            if drift_run >= 500:
-                resid = _scaling_family_residual(u1, alpha, beta, n, R, grid_size)
-                return NoSolution(
-                    reason="sustained monotone amplitude drift "
-                           f"toward {'infinity' if drift_sign > 0 else 'zero'}",
-                    drift_sign=drift_sign,
-                    history=tuple(log_amp),
-                    scaling_residual=resid)
     else:
         raise SolverDivergence(
-            f"coupled radial iteration did not converge in {max_iter} iterations",
-            log_amp)
+            f"coupled radial iteration did not converge in {max_iter} iterations", history)
 
-    u2 = _power_solve(u1, beta, n, R, grid_size)
-    for prof, expo, other in ((u1, alpha, u2), (u2, beta, u1)):
-        resid = radial_ma_operator(prof) - np.maximum(-other.u, 0.0) ** expo
-        # exclude the outermost nodes on both ends: the operator
-        # degenerates at r = 0 and for fractional exponents the source is
-        # only Hoelder continuous at the boundary, where the one-sided
-        # curvature estimate loses an order
-        worst = float(np.max(np.abs(resid[3:-3])))
-        scale = max(1.0, _amplitude(other) ** expo)
-        if worst > max(tol, 100.0 / grid_size ** 2) * scale * 10:
-            raise SolverDivergence(f"coupled residual {worst:.3e} exceeds tolerance",
-                                   log_amp)
+    v2, A2 = _unit(_power_solve(v1, beta, n))
+    _, A1 = _unit(_power_solve(v2, alpha, n))
+    # det D^2 v_i = mu_i (-v_j)^e with mu_i = A_i^(-n)
+    log_mu = -n * np.log([A1, A2])
+    if alpha * beta == n * n:
+        # one alternating round multiplies the amplitude by A1 * A2^(alpha/n)
+        log_kappa = np.log(A1) + alpha / n * np.log(A2)
+        return NoSolution(reason="alpha*beta = n^2, so the log-amplitude system is singular",
+                          drift_sign=int(np.sign(log_kappa)), history=tuple(history))
+    log_t = np.linalg.solve([[-n, alpha], [beta, -n]], log_mu)
+
+    # the residual rule on u_i = t_i v_i, divided through by t_i^n: the pair
+    # equations give max(-u_j)^e = t_i^n mu_i.  Exclude the outermost nodes
+    # on both ends: the operator degenerates at r = 0 and for fractional
+    # exponents the source is only Hoelder continuous at the boundary, where
+    # the one-sided curvature estimate loses an order
+    log_bound = np.log(10.0 * max(tol, 100.0 / grid_size ** 2))
+    for i, (prof, expo, other) in enumerate(((v1, alpha, v2), (v2, beta, v1))):
         if np.any(prof.u[:-1] >= 0):
-            raise SolverDivergence("converged iterate is not negative inside", log_amp)
+            raise SolverDivergence("converged iterate is not negative inside", history)
+        resid = (radial_ma_operator(prof)
+                 - np.exp(log_mu[i]) * np.maximum(-other.u, 0.0) ** expo)
+        worst = float(np.max(np.abs(resid[3:-3])))
+        log_allowed = log_bound + max(-n * log_t[i], log_mu[i])
+        with np.errstate(divide="ignore"):
+            passed = np.log(worst) <= log_allowed
+        if not passed:
+            raise SolverDivergence(f"coupled residual {worst:.3e} of the unit profile "
+                                   f"exceeds {np.exp(log_allowed):.3e}", history)
+
+    with np.errstate(over="ignore", under="ignore"):
+        t = np.exp(log_t)
+        u1, u2 = _scaled(v1, t[0]), _scaled(v2, t[1])
+    stored = all(np.all(np.isfinite(p.u)) and np.all(np.isfinite(p.du))
+                 and np.all(p.u[:-1] < 0) for p in (u1, u2))
+    if not stored:
+        return NoSolution(
+            reason=f"log-amplitudes log t = ({log_t[0]:.4g}, {log_t[1]:.4g}) leave "
+                   "the float64 range",
+            drift_sign=int(np.sign(log_t[0])), history=tuple(history))
     return u1, u2
 
 
@@ -311,7 +304,7 @@ class UniquenessReport:
     alpha: float
     beta: float
     n: int
-    starts: tuple                # per-start scale factors
+    starts: tuple                # per-start exponents p of r^p - R^p
     outcomes: tuple              # "converged" / "no-solution" / "diverged"
     max_pairwise_distance: float
     uniqueness_claimed: bool     # the result only asserts uniqueness for a*b < n^2
@@ -319,17 +312,18 @@ class UniquenessReport:
 
 
 def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10, tol=1e-9, grid_size=2048):
-    """Run the coupled solver from widely scaled starts and compare limits.
+    """Run the coupled solver from starts of different shapes and compare limits.
 
-    Start scales span 1e-2 .. 1e2 times a reference parabola.  Uniqueness
-    is only claimed when alpha*beta < n^2; above that threshold the probe
-    output is informational.
+    The starts are r^p - R^p with p spanning 1.1 .. 12: the solver
+    factors out the amplitude, so starts that differ only in scale would
+    coincide.  Uniqueness is only claimed when alpha*beta < n^2; above
+    that threshold the probe output is informational.
     """
-    scales = np.geomspace(1e-2, 1e2, n_starts)
+    powers = np.geomspace(1.1, 12.0, n_starts)
     r = np.linspace(0.0, R, grid_size + 1)
     limits, outcomes = [], []
-    for s in scales:
-        base = RadialProfile(r=r, u=0.5 * s * (r ** 2 - R ** 2), du=s * r, n=n, c=0.0)
+    for p in powers:
+        base = RadialProfile(r=r, u=r ** p - R ** p, du=p * r ** (p - 1), n=n, c=0.0)
         try:
             res = solve_coupled_radial(alpha, beta, n, R, tol=tol,
                                        init=(base, base), grid_size=grid_size)
@@ -349,6 +343,6 @@ def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10, tol=1e-9, grid_size=204
     note = ("uniqueness follows from the power-coupling threshold" if claimed else
             "existence only above the threshold; the probe reports whichever "
             "fixed point the damped iteration reaches")
-    return UniquenessReport(alpha=alpha, beta=beta, n=n, starts=tuple(scales),
+    return UniquenessReport(alpha=alpha, beta=beta, n=n, starts=tuple(powers),
                             outcomes=tuple(outcomes), max_pairwise_distance=maxd,
                             uniqueness_claimed=claimed, note=note)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from masym.radial import (NoSolution, RadialProfile, SolverDivergence,
+from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _power_solve,
                           radial_ma_operator, solve_coupled_radial,
                           solve_scalar_radial, uniqueness_probe)
 
@@ -83,6 +83,12 @@ def test_operator_residual_small():
     assert np.max(np.abs(resid)) <= 1e-4
 
 
+@pytest.mark.parametrize("grid_size", [1, 2, 3])
+def test_scalar_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
+    with pytest.raises(ValueError, match="grid_size must be at least 4"):
+        solve_scalar_radial(lambda r, u, du: 4.0, n=2, R=1.0, c=0.0, grid_size=grid_size)
+
+
 @pytest.mark.parametrize("grid_size", [1, 5])
 def test_coupled_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
     with pytest.raises(ValueError, match="grid_size must be at least 6"):
@@ -133,8 +139,37 @@ def test_coupled_critical_product_detected():
     res = solve_coupled_radial(2.0, 2.0, 2)
     assert isinstance(res, NoSolution)
     assert res.drift_sign in (-1, 1)
+    assert res.drift_sign == -1  # the scaling family carries (2, 2) toward zero
     assert len(res.history) <= 10_000
-    assert res.scaling_residual <= 1e-6
+
+
+@pytest.mark.parametrize("t", [1e-3, 2.0, 1e3])
+def test_power_half_step_is_homogeneous(t):
+    """T_e(t u) = t^(e/n) T_e(u): the scaling family the coupled solver factors out."""
+    r = np.linspace(0.0, 1.0, 257)
+    u = RadialProfile(r=r, u=0.5 * (r ** 2 - 1.0) * (1.0 + r), du=r * (1.0 + 1.5 * r),
+                      n=2, c=0.0)
+    tu = RadialProfile(r=r, u=t * u.u, du=t * u.du, n=2, c=0.0)
+    for expo in (0.5, 2.0, 9.0):
+        ref = t ** (expo / 2) * _power_solve(u, expo, 2).u
+        got = _power_solve(tu, expo, 2).u
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha,beta,n", [
+    (1.9, 2, 2), (1.99, 2, 2), (2, 2, 2), (2.01, 2, 2), (2.1, 2, 2),
+    (1, 1, 3), (3, 3, 3), (1, 9, 3), (4, 4, 3)])
+def test_trichotomy_up_to_the_critical_line(alpha, beta, n):
+    """No radial solution exactly when alpha*beta = n^2, however close."""
+    res = solve_coupled_radial(float(alpha), float(beta), n)
+    if alpha * beta == n * n:
+        assert isinstance(res, NoSolution)
+        assert len(res.history) < 100  # decided by algebra, not by watching a drift
+        return
+    assert not isinstance(res, NoSolution)
+    for prof in res:
+        assert np.all(np.isfinite(prof.u)) and np.all(np.isfinite(prof.du))
+        assert np.all(prof.u[:-1] < 0) and prof.u[-1] == 0.0
 
 
 def test_critical_in_three_dimensions():
