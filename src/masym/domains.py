@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,9 +143,29 @@ class Domain:
         bb = self.bounding_box()
         return float(np.linalg.norm(bb[:, 1] - bb[:, 0]))
 
-    # 2-D shapes override with an arclength-like parametrization on [0, 1).
+    @cached_property
+    def interior_point(self):
+        """The deepest node of a 64-per-axis grid over the bounding box
+        (read-only: every caller shares the cached array)."""
+        bb = self.bounding_box()
+        axes = [np.linspace(lo, hi, 64) for lo, hi in bb]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dimension)
+        c = pts[int(np.argmin(self.level(pts)))].copy()
+        c.flags.writeable = False
+        return c
+
     def boundary_param(self, t):
-        raise NotImplementedError(f"{type(self).__name__} has no boundary parametrization")
+        """Boundary point at polar angle 2 pi t about :attr:`interior_point` (2-D).
+
+        On a convex domain every ray from an interior point leaves once, so
+        t in [0, 1) covers the boundary with no pole gaps.
+        """
+        if self.dimension != 2:
+            raise NotImplementedError("boundary parametrization is 2-D only")
+        th = 2.0 * np.pi * np.asarray(t, dtype=float)
+        d = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        c = self.interior_point
+        return c + self.ray_exit(c, d)[..., None] * d
 
     def boundary_normal(self, x):
         raise NotImplementedError(f"{type(self).__name__} has no boundary normal")
@@ -168,13 +189,6 @@ class _Quadric(Domain):
         a = self._axes()
         o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / a
         return _unit_sphere_exit(o, np.asarray(dirs, dtype=float) / a)
-
-    def boundary_param(self, t):
-        if self.dimension != 2:
-            raise NotImplementedError("boundary parametrization is 2-D only")
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return np.asarray(self.center) + self._axes() * np.stack([np.cos(th), np.sin(th)],
-                                                                 axis=-1)
 
     def boundary_normal(self, x):
         d = (np.asarray(x, dtype=float) - np.asarray(self.center)) / self._axes() ** 2
@@ -256,6 +270,15 @@ class Tube(Domain):
         H = self.half_height
         return np.minimum(self.cross_section.ray_exit(o[..., :-1], d[..., :-1]),
                           _slab_exit(o[..., -1], d[..., -1], -H, H))
+
+    def boundary_normal(self, x):
+        """The cross-section's normal where its level is the larger, else the cap's."""
+        x = np.asarray(x, dtype=float)
+        side = self.cross_section.level(x[..., :-1]) >= np.abs(x[..., -1]) - self.half_height
+        n = np.zeros_like(x)
+        n[..., -1] = np.where(side, 0.0, np.sign(x[..., -1]))
+        n[side, :-1] = self.cross_section.boundary_normal(x[side, :-1])
+        return n
 
     def support_min(self, nu):
         nu = np.asarray(nu, dtype=float)
@@ -454,29 +477,19 @@ def _orthogonality_plane(domain, nu):
 def _boundary_points_normal_to(domain, w):
     """Points of a 2-D boundary where the outer normal is orthogonal to w.
 
-    The boundary is parametrized by polar angle around the deepest sampled
-    interior point (no pole gaps on a convex domain), and every sign
-    change of n . w over 4096 angles is refined by one joint bisection.
+    Every sign change of n . w over 4096 samples of
+    :meth:`Domain.boundary_param` is refined by one joint bisection.
     """
-    bb = domain.bounding_box()
-    axes = [np.linspace(bb[i, 0], bb[i, 1], 64) for i in range(2)]
-    gpts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    center = gpts[int(np.argmin(domain.level(gpts)))]
-
-    def boundary(t):
-        d = np.stack([np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t)], axis=-1)
-        return center + domain.ray_exit(center, d)[:, None] * d
-
     def dots(t):
-        return domain.boundary_normal(boundary(t)) @ w
+        return domain.boundary_normal(domain.boundary_param(t)) @ w
 
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
     s = dots(t)
     i = np.flatnonzero((s == 0.0) | (s * np.roll(s, -1) < 0))
     if len(i) == 0:
         raise GeometryError("no boundary normal orthogonal to the direction was found")
-    return boundary(_bisect_sup(lambda m: dots(m) * s[i] > 0, t[i], t[i] + 1.0 / len(t),
-                                np.finfo(float).eps))
+    return domain.boundary_param(_bisect_sup(lambda m: dots(m) * s[i] > 0, t[i],
+                                             t[i] + 1.0 / len(t), np.finfo(float).eps))
 
 
 def critical_planes(domain, nu):

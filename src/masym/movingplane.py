@@ -498,20 +498,13 @@ def certify_monotonicity(solution, nu, planes, tol=None, *, _data=None):
 
 
 def _domain_symmetric(domain, nu, lam, samples=512):
-    """Sampled check that reflection across the plane maps the domain to itself."""
-    try:
-        t = np.linspace(0.0, 1.0, samples, endpoint=False)
-        pts = domain.boundary_param(t)
-    except NotImplementedError:
-        bb = domain.bounding_box()
-        rng = np.random.default_rng(0)
-        pts = bb[:, 0] + (bb[:, 1] - bb[:, 0]) * rng.random((4096, domain.dimension))
-        refl = reflect_point(pts, nu, lam)
-        inside = domain.contains(pts)
-        ok_refl = domain.contains(refl)
-        return bool(np.all(inside == ok_refl))
-    refl = reflect_point(pts, nu, lam)
-    return bool(np.max(np.abs(domain.level(refl))) < 1e-7 * domain.bbox_diameter())
+    """Sampled check that reflection across the plane maps the boundary onto
+    itself: a reflected sample q is on the boundary exactly when the ray
+    from the interior point through q leaves the domain at q."""
+    c = domain.interior_point
+    t = np.linspace(0.0, 1.0, samples, endpoint=False)
+    q = reflect_point(domain.boundary_param(t), nu, lam)
+    return bool(np.all(np.abs(domain.ray_exit(c, q - c) - 1.0) < 1e-7))
 
 
 def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
@@ -556,62 +549,43 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
     return report
 
 
-def _boundary_samples(domain, k=256):
-    """Boundary points with outward normals, or None when unavailable."""
-    try:
-        t = np.linspace(0.0, 1.0, k, endpoint=False)
-        pts = domain.boundary_param(t)
-        return pts, domain.boundary_normal(pts)
-    except NotImplementedError:
-        pass
-    if isinstance(domain, Tube) and domain.dimension == 2:
-        bb = domain.bounding_box()
-        (x0, x1), (y0, y1) = bb
-        s = np.linspace(0.05, 0.95, k // 4)
-        pts, nrm = [], []
-        for xv, n in ((x0, (-1.0, 0.0)), (x1, (1.0, 0.0))):
-            pts.append(np.stack([np.full_like(s, xv), y0 + (y1 - y0) * s], axis=-1))
-            nrm.append(np.tile(n, (len(s), 1)))
-        for yv, n in ((y0, (0.0, -1.0)), (y1, (0.0, 1.0))):
-            pts.append(np.stack([x0 + (x1 - x0) * s, np.full_like(s, yv)], axis=-1))
-            nrm.append(np.tile(n, (len(s), 1)))
-        return np.concatenate(pts), np.concatenate(nrm)
-    return None, None
-
-
-def boundary_checks(solution, domain=None, *, _data=None):
+def boundary_checks(solution, *, _data=None):
     """Hopf outward derivative, interior Laplacian sign and tube corner checks.
 
     The normal derivative is a one-sided difference from just inside the
-    boundary toward it; the corner check differences the field into the
-    two corners where the first lateral plane meets the caps, where the
-    cross derivative taken along the inward axis directions must be
-    positive.
+    boundary toward it, at 256 samples of ``boundary_param``.  A sample
+    counts only when the point a step s = 2h inward along the normal and
+    its two neighbours a step s along the tangent are inside: the discrete
+    interior disk of the Hopf lemma, which tube corners lack.  The corner
+    check differences the field into the two corners where the first
+    lateral plane meets the caps, where the cross derivative taken along
+    the inward axis directions must be positive.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
-    domain = domain or g.domain
+    domain = g.domain
     h = g.h
     report = {"h": h}
-    pts, normals = _boundary_samples(domain)
-    if pts is None:
-        report["hopf"] = {"verdict": "not-applicable"}
-    else:
-        entries = []
-        s = 2.0 * h
-        for i in range(solution.m):
-            fn = data.interp[i]["E"]
-            innerv = fn(pts - s * normals)
-            keep = np.isfinite(innerv) & domain.contains(pts - s * normals)
-            dn = (solution.cs[i] - innerv[keep]) / s
-            entries.append({
-                "component": i + 1,
-                "min_normal_derivative": float(np.min(dn)) if keep.any() else None,
-                "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2),
-            })
-        report["hopf"] = {"components": entries,
-                          "min": min(e["min_normal_derivative"] for e in entries),
-                          "passed": all(e["passed"] for e in entries)}
+    s = 2.0 * h
+    pts = domain.boundary_param(np.linspace(0.0, 1.0, 256, endpoint=False))
+    normals = domain.boundary_normal(pts)
+    inner = pts - s * normals
+    tangents = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
+                                            inner - s * tangents])), axis=0)
+    entries = []
+    for i in range(solution.m):
+        innerv = data.interp[i]["E"](inner)
+        keep = disk & np.isfinite(innerv)
+        dn = (solution.cs[i] - innerv[keep]) / s
+        entries.append({
+            "component": i + 1,
+            "min_normal_derivative": float(np.min(dn)) if keep.any() else None,
+            "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2),
+        })
+    report["hopf"] = {"components": entries,
+                      "min": min(e["min_normal_derivative"] for e in entries),
+                      "passed": all(e["passed"] for e in entries)}
     lap_entries = []
     ij = g.node_ij
     for i in range(solution.m):
@@ -626,7 +600,6 @@ def boundary_checks(solution, domain=None, *, _data=None):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
-        s = 2.0 * h
         entries = []
         for i in range(solution.m):
             fn = data.interp[i]["E"]
@@ -642,7 +615,7 @@ def boundary_checks(solution, domain=None, *, _data=None):
     else:
         report["corner"] = {"verdict": "not-applicable"}
     report["passed"] = (report["laplacian"]["passed"]
-                        and report.get("hopf", {}).get("passed", True)
+                        and report["hopf"]["passed"]
                         and report["corner"].get("passed", True))
     return report
 

@@ -181,7 +181,7 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
     interior = slice(3, -1)
     worst = float(np.max(np.abs(resid[interior])))
     scale = max(1.0, float(np.max(np.abs(np.asarray(g(r, u, du))))))
-    if worst > max(tol, 100.0 / grid_size ** 2 * scale) * scale:
+    if worst > max(tol, 100.0 / grid_size ** 2) * scale:
         raise SolverDivergence(
             f"radial residual {worst:.3e} exceeds tolerance", history)
     return prof

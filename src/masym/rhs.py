@@ -298,7 +298,9 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     def all_values():
         nonlocal vals
         if vals is None:
-            vals = np.stack([eval_f(system, i, X, Z, P) for i in range(1, m + 1)])
+            # a constant component evaluates to a scalar
+            vals = np.stack([np.broadcast_to(eval_f(system, i, X, Z, P), (samples,))
+                             for i in range(1, m + 1)])
         return vals
 
     def chk_positivity():
@@ -418,7 +420,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
         Pa = P.copy(); Pa[:, 0] = np.abs(Pa[:, 0])
         ok = True
         for i in range(1, m + 1):
-            a = eval_f(system, i, X, Z, P)
+            a = all_values()[i - 1]
             b = eval_f(system, i, Xa, Z, Pa)
             bad = np.abs(a - b) > 1e-10 * np.maximum(1.0, np.abs(a))
             if bad.any():
@@ -437,7 +439,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
             XO = X @ O.T
             PO = P @ Op.T
             for i in range(1, m + 1):
-                a = eval_f(system, i, X, Z, P)
+                a = all_values()[i - 1]
                 b = eval_f(system, i, XO, Z, PO)
                 bad = np.abs(a - b) > 1e-10 * np.maximum(1.0, np.abs(a))
                 if bad.any():

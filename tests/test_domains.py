@@ -177,6 +177,23 @@ def test_ray_exit_matches_bisection(domain):
     assert np.all(np.isinf(domain.ray_exit(o, np.zeros_like(o))))
 
 
+@pytest.mark.parametrize("domain", [
+    Ball(center=(0.0, 0.0), radius=1.0),
+    Ellipse(center=(0.3, -0.2), semi_axes=(2.0, 0.5)),
+    Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.5),
+    Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.0),
+    _unit_disk_level_set(),
+], ids=["ball", "ellipse", "tube", "square-tube", "levelset"])
+def test_boundary_param_lies_on_the_boundary_with_outer_normals(domain):
+    c = domain.interior_point
+    assert domain.contains(c)
+    p = domain.boundary_param(np.linspace(0.0, 1.0, 512, endpoint=False))
+    assert np.max(np.abs(domain.ray_exit(c, p - c) - 1.0)) <= 1e-12
+    n = domain.boundary_normal(p)
+    assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-12
+    assert np.all(np.sum(n * (p - c), axis=-1) > 0.0)
+
+
 def test_half_domain_mask():
     b = Ball(center=(0.0, 0.0), radius=1.0)
     rng = np.random.default_rng(5)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from masym.domains import Ball, SmoothLevelSet, Tube, critical_planes
+from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
 from masym.movingplane import (_SolutionData, adjugate, boundary_checks,
@@ -178,6 +178,18 @@ def test_symmetry_not_applicable_on_asymmetric_domain():
     assert not rep["applicable"]
 
 
+@pytest.mark.parametrize("nu, applicable", [((2 ** -0.5, 2 ** -0.5), False),
+                                             ((1.0, 0.0), True)],
+                         ids=["diagonal", "axis"])
+def test_symmetry_applicability_is_scale_free(nu, applicable):
+    """A long ellipse is symmetric about its axes only, however large it is."""
+    ellipse = Ellipse(center=(0.0, 0.0), semi_axes=(2e8, 1e8))
+    grid = StencilGrid(ellipse, 1e7, 2)
+    u = np.sum((grid.node_xy / np.array(ellipse.semi_axes)) ** 2, axis=1) - 1.0
+    sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
+    assert certify_symmetry(sol, nu, 0.0)["applicable"] is applicable
+
+
 def test_boundary_checks_disk(coupled):
     rep = boundary_checks(coupled)
     assert rep["hopf"]["passed"]
@@ -186,14 +198,32 @@ def test_boundary_checks_disk(coupled):
     assert rep["corner"].get("verdict") == "not-applicable"
 
 
-def test_boundary_checks_tube():
-    dom = Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.5)
+@pytest.mark.parametrize("half_height", [1.5, 1.0])
+def test_boundary_checks_tube(half_height):
+    """Hopf holds on the tube's sides and caps; its corners, which have no
+    interior disk, are left to the corner check."""
+    dom = Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=half_height)
     sys1 = RhsSystem(components=(parse("4"),), n=2)
     sol = solve_system_fd(dom, sys1, (0.0,), P32)
     rep = boundary_checks(sol)
+    assert rep["hopf"]["passed"]
     corner = rep["corner"]["components"][0]
     assert corner["corner_top"] > 0.0
     assert corner["corner_bottom"] > 0.0
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+def test_level_set_disk_hopf_matches_ball(h):
+    """The level's round-off makes the two interior points mirror images
+    through the centre, so the source is even under x -> -x."""
+    disk = SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                          grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                          bbox=((-1.0, 1.0), (-1.0, 1.0)))
+    system = RhsSystem(components=(parse("4 + x1 * x1"),), n=2)
+    ball, level = [boundary_checks(solve_system_fd(dom, system, (0.0,), FdParams(h=h)))["hopf"]
+                   for dom in (DISK, disk)]
+    assert level["passed"]
+    assert abs(ball["min"] - level["min"]) <= 1e-9
 
 
 def test_lambda_sweep_passes(coupled):

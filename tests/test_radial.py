@@ -83,6 +83,16 @@ def test_operator_residual_small():
     assert np.max(np.abs(resid)) <= 1e-4
 
 
+def test_scalar_residual_allowance_scales_with_the_source_once():
+    """A large source gets the same relative residual allowance as a unit one:
+    the kink of sqrt|r - 0.5| leaves a relative residual of ~6.5e-3, far above
+    100 / G^2 = 2.4e-5, while a smooth source of the same size still solves."""
+    with pytest.raises(SolverDivergence, match="residual"):
+        solve_scalar_radial(lambda r, u, du: 1e3 * (1.0 + np.sqrt(np.abs(r - 0.5))),
+                            n=2, R=1.0, c=0.0)
+    solve_scalar_radial(lambda r, u, du: 1e3 * (1.0 + r ** 2), n=2, R=1.0, c=0.0)
+
+
 @pytest.mark.parametrize("grid_size", [1, 2, 3])
 def test_scalar_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
     with pytest.raises(ValueError, match="grid_size must be at least 4"):

@@ -91,6 +91,14 @@ def test_planted_monotonicity_violation_caught_with_witness():
     assert rep.witnesses["cross_monotonicity"] is not None
 
 
+def test_constant_component_screens_alongside_a_varying_one():
+    sys_ = RhsSystem(components=(parse("4"), parse("0 - z1")), n=2)
+    rep = check_hypotheses(sys_, BOX, samples=64, seed=0)
+    assert rep.statuses["positivity"] == "pass"
+    assert rep.statuses["axis_evenness"] == "pass"
+    assert rep.statuses["orthogonal_invariance"] == "pass"
+
+
 def test_report_json_serializable():
     import json
     rep = check_hypotheses(power_coupled_system(1.0, 2.0), BOX, samples=128, seed=3)
