@@ -145,12 +145,24 @@ class Domain:
 
     @cached_property
     def interior_point(self):
-        """The deepest node of a 64-per-axis grid over the bounding box
-        (read-only: every caller shares the cached array)."""
+        """The deepest node of a 65-per-axis grid over the bounding box
+        (read-only: every caller shares the cached array).
+
+        The odd count puts the box centre on a node.  Nodes within
+        round-off (1e-12 relative) of the deepest level tie; the tie goes
+        to the node fewest steps from the centre, then to the
+        lexicographically first, so a symmetric domain gets its centre
+        whatever the round-off of its level function.
+        """
         bb = self.bounding_box()
-        axes = [np.linspace(lo, hi, 64) for lo, hi in bb]
+        axes = [np.linspace(lo, hi, 65) for lo, hi in bb]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dimension)
-        c = pts[int(np.argmin(self.level(pts)))].copy()
+        lev = self.level(pts)
+        deepest = lev.min()
+        tie = np.flatnonzero(lev <= deepest + 1e-12 * abs(deepest))
+        steps = np.stack(np.unravel_index(tie, (65,) * self.dimension), axis=-1) - 32
+        # argmin returns the first minimum, and the nodes are in lexicographic order
+        c = pts[tie[int(np.argmin(np.sum(steps * steps, axis=1)))]].copy()
         c.flags.writeable = False
         return c
 

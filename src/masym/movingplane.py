@@ -13,6 +13,12 @@ Gauss-Legendre rule evaluates the integral exactly.  On top of the
 frames sit certificates: cap monotonicity, mirror symmetry, a Hopf
 boundary derivative check, tube corner cross-derivatives and an audit
 of the elliptic inequality satisfied by U.
+
+Every field a frame or certificate reads off the grid sits in one
+stacked table per solution, and one bilinear kernel reads them all at a
+set of points with a single gather of the cell corners.  The 2x2
+Hessian algebra of a frame (the reflection Q H Q, the mean-value matrix
+and its positivity flag) runs in closed form on per-entry arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .domains import reflect_point, _as_unit, Ball, Tube
 from .gridsolve import _ma_and_active
@@ -101,6 +106,23 @@ def _det2(M):
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
+def _mat2(a00, a01, a10, a11):
+    """Stack entry arrays of equal shape into (..., 2, 2) matrices."""
+    out = np.empty(np.shape(a00) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1] = a00, a01
+    out[..., 1, 0], out[..., 1, 1] = a10, a11
+    return out
+
+
+def _reflect_hessian(Q, hxx, hxy, hyy):
+    """Entries of Q H Q for H = [[hxx, hxy], [hxy, hyy]], as (Q H) Q."""
+    (q00, q01), (q10, q11) = Q
+    p00, p01 = q00 * hxx + q01 * hxy, q00 * hxy + q01 * hyy
+    p10, p11 = q10 * hxx + q11 * hxy, q10 * hxy + q11 * hyy
+    return (p00 * q00 + p01 * q10, p00 * q01 + p01 * q11,
+            p10 * q00 + p11 * q10, p10 * q01 + p11 * q11)
+
+
 def mean_value_matrix(H_a, H_b, order=None):
     """A = integral_0^1 adj((1-t) H_a + t H_b) dt by Gauss-Legendre.
 
@@ -150,9 +172,7 @@ def _derivative_fields(sol, i):
             "valid": valid}
 
 
-def _interp(grid, arr):
-    return RegularGridInterpolator((grid.xs, grid.ys), arr, method="linear",
-                                   bounds_error=False, fill_value=np.nan)
+_FIELDS = ("E", "ux", "uy", "uxx", "uyy", "uxy")
 
 
 class _SolutionData:
@@ -160,7 +180,8 @@ class _SolutionData:
 
     A sweep makes one and hands it to every frame and certificate, so
     the derivative fields, the discrete operator of the unreflected
-    fields and the interpolators of both are computed once per solution
+    fields and :attr:`stack`, the one table that :func:`_bilinear`
+    gathers every interpolated field from, are built once per solution
     instead of once per plane position.
     """
 
@@ -181,18 +202,6 @@ class _SolutionData:
         return valid_all
 
     @cached_property
-    def cell_ok(self):
-        """Interpolator of the combined validity mask (1 where a cell is valid)."""
-        return _interp(self.solution.grid, self.valid.astype(float))
-
-    @cached_property
-    def interp(self):
-        """Per component: interpolators of the value and derivative fields."""
-        g = self.solution.grid
-        return [{k: _interp(g, f[k]) for k in ("E", "ux", "uy", "uxx", "uyy", "uxy")}
-                for f in self.derivs]
-
-    @cached_property
     def det_op(self):
         """(m, N) discrete operator values of the unreflected fields."""
         sol = self.solution
@@ -200,29 +209,66 @@ class _SolutionData:
                          for u, c in zip(sol.fields, sol.cs)])
 
     @cached_property
-    def det_op_interp(self):
-        """Interpolator of :attr:`det_op`; NaN unless the whole cell is interior."""
+    def node_rows(self):
+        """Column of :attr:`stack` holding each interior node."""
         g = self.solution.grid
-        dense = np.full(g.inside.shape + (self.solution.m,), np.nan)
-        dense[g.node_ij[:, 0], g.node_ij[:, 1]] = self.det_op.T
-        return _interp(g, dense)
+        return g.node_ij[:, 0] * g.ny + g.node_ij[:, 1]
+
+    @property
+    def n_field(self):
+        """Rows of :attr:`stack` before the operator fields."""
+        return 6 * self.solution.m + 1
+
+    @cached_property
+    def stack(self):
+        """(7m + 1, nx*ny) table of every field :func:`_bilinear` reads.
+
+        Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
+        :data:`_FIELDS` order), row 6m the combined validity mask as 0/1
+        and the last m rows the operator fields, NaN off the interior
+        nodes so that an interpolant touching an exterior node is NaN.
+        One field per row keeps each gathered field contiguous.
+        """
+        g = self.solution.grid
+        m = self.solution.m
+        stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
+        for i, f in enumerate(self.derivs):
+            for k, name in enumerate(_FIELDS):
+                stack[6 * i + k] = f[name].reshape(-1)
+        stack[6 * m] = self.valid.reshape(-1)
+        stack[6 * m + 1:, self.node_rows] = self.det_op
+        return stack
 
 
-def _hessian_at_nodes(fields, ij):
-    H = np.empty((len(ij), 2, 2))
-    H[:, 0, 0] = fields["uxx"][ij[:, 0], ij[:, 1]]
-    H[:, 1, 1] = fields["uyy"][ij[:, 0], ij[:, 1]]
-    H[:, 0, 1] = H[:, 1, 0] = fields["uxy"][ij[:, 0], ij[:, 1]]
-    return H
+def _bilinear(grid, stack, pts, n_field):
+    """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
 
-
-def _hessian_at(fns, pts):
-    """Interpolated Hessians at ``pts`` from the interpolators in ``fns``."""
-    H = np.empty((len(pts), 2, 2))
-    H[:, 0, 0] = fns["uxx"](pts)
-    H[:, 1, 1] = fns["uyy"](pts)
-    H[:, 0, 1] = H[:, 1, 0] = fns["uxy"](pts)
-    return H
+    Each point's cell comes from one ``searchsorted`` per axis and its
+    four corners are gathered once for every field.  The result is
+    scipy's ``RegularGridInterpolator(method="linear",
+    fill_value=nan)`` to the bit: NaN outside the grid, and NaN spreads
+    from every corner, zero weights included.  The first ``n_field``
+    rows multiply as its 2-D path, (v * wx) * wy; the rest as its N-D
+    path, v * (wx * wy).
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    xs, ys = grid.xs, grid.ys
+    x, y = pts[:, 0], pts[:, 1]
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
+    tx = (x - xs[i]) / (xs[i + 1] - xs[i])
+    ty = (y - ys[j]) / (ys[j + 1] - ys[j])
+    # (rows, 4, P): corners (i, j), (i, j+1), (i+1, j), (i+1, j+1)
+    ny = len(ys)
+    v = np.take(stack, i * ny + j + np.array([[0], [1], [ny], [ny + 1]]), axis=1)
+    wx = np.stack([1 - tx, 1 - tx, tx, tx])
+    wy = np.stack([1 - ty, ty, 1 - ty, ty])
+    v[:n_field] *= wx
+    v[:n_field] *= wy
+    v[n_field:] *= wx * wy
+    out = 0.0 + v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]
+    out[:, ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +322,17 @@ class MovingPlaneFrame:
 def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
-    Off-grid reflected points use bilinear interpolation of the values
-    and of the centered-difference derivative fields; when the
-    reflection is grid aligned the weights collapse and the pairing is
-    exact.  Reflected Hessians are conjugated with the reflection matrix
-    rather than re-differenced, so they inherit the interior accuracy of
-    the unreflected fields.  By reflection invariance of the
-    determinant, the reflected discrete operator is the unreflected one
-    interpolated at the reflected points, where ``op_ok`` finds it finite.
+    One :func:`_bilinear` gather reads every field at the reflected
+    points: the values, the centered-difference derivatives, the
+    validity mask and the discrete operator; when the reflection is grid
+    aligned the weights collapse and the pairing is exact.  One column
+    gather of :attr:`_SolutionData.stack` reads the same fields at the
+    cap nodes.  Reflected Hessians are conjugated with the reflection
+    matrix, in closed form per entry, rather than re-differenced, so they
+    inherit the interior accuracy of the unreflected fields.  By
+    reflection invariance of the determinant, the reflected discrete
+    operator is the unreflected one interpolated at the reflected
+    points, where ``op_ok`` finds it finite.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
@@ -296,40 +345,32 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     xy = g.node_xy[idx]
     refl = reflect_point(xy, nu, lam)
 
+    # a reflection inside the domain lies in the padded box; derivatives
+    # need the whole reflected cell and the node's own stencil valid
+    inside = g.domain.contains(refl)
+    n_exited = int(np.sum(~inside))
     m = solution.m
-    # value interpolation needs the reflected cell in the padded box;
-    # derivatives need the whole cell and the node's own stencil valid
-    refl_inside = g.domain.contains(refl)
-    with np.errstate(invalid="ignore"):
-        cell = data.cell_ok(refl)
-    keep = refl_inside & np.isfinite(cell)
-    n_exited = int(np.sum(~refl_inside))
-    idx, xy, refl, cell = idx[keep], xy[keep], refl[keep], cell[keep]
-    K = len(idx)
-    ij = g.node_ij[idx]
-    deriv_ok = data.valid[ij[:, 0], ij[:, 1]] & (cell > 1.0 - 1e-12)
+    at_refl = _bilinear(g, data.stack, refl[inside], data.n_field)
+    keep = np.isfinite(at_refl[6 * m])
+    idx, xy, refl = idx[inside][keep], xy[inside][keep], refl[inside][keep]
+    at_refl = at_refl[:, keep]
+    at_node = np.take(data.stack, data.node_rows[idx], axis=1)
+    deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
 
+    # (6, m, K): E, ux, uy, uxx, uyy, uxy of every component
+    K = len(idx)
+    f_node = at_node[:6 * m].reshape(m, 6, K).transpose(1, 0, 2)
+    f_refl = at_refl[:6 * m].reshape(m, 6, K).transpose(1, 0, 2)
     Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    u = np.empty((m, K))
-    u_lam = np.empty((m, K))
-    grad_u = np.empty((m, K, 2))
-    grad_u_lam = np.empty((m, K, 2))
-    hess_u = np.empty((m, K, 2, 2))
-    hess_u_lam = np.empty((m, K, 2, 2))
-    for i in range(m):
-        f, fns = data.derivs[i], data.interp[i]
-        u[i] = solution.fields[i][idx]
-        u_lam[i] = fns["E"](refl)
-        grad_u[i, :, 0] = f["ux"][ij[:, 0], ij[:, 1]]
-        grad_u[i, :, 1] = f["uy"][ij[:, 0], ij[:, 1]]
-        graw = np.stack([fns["ux"](refl), fns["uy"](refl)], axis=-1)
-        grad_u_lam[i] = graw @ Q.T
-        hess_u[i] = _hessian_at_nodes(f, ij)
-        hess_u_lam[i] = Q @ _hessian_at(fns, refl) @ Q
+    u, u_lam = f_node[0], f_refl[0]
+    grad_u = np.stack([f_node[1], f_node[2]], axis=-1)
+    grad_u_lam = np.stack([f_refl[1], f_refl[2]], axis=-1) @ Q.T
+    hess_u = _mat2(f_node[3], f_node[5], f_node[5], f_node[4])
+    hess_u_lam = _mat2(*_reflect_hessian(Q, f_refl[3], f_refl[5], f_refl[4]))
 
     # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
-    det_op = data.det_op[:, idx]
-    det_op_lam = data.det_op_interp(refl).T
+    det_op = at_node[6 * m + 1:]
+    det_op_lam = at_refl[6 * m + 1:]
     op_ok = np.all(np.isfinite(det_op_lam), axis=0)
 
     return MovingPlaneFrame(
@@ -375,14 +416,20 @@ def linearize(frame, system, quad_order=None):
     c = np.zeros(m)
     d = np.zeros((m, m, K))
     flagged = []
-    t_samples, _ = _gauss_legendre01(int(quad_order))
+    t_nodes, t_weights = _gauss_legendre01(int(quad_order))
     for i in range(m):
         Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
-        A[i] = mean_value_matrix(Ha, Hb, order=quad_order)
+        # mean_value_matrix entry by entry, in its order of operations; a
+        # quadrature node whose integrand is not PD flags the node
+        a00 = a01 = a10 = a11 = 0.0
         bad = np.zeros(K, dtype=bool)
-        for tk in t_samples:
-            Mt = (1.0 - tk) * Ha + tk * Hb
-            bad |= ~((_det2(Mt) > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
+        for tk, wk in zip(t_nodes, t_weights):
+            m00, m01, m10, m11 = ((1.0 - tk) * Ha[:, r, s] + tk * Hb[:, r, s]
+                                  for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+            a00, a01 = a00 + wk * m11, a01 + wk * -m01
+            a10, a11 = a10 + wk * -m10, a11 + wk * m00
+            bad |= ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
+        A[i] = _mat2(a00, a01, a10, a11)
         bad &= frame.deriv_ok
         if bad.any():
             # symmetrize and push eigenvalues up to a tiny floor
@@ -533,16 +580,15 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
     report["tolerance"] = (20.0 * h ** 2) * scale if tol is None else tol
     if isinstance(g.domain, Ball):
         c = np.asarray(g.domain.center)
-        variations = []
         th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        rings = np.concatenate([c + frac * g.domain.radius * ring
+                                for frac in (0.2, 0.4, 0.6, 0.8)])
+        vals = _bilinear(g, data.stack, rings, data.n_field)
+        variations = []
         for i in range(solution.m):
-            fn = data.interp[i]["E"]
-            worst = 0.0
-            for frac in (0.2, 0.4, 0.6, 0.8):
-                vals = fn(c + frac * g.domain.radius * ring)
-                worst = max(worst, float(np.max(vals) - np.min(vals)))
-            variations.append(worst)
+            E = vals[6 * i].reshape(4, n_angles)
+            variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
     report["passed"] = resid <= report["tolerance"]
@@ -573,9 +619,10 @@ def boundary_checks(solution, *, _data=None):
     tangents = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
+    inner_vals = _bilinear(g, data.stack, inner, data.n_field)
     entries = []
     for i in range(solution.m):
-        innerv = data.interp[i]["E"](inner)
+        innerv = inner_vals[6 * i]
         keep = disk & np.isfinite(innerv)
         dn = (solution.cs[i] - innerv[keep]) / s
         entries.append({
@@ -600,13 +647,14 @@ def boundary_checks(solution, *, _data=None):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
+        corners = _bilinear(g, data.stack, [[x_min + s, H - s], [x_min + s, -H + s]],
+                            data.n_field)
         entries = []
         for i in range(solution.m):
-            fn = data.interp[i]["E"]
             ci = solution.cs[i]
             # inward one-sided cross differences; boundary faces carry c
-            top = float((ci - fn([[x_min + s, H - s]])[0]) / s ** 2)
-            bot = float((ci - fn([[x_min + s, -H + s]])[0]) / s ** 2)
+            top = float((ci - corners[6 * i, 0]) / s ** 2)
+            bot = float((ci - corners[6 * i, 1]) / s ** 2)
             entries.append({"component": i + 1,
                             "corner_top": top, "corner_bottom": bot,
                             "passed": bool(top > 0.0 and bot > 0.0)})
@@ -667,10 +715,10 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
     Everything that does not depend on the plane position is computed
     once per call and shared by every frame, the symmetry frame, the
     monotonicity certificate and the boundary checks: the derivative
-    fields of the ghost-extended arrays, the combined validity mask and
-    its interpolator, the interpolators of the value and derivative
-    fields, and the discrete operator of the unreflected fields with its
-    interpolator, which gives every frame its reflected operator.
+    fields of the ghost-extended arrays, the combined validity mask, the
+    discrete operator of the unreflected fields, which gives every frame
+    its reflected operator, and the stacked table that every bilinear
+    read gathers from.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "RadialProfile",
@@ -115,6 +114,12 @@ def _weighted_cumint(r, G, n):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
+def _cumtrapz(y, r):
+    """Cumulative trapezoid integral of y over r from r[0], in the operations
+    of ``scipy.integrate.cumulative_trapezoid(y, r, initial=0)``."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def radial_ma_operator(profile, k=None):
     """det D^2 u at grid node(s) k of a radial profile.
 
@@ -161,7 +166,7 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
                 history)
         integ = _weighted_cumint(r, G, n)
         du_new = integ ** (1.0 / n)
-        total = cumulative_trapezoid(du_new, r, initial=0.0)
+        total = _cumtrapz(du_new, r)
         u_new = c - (total[-1] - total)
         change = float(np.max(np.abs(u_new - u)) / max(1.0, float(np.max(np.abs(u_new)))))
         history.append(change)
@@ -193,7 +198,7 @@ def _power_solve(source_u, expo, n):
     G = np.maximum(-source_u.u, 0.0) ** expo
     integ = _weighted_cumint(r, G, n)
     du = integ ** (1.0 / n)
-    total = cumulative_trapezoid(du, r, initial=0.0)
+    total = _cumtrapz(du, r)
     u = -(total[-1] - total)
     return RadialProfile(r=r, u=u, du=du, n=n, c=0.0)
 

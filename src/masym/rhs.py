@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .expressions import Expr, ExpressionDomainError, const, parse
 
@@ -223,6 +222,9 @@ def _box_arrays(box, n, m):
 
 
 def _sobol_samples(xb, zb, pb, samples, seed):
+    # scipy.stats takes about half a second to import and only screening needs it
+    from scipy.stats import qmc
+
     dim = len(xb) + len(zb) + len(pb)
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     # the leading `samples` points of the smallest power-of-2 block: the

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import masym
 from masym.cli import main
 
 
@@ -19,6 +23,18 @@ def read_json(path):
 
 RADIAL_CFG = {"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "n": 2,
               "grid_size": 512}
+
+
+def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
+    """Importing the CLI loads no scipy.stats (only hypothesis screening
+    draws Sobol points, and imports it then), scipy.interpolate or
+    scipy.integrate."""
+    heavy = ("scipy.stats", "scipy.interpolate", "scipy.integrate")
+    code = f"import sys, masym.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(masym.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_radial_artifacts(tmp_path):

@@ -194,6 +194,16 @@ def test_boundary_param_lies_on_the_boundary_with_outer_normals(domain):
     assert np.all(np.sum(n * (p - c), axis=-1) > 0.0)
 
 
+def test_symmetric_domains_take_their_centre_as_interior_point():
+    """The deepest nodes of a symmetric domain tie up to round-off; the tie
+    goes to the box centre, whichever way the level function rounds."""
+    for domain in (Ball(center=(0.0, 0.0), radius=1.0), _unit_disk_level_set(),
+                   Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.5)):
+        np.testing.assert_array_equal(domain.interior_point, [0.0, 0.0])
+    ellipse = Ellipse(center=(0.3, -0.2), semi_axes=(2.0, 0.5))
+    np.testing.assert_allclose(ellipse.interior_point, [0.3, -0.2], atol=1e-15)
+
+
 def test_half_domain_mask():
     b = Ball(center=(0.0, 0.0), radius=1.0)
     rng = np.random.default_rng(5)

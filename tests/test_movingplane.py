@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes
+from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes, reflect_point
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
-from masym.movingplane import (_SolutionData, adjugate, boundary_checks,
+from masym.movingplane import (_SolutionData, _bilinear, adjugate, boundary_checks,
                                build_frame, certify_monotonicity, certify_symmetry,
                                det_gradient, lambda_sweep, linearize,
                                mean_value_matrix, verify_elliptic_inequality,
@@ -214,12 +214,12 @@ def test_boundary_checks_tube(half_height):
 
 @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
 def test_level_set_disk_hopf_matches_ball(h):
-    """The level's round-off makes the two interior points mirror images
-    through the centre, so the source is even under x -> -x."""
+    """Both disks sample their boundary about the centre, so a source that
+    is not even under x -> -x reads the same Hopf minimum."""
     disk = SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
                           grad_phi=lambda x: 2.0 * np.asarray(x, float),
                           bbox=((-1.0, 1.0), (-1.0, 1.0)))
-    system = RhsSystem(components=(parse("4 + x1 * x1"),), n=2)
+    system = RhsSystem(components=(parse("4 + x1"),), n=2)
     ball, level = [boundary_checks(solve_system_fd(dom, system, (0.0,), FdParams(h=h)))["hopf"]
                    for dom in (DISK, disk)]
     assert level["passed"]
@@ -309,6 +309,86 @@ def test_shared_sweep_data_changes_nothing(coupled16, nu):
         assert entry["ei_violations"] == ei["total_violations"]
         assert entry["ei_worst_margin"] == ei["worst_margin"]
         assert entry["flagged_nonpd"] == list(lin.n_flagged)
+
+
+def _kernel_solution(domain):
+    """Two smooth fields on a h = 1/16 grid: enough to fill every stack row."""
+    grid = StencilGrid(domain, 1.0 / 16.0, 2)
+    x, y = grid.node_xy.T
+    fields = [x * x + 2.0 * y * y - 3.0, np.exp(0.5 * x) + y * y - 4.0]
+    return GridSolution(grid=grid, fields=fields, cs=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("domain", [
+    DISK,
+    Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.6)),
+    Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.5),
+    SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                   grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                   bbox=((-1.0, 1.0), (-1.0, 1.0))),
+], ids=["ball", "ellipse", "tube", "levelset"])
+def test_bilinear_kernel_matches_scipy(domain):
+    """Every stack row equals scipy's linear RegularGridInterpolator to the
+    bit: field rows as its 2-D path, operator rows as its N-D path."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    sol = _kernel_solution(domain)
+    data = _SolutionData(sol)
+    g, stack, nf = sol.grid, data.stack, data.n_field
+    assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
+    lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
+    off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
+    line = g.xs[int(np.searchsorted(g.xs, 0.5 * (lo[0] + hi[0])))]
+    aligned = reflect_point(g.node_xy, (1.0, 0.0), line)
+    aligned = aligned[domain.contains(aligned)]
+    outside = np.array([[lo[0] - 1e-9, 0.0], [hi[0] + 0.5 * g.h, 0.0],
+                        [lo[0], hi[1] * 1.01 + 1e-3], [np.nan, 0.0]])
+    # interior nodes with an exterior node among their zero-weight corners
+    i, j = g.node_ij.T
+    rim = ~(g.inside[i + 1, j] & g.inside[i, j + 1] & g.inside[i + 1, j + 1])
+    assert rim.any()
+    rim_pts = np.stack([g.xs[i[rim]], g.ys[j[rim]]], axis=-1)
+
+    field_rgi = [RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny),
+                                         bounds_error=False, fill_value=np.nan)
+                 for row in stack[:nf]]
+    op_rgi = RegularGridInterpolator((g.xs, g.ys), stack[nf:].T.reshape(g.nx, g.ny, sol.m),
+                                     bounds_error=False, fill_value=np.nan)
+    for pts in (off_grid, aligned, outside, rim_pts):
+        got = _bilinear(g, stack, pts, nf)
+        assert got.shape == (len(stack), len(pts))
+        expected = np.vstack([f(pts) for f in field_rgi] + [op_rgi(pts).T])
+        np.testing.assert_array_equal(got, expected)
+    assert np.all(np.isnan(_bilinear(g, stack, outside, nf)))
+    rim_vals = _bilinear(g, stack, rim_pts, nf)
+    assert np.all(np.isnan(rim_vals[nf:]))
+    assert np.all(np.isfinite(rim_vals[:nf]))
+
+
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (np.cos(0.4), np.sin(0.4))], ids=["axis", "oblique"])
+def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
+    """The entrywise quadrature in linearize is mean_value_matrix to the bit,
+    and it flags the nodes the stacked integrand test flags."""
+    system = power_coupled_system(1.0, 1.0)
+    planes = critical_planes(DISK, nu)
+    lam = 0.5 * (planes.lam0 + planes.Lam0)
+    for sol in (coupled, _perturbed(coupled)):
+        frame = build_frame(sol, nu, lam)
+        lin = linearize(frame, system)
+        t = 0.5 * (np.polynomial.legendre.leggauss(lin.quad_order)[0] + 1.0)
+        for i in range(frame.m):
+            Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
+            bad = np.zeros(len(frame.node_idx), dtype=bool)
+            for tk in t:
+                Mt = (1.0 - tk) * Ha + tk * Hb
+                det = Mt[:, 0, 0] * Mt[:, 1, 1] - Mt[:, 0, 1] * Mt[:, 1, 0]
+                bad |= ~((det > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
+            bad &= frame.deriv_ok
+            assert lin.n_flagged[i] == int(bad.sum())
+            expected = mean_value_matrix(Ha, Hb, order=lin.quad_order)
+            np.testing.assert_array_equal(lin.A[i][~bad], expected[~bad])
+            assert np.all(np.linalg.eigvalsh(lin.A[i][bad]) > 0.0)
+    assert sum(lin.n_flagged) > 0
 
 
 def test_heatmap_svg(tmp_path, quadratic):

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _power_solve,
-                          radial_ma_operator, solve_coupled_radial,
+from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _cumtrapz,
+                          _power_solve, radial_ma_operator, solve_coupled_radial,
                           solve_scalar_radial, uniqueness_probe)
 
 
@@ -103,6 +103,17 @@ def test_scalar_radial_rejects_grids_too_small_for_the_residual_check(grid_size)
 def test_coupled_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
     with pytest.raises(ValueError, match="grid_size must be at least 6"):
         solve_coupled_radial(1.0, 2.0, 2, grid_size=grid_size)
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    """The numpy helper does scipy's operations, so profiles are unchanged."""
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(11)
+    for size in (2, 3, 50, 2048):
+        r = np.sort(rng.uniform(0.0, 1.0, size))
+        y = rng.normal(size=size)
+        np.testing.assert_array_equal(_cumtrapz(y, r), cumulative_trapezoid(y, r, initial=0.0))
 
 
 def test_profile_validation():
