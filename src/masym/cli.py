@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -68,6 +69,14 @@ def _key_line(path, key):
     return 0
 
 
+def _finite(value):
+    """True for a JSON number, not a boolean, that a float holds finitely."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -88,16 +97,32 @@ def load_config(path):
         if key not in _ALLOWED_KEYS[cmd]:
             raise ConfigError(f"{path}:{_key_line(path, key)}: "
                               f"unknown key {key!r} for command {cmd!r}")
+
+    def bad(key, what):
+        return ConfigError(f"{path}:{_key_line(path, key)}: {key} must be {what}")
+
     for key in ("alpha", "beta", "R", "tol"):
-        if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
-            raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be positive")
+        if key in cfg and not (_finite(cfg[key]) and cfg[key] > 0):
+            raise bad(key, "a positive finite number")
+    if "lambda" in cfg and not _finite(cfg["lambda"]):
+        raise bad("lambda", "a finite number")
+    cs = cfg.get("cs", [])
+    if not (isinstance(cs, list) and all(map(_finite, cs))):
+        raise bad("cs", "a list of finite numbers")
+    # the sweep reports each pair's product, which must fit a float too
+    pairs = cfg.get("pairs", [])
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2
+                    and all(_finite(v) and v > 0 for v in p) and _finite(p[0] * p[1])
+                    for p in pairs)):
+        raise bad("pairs", "a list of [alpha, beta] pairs of positive finite numbers "
+                  "with a finite product")
     # the radial residual check skips three nodes at each end of the grid
     for key, least in (("seed", 0), ("n", 1), ("grid_size", 6), ("samples", 1),
                        ("n_lambdas", 2)):
         value = cfg.get(key, least)
         if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
-            raise ConfigError(f"{path}:{_key_line(path, key)}: {key} must be an integer "
-                              f">= {least}")
+            raise bad(key, f"an integer >= {least}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
@@ -210,8 +235,6 @@ def read_config(cfg):
                which=None if which is None else tuple(which))
     if "lambda" in cfg:
         cfg["lambda"] = float(cfg["lambda"])
-    if not all(float(alpha) > 0 and float(beta) > 0 for alpha, beta in cfg.get("pairs", [])):
-        raise ConfigError("pairs must hold positive (alpha, beta) pairs")
     if "domain" in cfg or fixture:
         cfg["domain"] = domain_from_json(cfg.get("domain", {"shape": "ball",
                                                             "center": [0.0, 0.0],
@@ -230,12 +253,19 @@ def read_config(cfg):
     return cfg
 
 
+def _solve_pairs(cfg, pairs):
+    """The dimension n and the coupled radial solve of each (alpha, beta) pair,
+    at the config's n, R, tol and grid_size or their defaults."""
+    n = int(cfg.get("n", 2))
+    return n, [solve_coupled_radial(float(alpha), float(beta), n, R=float(cfg.get("R", 1.0)),
+                                    tol=float(cfg.get("tol", 1e-9)),
+                                    grid_size=int(cfg.get("grid_size", 2048)))
+               for alpha, beta in pairs]
+
+
 def cmd_solve_radial(cfg, emit, seed):
     alpha, beta = float(cfg["alpha"]), float(cfg["beta"])
-    n = int(cfg.get("n", 2))
-    res = solve_coupled_radial(alpha, beta, n, R=float(cfg.get("R", 1.0)),
-                               tol=float(cfg.get("tol", 1e-9)),
-                               grid_size=int(cfg.get("grid_size", 2048)))
+    n, (res,) = _solve_pairs(cfg, [(alpha, beta)])
     if isinstance(res, NoSolution):
         _json_dump({"outcome": "no-solution", "reason": res.reason,
                     "drift_sign": res.drift_sign}, emit.path("summary.json"))
@@ -311,14 +341,10 @@ def cmd_hypotheses(cfg, emit, seed):
 
 
 def cmd_sweep_trichotomy(cfg, emit, seed):
-    n = int(cfg.get("n", 2))
     pairs = cfg.get("pairs", [[1, 1], [1, 2], [2, 2], [3, 3]])
+    n, results = _solve_pairs(cfg, pairs)
     rows = []
-    for alpha, beta in pairs:
-        res = solve_coupled_radial(float(alpha), float(beta), n,
-                                   R=float(cfg.get("R", 1.0)),
-                                   tol=float(cfg.get("tol", 1e-9)),
-                                   grid_size=int(cfg.get("grid_size", 2048)))
+    for (alpha, beta), res in zip(pairs, results):
         if isinstance(res, NoSolution):
             rows.append({"alpha": alpha, "beta": beta, "product": alpha * beta,
                          "outcome": "no-solution", "reason": res.reason})

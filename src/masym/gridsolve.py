@@ -268,14 +268,10 @@ def _ma_and_active(grid, u, c):
     return vals[active, np.arange(vals.shape[1])], active
 
 
-def ma_operator_discrete(grid, u, node=None, c=0.0):
-    """Wide-stencil determinant-of-Hessian approximation.
-
-    ``u`` holds interior values; ``node`` selects a single node or None
-    for the full array.
-    """
-    vals, _ = _ma_and_active(grid, np.asarray(u, dtype=float), c)
-    return vals if node is None else float(vals[node])
+def ma_operator_discrete(grid, u, c=0.0):
+    """Wide-stencil determinant-of-Hessian approximation at every interior
+    node, for interior values ``u`` and boundary constant ``c``."""
+    return _ma_and_active(grid, np.asarray(u, dtype=float), c)[0]
 
 
 def _pair_rows(grid, pair, gains):
@@ -311,14 +307,15 @@ def _laplace_init(grid, rhs, c):
     return _factor_solve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
 
 
-def _newton_matrix(grid, u, c, active, floor=1e-8):
+def _newton_matrix(grid, u, c, active):
     """Linearization of the operator at the active pair per node.
 
-    Where a factor is clamped the penalty contributes a unit gain, so
-    every row stays uniformly elliptic.
+    Where a factor is clamped the penalty contributes a unit gain, and a
+    positive factor's gain is at least 1e-8, so every row stays uniformly
+    elliptic.
     """
     sd = grid._second_differences(u, c)[active, :, np.arange(grid.n_nodes)].T
-    gains = np.where(sd > 0, np.maximum(np.maximum(sd[::-1], 0.0), floor), 1.0)
+    gains = np.where(sd > 0, np.maximum(np.maximum(sd[::-1], 0.0), 1e-8), 1.0)
     return _pair_rows(grid, active, gains)
 
 
@@ -368,33 +365,30 @@ def _newton_step(grid, gh, c, u, res, active, history):
     raise DivergenceError(f"Newton line search exhausted at residual {best:.3e}", history)
 
 
-def _sweep_solve(grid, source, cs, params, init=None):
+def _sweep_solve(grid, source, cs, params):
     """Fixed point of det D^2 u_i = source(i, fields, grad u_i) over the components.
 
     Each sweep evaluates every component's source at the current fields
     (the components already updated in this sweep included).  A component
     whose residual is within tol max(1, |source|_inf) takes no step; any
-    other takes one damped Newton step.  Unless ``init`` gives the starting
-    fields, the first sweep starts component i from the Laplace solve of
-    Delta u = 2 sqrt(source), with u_i = c_i and the later components at
-    c_j - 0.1.  The loop returns after the first sweep in which no
-    component was initialized or stepped, so every returned component is
-    within tol at the returned fields; ``params.max_newton`` caps the sweeps.
+    other takes one damped Newton step.  The first sweep starts component
+    i from the Laplace solve of Delta u = 2 sqrt(source), with u_i = c_i
+    and the later components at c_j - 0.1.  The loop returns after the
+    first sweep in which no component was initialized or stepped, so every
+    returned component is within tol at the returned fields;
+    ``params.max_newton`` caps the sweeps.
 
     Returns the fields and the history: one record per sweep with the
     residual of each component before its step, the line-search halvings
     and the factorizations of that sweep.
     """
     N = grid.n_nodes
-    if init is None:
-        fields = [np.full(N, c - 0.1) for c in cs]
-    else:
-        fields = [np.asarray(f, dtype=float) for f in init]
+    fields = [np.full(N, c - 0.1) for c in cs]
     history = []
     for sweep in range(params.max_newton):
         record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
         for i, c in enumerate(cs):
-            if sweep == 0 and init is None:
+            if sweep == 0:
                 fields[i] = np.full(N, c)
                 g0 = np.broadcast_to(source(i, fields, np.zeros((N, 2))), (N,))
                 fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12)), c)
@@ -473,30 +467,28 @@ class GridSolution:
         out[np.isnan(out)] = c
         return out
 
-    def convexity_audit(self, tol=1e-8):
-        """Directional second differences >= -tol along every stencil direction."""
+    def convexity_audit(self):
+        """Directional second differences >= -1e-8 / h^2 along every stencil direction."""
         g = self.grid
         flags = []
         for i in range(self.m):
             sd = g._second_differences(self.fields[i], self.cs[i])
-            flags.append(not np.any(sd < -tol / g.h ** 2))
+            flags.append(not np.any(sd < -1e-8 / g.h ** 2))
         return tuple(flags)
 
 
-def solve_scalar_fd(domain, g, c, params=None, grid=None, init=None):
+def solve_scalar_fd(domain, g, c, params=None):
     """Solve det D^2 u = g(x, u, grad u) with constant Dirichlet data.
 
     ``g`` is a vectorized callable g(xy, u, grad) -> (N,); dependence on
     (u, grad u) is handled by the sweep loop of :func:`solve_system_fd`
-    with one component.  ``init`` replaces the Laplace start.  Returns
-    the interior value array and the grid (or use :func:`solve_system_fd`
-    for a full :class:`GridSolution`).
+    with one component.  Returns the interior value array and the grid
+    (or use :func:`solve_system_fd` for a full :class:`GridSolution`).
     """
     params = params or FdParams()
-    if grid is None:
-        grid = StencilGrid(domain, params.h, params.stencil_width)
+    grid = StencilGrid(domain, params.h, params.stencil_width)
     (u,), _ = _sweep_solve(grid, lambda i, fields, grad: g(grid.node_xy, fields[0], grad),
-                           (c,), params, init=None if init is None else [init])
+                           (c,), params)
     return u, grid
 
 

@@ -146,14 +146,12 @@ def mean_value_matrix(H_a, H_b, order=None):
 # discrete derivative fields
 
 def _derivative_fields(sol, i):
-    """Dense centered-difference derivatives of component i with a validity mask.
+    """Dense centered-difference derivatives of component i.
 
-    Derivatives are taken on the ghost-extended array; the mask keeps
-    only nodes whose full 3x3 neighborhood lies inside the domain, so no
-    extrapolated ghost value enters a reported derivative.
+    Derivatives are taken on the ghost-extended array, so they are only
+    trustworthy where :attr:`_SolutionData.valid` holds.
     """
-    g = sol.grid
-    h = g.h
+    h = sol.grid.h
     E = sol.extended_array(i)
     nan = np.full_like(E, np.nan)
     ux, uy = nan.copy(), nan.copy()
@@ -163,13 +161,7 @@ def _derivative_fields(sol, i):
     uxx[1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
     uyy[:, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
     uxy[1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4 * h ** 2)
-    valid = np.zeros_like(g.inside)
-    ins = g.inside
-    valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
-                         & ins[1:-1, 2:] & ins[1:-1, :-2]
-                         & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
-    return {"E": E, "ux": ux, "uy": uy, "uxx": uxx, "uyy": uyy, "uxy": uxy,
-            "valid": valid}
+    return {"E": E, "ux": ux, "uy": uy, "uxx": uxx, "uyy": uyy, "uxy": uxy}
 
 
 _FIELDS = ("E", "ux", "uy", "uxx", "uyy", "uxy")
@@ -195,11 +187,15 @@ class _SolutionData:
 
     @cached_property
     def valid(self):
-        """Nodes whose derivative stencil is valid for every component."""
-        valid_all = np.ones(self.solution.grid.inside.shape, dtype=bool)
-        for f in self.derivs:
-            valid_all &= f["valid"]
-        return valid_all
+        """Dense mask of the nodes whose full 3x3 neighborhood lies inside
+        the domain, so that no extrapolated ghost value enters a derivative
+        there; it depends on the grid alone, so it serves every component."""
+        ins = self.solution.grid.inside
+        valid = np.zeros_like(ins)
+        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
+                             & ins[1:-1, 2:] & ins[1:-1, :-2]
+                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
+        return valid
 
     @cached_property
     def det_op(self):
@@ -224,7 +220,7 @@ class _SolutionData:
         """(7m + 1, nx*ny) table of every field :func:`_bilinear` reads.
 
         Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
-        :data:`_FIELDS` order), row 6m the combined validity mask as 0/1
+        :data:`_FIELDS` order), row 6m the validity mask as 0/1
         and the last m rows the operator fields, NaN off the interior
         nodes so that an interpolant touching an exterior node is NaN.
         One field per row keeps each gathered field contiguous.
@@ -313,13 +309,12 @@ class MovingPlaneFrame:
     def empty(self):
         return len(self.node_idx) == 0
 
-    def on_plane(self, tol=None):
-        """Mask of frame nodes lying on the plane (within tol)."""
-        tol = self.grid.h * 1e-9 if tol is None else tol
-        return np.abs(self.xy @ self.nu - self.lam) <= tol
+    def on_plane(self):
+        """Mask of frame nodes lying on the plane (within 1e-9 h)."""
+        return np.abs(self.xy @ self.nu - self.lam) <= self.grid.h * 1e-9
 
 
-def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
+def build_frame(solution, nu, lam, *, _data=None):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
     One :func:`_bilinear` gather reads every field at the reflected
@@ -327,7 +322,8 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     validity mask and the discrete operator; when the reflection is grid
     aligned the weights collapse and the pairing is exact.  One column
     gather of :attr:`_SolutionData.stack` reads the same fields at the
-    cap nodes.  Reflected Hessians are conjugated with the reflection
+    cap nodes, those with x . nu < lam + 1e-9 h, so nodes on the plane
+    are kept.  Reflected Hessians are conjugated with the reflection
     matrix, in closed form per entry, rather than re-differenced, so they
     inherit the interior accuracy of the unreflected fields.  By
     reflection invariance of the determinant, the reflected discrete
@@ -338,10 +334,7 @@ def build_frame(solution, nu, lam, include_plane=True, *, _data=None):
     g = solution.grid
     nu = _as_unit(nu, 2)
     lam = float(lam)
-    proj = solution.grid.node_xy @ nu
-    eps = 1e-12 * max(1.0, abs(lam))
-    sel = proj < lam + (g.h * 1e-9 if include_plane else -eps)
-    idx = np.nonzero(sel)[0]
+    idx = np.nonzero(g.node_xy @ nu < lam + g.h * 1e-9)[0]
     xy = g.node_xy[idx]
     refl = reflect_point(xy, nu, lam)
 
@@ -398,25 +391,29 @@ class LinearizationFields:
     n_flagged: tuple = ()         # per component: nodes with a non-PD integrand
 
 
-def linearize(frame, system, quad_order=None):
+# Gauss-Legendre nodes of the mean-value integral; the integrand is linear
+# in t for 2x2 Hessians, so the rule is exact
+_QUAD_ORDER = 4
+
+
+def linearize(frame, system):
     """Mean-value matrices, Lipschitz coefficients and coupling quotients.
 
-    A^i comes from the Hessian pair (reflected, original); B^i points
+    A^i comes from the Hessian pair (reflected, original) by the
+    :data:`_QUAD_ORDER`-node rule of :func:`mean_value_matrix`; B^i points
     along grad U with the declared gradient Lipschitz constant as length
     (zero where grad U vanishes); c^i is the declared own-component
     constant; d_ij is the difference quotient of f^i along unknown j,
     evaluated at the telescoped argument (components before j reflected,
     j and later unreflected) with step U^j.
     """
-    if quad_order is None:
-        quad_order = max(4, frame.hess_u.shape[-1] + 1)
     m, K = frame.m, len(frame.node_idx)
     A = np.zeros((m, K, 2, 2))
     B = np.zeros((m, K, 2))
     c = np.zeros(m)
     d = np.zeros((m, m, K))
     flagged = []
-    t_nodes, t_weights = _gauss_legendre01(int(quad_order))
+    t_nodes, t_weights = _gauss_legendre01(_QUAD_ORDER)
     for i in range(m):
         Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
         # mean_value_matrix entry by entry, in its order of operations; a
@@ -455,17 +452,17 @@ def linearize(frame, system, quad_order=None):
                          axis=-1)
             d[i, j] = np.asarray(rhs_d_ij(system, i + 1, j + 1, frame.xy, z,
                                           frame.grad_u_lam[i], frame.U[j]))
-    return LinearizationFields(A=A, B=B, c=c, d=d, quad_order=int(quad_order),
+    return LinearizationFields(A=A, B=B, c=c, d=d, quad_order=_QUAD_ORDER,
                                n_flagged=tuple(flagged))
 
 
-def verify_elliptic_inequality(lin, frame, tol=None):
+def verify_elliptic_inequality(lin, frame):
     """Audit tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j on the cap.
 
     Checked at cap nodes with trustworthy derivatives and a finite
-    reflected operator (``frame.op_ok``).  The default tolerance is
-    10 h^2 times a local determinant scale; nodes breaking the
-    inequality beyond it are counted and the worst one is reported.
+    reflected operator (``frame.op_ok``).  The tolerance is 10 h^2 times
+    a local determinant scale; nodes breaking the inequality beyond it
+    are counted and the worst one is reported.
 
     The trace term is the determinant difference of the discrete
     wide-stencil operator, ``det_op_lam - det_op``; the two are equal by
@@ -487,7 +484,7 @@ def verify_elliptic_inequality(lin, frame, tol=None):
         rhs = np.einsum("jk,jk->k", lin.d[i], frame.U)
         scale = np.maximum(1.0, np.maximum(np.abs(_det2(frame.hess_u[i])),
                                            np.abs(_det2(frame.hess_u_lam[i]))))
-        tol_node = (10.0 * g.h ** 2) * scale if tol is None else tol
+        tol_node = (10.0 * g.h ** 2) * scale
         margin = lhs - rhs
         bad = ok & (margin < -tol_node)
         entry = {"component": i + 1, "violations": int(bad.sum())}
@@ -509,11 +506,11 @@ def verify_elliptic_inequality(lin, frame, tol=None):
 # ---------------------------------------------------------------------------
 # certificates
 
-def certify_monotonicity(solution, nu, planes, tol=None, *, _data=None):
+def certify_monotonicity(solution, nu, planes, *, _data=None):
     """Directional derivative check: d_nu u < 0 strictly left of the plane.
 
     Certifies the strict inequality as <= -margin at every interior node
-    with x . nu < Lam0 - h, margin defaulting to 10 h^2 times a local
+    with x . nu < Lam0 - h, the margin being 10 h^2 times a local
     gradient scale.  Failure is a verdict with a witness, not an error.
     """
     data = _data if _data is not None else _SolutionData(solution)
@@ -522,16 +519,15 @@ def certify_monotonicity(solution, nu, planes, tol=None, *, _data=None):
     h = g.h
     out = {"direction": [float(v) for v in nu], "Lam0": float(planes.Lam0),
            "components": [], "passed": True}
-    proj = g.node_xy @ nu
+    ij = g.node_ij
+    ok = data.valid[ij[:, 0], ij[:, 1]] & (g.node_xy @ nu < planes.Lam0 - h)
     for i in range(solution.m):
         f = data.derivs[i]
-        ij = g.node_ij
-        ok = f["valid"][ij[:, 0], ij[:, 1]] & (proj < planes.Lam0 - h)
         dnu = (f["ux"][ij[:, 0], ij[:, 1]] * nu[0]
                + f["uy"][ij[:, 0], ij[:, 1]] * nu[1])
         scale = np.maximum(1.0, np.hypot(f["ux"][ij[:, 0], ij[:, 1]],
                                          f["uy"][ij[:, 0], ij[:, 1]]))
-        margin = (10.0 * h ** 2) * scale if tol is None else tol
+        margin = (10.0 * h ** 2) * scale
         viol = ok & (dnu > -margin)
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
                  "violations": int(viol.sum())}
@@ -544,24 +540,26 @@ def certify_monotonicity(solution, nu, planes, tol=None, *, _data=None):
     return out
 
 
-def _domain_symmetric(domain, nu, lam, samples=512):
-    """Sampled check that reflection across the plane maps the boundary onto
-    itself: a reflected sample q is on the boundary exactly when the ray
-    from the interior point through q leaves the domain at q."""
+def _domain_symmetric(domain, nu, lam):
+    """Check on 512 boundary samples that reflection across the plane maps
+    the boundary onto itself: a reflected sample q is on the boundary
+    exactly when the ray from the interior point through q leaves the
+    domain at q."""
     c = domain.interior_point
-    t = np.linspace(0.0, 1.0, samples, endpoint=False)
+    t = np.linspace(0.0, 1.0, 512, endpoint=False)
     q = reflect_point(domain.boundary_param(t), nu, lam)
     return bool(np.all(np.abs(domain.ray_exit(c, q - c) - 1.0) < 1e-7))
 
 
-def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
-                     _frame=None):
+def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
     about the plane.  The residual floor is the bilinear interpolation
-    error, order h^2, and is stated in the report.  ``_frame`` is the
-    frame at Lam0 when the caller has already built it.
+    error, order h^2, and is stated in the report; the tolerance is
+    20 h^2 times the largest field magnitude.  On a disk the variation
+    over 720 angles on four rings counts as residual too.  ``_frame`` is
+    the frame at Lam0 when the caller has already built it.
     """
     g = solution.grid
     nu = _as_unit(nu, 2)
@@ -577,17 +575,17 @@ def certify_symmetry(solution, nu, Lam0, tol=None, n_angles=720, *, _data=None,
     resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
     report["mirror_residual"] = resid
     scale = max(1.0, max(float(np.max(np.abs(f))) for f in solution.fields))
-    report["tolerance"] = (20.0 * h ** 2) * scale if tol is None else tol
+    report["tolerance"] = (20.0 * h ** 2) * scale
     if isinstance(g.domain, Ball):
         c = np.asarray(g.domain.center)
-        th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         rings = np.concatenate([c + frac * g.domain.radius * ring
                                 for frac in (0.2, 0.4, 0.6, 0.8)])
         vals = _bilinear(g, data.stack, rings, data.n_field)
         variations = []
         for i in range(solution.m):
-            E = vals[6 * i].reshape(4, n_angles)
+            E = vals[6 * i].reshape(4, -1)
             variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
@@ -635,9 +633,9 @@ def boundary_checks(solution, *, _data=None):
                       "passed": all(e["passed"] for e in entries)}
     lap_entries = []
     ij = g.node_ij
+    ok = data.valid[ij[:, 0], ij[:, 1]]
     for i in range(solution.m):
         f = data.derivs[i]
-        ok = f["valid"][ij[:, 0], ij[:, 1]]
         lap = f["uxx"][ij[:, 0], ij[:, 1]] + f["uyy"][ij[:, 0], ij[:, 1]]
         lap_entries.append({"component": i + 1,
                             "min_laplacian": float(np.min(lap[ok])),
@@ -704,18 +702,18 @@ class MovingPlaneReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
+def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
 
-    Each position gets a frame, the cap bound U <= tol, and (when the
-    system is supplied) a linearization with the elliptic-inequality
-    audit.  The final position is exactly Lam0, and its frame doubles as
-    the symmetry certificate's.
+    Each position gets a frame, the cap bound U <= 10 h^2 max(1, |u|)
+    and (when the system is supplied) a linearization with the
+    elliptic-inequality audit.  The final position is exactly Lam0, and
+    its frame doubles as the symmetry certificate's.
 
     Everything that does not depend on the plane position is computed
     once per call and shared by every frame, the symmetry frame, the
     monotonicity certificate and the boundary checks: the derivative
-    fields of the ghost-extended arrays, the combined validity mask, the
+    fields of the ghost-extended arrays, the validity mask, the
     discrete operator of the unreflected fields, which gives every frame
     its reflected operator, and the stacked table that every bilinear
     read gathers from.
@@ -741,13 +739,13 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None, tol=None):
             entry["cap_nonpositive"] = True
         else:
             scale = max(1.0, float(np.max(np.abs(frame.u))))
-            cap_tol = (10.0 * h ** 2) * scale if tol is None else tol
+            cap_tol = (10.0 * h ** 2) * scale
             u_max = float(np.max(frame.U))
             entry["U_max"] = u_max
             entry["cap_nonpositive"] = u_max <= cap_tol
             if system is not None and frame.deriv_ok.any():
                 lin = linearize(frame, system)
-                ei = verify_elliptic_inequality(lin, frame, tol=tol)
+                ei = verify_elliptic_inequality(lin, frame)
                 entry["ei_violations"] = ei["total_violations"]
                 entry["ei_worst_margin"] = ei["worst_margin"]
                 entry["flagged_nonpd"] = list(lin.n_flagged)

@@ -25,6 +25,7 @@ whose determinant n^2 - a*b vanishes exactly where no solution exists.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,7 +78,10 @@ class RadialProfile:
         self.u = np.asarray(self.u, dtype=float)
         self.du = np.asarray(self.du, dtype=float)
 
-    def validate(self, tol=1e-9):
+    def validate(self):
+        """Raise ValueError unless this is a convex profile on a grid from 0,
+        up to a slack of 1e-9, with u(R) = c exactly."""
+        tol = 1e-9
         if self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
             raise ValueError("radius grid must be strictly increasing from 0")
         if np.any(self.du < -tol) or abs(self.du[0]) > tol:
@@ -93,9 +97,6 @@ class RadialProfile:
 
     def __call__(self, r):
         return np.interp(r, self.r, self.u)
-
-    def deriv(self, r):
-        return np.interp(r, self.r, self.du)
 
 
 def _weighted_cumint(r, G, n):
@@ -135,29 +136,31 @@ def radial_ma_operator(profile, k=None):
     return vals if k is None else float(vals[k])
 
 
-def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
-                        max_iter=10_000, init=None):
+# the fixed points below average each new iterate half and half with the
+# last one and give up after _MAX_ITER iterations
+_DAMPING = 0.5
+_MAX_ITER = 10_000
+
+
+def solve_scalar_radial(g, n, R, c, grid_size=2048):
     """Solve det D^2 u = g(r, u, u') radially on the ball of radius R.
 
     ``g`` is a vectorized callable of (r, u, du) and must stay positive
     on the solution range.  When g depends on (u, u'), a damped fixed
     point on the integrated form is used; otherwise a single pass is
-    exact up to quadrature.
+    exact up to quadrature.  The residual tolerance is 1e-8, relative to
+    max(1, |g|_inf).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-8
     if grid_size < 4:
         # the final residual check skips three nodes at the center and one
         # at the boundary
         raise ValueError(f"grid_size must be at least 4, got {grid_size}")
     r = np.linspace(0.0, R, grid_size + 1)
-    if init is not None:
-        u, du = np.interp(r, init.r, init.u), np.interp(r, init.r, init.du)
-    else:
-        u = c - 0.5 * (R ** 2 - r ** 2)
-        du = r.copy()
+    u = c - 0.5 * (R ** 2 - r ** 2)
+    du = r.copy()
     history = []
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         G = np.asarray(g(r, u, du), dtype=float)
         G = np.broadcast_to(G, r.shape)
         if not np.all(G > 0):
@@ -173,11 +176,11 @@ def solve_scalar_radial(g, n, R, c, tol=1e-8, grid_size=2048, damping=0.5,
         if change <= 1e-14 or (it > 0 and change <= 0.05 * tol):
             u, du = u_new, du_new
             break
-        u = (1.0 - damping) * u + damping * u_new
-        du = (1.0 - damping) * du + damping * du_new
+        u = (1.0 - _DAMPING) * u + _DAMPING * u_new
+        du = (1.0 - _DAMPING) * du + _DAMPING * du_new
     else:
         raise SolverDivergence(
-            f"radial fixed point did not converge in {max_iter} iterations", history)
+            f"radial fixed point did not converge in {_MAX_ITER} iterations", history)
     prof = RadialProfile(r=r, u=u, du=du, n=n, c=c)
     resid = radial_ma_operator(prof) - np.broadcast_to(np.asarray(g(r, u, du)), r.shape)
     # skip the two nodes next to r = 0: the operator degenerates there and
@@ -208,22 +211,31 @@ def _scaled(profile, s):
                          n=profile.n, c=0.0)
 
 
-def _unit(profile):
-    """The profile scaled to max(-u) = 1, and the amplitude it was divided by."""
+def _unit(profile, history):
+    """The profile scaled to max(-u) = 1, and the amplitude it was divided by.
+
+    Raises :class:`SolverDivergence`, carrying ``history``, when the
+    amplitude or its reciprocal is 0 or not finite.  A non-finite du
+    reaches u through the quadrature, so checking the amplitude is enough.
+    """
     amp = float(np.max(-profile.u))
+    if not (0.0 < amp < math.inf and 1.0 / amp < math.inf):
+        raise SolverDivergence(f"half-step amplitude {amp:.3e} is zero or out of "
+                               "the float64 range", history)
     return _scaled(profile, 1.0 / amp), amp
 
 
-def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
-                         grid_size=2048, damping=0.5, max_iter=10_000):
+def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2048):
     """Radial solutions of the power-coupled pair on the ball of radius R.
 
     Returns a pair of profiles (u1, u2), both negative inside with zero
     boundary values, or :class:`NoSolution` when alpha*beta is the square
     of the dimension or the amplitudes overflow or underflow a float.
+    Raises :class:`SolverDivergence` when a half-step's amplitude or the
+    start profile built from R leaves the float64 range.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha!r}, {beta!r}")
     if n < 1:
         raise ValueError(f"dimension n must be at least 1, got {n}")
     if grid_size < 6:
@@ -233,36 +245,41 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None,
         warnings.warn(
             "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",
             RuntimeWarning, stacklevel=2)
-    r = np.linspace(0.0, R, grid_size + 1)
-    if init is not None:
-        start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
-                              du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
-    else:
-        start = RadialProfile(r=r, u=0.5 * (r ** 2 - R ** 2), du=r.copy(), n=n, c=0.0)
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linspace(0.0, R, grid_size + 1)
+        if init is not None:
+            start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
+                                  du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
+        else:
+            # r[-1] = R as a float64, whose square overflows to inf, not an error
+            start = RadialProfile(r=r, u=0.5 * (r ** 2 - r[-1] ** 2), du=r.copy(), n=n, c=0.0)
     if not (np.all(np.isfinite(start.u)) and np.all(np.isfinite(start.du))
             and np.max(-start.u) > 0):
-        raise ValueError("init[0] must be finite and negative somewhere")
-    v1, _ = _unit(start)
+        if init is not None:
+            raise ValueError("init[0] must be finite and negative somewhere")
+        raise SolverDivergence(f"the start profile for R = {R!r} leaves the float64 range",
+                               history)
+    v1, _ = _unit(start, history)
 
     # the half-steps are homogeneous, T(s*u) = s^(e/n) T(u), so only the
     # shape is iterated; the amplitudes follow from the log-linear system
-    history = []
-    for it in range(max_iter):
-        v2, _ = _unit(_power_solve(v1, beta, n))
-        w1, _ = _unit(_power_solve(v2, alpha, n))
-        v1_next, _ = _unit(RadialProfile(r=r, u=(1.0 - damping) * v1.u + damping * w1.u,
-                                         du=(1.0 - damping) * v1.du + damping * w1.du,
-                                         n=n, c=0.0))
+    for it in range(_MAX_ITER):
+        v2, _ = _unit(_power_solve(v1, beta, n), history)
+        w1, _ = _unit(_power_solve(v2, alpha, n), history)
+        v1_next, _ = _unit(RadialProfile(r=r, u=(1.0 - _DAMPING) * v1.u + _DAMPING * w1.u,
+                                         du=(1.0 - _DAMPING) * v1.du + _DAMPING * w1.du,
+                                         n=n, c=0.0), history)
         history.append(float(np.max(np.abs(v1_next.u - v1.u))))
         v1 = v1_next
         if history[-1] <= tol and it > 2:
             break
     else:
         raise SolverDivergence(
-            f"coupled radial iteration did not converge in {max_iter} iterations", history)
+            f"coupled radial iteration did not converge in {_MAX_ITER} iterations", history)
 
-    v2, A2 = _unit(_power_solve(v1, beta, n))
-    _, A1 = _unit(_power_solve(v2, alpha, n))
+    v2, A2 = _unit(_power_solve(v1, beta, n), history)
+    _, A1 = _unit(_power_solve(v2, alpha, n), history)
     # det D^2 v_i = mu_i (-v_j)^e with mu_i = A_i^(-n)
     log_mu = -n * np.log([A1, A2])
     if alpha * beta == n * n:
@@ -316,7 +333,7 @@ class UniquenessReport:
     note: str
 
 
-def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10, tol=1e-9, grid_size=2048):
+def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10):
     """Run the coupled solver from starts of different shapes and compare limits.
 
     The starts are r^p - R^p with p spanning 1.1 .. 12: the solver
@@ -325,13 +342,13 @@ def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10, tol=1e-9, grid_size=204
     that threshold the probe output is informational.
     """
     powers = np.geomspace(1.1, 12.0, n_starts)
-    r = np.linspace(0.0, R, grid_size + 1)
+    # the starts live on the solver's default grid of 2048 intervals
+    r = np.linspace(0.0, R, 2049)
     limits, outcomes = [], []
     for p in powers:
         base = RadialProfile(r=r, u=r ** p - R ** p, du=p * r ** (p - 1), n=n, c=0.0)
         try:
-            res = solve_coupled_radial(alpha, beta, n, R, tol=tol,
-                                       init=(base, base), grid_size=grid_size)
+            res = solve_coupled_radial(alpha, beta, n, R, init=(base, base))
         except SolverDivergence:
             outcomes.append("diverged")
             continue

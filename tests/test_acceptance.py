@@ -74,7 +74,7 @@ def test_criterion_02_cross_solver_oracle(coupled64, radial11):
 def test_criterion_03_trichotomy():
     outcomes = []
     for a, b in ((1, 1), (1, 2), (2, 2), (3, 3)):
-        res = solve_coupled_radial(float(a), float(b), 2, max_iter=10_000)
+        res = solve_coupled_radial(float(a), float(b), 2)
         outcomes.append("none" if isinstance(res, NoSolution) else "solution")
     ok = outcomes == ["solution", "solution", "none", "solution"]
     report(3, ok, f"(1,1),(1,2),(2,2),(3,3) -> {outcomes}")

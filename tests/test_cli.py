@@ -96,6 +96,33 @@ def test_negative_parameter_rejected(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("cfg, code", [
+    ({"command": "solve-radial", "alpha": float("inf"), "beta": 2.0}, 2),
+    ({"command": "solve-radial", "alpha": 1e300, "beta": 2.0}, 3),
+    ({"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "R": 1e300}, 3),
+    ({"command": "sweep-trichotomy", "pairs": [[1, float("inf")]]}, 2),
+    ({"command": "solve-radial", "alpha": True, "beta": 2.0}, 2),
+], ids=["alpha-inf", "alpha-1e300", "R-1e300", "pair-inf", "alpha-true"])
+def test_nonfinite_or_huge_radial_input_is_a_documented_exit(tmp_path, capsys, cfg, code):
+    """Infinite and boolean numbers are config errors; a finite exponent or
+    radius too large for a float is a solver divergence.  Either way no
+    traceback, no lock, and every JSON written parses strictly."""
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--quiet"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    for path in out.glob("*.json"):
+        _strict_json(path)
+
+
 GRID_CFG = {
     "command": "solve-grid",
     "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},

@@ -16,7 +16,8 @@ from masym.cli import main
 
 BOX = {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1], [-2.0, -0.1]],
        "p": [[-1.0, 1.0], [-1.0, 1.0]]}
-BAD_VALUES = (0, -1, 0.5, 1, 3, "x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan)
+BAD_VALUES = (0, -1, 0.5, 1, 3, "x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan,
+              math.inf, 1e300)
 
 
 def _cheap_configs():

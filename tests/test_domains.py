@@ -93,6 +93,17 @@ def test_nonunit_direction_rejected():
         critical_planes(b, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("nu", [[np.nan, 0.0], [1.0, np.nan]])
+def test_nan_direction_rejected(nu):
+    """A NaN norm is not within 1e-12 of 1, so neither the planes nor a
+    reflection accept the direction."""
+    b = Ball(center=(0.0, 0.0), radius=1.0)
+    with pytest.raises(GeometryError, match="unit vector"):
+        critical_planes(b, nu)
+    with pytest.raises(GeometryError, match="unit vector"):
+        reflect_point([0.5, 0.0], nu, 0.0)
+
+
 def test_diagonal_direction_on_ball():
     b = Ball(center=(0.0, 0.0), radius=1.0)
     s = 1.0 / np.sqrt(2.0)
