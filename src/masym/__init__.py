@@ -15,14 +15,12 @@ from .domains import (
     Domain,
     Ellipse,
     GeometryError,
-    HalfDomainMask,
     SmoothLevelSet,
     Tube,
     check_convex_in_direction,
     critical_planes,
     domain_from_json,
     domain_to_json,
-    half_domain_mask,
     reflect_point,
 )
 from .expressions import Expr, ExpressionDomainError, ExpressionError, const, parse, var
@@ -43,15 +41,12 @@ from .movingplane import (
     LinearizationFields,
     MovingPlaneFrame,
     MovingPlaneReport,
-    adjugate,
     boundary_checks,
     build_frame,
     certify_monotonicity,
     certify_symmetry,
-    det_gradient,
     lambda_sweep,
     linearize,
-    mean_value_matrix,
     verify_elliptic_inequality,
     write_heatmap_svg,
 )

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domains import (Ball, GeometryError, critical_planes, domain_from_json,
+from .domains import (Ball, GeometryError, _as_unit, critical_planes, domain_from_json,
                       domain_to_json)
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
@@ -138,6 +138,9 @@ def load_config(path):
     if isinstance(system, dict):
         _check_keys(path, system, ("alpha", "beta") if "alpha" in system
                     else RhsSystem.__dataclass_fields__, "system")
+        for key in ("alpha", "beta"):
+            if key in system and not (_finite(system[key]) and system[key] > 0):
+                raise bad(key, "a positive finite number")
     return cfg
 
 
@@ -241,6 +244,13 @@ def read_config(cfg):
                                                             "radius": 1.0}))
         if fixture and not isinstance(cfg["domain"], Ball):
             raise ConfigError("the quadratic fixture needs a ball domain")
+        if "lambda" in cfg:
+            # past the bounding box the cap is empty or reflects wholly outside
+            nu = _as_unit(cfg["nu"], cfg["domain"].dimension)
+            lo, hi = np.sort(cfg["domain"].bounding_box() * nu[:, None], axis=1).sum(axis=0)
+            if not lo <= cfg["lambda"] <= hi:
+                raise ConfigError(f"lambda = {cfg['lambda']!r} lies outside the domain's "
+                                  f"extent [{lo:.6g}, {hi:.6g}] along nu")
     if "system" in cfg:
         system = cfg["system"] = _system_from_config(cfg["system"])
         cfg["cs"] = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))

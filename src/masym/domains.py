@@ -1,7 +1,7 @@
 """Bounded convex domain geometry.
 
 Shapes (balls, ellipses, tubes, implicit level sets), hyperplane
-reflections, half-domain masks, and the critical plane positions that
+reflections, and the critical plane positions that
 control how far a hyperplane can be slid across a domain while the
 reflected cap stays inside.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +24,7 @@ __all__ = [
     "Tube",
     "SmoothLevelSet",
     "CriticalPlanes",
-    "HalfDomainMask",
     "reflect_point",
-    "half_domain_mask",
     "critical_planes",
     "domain_to_json",
     "domain_from_json",
@@ -330,37 +328,12 @@ class CriticalPlanes:
     lam0: float
     Lam0: float
     Lam2: float
-    orthogonality_witness: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.lam0 < self.Lam0:
             raise GeometryError(f"expected lam0 < Lam0, got {self.lam0} >= {self.Lam0}")
         if self.Lam0 > self.Lam2 + 1e-9:
             raise GeometryError(f"expected Lam0 <= Lam2, got {self.Lam0} > {self.Lam2}")
-
-
-@dataclass(frozen=True)
-class HalfDomainMask:
-    """Nodes of a point set lying in the half-domain {x . nu < lam}."""
-
-    mask: np.ndarray
-    reflected_points: np.ndarray
-    reflected_inside: np.ndarray
-
-
-def half_domain_mask(domain, nu, lam, points):
-    """Mark points of the domain strictly left of the plane at ``lam``.
-
-    ``points`` has shape (..., n).  Also reflects every marked point and
-    records whether the image lands back inside the domain.
-    """
-    points = np.asarray(points, dtype=float)
-    nu = _as_unit(nu, domain.dimension)
-    inside = domain.contains(points)
-    mask = inside & (points @ nu < lam)
-    refl = reflect_point(points, nu, lam)
-    reflected_inside = mask & domain.contains(refl)
-    return HalfDomainMask(mask=mask, reflected_points=refl, reflected_inside=reflected_inside)
 
 
 def check_convex_in_direction(domain, nu):
@@ -464,16 +437,15 @@ def _ellipse_symmetric_along(domain, nu):
 
 
 def _orthogonality_plane(domain, nu):
-    """First plane position with a boundary normal orthogonal to nu, plus witness."""
+    """First plane position with a boundary normal orthogonal to nu."""
     if isinstance(domain, Ellipse):
         a = np.asarray(domain.semi_axes)
         w = a * nu
         v = nu / a
         proj = w - (np.dot(w, v) / np.dot(v, v)) * v
-        return float(np.dot(domain.center, nu) - np.linalg.norm(proj)), None
+        return float(np.dot(domain.center, nu) - np.linalg.norm(proj))
     pts = _boundary_points_normal_to(domain, nu)
-    k = int(np.argmin(pts @ nu))
-    return float(pts[k] @ nu), tuple(pts[k])
+    return float(pts[int(np.argmin(pts @ nu))] @ nu)
 
 
 def _boundary_points_normal_to(domain, w):
@@ -512,8 +484,7 @@ def critical_planes(domain, nu):
         if abs(nc - 1.0) > 1e-12:
             raise GeometryError("tube critical planes require a direction orthogonal to the axis")
         sub = critical_planes(domain.cross_section, nuc / nc)
-        return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2,
-                              orthogonality_witness=sub.orthogonality_witness)
+        return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2)
 
     lam0 = domain.support_min(nu)
     if lam0 is None:
@@ -535,13 +506,12 @@ def critical_planes(domain, nu):
             lambda lam: _reflected_cap_contained(domain, nu, lam, ends, slack),
             lam0 + tol, lam0 + diam, tol,
         ))
-    Lam2, ow = _orthogonality_plane(domain, nu)
+    Lam2 = _orthogonality_plane(domain, nu)
     # snap tiny bisection residue so the Lam0 <= Lam2 invariant is not
     # tripped by one half-tolerance of slack
     if Lam0 > Lam2 and Lam0 - Lam2 < 4 * tol:
         Lam0 = Lam2
-    return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2,
-                          orthogonality_witness=ow)
+    return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2)
 
 
 def domain_to_json(domain):

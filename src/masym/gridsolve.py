@@ -83,9 +83,6 @@ class FdParams:
         if not (typed(self.max_newton, numbers.Integral) and self.max_newton >= 1):
             raise ValueError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
     @staticmethod
     def from_json(obj):
         return FdParams(**obj)
@@ -221,34 +218,14 @@ class StencilGrid:
         """Every stencil second difference of ``u``, shape (pairs, 2, N).
 
         One gather from ``append(u, c)`` reads all arm values; index -1
-        picks up the boundary constant.  The arithmetic is that of
-        :meth:`second_difference`, so the values are bit-identical.
+        picks up the boundary constant.  Along direction v with arms
+        rho+ and rho- the value is the cut-cell second difference
+        K ((u+ - u) / rho+ + (u- - u) / rho-), K = 2 / ((rho+ + rho-) |v|^2 h^2).
         """
         D = len(self._K)
         g = np.append(u, c)[self._nbr]
         val = self._K * ((g[:D] - u) / self._rho[:D] + (g[D:] - u) / self._rho[D:])
         return val.reshape(len(self.pairs), 2, self.n_nodes)
-
-    def second_difference(self, v, u, c):
-        """Cut-cell second difference along v for interior values u, boundary c.
-
-        Returns (value, coeff_center, coeff_plus, coeff_minus, nbr_plus,
-        nbr_minus); the coefficient arrays define the linear dependence on
-        the unknowns (boundary arms contribute constants).  The solver
-        reads the stacked tables instead; this per-direction form is the
-        reference the tests compare them against.
-        """
-        np_, rp = self.arms(v)
-        nm, rm = self.arms((-v[0], -v[1]))
-        ell2 = (self.h ** 2) * (v[0] ** 2 + v[1] ** 2)
-        K = 2.0 / ((rp + rm) * ell2)
-        gp = np.where(np_ >= 0, u[np.maximum(np_, 0)], c)
-        gm = np.where(nm >= 0, u[np.maximum(nm, 0)], c)
-        val = K * ((gp - u) / rp + (gm - u) / rm)
-        cc = -K * (1.0 / rp + 1.0 / rm)
-        cp = np.where(np_ >= 0, K / rp, 0.0)
-        cm = np.where(nm >= 0, K / rm, 0.0)
-        return val, cc, cp, cm, np_, nm
 
 
 def _ma_and_active(grid, u, c):

@@ -8,7 +8,7 @@ determinant difference through the matrix mean value identity
     det(H_refl) - det(H) = tr(A (H_refl - H)),
     A = integral_0^1 adj((1-t) H_refl + t H) dt,
 
-whose integrand entries are polynomials of degree n-1 in t, so a fixed
+whose integrand is linear in t for 2x2 Hessians, so a fixed
 Gauss-Legendre rule evaluates the integral exactly.  On top of the
 frames sit certificates: cap monotonicity, mirror symmetry, a Hopf
 boundary derivative check, tube corner cross-derivatives and an audit
@@ -23,7 +23,6 @@ and its positivity flag) runs in closed form on per-entry arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,9 +36,6 @@ __all__ = [
     "MovingPlaneFrame",
     "LinearizationFields",
     "MovingPlaneReport",
-    "adjugate",
-    "det_gradient",
-    "mean_value_matrix",
     "build_frame",
     "linearize",
     "verify_elliptic_inequality",
@@ -53,46 +49,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # matrix algebra helpers
-
-def adjugate(M):
-    """Adjugate (transposed cofactor matrix), batched over leading axes."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    if M.shape[-2] != n:
-        raise ValueError("adjugate needs square matrices")
-    if n == 1:
-        return np.ones_like(M)
-    if n == 2:
-        out = np.empty_like(M)
-        out[..., 0, 0] = M[..., 1, 1]
-        out[..., 1, 1] = M[..., 0, 0]
-        out[..., 0, 1] = -M[..., 0, 1]
-        out[..., 1, 0] = -M[..., 1, 0]
-        return out
-    if n == 3:
-        out = np.empty_like(M)
-        for j in range(3):
-            for k in range(3):
-                r = [a for a in range(3) if a != k]
-                c = [a for a in range(3) if a != j]
-                minor = (M[..., r[0], c[0]] * M[..., r[1], c[1]]
-                         - M[..., r[0], c[1]] * M[..., r[1], c[0]])
-                out[..., j, k] = (-1.0) ** (j + k) * minor
-        return out
-    # generic fallback through explicit minors
-    out = np.empty_like(M)
-    idx = np.arange(n)
-    for j in range(n):
-        for k in range(n):
-            minor = M[..., idx != k, :][..., :, idx != j]
-            out[..., j, k] = (-1.0) ** (j + k) * np.linalg.det(minor)
-    return out
-
-
-def det_gradient(M):
-    """Entrywise derivative of the determinant: d det / d M_jk = cofactor_jk."""
-    return np.swapaxes(adjugate(M), -1, -2)
-
 
 @lru_cache(maxsize=None)
 def _gauss_legendre01(order):
@@ -123,33 +79,13 @@ def _reflect_hessian(Q, hxx, hxy, hyy):
             p10 * q00 + p11 * q10, p10 * q01 + p11 * q11)
 
 
-def mean_value_matrix(H_a, H_b, order=None):
-    """A = integral_0^1 adj((1-t) H_a + t H_b) dt by Gauss-Legendre.
-
-    Satisfies tr(A (H_b - H_a)) = det(H_b) - det(H_a) for any pair; with
-    order >= n the rule is exact because the integrand is polynomial of
-    degree n-1 in t.
-    """
-    H_a = np.asarray(H_a, dtype=float)
-    H_b = np.asarray(H_b, dtype=float)
-    n = H_a.shape[-1]
-    if order is None:
-        order = max(4, n + 1)
-    t, w = _gauss_legendre01(int(order))
-    A = np.zeros_like(H_a)
-    for tk, wk in zip(t, w):
-        A += wk * adjugate((1.0 - tk) * H_a + tk * H_b)
-    return A
-
-
 # ---------------------------------------------------------------------------
 # discrete derivative fields
 
 def _derivative_fields(sol, i):
-    """Dense centered-difference derivatives of component i.
-
-    Derivatives are taken on the ghost-extended array, so they are only
-    trustworthy where :attr:`_SolutionData.valid` holds.
+    """Dense E, ux, uy, uxx, uyy, uxy of component i: the ghost-extended
+    array and its centered differences, trustworthy only at the valid
+    nodes of :attr:`_SolutionData.stack`.
     """
     h = sol.grid.h
     E = sol.extended_array(i)
@@ -161,48 +97,19 @@ def _derivative_fields(sol, i):
     uxx[1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
     uyy[:, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
     uxy[1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4 * h ** 2)
-    return {"E": E, "ux": ux, "uy": uy, "uxx": uxx, "uyy": uyy, "uxy": uxy}
-
-
-_FIELDS = ("E", "ux", "uy", "uxx", "uyy", "uxy")
+    return E, ux, uy, uxx, uyy, uxy
 
 
 class _SolutionData:
     """Plane-independent data of one solution, each piece built on first use.
 
     A sweep makes one and hands it to every frame and certificate, so
-    the derivative fields, the discrete operator of the unreflected
-    fields and :attr:`stack`, the one table that :func:`_bilinear`
-    gathers every interpolated field from, are built once per solution
-    instead of once per plane position.
+    :attr:`stack`, the one table that every field is read from, is built
+    once per solution instead of once per plane position.
     """
 
     def __init__(self, solution):
         self.solution = solution
-
-    @cached_property
-    def derivs(self):
-        """Per component: :func:`_derivative_fields` of the ghost-extended array."""
-        return [_derivative_fields(self.solution, i) for i in range(self.solution.m)]
-
-    @cached_property
-    def valid(self):
-        """Dense mask of the nodes whose full 3x3 neighborhood lies inside
-        the domain, so that no extrapolated ghost value enters a derivative
-        there; it depends on the grid alone, so it serves every component."""
-        ins = self.solution.grid.inside
-        valid = np.zeros_like(ins)
-        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
-                             & ins[1:-1, 2:] & ins[1:-1, :-2]
-                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
-        return valid
-
-    @cached_property
-    def det_op(self):
-        """(m, N) discrete operator values of the unreflected fields."""
-        sol = self.solution
-        return np.stack([_ma_and_active(sol.grid, u, c)[0]
-                         for u, c in zip(sol.fields, sol.cs)])
 
     @cached_property
     def node_rows(self):
@@ -217,22 +124,32 @@ class _SolutionData:
 
     @cached_property
     def stack(self):
-        """(7m + 1, nx*ny) table of every field :func:`_bilinear` reads.
+        """(7m + 1, nx*ny) table of every field a frame or certificate reads.
 
         Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
-        :data:`_FIELDS` order), row 6m the validity mask as 0/1
-        and the last m rows the operator fields, NaN off the interior
-        nodes so that an interpolant touching an exterior node is NaN.
-        One field per row keeps each gathered field contiguous.
+        order of :func:`_derivative_fields`), row 6m the validity mask
+        as 0/1 and the last m rows the discrete operator of the
+        unreflected fields, NaN off the interior nodes so that an
+        interpolant touching an exterior node is NaN.  A node is valid
+        when its full 3x3 neighborhood lies inside the domain, so that no
+        extrapolated ghost value enters a derivative there.  One field per
+        row keeps each gathered field contiguous; :func:`_bilinear` reads
+        it between nodes and a column gather at ``node_rows`` at them.
         """
-        g = self.solution.grid
-        m = self.solution.m
+        sol = self.solution
+        g, m = sol.grid, sol.m
         stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
-        for i, f in enumerate(self.derivs):
-            for k, name in enumerate(_FIELDS):
-                stack[6 * i + k] = f[name].reshape(-1)
-        stack[6 * m] = self.valid.reshape(-1)
-        stack[6 * m + 1:, self.node_rows] = self.det_op
+        for i in range(m):
+            for k, field in enumerate(_derivative_fields(sol, i)):
+                stack[6 * i + k] = field.reshape(-1)
+        ins = g.inside
+        valid = np.zeros_like(ins)
+        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
+                             & ins[1:-1, 2:] & ins[1:-1, :-2]
+                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
+        stack[6 * m] = valid.reshape(-1)
+        stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
+                                             for u, c in zip(sol.fields, sol.cs)]
         return stack
 
 
@@ -308,10 +225,6 @@ class MovingPlaneFrame:
     @property
     def empty(self):
         return len(self.node_idx) == 0
-
-    def on_plane(self):
-        """Mask of frame nodes lying on the plane (within 1e-9 h)."""
-        return np.abs(self.xy @ self.nu - self.lam) <= self.grid.h * 1e-9
 
 
 def build_frame(solution, nu, lam, *, _data=None):
@@ -400,7 +313,7 @@ def linearize(frame, system):
     """Mean-value matrices, Lipschitz coefficients and coupling quotients.
 
     A^i comes from the Hessian pair (reflected, original) by the
-    :data:`_QUAD_ORDER`-node rule of :func:`mean_value_matrix`; B^i points
+    :data:`_QUAD_ORDER`-node Gauss-Legendre rule, entry by entry; B^i points
     along grad U with the declared gradient Lipschitz constant as length
     (zero where grad U vanishes); c^i is the declared own-component
     constant; d_ij is the difference quotient of f^i along unknown j,
@@ -416,8 +329,8 @@ def linearize(frame, system):
     t_nodes, t_weights = _gauss_legendre01(_QUAD_ORDER)
     for i in range(m):
         Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
-        # mean_value_matrix entry by entry, in its order of operations; a
-        # quadrature node whose integrand is not PD flags the node
+        # sum w_k adj((1 - t_k) Ha + t_k Hb) per entry; a quadrature node
+        # whose integrand is not PD flags the node
         a00 = a01 = a10 = a11 = 0.0
         bad = np.zeros(K, dtype=bool)
         for tk, wk in zip(t_nodes, t_weights):
@@ -462,21 +375,23 @@ def verify_elliptic_inequality(lin, frame):
     Checked at cap nodes with trustworthy derivatives and a finite
     reflected operator (``frame.op_ok``).  The tolerance is 10 h^2 times
     a local determinant scale; nodes breaking the inequality beyond it
-    are counted and the worst one is reported.
+    are counted and the worst one is reported.  With no such node the
+    report carries ``"verdict": "not-applicable"`` instead of ``passed``.
 
     The trace term is the determinant difference of the discrete
     wide-stencil operator, ``det_op_lam - det_op``; the two are equal by
-    the mean value identity, which is audited separately at machine
-    precision.  Both operator values come from the one operator field
-    of the solution, so its directional resolution bias cancels between
-    a node and its reflection, unlike that of raw Hessian determinants.
+    the mean value identity, which acceptance criterion 06 audits on the
+    ``lin.A`` of :func:`linearize` to a relative 1e-10.  Both operator
+    values come from the one operator field of the solution, so its
+    directional resolution bias cancels between a node and its
+    reflection, unlike that of raw Hessian determinants.
     """
     g = frame.grid
     ok = frame.deriv_ok & frame.op_ok
     report = {"tolerance_rule": "10*h^2*scale", "h": g.h, "components": [],
               "n_nodes": int(ok.sum()), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
-              "d_nonpositive": bool(np.all(lin.d[:, :, ok] <= 1e-12)) if ok.any() else True}
+              "d_nonpositive": bool(np.all(lin.d[:, :, ok] <= 1e-12))}
     for i in range(frame.m):
         lhs = (frame.det_op_lam[i] - frame.det_op[i]
                + np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
@@ -499,7 +414,11 @@ def verify_elliptic_inequality(lin, frame):
         report["total_violations"] += entry["violations"]
     if not np.isfinite(report["worst_margin"]):
         report["worst_margin"] = 0.0
-    report["passed"] = report["total_violations"] == 0
+    if ok.any():
+        report["passed"] = report["total_violations"] == 0
+    else:
+        # an audit of no node certifies nothing
+        report["verdict"] = "not-applicable"
     return report
 
 
@@ -519,14 +438,13 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
     h = g.h
     out = {"direction": [float(v) for v in nu], "Lam0": float(planes.Lam0),
            "components": [], "passed": True}
-    ij = g.node_ij
-    ok = data.valid[ij[:, 0], ij[:, 1]] & (g.node_xy @ nu < planes.Lam0 - h)
-    for i in range(solution.m):
-        f = data.derivs[i]
-        dnu = (f["ux"][ij[:, 0], ij[:, 1]] * nu[0]
-               + f["uy"][ij[:, 0], ij[:, 1]] * nu[1])
-        scale = np.maximum(1.0, np.hypot(f["ux"][ij[:, 0], ij[:, 1]],
-                                         f["uy"][ij[:, 0], ij[:, 1]]))
+    m = solution.m
+    at_node = np.take(data.stack, data.node_rows, axis=1)
+    ok = (at_node[6 * m] == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
+    for i in range(m):
+        ux, uy = at_node[6 * i + 1], at_node[6 * i + 2]
+        dnu = ux * nu[0] + uy * nu[1]
+        scale = np.maximum(1.0, np.hypot(ux, uy))
         margin = (10.0 * h ** 2) * scale
         viol = ok & (dnu > -margin)
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
@@ -632,11 +550,11 @@ def boundary_checks(solution, *, _data=None):
                       "min": min(e["min_normal_derivative"] for e in entries),
                       "passed": all(e["passed"] for e in entries)}
     lap_entries = []
-    ij = g.node_ij
-    ok = data.valid[ij[:, 0], ij[:, 1]]
-    for i in range(solution.m):
-        f = data.derivs[i]
-        lap = f["uxx"][ij[:, 0], ij[:, 1]] + f["uyy"][ij[:, 0], ij[:, 1]]
+    m = solution.m
+    at_node = np.take(data.stack, data.node_rows, axis=1)
+    ok = at_node[6 * m] == 1.0
+    for i in range(m):
+        lap = at_node[6 * i + 3] + at_node[6 * i + 4]
         lap_entries.append({"component": i + 1,
                             "min_laplacian": float(np.min(lap[ok])),
                             "passed": bool(np.min(lap[ok]) > 0.0)})
@@ -698,9 +616,6 @@ class MovingPlaneReport:
             "passed": self.passed,
         }
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
@@ -712,11 +627,10 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
 
     Everything that does not depend on the plane position is computed
     once per call and shared by every frame, the symmetry frame, the
-    monotonicity certificate and the boundary checks: the derivative
-    fields of the ghost-extended arrays, the validity mask, the
-    discrete operator of the unreflected fields, which gives every frame
-    its reflected operator, and the stacked table that every bilinear
-    read gathers from.
+    monotonicity certificate and the boundary checks: the stacked table
+    of the derivative fields of the ghost-extended arrays, the validity
+    mask and the discrete operator of the unreflected fields, which
+    gives every frame its reflected operator.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")

@@ -26,6 +26,7 @@ whose determinant n^2 - a*b vanishes exactly where no solution exists.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -78,19 +79,6 @@ class RadialProfile:
         self.u = np.asarray(self.u, dtype=float)
         self.du = np.asarray(self.du, dtype=float)
 
-    def validate(self):
-        """Raise ValueError unless this is a convex profile on a grid from 0,
-        up to a slack of 1e-9, with u(R) = c exactly."""
-        tol = 1e-9
-        if self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
-            raise ValueError("radius grid must be strictly increasing from 0")
-        if np.any(self.du < -tol) or abs(self.du[0]) > tol:
-            raise ValueError("radial derivative must be nonnegative with u'(0) = 0")
-        if np.any(np.diff(self.du) < -tol * max(1.0, float(np.max(np.abs(self.du))))):
-            raise ValueError("radial derivative must be non-decreasing (convexity)")
-        if self.u[-1] != self.c:
-            raise ValueError("u(R) must equal the boundary value exactly")
-
     @property
     def R(self):
         return float(self.r[-1])
@@ -121,11 +109,10 @@ def _cumtrapz(y, r):
     return np.concatenate([[0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def radial_ma_operator(profile, k=None):
-    """det D^2 u at grid node(s) k of a radial profile.
+def radial_ma_operator(profile):
+    """det D^2 u at every grid node of a radial profile.
 
-    Returns the full array when k is None.  At r = 0 the operator
-    degenerates to u''(0)^n.
+    At r = 0 the operator degenerates to u''(0)^n.
     """
     r, du, n = profile.r, profile.du, profile.n
     ddu = np.gradient(du, r, edge_order=2)
@@ -133,7 +120,7 @@ def radial_ma_operator(profile, k=None):
         ratio = np.where(r > 0, du / np.where(r > 0, r, 1.0), ddu)
     vals = ddu * ratio ** (n - 1)
     vals[0] = ddu[0] ** n
-    return vals if k is None else float(vals[k])
+    return vals
 
 
 # the fixed points below average each new iterate half and half with the
@@ -231,11 +218,13 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     Returns a pair of profiles (u1, u2), both negative inside with zero
     boundary values, or :class:`NoSolution` when alpha*beta is the square
     of the dimension or the amplitudes overflow or underflow a float.
-    Raises :class:`SolverDivergence` when a half-step's amplitude or the
-    start profile built from R leaves the float64 range.
+    Raises :class:`SolverDivergence` when R^(n+1), a half-step's
+    amplitude or the residual check leaves the float64 range.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError(f"alpha and beta must be positive and finite, got {alpha!r}, {beta!r}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R!r}")
     if n < 1:
         raise ValueError(f"dimension n must be at least 1, got {n}")
     if grid_size < 6:
@@ -246,20 +235,20 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
             "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",
             RuntimeWarning, stacklevel=2)
     history = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.linspace(0.0, R, grid_size + 1)
-        if init is not None:
-            start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
-                                  du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
-        else:
-            # r[-1] = R as a float64, whose square overflows to inf, not an error
-            start = RadialProfile(r=r, u=0.5 * (r ** 2 - r[-1] ** 2), du=r.copy(), n=n, c=0.0)
-    if not (np.all(np.isfinite(start.u)) and np.all(np.isfinite(start.du))
-            and np.max(-start.u) > 0):
-        if init is not None:
-            raise ValueError("init[0] must be finite and negative somewhere")
-        raise SolverDivergence(f"the start profile for R = {R!r} leaves the float64 range",
+    # a half-step integrates n s^(n-1) (s - r_k) ds up to R, which reaches
+    # R^(n+1); below that bound the start profile and every unit half-step fit
+    if (n + 1) * math.log(R) >= math.log(sys.float_info.max):
+        raise SolverDivergence(f"R^(n+1) for R = {R!r}, n = {n} leaves the float64 range",
                                history)
+    r = np.linspace(0.0, R, grid_size + 1)
+    if init is None:
+        start = RadialProfile(r=r, u=0.5 * (r ** 2 - r[-1] ** 2), du=r.copy(), n=n, c=0.0)
+    else:
+        start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
+                              du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
+        if not (np.all(np.isfinite(start.u)) and np.all(np.isfinite(start.du))
+                and np.max(-start.u) > 0):
+            raise ValueError("init[0] must be finite and negative somewhere")
     v1, _ = _unit(start, history)
 
     # the half-steps are homogeneous, T(s*u) = s^(e/n) T(u), so only the
@@ -298,9 +287,14 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     for i, (prof, expo, other) in enumerate(((v1, alpha, v2), (v2, beta, v1))):
         if np.any(prof.u[:-1] >= 0):
             raise SolverDivergence("converged iterate is not negative inside", history)
-        resid = (radial_ma_operator(prof)
-                 - np.exp(log_mu[i]) * np.maximum(-other.u, 0.0) ** expo)
+        # for a large n, (u'/r)^(n-1) or mu_i overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = (radial_ma_operator(prof)
+                     - np.exp(log_mu[i]) * np.maximum(-other.u, 0.0) ** expo)
         worst = float(np.max(np.abs(resid[3:-3])))
+        if not math.isfinite(worst):
+            raise SolverDivergence(f"coupled residual of the unit profile for n = {n} leaves "
+                                   "the float64 range", history)
         log_allowed = log_bound + max(-n * log_t[i], log_mu[i])
         with np.errstate(divide="ignore"):
             passed = np.log(worst) <= log_allowed

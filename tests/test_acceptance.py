@@ -18,8 +18,7 @@ from masym.domains import Ball, Ellipse, critical_planes
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, solve_scalar_fd, solve_system_fd
 from masym.movingplane import (build_frame, certify_monotonicity,
-                               certify_symmetry, det_gradient, lambda_sweep,
-                               mean_value_matrix)
+                               certify_symmetry, lambda_sweep, linearize)
 from masym.radial import (NoSolution, solve_coupled_radial, solve_scalar_radial,
                           uniqueness_probe)
 from masym.rhs import RhsSystem, check_hypotheses, d_ij, power_coupled_system
@@ -40,6 +39,28 @@ def coupled64():
     t0 = time.perf_counter()
     sol = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), P64)
     return sol, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def coupled64_linearized(coupled64):
+    """(frame, linearization) of the coupled solution at five planes along e1."""
+    sol, _ = coupled64
+    system = power_coupled_system(1.0, 1.0)
+    frames = [build_frame(sol, [1.0, 0.0], lam) for lam in (-0.9, -0.6, -0.3, -0.1, 0.0)]
+    return [(frame, linearize(frame, system)) for frame in frames]
+
+
+def _unflagged(frame, lin, i):
+    """deriv_ok nodes of component i whose mean-value integrand is positive
+    definite at every quadrature node, so linearize kept its A unshifted."""
+    H_lam, H_u = frame.hess_u_lam[i], frame.hess_u[i]
+    ok = frame.deriv_ok.copy()
+    for tk in 0.5 * (np.polynomial.legendre.leggauss(lin.quad_order)[0] + 1.0):
+        M = (1.0 - tk) * H_lam + tk * H_u
+        ok &= ((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0)
+               & (M[:, 0, 0] + M[:, 1, 1] > 0))
+    assert int(np.sum(frame.deriv_ok & ~ok)) == lin.n_flagged[i]
+    return ok
 
 
 @pytest.fixture(scope="module")
@@ -101,46 +122,50 @@ def test_criterion_05_symmetry_certification():
                   f"monotonicity violations {mono['components'][0]['violations']}")
 
 
-def test_criterion_06_mean_value_identity(coupled64):
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for n in (2, 3):
-        A_ = rng.normal(size=(100, n, n))
-        Ha = A_ @ np.swapaxes(A_, -1, -2) + 0.1 * np.eye(n)
-        B_ = rng.normal(size=(100, n, n))
-        Hb = B_ @ np.swapaxes(B_, -1, -2) + 0.1 * np.eye(n)
-        A = mean_value_matrix(Ha, Hb, order=n + 1)
-        lhs = np.einsum("kab,kab->k", A, Hb - Ha)
-        rhs = np.linalg.det(Hb) - np.linalg.det(Ha)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)
-                                        / np.maximum(1.0, np.abs(rhs)))))
-    sol, _ = coupled64
-    frame = build_frame(sol, [1.0, 0.0], -0.3)
-    okn = frame.deriv_ok
-    Af = mean_value_matrix(frame.hess_u[0][okn], frame.hess_u_lam[0][okn])
-    lhs = np.einsum("kab,kab->k", Af, frame.hess_U[0][okn])
+def test_criterion_06_mean_value_identity(coupled64_linearized):
+    """tr(A (H_u - H_lam)) = det H_u - det H_lam on the A of linearize."""
+    worst, n_nodes, n_flagged = 0.0, 0, 0
+    for frame, lin in coupled64_linearized:
+        for i in range(frame.m):
+            ok = _unflagged(frame, lin, i)
+            n_nodes += int(ok.sum())
+            n_flagged += lin.n_flagged[i]
+            H_lam, H_u = frame.hess_u_lam[i][ok], frame.hess_u[i][ok]
+            lhs = np.einsum("kab,kab->k", lin.A[i][ok], H_u - H_lam)
+            rhs = np.linalg.det(H_u) - np.linalg.det(H_lam)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs)
+                                            / np.maximum(1.0, np.abs(rhs)))))
+    frame, lin = coupled64_linearized[2]
+    okn = _unflagged(frame, lin, 0)
+    lhs = np.einsum("kab,kab->k", lin.A[0][okn], frame.hess_U[0][okn])
     rhs = (np.linalg.det(frame.hess_u_lam[0][okn])
            - np.linalg.det(frame.hess_u[0][okn]))
     field_worst = float(np.max(np.abs(lhs - rhs)))
-    ok = worst <= 1e-10 and field_worst <= 10.0 * H ** 2
-    report(6, ok, f"random SPD rel err {worst:.2e}, solved field {field_worst:.2e}")
+    ok = n_nodes > 0 and worst <= 1e-10 and field_worst <= 10.0 * H ** 2
+    report(6, ok, f"rel err {worst:.2e} on {n_nodes} nodes ({n_flagged} flagged), "
+                  f"solved field at lambda = -0.3 {field_worst:.2e}")
 
 
-def test_criterion_07_determinant_derivative():
-    rng = np.random.default_rng(7)
-    A_ = rng.normal(size=(1000, 2, 2))
-    M = A_ @ np.swapaxes(A_, -1, -2) + 0.1 * np.eye(2)
-    G = det_gradient(M)
+def test_criterion_07_determinant_derivative(coupled64_linearized):
+    """d det / dM at M = (H_u + H_lam) / 2 is the transpose of the A of
+    linearize: the integrand is linear in t, so A = adj M."""
     eps = 1e-6
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            E = np.zeros((2, 2))
-            E[a, b] = eps
-            fd = (np.linalg.det(M + E) - np.linalg.det(M - E)) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(fd - G[:, a, b])
-                                            / np.maximum(1.0, np.abs(fd)))))
-    report(7, worst <= 1e-6, f"finite-difference mismatch {worst:.2e} on 1000 SPD")
+    worst, n_nodes = 0.0, 0
+    for frame, lin in coupled64_linearized:
+        for i in range(frame.m):
+            ok = _unflagged(frame, lin, i)
+            n_nodes += int(ok.sum())
+            M = 0.5 * (frame.hess_u[i][ok] + frame.hess_u_lam[i][ok])
+            G = np.swapaxes(lin.A[i][ok], -1, -2)
+            for a in range(2):
+                for b in range(2):
+                    E = np.zeros((2, 2))
+                    E[a, b] = eps
+                    fd = (np.linalg.det(M + E) - np.linalg.det(M - E)) / (2 * eps)
+                    worst = max(worst, float(np.max(np.abs(fd - G[:, a, b])
+                                                    / np.maximum(1.0, np.abs(fd)))))
+    report(7, n_nodes > 0 and worst <= 1e-6,
+           f"finite-difference mismatch {worst:.2e} on {n_nodes} nodes")
 
 
 def test_criterion_08_critical_planes():

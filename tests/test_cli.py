@@ -109,11 +109,16 @@ def _strict_json(path):
     ({"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "R": 1e300}, 3),
     ({"command": "sweep-trichotomy", "pairs": [[1, float("inf")]]}, 2),
     ({"command": "solve-radial", "alpha": True, "beta": 2.0}, 2),
-], ids=["alpha-inf", "alpha-1e300", "R-1e300", "pair-inf", "alpha-true"])
+    ({"command": "solve-radial", "alpha": 1.0, "beta": 1.0, "R": 1e150}, 3),
+    ({"command": "solve-radial", "alpha": 1.0, "beta": 1.0, "n": 1000000}, 3),
+], ids=["alpha-inf", "alpha-1e300", "R-1e300", "pair-inf", "alpha-true", "R-1e150",
+        "n-1e6"])
 def test_nonfinite_or_huge_radial_input_is_a_documented_exit(tmp_path, capsys, cfg, code):
-    """Infinite and boolean numbers are config errors; a finite exponent or
-    radius too large for a float is a solver divergence.  Either way no
-    traceback, no lock, and every JSON written parses strictly."""
+    """Infinite and boolean numbers are config errors; a finite exponent,
+    radius or dimension too large for a float is a solver divergence, with
+    no numpy warning (the suite turns RuntimeWarning into an error).
+    Either way no traceback, no lock, and every JSON written parses
+    strictly."""
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, cfg), "--out", str(out),
                  "--quiet"]) == code
@@ -304,6 +309,26 @@ def test_linearize_command(tmp_path):
     rep = read_json(out / "linearization.json")
     assert rep["elliptic_inequality"]["total_violations"] == 0
     assert (out / "linearization.csv").exists()
+
+
+LINEARIZE_CFG = {
+    "command": "linearize",
+    "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "system": {"alpha": 1.0, "beta": 1.0},
+    "cs": [0.0, 0.0],
+    "params": {"h": 0.125},
+}
+
+
+@pytest.mark.parametrize("lam", [1e300, -1.5, 1.0 + 1e-9])
+def test_linearize_plane_outside_the_domain_extent_is_a_config_error(tmp_path, capsys, lam):
+    """A plane past the bounding box along nu cuts no cap worth auditing: the
+    config is rejected before anything is solved or written."""
+    cfg = write_config(tmp_path, dict(LINEARIZE_CFG, **{"lambda": lam}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "outside the domain's extent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_locked_output_directory_rejected(tmp_path):

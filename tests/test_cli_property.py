@@ -41,39 +41,72 @@ def _cheap_configs():
     return st.one_of(radial, hypotheses, grid)
 
 
+def _positive_finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 @st.composite
 def _mutated_configs(draw):
-    """A cheap config, then at most one bad key or value, at top level or nested."""
+    """A cheap config, then at most one bad key or value, at top level or
+    nested; and whether the config must be rejected, which it must when an
+    exponent, in ``system`` or not, got a value that is not a positive
+    finite number."""
     cfg = json.loads(json.dumps(draw(_cheap_configs())))
     target = draw(st.sampled_from([cfg] + [v for v in cfg.values() if isinstance(v, dict)]))
     how = draw(st.sampled_from(["none", "value", "delete", "unknown"]))
     # params and its h stay, bad or not: the default h = 1/64 makes a slow solve
     key = draw(st.sampled_from(sorted(k for k in target if k != "params")
                                + ["tol", "stencil_width", "max_newton"]))
+    rejected = False
     if how == "value":
         target[key] = draw(st.sampled_from(BAD_VALUES))
+        rejected = key in ("alpha", "beta") and not _positive_finite(target[key])
     elif how == "delete" and key != "h":
         target.pop(key, None)
     elif how == "unknown":
         target["bogus"] = draw(st.sampled_from(BAD_VALUES))
-    return cfg
+    return cfg, rejected
+
+
+def _run(cfg, tmp):
+    """Exit code, standard error and output directory of one run of ``cfg``."""
+    path = tmp / "config.json"
+    path.write_text(json.dumps(cfg, indent=1) + "\n")
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(out), "--quiet"])
+    return code, err.getvalue(), out
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_mutated_configs())
-def test_cli_outcome_is_always_an_exit_code(cfg):
+def test_cli_outcome_is_always_an_exit_code(case):
     """Random and mutated configs end in exit 0-3 with no traceback (an
     exception escaping main would be one), no leftover lock, and a manifest
-    exactly when the run finished (0 or 1)."""
+    exactly when the run finished (0 or 1); a bad exponent ends in exit 2."""
+    cfg, rejected = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg, indent=1) + "\n")
-        out = pathlib.Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["--config", str(path), "--out", str(out), "--quiet"])
+        code, err, out = _run(cfg, pathlib.Path(tmp))
         assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        assert code == 2 or not rejected
+        assert "Traceback" not in err
         assert not (out / ".lock").exists()
         assert (out / "manifest.json").exists() == (code in (0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_cheap_configs().filter(lambda cfg: "system" in cfg), st.sampled_from(["alpha", "beta"]),
+       st.sampled_from([v for v in BAD_VALUES if not _positive_finite(v)]))
+def test_bad_nested_exponent_is_a_config_error(cfg, key, value):
+    """An exponent in ``system`` that is not a positive finite number, a
+    boolean among them, ends in exit 2 before any output is written."""
+    cfg = json.loads(json.dumps(cfg))
+    cfg["system"][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = _run(cfg, pathlib.Path(tmp))
+        assert code == 2
+        assert f"{key} must be a positive finite number" in err
+        assert not out.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from masym.domains import (Ball, CriticalPlanes, Ellipse, GeometryError,
                            SmoothLevelSet, Tube, critical_planes, domain_from_json,
-                           domain_to_json, half_domain_mask, reflect_point)
+                           domain_to_json, reflect_point)
 
 
 def test_reflect_point_involution():
@@ -213,16 +213,6 @@ def test_symmetric_domains_take_their_centre_as_interior_point():
         np.testing.assert_array_equal(domain.interior_point, [0.0, 0.0])
     ellipse = Ellipse(center=(0.3, -0.2), semi_axes=(2.0, 0.5))
     np.testing.assert_allclose(ellipse.interior_point, [0.3, -0.2], atol=1e-15)
-
-
-def test_half_domain_mask():
-    b = Ball(center=(0.0, 0.0), radius=1.0)
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-1.0, 1.0, size=(200, 2))
-    mask = half_domain_mask(b, [1.0, 0.0], -0.25, pts)
-    keep = mask.mask
-    assert np.all(pts[keep, 0] < -0.25 + 1e-12)
-    assert np.all(np.linalg.norm(pts[keep], axis=1) < 1.0)
 
 
 def test_domain_json_roundtrip():

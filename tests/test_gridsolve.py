@@ -209,12 +209,33 @@ def _reference_arm(grid, v):
     return nbr, rho
 
 
+def second_difference(grid, v, u, c):
+    """Cut-cell second difference along v for interior values u, boundary c.
+
+    Returns (value, coeff_center, coeff_plus, coeff_minus, nbr_plus,
+    nbr_minus); the coefficient arrays define the linear dependence on
+    the unknowns (boundary arms contribute constants).  The per-direction
+    form is the reference for the stacked tables the solver reads.
+    """
+    np_, rp = grid.arms(v)
+    nm, rm = grid.arms((-v[0], -v[1]))
+    ell2 = (grid.h ** 2) * (v[0] ** 2 + v[1] ** 2)
+    K = 2.0 / ((rp + rm) * ell2)
+    gp = np.where(np_ >= 0, u[np.maximum(np_, 0)], c)
+    gm = np.where(nm >= 0, u[np.maximum(nm, 0)], c)
+    val = K * ((gp - u) / rp + (gm - u) / rm)
+    cc = -K * (1.0 / rp + 1.0 / rm)
+    cp = np.where(np_ >= 0, K / rp, 0.0)
+    cm = np.where(nm >= 0, K / rm, 0.0)
+    return val, cc, cp, cm, np_, nm
+
+
 def _reference_operator(grid, u, c):
     """Per-pair loop over second_difference: the operator without stacked tables."""
     vals = []
     for v, w in grid.pairs:
-        a = grid.second_difference(v, u, c)[0]
-        b = grid.second_difference(w, u, c)[0]
+        a = second_difference(grid, v, u, c)[0]
+        b = second_difference(grid, w, u, c)[0]
         vals.append(np.maximum(a, 0.0) * np.maximum(b, 0.0)
                     + np.minimum(a, 0.0) + np.minimum(b, 0.0))
     vals = np.stack(vals)
@@ -232,8 +253,8 @@ def _reference_rows(grid, entries):
     idx = np.arange(N)
     rows, cols, data = [], [], []
     for (v, w), sel, ga, gb in entries:
-        _, acc, acp, acm, anp, anm = grid.second_difference(v, np.zeros(N), 0.0)
-        _, bcc, bcp, bcm, bnp, bnm = grid.second_difference(w, np.zeros(N), 0.0)
+        _, acc, acp, acm, anp, anm = second_difference(grid, v, np.zeros(N), 0.0)
+        _, bcc, bcp, bcm, bnp, bnm = second_difference(grid, w, np.zeros(N), 0.0)
         for coeff, nbr, gain in ((acc, idx, ga), (acp, anp, ga), (acm, anm, ga),
                                  (bcc, idx, gb), (bcp, bnp, gb), (bcm, bnm, gb)):
             ok = sel & (nbr >= 0) & (coeff != 0.0)
@@ -247,8 +268,8 @@ def _reference_rows(grid, entries):
 def _reference_newton_matrix(grid, u, c, active, floor=1e-8):
     entries = []
     for k, (v, w) in enumerate(grid.pairs):
-        a = grid.second_difference(v, u, c)[0]
-        b = grid.second_difference(w, u, c)[0]
+        a = second_difference(grid, v, u, c)[0]
+        b = second_difference(grid, w, u, c)[0]
         entries.append(((v, w), active == k,
                         np.where(a > 0, np.maximum(np.maximum(b, 0.0), floor), 1.0),
                         np.where(b > 0, np.maximum(np.maximum(a, 0.0), floor), 1.0)))

@@ -6,10 +6,9 @@ import pytest
 from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes, reflect_point
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
-from masym.movingplane import (_SolutionData, _bilinear, adjugate, boundary_checks,
+from masym.movingplane import (MovingPlaneFrame, _SolutionData, _bilinear, boundary_checks,
                                build_frame, certify_monotonicity, certify_symmetry,
-                               det_gradient, lambda_sweep, linearize,
-                               mean_value_matrix, verify_elliptic_inequality,
+                               lambda_sweep, linearize, verify_elliptic_inequality,
                                write_heatmap_svg)
 from masym.rhs import RhsSystem, power_coupled_system
 
@@ -42,19 +41,35 @@ QUAD_SYSTEM = RhsSystem(components=(parse("4"),), n=2,
                         lipschitz_z=(0.0,), lipschitz_p=(0.0,))
 
 
+def _hessian_frame(H_lam, H):
+    """A one-component frame that carries only a Hessian pair per node,
+    reflected ``H_lam`` and original ``H``, so :func:`linearize` builds
+    A = integral_0^1 adj((1-t) H_lam + t H) dt for it."""
+    K = len(H)
+    zero, zero2 = np.zeros((1, K)), np.zeros((1, K, 2))
+    return MovingPlaneFrame(
+        nu=np.array([1.0, 0.0]), lam=0.0, grid=None, node_idx=np.arange(K),
+        xy=np.zeros((K, 2)), reflected_xy=np.zeros((K, 2)), deriv_ok=np.ones(K, bool),
+        n_exited=0, u=zero, u_lam=zero, U=zero, grad_u=zero2, grad_u_lam=zero2,
+        grad_U=zero2, hess_u=H[None], hess_u_lam=H_lam[None], hess_U=(H_lam - H)[None],
+        det_op=zero, det_op_lam=zero, op_ok=np.ones(K, bool))
+
+
 def test_adjugate_matches_det_times_inverse():
+    """For H_lam = H = M the mean-value matrix of linearize is adj M."""
     rng = np.random.default_rng(0)
-    for n in (2, 3, 4):
-        M = random_spd(rng, n, 20)
-        expected = np.linalg.det(M)[:, None, None] * np.linalg.inv(M)
-        assert np.allclose(adjugate(M), expected, atol=1e-10)
+    M = random_spd(rng, 2, 20)
+    lin = linearize(_hessian_frame(M, M), QUAD_SYSTEM)
+    expected = np.linalg.det(M)[:, None, None] * np.linalg.inv(M)
+    assert np.allclose(lin.A[0], expected, atol=1e-10)
 
 
 def test_det_gradient_finite_difference():
-    """d det / dM = adj(M)^T, checked entrywise against central differences."""
+    """d det / dM = adj(M)^T, checked entrywise against central differences
+    of det at M on the A that linearize builds for H_lam = H = M."""
     rng = np.random.default_rng(1)
     M = random_spd(rng, 2, 1000)
-    G = det_gradient(M)
+    G = np.swapaxes(linearize(_hessian_frame(M, M), QUAD_SYSTEM).A[0], -1, -2)
     eps = 1e-6
     worst = 0.0
     for a in range(2):
@@ -68,26 +83,16 @@ def test_det_gradient_finite_difference():
 
 
 def test_mean_value_identity_exact():
-    """tr(A (H_b - H_a)) equals det H_b - det H_a to quadrature precision."""
+    """tr(A (H - H_lam)) equals det H - det H_lam to quadrature precision
+    on the A that linearize builds."""
     rng = np.random.default_rng(2)
-    for n in (2, 3):
-        Ha = random_spd(rng, n, 100)
-        Hb = random_spd(rng, n, 100)
-        A = mean_value_matrix(Ha, Hb)
-        lhs = np.einsum("kab,kab->k", A, Hb - Ha)
-        rhs = np.linalg.det(Hb) - np.linalg.det(Ha)
-        rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-        assert np.max(rel) <= 1e-10
-
-
-def test_mean_value_order_controls_exactness():
-    rng = np.random.default_rng(3)
-    Ha, Hb = random_spd(rng, 3, 1), random_spd(rng, 3, 1)
-    A1 = mean_value_matrix(Ha, Hb, order=1)
-    lhs = np.einsum("kab,kab->k", A1, Hb - Ha)
-    rhs = np.linalg.det(Hb) - np.linalg.det(Ha)
-    # midpoint rule is not exact for the degree-2 integrand in 3-D
-    assert abs(lhs[0] - rhs[0]) > 1e-12
+    H_lam, H = random_spd(rng, 2, 100), random_spd(rng, 2, 100)
+    lin = linearize(_hessian_frame(H_lam, H), QUAD_SYSTEM)
+    assert lin.n_flagged == (0,)
+    lhs = np.einsum("kab,kab->k", lin.A[0], H - H_lam)
+    rhs = np.linalg.det(H) - np.linalg.det(H_lam)
+    rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    assert np.max(rel) <= 1e-10
 
 
 def test_frame_reflection_of_quadratic(quadratic):
@@ -105,9 +110,9 @@ def test_frame_reflection_of_quadratic(quadratic):
 
 def test_frame_on_plane_difference_vanishes(quadratic):
     frame = build_frame(quadratic, [1.0, 0.0], -0.25)
-    onp = frame.on_plane()
-    if onp.any():
-        assert np.max(np.abs(frame.U[0, onp])) <= 1e-10
+    onp = np.abs(frame.xy @ frame.nu - frame.lam) <= frame.grid.h * 1e-9
+    assert onp.any()
+    assert np.max(np.abs(frame.U[0, onp])) <= 1e-10
 
 
 def test_symmetric_plane_zero_difference(quadratic):
@@ -123,6 +128,17 @@ def test_elliptic_inequality_quadratic(quadratic):
     assert rep["passed"]
     assert rep["total_violations"] == 0
     assert rep["d_nonpositive"]
+
+
+def test_elliptic_inequality_of_an_empty_cap_is_not_applicable(quadratic):
+    """A plane at the first touch keeps no cap node: the audit certifies
+    nothing, so it carries no pass."""
+    frame = build_frame(quadratic, [1.0, 0.0], -1.0)
+    assert frame.empty
+    rep = verify_elliptic_inequality(linearize(frame, QUAD_SYSTEM), frame)
+    assert rep["verdict"] == "not-applicable"
+    assert "passed" not in rep
+    assert rep["n_nodes"] == 0 and rep["total_violations"] == 0
 
 
 def test_linearization_matrices_positive(quadratic):
@@ -367,8 +383,9 @@ def test_bilinear_kernel_matches_scipy(domain):
 
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (np.cos(0.4), np.sin(0.4))], ids=["axis", "oblique"])
 def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
-    """The entrywise quadrature in linearize is mean_value_matrix to the bit,
-    and it flags the nodes the stacked integrand test flags."""
+    """The quadrature in linearize gives adj((H_lam + H) / 2), which is the
+    mean-value matrix exactly because the integrand is linear in t, and it
+    flags the nodes the stacked integrand test flags."""
     system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)
     lam = 0.5 * (planes.lam0 + planes.Lam0)
@@ -385,8 +402,12 @@ def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
                 bad |= ~((det > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
             bad &= frame.deriv_ok
             assert lin.n_flagged[i] == int(bad.sum())
-            expected = mean_value_matrix(Ha, Hb, order=lin.quad_order)
-            np.testing.assert_array_equal(lin.A[i][~bad], expected[~bad])
+            M = 0.5 * (Ha + Hb)
+            expected = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], axis=-1),
+                                 np.stack([-M[:, 1, 0], M[:, 0, 0]], axis=-1)], axis=-2)
+            # four weighted sums round each entry: a few ulps of the largest
+            np.testing.assert_allclose(lin.A[i][~bad], expected[~bad], rtol=0.0,
+                                       atol=4 * np.finfo(float).eps * np.max(np.abs(M)))
             assert np.all(np.linalg.eigvalsh(lin.A[i][bad]) > 0.0)
     assert sum(lin.n_flagged) > 0
 

