@@ -121,8 +121,8 @@ def load_config(path):
     for key, least in (("seed", 0), ("n", 1), ("grid_size", 6), ("samples", 1),
                        ("n_lambdas", 2)):
         value = cfg.get(key, least)
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
-            raise bad(key, f"an integer >= {least}")
+        if not (isinstance(value, int) and _finite(value) and value >= least):
+            raise bad(key, f"an integer >= {least} that a float64 holds")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
@@ -295,15 +295,30 @@ def _grid_solution(cfg):
     return domain, system, solve_system_fd(domain, system, cfg["cs"], cfg["params"])
 
 
+def _sweep_counts(history):
+    return {"sweeps": len(history),
+            "factorizations": sum(r["factorizations"] for r in history)}
+
+
+def _no_grid_solution(res, emit):
+    """Write the summary of a grid solve that found no solution; exit status 0."""
+    _json_dump({"outcome": "no-solution", "reason": res.reason,
+                "drift_sign": res.drift_sign, **_sweep_counts(res.history)},
+               emit.path("summary.json"))
+    emit.say(f"no grid solution: {res.reason}")
+    return 0
+
+
 def cmd_solve_grid(cfg, emit, seed):
     domain, system, sol = _grid_solution(cfg)
+    if isinstance(sol, NoSolution):
+        return _no_grid_solution(sol, emit)
     write_solution_csv(sol, emit.path("solution.csv"))
     write_solution_binary(sol, emit.path("solution.bin"))
-    _json_dump({"domain": domain_to_json(domain), "system": system.to_json(),
-                "h": sol.grid.h, "n_nodes": sol.grid.n_nodes,
+    _json_dump({"outcome": "solution", "domain": domain_to_json(domain),
+                "system": system.to_json(), "h": sol.grid.h, "n_nodes": sol.grid.n_nodes,
                 "min": [float(np.min(f)) for f in sol.fields],
-                "convex": list(sol.convex), "sweeps": len(sol.history),
-                "factorizations": sum(r["factorizations"] for r in sol.history)},
+                "convex": list(sol.convex), **_sweep_counts(sol.history)},
                emit.path("summary.json"))
     emit.say(f"grid solution on {sol.grid.n_nodes} nodes, "
              f"min values {[round(float(np.min(f)), 6) for f in sol.fields]}")
@@ -329,6 +344,8 @@ def cmd_certify(cfg, emit, seed):
         domain, system, sol = _quadratic_fixture(cfg)
     else:
         domain, system, sol = _grid_solution(cfg)
+        if isinstance(sol, NoSolution):
+            return _no_grid_solution(sol, emit)
     nu = cfg["nu"]
     planes = critical_planes(domain, nu)
     report = lambda_sweep(sol, nu, planes, int(cfg.get("n_lambdas", 16)),
@@ -376,6 +393,8 @@ def cmd_sweep_trichotomy(cfg, emit, seed):
 
 def cmd_linearize(cfg, emit, seed):
     domain, system, sol = _grid_solution(cfg)
+    if isinstance(sol, NoSolution):
+        return _no_grid_solution(sol, emit)
     frame = build_frame(sol, cfg["nu"], cfg["lambda"])
     lin = linearize(frame, system)
     ei = verify_elliptic_inequality(lin, frame)
@@ -417,7 +436,7 @@ def main(argv=None):
 
     try:
         cfg = read_config(load_config(args.config))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     seed = int(cfg.get("seed", args.seed))

@@ -8,10 +8,13 @@ constant Dirichlet value (cut cells), so smooth domains carry no
 staircase error.  Scalar problems and coupled systems run one sweep
 loop: each sweep re-evaluates every component's source at the current
 fields and takes one damped Newton step on that component's operator
-equation, unless its residual is already within tolerance.  Every
-linearization (the Newton Jacobian, the Laplace start and the gradient)
-reads the stacked arm table of the grid, and every linear solve factors
-its matrix once, without pivoting.
+equation, unless its residual is already within tolerance, relative to
+the source.  The power pair det D^2 u_i = mu_i (-u_j)^e_i runs that loop
+on unit profiles and takes its amplitudes from a 2x2 log-amplitude
+system, as the radial solver does.  Every linearization (the Newton
+Jacobian, the Laplace start and the gradient) reads the stacked arm
+table of the grid, and every linear solve factors its matrix once,
+without pivoting.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domains import GeometryError
+from .radial import NoSolution, log_amplitudes, out_of_range
 from .rhs import eval_f
 
 __all__ = [
@@ -74,9 +78,15 @@ class FdParams:
         def typed(v, kind):
             return isinstance(v, kind) and not isinstance(v, bool)
 
+        def positive_finite(v):
+            try:
+                return typed(v, numbers.Real) and 0.0 < float(v) < math.inf
+            except OverflowError:  # an int beyond the float64 range
+                return False
+
         for name in ("h", "tol"):
             v = getattr(self, name)
-            if not (typed(v, numbers.Real) and 0.0 < v < math.inf):
+            if not positive_finite(v):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if not (typed(self.stencil_width, numbers.Integral) and 1 <= self.stencil_width <= 3):
             raise ValueError(f"stencil_width must be 1, 2 or 3, got {self.stencil_width!r}")
@@ -342,18 +352,19 @@ def _newton_step(grid, gh, c, u, res, active, history):
     raise DivergenceError(f"Newton line search exhausted at residual {best:.3e}", history)
 
 
-def _sweep_solve(grid, source, cs, params):
-    """Fixed point of det D^2 u_i = source(i, fields, grad u_i) over the components.
+def _sweep_solve(grid, source, cs, params, shared_start=False):
+    """Fixed point of det D^2 u_i = source(i, fields) over the components.
 
     Each sweep evaluates every component's source at the current fields
     (the components already updated in this sweep included).  A component
-    whose residual is within tol max(1, |source|_inf) takes no step; any
-    other takes one damped Newton step.  The first sweep starts component
-    i from the Laplace solve of Delta u = 2 sqrt(source), with u_i = c_i
-    and the later components at c_j - 0.1.  The loop returns after the
-    first sweep in which no component was initialized or stepped, so every
-    returned component is within tol at the returned fields;
-    ``params.max_newton`` caps the sweeps.
+    whose residual is within tol |source|_inf takes no step; any other
+    takes one damped Newton step.  The first sweep starts component i from
+    the Laplace solve of Delta u = 2 sqrt(source), with u_i = c_i and the
+    later components at c_j - 0.1; with ``shared_start`` every component
+    starts, before any step, from the first component's solve.  The loop
+    returns after the first sweep in which no component was initialized or
+    stepped, so every returned component is within tol at the returned
+    fields; ``params.max_newton`` caps the sweeps.
 
     Returns the fields and the history: one record per sweep with the
     residual of each component before its step, the line-search halvings
@@ -365,13 +376,14 @@ def _sweep_solve(grid, source, cs, params):
     for sweep in range(params.max_newton):
         record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
         for i, c in enumerate(cs):
-            if sweep == 0:
+            if sweep == 0 and (i == 0 or not shared_start):
                 fields[i] = np.full(N, c)
-                g0 = np.broadcast_to(source(i, fields, np.zeros((N, 2))), (N,))
+                g0 = np.broadcast_to(source(i, fields), (N,))
                 fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12)), c)
                 record["factorizations"] += 1
-            grad = gradient_at_nodes(grid, fields[i], c)
-            gh = np.broadcast_to(np.asarray(source(i, fields, grad), dtype=float), (N,))
+                if shared_start:
+                    fields = [fields[0]] * len(cs)
+            gh = np.broadcast_to(np.asarray(source(i, fields), dtype=float), (N,))
             bad = ~(gh > 0)
             if bad.any():
                 raise DivergenceError(
@@ -381,7 +393,7 @@ def _sweep_solve(grid, source, cs, params):
             res = ma - gh
             best = float(np.max(np.abs(res)))
             record["residuals"].append(best)
-            if best <= params.tol * max(1.0, float(np.max(np.abs(gh)))):
+            if best <= params.tol * float(np.max(gh)):
                 continue
             fields[i], halvings = _newton_step(grid, gh, c, fields[i], res, active,
                                                history + [record])
@@ -393,6 +405,78 @@ def _sweep_solve(grid, source, cs, params):
     worst = max(history[-1]["residuals"]) if history else math.nan
     raise DivergenceError(
         f"Newton reached max_newton = {params.max_newton} at residual {worst:.3e}", history)
+
+
+def _power_term(expr, i):
+    """(mu, e) when ``expr`` reads mu (-z_j)^e with j != i and constants mu, e > 0.
+
+    mu is the product of any constant factors, in any order; a missing
+    factor or exponent is 1, and -z_j may read neg(z_j) or (0 - z_j).
+    Returns None for any other tree.
+    """
+    mu = 1.0
+    while expr.op == "*" and any(a.op == "const" for a in expr.args):
+        a, b = expr.args
+        factor, expr = (a, b) if a.op == "const" else (b, a)
+        mu *= factor.value
+    e = 1.0
+    if expr.op == "^" and expr.args[1].op == "const":
+        e, expr = expr.args[1].value, expr.args[0]
+    if expr.op == "neg":
+        z = expr.args[0]
+    elif expr.op == "-" and expr.args[0].op == "const" and expr.args[0].value == 0.0:
+        z = expr.args[1]
+    else:
+        return None
+    if not (z.op == "var" and z.name in ("z1", "z2") and z.name != f"z{i + 1}"):
+        return None
+    if not (0.0 < mu < math.inf and 0.0 < e < math.inf):
+        return None
+    return mu, e
+
+
+def _power_pair(system, cs):
+    """((mu_1, mu_2), (e_1, e_2)) when the system is det D^2 u_i = mu_i (-u_j)^e_i,
+    j != i, with zero boundary data; None for any other system."""
+    if system.m != 2 or tuple(cs) != (0.0, 0.0):
+        return None
+    terms = [_power_term(f, i) for i, f in enumerate(system.components)]
+    if None in terms:
+        return None
+    return tuple(zip(*terms))
+
+
+def _solve_power_pair(grid, mu, expo, params):
+    """Unit profiles and a 2x2 log-amplitude system for det D^2 u_i = mu_i (-u_j)^e_i.
+
+    Both sides are homogeneous at convex fields, MA_h(t v) = t^2 MA_h(v),
+    so the sweeps solve MA_h(w_i) = (-v_j)^e_i for the unit profiles
+    v_j = w_j / max(-w_j), and u_i = t_i v_i with the amplitudes t_i read
+    off :func:`masym.radial.log_amplitudes` (n = 2, rhs_i =
+    2 log max(-w_i) + log mu_i).  The unit sources are bounded by 1
+    whatever the amplitudes, so the acceptance rule cannot settle near
+    u = 0, and the amplitudes cost no sweeps.  Both components start
+    from the unit source 1, so they share one Laplace solve.
+
+    Returns the fields and the history, or :class:`NoSolution` when
+    e_1 e_2 = 4 or the amplitudes leave the float64 range.
+    """
+    def unit_source(i, fields):
+        w = np.maximum(-fields[1 - i], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (w / np.max(w)) ** expo[i]
+
+    fields, history = _sweep_solve(grid, unit_source, (0.0, 0.0), params, shared_start=True)
+    amp = [float(np.max(-w)) for w in fields]
+    log_t = log_amplitudes(expo[0], expo[1], 2, 2.0 * np.log(amp) + np.log(mu), history)
+    if isinstance(log_t, NoSolution):
+        return log_t
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = np.exp(log_t)
+        fields = [t[i] * (w / amp[i]) for i, w in enumerate(fields)]
+    if not all(np.all(np.isfinite(u)) and np.all(u < 0.0) for u in fields):
+        return out_of_range(log_t, history)
+    return fields, history
 
 
 @dataclass
@@ -464,8 +548,11 @@ def solve_scalar_fd(domain, g, c, params=None):
     """
     params = params or FdParams()
     grid = StencilGrid(domain, params.h, params.stencil_width)
-    (u,), _ = _sweep_solve(grid, lambda i, fields, grad: g(grid.node_xy, fields[0], grad),
-                           (c,), params)
+
+    def source(i, fields):
+        return g(grid.node_xy, fields[0], gradient_at_nodes(grid, fields[0], c))
+
+    (u,), _ = _sweep_solve(grid, source, (c,), params)
     return u, grid
 
 
@@ -474,19 +561,33 @@ def solve_system_fd(domain, system, cs, params=None):
 
     Each sweep takes at most one damped Newton step per component, with
     the other components at their latest values (gradients included).
+    A power pair det D^2 u_i = mu_i (-u_j)^e_i with zero boundary data,
+    recognized from its expression trees, is solved for unit profiles and
+    a 2x2 log-amplitude system instead (:func:`_solve_power_pair`).
+
     Returns a :class:`GridSolution` whose ``history`` holds one record per
     sweep: the residual of each component before its step, the
-    line-search halvings and the factorizations.
+    line-search halvings and the factorizations.  For a power pair
+    without a solution a float can hold (e_1 e_2 = 4, or amplitudes out
+    of the float64 range) returns :class:`masym.radial.NoSolution`, its
+    ``history`` the same sweep records.
     """
     params = params or FdParams()
     if len(cs) != system.m:
         raise ValueError("one boundary constant per component is required")
     grid = StencilGrid(domain, params.h, params.stencil_width)
+    pair = _power_pair(system, cs)
+    if pair is not None:
+        res = _solve_power_pair(grid, *pair, params)
+        if isinstance(res, NoSolution):
+            return res
+        fields, history = res
+    else:
+        def source(i, fields):
+            grad = gradient_at_nodes(grid, fields[i], cs[i])
+            return eval_f(system, i + 1, grid.node_xy, np.stack(fields, axis=-1), grad)
 
-    def source(i, fields, grad):
-        return eval_f(system, i + 1, grid.node_xy, np.stack(fields, axis=-1), grad)
-
-    fields, history = _sweep_solve(grid, source, cs, params)
+        fields, history = _sweep_solve(grid, source, cs, params)
     sol = GridSolution(grid=grid, fields=fields, cs=tuple(cs), history=history)
     sol.convex = sol.convexity_audit()
     return sol

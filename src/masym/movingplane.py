@@ -431,13 +431,15 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
     Certifies the strict inequality as <= -margin at every interior node
     with x . nu < Lam0 - h, the margin being 10 h^2 times a local
     gradient scale.  Failure is a verdict with a witness, not an error.
+    With no node to check the report carries ``"verdict": "not-applicable"``
+    instead of ``passed``.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     h = g.h
     out = {"direction": [float(v) for v in nu], "Lam0": float(planes.Lam0),
-           "components": [], "passed": True}
+           "components": []}
     m = solution.m
     at_node = np.take(data.stack, data.node_rows, axis=1)
     ok = (at_node[6 * m] == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
@@ -454,7 +456,11 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
             entry["worst_value"] = float(dnu[k])
             entry["worst_xy"] = [float(v) for v in g.node_xy[k]]
         out["components"].append(entry)
-        out["passed"] = out["passed"] and entry["violations"] == 0
+    if ok.any():
+        out["passed"] = all(e["violations"] == 0 for e in out["components"])
+    else:
+        # an audit of no node certifies nothing
+        out["verdict"] = "not-applicable"
     return out
 
 
@@ -669,7 +675,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
     mono = certify_monotonicity(solution, nu, planes, _data=data)
     sym = certify_symmetry(solution, nu, planes.Lam0, _data=data, _frame=frame)
     bnd = boundary_checks(solution, _data=data)
-    passed = (all_ok and total_viol == 0 and mono["passed"]
+    passed = (all_ok and total_viol == 0 and mono.get("passed", True)
               and sym.get("passed", True))
     return MovingPlaneReport(
         nu=tuple(float(v) for v in nu), lam0=float(planes.lam0),

@@ -53,15 +53,42 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class NoSolution:
-    """Returned when the coupled pair has no radial solution a float can hold.
+    """Returned when the coupled power pair has no solution a float can hold.
 
     Either a*b = n^2, where the scaling family leaves no amplitude, or the
-    amplitudes exist but their logarithms leave the float64 range.
+    amplitudes exist but their logarithms leave the float64 range.  The
+    radial and the grid solver both return it.
     """
 
     reason: str
     drift_sign: int              # -1 toward zero, +1 toward infinity
-    history: tuple               # per-iteration change of the unit profile
+    history: tuple               # per-iteration record of the unit-profile solve
+
+
+def log_amplitudes(alpha, beta, n, rhs, history):
+    """The log-amplitudes of the pair det D^2 u_i = mu_i (-u_j)^e_i from unit profiles.
+
+    With unit profiles v_i (max(-v_i) = 1) and amplitudes A_i such that
+    det D^2 (A_i v_i) = (-v_j)^e_i, u_i = t_i v_i solves the pair exactly
+    when [[n, -alpha], [-beta, n]] (log t1, log t2) = rhs with
+    rhs_i = n log A_i + log mu_i; alpha = e_1 and beta = e_2.  Returns
+    log t, or :class:`NoSolution` carrying ``history`` when
+    alpha*beta = n^2.  There one alternating round multiplies t1 by
+    exp((rhs_1 + alpha/n rhs_2) / n), whose sign is the drift.
+    """
+    if alpha * beta == n * n:
+        return NoSolution(reason="alpha*beta = n^2, so the log-amplitude system is singular",
+                          drift_sign=int(np.sign(rhs[0] + alpha / n * rhs[1])),
+                          history=tuple(history))
+    return np.linalg.solve([[n, -alpha], [-beta, n]], rhs)
+
+
+def out_of_range(log_t, history):
+    """:class:`NoSolution` for log-amplitudes whose amplitudes no float64 holds."""
+    return NoSolution(
+        reason=f"log-amplitudes log t = ({log_t[0]:.4g}, {log_t[1]:.4g}) leave "
+               "the float64 range",
+        drift_sign=int(np.sign(log_t[0])), history=tuple(history))
 
 
 @dataclass
@@ -271,12 +298,9 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     _, A1 = _unit(_power_solve(v2, alpha, n), history)
     # det D^2 v_i = mu_i (-v_j)^e with mu_i = A_i^(-n)
     log_mu = -n * np.log([A1, A2])
-    if alpha * beta == n * n:
-        # one alternating round multiplies the amplitude by A1 * A2^(alpha/n)
-        log_kappa = np.log(A1) + alpha / n * np.log(A2)
-        return NoSolution(reason="alpha*beta = n^2, so the log-amplitude system is singular",
-                          drift_sign=int(np.sign(log_kappa)), history=tuple(history))
-    log_t = np.linalg.solve([[-n, alpha], [beta, -n]], log_mu)
+    log_t = log_amplitudes(alpha, beta, n, -log_mu, history)
+    if isinstance(log_t, NoSolution):
+        return log_t
 
     # the residual rule on u_i = t_i v_i, divided through by t_i^n: the pair
     # equations give max(-u_j)^e = t_i^n mu_i.  Exclude the outermost nodes
@@ -302,16 +326,15 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
             raise SolverDivergence(f"coupled residual {worst:.3e} of the unit profile "
                                    f"exceeds {np.exp(log_allowed):.3e}", history)
 
-    with np.errstate(over="ignore", under="ignore"):
+    # an infinite amplitude times the zero boundary value is NaN; the
+    # check below reports either as out of range
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         t = np.exp(log_t)
         u1, u2 = _scaled(v1, t[0]), _scaled(v2, t[1])
     stored = all(np.all(np.isfinite(p.u)) and np.all(np.isfinite(p.du))
                  and np.all(p.u[:-1] < 0) for p in (u1, u2))
     if not stored:
-        return NoSolution(
-            reason=f"log-amplitudes log t = ({log_t[0]:.4g}, {log_t[1]:.4g}) leave "
-                   "the float64 range",
-            drift_sign=int(np.sign(log_t[0])), history=tuple(history))
+        return out_of_range(log_t, history)
     return u1, u2
 
 

@@ -135,14 +135,25 @@ def power_coupled_system(alpha, beta):
     )
 
 
+def _finite_value(f, x, z, p):
+    """Evaluate the expression ``f`` at (x, z, p); every value must be finite.
+
+    Evaluates with numpy's floating-point warnings off and raises
+    :class:`ExpressionDomainError` on an overflowing or otherwise
+    non-finite value instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = f(x, z, p)
+    if not np.all(np.isfinite(val)):
+        raise ExpressionDomainError("non-finite value", str(f))
+    return val
+
+
 def eval_f(system, i, x, z, p):
     """Evaluate f^i at (x, z, p); broadcasts over leading axes."""
     if not 1 <= i <= system.m:
         raise ConfigurationError(f"component index {i} out of 1..{system.m}")
-    val = system.components[i - 1](x, z, p)
-    if not np.all(np.isfinite(val)):
-        raise ExpressionDomainError("non-finite value", str(system.components[i - 1]))
-    return val
+    return _finite_value(system.components[i - 1], x, z, p)
 
 
 def d_ij(system, i, j, x, z, p, h):
@@ -167,7 +178,7 @@ def d_ij(system, i, j, x, z, p, h):
     else:
         f = system.components[i - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (f(x, zh, p) - f(x, z, p)) / h
+        out = (_finite_value(f, x, zh, p) - _finite_value(f, x, z, p)) / h
     if np.ndim(h) > 0:
         out = np.where(h == 0.0, 0.0, out)
     return out
@@ -253,7 +264,7 @@ def _quotient_bound(f, pick, x, z, p, rng):
     best = 0.0
     for h in (1e-2, 1e-3, 1e-4):
         a, b = pick(x, z, p, h)
-        q = np.abs(f(*a) - f(*b)) / (2 * h)
+        q = np.abs(_finite_value(f, *a) - _finite_value(f, *b)) / (2 * h)
         best = max(best, float(np.max(q)))
     return best
 
@@ -334,8 +345,9 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
             f1, f2 = sp
             fi = system.components[i - 1]
             # declared split must reproduce f^i
-            resid = np.abs(f1(X, Z, P) + f2(X, Z, P) - fi(X, Z, P))
-            if np.max(resid) > 1e-12 * max(1.0, float(np.max(np.abs(fi(X, Z, P))))):
+            vi = _finite_value(fi, X, Z, P)
+            resid = np.abs(_finite_value(f1, X, Z, P) + _finite_value(f2, X, Z, P) - vi)
+            if np.max(resid) > 1e-12 * max(1.0, float(np.max(np.abs(vi)))):
                 record_fail("own_component_split", int(np.argmax(resid)),
                             {"component": i, "split_residual": float(np.max(resid))})
                 ests.append(None)
@@ -350,7 +362,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
             h = 0.25 * (zb[i - 1, 1] - zb[i - 1, 0]) * rng.random(samples)
             Zh = Z.copy(); Zh[:, i - 1] = np.minimum(Zh[:, i - 1] + h, zb[i - 1, 1])
             dh = Zh[:, i - 1] - Z[:, i - 1]
-            bad = (f2(X, Zh, P) - f2(X, Z, P) > 1e-12) & (dh > 0)
+            bad = (_finite_value(f2, X, Zh, P) - _finite_value(f2, X, Z, P) > 1e-12) & (dh > 0)
             if bad.any():
                 record_fail("own_component_split", int(np.argmax(bad)),
                             {"component": i, "violation": "f^{i,2} increasing in own unknown"})
@@ -362,14 +374,14 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
         ok = True
         for i in range(1, m + 1):
             fi = system.components[i - 1]
-            base = fi(X, Z, P)
+            base = _finite_value(fi, X, Z, P)
             for j in range(1, m + 1):
                 if j == i:
                     continue
                 h = 0.25 * (zb[j - 1, 1] - zb[j - 1, 0]) * (0.1 + 0.9 * rng.random(samples))
                 Zh = Z.copy(); Zh[:, j - 1] = np.minimum(Zh[:, j - 1] + h, zb[j - 1, 1])
                 dh = Zh[:, j - 1] - Z[:, j - 1]
-                diff = fi(X, Zh, P) - base
+                diff = _finite_value(fi, X, Zh, P) - base
                 bad = (diff > 1e-12 * np.maximum(1.0, np.abs(base))) & (dh > 0)
                 if bad.any():
                     ok = False
@@ -391,7 +403,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
                 Pa, Pb = P.copy(), P.copy()
                 Pa[np.arange(samples), axis] += h
                 Pb[np.arange(samples), axis] -= h
-                q = np.abs(fi(X, Z, Pa) - fi(X, Z, Pb)) / (2 * h)
+                q = np.abs(_finite_value(fi, X, Z, Pa) - _finite_value(fi, X, Z, Pb)) / (2 * h)
                 best = max(best, float(np.max(q)))
             ests.append(best)
         report.lipschitz_p_estimate = tuple(ests)

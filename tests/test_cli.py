@@ -111,12 +111,14 @@ def _strict_json(path):
     ({"command": "solve-radial", "alpha": True, "beta": 2.0}, 2),
     ({"command": "solve-radial", "alpha": 1.0, "beta": 1.0, "R": 1e150}, 3),
     ({"command": "solve-radial", "alpha": 1.0, "beta": 1.0, "n": 1000000}, 3),
+    ({"command": "solve-radial", "alpha": 2.001, "beta": 2.0, "grid_size": 512}, 0),
 ], ids=["alpha-inf", "alpha-1e300", "R-1e300", "pair-inf", "alpha-true", "R-1e150",
-        "n-1e6"])
+        "n-1e6", "amplitude-beyond-float64"])
 def test_nonfinite_or_huge_radial_input_is_a_documented_exit(tmp_path, capsys, cfg, code):
     """Infinite and boolean numbers are config errors; a finite exponent,
-    radius or dimension too large for a float is a solver divergence, with
-    no numpy warning (the suite turns RuntimeWarning into an error).
+    radius or dimension too large for a float is a solver divergence, and
+    amplitudes too large for a float are a no-solution outcome, with no
+    numpy warning (the suite turns RuntimeWarning into an error).
     Either way no traceback, no lock, and every JSON written parses
     strictly."""
     out = tmp_path / "out"
@@ -152,10 +154,51 @@ def test_solve_grid_summary_counts_are_deterministic(tmp_path):
     assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
     assert main(["--config", cfg, "--out", str(b), "--quiet"]) == 0
     summary = read_json(a / "summary.json")
-    # the Laplace start of each component, at least one Newton step, and a
-    # last sweep that takes no step
+    # the shared Laplace start, a Newton step of each component, and a last
+    # sweep that takes no step
+    assert summary["outcome"] == "solution"
     assert summary["sweeps"] >= 2 and summary["factorizations"] >= 3
     for name in ("summary.json", "solution.bin", "manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("system, h, most", [
+    ({"alpha": 1.0, "beta": 1.0}, 1.0 / 64.0, 16),
+    ({"alpha": 1.0, "beta": 2.0}, 1.0 / 32.0, 18),
+])
+def test_power_pair_factorization_count(tmp_path, system, h, most):
+    """The sweeps solve unit profiles and the amplitudes come from a 2x2
+    system, so no sweep is spent on them: at most 16 factorizations for
+    (1, 1) at h = 1/64 and 18 for (1, 2) at h = 1/32."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, system=system, params={"h": h}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert read_json(out / "summary.json")["factorizations"] <= most
+
+
+@pytest.mark.parametrize("system", [
+    {"alpha": 2.0, "beta": 2.0},
+    ["(0 - z2)^2", "2 * (-z1)^2 * 0.5"],
+], ids=["power_coupled", "spelled_out"])
+@pytest.mark.parametrize("command, extra", [
+    ("solve-grid", {}),
+    ("certify", {}),
+    ("linearize", {"lambda": -0.3}),
+])
+def test_grid_power_pair_without_solution_is_an_outcome(tmp_path, system, command, extra):
+    """A pair with alpha*beta = 4, given as a power pair or spelled out as
+    expressions, writes a no-solution summary, and no fields or
+    certificate, and exits 0; the counts in it are deterministic."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, command=command, system=system,
+                                      params={"h": 0.0625}, **extra))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
+    assert main(["--config", cfg, "--out", str(b), "--quiet"]) == 0
+    summary = read_json(a / "summary.json")
+    assert summary["outcome"] == "no-solution" and "singular" in summary["reason"]
+    assert summary["sweeps"] >= 2 and summary["factorizations"] >= 3
+    assert set(read_json(a / "manifest.json")["artifacts"]) == {"summary.json"}
+    for name in ("summary.json", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -239,6 +282,18 @@ def test_certify_quadratic_fixture(tmp_path):
     cert = read_json(out / "certificate.json")
     assert cert["passed"]
     assert cert["total_ei_violations"] == 0
+
+
+def test_certify_with_no_monotonicity_node_is_not_applicable(tmp_path):
+    """At h = 0.5 no node of the quadratic fixture lies left of the plane:
+    the monotonicity audit checks nothing, so it passes nothing."""
+    cfg = write_config(tmp_path, {"command": "certify", "fixture": "quadratic",
+                                  "params": {"h": 0.5}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    mono = read_json(out / "certificate.json")["monotonicity"]
+    assert mono["verdict"] == "not-applicable" and "passed" not in mono
+    assert all(entry["n_checked"] == 0 for entry in mono["components"])
 
 
 @pytest.mark.parametrize("extra", [

@@ -8,6 +8,7 @@ import math
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,8 @@ from masym.cli import main
 BOX = {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1], [-2.0, -0.1]],
        "p": [[-1.0, 1.0], [-1.0, 1.0]]}
 BAD_VALUES = (0, -1, 0.5, 1, 3, "x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan,
-              math.inf, 1e300)
+              math.inf, 1e300, 10 ** 400)
+INTEGER_KEYS = ("seed", "n", "grid_size", "samples", "n_lambdas")
 
 
 def _cheap_configs():
@@ -42,8 +44,13 @@ def _cheap_configs():
 
 
 def _positive_finite(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    """True for a positive number, not a boolean, that a float64 holds."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 @st.composite
@@ -51,7 +58,7 @@ def _mutated_configs(draw):
     """A cheap config, then at most one bad key or value, at top level or
     nested; and whether the config must be rejected, which it must when an
     exponent, in ``system`` or not, got a value that is not a positive
-    finite number."""
+    finite number, or an integer key got one beyond the float64 range."""
     cfg = json.loads(json.dumps(draw(_cheap_configs())))
     target = draw(st.sampled_from([cfg] + [v for v in cfg.values() if isinstance(v, dict)]))
     how = draw(st.sampled_from(["none", "value", "delete", "unknown"]))
@@ -61,7 +68,8 @@ def _mutated_configs(draw):
     rejected = False
     if how == "value":
         target[key] = draw(st.sampled_from(BAD_VALUES))
-        rejected = key in ("alpha", "beta") and not _positive_finite(target[key])
+        rejected = ((key in ("alpha", "beta") and not _positive_finite(target[key]))
+                    or (key in INTEGER_KEYS and target[key] == 10 ** 400))
     elif how == "delete" and key != "h":
         target.pop(key, None)
     elif how == "unknown":
@@ -110,3 +118,25 @@ def test_bad_nested_exponent_is_a_config_error(cfg, key, value):
         assert code == 2
         assert f"{key} must be a positive finite number" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, command", [
+    ("seed", "solve-radial"), ("n", "solve-radial"), ("grid_size", "solve-radial"),
+    ("samples", "hypotheses"), ("n_lambdas", "certify"),
+])
+def test_integer_beyond_float64_is_a_config_error(tmp_path, key, command):
+    """An integer key whose value no float64 holds ends in exit 2 naming the
+    key and its line, before anything is solved, sampled or written."""
+    cfg = {"command": command, "alpha": 1.0, "beta": 2.0}
+    if command == "hypotheses":
+        cfg = {"command": command, "system": {"alpha": 1.0, "beta": 2.0}, "box": BOX}
+    elif command == "certify":
+        cfg = {"command": command, "fixture": "quadratic"}
+    cfg[key] = 10 ** 400
+    code, err, out = _run(cfg, tmp_path)
+    line = next(k for k, text in enumerate(
+        (tmp_path / "config.json").read_text().splitlines(), start=1) if f'"{key}"' in text)
+    assert code == 2
+    assert f"config.json:{line}: {key} must be an integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -13,8 +13,9 @@ from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
                              solve_scalar_fd, solve_system_fd,
                              stencil_directions, write_solution_binary,
                              write_solution_csv)
-from masym.radial import solve_scalar_radial
-from masym.rhs import eval_f, power_coupled_system
+from masym.expressions import parse
+from masym.radial import NoSolution, solve_coupled_radial, solve_scalar_radial
+from masym.rhs import RhsSystem, eval_f, power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
@@ -127,11 +128,58 @@ def test_coupled_solve_returns_every_component_within_tol(name):
         f = eval_f(system, i + 1, g.node_xy, np.stack(sol.fields, axis=-1),
                    gradient_at_nodes(g, u, 0.0))
         res = ma_operator_discrete(g, u, c=0.0) - f
-        assert np.max(np.abs(res)) <= P32.tol * max(1.0, np.max(np.abs(f)))
+        assert np.max(np.abs(res)) <= P32.tol * np.max(np.abs(f))
     # the record ends with a sweep that neither factored nor stepped
     last = sol.history[-1]
     assert last["factorizations"] == 0 and len(last["residuals"]) == 2
     assert len(sol.history) <= P32.max_newton
+
+
+def _center(sol, i):
+    return float(sol.fields[i][np.argmin(np.linalg.norm(sol.grid.node_xy, axis=1))])
+
+
+@pytest.mark.parametrize("domain", [DISK, Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.6))],
+                         ids=["disk", "ellipse"])
+def test_power_pair_at_the_threshold_has_no_grid_solution(domain):
+    """alpha*beta = 4 leaves the log-amplitude system singular: no field is
+    returned, however small."""
+    res = solve_system_fd(domain, power_coupled_system(2.0, 2.0), (0.0, 0.0), P32)
+    assert isinstance(res, NoSolution)
+    assert "singular" in res.reason
+    # the scaling family carries (2, 2) toward zero, as on the radial line
+    assert res.drift_sign == solve_coupled_radial(2.0, 2.0, 2).drift_sign == -1
+    assert res.history[-1]["factorizations"] == 0
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (1.0, 2.0)])
+def test_power_pair_center_matches_the_radial_solution(alpha, beta):
+    sol = solve_system_fd(DISK, power_coupled_system(alpha, beta), (0.0, 0.0), P32)
+    radial = solve_coupled_radial(alpha, beta, 2)
+    for i in range(2):
+        assert abs(_center(sol, i) / radial[i].u[0] - 1.0) <= 0.01
+
+
+def test_scaled_power_pair_is_the_scaled_solution():
+    """det D^2 u_i = mu (-u_j) has the solution mu u* of the mu = 1 pair; a
+    source below 1 must not stop the sweeps near u = 0."""
+    mu = 1e-4
+    system = RhsSystem(components=(parse(f"{mu} * (-z2)"), parse(f"(0 - z1) * {mu}")), n=2)
+    scaled = solve_system_fd(DISK, system, (0.0, 0.0), P32)
+    plain = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), P32)
+    for i in range(2):
+        assert abs(_center(scaled, i) / (mu * _center(plain, i)) - 1.0) <= 0.01
+
+
+def test_small_source_is_solved_to_relative_tolerance():
+    """The acceptance rule is tol |g|_inf: det D^2 u = 1e-6 g has the solution
+    1e-3 u of det D^2 u = g, to the solver's tolerance, not to 1e-8 absolute."""
+    def g(xy, u, grad):
+        return 1.0 + np.sum(xy ** 2, axis=1)
+
+    u, _ = solve_scalar_fd(DISK, g, 0.0, P32)
+    small, _ = solve_scalar_fd(DISK, lambda xy, u_, grad: 1e-6 * g(xy, u_, grad), 0.0, P32)
+    assert np.max(np.abs(small - 1e-3 * u)) <= 1e-7 * np.max(np.abs(1e-3 * u))
 
 
 def test_divergence_reports_history():

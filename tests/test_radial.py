@@ -4,8 +4,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _cumtrapz,
-                          _power_solve, radial_ma_operator, solve_coupled_radial,
-                          solve_scalar_radial, uniqueness_probe)
+                          _power_solve, log_amplitudes, radial_ma_operator,
+                          solve_coupled_radial, solve_scalar_radial, uniqueness_probe)
 
 
 def shooting_oracle(g, n, R, c, u0_lo, u0_hi):
@@ -176,6 +176,16 @@ def test_coupled_critical_product_detected():
     assert res.drift_sign in (-1, 1)
     assert res.drift_sign == -1  # the scaling family carries (2, 2) toward zero
     assert len(res.history) <= 10_000
+
+
+def test_log_amplitudes_solve_the_pair_system_or_report_it_singular():
+    rhs = np.array([0.3, -0.5])
+    log_t = log_amplitudes(1.0, 2.0, 2, rhs, [])
+    np.testing.assert_allclose(np.array([[2.0, -1.0], [-2.0, 2.0]]) @ log_t, rhs)
+    res = log_amplitudes(2.0, 2.0, 2, rhs, [0.25])
+    assert isinstance(res, NoSolution) and "singular" in res.reason
+    # one alternating round scales t1 by exp((0.3 + (2/2)(-0.5)) / 2) < 1
+    assert res.drift_sign == -1 and res.history == (0.25,)
 
 
 @pytest.mark.parametrize("t", [1e-3, 2.0, 1e3])

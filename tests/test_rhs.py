@@ -99,6 +99,18 @@ def test_constant_component_screens_alongside_a_varying_one():
     assert rep.statuses["orthogonal_invariance"] == "pass"
 
 
+def test_overflowing_component_is_not_applicable_without_warnings():
+    """(-z2)^1e300 overflows on the box: every check that evaluates it is
+    not-applicable with a domain-error witness, and numpy warns nothing
+    (the suite turns RuntimeWarning into an error)."""
+    rep = check_hypotheses(power_coupled_system(1e300, 1.0), BOX, samples=64)
+    for name in HYPOTHESES:
+        if name != "gradient_lipschitz":  # no component depends on p
+            assert rep.statuses[name] == "not-applicable", name
+            assert "non-finite value" in rep.witnesses[name]["domain_error"]
+    assert rep.quotient_sign_ok is None
+
+
 def test_report_json_serializable():
     import json
     rep = check_hypotheses(power_coupled_system(1.0, 2.0), BOX, samples=128, seed=3)
