@@ -26,7 +26,7 @@ from .domains import (Ball, GeometryError, _as_unit, critical_planes, domain_fro
                       domain_to_json)
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
-from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid,
+from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid, _write_csv,
                         solve_system_fd, write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
@@ -77,6 +77,17 @@ def _finite(value):
         return False
 
 
+def _finite_entries(value):
+    """True for a list, possibly nested, whose every entry is :func:`_finite`."""
+    return isinstance(value, list) and all(_finite_entries(v) if isinstance(v, list)
+                                           else _finite(v) for v in value)
+
+
+def _must(path, key, what):
+    """The config error that names ``key`` and its line: ``key`` must be ``what``."""
+    return ConfigError(f"{path}:{_key_line(path, key)}: {key} must be {what}")
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -98,31 +109,33 @@ def load_config(path):
             raise ConfigError(f"{path}:{_key_line(path, key)}: "
                               f"unknown key {key!r} for command {cmd!r}")
 
-    def bad(key, what):
-        return ConfigError(f"{path}:{_key_line(path, key)}: {key} must be {what}")
-
     for key in ("alpha", "beta", "R", "tol"):
         if key in cfg and not (_finite(cfg[key]) and cfg[key] > 0):
-            raise bad(key, "a positive finite number")
+            raise _must(path, key, "a positive finite number")
     if "lambda" in cfg and not _finite(cfg["lambda"]):
-        raise bad("lambda", "a finite number")
+        raise _must(path, "lambda", "a finite number")
+    if "nu" in cfg and not _finite_entries(cfg["nu"]):
+        raise _must(path, "nu", "a list of finite numbers")
+    box = cfg.get("box", {})
+    if not (isinstance(box, dict) and all(map(_finite_entries, box.values()))):
+        raise _must(path, "box", "an object of lists of finite numbers")
     cs = cfg.get("cs", [])
     if not (isinstance(cs, list) and all(map(_finite, cs))):
-        raise bad("cs", "a list of finite numbers")
+        raise _must(path, "cs", "a list of finite numbers")
     # the sweep reports each pair's product, which must fit a float too
     pairs = cfg.get("pairs", [])
     if not (isinstance(pairs, list)
             and all(isinstance(p, list) and len(p) == 2
                     and all(_finite(v) and v > 0 for v in p) and _finite(p[0] * p[1])
                     for p in pairs)):
-        raise bad("pairs", "a list of [alpha, beta] pairs of positive finite numbers "
-                  "with a finite product")
+        raise _must(path, "pairs", "a list of [alpha, beta] pairs of positive finite "
+                    "numbers with a finite product")
     # the radial residual check skips three nodes at each end of the grid
     for key, least in (("seed", 0), ("n", 1), ("grid_size", 6), ("samples", 1),
                        ("n_lambdas", 2)):
         value = cfg.get(key, least)
         if not (isinstance(value, int) and _finite(value) and value >= least):
-            raise bad(key, f"an integer >= {least} that a float64 holds")
+            raise _must(path, key, f"an integer >= {least} that a float64 holds")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
@@ -140,7 +153,7 @@ def load_config(path):
                     else RhsSystem.__dataclass_fields__, "system")
         for key in ("alpha", "beta"):
             if key in system and not (_finite(system[key]) and system[key] > 0):
-                raise bad(key, "a positive finite number")
+                raise _must(path, key, "a positive finite number")
     return cfg
 
 
@@ -152,12 +165,19 @@ def _check_keys(path, obj, allowed, where):
 
 
 def _check_domain(path, obj, where):
-    """Reject a domain that is not an object, has an unknown shape or unknown keys."""
+    """Reject a domain that is not an object, has an unknown shape or unknown
+    keys, or a number that a float does not hold finitely."""
     if not (isinstance(obj, dict) and isinstance(obj.get("shape"), str)
             and obj["shape"] in _DOMAIN_KEYS):
         raise ConfigError(f"{path}:{_key_line(path, where)}: {where} must be a JSON object "
                           f"with shape one of {', '.join(_DOMAIN_KEYS)}")
     _check_keys(path, obj, _DOMAIN_KEYS[obj["shape"]], where)
+    for key in ("center", "semi_axes"):
+        if key in obj and not _finite_entries(obj[key]):
+            raise _must(path, key, "a list of finite numbers")
+    for key in ("radius", "half_height"):
+        if key in obj and not _finite(obj[key]):
+            raise _must(path, key, "a finite number")
     if "cross_section" in obj:
         _check_domain(path, obj["cross_section"], "cross_section")
 
@@ -217,15 +237,11 @@ class Emitter:
 
 
 def _profile_csv(emit, name, profiles):
-    path = emit.path(name)
-    header = "r," + ",".join(f"u{i+1},du{i+1}" for i in range(len(profiles)))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        cols = [profiles[0].r]
-        for p in profiles:
-            cols += [p.u, p.du]
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    names, cols = ["r"], [profiles[0].r]
+    for i, p in enumerate(profiles):
+        names += [f"u{i+1}", f"du{i+1}"]
+        cols += [p.u, p.du]
+    _write_csv(emit.path(name), names, cols)
 
 
 def read_config(cfg):
@@ -401,14 +417,9 @@ def cmd_linearize(cfg, emit, seed):
     _json_dump({"lambda": frame.lam, "n_nodes": int(len(frame.node_idx)),
                 "quad_order": lin.quad_order, "flagged_nonpd": list(lin.n_flagged),
                 "elliptic_inequality": ei}, emit.path("linearization.json"))
-    path = emit.path("linearization.csv")
-    with open(path, "w") as fh:
-        cols = ["x", "y"] + [f"U{i+1}" for i in range(frame.m)]
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(frame.node_idx)):
-            vals = [frame.xy[k, 0], frame.xy[k, 1]] + [frame.U[i, k]
-                                                       for i in range(frame.m)]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    _write_csv(emit.path("linearization.csv"),
+               ["x", "y"] + [f"U{i+1}" for i in range(frame.m)],
+               [frame.xy[:, 0], frame.xy[:, 1]] + list(frame.U))
     emit.say(f"linearized {len(frame.node_idx)} cap nodes, "
              f"{ei['total_violations']} violations")
     return 0

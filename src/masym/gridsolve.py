@@ -593,15 +593,21 @@ def solve_system_fd(domain, system, cs, params=None):
     return sol
 
 
+def _write_csv(path, names, cols):
+    """CSV with a header of ``names`` and one row per entry of the columns
+    ``cols``, each value as the shortest ``repr`` that reads back as the same
+    float64."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in cols))
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def write_solution_csv(sol, path):
     """CSV with one row per interior node: x, y, u1..um."""
     xy = sol.grid.node_xy
-    cols = [xy[:, 0], xy[:, 1]] + list(sol.fields)
-    header = "x,y," + ",".join(f"u{i+1}" for i in range(sol.m))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, ["x", "y"] + [f"u{i+1}" for i in range(sol.m)],
+               [xy[:, 0], xy[:, 1]] + list(sol.fields))
 
 
 def _mask_rle(mask):

@@ -8,11 +8,12 @@ determinant difference through the matrix mean value identity
     det(H_refl) - det(H) = tr(A (H_refl - H)),
     A = integral_0^1 adj((1-t) H_refl + t H) dt,
 
-whose integrand is linear in t for 2x2 Hessians, so a fixed
-Gauss-Legendre rule evaluates the integral exactly.  On top of the
-frames sit certificates: cap monotonicity, mirror symmetry, a Hopf
-boundary derivative check, tube corner cross-derivatives and an audit
-of the elliptic inequality satisfied by U.
+whose integrand is linear in t for 2x2 Hessians, so A is the adjugate
+of (H_refl + H) / 2 in closed form.  A node whose integrand is not
+positive definite at one of the nodes of a 4-point Gauss-Legendre rule
+is flagged.  On top of the frames sit certificates: cap monotonicity,
+mirror symmetry, a Hopf boundary derivative check, tube corner
+cross-derivatives and an audit of the elliptic inequality satisfied by U.
 
 Every field a frame or certificate reads off the grid sits in one
 stacked table per solution, and one bilinear kernel reads them all at a
@@ -52,9 +53,8 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _gauss_legendre01(order):
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    """Gauss-Legendre nodes mapped to [0, 1]."""
+    return 0.5 * (np.polynomial.legendre.leggauss(order)[0] + 1.0)
 
 
 def _det2(M):
@@ -70,13 +70,13 @@ def _mat2(a00, a01, a10, a11):
     return out
 
 
-def _reflect_hessian(Q, hxx, hxy, hyy):
-    """Entries of Q H Q for H = [[hxx, hxy], [hxy, hyy]], as (Q H) Q."""
-    (q00, q01), (q10, q11) = Q
-    p00, p01 = q00 * hxx + q01 * hxy, q00 * hxy + q01 * hyy
-    p10, p11 = q10 * hxx + q11 * hxy, q10 * hxy + q11 * hyy
-    return (p00 * q00 + p01 * q10, p00 * q01 + p01 * q11,
-            p10 * q00 + p11 * q10, p10 * q01 + p11 * q11)
+def _reflect_hessian(Q, H, out):
+    """Q H Q into ``out``, as (Q H) Q, for a (2, 2, m, K) stack H of entry arrays."""
+    # P[r, c] = Q[r, 0] H[0, c] + Q[r, 1] H[1, c]
+    P = Q[:, 0, None, None, None] * H[0] + Q[:, 1, None, None, None] * H[1]
+    # out[r, c] = P[r, 0] Q[0, c] + P[r, 1] Q[1, c]
+    np.add(P[:, 0, None] * Q[0, :, None, None], P[:, 1, None] * Q[1, :, None, None],
+           out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +173,18 @@ def _bilinear(grid, stack, pts, n_field):
     ty = (y - ys[j]) / (ys[j + 1] - ys[j])
     # (rows, 4, P): corners (i, j), (i, j+1), (i+1, j), (i+1, j+1)
     ny = len(ys)
-    v = np.take(stack, i * ny + j + np.array([[0], [1], [ny], [ny + 1]]), axis=1)
+    # the clipped cells keep every corner index in range
+    v = np.take(stack, i * ny + j + np.array([[0], [1], [ny], [ny + 1]]), axis=1,
+                mode="clip")
     wx = np.stack([1 - tx, 1 - tx, tx, tx])
     wy = np.stack([1 - ty, ty, 1 - ty, ty])
     v[:n_field] *= wx
     v[:n_field] *= wy
     v[n_field:] *= wx * wy
-    out = 0.0 + v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]
+    out = 0.0 + v[:, 0]
+    out += v[:, 1]
+    out += v[:, 2]
+    out += v[:, 3]
     out[:, ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))] = np.nan
     return out
 
@@ -242,37 +247,45 @@ def build_frame(solution, nu, lam, *, _data=None):
     reflection invariance of the determinant, the reflected discrete
     operator is the unreflected one interpolated at the reflected
     points, where ``op_ok`` finds it finite.
+
+    The three Hessian stacks are (m, K, 2, 2) views of one entry-major
+    (3, m, 2, 2, K) array, so each entry of every node is one contiguous
+    row for :func:`linearize` and :func:`verify_elliptic_inequality`.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     lam = float(lam)
     idx = np.nonzero(g.node_xy @ nu < lam + g.h * 1e-9)[0]
-    xy = g.node_xy[idx]
-    refl = reflect_point(xy, nu, lam)
+    refl = reflect_point(g.node_xy[idx], nu, lam)
 
-    # a reflection inside the domain lies in the padded box; derivatives
-    # need the whole reflected cell and the node's own stencil valid
+    # a reflection inside the domain lies in the padded box unless a level
+    # set declares a box shorter than {phi < 0}; off the grid box the
+    # interpolant is NaN, so those points are dropped before the gather
     inside = g.domain.contains(refl)
-    n_exited = int(np.sum(~inside))
-    m = solution.m
-    at_refl = _bilinear(g, data.stack, refl[inside], data.n_field)
-    keep = np.isfinite(at_refl[6 * m])
-    idx, xy, refl = idx[inside][keep], xy[inside][keep], refl[inside][keep]
-    at_refl = at_refl[:, keep]
+    n_exited = int(np.count_nonzero(~inside))
+    x, y = refl[:, 0], refl[:, 1]
+    inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
+    idx, refl = idx[inside], refl[inside]
+    m, K = solution.m, len(idx)
+    at_refl = _bilinear(g, data.stack, refl, data.n_field)
     at_node = np.take(data.stack, data.node_rows[idx], axis=1)
+    # derivatives need the whole reflected cell and the node's own stencil valid
     deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
 
-    # (6, m, K): E, ux, uy, uxx, uyy, uxy of every component
-    K = len(idx)
-    f_node = at_node[:6 * m].reshape(m, 6, K).transpose(1, 0, 2)
-    f_refl = at_refl[:6 * m].reshape(m, 6, K).transpose(1, 0, 2)
+    # (m, 6, K): E, ux, uy, uxx, uyy, uxy of every component
+    f_node = at_node[:6 * m].reshape(m, 6, K)
+    f_refl = at_refl[:6 * m].reshape(m, 6, K)
     Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    u, u_lam = f_node[0], f_refl[0]
-    grad_u = np.stack([f_node[1], f_node[2]], axis=-1)
-    grad_u_lam = np.stack([f_refl[1], f_refl[2]], axis=-1) @ Q.T
-    hess_u = _mat2(f_node[3], f_node[5], f_node[5], f_node[4])
-    hess_u_lam = _mat2(*_reflect_hessian(Q, f_refl[3], f_refl[5], f_refl[4]))
+    u, u_lam = f_node[:, 0], f_refl[:, 0]
+    grad_u = np.stack([f_node[:, 1], f_node[:, 2]], axis=-1)
+    grad_u_lam = np.stack([f_refl[:, 1], f_refl[:, 2]], axis=-1) @ Q.T
+    hess = np.empty((3, m, 2, 2, K))
+    hess[0] = f_node[:, [3, 5, 5, 4]].reshape(m, 2, 2, K)
+    _reflect_hessian(Q, f_refl[:, [3, 5, 5, 4]].reshape(m, 2, 2, K).transpose(1, 2, 0, 3),
+                     hess[1].transpose(1, 2, 0, 3))
+    np.subtract(hess[1], hess[0], out=hess[2])
+    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
 
     # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
     det_op = at_node[6 * m + 1:]
@@ -280,11 +293,11 @@ def build_frame(solution, nu, lam, *, _data=None):
     op_ok = np.all(np.isfinite(det_op_lam), axis=0)
 
     return MovingPlaneFrame(
-        nu=nu, lam=lam, grid=g, node_idx=idx, xy=xy, reflected_xy=refl,
+        nu=nu, lam=lam, grid=g, node_idx=idx, xy=g.node_xy[idx], reflected_xy=refl,
         deriv_ok=deriv_ok, n_exited=n_exited,
         u=u, u_lam=u_lam, U=u_lam - u,
         grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
-        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_u_lam - hess_u,
+        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
         det_op=det_op, det_op_lam=det_op_lam, op_ok=op_ok,
     )
 
@@ -300,20 +313,25 @@ class LinearizationFields:
     B: np.ndarray                 # (m, K, 2) gradient coefficient
     c: np.ndarray                 # (m,) own-component Lipschitz constant
     d: np.ndarray                 # (m, m, K) coupling difference quotients
-    quad_order: int
+    quad_order: int               # Gauss-Legendre nodes of the positivity check
     n_flagged: tuple = ()         # per component: nodes with a non-PD integrand
 
 
-# Gauss-Legendre nodes of the mean-value integral; the integrand is linear
-# in t for 2x2 Hessians, so the rule is exact
+# Gauss-Legendre nodes at which the mean-value integrand must be positive
+# definite; the integrand is linear in t for 2x2 Hessians, so this rule
+# would integrate it exactly
 _QUAD_ORDER = 4
 
 
 def linearize(frame, system):
     """Mean-value matrices, Lipschitz coefficients and coupling quotients.
 
-    A^i comes from the Hessian pair (reflected, original) by the
-    :data:`_QUAD_ORDER`-node Gauss-Legendre rule, entry by entry; B^i points
+    A^i is the integral of adj((1 - t) H_lam + t H) over t in [0, 1].
+    The adjugate of a 2x2 matrix is linear in its entries, so the
+    integral is adj((H_lam + H) / 2) in closed form.  A node whose
+    integrand is not positive definite at one of the
+    :data:`_QUAD_ORDER` Gauss-Legendre nodes is flagged, and its A^i is
+    symmetrized and lifted to a positive definite matrix.  B^i points
     along grad U with the declared gradient Lipschitz constant as length
     (zero where grad U vanishes); c^i is the declared own-component
     constant; d_ij is the difference quotient of f^i along unknown j,
@@ -321,52 +339,44 @@ def linearize(frame, system):
     j and later unreflected) with step U^j.
     """
     m, K = frame.m, len(frame.node_idx)
-    A = np.zeros((m, K, 2, 2))
+    Ha, Hb = frame.hess_u_lam, frame.hess_u
+    M = 0.5 * (Ha + Hb)
+    A = _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
+    # (order, m, K) entries of the integrand at every quadrature node
+    t_nodes = _gauss_legendre01(_QUAD_ORDER)[:, None, None]
+    m00, m01, m10, m11 = ((1.0 - t_nodes) * Ha[..., r, s] + t_nodes * Hb[..., r, s]
+                          for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    bad = ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
+    bad = np.any(bad, axis=0) & frame.deriv_ok
+    for i in np.nonzero(bad.any(axis=1))[0]:
+        # symmetrize and push eigenvalues up to a tiny floor
+        Ab = A[i][bad[i]]
+        Ab = 0.5 * (Ab + np.swapaxes(Ab, -1, -2))
+        lam_min = np.linalg.eigvalsh(Ab)[:, 0]
+        shift = np.maximum(0.0, -lam_min) + 1e-12
+        Ab += shift[:, None, None] * np.eye(2)
+        A[i][bad[i]] = Ab
+
+    hp = np.array([0.0 if v is None else float(v) for v in system.lipschitz_p])
+    c = np.array([0.0 if v is None else float(v) for v in system.lipschitz_z])
+    # |grad U| in the operations of np.linalg.norm along the last axis
+    sq = frame.grad_U * frame.grad_U
+    norm = np.sqrt(sq[..., 0] + sq[..., 1])
     B = np.zeros((m, K, 2))
-    c = np.zeros(m)
+    np.divide(hp[:, None, None] * frame.grad_U, norm[..., None], out=B,
+              where=norm[..., None] > 0)
+
+    # along unknown j, components before j see the reflected values, j and
+    # later the originals
+    zs = [np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)], axis=-1)
+          for j in range(m)]
     d = np.zeros((m, m, K))
-    flagged = []
-    t_nodes, t_weights = _gauss_legendre01(_QUAD_ORDER)
     for i in range(m):
-        Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
-        # sum w_k adj((1 - t_k) Ha + t_k Hb) per entry; a quadrature node
-        # whose integrand is not PD flags the node
-        a00 = a01 = a10 = a11 = 0.0
-        bad = np.zeros(K, dtype=bool)
-        for tk, wk in zip(t_nodes, t_weights):
-            m00, m01, m10, m11 = ((1.0 - tk) * Ha[:, r, s] + tk * Hb[:, r, s]
-                                  for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-            a00, a01 = a00 + wk * m11, a01 + wk * -m01
-            a10, a11 = a10 + wk * -m10, a11 + wk * m00
-            bad |= ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
-        A[i] = _mat2(a00, a01, a10, a11)
-        bad &= frame.deriv_ok
-        if bad.any():
-            # symmetrize and push eigenvalues up to a tiny floor
-            Ab = 0.5 * (A[i][bad] + np.swapaxes(A[i][bad], -1, -2))
-            lam_min = np.linalg.eigvalsh(Ab)[:, 0]
-            shift = np.maximum(0.0, -lam_min) + 1e-12
-            Ab += shift[:, None, None] * np.eye(2)
-            A[i][bad] = Ab
-        flagged.append(int(bad.sum()))
-
-        hp = system.lipschitz_p[i]
-        hp = 0.0 if hp is None else float(hp)
-        gU = frame.grad_U[i]
-        norm = np.linalg.norm(gU, axis=-1)
-        nz = norm > 0
-        B[i][nz] = hp * gU[nz] / norm[nz, None]
-        hz = system.lipschitz_z[i]
-        c[i] = 0.0 if hz is None else float(hz)
-
         for j in range(m):
-            # components before j see the reflected values, j and later the originals
-            z = np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)],
-                         axis=-1)
-            d[i, j] = np.asarray(rhs_d_ij(system, i + 1, j + 1, frame.xy, z,
-                                          frame.grad_u_lam[i], frame.U[j]))
+            d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, zs[j], frame.grad_u_lam[i],
+                               frame.U[j])
     return LinearizationFields(A=A, B=B, c=c, d=d, quad_order=_QUAD_ORDER,
-                               n_flagged=tuple(flagged))
+                               n_flagged=tuple(int(n) for n in bad.sum(axis=1)))
 
 
 def verify_elliptic_inequality(lin, frame):
@@ -388,33 +398,36 @@ def verify_elliptic_inequality(lin, frame):
     """
     g = frame.grid
     ok = frame.deriv_ok & frame.op_ok
+    any_ok = bool(ok.any())
     report = {"tolerance_rule": "10*h^2*scale", "h": g.h, "components": [],
-              "n_nodes": int(ok.sum()), "total_violations": 0,
+              "n_nodes": int(np.count_nonzero(ok)), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
-              "d_nonpositive": bool(np.all(lin.d[:, :, ok] <= 1e-12))}
+              "d_nonpositive": bool(np.all((lin.d <= 1e-12) | ~ok))}
+    scale = np.maximum(1.0, np.maximum(np.abs(_det2(frame.hess_u)),
+                                       np.abs(_det2(frame.hess_u_lam))))
+    tol_node = (10.0 * g.h ** 2) * scale
+    margin = frame.det_op_lam - frame.det_op
     for i in range(frame.m):
-        lhs = (frame.det_op_lam[i] - frame.det_op[i]
-               + np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
-               + lin.c[i] * frame.U[i])
-        rhs = np.einsum("jk,jk->k", lin.d[i], frame.U)
-        scale = np.maximum(1.0, np.maximum(np.abs(_det2(frame.hess_u[i])),
-                                           np.abs(_det2(frame.hess_u_lam[i]))))
-        tol_node = (10.0 * g.h ** 2) * scale
-        margin = lhs - rhs
-        bad = ok & (margin < -tol_node)
-        entry = {"component": i + 1, "violations": int(bad.sum())}
-        if ok.any():
-            k = int(np.argmin(np.where(ok, margin, np.inf)))
-            entry["worst_margin"] = float(margin[k])
+        margin[i] += np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
+        margin[i] += lin.c[i] * frame.U[i]
+        margin[i] -= np.einsum("jk,jk->k", lin.d[i], frame.U)
+    bad = ok & (margin < -tol_node)
+    if any_ok:
+        worst = np.argmin(np.where(ok, margin, np.inf), axis=1)
+    for i in range(frame.m):
+        entry = {"component": i + 1, "violations": int(np.count_nonzero(bad[i]))}
+        if any_ok:
+            k = int(worst[i])
+            entry["worst_margin"] = float(margin[i, k])
             entry["worst_xy"] = [float(v) for v in frame.xy[k]]
-            if margin[k] < report["worst_margin"]:
-                report["worst_margin"] = float(margin[k])
+            if margin[i, k] < report["worst_margin"]:
+                report["worst_margin"] = float(margin[i, k])
                 report["worst_xy"] = entry["worst_xy"]
         report["components"].append(entry)
         report["total_violations"] += entry["violations"]
     if not np.isfinite(report["worst_margin"]):
         report["worst_margin"] = 0.0
-    if ok.any():
+    if any_ok:
         report["passed"] = report["total_violations"] == 0
     else:
         # an audit of no node certifies nothing

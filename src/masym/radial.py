@@ -114,20 +114,27 @@ class RadialProfile:
         return np.interp(r, self.r, self.u)
 
 
-def _weighted_cumint(r, G, n):
-    """Cumulative integral_0^r n s^(n-1) G(s) ds with G piecewise linear.
+class _Quadrature:
+    """Cumulative integral_0^r n s^(n-1) G(s) ds on one radius grid r.
 
-    Integrating the weight exactly keeps the relative error O(dr^2) down
-    to r = 0, where plain trapezoid loses all relative accuracy.
+    G is piecewise linear, and the weight is integrated exactly on each
+    interval; that keeps the relative error O(dr^2) down to r = 0, where
+    plain trapezoid loses all relative accuracy.  The interval weights
+    depend on (r, n) only, so a solve builds them once.
     """
-    rk, rk1 = r[:-1], r[1:]
-    dr = rk1 - rk
-    sn = r ** n
-    dsn = sn[1:] - sn[:-1]
-    slope = (G[1:] - G[:-1]) / dr
-    mom1 = n / (n + 1.0) * (rk1 ** (n + 1) - rk ** (n + 1)) - rk * dsn
-    inc = G[:-1] * dsn + slope * mom1
-    return np.concatenate([[0.0], np.cumsum(inc)])
+
+    def __init__(self, r, n):
+        rk, rk1 = r[:-1], r[1:]
+        self.r, self.n = r, n
+        self.dr = rk1 - rk
+        sn = r ** n
+        self.dsn = sn[1:] - sn[:-1]
+        self.mom1 = n / (n + 1.0) * (rk1 ** (n + 1) - rk ** (n + 1)) - rk * self.dsn
+
+    def cumint(self, G):
+        slope = (G[1:] - G[:-1]) / self.dr
+        inc = G[:-1] * self.dsn + slope * self.mom1
+        return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def _cumtrapz(y, r):
@@ -173,6 +180,7 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
     r = np.linspace(0.0, R, grid_size + 1)
     u = c - 0.5 * (R ** 2 - r ** 2)
     du = r.copy()
+    quad = _Quadrature(r, n)
     history = []
     for it in range(_MAX_ITER):
         G = np.asarray(g(r, u, du), dtype=float)
@@ -181,8 +189,7 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
             raise SolverDivergence(
                 "source became non-positive or non-finite during the radial fixed point",
                 history)
-        integ = _weighted_cumint(r, G, n)
-        du_new = integ ** (1.0 / n)
+        du_new = quad.cumint(G) ** (1.0 / n)
         total = _cumtrapz(du_new, r)
         u_new = c - (total[-1] - total)
         change = float(np.max(np.abs(u_new - u)) / max(1.0, float(np.max(np.abs(u_new)))))
@@ -209,15 +216,14 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
     return prof
 
 
-def _power_solve(source_u, expo, n):
-    """One alternating half-step: solve det D^2 v = (-u)^expo given u <= 0."""
-    r = source_u.r
+def _power_solve(source_u, expo, quad):
+    """One alternating half-step: solve det D^2 v = (-u)^expo given u <= 0,
+    with the :class:`_Quadrature` of source_u's grid."""
     G = np.maximum(-source_u.u, 0.0) ** expo
-    integ = _weighted_cumint(r, G, n)
-    du = integ ** (1.0 / n)
-    total = _cumtrapz(du, r)
+    du = quad.cumint(G) ** (1.0 / quad.n)
+    total = _cumtrapz(du, quad.r)
     u = -(total[-1] - total)
-    return RadialProfile(r=r, u=u, du=du, n=n, c=0.0)
+    return RadialProfile(r=quad.r, u=u, du=du, n=quad.n, c=0.0)
 
 
 def _scaled(profile, s):
@@ -277,12 +283,13 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
                 and np.max(-start.u) > 0):
             raise ValueError("init[0] must be finite and negative somewhere")
     v1, _ = _unit(start, history)
+    quad = _Quadrature(r, n)
 
     # the half-steps are homogeneous, T(s*u) = s^(e/n) T(u), so only the
     # shape is iterated; the amplitudes follow from the log-linear system
     for it in range(_MAX_ITER):
-        v2, _ = _unit(_power_solve(v1, beta, n), history)
-        w1, _ = _unit(_power_solve(v2, alpha, n), history)
+        v2, _ = _unit(_power_solve(v1, beta, quad), history)
+        w1, _ = _unit(_power_solve(v2, alpha, quad), history)
         v1_next, _ = _unit(RadialProfile(r=r, u=(1.0 - _DAMPING) * v1.u + _DAMPING * w1.u,
                                          du=(1.0 - _DAMPING) * v1.du + _DAMPING * w1.du,
                                          n=n, c=0.0), history)
@@ -294,8 +301,8 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
         raise SolverDivergence(
             f"coupled radial iteration did not converge in {_MAX_ITER} iterations", history)
 
-    v2, A2 = _unit(_power_solve(v1, beta, n), history)
-    _, A1 = _unit(_power_solve(v2, alpha, n), history)
+    v2, A2 = _unit(_power_solve(v1, beta, quad), history)
+    _, A1 = _unit(_power_solve(v2, alpha, quad), history)
     # det D^2 v_i = mu_i (-v_j)^e with mu_i = A_i^(-n)
     log_mu = -n * np.log([A1, A2])
     log_t = log_amplitudes(alpha, beta, n, -log_mu, history)

@@ -140,3 +140,69 @@ def test_integer_beyond_float64_is_a_config_error(tmp_path, key, command):
     assert f"config.json:{line}: {key} must be an integer" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+NOT_FINITE = (math.nan, math.inf, -math.inf, 10 ** 400, "x", None, True)
+DOMAINS = (
+    {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    {"shape": "ellipse", "center": [0.0, 0.0], "semi_axes": [1.0, 0.6]},
+    {"shape": "tube", "cross_section": {"shape": "ball", "center": [0.0], "radius": 1.0},
+     "half_height": 1.0},
+)
+
+
+def _number_sites(obj, names):
+    """(container, key or index, key the error names) of every number of
+    ``obj`` under ``names``, and of each list holding them, recursing into a
+    nested ``cross_section``."""
+    sites = []
+    for name in names:
+        if name not in obj:
+            continue
+        sites.append((obj, name, name))
+        if isinstance(obj[name], list):
+            sites += [(obj[name], i, name) for i in range(len(obj[name]))]
+    if "cross_section" in obj:
+        sites += _number_sites(obj["cross_section"], names)
+    return sites
+
+
+@st.composite
+def _nested_number_cases(draw):
+    """A certify config with a domain and nu, or a hypotheses config with a
+    box, in which one nested number, or a list of them, is replaced by a
+    value that a float does not hold finitely; and the key the error names."""
+    if draw(st.booleans()):
+        cfg = {"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
+               "box": json.loads(json.dumps(BOX))}
+        rows = cfg["box"][draw(st.sampled_from(sorted(BOX)))]
+        sites = [(rows, i, "box") for i in range(len(rows))]
+        sites += [(row, i, "box") for row in rows for i in range(len(row))]
+    else:
+        domain = json.loads(json.dumps(draw(st.sampled_from(DOMAINS))))
+        cfg = {"command": "certify", "domain": domain, "system": {"alpha": 1.0, "beta": 1.0},
+               "params": {"h": 0.125}, "nu": [1.0, 0.0]}
+        sites = (_number_sites(cfg["domain"], ("center", "radius", "semi_axes", "half_height"))
+                 + _number_sites(cfg, ("nu",)))
+    container, where, key = draw(st.sampled_from(sites))
+    container[where] = draw(st.sampled_from(NOT_FINITE))
+    return cfg, key
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_nested_number_cases())
+def test_nested_number_beyond_float64_is_a_config_error(case):
+    """A domain's center, radius, semi-axes or half-height (also of a tube's
+    cross-section), an entry of nu or of the hypotheses box that no float
+    holds finitely ends in exit 2 naming the key and its line, before
+    anything is written."""
+    cfg, key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        code, err, out = _run(cfg, tmp)
+        line = next(k for k, text in enumerate(
+            (tmp / "config.json").read_text().splitlines(), start=1) if f'"{key}"' in text)
+        assert code == 2
+        assert f"config.json:{line}: {key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -225,6 +225,19 @@ def test_csv_output(tmp_path):
     assert np.allclose(data["u1"], sol.fields[0])
 
 
+def test_csv_values_are_shortest_round_trip_repr(tmp_path):
+    """Every CSV value is Python's float repr, so it reads back bit for bit:
+    the sign of zero, the smallest subnormal and exact powers of ten too."""
+    values = [-0.0, 5e-324, 1e16, 0.1, 1.0]
+    path = tmp_path / "values.csv"
+    gridsolve._write_csv(path, ["a", "b"], [np.array(values), np.array(values[::-1])])
+    assert path.read_bytes() == (b"a,b\n-0.0,1.0\n5e-324,0.1\n1e+16,1e+16\n"
+                                 b"0.1,5e-324\n1.0,-0.0\n")
+    back = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]])
+    assert back[:, 0].tobytes() == np.array(values).tobytes()
+
+
 def test_binary_roundtrip(tmp_path):
     sol = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), P32)
     path = tmp_path / "sol.bin"

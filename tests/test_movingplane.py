@@ -10,7 +10,7 @@ from masym.movingplane import (MovingPlaneFrame, _SolutionData, _bilinear, bound
                                build_frame, certify_monotonicity, certify_symmetry,
                                lambda_sweep, linearize, verify_elliptic_inequality,
                                write_heatmap_svg)
-from masym.rhs import RhsSystem, power_coupled_system
+from masym.rhs import RhsSystem, d_ij as rhs_d_ij, power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
@@ -410,6 +410,91 @@ def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
                                        atol=4 * np.finfo(float).eps * np.max(np.abs(M)))
             assert np.all(np.linalg.eigvalsh(lin.A[i][bad]) > 0.0)
     assert sum(lin.n_flagged) > 0
+
+
+def _reference_linearization(frame, system):
+    """A, B, d and the flag counts by the entry-wise formulas: A^i accumulates
+    w_k adj((1 - t_k) H_lam + t_k H) over the 4-node Gauss-Legendre rule, one
+    entry array at a time, and lifts the flagged nodes; B^i is written on the
+    boolean mask where grad U^i is nonzero; d_ij is one call per (i, j)."""
+    m, K = frame.m, len(frame.node_idx)
+    A, B, d = np.zeros((m, K, 2, 2)), np.zeros((m, K, 2)), np.zeros((m, m, K))
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(4)
+    t_nodes, t_weights = 0.5 * (t_nodes + 1.0), 0.5 * t_weights
+    flagged = []
+    for i in range(m):
+        Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
+        a00 = a01 = a10 = a11 = 0.0
+        bad = np.zeros(K, dtype=bool)
+        for tk, wk in zip(t_nodes, t_weights):
+            m00, m01, m10, m11 = ((1.0 - tk) * Ha[:, r, s] + tk * Hb[:, r, s]
+                                  for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+            a00, a01 = a00 + wk * m11, a01 + wk * -m01
+            a10, a11 = a10 + wk * -m10, a11 + wk * m00
+            bad |= ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
+        A[i] = np.stack([np.stack([a00, a01], -1), np.stack([a10, a11], -1)], -2)
+        bad &= frame.deriv_ok
+        if bad.any():
+            Ab = 0.5 * (A[i][bad] + np.swapaxes(A[i][bad], -1, -2))
+            shift = np.maximum(0.0, -np.linalg.eigvalsh(Ab)[:, 0]) + 1e-12
+            A[i][bad] = Ab + shift[:, None, None] * np.eye(2)
+        flagged.append(int(bad.sum()))
+        gU = frame.grad_U[i]
+        norm = np.linalg.norm(gU, axis=-1)
+        nz = norm > 0
+        B[i][nz] = float(system.lipschitz_p[i]) * gU[nz] / norm[nz, None]
+        for j in range(m):
+            z = np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)], axis=-1)
+            d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, z, frame.grad_u_lam[i],
+                               frame.U[j])
+    return A, B, d, tuple(flagged)
+
+
+@pytest.mark.parametrize("nu, control", [
+    ((1.0, 0.0), False), ((np.cos(0.4), np.sin(0.4)), False), ((1.0, 0.0), True),
+], ids=["axis", "oblique", "control"])
+def test_linearize_matches_the_entrywise_reference(coupled, nu, control):
+    """B, d and the flag counts equal the entry-wise reference to the bit,
+    and the closed-form A is within 4 ulps of the node's Hessian scale of
+    the accumulated quadrature, flagged and lifted nodes included."""
+    sol = _perturbed(coupled) if control else coupled
+    system = power_coupled_system(1.0, 1.0)
+    planes = critical_planes(DISK, nu)
+    n_flagged = 0
+    for lam in planes.lam0 + (planes.Lam0 - planes.lam0) * np.arange(1, 7) / 6:
+        frame = build_frame(sol, nu, float(lam))
+        lin = linearize(frame, system)
+        A, B, d, flagged = _reference_linearization(frame, system)
+        assert lin.B.shape == B.shape and lin.B.tobytes() == B.tobytes()
+        assert lin.d.shape == d.shape and lin.d.tobytes() == d.tobytes()
+        assert lin.n_flagged == flagged
+        scale = np.maximum(np.max(np.abs(frame.hess_u), axis=(-2, -1)),
+                           np.max(np.abs(frame.hess_u_lam), axis=(-2, -1)))
+        assert np.all(np.max(np.abs(lin.A - A), axis=(-2, -1)) <= 4 * np.spacing(scale))
+        n_flagged += sum(flagged)
+    assert (n_flagged > 0) == control
+
+
+def test_reflections_off_the_grid_box_are_dropped():
+    """A level set whose declared box, x >= -0.7, is shorter than {phi < 0}:
+    reflections that stay in the domain but leave the grid box are dropped
+    from the frame without counting as exits."""
+    domain = SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                            grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                            bbox=((-0.7, 1.0), (-1.0, 1.0)))
+    sol = _kernel_solution(domain)
+    g, nu, lam = sol.grid, np.array([-1.0, 0.0]), 0.5
+    cap = g.node_xy @ nu < lam + g.h * 1e-9
+    refl = reflect_point(g.node_xy[cap], nu, lam)
+    contained = domain.contains(refl)
+    in_box = ((g.xs[0] <= refl[:, 0]) & (refl[:, 0] <= g.xs[-1])
+              & (g.ys[0] <= refl[:, 1]) & (refl[:, 1] <= g.ys[-1]))
+    assert (contained.sum(), (contained & ~in_box).sum()) == (150, 35)
+    frame = build_frame(sol, nu, lam)
+    assert len(frame.node_idx) == 115
+    assert frame.n_exited == int((~contained).sum())
+    np.testing.assert_array_equal(frame.reflected_xy, refl[contained & in_box])
+    assert np.all(np.isfinite(frame.u_lam))
 
 
 def test_heatmap_svg(tmp_path, quadratic):

@@ -4,8 +4,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _cumtrapz,
-                          _power_solve, log_amplitudes, radial_ma_operator,
-                          solve_coupled_radial, solve_scalar_radial, uniqueness_probe)
+                          _power_solve, _Quadrature, log_amplitudes,
+                          radial_ma_operator, solve_coupled_radial, solve_scalar_radial, uniqueness_probe)
 
 
 def shooting_oracle(g, n, R, c, u0_lo, u0_hi):
@@ -195,9 +195,10 @@ def test_power_half_step_is_homogeneous(t):
     u = RadialProfile(r=r, u=0.5 * (r ** 2 - 1.0) * (1.0 + r), du=r * (1.0 + 1.5 * r),
                       n=2, c=0.0)
     tu = RadialProfile(r=r, u=t * u.u, du=t * u.du, n=2, c=0.0)
+    quad = _Quadrature(r, 2)
     for expo in (0.5, 2.0, 9.0):
-        ref = t ** (expo / 2) * _power_solve(u, expo, 2).u
-        got = _power_solve(tu, expo, 2).u
+        ref = t ** (expo / 2) * _power_solve(u, expo, quad).u
+        got = _power_solve(tu, expo, quad).u
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
