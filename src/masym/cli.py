@@ -272,6 +272,12 @@ def read_config(cfg):
         cfg["cs"] = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))
         if len(cfg["cs"]) != system.m:
             raise ConfigError(f"cs needs {system.m} boundary constants")
+        if cfg["command"] in ("certify", "linearize") and not fixture:
+            # d_ii is the quotient of the split's non-increasing part
+            for i, split in enumerate(system.splits, 1):
+                if split is None:
+                    raise ConfigError(f"{cfg['command']} needs a declared split of "
+                                      f"component {i} (d_{i}{i})")
         if "box" in cfg:
             cfg["box"] = {key: np.asarray(cfg["box"][key], dtype=float).reshape(rows, 2)
                           for key, rows in (("x", system.n), ("z", system.m),

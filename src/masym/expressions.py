@@ -4,8 +4,14 @@ Expressions are functions of a spatial point ``x``, the unknown vector
 ``z`` and a gradient ``p``.  The grammar covers constants, coordinates
 ``x1..xn``, unknowns ``z1..zm``, gradient entries ``p1..pn``, the
 arithmetic operators ``+ - * / ^`` and the functions ``exp``, ``log``,
-``abs``, ``min``, ``max``.  Trees evaluate vectorized over numpy arrays
-and serialize to a JSON AST.
+``abs``, ``min``, ``max``; each operator is one numpy ufunc.  Trees
+evaluate vectorized over numpy arrays and serialize to a JSON AST.
+
+An evaluation has one guard: numpy raises on a division by zero or an
+invalid value, and the node where that happens is named in an
+:class:`ExpressionDomainError`.  Overflow and underflow run on; a result
+that is not finite (an overflow) is reported as a ``non-finite value`` of
+the whole expression.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ class ExpressionError(ValueError):
 class ExpressionDomainError(ValueError):
     """Evaluation left the expression's real domain.
 
-    Names the offending subexpression (e.g. a fractional power of a
-    negative base, or a log of a non-positive argument).
+    Names the node where it happened (e.g. a fractional power of a
+    negative base, or a log of a non-positive argument), or the whole
+    expression when its value is not finite.
     """
 
     def __init__(self, message, subexpression):
@@ -35,7 +42,14 @@ class ExpressionDomainError(ValueError):
         self.subexpression = subexpression
 
 
-_FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2}
+# each operator's ufunc; its arity is the ufunc's nin
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power, "neg": np.negative, "exp": np.exp, "log": np.log,
+           "abs": np.abs, "min": np.minimum, "max": np.maximum}
+_FUNCTIONS = {"exp", "log", "abs", "min", "max"}  # the names the parser calls
+_DOMAIN_ERRORS = {"/": "division by zero",
+                  "^": "power outside the real domain",
+                  "log": "log of a non-positive argument"}
 _VAR_RE = re.compile(r"^(x|z|p)([1-9][0-9]*)$")
 
 
@@ -70,51 +84,34 @@ class Expr:
         return any(v[0] == kind for v in self.variables())
 
     def __call__(self, x, z, p):
-        """Evaluate with broadcasting; x: (..., n), z: (..., m), p: (..., n)."""
+        """Evaluate with broadcasting; x: (..., n), z: (..., m), p: (..., n).
+
+        Raises :class:`ExpressionDomainError` at the node where a value
+        leaves the real domain, or when the result is not finite.
+        """
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            val = self._eval({"x": x, "z": z, "p": p})
+        if not np.all(np.isfinite(val)):
+            raise ExpressionDomainError("non-finite value", str(self))
+        return val
+
+    def _eval(self, env):
         if self.op == "const":
             return np.asarray(self.value, dtype=float)
         if self.op == "var":
-            kind, idx = self.name[0], int(self.name[1:]) - 1
-            arr = {"x": x, "z": z, "p": p}[kind]
-            arr = np.asarray(arr, dtype=float)
+            arr = np.asarray(env[self.name[0]], dtype=float)
+            idx = int(self.name[1:]) - 1
             if idx >= arr.shape[-1]:
                 raise ExpressionError(f"variable {self.name} out of range for shape {arr.shape}")
             return arr[..., idx]
-        vals = [a(x, z, p) for a in self.args]
-        if self.op == "+":
-            return vals[0] + vals[1]
-        if self.op == "-":
-            return vals[0] - vals[1]
-        if self.op == "neg":
-            return -vals[0]
-        if self.op == "*":
-            return vals[0] * vals[1]
-        if self.op == "/":
-            if np.any(vals[1] == 0.0):
-                raise ExpressionDomainError("division by zero", str(self))
-            return vals[0] / vals[1]
-        if self.op == "^":
-            base, expo = vals
-            if np.any((np.asarray(base) < 0) & (np.asarray(expo) != np.round(expo))):
-                raise ExpressionDomainError("fractional power of a negative base", str(self))
-            with np.errstate(invalid="raise", divide="raise"):
-                try:
-                    return np.power(base, expo)
-                except FloatingPointError:
-                    raise ExpressionDomainError("invalid power", str(self)) from None
-        if self.op == "exp":
-            return np.exp(vals[0])
-        if self.op == "log":
-            if np.any(vals[0] <= 0.0):
-                raise ExpressionDomainError("log of a non-positive argument", str(self))
-            return np.log(vals[0])
-        if self.op == "abs":
-            return np.abs(vals[0])
-        if self.op == "min":
-            return np.minimum(vals[0], vals[1])
-        if self.op == "max":
-            return np.maximum(vals[0], vals[1])
-        raise ExpressionError(f"unknown operator {self.op!r}")
+        if self.op not in _UFUNCS:
+            raise ExpressionError(f"unknown operator {self.op!r}")
+        vals = [a._eval(env) for a in self.args]
+        try:
+            return _UFUNCS[self.op](*vals)
+        except FloatingPointError:
+            raise ExpressionDomainError(_DOMAIN_ERRORS.get(self.op, "invalid value"),
+                                        str(self)) from None
 
     def to_json(self):
         if self.op == "const":
@@ -130,13 +127,8 @@ class Expr:
         if isinstance(obj, str):
             return var(obj)
         if isinstance(obj, (list, tuple)) and obj:
-            op = obj[0]
-            args = tuple(Expr.from_json(a) for a in obj[1:])
-            if op == "neg" and len(args) == 1:
-                return Expr("neg", args)
-            if op in ("+", "-", "*", "/", "^") and len(args) == 2:
-                return Expr(op, args)
-            if op in _FUNCTIONS and len(args) == _FUNCTIONS[op]:
+            op, args = obj[0], tuple(Expr.from_json(a) for a in obj[1:])
+            if op in _UFUNCS and len(args) == _UFUNCS[op].nin:
                 return Expr(op, args)
         raise ExpressionError(f"bad AST node {obj!r}")
 
@@ -238,7 +230,7 @@ class _Parser:
             if val in _FUNCTIONS:
                 self.take("(")
                 args = [self.expr()]
-                for _ in range(_FUNCTIONS[val] - 1):
+                for _ in range(_UFUNCS[val].nin - 1):
                     self.take(",")
                     args.append(self.expr())
                 self.take(")")

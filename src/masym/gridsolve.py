@@ -611,26 +611,16 @@ def write_solution_csv(sol, path):
 
 
 def _mask_rle(mask):
+    """Run lengths of the row-major mask, the first run holding ``first``."""
     flat = mask.ravel(order="C").astype(np.int8)
-    runs, val, count = [], int(flat[0]), 0
-    for b in flat:
-        if int(b) == val:
-            count += 1
-        else:
-            runs.append(count)
-            val, count = int(b), 1
-    runs.append(count)
-    return {"first": int(flat[0]), "runs": runs}
+    ends = np.concatenate(([0], np.flatnonzero(np.diff(flat)) + 1, [flat.size]))
+    return {"first": int(flat[0]), "runs": np.diff(ends).tolist()}
 
 
 def _mask_from_rle(rle, shape):
-    out = np.empty(int(np.prod(shape)), dtype=bool)
-    pos, val = 0, bool(rle["first"])
-    for run in rle["runs"]:
-        out[pos:pos + run] = val
-        pos += run
-        val = not val
-    return out.reshape(shape)
+    runs = rle["runs"]
+    vals = (np.arange(len(runs)) % 2 == 0) == bool(rle["first"])
+    return np.repeat(vals, runs).reshape(shape)
 
 
 _MAGIC = b"MAGS"

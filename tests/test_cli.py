@@ -178,7 +178,8 @@ def test_power_pair_factorization_count(tmp_path, system, h, most):
 
 @pytest.mark.parametrize("system", [
     {"alpha": 2.0, "beta": 2.0},
-    ["(0 - z2)^2", "2 * (-z1)^2 * 0.5"],
+    {"n": 2, "components": ["(0 - z2)^2", "2 * (-z1)^2 * 0.5"],
+     "splits": [[0, "(0 - z2)^2"], [0, "2 * (-z1)^2 * 0.5"]]},
 ], ids=["power_coupled", "spelled_out"])
 @pytest.mark.parametrize("command, extra", [
     ("solve-grid", {}),
@@ -200,6 +201,24 @@ def test_grid_power_pair_without_solution_is_an_outcome(tmp_path, system, comman
     assert set(read_json(a / "manifest.json")["artifacts"]) == {"summary.json"}
     for name in ("summary.json", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, extra, system, component", [
+    ("certify", {}, ["(0 - z2) + 1", "(0 - z1) + 1"], 1),
+    ("linearize", {"lambda": -0.3},
+     {"n": 2, "components": ["(0 - z2) + 1", "(0 - z1) + 1"],
+      "splits": [[0, "(0 - z2) + 1"], None]}, 2),
+], ids=["certify_no_split", "linearize_one_split"])
+def test_missing_split_rejected_before_the_solve(tmp_path, capsys, command, extra,
+                                                 system, component):
+    """certify and linearize take d_ii on each component's declared split,
+    so a system without one is a config error before the output dir exists."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, command=command, system=system,
+                                      params={"h": 0.0625}, **extra))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert f"split of component {component}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deleted_params_key_rejected_without_lock(tmp_path, capsys):

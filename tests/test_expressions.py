@@ -58,6 +58,30 @@ def test_log_domain():
         ev(parse("log(x1)"), x=(-1.0, 0.0))
 
 
+@pytest.mark.parametrize("text, x, z, node, message", [
+    ("1 + z1 ^ 0.5", (0.0, 0.0), (-1.0,), "(z1 ^ 0.5)", "power outside the real domain"),
+    ("0 ^ -1", (0.0, 0.0), (0.0,), "(0.0 ^ (- 1.0))", "power outside the real domain"),
+    ("2 * (1 / x1)", (0.0, 1.0), (0.0,), "(1.0 / x1)", "division by zero"),
+    ("max(log(x1), 0)", (-1.0, 0.0), (0.0,), "log(x1)", "log of a non-positive argument"),
+    ("exp(1000) - exp(1000) + 1", (0.0, 0.0), (0.0,), "(exp(1000.0) - exp(1000.0))",
+     "invalid value"),
+], ids=["fractional_power", "zero_to_negative_power", "division", "log", "inf_minus_inf"])
+def test_domain_error_names_its_node(text, x, z, node, message):
+    with pytest.raises(ExpressionDomainError) as err:
+        ev(parse(text), x=x, z=z)
+    assert err.value.subexpression == node
+    assert str(err.value) == f"{message} in subexpression '{node}'"
+
+
+def test_overflow_is_a_non_finite_value():
+    e = parse("exp(1000)")
+    with pytest.raises(ExpressionDomainError, match="non-finite value") as err:
+        ev(e)
+    assert err.value.subexpression == "exp(1000.0)"
+    # an overflow that a later node absorbs leaves a finite value
+    assert ev(parse("min(exp(1000), 1)")) == 1.0
+
+
 def test_min_max_abs():
     assert ev(parse("min(3, max(1, 2)) + abs(0 - 5)")) == pytest.approx(7.0)
 

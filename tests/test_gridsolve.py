@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -247,6 +249,22 @@ def test_binary_roundtrip(tmp_path):
     for i in range(sol.m):
         assert np.array_equal(back.fields[i], sol.fields[i])
     assert back.cs == sol.cs
+
+
+def test_mask_run_lengths_match_the_run_loop():
+    """solution.bin stores the mask as the lengths of the runs of equal
+    cells in row-major order, the first run holding ``first``."""
+    masks = [StencilGrid(OPERATOR_DOMAINS[name], 1.0 / 16.0).inside
+             for name in ("ball", "ellipse", "tube")]
+    masks += [np.ones((3, 4), bool), np.zeros((3, 4), bool), np.eye(5, dtype=bool)]
+    for mask in masks:
+        flat = mask.ravel().tolist()
+        runs = [len(list(run)) for _, run in itertools.groupby(flat)]
+        rle = gridsolve._mask_rle(mask)
+        assert rle == {"first": int(flat[0]), "runs": runs}
+        assert all(type(r) is int for r in rle["runs"])
+        back = gridsolve._mask_from_rle(rle, mask.shape)
+        assert back.dtype == bool and np.array_equal(back, mask)
 
 
 def test_convexity_audit_flags_corruption():

@@ -33,9 +33,32 @@ def test_power_system_declared_structure():
 
 
 def test_d_ij_zero_step():
+    """A zero step gives exactly 0, alone or among the entries of an array
+    step; the other entries are the plain quotient, bit for bit."""
     sys_ = power_coupled_system(1.0, 2.0)
     x, z, p = np.zeros(2), np.array([-1.0, -1.0]), np.zeros(2)
     assert d_ij(sys_, 1, 2, x, z, p, 0.0) == 0.0
+    rng = np.random.default_rng(5)
+    x, p = np.zeros((8, 2)), np.zeros((8, 2))
+    z = rng.uniform(-2.0, -0.2, size=(8, 2))
+    h = np.where(np.arange(8) % 3 == 0, 0.0, rng.uniform(-0.1, 0.1, size=8))
+    nz = h != 0.0
+    for i, j in ((1, 2), (2, 1)):
+        zh = z.copy()
+        zh[:, j - 1] += h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = d_ij(sys_, i, j, x, z, p, h)
+        f = sys_.components[i - 1]
+        assert np.all(q[~nz] == 0.0)
+        assert np.array_equal(q[nz], (f(x, zh, p) - f(x, z, p))[nz] / h[nz])
+
+
+def test_eval_f_absorbs_an_intermediate_overflow():
+    sys_ = RhsSystem(components=(parse("min(exp(1000), 1)"),), n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_f(sys_, 1, np.zeros(2), np.zeros(1), np.zeros(2)) == 1.0
 
 
 def test_d_ij_cross_quotient_sign():
