@@ -30,7 +30,8 @@ from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid, _w
                         solve_system_fd, write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import ConfigurationError, RhsSystem, check_hypotheses, power_coupled_system
+from .rhs import (HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, check_hypotheses,
+                  power_coupled_system)
 
 COMMANDS = ("solve-radial", "solve-grid", "certify", "hypotheses",
             "sweep-trichotomy", "linearize")
@@ -45,6 +46,10 @@ _ALLOWED_KEYS = {
     "linearize": {"command", "domain", "system", "cs", "params", "nu", "lambda", "seed"},
 }
 
+# the keys each command cannot run without; certify on the quadratic fixture needs none
+_REQUIRED_KEYS = {"solve-radial": ("alpha", "beta"), "hypotheses": ("system", "box"),
+                  "solve-grid": ("domain", "system"), "certify": ("domain", "system"),
+                  "sweep-trichotomy": (), "linearize": ("domain", "system", "lambda")}
 
 _DOMAIN_KEYS = {
     "ball": ("shape", "center", "radius"),
@@ -154,6 +159,14 @@ def load_config(path):
         for key in ("alpha", "beta"):
             if key in system and not (_finite(system[key]) and system[key] > 0):
                 raise _must(path, key, "a positive finite number")
+    which = cfg.get("which", [])
+    if not (isinstance(which, list) and all(name in HYPOTHESES for name in which)):
+        raise _must(path, "which", f"a list of names from {', '.join(HYPOTHESES)}")
+    if cfg.get("fixture", "quadratic") != "quadratic":
+        raise _must(path, "fixture", '"quadratic"')
+    for key in () if "fixture" in cfg else _REQUIRED_KEYS[cmd]:
+        if key not in cfg:
+            raise ConfigError(f"{path}: missing key {key!r} for command {cmd!r}")
     return cfg
 
 
@@ -188,8 +201,7 @@ def _system_from_config(obj):
     if isinstance(obj, dict):
         return RhsSystem.from_json(obj)
     if isinstance(obj, list):
-        return RhsSystem(components=tuple(parse_expr(c) if isinstance(c, str) else c
-                                          for c in obj), n=2)
+        return RhsSystem(components=tuple(obj), n=2)
     raise ConfigError(f"cannot interpret system description {obj!r}")
 
 
@@ -248,10 +260,9 @@ def read_config(cfg):
     """The validated config with its values read into the objects the commands
     run on.  Reading writes nothing, so a value of the wrong type, shape or
     range raises here, as a config error, before the output dir is locked."""
-    which, fixture = cfg.get("which"), cfg.get("fixture") == "quadratic"
+    fixture = "fixture" in cfg
     cfg = dict(cfg, params=FdParams.from_json(cfg.get("params", {})),
-               nu=np.asarray(cfg.get("nu", [1.0, 0.0]), dtype=float),
-               which=None if which is None else tuple(which))
+               nu=np.asarray(cfg.get("nu", [1.0, 0.0]), dtype=float))
     if "lambda" in cfg:
         cfg["lambda"] = float(cfg["lambda"])
     if "domain" in cfg or fixture:
@@ -278,10 +289,11 @@ def read_config(cfg):
                 if split is None:
                     raise ConfigError(f"{cfg['command']} needs a declared split of "
                                       f"component {i} (d_{i}{i})")
+        if "domain" in cfg and system.n != cfg["domain"].dimension:
+            raise ConfigError(f"system.n = {system.n} differs from the domain's dimension "
+                              f"{cfg['domain'].dimension}")
         if "box" in cfg:
-            cfg["box"] = {key: np.asarray(cfg["box"][key], dtype=float).reshape(rows, 2)
-                          for key, rows in (("x", system.n), ("z", system.m),
-                                            ("p", system.n))}
+            cfg["box"] = dict(zip("xzp", _box_arrays(cfg["box"], system.n, system.m)))
     return cfg
 
 
@@ -362,7 +374,7 @@ def _quadratic_fixture(cfg):
 
 
 def cmd_certify(cfg, emit, seed):
-    if cfg.get("fixture") == "quadratic":
+    if "fixture" in cfg:
         domain, system, sol = _quadratic_fixture(cfg)
     else:
         domain, system, sol = _grid_solution(cfg)
@@ -381,11 +393,10 @@ def cmd_certify(cfg, emit, seed):
 def cmd_hypotheses(cfg, emit, seed):
     report = check_hypotheses(cfg["system"], cfg["box"],
                               samples=int(cfg.get("samples", 1024)),
-                              which=cfg["which"], seed=seed)
+                              which=cfg.get("which"), seed=seed)
     _json_dump(report.to_json(), emit.path("hypotheses.json"))
-    n_fail = sum(1 for s in report.statuses.values() if s == "fail")
-    emit.say(f"hypotheses: {n_fail} failed, "
-             f"{sum(1 for s in report.statuses.values() if s == 'pass')} passed")
+    statuses = list(report.statuses.values())
+    emit.say(f"hypotheses: {statuses.count('fail')} failed, {statuses.count('pass')} passed")
     return 0
 
 
@@ -469,9 +480,7 @@ def main(argv=None):
         return status
     except (SolverDivergence, DivergenceError, ExpressionDomainError) as err:
         report = os.path.join(args.out, "divergence.json")
-        _json_dump({"error": str(err),
-                    "history": [list(hh) if isinstance(hh, (list, tuple)) else hh
-                                for hh in getattr(err, "history", [])]}, report)
+        _json_dump({"error": str(err), "history": getattr(err, "history", [])}, report)
         print(f"solver divergence: {err} (report: {report})", file=sys.stderr)
         return 3
     except (ConfigError, ConfigurationError, GeometryError, KeyError) as err:

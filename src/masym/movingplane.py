@@ -24,7 +24,7 @@ and its positivity flag) runs in closed form on per-entry arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -622,18 +622,7 @@ class MovingPlaneReport:
     passed: bool
 
     def to_json(self):
-        return {
-            "nu": list(self.nu),
-            "lam0": self.lam0,
-            "Lam0": self.Lam0,
-            "n_lambdas": self.n_lambdas,
-            "entries": self.entries,
-            "monotonicity": self.monotonicity,
-            "symmetry": self.symmetry,
-            "boundary": self.boundary,
-            "total_ei_violations": self.total_ei_violations,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,10 +262,6 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     if grid_size < 6:
         # the final residual check skips three nodes at each end
         raise ValueError(f"grid_size must be at least 6, got {grid_size}")
-    if abs(alpha * beta - n * n) <= 1e-9 and alpha * beta != n * n:
-        warnings.warn(
-            "alpha*beta is within 1e-9 of n^2, where no radial convex solution exists",
-            RuntimeWarning, stacklevel=2)
     history = []
     # a half-step integrates n s^(n-1) (s - r_k) ds up to R, which reaches
     # R^(n+1); below that bound the start profile and every unit half-step fit

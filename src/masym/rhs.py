@@ -10,7 +10,9 @@ bounds, and the reflection/orthogonal invariances of the source term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +63,9 @@ class RhsSystem:
 
     ``splits[i]`` is an optional pair (lipschitz part, non-increasing
     part) whose sum must equal ``components[i]``.  Declared Lipschitz
-    constants override the sampled estimates in downstream modules.
+    constants, each None or a finite number >= 0, override the sampled
+    estimates in downstream modules.  ``n`` is an integer >= 1, and every
+    expression uses only x1..xn, p1..pn and z1..zm.
     """
 
     components: tuple
@@ -77,18 +81,31 @@ class RhsSystem:
         if m < 1:
             raise ConfigurationError("system needs at least one component")
         splits = self.splits if self.splits is not None else (None,) * m
-        splits = tuple(
-            None if s is None else (_as_expr(s[0]), _as_expr(s[1])) for s in splits
-        )
         if len(splits) != m:
             raise ConfigurationError("splits length must match component count")
+        if not all(s is None or len(s) == 2 for s in splits):
+            raise ConfigurationError("each split must be null or a pair of expressions")
+        splits = tuple(None if s is None else (_as_expr(s[0]), _as_expr(s[1])) for s in splits)
         object.__setattr__(self, "splits", splits)
         for name in ("lipschitz_z", "lipschitz_p"):
             v = getattr(self, name)
             v = (None,) * m if v is None else tuple(v)
             if len(v) != m:
                 raise ConfigurationError(f"{name} length must match component count")
+            if not all(c is None or (isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                     and 0 <= c <= sys.float_info.max) for c in v):
+                raise ConfigurationError(f"{name} entries must be null or finite numbers "
+                                         f">= 0, got {list(v)!r}")
             object.__setattr__(self, name, v)
+        if not (isinstance(self.n, numbers.Integral) and not isinstance(self.n, bool)
+                and self.n >= 1):
+            raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
+        for i, (c, split) in enumerate(zip(comps, splits), 1):
+            for e in (c, *(split or ())):
+                for name in sorted(e.variables()):
+                    if int(name[1:]) > (m if name[0] == "z" else self.n):
+                        raise ConfigurationError(f"component {i} uses {name}, out of range "
+                                                 f"for n = {self.n} and m = {m}")
 
     @property
     def m(self):
@@ -106,14 +123,9 @@ class RhsSystem:
 
     @staticmethod
     def from_json(obj):
-        return RhsSystem(
-            components=tuple(obj["components"]),
-            n=int(obj["n"]),
-            splits=tuple(None if s is None else tuple(s) for s in obj.get("splits") or
-                         (None,) * len(obj["components"])),
-            lipschitz_z=obj.get("lipschitz_z"),
-            lipschitz_p=obj.get("lipschitz_p"),
-        )
+        return RhsSystem(components=tuple(obj["components"]), n=obj["n"],
+                         splits=obj.get("splits") or None,
+                         lipschitz_z=obj.get("lipschitz_z"), lipschitz_p=obj.get("lipschitz_p"))
 
 
 def power_coupled_system(alpha, beta):
@@ -173,7 +185,7 @@ class HypothesisReport:
 
     statuses: dict
     witnesses: dict
-    box: dict
+    box: dict  # [lo, hi] rows per variable: {"x": [[lo, hi]] * n, "z": ..., "p": ...}
     samples: int
     c_f: Optional[float] = None
     lipschitz_z_estimate: tuple = ()
@@ -184,26 +196,7 @@ class HypothesisReport:
         return all(self.statuses.get(nm) == "pass" for nm in names)
 
     def to_json(self):
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, (list, tuple)):
-                return [clean(u) for u in v]
-            if isinstance(v, dict):
-                return {k: clean(u) for k, u in v.items()}
-            return v
-        return {
-            "statuses": dict(self.statuses),
-            "witnesses": clean(self.witnesses),
-            "box": clean(self.box),
-            "samples": self.samples,
-            "c_f": self.c_f,
-            "lipschitz_z_estimate": clean(self.lipschitz_z_estimate),
-            "lipschitz_p_estimate": clean(self.lipschitz_p_estimate),
-            "quotient_sign_ok": self.quotient_sign_ok,
-        }
+        return asdict(self)
 
 
 def _box_arrays(box, n, m):
@@ -242,22 +235,50 @@ def _random_orthogonal(n, rng):
     return O
 
 
-def _quotient_bound(f, pick, x, z, p):
-    """Max symmetric difference quotient of f along the axis selected by pick."""
-    best = 0.0
+def _quotient_bound(f, x, z, p, var, col):
+    """Max symmetric difference quotient of f along column ``col`` of ``var``
+    ("z" or "p"), one column for every sample or one per sample, at each of
+    the steps 1e-2, 1e-3 and 1e-4; and the sample where the last one peaks."""
+    rows = np.arange(len(x))
+    bounds = []
     for h in (1e-2, 1e-3, 1e-4):
-        a, b = pick(x, z, p, h)
-        q = np.abs(f(*a) - f(*b)) / (2 * h)
-        best = max(best, float(np.max(q)))
-    return best
+        ends = []
+        for step in (h, -h):
+            args = {"x": x, "z": z, "p": p}
+            args[var] = args[var].copy()
+            args[var][rows, col] += step
+            ends.append(f(**args))
+        q = np.abs(ends[0] - ends[1]) / (2 * h)
+        bounds.append(float(np.max(q)))
+    return bounds, int(np.argmax(q))
+
+
+def _step_up(z, zb, j, frac):
+    """z with unknown j moved up by ``frac`` quarter widths of its box row,
+    capped at the box, and the steps taken."""
+    zh = z.copy()
+    zh[:, j] = np.minimum(z[:, j] + 0.25 * (zb[j, 1] - zb[j, 0]) * frac, zb[j, 1])
+    return zh, zh[:, j] - z[:, j]
 
 
 def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     """Screen the structural conditions by quasi-random sampling.
 
     ``box`` declares admissible ranges: {"x": [[lo,hi]]*n, "z": ..., "p": ...}.
-    ``which`` selects a subset of :data:`HYPOTHESES`.  Evaluation domain
-    errors mark the affected check ``not-applicable`` with a witness.
+    ``which`` selects a subset of :data:`HYPOTHESES`; the others stay
+    ``not-applicable``.  A selected check passes unless a sample fails it,
+    and then reports a witness sample.  An evaluation domain error makes
+    the check ``not-applicable`` with the error as witness, and
+    ``own_component_split`` is ``not-applicable`` when no split is
+    declared.
+
+    A Lipschitz bound (``gradient_lipschitz``, and the Lipschitz part of
+    a declared split) is the largest symmetric difference quotient at the
+    steps 1e-2, 1e-3 and 1e-4; the check fails when the 1e-4 bound is
+    more than twice the 1e-2 bound.  Growth shows only where a sample lies
+    within about a step of the singularity: over the unit p box
+    ``1 + abs(p1) ^ 0.5`` fails at 1,024 and 10,000 samples, but at 64 to
+    256 samples it passes for most seeds.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -273,21 +294,13 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     statuses = {nm: "not-applicable" for nm in HYPOTHESES}
     witnesses = {}
     report = HypothesisReport(statuses=statuses, witnesses=witnesses,
-                              box={"x": xb, "z": zb, "p": pb}, samples=samples)
+                              box={"x": xb.tolist(), "z": zb.tolist(), "p": pb.tolist()},
+                              samples=samples)
 
     def record_fail(name, idx, detail):
         statuses[name] = "fail"
         witnesses[name] = {"x": X[idx].tolist(), "z": Z[idx].tolist(),
                            "p": P[idx].tolist(), **detail}
-
-    def guarded(name, fn):
-        if name not in which:
-            return
-        try:
-            fn()
-        except ExpressionDomainError as err:
-            statuses[name] = "not-applicable"
-            witnesses[name] = {"domain_error": str(err)}
 
     vals = None
 
@@ -299,96 +312,79 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
                              for i in range(1, m + 1)])
         return vals
 
-    def chk_positivity():
-        v = all_values()
-        if np.all(v > 0):
-            statuses["positivity"] = "pass"
-        else:
-            i, k = np.unravel_index(int(np.argmin(v)), v.shape)
-            record_fail("positivity", k, {"component": int(i + 1), "value": float(v[i, k])})
+    def lipschitz(name, i, f, var, col):
+        """The quotient bound of f; ``name`` fails where it grows as the step shrinks."""
+        bounds, k = _quotient_bound(f, X, Z, P, var, col)
+        if bounds[2] > 2.0 * bounds[0]:
+            record_fail(name, k, {"component": i, "bounds": bounds})
+        return max(bounds)
 
-    def chk_uniform():
-        v = all_values()
-        cmin = float(np.min(v))
-        report.c_f = cmin
-        if cmin > 0:
-            statuses["uniform_positivity"] = "pass"
-        else:
-            i, k = np.unravel_index(int(np.argmin(v)), v.shape)
-            record_fail("uniform_positivity", k,
-                        {"component": int(i + 1), "value": float(v[i, k])})
-
-    def chk_split():
-        ests = []
+    def compare(name, Xt, Pt, O=None, Op=None):
+        """``name`` fails where f^i(Xt, Z, Pt) differs from f^i(X, Z, P)."""
         for i in range(1, m + 1):
-            sp = system.splits[i - 1]
+            a = all_values()[i - 1]
+            diff = np.abs(a - eval_f(system, i, Xt, Z, Pt))
+            bad = diff > 1e-10 * np.maximum(1.0, np.abs(a))
+            if bad.any():
+                rot = {} if O is None else {"O": O.tolist(), "O_prime": Op.tolist()}
+                record_fail(name, int(np.argmax(bad)),
+                            {"component": i, "difference": float(np.max(diff)), **rot})
+
+    def chk_positivity(name):
+        # on finite samples, every f^i > 0 is min f^i = c_f > 0
+        v = all_values()
+        if name == "uniform_positivity":
+            report.c_f = float(np.min(v))
+        i, k = np.unravel_index(int(np.argmin(v)), v.shape)
+        if v[i, k] <= 0:
+            record_fail(name, k, {"component": int(i + 1), "value": float(v[i, k])})
+
+    def chk_split(name):
+        ests = []
+        for i, (fi, sp) in enumerate(zip(system.components, system.splits), 1):
             if sp is None:
                 ests.append(None)
                 continue
             f1, f2 = sp
-            fi = system.components[i - 1]
             # declared split must reproduce f^i
             vi = fi(X, Z, P)
             resid = np.abs(f1(X, Z, P) + f2(X, Z, P) - vi)
             if np.max(resid) > 1e-12 * max(1.0, float(np.max(np.abs(vi)))):
-                record_fail("own_component_split", int(np.argmax(resid)),
+                record_fail(name, int(np.argmax(resid)),
                             {"component": i, "split_residual": float(np.max(resid))})
                 ests.append(None)
                 continue
-            # f^{i,1} Lipschitz in z^i: bounded symmetric quotients
-            def pick(x, z, p, h, i=i):
-                za = z.copy(); za[:, i - 1] += h
-                zb_ = z.copy(); zb_[:, i - 1] -= h
-                return (x, za, p), (x, zb_, p)
-            ests.append(_quotient_bound(f1, pick, X, Z, P))
-            # f^{i,2} non-increasing in z^i
-            h = 0.25 * (zb[i - 1, 1] - zb[i - 1, 0]) * rng.random(samples)
-            Zh = Z.copy(); Zh[:, i - 1] = np.minimum(Zh[:, i - 1] + h, zb[i - 1, 1])
-            dh = Zh[:, i - 1] - Z[:, i - 1]
+            # f^{i,1} Lipschitz in z^i, f^{i,2} non-increasing in z^i
+            ests.append(lipschitz(name, i, f1, "z", i - 1))
+            Zh, dh = _step_up(Z, zb, i - 1, rng.random(samples))
             bad = (f2(X, Zh, P) - f2(X, Z, P) > 1e-12) & (dh > 0)
             if bad.any():
-                record_fail("own_component_split", int(np.argmax(bad)),
+                record_fail(name, int(np.argmax(bad)),
                             {"component": i, "violation": "f^{i,2} increasing in own unknown"})
         report.lipschitz_z_estimate = tuple(ests)
-        if statuses["own_component_split"] != "fail" and any(e is not None for e in ests):
-            statuses["own_component_split"] = "pass"
+        if all(sp is None for sp in system.splits):
+            statuses[name] = "not-applicable"
 
-    def chk_cross():
-        for i in range(1, m + 1):
-            fi = system.components[i - 1]
+    def chk_cross(name):
+        for i, fi in enumerate(system.components, 1):
             base = fi(X, Z, P)
             for j in range(1, m + 1):
                 if j == i:
                     continue
-                h = 0.25 * (zb[j - 1, 1] - zb[j - 1, 0]) * (0.1 + 0.9 * rng.random(samples))
-                Zh = Z.copy(); Zh[:, j - 1] = np.minimum(Zh[:, j - 1] + h, zb[j - 1, 1])
-                dh = Zh[:, j - 1] - Z[:, j - 1]
+                Zh, dh = _step_up(Z, zb, j - 1, 0.1 + 0.9 * rng.random(samples))
                 diff = fi(X, Zh, P) - base
                 bad = (diff > 1e-12 * np.maximum(1.0, np.abs(base))) & (dh > 0)
                 if bad.any():
-                    record_fail("cross_monotonicity", int(np.argmax(bad)),
+                    record_fail(name, int(np.argmax(bad)),
                                 {"component": i, "along": j, "increase": float(np.max(diff))})
-        if statuses["cross_monotonicity"] != "fail":
-            statuses["cross_monotonicity"] = "pass"
 
-    def chk_plip():
-        ests = []
-        for i in range(1, m + 1):
-            fi = system.components[i - 1]
-            if not fi.depends_on("p"):
-                ests.append(0.0)
-                continue
-            axis = rng.integers(0, n, samples)
-            def pick(x, z, p, h, axis=axis):
-                pa, pb = p.copy(), p.copy()
-                pa[np.arange(samples), axis] += h
-                pb[np.arange(samples), axis] -= h
-                return (x, z, pa), (x, z, pb)
-            ests.append(_quotient_bound(fi, pick, X, Z, P))
-        report.lipschitz_p_estimate = tuple(ests)
-        statuses["gradient_lipschitz"] = "pass" if all(np.isfinite(ests)) else "fail"
+    def chk_plip(name):
+        report.lipschitz_p_estimate = tuple(
+            lipschitz(name, i, fi, "p", rng.integers(0, n, samples))
+            if fi.depends_on("p") else 0.0
+            for i, fi in enumerate(system.components, 1))
 
-    def chk_reflection():
+    def chk_reflection(name):
         Xn = X.copy()
         Xn[:, 0] = -np.abs(Xn[:, 0])
         Pn = P.copy()
@@ -401,55 +397,38 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
             rhs_v = eval_f(system, i, Xn, Z, Pn)
             bad = lhs < rhs_v - 1e-12 * np.maximum(1.0, np.abs(rhs_v))
             if bad.any():
-                record_fail("reflection_comparison", int(np.argmax(bad)),
+                record_fail(name, int(np.argmax(bad)),
                             {"component": i, "margin": float(np.min(lhs - rhs_v))})
-        if statuses["reflection_comparison"] != "fail":
-            statuses["reflection_comparison"] = "pass"
 
-    def chk_evenness():
+    def chk_evenness(name):
         Xa = X.copy(); Xa[:, 0] = np.abs(Xa[:, 0])
         Pa = P.copy(); Pa[:, 0] = np.abs(Pa[:, 0])
-        for i in range(1, m + 1):
-            a = all_values()[i - 1]
-            b = eval_f(system, i, Xa, Z, Pa)
-            bad = np.abs(a - b) > 1e-10 * np.maximum(1.0, np.abs(a))
-            if bad.any():
-                record_fail("axis_evenness", int(np.argmax(bad)),
-                            {"component": i, "difference": float(np.max(np.abs(a - b)))})
-        if statuses["axis_evenness"] != "fail":
-            statuses["axis_evenness"] = "pass"
+        compare(name, Xa, Pa)
 
-    def chk_orthogonal():
-        n_mats = min(16, samples)
-        for _ in range(n_mats):
+    def chk_orthogonal(name):
+        for _ in range(min(16, samples)):
             O = _random_orthogonal(n, rng)
             Op = _random_orthogonal(n, rng)
-            XO = X @ O.T
-            PO = P @ Op.T
-            for i in range(1, m + 1):
-                a = all_values()[i - 1]
-                b = eval_f(system, i, XO, Z, PO)
-                bad = np.abs(a - b) > 1e-10 * np.maximum(1.0, np.abs(a))
-                if bad.any():
-                    record_fail("orthogonal_invariance", int(np.argmax(bad)),
-                                {"component": i, "difference": float(np.max(np.abs(a - b))),
-                                 "O": O.tolist(), "O_prime": Op.tolist()})
-        if statuses["orthogonal_invariance"] != "fail":
-            statuses["orthogonal_invariance"] = "pass"
+            compare(name, X @ O.T, P @ Op.T, O, Op)
 
-    guarded("positivity", chk_positivity)
-    guarded("uniform_positivity", chk_uniform)
-    guarded("own_component_split", chk_split)
-    guarded("cross_monotonicity", chk_cross)
-    guarded("gradient_lipschitz", chk_plip)
-    guarded("reflection_comparison", chk_reflection)
-    guarded("axis_evenness", chk_evenness)
-    guarded("orthogonal_invariance", chk_orthogonal)
+    checks = {"positivity": chk_positivity, "uniform_positivity": chk_positivity,
+              "own_component_split": chk_split, "cross_monotonicity": chk_cross,
+              "gradient_lipschitz": chk_plip, "reflection_comparison": chk_reflection,
+              "axis_evenness": chk_evenness, "orthogonal_invariance": chk_orthogonal}
+    for name in HYPOTHESES:
+        if name not in which:
+            continue
+        statuses[name] = "pass"
+        try:
+            checks[name](name)
+        except ExpressionDomainError as err:
+            statuses[name] = "not-applicable"
+            witnesses[name] = {"domain_error": str(err)}
 
     # sign of the difference quotients: d_ij <= 0 whenever the split and
     # cross-monotonicity checks pass
     if statuses["own_component_split"] == "pass" and statuses["cross_monotonicity"] == "pass":
-        ok = True
+        report.quotient_sign_ok = True
         try:
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
@@ -457,10 +436,8 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
                         continue
                     h = (zb[j - 1, 1] - zb[j - 1, 0]) * (rng.random(samples) - 0.5)
                     h = np.clip(h, zb[j - 1, 0] - Z[:, j - 1], zb[j - 1, 1] - Z[:, j - 1])
-                    q = d_ij(system, i, j, X, Z, P, h)
-                    if np.any(q > 1e-10):
-                        ok = False
+                    if np.any(d_ij(system, i, j, X, Z, P, h) > 1e-10):
+                        report.quotient_sign_ok = False
         except ExpressionDomainError:
-            ok = None
-        report.quotient_sign_ok = ok
+            report.quotient_sign_ok = None
     return report

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,53 @@ def test_missing_split_rejected_before_the_solve(tmp_path, capsys, command, extr
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert f"split of component {component}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SPLIT_SYSTEM = {"n": 2, "components": ["(0 - z2) + 1", "(0 - z1) + 1"],
+                "splits": [[0, "(0 - z2) + 1"], [0, "(0 - z1) + 1"]]}
+HYP_BOX = {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1], [-2.0, -0.1]],
+           "p": [[-1.0, 1.0], [-1.0, 1.0]]}
+CERTIFY_CFG = dict(GRID_CFG, command="certify", params={"h": 0.0625})
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CERTIFY_CFG, system=dict(SPLIT_SYSTEM, lipschitz_p=[math.nan, math.nan])),
+     "lipschitz_p entries must be"),
+    (dict(CERTIFY_CFG, system=dict(SPLIT_SYSTEM, lipschitz_z=["x", True])),
+     "lipschitz_z entries must be"),
+    (dict(CERTIFY_CFG, system=dict(SPLIT_SYSTEM, lipschitz_z=["1e400", 0.0])),
+     "lipschitz_z entries must be"),
+    (dict(CERTIFY_CFG, system=dict(SPLIT_SYSTEM, lipschitz_z=[10 ** 400, 0.0])),
+     "lipschitz_z entries must be"),
+    (dict(GRID_CFG, system={"n": 2, "components": ["1 + x3", "1 - z1"]}), "uses x3"),
+    (dict(GRID_CFG, system=["1 + x3", "1 - z1"]), "uses x3"),
+    (dict(GRID_CFG, system=["1 - z3"], cs=[0.0]), "uses z3"),
+    (dict(GRID_CFG, system={"n": 3, "components": ["1 - z2", "1 - z1"]}),
+     "differs from the domain's dimension"),
+    (dict(GRID_CFG, system={"n": 2.0, "components": ["1 - z2", "1 - z1"]}),
+     "n must be an integer"),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0}, "box": HYP_BOX,
+      "which": "positivity"}, "which must be a list of names"),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0}, "box": HYP_BOX,
+      "which": ["positivity", "evenness"]}, "which must be a list of names"),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
+      "box": dict(HYP_BOX, p=[[1.0, -1.0], [-1.0, 1.0]])}, "lo <= hi"),
+    ({"command": "certify", "fixture": "cubic"}, 'fixture must be "quadratic"'),
+], ids=["lipschitz-nan", "lipschitz-not-numbers", "lipschitz-1e400", "lipschitz-10^400",
+        "x3-system", "x3-list", "z3-one-component", "n-not-the-domain's", "n-float",
+        "which-string", "which-unknown", "box-lo-above-hi", "fixture-cubic"])
+def test_malformed_config_rejected_before_the_output_dir(tmp_path, capsys, cfg, message):
+    """A declared constant that is not a finite number >= 0, a variable out
+    of range, a system whose n is not the domain's dimension, a bad which,
+    box or fixture: each exits 2, naming the fault, before the output
+    directory exists."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=1).replace('"1e400"', "1e400") + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

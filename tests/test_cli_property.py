@@ -20,6 +20,9 @@ BOX = {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1], [-2.0, -0.1]],
 BAD_VALUES = (0, -1, 0.5, 1, 3, "x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan,
               math.inf, 1e300, 10 ** 400)
 INTEGER_KEYS = ("seed", "n", "grid_size", "samples", "n_lambdas")
+# top-level keys besides command without which each cheap command cannot run
+REQUIRED = {"solve-radial": ("alpha", "beta"), "hypotheses": ("system", "box"),
+            "solve-grid": ("domain", "system")}
 
 
 def _cheap_configs():
@@ -58,7 +61,8 @@ def _mutated_configs(draw):
     """A cheap config, then at most one bad key or value, at top level or
     nested; and whether the config must be rejected, which it must when an
     exponent, in ``system`` or not, got a value that is not a positive
-    finite number, or an integer key got one beyond the float64 range."""
+    finite number, an integer key got one beyond the float64 range, or a
+    required key was deleted."""
     cfg = json.loads(json.dumps(draw(_cheap_configs())))
     target = draw(st.sampled_from([cfg] + [v for v in cfg.values() if isinstance(v, dict)]))
     how = draw(st.sampled_from(["none", "value", "delete", "unknown"]))
@@ -72,6 +76,7 @@ def _mutated_configs(draw):
                     or (key in INTEGER_KEYS and target[key] == 10 ** 400))
     elif how == "delete" and key != "h":
         target.pop(key, None)
+        rejected = target is cfg and (key == "command" or key in REQUIRED[cfg["command"]])
     elif how == "unknown":
         target["bogus"] = draw(st.sampled_from(BAD_VALUES))
     return cfg, rejected
@@ -94,12 +99,13 @@ def _run(cfg, tmp):
 def test_cli_outcome_is_always_an_exit_code(case):
     """Random and mutated configs end in exit 0-3 with no traceback (an
     exception escaping main would be one), no leftover lock, and a manifest
-    exactly when the run finished (0 or 1); a bad exponent ends in exit 2."""
+    exactly when the run finished (0 or 1); a bad exponent or a deleted
+    required key ends in exit 2 before the output directory exists."""
     cfg, rejected = case
     with tempfile.TemporaryDirectory() as tmp:
         code, err, out = _run(cfg, pathlib.Path(tmp))
         assert code in (0, 1, 2, 3)
-        assert code == 2 or not rejected
+        assert not rejected or (code == 2 and not out.exists())
         assert "Traceback" not in err
         assert not (out / ".lock").exists()
         assert (out / "manifest.json").exists() == (code in (0, 1))
@@ -118,6 +124,30 @@ def test_bad_nested_exponent_is_a_config_error(cfg, key, value):
         assert code == 2
         assert f"{key} must be a positive finite number" in err
         assert not out.exists()
+
+
+DISK = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
+PAIR = {"alpha": 1.0, "beta": 1.0}
+FULL_CONFIGS = (
+    {"command": "solve-radial", "alpha": 1.0, "beta": 2.0},
+    {"command": "hypotheses", "system": PAIR, "box": BOX},
+    {"command": "solve-grid", "domain": DISK, "system": PAIR},
+    {"command": "certify", "domain": DISK, "system": PAIR},
+    {"command": "linearize", "domain": DISK, "system": PAIR, "lambda": -0.3},
+)
+
+
+@pytest.mark.parametrize("cfg, key", [(cfg, key) for cfg in FULL_CONFIGS
+                                      for key in cfg if key != "command"],
+                         ids=lambda v: v if isinstance(v, str) else v["command"])
+def test_missing_required_key_is_a_config_error(tmp_path, cfg, key):
+    """Deleting any key a command cannot run without ends in exit 2 naming
+    the key, before the output directory exists."""
+    cfg = {k: v for k, v in cfg.items() if k != key}
+    code, err, out = _run(cfg, tmp_path)
+    assert code == 2
+    assert f"missing key {key!r} for command {cfg['command']!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, command", [

@@ -223,10 +223,13 @@ def test_critical_in_three_dimensions():
     assert isinstance(res, NoSolution)
 
 
-def test_near_critical_warns():
-    with pytest.warns(RuntimeWarning):
-        res = solve_coupled_radial(2.0, 2.0 + 1e-12, 2)
+def test_near_critical_is_a_float_range_no_solution():
+    """Just off alpha*beta = n^2 the log-amplitude system decides: its
+    amplitudes leave the float64 range, which is a NoSolution outcome, and
+    nothing warns (the suite turns RuntimeWarning into an error)."""
+    res = solve_coupled_radial(2.0000000001, 2.0, 2)
     assert isinstance(res, NoSolution)
+    assert "leave the float64 range" in res.reason
 
 
 def test_coupled_scaling_invariance_of_limit():

@@ -139,6 +139,73 @@ def test_report_json_serializable():
     rep = check_hypotheses(power_coupled_system(1.0, 2.0), BOX, samples=128, seed=3)
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert "statuses" in text
+    assert rep.box == BOX
+
+
+ONE_BOX = {"x": BOX["x"], "z": [[-2.0, -0.1]], "p": [[-1.0, 1.0], [-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("source, samples, status", [
+    ("1 + abs(p1) ^ 0.5", 10_000, "fail"),
+    ("1 + abs(p1) ^ 0.5", 128, "pass"),  # no sample lies near enough the kink
+    ("abs(p1)", 10_000, "pass"),
+    ("p2 ^ 2", 10_000, "pass"),
+    ("exp(p1)", 10_000, "pass"),
+    ("abs(p1) ^ 1.5", 10_000, "pass"),
+])
+def test_gradient_lipschitz_fails_where_the_quotient_grows(source, samples, status):
+    """gradient_lipschitz fails when the quotient bound at step 1e-4 is more
+    than twice the bound at 1e-2; the witness is the sample where the 1e-4
+    quotient peaks, with the three bounds."""
+    sys_ = RhsSystem(components=(parse(source),), n=2)
+    rep = check_hypotheses(sys_, ONE_BOX, samples=samples, which=("gradient_lipschitz",))
+    assert rep.statuses["gradient_lipschitz"] == status
+    if status == "fail":
+        witness = rep.witnesses["gradient_lipschitz"]
+        bounds = witness["bounds"]
+        assert witness["component"] == 1 and bounds[2] > 2 * bounds[0]
+        assert rep.lipschitz_p_estimate == (max(bounds),)
+        # the witness sample sits within a step of the kink at p1 = 0
+        assert abs(witness["p"][0]) < 1e-3
+
+
+def test_split_with_a_non_lipschitz_part_fails():
+    split = ("abs(z1 + 1) ^ 0.5", "0 - z1")
+    sys_ = RhsSystem(components=(parse("abs(z1 + 1) ^ 0.5 - z1"),), n=2,
+                     splits=(split,))
+    rep = check_hypotheses(sys_, ONE_BOX, samples=10_000, which=("own_component_split",))
+    assert rep.statuses["own_component_split"] == "fail"
+    bounds = rep.witnesses["own_component_split"]["bounds"]
+    assert bounds[2] > 2 * bounds[0]
+    lipschitz = RhsSystem(components=(parse("exp(z1) - z1"),), n=2,
+                          splits=(("exp(z1)", "0 - z1"),))
+    rep = check_hypotheses(lipschitz, ONE_BOX, samples=10_000, which=("own_component_split",))
+    assert rep.statuses["own_component_split"] == "pass"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lipschitz_p": (float("nan"), 0.0)}, "lipschitz_p entries"),
+    ({"lipschitz_z": (float("inf"), 0.0)}, "lipschitz_z entries"),
+    ({"lipschitz_z": (-1000.0, 0.0)}, "lipschitz_z entries"),
+    ({"lipschitz_p": ("x", True)}, "lipschitz_p entries"),
+    ({"n": 0}, "n must be an integer"),
+    ({"n": 2.0}, "n must be an integer"),
+    ({"n": True}, "n must be an integer"),
+    ({"components": ("z2", "x3")}, "component 2 uses x3"),
+    ({"components": ("p3", "z1")}, "component 1 uses p3"),
+    ({"components": ("z3", "z1")}, "component 1 uses z3"),
+    ({"splits": ((0, "z2"), ("z3", "z1"))}, "component 2 uses z3"),
+    ({"splits": (("0",), None)}, "pair of expressions"),
+], ids=["lz-nan", "lz-inf", "lz-negative", "lp-not-numbers", "n-0", "n-float",
+        "n-bool", "x-out-of-range", "p-out-of-range", "z-out-of-range", "split-z",
+        "split-not-a-pair"])
+def test_declared_constants_and_variables_are_checked(kwargs, message):
+    """Declared Lipschitz constants are null or finite numbers >= 0, n is an
+    integer >= 1, each split is a pair, and every variable of a component
+    or split is in range."""
+    system = dict({"components": ("z2", "z1"), "n": 2}, **kwargs)
+    with pytest.raises(ConfigurationError, match=message):
+        RhsSystem(**system)
 
 
 def test_which_restricts_checks():
