@@ -256,44 +256,60 @@ def _profile_csv(emit, name, profiles):
     _write_csv(emit.path(name), names, cols)
 
 
-def read_config(cfg):
-    """The validated config with its values read into the objects the commands
-    run on.  Reading writes nothing, so a value of the wrong type, shape or
-    range raises here, as a config error, before the output dir is locked."""
+@contextlib.contextmanager
+def _reading(path, key):
+    """Report an error raised while reading ``key`` as ``path:line: key: message``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        what = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ConfigError(f"{path}:{_key_line(path, key)}: {key}: {what}") from None
+
+
+def read_config(cfg, path):
+    """The validated config from ``path`` with its values read into the objects
+    the commands run on.  Reading writes nothing, so a value of the wrong type,
+    shape or range raises here, as a config error naming its key, before the
+    output dir is locked."""
     fixture = "fixture" in cfg
-    cfg = dict(cfg, params=FdParams.from_json(cfg.get("params", {})),
-               nu=np.asarray(cfg.get("nu", [1.0, 0.0]), dtype=float))
-    if "lambda" in cfg:
-        cfg["lambda"] = float(cfg["lambda"])
+    with _reading(path, "params"):
+        cfg = dict(cfg, params=FdParams.from_json(cfg.get("params", {})))
     if "domain" in cfg or fixture:
-        cfg["domain"] = domain_from_json(cfg.get("domain", {"shape": "ball",
-                                                            "center": [0.0, 0.0],
-                                                            "radius": 1.0}))
-        if fixture and not isinstance(cfg["domain"], Ball):
-            raise ConfigError("the quadratic fixture needs a ball domain")
+        with _reading(path, "domain"):
+            unit_disk = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
+            cfg["domain"] = domain_from_json(cfg.get("domain", unit_disk))
+            if fixture and not isinstance(cfg["domain"], Ball):
+                raise ConfigError("the quadratic fixture needs a ball domain")
+        if cfg["command"] in ("certify", "linearize"):
+            with _reading(path, "nu"):
+                nu = cfg["nu"] = _as_unit(cfg.get("nu", [1.0, 0.0]), cfg["domain"].dimension)
         if "lambda" in cfg:
-            # past the bounding box the cap is empty or reflects wholly outside
-            nu = _as_unit(cfg["nu"], cfg["domain"].dimension)
-            lo, hi = np.sort(cfg["domain"].bounding_box() * nu[:, None], axis=1).sum(axis=0)
-            if not lo <= cfg["lambda"] <= hi:
-                raise ConfigError(f"lambda = {cfg['lambda']!r} lies outside the domain's "
-                                  f"extent [{lo:.6g}, {hi:.6g}] along nu")
+            with _reading(path, "lambda"):
+                cfg["lambda"] = float(cfg["lambda"])
+                # past the bounding box the cap is empty or reflects wholly outside
+                lo, hi = np.sort(cfg["domain"].bounding_box() * nu[:, None], axis=1).sum(axis=0)
+                if not lo <= cfg["lambda"] <= hi:
+                    raise ConfigError(f"lambda = {cfg['lambda']!r} lies outside the domain's "
+                                      f"extent [{lo:.6g}, {hi:.6g}] along nu")
     if "system" in cfg:
-        system = cfg["system"] = _system_from_config(cfg["system"])
-        cfg["cs"] = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))
-        if len(cfg["cs"]) != system.m:
-            raise ConfigError(f"cs needs {system.m} boundary constants")
-        if cfg["command"] in ("certify", "linearize") and not fixture:
-            # d_ii is the quotient of the split's non-increasing part
-            for i, split in enumerate(system.splits, 1):
-                if split is None:
-                    raise ConfigError(f"{cfg['command']} needs a declared split of "
-                                      f"component {i} (d_{i}{i})")
-        if "domain" in cfg and system.n != cfg["domain"].dimension:
-            raise ConfigError(f"system.n = {system.n} differs from the domain's dimension "
-                              f"{cfg['domain'].dimension}")
+        with _reading(path, "system"):
+            system = cfg["system"] = _system_from_config(cfg["system"])
+            if cfg["command"] in ("certify", "linearize") and not fixture:
+                # d_ii is the quotient of the split's non-increasing part
+                for i, split in enumerate(system.splits, 1):
+                    if split is None:
+                        raise ConfigError(f"{cfg['command']} needs a declared split of "
+                                          f"component {i} (d_{i}{i})")
+            if "domain" in cfg and system.n != cfg["domain"].dimension:
+                raise ConfigError(f"system.n = {system.n} differs from the domain's "
+                                  f"dimension {cfg['domain'].dimension}")
+        with _reading(path, "cs"):
+            cfg["cs"] = tuple(float(c) for c in cfg.get("cs", (0.0,) * system.m))
+            if len(cfg["cs"]) != system.m:
+                raise ConfigError(f"cs needs {system.m} boundary constants")
         if "box" in cfg:
-            cfg["box"] = dict(zip("xzp", _box_arrays(cfg["box"], system.n, system.m)))
+            with _reading(path, "box"):
+                cfg["box"] = dict(zip("xzp", _box_arrays(cfg["box"], system.n, system.m)))
     return cfg
 
 
@@ -463,17 +479,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        cfg = read_config(load_config(args.config))
+        cfg = read_config(load_config(args.config), args.config)
+        emit = Emitter(args.out, args.quiet)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     seed = int(cfg.get("seed", args.seed))
-
-    try:
-        emit = Emitter(args.out, args.quiet)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     try:
         status = _RUNNERS[cfg["command"]](cfg, emit, seed)
         emit.finish()

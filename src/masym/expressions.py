@@ -4,8 +4,10 @@ Expressions are functions of a spatial point ``x``, the unknown vector
 ``z`` and a gradient ``p``.  The grammar covers constants, coordinates
 ``x1..xn``, unknowns ``z1..zm``, gradient entries ``p1..pn``, the
 arithmetic operators ``+ - * / ^`` and the functions ``exp``, ``log``,
-``abs``, ``min``, ``max``; each operator is one numpy ufunc.  Trees
-evaluate vectorized over numpy arrays and serialize to a JSON AST.
+``abs``, ``min``, ``max``; each operator is one numpy ufunc.  Python's
+parser reads the text, with ``^`` spelled ``**``, so precedence is
+Python's: ``^`` binds right and tighter than unary minus.  Trees evaluate
+vectorized over numpy arrays and serialize to a JSON AST.
 
 An evaluation has one guard: numpy raises on a division by zero or an
 invalid value, and the node where that happens is named in an
@@ -16,6 +18,7 @@ the whole expression.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -143,107 +146,45 @@ def var(name):
     return Expr("var", name=name)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+# the number pattern of the grammar: Python's also reads 1_0, 0x10, 1j and True
+_NUM_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^", ast.USub: "neg"}
+# Python's limit for nested parentheses: every tree prints to a text that parses
+_MAX_DEPTH = 200
 
 
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"cannot tokenize {text[pos:]!r}")
-        pos = m.end()
-        if m.group("num"):
-            out.append(("num", float(m.group("num"))))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    out.append(("end", None))
-    return out
-
-
-class _Parser:
-    """Recursive-descent parser with standard precedence; ^ binds right."""
-
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, expect=None):
-        tok = self.toks[self.i]
-        if expect is not None and tok != ("op", expect):
-            raise ExpressionError(f"expected {expect!r}, got {tok}")
-        self.i += 1
-        return tok
-
-    def parse(self):
-        e = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input at token {self.peek()}")
-        return e
-
-    def expr(self):
-        e = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            e = Expr(op, (e, self.term()))
-        return e
-
-    def term(self):
-        e = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            e = Expr(op, (e, self.unary()))
-        return e
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Expr("neg", (self.unary(),))
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return Expr("^", (base, self.unary()))
-        return base
-
-    def atom(self):
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            return const(val)
-        if kind == "name":
-            self.take()
-            if val in _FUNCTIONS:
-                self.take("(")
-                args = [self.expr()]
-                for _ in range(_UFUNCS[val].nin - 1):
-                    self.take(",")
-                    args.append(self.expr())
-                self.take(")")
-                return Expr(val, tuple(args))
-            return var(val)
-        if (kind, val) == ("op", "("):
-            self.take()
-            e = self.expr()
-            self.take(")")
-            return e
-        raise ExpressionError(f"unexpected token {(kind, val)}")
+def _from_ast(node, source, depth):
+    """The :class:`Expr` of a node of ``ast.parse(source, mode="eval")``."""
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"expression nested more than {_MAX_DEPTH} levels deep")
+    # the source is one line of ASCII, so the offsets index its characters
+    text = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        return _from_ast(node.operand, source, depth)
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _OPS:
+        op = _OPS[type(node.op)]
+        args = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
+    elif isinstance(node, ast.Name):
+        return var(node.id)
+    elif isinstance(node, ast.Constant) and _NUM_RE.fullmatch(text):
+        return const(float(text))
+    elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS
+          and not node.keywords and len(node.args) == _UFUNCS[node.func.id].nin):
+        op, args = node.func.id, node.args
+    else:
+        raise ExpressionError(f"{text!r} is not in the grammar")
+    return Expr(op, tuple(_from_ast(a, source, depth + 1) for a in args))
 
 
 def parse(text):
-    """Parse infix text like ``"( - z2 ) ^ 2"`` into an :class:`Expr`."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse infix text like ``"( - z2 ) ^ 2"`` into an :class:`Expr`; whitespace
+    runs count as one space, and ``**``, ``#`` and non-ASCII text are rejected."""
+    if not text.isascii() or "**" in text or "#" in text:
+        raise ExpressionError(f"{text!r}: '**', '#' and non-ASCII text are not in the grammar")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        return _from_ast(ast.parse(source, mode="eval").body, source, 0)
+    # the parser raises MemoryError when its own stack overflows
+    except (SyntaxError, RecursionError, MemoryError) as err:
+        raise ExpressionError(f"cannot parse {text!r}: {getattr(err, 'msg', 'too deep')}") \
+            from None

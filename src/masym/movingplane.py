@@ -117,6 +117,12 @@ class _SolutionData:
         g = self.solution.grid
         return g.node_ij[:, 0] * g.ny + g.node_ij[:, 1]
 
+    @cached_property
+    def amplitude(self):
+        """max |u_i - c_i| of each component: the scale of its tolerances."""
+        sol = self.solution
+        return [float(np.max(np.abs(u - c))) for u, c in zip(sol.fields, sol.cs)]
+
     @property
     def n_field(self):
         """Rows of :attr:`stack` before the operator fields."""
@@ -403,8 +409,7 @@ def verify_elliptic_inequality(lin, frame):
               "n_nodes": int(np.count_nonzero(ok)), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
               "d_nonpositive": bool(np.all((lin.d <= 1e-12) | ~ok))}
-    scale = np.maximum(1.0, np.maximum(np.abs(_det2(frame.hess_u)),
-                                       np.abs(_det2(frame.hess_u_lam))))
+    scale = np.maximum(np.abs(_det2(frame.hess_u)), np.abs(_det2(frame.hess_u_lam)))
     tol_node = (10.0 * g.h ** 2) * scale
     margin = frame.det_op_lam - frame.det_op
     for i in range(frame.m):
@@ -442,10 +447,10 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
     """Directional derivative check: d_nu u < 0 strictly left of the plane.
 
     Certifies the strict inequality as <= -margin at every interior node
-    with x . nu < Lam0 - h, the margin being 10 h^2 times a local
-    gradient scale.  Failure is a verdict with a witness, not an error.
-    With no node to check the report carries ``"verdict": "not-applicable"``
-    instead of ``passed``.
+    with x . nu < Lam0 - h, the margin being 10 h^2 |grad u| at the node,
+    so a node where d_nu u = 0 fails.  Failure is a verdict with a
+    witness, not an error.  With no node to check the report carries
+    ``"verdict": "not-applicable"`` instead of ``passed``.
     """
     data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
@@ -459,9 +464,7 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
     for i in range(m):
         ux, uy = at_node[6 * i + 1], at_node[6 * i + 2]
         dnu = ux * nu[0] + uy * nu[1]
-        scale = np.maximum(1.0, np.hypot(ux, uy))
-        margin = (10.0 * h ** 2) * scale
-        viol = ok & (dnu > -margin)
+        viol = ok & (dnu >= -(10.0 * h ** 2) * np.hypot(ux, uy))
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
                  "violations": int(viol.sum())}
         if ok.any():
@@ -494,7 +497,7 @@ def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
     Returns a not-applicable verdict when the domain is not symmetric
     about the plane.  The residual floor is the bilinear interpolation
     error, order h^2, and is stated in the report; the tolerance is
-    20 h^2 times the largest field magnitude.  On a disk the variation
+    20 h^2 times the largest |u_i - c_i|.  On a disk the variation
     over 720 angles on four rings counts as residual too.  ``_frame`` is
     the frame at Lam0 when the caller has already built it.
     """
@@ -511,8 +514,7 @@ def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
     frame = _frame if _frame is not None else build_frame(solution, nu, Lam0, _data=data)
     resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
     report["mirror_residual"] = resid
-    scale = max(1.0, max(float(np.max(np.abs(f))) for f in solution.fields))
-    report["tolerance"] = (20.0 * h ** 2) * scale
+    report["tolerance"] = (20.0 * h ** 2) * max(data.amplitude)
     if isinstance(g.domain, Ball):
         c = np.asarray(g.domain.center)
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
@@ -537,7 +539,8 @@ def boundary_checks(solution, *, _data=None):
     boundary toward it, at 256 samples of ``boundary_param``.  A sample
     counts only when the point a step s = 2h inward along the normal and
     its two neighbours a step s along the tangent are inside: the discrete
-    interior disk of the Hopf lemma, which tube corners lack.  The corner
+    interior disk of the Hopf lemma, which tube corners lack; the least
+    derivative must exceed 10 h^2 max |u_i - c_i|.  The corner
     check differences the field into the two corners where the first
     lateral plane meets the caps, where the cross derivative taken along
     the inward axis directions must be positive.
@@ -563,7 +566,7 @@ def boundary_checks(solution, *, _data=None):
         entries.append({
             "component": i + 1,
             "min_normal_derivative": float(np.min(dn)) if keep.any() else None,
-            "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2),
+            "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2 * data.amplitude[i]),
         })
     report["hopf"] = {"components": entries,
                       "min": min(e["min_normal_derivative"] for e in entries),
@@ -628,7 +631,7 @@ class MovingPlaneReport:
 def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
 
-    Each position gets a frame, the cap bound U <= 10 h^2 max(1, |u|)
+    Each position gets a frame, the cap bound U <= 10 h^2 max_i max |u_i - c_i|
     and (when the system is supplied) a linearization with the
     elliptic-inequality audit.  The final position is exactly Lam0, and
     its frame doubles as the symmetry certificate's.
@@ -649,6 +652,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
         np.arange(1, n_lambdas + 1) / n_lambdas)
     lams[-1] = planes.Lam0
     data = _SolutionData(solution)
+    cap_tol = (10.0 * h ** 2) * max(data.amplitude)
     entries = []
     total_viol = 0
     all_ok = True
@@ -660,8 +664,6 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
             entry["U_max"] = None
             entry["cap_nonpositive"] = True
         else:
-            scale = max(1.0, float(np.max(np.abs(frame.u))))
-            cap_tol = (10.0 * h ** 2) * scale
             u_max = float(np.max(frame.U))
             entry["U_max"] = u_max
             entry["cap_nonpositive"] = u_max <= cap_tol

@@ -252,9 +252,28 @@ CERTIFY_CFG = dict(GRID_CFG, command="certify", params={"h": 0.0625})
     ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
       "box": dict(HYP_BOX, p=[[1.0, -1.0], [-1.0, 1.0]])}, "lo <= hi"),
     ({"command": "certify", "fixture": "cubic"}, 'fixture must be "quadratic"'),
+    # an error raised while a key's value is read names the file, line and key
+    ({"command": "hypotheses", "system": {"components": ["z2", "z1"]}, "box": HYP_BOX},
+     "config.json:3: system: missing key 'n'"),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
+      "box": {"x": HYP_BOX["x"], "z": HYP_BOX["z"]}}, "config.json:7: box: missing key 'p'"),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
+      "box": dict(HYP_BOX, x=[[-1.0, 1.0]])},
+     "config.json:7: box: cannot reshape array of size 2 into shape (2,2)"),
+    (dict(GRID_CFG, cs=[0.0]), "config.json:15: cs: cs needs 2 boundary constants"),
+    (dict(GRID_CFG, command="linearize", nu=[1.0, 1.0], **{"lambda": -0.3}),
+     "config.json:19: nu: direction must be a unit vector"),
+    (dict(CERTIFY_CFG, nu=[1.0, 1.0]), "config.json:22: nu: direction must be a unit vector"),
+    (dict(GRID_CFG, domain={"shape": "ellipse", "center": [0.0, 0.0],
+                            "semi_axes": [1.0, 0.6, 0.5]}),
+     "config.json:3: domain: center/semi-axes dimension mismatch"),
+    ({"command": "hypotheses", "system": ["z2 ** 2", "z1"], "box": HYP_BOX},
+     "config.json:3: system: 'z2 ** 2'"),
 ], ids=["lipschitz-nan", "lipschitz-not-numbers", "lipschitz-1e400", "lipschitz-10^400",
         "x3-system", "x3-list", "z3-one-component", "n-not-the-domain's", "n-float",
-        "which-string", "which-unknown", "box-lo-above-hi", "fixture-cubic"])
+        "which-string", "which-unknown", "box-lo-above-hi", "fixture-cubic", "system-without-n",
+        "box-without-p", "box-one-x-row", "cs-short", "linearize-nu-not-unit",
+        "certify-nu-not-unit", "ellipse-dimension-mismatch", "component-double-star"])
 def test_malformed_config_rejected_before_the_output_dir(tmp_path, capsys, cfg, message):
     """A declared constant that is not a finite number >= 0, a variable out
     of range, a system whose n is not the domain's dimension, a bad which,
@@ -351,6 +370,19 @@ def test_certify_quadratic_fixture(tmp_path):
     assert cert["total_ei_violations"] == 0
 
 
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+def test_certify_passes_the_one_two_pair(tmp_path, h):
+    """The paper's (1, 2) example: every margin scales with its solution's
+    amplitude, about 0.07, so monotonicity and Hopf hold on the disk."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, command="certify",
+                                      system={"alpha": 1.0, "beta": 2.0}, params={"h": h}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    cert = read_json(out / "certificate.json")
+    assert cert["passed"] and cert["boundary"]["hopf"]["passed"]
+    assert [c["violations"] for c in cert["monotonicity"]["components"]] == [0, 0]
+
+
 def test_certify_with_no_monotonicity_node_is_not_applicable(tmp_path):
     """At h = 0.5 no node of the quadratic fixture lies left of the plane:
     the monotonicity audit checks nothing, so it passes nothing."""
@@ -404,6 +436,24 @@ def test_hypotheses_command(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
     rep = read_json(out / "hypotheses.json")
     assert rep["statuses"]["positivity"] == "pass"
+
+
+@pytest.mark.parametrize("component, code", [
+    ("z2 ", 0),
+    ("(" * 400 + "z2" + ")" * 400, 2),
+], ids=["trailing-space", "400-parentheses"])
+def test_component_text_is_screened_or_rejected(tmp_path, capsys, component, code):
+    """Trailing whitespace is whitespace; text nested past Python's limit of
+    200 parentheses is a config error, with no traceback or output dir."""
+    cfg = write_config(tmp_path, {"command": "hypotheses", "system": [component, "z1"],
+                                  "box": HYP_BOX, "samples": 64})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert out.exists() is (code == 0)
+    if code:
+        assert "config.json:" in err and "system: cannot parse" in err
 
 
 def test_trichotomy_command(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masym.expressions import (Expr, ExpressionDomainError, ExpressionError,
                                const, parse, var)
@@ -105,3 +107,61 @@ def test_parse_errors():
     for bad in ("1 +", "(1", "1 2", "foo(1)"):
         with pytest.raises(ExpressionError):
             parse(bad)
+
+
+def _tree(op, *args):
+    return Expr(op, tuple(args))
+
+
+_LEAVES = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(const),
+                    st.sampled_from(["x1", "x2", "z1", "z2", "p1", "p2"]).map(var))
+
+
+def _extend(children):
+    binary = st.sampled_from(["+", "-", "*", "/", "^", "min", "max"])
+    unary = st.sampled_from(["neg", "exp", "log", "abs"])
+    return st.one_of(st.builds(_tree, binary, children, children),
+                     st.builds(_tree, unary, children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _extend, max_leaves=24))
+def test_printed_tree_parses_back_to_itself(e):
+    assert parse(str(e)) == e
+
+
+X1, C = var("x1"), const
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-2 ^ 2", _tree("neg", _tree("^", C(2), C(2)))),
+    ("2 ^ 3 ^ 2", _tree("^", C(2), _tree("^", C(3), C(2)))),
+    ("2 ^ -x1 ^ 2", _tree("^", C(2), _tree("neg", _tree("^", X1, C(2))))),
+    ("1 - 2 - 3", _tree("-", _tree("-", C(1), C(2)), C(3))),
+    ("1 / 2 * 3", _tree("*", _tree("/", C(1), C(2)), C(3))),
+    ("+-x1", _tree("neg", X1)),
+    ("min(1, max(2, 3))", _tree("min", C(1), _tree("max", C(2), C(3)))),
+    ("\t1 +\n x1\t\n", _tree("+", C(1), X1)),
+    ("z2 ", var("z2")),
+    ("(\tx1\n) ^\t2", _tree("^", X1, C(2))),
+], ids=["neg-power", "power-right", "power-neg-power", "minus-left", "divide-times",
+        "plus-minus", "nested-calls", "tabs-newlines", "trailing-space", "spaced-parens"])
+def test_precedence_and_whitespace(text, tree):
+    assert parse(text) == tree
+
+
+@pytest.mark.parametrize("text", [
+    "x1 ** 2", "x1 # c", "1_0", "0x10", "1j", "True", "x1 % 2", "x1 // 2", "abs(x=1)",
+    "min(1)", "exp(1, 2)", "1)+(2", "-" * 201 + "x1", " + ".join(["1"] * 600),
+    "(" * 400 + "x1" + ")" * 400,
+], ids=lambda text: text if len(text) < 20 else f"{text[:4]}...{len(text)}-chars")
+def test_text_outside_the_grammar_is_rejected(text):
+    with pytest.raises(ExpressionError):
+        parse(text)
+
+
+def test_two_hundred_levels_parse_evaluate_and_print():
+    e = parse("-" * 200 + "x1")
+    assert ev(e, x=(3.0, 0.0)) == 3.0
+    assert parse(str(e)) == e
+    assert e.variables() == {"x1"}

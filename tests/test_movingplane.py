@@ -497,6 +497,59 @@ def test_reflections_off_the_grid_box_are_dropped():
     assert np.all(np.isfinite(frame.u_lam))
 
 
+
+def _linear_pair(mu):
+    """f_i = mu (-z_j), declared as the split (0, f_i): its grid solution is
+    exactly mu times the mu = 1 solution, since det is quadratic."""
+    comps = tuple(parse(f"{mu!r} * -z{j}") for j in (2, 1))
+    return RhsSystem(components=comps, n=2, splits=tuple((parse("0"), f) for f in comps),
+                     lipschitz_z=(0.0, 0.0), lipschitz_p=(0.0, 0.0))
+
+
+def _scaled(sol, t, bump=None):
+    """t times the fields of ``sol``, with ``bump`` at the nodes added to u1 first."""
+    u1 = sol.fields[0] + (0.0 if bump is None else bump(sol.grid.node_xy))
+    return GridSolution(grid=sol.grid, fields=[t * u1, t * sol.fields[1]], cs=(0.0, 0.0))
+
+
+def _verdicts(rep):
+    return {"passed": rep.passed,
+            "monotonicity": [c["violations"] for c in rep.monotonicity["components"]],
+            "symmetry": rep.symmetry["passed"],
+            "hopf": [c["passed"] for c in rep.boundary["hopf"]["components"]],
+            "cap": [e["cap_nonpositive"] for e in rep.entries]}
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_certificate_tolerances_scale_with_the_solution(coupled, t):
+    """Every margin scales with the fields, so t u under mu = t reads the
+    verdicts and counts of u under mu = 1; the ripple control fails at
+    every t (its EI count may move, as the operator's penalty on negative
+    second differences is not homogeneous)."""
+    planes = critical_planes(DISK, [1.0, 0.0])
+
+    def sweep(sol, mu):
+        return lambda_sweep(sol, [1.0, 0.0], planes, n_lambdas=8, system=_linear_pair(mu))
+
+    ref, rep = sweep(coupled, 1.0), sweep(_scaled(coupled, t), t)
+    assert _verdicts(rep) == _verdicts(ref)
+    assert rep.passed and rep.total_ei_violations == 0
+    ripple = sweep(_scaled(coupled, t, lambda xy: 0.02 * np.sin(8.0 * np.pi * xy[:, 0])), t)
+    assert not ripple.passed and ripple.total_ei_violations >= 1
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0])
+def test_tilt_and_bump_controls_fail_at_every_scale(coupled, t):
+    """An odd tilt breaks the mirror symmetry and a bump left of the plane
+    breaks monotonicity, however small the fields: no margin is floored at 1."""
+    tilt = _scaled(coupled, t, lambda xy: 0.02 * xy[:, 0] * (1.0 - np.sum(xy ** 2, axis=1)))
+    assert certify_symmetry(tilt, [1.0, 0.0], 0.0)["passed"] is False
+    bump = _scaled(coupled, t, lambda xy: 0.05 * np.exp(
+        -np.sum((xy + np.array([0.5, 0.0])) ** 2, axis=1) / 0.02))
+    planes = critical_planes(DISK, [1.0, 0.0])
+    assert certify_monotonicity(bump, [1.0, 0.0], planes)["passed"] is False
+
+
 def test_heatmap_svg(tmp_path, quadratic):
     path = tmp_path / "u.svg"
     write_heatmap_svg(quadratic.grid, quadratic.fields[0], path, title="u")

@@ -152,10 +152,15 @@ ONE_BOX = {"x": BOX["x"], "z": [[-2.0, -0.1]], "p": [[-1.0, 1.0], [-1.0, 1.0]]}
     ("p2 ^ 2", 10_000, "pass"),
     ("exp(p1)", 10_000, "pass"),
     ("abs(p1) ^ 1.5", 10_000, "pass"),
+    # Lipschitz constant 1 under values whose rounding dwarfs the 1e-4 step
+    ("1e13 + p1", 1024, "pass"),
+    ("1e13 + p1", 10_000, "pass"),
+    ("1e14 + p1", 1024, "pass"),
+    ("1e14 + p1", 10_000, "pass"),
 ])
 def test_gradient_lipschitz_fails_where_the_quotient_grows(source, samples, status):
     """gradient_lipschitz fails when the quotient bound at step 1e-4 is more
-    than twice the bound at 1e-2; the witness is the sample where the 1e-4
+    than twice the bound at 1e-2 plus its rounding error; the witness is the sample where the 1e-4
     quotient peaks, with the three bounds."""
     sys_ = RhsSystem(components=(parse(source),), n=2)
     rep = check_hypotheses(sys_, ONE_BOX, samples=samples, which=("gradient_lipschitz",))
