@@ -15,47 +15,21 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .domains import (Ball, GeometryError, _as_unit, critical_planes, domain_from_json,
-                      domain_to_json)
+from .domains import (Ball, GeometryError, _as_unit, _finite, critical_planes,
+                      domain_from_json, domain_to_json)
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
 from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid, _write_csv,
                         solve_system_fd, write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import (HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, check_hypotheses,
-                  power_coupled_system)
-
-COMMANDS = ("solve-radial", "solve-grid", "certify", "hypotheses",
-            "sweep-trichotomy", "linearize")
-
-_ALLOWED_KEYS = {
-    "solve-radial": {"command", "alpha", "beta", "n", "R", "tol", "grid_size", "seed"},
-    "solve-grid": {"command", "domain", "system", "cs", "params", "seed"},
-    "certify": {"command", "domain", "system", "cs", "params", "nu", "n_lambdas",
-                "fixture", "seed"},
-    "hypotheses": {"command", "system", "box", "samples", "which", "seed"},
-    "sweep-trichotomy": {"command", "n", "pairs", "R", "tol", "grid_size", "seed"},
-    "linearize": {"command", "domain", "system", "cs", "params", "nu", "lambda", "seed"},
-}
-
-# the keys each command cannot run without; certify on the quadratic fixture needs none
-_REQUIRED_KEYS = {"solve-radial": ("alpha", "beta"), "hypotheses": ("system", "box"),
-                  "solve-grid": ("domain", "system"), "certify": ("domain", "system"),
-                  "sweep-trichotomy": (), "linearize": ("domain", "system", "lambda")}
-
-_DOMAIN_KEYS = {
-    "ball": ("shape", "center", "radius"),
-    "ellipse": ("shape", "center", "semi_axes"),
-    "tube": ("shape", "cross_section", "half_height"),
-}
+from .rhs import HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, check_hypotheses
 
 
 class ConfigError(ValueError):
@@ -72,14 +46,6 @@ def _key_line(path, key):
     except OSError:
         pass
     return 0
-
-
-def _finite(value):
-    """True for a JSON number, not a boolean, that a float holds finitely."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _finite_entries(value):
@@ -106,16 +72,17 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}:1: config must be a JSON object")
     cmd = cfg.get("command")
-    if cmd not in COMMANDS:
+    if not (isinstance(cmd, str) and cmd in _COMMANDS):
         raise ConfigError(f"{path}:{_key_line(path, 'command')}: "
-                          f"command must be one of {', '.join(COMMANDS)}")
+                          f"command must be one of {', '.join(_COMMANDS)}")
+    _, required, optional = _COMMANDS[cmd]
     for key in cfg:
-        if key not in _ALLOWED_KEYS[cmd]:
+        if key not in ("command", "seed", *required, *optional):
             raise ConfigError(f"{path}:{_key_line(path, key)}: "
                               f"unknown key {key!r} for command {cmd!r}")
 
     for key in ("alpha", "beta", "R", "tol"):
-        if key in cfg and not (_finite(cfg[key]) and cfg[key] > 0):
+        if key in cfg and not _finite(cfg[key], positive=True):
             raise _must(path, key, "a positive finite number")
     if "lambda" in cfg and not _finite(cfg["lambda"]):
         raise _must(path, "lambda", "a finite number")
@@ -131,7 +98,7 @@ def load_config(path):
     pairs = cfg.get("pairs", [])
     if not (isinstance(pairs, list)
             and all(isinstance(p, list) and len(p) == 2
-                    and all(_finite(v) and v > 0 for v in p) and _finite(p[0] * p[1])
+                    and all(_finite(v, positive=True) for v in p) and _finite(p[0] * p[1])
                     for p in pairs)):
         raise _must(path, "pairs", "a list of [alpha, beta] pairs of positive finite "
                     "numbers with a finite product")
@@ -141,68 +108,12 @@ def load_config(path):
         value = cfg.get(key, least)
         if not (isinstance(value, int) and _finite(value) and value >= least):
             raise _must(path, key, f"an integer >= {least} that a float64 holds")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}:{_key_line(path, 'params')}: params must be a JSON object")
-    _check_keys(path, params, FdParams.__dataclass_fields__, "params")
-    for key, value in params.items():
-        try:
-            FdParams(**{key: value})
-        except ValueError as err:
-            raise ConfigError(f"{path}:{_key_line(path, key)}: params {err}") from None
-    if "domain" in cfg:
-        _check_domain(path, cfg["domain"], "domain")
-    system = cfg.get("system")
-    if isinstance(system, dict):
-        _check_keys(path, system, ("alpha", "beta") if "alpha" in system
-                    else RhsSystem.__dataclass_fields__, "system")
-        for key in ("alpha", "beta"):
-            if key in system and not (_finite(system[key]) and system[key] > 0):
-                raise _must(path, key, "a positive finite number")
     which = cfg.get("which", [])
     if not (isinstance(which, list) and all(name in HYPOTHESES for name in which)):
         raise _must(path, "which", f"a list of names from {', '.join(HYPOTHESES)}")
     if cfg.get("fixture", "quadratic") != "quadratic":
         raise _must(path, "fixture", '"quadratic"')
-    for key in () if "fixture" in cfg else _REQUIRED_KEYS[cmd]:
-        if key not in cfg:
-            raise ConfigError(f"{path}: missing key {key!r} for command {cmd!r}")
     return cfg
-
-
-def _check_keys(path, obj, allowed, where):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}:{_key_line(path, key)}: unknown {where} key {key!r}; "
-                              f"allowed: {', '.join(allowed)}")
-
-
-def _check_domain(path, obj, where):
-    """Reject a domain that is not an object, has an unknown shape or unknown
-    keys, or a number that a float does not hold finitely."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("shape"), str)
-            and obj["shape"] in _DOMAIN_KEYS):
-        raise ConfigError(f"{path}:{_key_line(path, where)}: {where} must be a JSON object "
-                          f"with shape one of {', '.join(_DOMAIN_KEYS)}")
-    _check_keys(path, obj, _DOMAIN_KEYS[obj["shape"]], where)
-    for key in ("center", "semi_axes"):
-        if key in obj and not _finite_entries(obj[key]):
-            raise _must(path, key, "a list of finite numbers")
-    for key in ("radius", "half_height"):
-        if key in obj and not _finite(obj[key]):
-            raise _must(path, key, "a finite number")
-    if "cross_section" in obj:
-        _check_domain(path, obj["cross_section"], "cross_section")
-
-
-def _system_from_config(obj):
-    if isinstance(obj, dict) and "alpha" in obj:
-        return power_coupled_system(float(obj["alpha"]), float(obj["beta"]))
-    if isinstance(obj, dict):
-        return RhsSystem.from_json(obj)
-    if isinstance(obj, list):
-        return RhsSystem(components=tuple(obj), n=2)
-    raise ConfigError(f"cannot interpret system description {obj!r}")
 
 
 def _json_dump(obj, path):
@@ -258,10 +169,13 @@ def _profile_csv(emit, name, profiles):
 
 @contextlib.contextmanager
 def _reading(path, key):
-    """Report an error raised while reading ``key`` as ``path:line: key: message``."""
+    """Report an error raised while reading ``key`` as ``path:line: key: message``,
+    or as ``path:line: message`` at the line of the key the error names itself."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as err:
+        if getattr(err, "key", None) is not None:
+            raise ConfigError(f"{path}:{_key_line(path, err.key)}: {err}") from None
         what = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ConfigError(f"{path}:{_key_line(path, key)}: {key}: {what}") from None
 
@@ -293,7 +207,7 @@ def read_config(cfg, path):
                                       f"extent [{lo:.6g}, {hi:.6g}] along nu")
     if "system" in cfg:
         with _reading(path, "system"):
-            system = cfg["system"] = _system_from_config(cfg["system"])
+            system = cfg["system"] = RhsSystem.from_json(cfg["system"])
             if cfg["command"] in ("certify", "linearize") and not fixture:
                 # d_ii is the quotient of the split's non-increasing part
                 for i, split in enumerate(system.splits, 1):
@@ -310,6 +224,10 @@ def read_config(cfg, path):
         if "box" in cfg:
             with _reading(path, "box"):
                 cfg["box"] = dict(zip("xzp", _box_arrays(cfg["box"], system.n, system.m)))
+    cmd = cfg["command"]
+    for key in () if fixture else _COMMANDS[cmd][1]:
+        if key not in cfg:
+            raise ConfigError(f"{path}: missing key {key!r} for command {cmd!r}")
     return cfg
 
 
@@ -458,13 +376,16 @@ def cmd_linearize(cfg, emit, seed):
     return 0
 
 
-_RUNNERS = {
-    "solve-radial": cmd_solve_radial,
-    "solve-grid": cmd_solve_grid,
-    "certify": cmd_certify,
-    "hypotheses": cmd_hypotheses,
-    "sweep-trichotomy": cmd_sweep_trichotomy,
-    "linearize": cmd_linearize,
+# each command's runner, the keys it cannot run without (certify on the
+# quadratic fixture needs none) and its other keys besides command and seed
+_COMMANDS = {
+    "solve-radial": (cmd_solve_radial, ("alpha", "beta"), ("n", "R", "tol", "grid_size")),
+    "solve-grid": (cmd_solve_grid, ("domain", "system"), ("cs", "params")),
+    "certify": (cmd_certify, ("domain", "system"), ("cs", "params", "nu", "n_lambdas",
+                                                    "fixture")),
+    "hypotheses": (cmd_hypotheses, ("system", "box"), ("samples", "which")),
+    "sweep-trichotomy": (cmd_sweep_trichotomy, (), ("n", "pairs", "R", "tol", "grid_size")),
+    "linearize": (cmd_linearize, ("domain", "system", "lambda"), ("cs", "params", "nu")),
 }
 
 
@@ -486,7 +407,7 @@ def main(argv=None):
         return 2
     seed = int(cfg.get("seed", args.seed))
     try:
-        status = _RUNNERS[cfg["command"]](cfg, emit, seed)
+        status = _COMMANDS[cfg["command"]][0](cfg, emit, seed)
         emit.finish()
         return status
     except (SolverDivergence, DivergenceError, ExpressionDomainError) as err:

@@ -32,7 +32,12 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    """Invalid geometric input (non-unit direction, bad shape parameters)."""
+    """Invalid geometric input (non-unit direction, bad shape parameters);
+    ``key`` names the JSON key of the offending value, or is None."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConvexityError(GeometryError):
@@ -46,6 +51,27 @@ class ConvexityError(GeometryError):
         super().__init__(message)
         self.witness_point = witness_point
         self.direction = direction
+
+
+def _finite(value, positive=False):
+    """True for a number, not a boolean, that a float holds finitely (and > 0 if asked)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value) and (value > 0 or not positive)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _store_floats(obj, key, positive=False, many=False):
+    """Store field ``key`` of a frozen shape as a float, or a tuple of them when
+    ``many``, each :func:`_finite`; else raise a :class:`GeometryError` naming it."""
+    value = getattr(obj, key)
+    listed = isinstance(value, (list, tuple, np.ndarray))
+    values = value if listed else [value]
+    if listed != many or not all(_finite(v, positive) for v in values):
+        what = f"{'positive ' if positive else ''}finite number"
+        raise GeometryError(f"{key} must be {f'a list of {what}s' if many else f'a {what}'}",
+                            key=key)
+    object.__setattr__(obj, key, tuple(map(float, values)) if many else float(value))
 
 
 def _as_unit(nu, n=None):
@@ -212,19 +238,19 @@ class Ball(_Quadric):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not (0 < self.radius < math.inf and all(map(math.isfinite, self.center))):
-            raise GeometryError("ball radius must be positive and its center finite")
+        _store_floats(self, "center", many=True)
+        _store_floats(self, "radius", positive=True)
 
     def _axes(self):
-        return np.full(len(self.center), float(self.radius))
+        return np.full(len(self.center), self.radius)
 
     def support_min(self, nu):
         return float(np.dot(self.center, nu) - self.radius)
 
     def level(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - np.asarray(self.center), axis=-1) - self.radius
+        # a sum over the coordinates: a reduction along a short last axis is slow
+        d = np.asarray(x, dtype=float) - np.asarray(self.center)
+        return np.sqrt(sum(d[..., k] ** 2 for k in range(d.shape[-1]))) - self.radius
 
 
 @dataclass(frozen=True)
@@ -233,13 +259,10 @@ class Ellipse(_Quadric):
     semi_axes: tuple
 
     def __post_init__(self):
+        _store_floats(self, "center", many=True)
+        _store_floats(self, "semi_axes", positive=True, many=True)
         if len(self.center) != len(self.semi_axes):
             raise GeometryError("center/semi-axes dimension mismatch")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "semi_axes", tuple(float(a) for a in self.semi_axes))
-        if not (all(0 < a < math.inf for a in self.semi_axes)
-                and all(map(math.isfinite, self.center))):
-            raise GeometryError("ellipse semi-axes must be positive and its center finite")
 
     def _axes(self):
         return np.asarray(self.semi_axes)
@@ -258,8 +281,7 @@ class Tube(Domain):
     half_height: float
 
     def __post_init__(self):
-        if not 0 < self.half_height < math.inf:
-            raise GeometryError("tube half-height must be positive and finite")
+        _store_floats(self, "half_height", positive=True)
 
     @property
     def dimension(self):
@@ -526,13 +548,28 @@ def domain_to_json(domain):
     raise GeometryError(f"{type(domain).__name__} is not JSON-serializable")
 
 
-def domain_from_json(obj):
-    shape = obj.get("shape")
-    if shape == "ball":
-        return Ball(center=tuple(obj["center"]), radius=float(obj["radius"]))
-    if shape == "ellipse":
-        return Ellipse(center=tuple(obj["center"]), semi_axes=tuple(obj["semi_axes"]))
+_SHAPES = {"ball": (Ball, ("center", "radius")),
+           "ellipse": (Ellipse, ("center", "semi_axes")),
+           "tube": (Tube, ("cross_section", "half_height"))}
+
+
+def domain_from_json(obj, *, _key="domain"):
+    """The domain of a JSON object: shape ``ball`` with ``center`` and ``radius``,
+    ``ellipse`` with ``center`` and ``semi_axes``, or ``tube`` with a
+    ``cross_section`` of these forms and ``half_height``.  Raises
+    :class:`GeometryError`, its ``key`` naming the key at fault, for anything
+    else, an unknown key or a number that is a boolean, not finite, or not
+    positive where a size must be; ``KeyError`` for a missing key."""
+    shape = obj.get("shape") if isinstance(obj, dict) else None
+    if not (isinstance(shape, str) and shape in _SHAPES):
+        raise GeometryError(f"{_key} must be a JSON object with shape one of "
+                            f"{', '.join(_SHAPES)}", key=_key)
+    cls, keys = _SHAPES[shape]
+    for key in obj:
+        if key not in ("shape", *keys):
+            raise GeometryError(f"unknown {_key} key {key!r}; allowed: shape, {', '.join(keys)}",
+                                key=key)
+    args = {key: obj[key] for key in keys}
     if shape == "tube":
-        return Tube(cross_section=domain_from_json(obj["cross_section"]),
-                    half_height=float(obj["half_height"]))
-    raise GeometryError(f"unknown shape {shape!r}")
+        args["cross_section"] = domain_from_json(obj["cross_section"], _key="cross_section")
+    return cls(**args)

@@ -29,9 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domains import GeometryError
+from .domains import GeometryError, _finite
 from .radial import NoSolution, log_amplitudes, out_of_range
-from .rhs import eval_f
+from .rhs import ConfigurationError, eval_f
 
 __all__ = [
     "FdParams",
@@ -53,8 +53,10 @@ class DivergenceError(RuntimeError):
 
     Raised when a source is non-positive or non-finite, when a Newton
     step is singular or non-finite, when the line search is exhausted or
-    when the sweeps reach ``max_newton``.  ``history`` holds one record
-    per sweep, as :attr:`GridSolution.history` does.
+    when the sweeps reach ``max_newton``; the moving-plane frames raise it,
+    with the solve's history, when a solution's derivative fields overflow.
+    ``history`` holds one record per sweep, as :attr:`GridSolution.history`
+    does.
     """
 
     def __init__(self, message, history):
@@ -66,7 +68,8 @@ class DivergenceError(RuntimeError):
 class FdParams:
     """Grid spacing, residual tolerance, stencil width (1, 2 or 3) and sweep cap.
 
-    Raises ``ValueError`` naming the first field that is out of range.
+    Raises :class:`masym.rhs.ConfigurationError` (a ``ValueError``) naming
+    the first field that is out of range, its ``key`` the field's name.
     """
 
     h: float = 1.0 / 64.0
@@ -75,26 +78,28 @@ class FdParams:
     max_newton: int = 60
 
     def __post_init__(self):
-        def typed(v, kind):
-            return isinstance(v, kind) and not isinstance(v, bool)
+        def integer(v, lo, hi=math.inf):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi
 
-        def positive_finite(v):
-            try:
-                return typed(v, numbers.Real) and 0.0 < float(v) < math.inf
-            except OverflowError:  # an int beyond the float64 range
-                return False
-
-        for name in ("h", "tol"):
-            v = getattr(self, name)
-            if not positive_finite(v):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if not (typed(self.stencil_width, numbers.Integral) and 1 <= self.stencil_width <= 3):
-            raise ValueError(f"stencil_width must be 1, 2 or 3, got {self.stencil_width!r}")
-        if not (typed(self.max_newton, numbers.Integral) and self.max_newton >= 1):
-            raise ValueError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
+        for name, ok, what in (("h", _finite(self.h, True), "a positive finite number"),
+                               ("tol", _finite(self.tol, True), "a positive finite number"),
+                               ("stencil_width", integer(self.stencil_width, 1, 3), "1, 2 or 3"),
+                               ("max_newton", integer(self.max_newton, 1), "an integer >= 1")):
+            if not ok:
+                raise ConfigurationError(f"{name} must be {what}, got {getattr(self, name)!r}",
+                                         key=name)
 
     @staticmethod
     def from_json(obj):
+        """The params of a JSON object of the fields, each optional.  Raises
+        :class:`masym.rhs.ConfigurationError`, its ``key`` naming the key at
+        fault, for a non-object, an unknown key or a value out of range."""
+        if not isinstance(obj, dict):
+            raise ConfigurationError("params must be a JSON object", key="params")
+        for key in obj:
+            if key not in FdParams.__dataclass_fields__:
+                raise ConfigurationError(f"unknown params key {key!r}; allowed: "
+                                         f"{', '.join(FdParams.__dataclass_fields__)}", key=key)
         return FdParams(**obj)
 
 

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .domains import reflect_point, _as_unit, Ball, Tube
-from .gridsolve import _ma_and_active
+from .gridsolve import DivergenceError, _ma_and_active
 from .rhs import d_ij as rhs_d_ij
 
 __all__ = [
@@ -141,21 +141,30 @@ class _SolutionData:
         extrapolated ghost value enters a derivative there.  One field per
         row keeps each gathered field contiguous; :func:`_bilinear` reads
         it between nodes and a column gather at ``node_rows`` at them.
+        A field that overflows raises :class:`masym.gridsolve.DivergenceError`
+        with the solve's sweep history.
         """
         sol = self.solution
         g, m = sol.grid, sol.m
         stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
-        for i in range(m):
-            for k, field in enumerate(_derivative_fields(sol, i)):
-                stack[6 * i + k] = field.reshape(-1)
         ins = g.inside
         valid = np.zeros_like(ins)
         valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
                              & ins[1:-1, 2:] & ins[1:-1, :-2]
                              & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
         stack[6 * m] = valid.reshape(-1)
-        stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
-                                             for u, c in zip(sol.fields, sol.cs)]
+        # the fields divide by h^2 and the operator multiplies two of them, so
+        # a solution that a float64 holds may still overflow here
+        try:
+            with np.errstate(over="raise"):
+                for i in range(m):
+                    for k, field in enumerate(_derivative_fields(sol, i)):
+                        stack[6 * i + k] = field.reshape(-1)
+                stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
+                                                     for u, c in zip(sol.fields, sol.cs)]
+        except FloatingPointError:
+            raise DivergenceError(f"the derivative fields of the solution overflow a float64 "
+                                  f"at amplitude {max(self.amplitude):.3e}", sol.history) from None
         return stack
 
 
@@ -680,7 +689,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
     sym = certify_symmetry(solution, nu, planes.Lam0, _data=data, _frame=frame)
     bnd = boundary_checks(solution, _data=data)
     passed = (all_ok and total_viol == 0 and mono.get("passed", True)
-              and sym.get("passed", True))
+              and sym.get("passed", True) and bnd["passed"])
     return MovingPlaneReport(
         nu=tuple(float(v) for v in nu), lam0=float(planes.lam0),
         Lam0=float(planes.Lam0), n_lambdas=int(n_lambdas), entries=entries,

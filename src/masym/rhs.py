@@ -11,12 +11,12 @@ bounds, and the reflection/orthogonal invariances of the source term.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from .domains import _finite
 from .expressions import Expr, ExpressionDomainError, const, parse
 
 __all__ = [
@@ -44,7 +44,12 @@ HYPOTHESES = (
 
 
 class ConfigurationError(ValueError):
-    """System is missing structure required by the requested operation."""
+    """System is missing structure required by the requested operation, or a
+    value of it is out of range; ``key`` names the value's JSON key, or is None."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 def _as_expr(e):
@@ -92,10 +97,9 @@ class RhsSystem:
             v = (None,) * m if v is None else tuple(v)
             if len(v) != m:
                 raise ConfigurationError(f"{name} length must match component count")
-            if not all(c is None or (isinstance(c, numbers.Real) and not isinstance(c, bool)
-                                     and 0 <= c <= sys.float_info.max) for c in v):
+            if not all(c is None or (_finite(c) and c >= 0) for c in v):
                 raise ConfigurationError(f"{name} entries must be null or finite numbers "
-                                         f">= 0, got {list(v)!r}")
+                                         f">= 0, got {list(v)!r}", key=name)
             object.__setattr__(self, name, v)
         if not (isinstance(self.n, numbers.Integral) and not isinstance(self.n, bool)
                 and self.n >= 1):
@@ -123,6 +127,22 @@ class RhsSystem:
 
     @staticmethod
     def from_json(obj):
+        """The system of a JSON object of the fields (``n`` and ``components``
+        required), of a power pair ``{"alpha", "beta"}`` or of a list of
+        components with n = 2.  Raises :class:`ConfigurationError`, its ``key``
+        naming an unknown key or a value out of range, for anything else, and
+        ``KeyError`` for a missing key."""
+        if isinstance(obj, list):
+            return RhsSystem(components=tuple(obj), n=2)
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"cannot interpret system description {obj!r}")
+        allowed = ("alpha", "beta") if "alpha" in obj else tuple(RhsSystem.__dataclass_fields__)
+        for key in obj:
+            if key not in allowed:
+                raise ConfigurationError(f"unknown system key {key!r}; allowed: "
+                                         f"{', '.join(allowed)}", key=key)
+        if "alpha" in obj:
+            return power_coupled_system(obj["alpha"], obj["beta"])
         return RhsSystem(components=tuple(obj["components"]), n=obj["n"],
                          splits=obj.get("splits") or None,
                          lipschitz_z=obj.get("lipschitz_z"), lipschitz_p=obj.get("lipschitz_p"))
@@ -132,10 +152,13 @@ def power_coupled_system(alpha, beta):
     """det D^2 u^1 = (-u^2)^alpha, det D^2 u^2 = (-u^1)^beta on {z < 0}.
 
     Neither component depends on its own unknown, so the declared split
-    is (0, f^i) and the own-component Lipschitz constants vanish.
+    is (0, f^i) and the own-component Lipschitz constants vanish.  An
+    exponent that is not a positive finite number raises a
+    :class:`ConfigurationError` naming it.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ConfigurationError("power exponents must be positive")
+    for key, value in (("alpha", alpha), ("beta", beta)):
+        if not _finite(value, positive=True):
+            raise ConfigurationError(f"{key} must be a positive finite number", key=key)
     f1 = Expr("^", (Expr("neg", (parse("z2"),)), const(alpha)))
     f2 = Expr("^", (Expr("neg", (parse("z1"),)), const(beta)))
     zero = const(0.0)

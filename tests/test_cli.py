@@ -385,14 +385,44 @@ def test_certify_passes_the_one_two_pair(tmp_path, h):
 
 def test_certify_with_no_monotonicity_node_is_not_applicable(tmp_path):
     """At h = 0.5 no node of the quadratic fixture lies left of the plane:
-    the monotonicity audit checks nothing, so it passes nothing."""
+    the monotonicity audit checks nothing, so it passes nothing.  The grid
+    is too coarse for Hopf (least outward derivative 1.0 against the margin
+    10 h^2 = 2.5), and a failed boundary check fails the certificate."""
     cfg = write_config(tmp_path, {"command": "certify", "fixture": "quadratic",
                                   "params": {"h": 0.5}})
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
-    mono = read_json(out / "certificate.json")["monotonicity"]
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+    cert = read_json(out / "certificate.json")
+    assert not cert["boundary"]["hopf"]["passed"] and not cert["passed"]
+    mono = cert["monotonicity"]
     assert mono["verdict"] == "not-applicable" and "passed" not in mono
     assert all(entry["n_checked"] == 0 for entry in mono["components"])
+
+
+@pytest.mark.parametrize("command, extra", [("certify", {}), ("linearize", {"lambda": -0.3})])
+def test_operator_overflow_is_a_divergence(tmp_path, capsys, command, extra):
+    """The (2.01, 2) disk pair solves to amplitudes of about 1e175, whose
+    discrete operator overflows a float64: exit 3 with the solve's sweep
+    history and the amplitude in divergence.json, and no numpy warning (the
+    suite turns RuntimeWarning into an error)."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, command=command, params={"h": 0.03125},
+                                      system={"alpha": 2.01, "beta": 2.0}, **extra))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
+    report = read_json(out / "divergence.json")
+    assert "overflow a float64 at amplitude 3.786e+175" in report["error"]
+    assert len(report["history"]) > 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+
+
+def test_operator_underflow_is_no_fault(tmp_path):
+    """The (1.99, 2) disk pair, with fields of about 1e-175, certifies."""
+    cfg = write_config(tmp_path, dict(GRID_CFG, command="certify", params={"h": 0.03125},
+                                      system={"alpha": 1.99, "beta": 2.0}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert read_json(out / "certificate.json")["passed"] is True
 
 
 @pytest.mark.parametrize("extra", [

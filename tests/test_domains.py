@@ -222,3 +222,68 @@ def test_domain_json_roundtrip():
         d2 = domain_from_json(domain_to_json(d))
         assert type(d2) is type(d)
         assert np.allclose(d2.bounding_box(), d.bounding_box())
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: Ball(center=(0.0, 0.0), radius=True), "radius"),
+    (lambda: Ball(center=(True, 0.0), radius=1.0), "center"),
+    (lambda: Ball(center=(0.0, 0.0), radius=float("inf")), "radius"),
+    (lambda: Ball(center=(float("nan"), 0.0), radius=1.0), "center"),
+    (lambda: Ball(center=(0.0, 0.0), radius=-1.0), "radius"),
+    (lambda: Ellipse(center=(0.0, 0.0), semi_axes=(1.0, True)), "semi_axes"),
+    (lambda: Ellipse(center=(0.0, float("inf")), semi_axes=(1.0, 0.5)), "center"),
+    (lambda: Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.0)), "semi_axes"),
+    (lambda: Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=True), "half_height"),
+    (lambda: Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=float("nan")),
+     "half_height"),
+    (lambda: Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=10 ** 400),
+     "half_height"),
+], ids=["radius-true", "center-true", "radius-inf", "center-nan", "radius-negative",
+        "semi-axis-true", "center-inf", "semi-axis-zero", "half-height-true", "half-height-nan",
+        "half-height-10^400"])
+def test_shape_numbers_are_checked_before_conversion(make, key):
+    """A boolean is not a number, and a size must be positive and finite: a
+    shape rejects either before float() reads it, naming the key."""
+    with pytest.raises(GeometryError, match=f"^{key} must be") as err:
+        make()
+    assert err.value.key == key
+
+
+def test_shape_sizes_are_stored_as_floats():
+    ball = Ball(center=[0, 1], radius=2)
+    tube = Tube(cross_section=ball, half_height=1)
+    assert ball.center == (0.0, 1.0) and type(ball.radius) is float
+    assert type(tube.half_height) is float
+    assert domain_to_json(ball) == {"shape": "ball", "center": [0.0, 1.0], "radius": 2.0}
+
+
+@pytest.mark.parametrize("obj, key, message", [
+    ({"shape": "ball", "center": [0.0, 0.0], "radius": 1.0, "bogus": 3}, "bogus",
+     "unknown domain key 'bogus'; allowed: shape, center, radius"),
+    ({"shape": "tube", "half_height": 1.0,
+      "cross_section": {"shape": "ball", "center": [0.0], "radius": 1.0, "semi_axes": [1.0]}},
+     "semi_axes", "unknown cross_section key 'semi_axes'"),
+    ({"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}, "domain",
+     "domain must be a JSON object with shape one of ball, ellipse, tube"),
+    ([0.0, 0.0], "domain", "domain must be a JSON object"),
+    ({"shape": "tube", "cross_section": 1.0, "half_height": 1.0}, "cross_section",
+     "cross_section must be a JSON object"),
+    ({"shape": "ellipse", "center": [0.0, 0.0], "semi_axes": [1.0, float("nan")]}, "semi_axes",
+     "semi_axes must be a list of positive finite numbers"),
+], ids=["unknown-key", "unknown-nested-key", "unknown-shape", "not-an-object",
+        "cross-section-not-an-object", "nan-semi-axis"])
+def test_domain_from_json_rejects_naming_the_key(obj, key, message):
+    with pytest.raises(GeometryError, match=message) as err:
+        domain_from_json(obj)
+    assert err.value.key == key
+
+
+def test_ball_level_is_the_norm_to_the_bit():
+    """The level is a sum over the coordinates, for a ball of any dimension;
+    it equals the norm along the last axis bit for bit."""
+    rng = np.random.default_rng(5)
+    for center in ((0.25, -0.5), (0.3,), (0.1, -0.2, 0.4)):
+        ball = Ball(center=center, radius=1.5)
+        x = rng.uniform(-2.0, 2.0, (3200, len(center)))
+        ref = np.linalg.norm(x - np.asarray(center), axis=-1) - 1.5
+        assert ball.level(x).tobytes() == ref.tobytes()

@@ -251,6 +251,34 @@ def test_binary_roundtrip(tmp_path):
     assert back.cs == sol.cs
 
 
+def test_binary_read_rejects_a_foreign_file_or_another_mask(tmp_path):
+    """A file without the MAGS magic, or one whose stored mask is not the
+    domain's at the stored h, is refused."""
+    sol = solve_system_fd(DISK, RhsSystem(components=("4",), n=2), (0.0,), FdParams(h=0.125))
+    path = tmp_path / "sol.bin"
+    write_solution_binary(sol, path)
+    with pytest.raises(ValueError, match="stored mask does not match"):
+        read_solution_binary(path, Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.5)))
+    path.write_bytes(b"MAGX" + path.read_bytes()[4:])
+    with pytest.raises(ValueError, match="not a grid-solution file"):
+        read_solution_binary(path, DISK)
+
+
+@pytest.mark.parametrize("obj, key, message", [
+    ({"h": 0.0625, "max_euler": 3}, "max_euler",
+     "unknown params key 'max_euler'; allowed: h, tol, stencil_width, max_newton"),
+    ([0.0625], "params", "params must be a JSON object"),
+    ({"h": True}, "h", "h must be a positive finite number, got True"),
+    ({"tol": float("nan")}, "tol", "tol must be a positive finite number"),
+    ({"stencil_width": 4}, "stencil_width", "stencil_width must be 1, 2 or 3"),
+    ({"max_newton": 0}, "max_newton", "max_newton must be an integer >= 1"),
+], ids=["unknown-key", "not-an-object", "h-true", "tol-nan", "width-4", "max-newton-0"])
+def test_params_from_json_rejects_naming_the_key(obj, key, message):
+    with pytest.raises(ValueError, match=message) as err:
+        FdParams.from_json(obj)
+    assert err.value.key == key
+
+
 def test_mask_run_lengths_match_the_run_loop():
     """solution.bin stores the mask as the lengths of the runs of equal
     cells in row-major order, the first run holding ``first``."""

@@ -253,6 +253,19 @@ def test_lambda_sweep_passes(coupled):
     assert "monotonicity" in text
 
 
+def test_failed_boundary_checks_fail_the_certificate():
+    """u = -(1 - |x|^2)^4 is monotone and symmetric, but its outward derivative
+    vanishes on the circle and its Laplacian is negative there: Hopf and the
+    Laplacian sign fail, and so does the certificate."""
+    grid = StencilGrid(DISK, 1.0 / 32.0, 2)
+    u = -(1.0 - np.sum(grid.node_xy ** 2, axis=1)) ** 4
+    sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
+    rep = lambda_sweep(sol, [1.0, 0.0], critical_planes(DISK, [1.0, 0.0]))
+    assert not rep.boundary["hopf"]["passed"] and not rep.boundary["laplacian"]["passed"]
+    assert rep.monotonicity["passed"] and rep.symmetry["passed"]
+    assert not rep.passed
+
+
 def _perturbed(sol):
     """The negative control: u1 plus a ripple along x1, u2 unchanged."""
     xy = sol.grid.node_xy

@@ -239,3 +239,58 @@ def test_system_roundtrip():
 def test_empty_system_rejected():
     with pytest.raises(ConfigurationError):
         RhsSystem(components=(), n=2)
+
+
+@pytest.mark.parametrize("alpha, beta, key", [
+    (float("nan"), 1.0, "alpha"), (float("inf"), 1.0, "alpha"), (1.0, -float("inf"), "beta"),
+    (True, 1.0, "alpha"), (1.0, False, "beta"), ("2", 1.0, "alpha"), (1.0, 10 ** 400, "beta"),
+    (0.0, 1.0, "alpha"),
+], ids=["nan", "inf", "minus-inf", "true", "false", "string", "10^400", "zero"])
+def test_power_exponent_must_be_a_positive_finite_number(alpha, beta, key):
+    with pytest.raises(ConfigurationError, match=f"^{key} must be a positive finite number$") \
+            as err:
+        power_coupled_system(alpha, beta)
+    assert err.value.key == key
+
+
+def test_system_from_json_reads_three_forms():
+    """The field object, the power pair and the list of components (n = 2)."""
+    pair = RhsSystem.from_json({"alpha": 1, "beta": 2})
+    assert pair.to_json() == power_coupled_system(1.0, 2.0).to_json()
+    listed = RhsSystem.from_json(["z2", "z1"])
+    assert listed.n == 2 and listed.m == 2
+    fields = RhsSystem.from_json({"n": 2, "components": ["z2", "z1"]})
+    assert fields.to_json() == listed.to_json()
+
+
+@pytest.mark.parametrize("obj, key, message", [
+    ({"alpha": 1.0, "beta": 1.0, "gamma": 2}, "gamma",
+     "unknown system key 'gamma'; allowed: alpha, beta"),
+    ({"n": 2, "components": ["z2", "z1"], "bogus": 1}, "bogus", "unknown system key 'bogus'"),
+    ({"alpha": float("nan"), "beta": 1.0}, "alpha", "alpha must be a positive finite number"),
+    ({"n": 2, "components": ["z2", "z1"], "lipschitz_z": [True, 0.0]}, "lipschitz_z",
+     "lipschitz_z entries must be"),
+    (3.0, None, "cannot interpret system description"),
+], ids=["pair-unknown-key", "fields-unknown-key", "pair-nan", "lipschitz-true", "number"])
+def test_system_from_json_rejects_naming_the_key(obj, key, message):
+    with pytest.raises(ConfigurationError, match=message) as err:
+        RhsSystem.from_json(obj)
+    assert err.value.key == key
+
+
+UNIT_BOX = {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1]], "p": [[-1.0, 1.0], [-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("component, split, name, keys", [
+    ("2 + x1", None, "axis_evenness", {"component", "difference"}),
+    ("2 + x1", None, "orthogonal_invariance", {"component", "difference", "O", "O_prime"}),
+    ("2 - x1", None, "reflection_comparison", {"component", "margin"}),
+    ("2 - z1", ("0", "1 - z1"), "own_component_split", {"component", "split_residual"}),
+    ("2 + z1", ("0", "2 + z1"), "own_component_split", {"component", "violation"}),
+], ids=["evenness", "orthogonal", "reflection", "split-residual", "split-increasing"])
+def test_failing_check_reports_its_witness(component, split, name, keys):
+    """Each failure names a sample (x, z, p) and the check's own evidence."""
+    system = RhsSystem(components=(component,), n=2, splits=None if split is None else (split,))
+    rep = check_hypotheses(system, UNIT_BOX, samples=256, seed=0)
+    assert rep.statuses[name] == "fail"
+    assert set(rep.witnesses[name]) == {"x", "z", "p"} | keys
