@@ -156,9 +156,7 @@ def radial_ma_operator(profile):
     return vals
 
 
-# the fixed points below average each new iterate half and half with the
-# last one and give up after _MAX_ITER iterations
-_DAMPING = 0.5
+# the fixed points below give up after _MAX_ITER iterations
 _MAX_ITER = 10_000
 
 
@@ -166,10 +164,10 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
     """Solve det D^2 u = g(r, u, u') radially on the ball of radius R.
 
     ``g`` is a vectorized callable of (r, u, du) and must stay positive
-    on the solution range.  When g depends on (u, u'), a damped fixed
-    point on the integrated form is used; otherwise a single pass is
-    exact up to quadrature.  The residual tolerance is 1e-8, relative to
-    max(1, |g|_inf).
+    on the solution range.  Each pass solves the integrated form with g
+    at the last pass's (u, u') and steps to its solution, so a source free
+    of (u, u') finishes after one pass and one confirming pass, exact up to
+    quadrature.  The residual tolerance is 1e-8, relative to max(1, |g|_inf).
     """
     tol = 1e-8
     if grid_size < 4:
@@ -193,22 +191,21 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
         u_new = c - (total[-1] - total)
         change = float(np.max(np.abs(u_new - u)) / max(1.0, float(np.max(np.abs(u_new)))))
         history.append(change)
+        u, du = u_new, du_new
         if change <= 1e-14 or (it > 0 and change <= 0.05 * tol):
-            u, du = u_new, du_new
             break
-        u = (1.0 - _DAMPING) * u + _DAMPING * u_new
-        du = (1.0 - _DAMPING) * du + _DAMPING * du_new
     else:
         raise SolverDivergence(
             f"radial fixed point did not converge in {_MAX_ITER} iterations", history)
     prof = RadialProfile(r=r, u=u, du=du, n=n, c=c)
-    resid = radial_ma_operator(prof) - np.broadcast_to(np.asarray(g(r, u, du)), r.shape)
+    G = np.broadcast_to(np.asarray(g(r, u, du), dtype=float), r.shape)
+    resid = radial_ma_operator(prof) - G
     # skip the two nodes next to r = 0: the operator degenerates there and
     # the centered second difference loses an order for merely Hoelder
     # continuous curvature, without affecting the solution itself
     interior = slice(3, -1)
     worst = float(np.max(np.abs(resid[interior])))
-    scale = max(1.0, float(np.max(np.abs(np.asarray(g(r, u, du))))))
+    scale = max(1.0, float(np.max(np.abs(G))))
     if worst > max(tol, 100.0 / grid_size ** 2) * scale:
         raise SolverDivergence(
             f"radial residual {worst:.3e} exceeds tolerance", history)
@@ -285,11 +282,8 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     for it in range(_MAX_ITER):
         v2, _ = _unit(_power_solve(v1, beta, quad), history)
         w1, _ = _unit(_power_solve(v2, alpha, quad), history)
-        v1_next, _ = _unit(RadialProfile(r=r, u=(1.0 - _DAMPING) * v1.u + _DAMPING * w1.u,
-                                         du=(1.0 - _DAMPING) * v1.du + _DAMPING * w1.du,
-                                         n=n, c=0.0), history)
-        history.append(float(np.max(np.abs(v1_next.u - v1.u))))
-        v1 = v1_next
+        history.append(float(np.max(np.abs(w1.u - v1.u))))
+        v1 = w1
         if history[-1] <= tol and it > 2:
             break
     else:
@@ -310,13 +304,18 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     # exponents the source is only Hoelder continuous at the boundary, where
     # the one-sided curvature estimate loses an order
     log_bound = np.log(10.0 * max(tol, 100.0 / grid_size ** 2))
-    for i, (prof, expo, other) in enumerate(((v1, alpha, v2), (v2, beta, v1))):
+    for i, (prof, name, expo, other) in enumerate(((v1, "alpha", alpha, v2),
+                                                   (v2, "beta", beta, v1))):
         if np.any(prof.u[:-1] >= 0):
             raise SolverDivergence("converged iterate is not negative inside", history)
+        source = np.maximum(-other.u, 0.0) ** expo
+        # a source that is 0 wherever the residual is read leaves nothing checked
+        if not np.any(source[3:-3] > 0):
+            raise SolverDivergence(f"half-step source (-v{2 - i})^{name}, {name} = {expo!r}, "
+                                   "is 0 at every node the residual rule checks", history)
         # for a large n, (u'/r)^(n-1) or mu_i overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = (radial_ma_operator(prof)
-                     - np.exp(log_mu[i]) * np.maximum(-other.u, 0.0) ** expo)
+            resid = radial_ma_operator(prof) - np.exp(log_mu[i]) * source
         worst = float(np.max(np.abs(resid[3:-3])))
         if not math.isfinite(worst):
             raise SolverDivergence(f"coupled residual of the unit profile for n = {n} leaves "
@@ -383,7 +382,7 @@ def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10):
     claimed = alpha * beta < n * n
     note = ("uniqueness follows from the power-coupling threshold" if claimed else
             "existence only above the threshold; the probe reports whichever "
-            "fixed point the damped iteration reaches")
+            "fixed point the iteration reaches")
     return UniquenessReport(alpha=alpha, beta=beta, n=n, starts=tuple(powers),
                             outcomes=tuple(outcomes), max_pairwise_distance=maxd,
                             uniqueness_claimed=claimed, note=note)

@@ -247,3 +247,75 @@ def test_uniqueness_probe_subcritical():
     assert rep.uniqueness_claimed
     assert rep.max_pairwise_distance <= 1e-6
     assert all(o == "converged" for o in rep.outcomes)
+
+
+# outcome class, reason kind and NoSolution drift sign of each pair as the
+# half-and-half damped iteration decided them; the full step must keep them.
+# (300, 1) and (1000, 1) keep a source positive near the center, and
+# (1e5, 1) fails its residual rule, not the zero-source guard
+PARITY = [
+    *[(a, b, n, "solution", None) for a, b, n in (
+        (1, 1, 2), (1, 2, 2), (0.5, 2, 2), (1.9, 2, 2), (1.99, 2, 2), (2.01, 2, 2),
+        (2.1, 2, 2), (3, 3, 2), (1, 1, 3), (4, 4, 3), (50, 50, 2), (100, 0.01, 2),
+        (0.01, 100, 2), (100, 1, 2), (300, 1, 2), (1000, 1, 2), (1, 1, 8), (20, 20, 3),
+        (0.001, 0.001, 2), (1e-5, 1e-5, 2), (1e-300, 1, 2), (3.9, 1, 2), (4.1, 1, 2),
+        (2, 2.25, 3), (1, 1, 5), (10, 10, 2), (8, 8, 3))],
+    *[(a, b, n, "residual", None) for a, b, n in (
+        (0.25, 4, 2), (1e5, 1, 2), (0.3, 0.3, 1), (0.1, 0.1, 2), (50, 0.5, 2))],
+    *[(a, b, n, "critical", -1) for a, b, n in (
+        (2, 2, 2), (3, 3, 3), (1, 9, 3), (1, 1, 1), (2, 0.5, 1))],
+    (1, 3.99, 2, "float-range", -1),
+    (1.999, 2, 2, "float-range", -1),
+]
+
+
+def _reason_kind(reason):
+    for kind, text in (("critical", "alpha*beta = n^2"), ("float-range", "log-amplitudes"),
+                       ("residual", "coupled residual"), ("amplitude", "half-step amplitude")):
+        if text in reason:
+            return kind
+    return reason
+
+
+@pytest.mark.parametrize("alpha,beta,n,kind,drift", PARITY)
+def test_full_step_keeps_the_outcome_of_the_damped_iteration(alpha, beta, n, kind, drift):
+    try:
+        res = solve_coupled_radial(float(alpha), float(beta), n)
+    except SolverDivergence as err:
+        assert (_reason_kind(str(err)), None) == (kind, drift)
+        return
+    if isinstance(res, NoSolution):
+        assert (_reason_kind(res.reason), res.drift_sign) == (kind, drift)
+        # the damped iteration took 26-28 rounds to decide these
+        assert len(res.history) <= 8
+    else:
+        assert kind == "solution"
+
+
+@pytest.mark.parametrize("alpha,beta,name", [(1e300, 2.0, "alpha = 1e+300"),
+                                             (2.0, 1e300, "beta = 1e+300")])
+def test_source_zero_on_every_checked_node_is_a_divergence(alpha, beta, name):
+    """(-v_j)^1e300 underflows to 0 off the center, so the residual rule
+    would check nothing; the solve diverges and says which exponent did it."""
+    with pytest.raises(SolverDivergence) as err:
+        solve_coupled_radial(alpha, beta, 2)
+    assert name in str(err.value)
+    assert "is 0 at every node the residual rule checks" in str(err.value)
+    assert err.value.history
+
+
+@pytest.mark.parametrize("e,n", [(1, 2), (3, 2), (1, 3), (4, 3)])
+def test_symmetric_pair_has_equal_components(e, n):
+    u1, u2 = solve_coupled_radial(float(e), float(e), n)
+    assert np.max(np.abs(u1.u - u2.u)) <= 1e-11 * np.max(np.abs(u1.u))
+
+
+def test_source_free_of_the_solution_takes_one_pass_and_a_confirming_one():
+    calls = []
+
+    def g(r, u, du):
+        calls.append(None)
+        return np.full_like(r, 4.0)
+
+    solve_scalar_radial(g, n=2, R=1.0, c=0.0)
+    assert len(calls) <= 4
