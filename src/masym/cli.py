@@ -25,8 +25,8 @@ from .domains import (Ball, GeometryError, _as_unit, _finite, critical_planes,
                       domain_from_json, domain_to_json)
 from .expressions import ExpressionDomainError
 from .expressions import parse as parse_expr
-from .gridsolve import (DivergenceError, FdParams, GridSolution, StencilGrid, _write_csv,
-                        solve_system_fd, write_solution_binary, write_solution_csv)
+from .gridsolve import (FdParams, GridSolution, StencilGrid, _write_csv, solve_system_fd,
+                        write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
 from .rhs import HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, check_hypotheses
@@ -410,7 +410,7 @@ def main(argv=None):
         status = _COMMANDS[cfg["command"]][0](cfg, emit, seed)
         emit.finish()
         return status
-    except (SolverDivergence, DivergenceError, ExpressionDomainError) as err:
+    except (SolverDivergence, ExpressionDomainError) as err:
         report = os.path.join(args.out, "divergence.json")
         _json_dump({"error": str(err), "history": getattr(err, "history", [])}, report)
         print(f"solver divergence: {err} (report: {report})", file=sys.stderr)

@@ -119,9 +119,8 @@ class Domain:
 
     Subclasses provide ``dimension``, ``bounding_box`` (shape (n, 2)),
     ``level`` (negative inside, zero on the boundary) and, where the
-    shape allows, closed forms for the support minimum along a
-    direction and for :meth:`ray_exit`.  All instances are immutable and
-    safe to share.
+    shape allows, a closed form for :meth:`ray_exit`.  All instances are
+    immutable and safe to share.
     """
 
     dimension: int
@@ -159,10 +158,6 @@ class Domain:
             inside = self.contains(o + mid[..., None] * d)
             lo = np.where(open_ & inside, mid, lo)
             hi = np.where(open_ & ~inside, mid, hi)
-
-    def support_min(self, nu):
-        """inf of x . nu over the domain, or None if no closed form."""
-        return None
 
     def bbox_diameter(self):
         bb = self.bounding_box()
@@ -219,9 +214,6 @@ class _Quadric(Domain):
         c, a = np.asarray(self.center), self._axes()
         return np.stack([c - a, c + a], axis=1)
 
-    def support_min(self, nu):
-        return float(np.dot(self.center, nu) - math.sqrt(float(np.sum((self._axes() * nu) ** 2))))
-
     def ray_exit(self, origins, dirs):
         a = self._axes()
         o = (np.asarray(origins, dtype=float) - np.asarray(self.center)) / a
@@ -243,9 +235,6 @@ class Ball(_Quadric):
 
     def _axes(self):
         return np.full(len(self.center), self.radius)
-
-    def support_min(self, nu):
-        return float(np.dot(self.center, nu) - self.radius)
 
     def level(self, x):
         # a sum over the coordinates: a reduction along a short last axis is slow
@@ -458,18 +447,6 @@ def _ellipse_symmetric_along(domain, nu):
     return bool(np.linalg.norm(skew) <= 1e-12 * np.max(a2))
 
 
-def _orthogonality_plane(domain, nu):
-    """First plane position with a boundary normal orthogonal to nu."""
-    if isinstance(domain, Ellipse):
-        a = np.asarray(domain.semi_axes)
-        w = a * nu
-        v = nu / a
-        proj = w - (np.dot(w, v) / np.dot(v, v)) * v
-        return float(np.dot(domain.center, nu) - np.linalg.norm(proj))
-    pts = _boundary_points_normal_to(domain, nu)
-    return float(pts[int(np.argmin(pts @ nu))] @ nu)
-
-
 def _boundary_points_normal_to(domain, w):
     """Points of a 2-D boundary where the outer normal is orthogonal to w.
 
@@ -491,9 +468,10 @@ def _boundary_points_normal_to(domain, w):
 def critical_planes(domain, nu):
     """Compute the critical plane positions along direction ``nu``.
 
-    The bisections resolve plane positions to 1e-9 of the bounding-box
-    diameter.  Raises :class:`ConvexityError` when the domain is not
-    convex along ``nu``.
+    A ball of any dimension takes closed forms; any other domain must be
+    2-D, or a tube over a 2-D cross-section.  The bisections resolve plane
+    positions to 1e-9 of the bounding-box diameter.  Raises
+    :class:`ConvexityError` when the domain is not convex along ``nu``.
     """
     nu = _as_unit(nu, domain.dimension)
     diam = domain.bbox_diameter()
@@ -508,15 +486,12 @@ def critical_planes(domain, nu):
         sub = critical_planes(domain.cross_section, nuc / nc)
         return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2)
 
-    lam0 = domain.support_min(nu)
-    if lam0 is None:
-        # the first touch is where the outer normal is -nu
-        pts = _boundary_points_normal_to(domain, np.array([-nu[1], nu[0]]))
-        lam0 = float(np.min(pts @ nu))
-
     if isinstance(domain, Ball):
         c = float(np.dot(domain.center, nu))
-        return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=c, Lam2=c)
+        return CriticalPlanes(nu=tuple(nu), lam0=c - domain.radius, Lam0=c, Lam2=c)
+
+    # the first touch is where the outer normal is -nu
+    lam0 = float(np.min(_boundary_points_normal_to(domain, np.array([-nu[1], nu[0]])) @ nu))
 
     if isinstance(domain, Ellipse) and _ellipse_symmetric_along(domain, nu):
         # reflection about the central plane preserves the domain, and past
@@ -528,7 +503,8 @@ def critical_planes(domain, nu):
             lambda lam: _reflected_cap_contained(domain, nu, lam, ends, slack),
             lam0 + tol, lam0 + diam, tol,
         ))
-    Lam2 = _orthogonality_plane(domain, nu)
+    pts = _boundary_points_normal_to(domain, nu)
+    Lam2 = float(pts[int(np.argmin(pts @ nu))] @ nu)
     # snap tiny bisection residue so the Lam0 <= Lam2 invariant is not
     # tripped by one half-tolerance of slack
     if Lam0 > Lam2 and Lam0 - Lam2 < 4 * tol:

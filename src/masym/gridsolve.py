@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domains import GeometryError, _finite
-from .radial import NoSolution, log_amplitudes, out_of_range
+from .radial import NoSolution, SolverDivergence, log_amplitudes, out_of_range
 from .rhs import ConfigurationError, eval_f
 
 __all__ = [
@@ -48,20 +48,8 @@ __all__ = [
 ]
 
 
-class DivergenceError(RuntimeError):
-    """The grid solve failed; carries the sweep history.
-
-    Raised when a source is non-positive or non-finite, when a Newton
-    step is singular or non-finite, when the line search is exhausted or
-    when the sweeps reach ``max_newton``; the moving-plane frames raise it,
-    with the solve's history, when a solution's derivative fields overflow.
-    ``history`` holds one record per sweep, as :attr:`GridSolution.history`
-    does.
-    """
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = list(history)
+# the grid's public name for the one divergence type
+DivergenceError = SolverDivergence
 
 
 @dataclass(frozen=True)

@@ -577,18 +577,20 @@ def boundary_checks(solution, *, _data=None):
             "min_normal_derivative": float(np.min(dn)) if keep.any() else None,
             "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2 * data.amplitude[i]),
         })
+    # an audit with nothing to check has a null minimum and does not pass
+    mins = [e["min_normal_derivative"] for e in entries]
     report["hopf"] = {"components": entries,
-                      "min": min(e["min_normal_derivative"] for e in entries),
+                      "min": None if None in mins else min(mins),
                       "passed": all(e["passed"] for e in entries)}
     lap_entries = []
     m = solution.m
     at_node = np.take(data.stack, data.node_rows, axis=1)
     ok = at_node[6 * m] == 1.0
     for i in range(m):
-        lap = at_node[6 * i + 3] + at_node[6 * i + 4]
+        lap = (at_node[6 * i + 3] + at_node[6 * i + 4])[ok]
         lap_entries.append({"component": i + 1,
-                            "min_laplacian": float(np.min(lap[ok])),
-                            "passed": bool(np.min(lap[ok]) > 0.0)})
+                            "min_laplacian": float(np.min(lap)) if ok.any() else None,
+                            "passed": bool(ok.any() and np.min(lap) > 0.0)})
     report["laplacian"] = {"components": lap_entries,
                            "passed": all(e["passed"] for e in lap_entries)}
     if isinstance(domain, Tube) and domain.dimension == 2:

@@ -43,7 +43,17 @@ __all__ = [
 
 
 class SolverDivergence(RuntimeError):
-    """Fixed-point iteration failed to converge; carries the iterate history."""
+    """A solve failed; carries its ``history``.
+
+    The radial fixed points raise it when they do not converge or leave
+    the float64 range, with one change per iterate.  The grid solver raises
+    it, as ``gridsolve.DivergenceError``, when a source is non-positive or
+    non-finite, when a Newton step is singular or non-finite, when the line
+    search is exhausted or when the sweeps reach ``max_newton``; the
+    moving-plane frames raise it, with the solve's history, when a
+    solution's derivative fields overflow.  A grid ``history`` holds one
+    record per sweep, as :attr:`masym.gridsolve.GridSolution.history` does.
+    """
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -182,7 +192,7 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
     for it in range(_MAX_ITER):
         G = np.asarray(g(r, u, du), dtype=float)
         G = np.broadcast_to(G, r.shape)
-        if not np.all(G > 0):
+        if not np.all((G > 0) & (G < np.inf)):
             raise SolverDivergence(
                 "source became non-positive or non-finite during the radial fixed point",
                 history)

@@ -399,6 +399,26 @@ def test_certify_with_no_monotonicity_node_is_not_applicable(tmp_path):
     assert all(entry["n_checked"] == 0 for entry in mono["components"])
 
 
+@pytest.mark.parametrize("cfg", [
+    {"command": "certify", "fixture": "quadratic", "params": {"h": 0.6}},
+    dict(GRID_CFG, command="certify", params={"h": 0.6}),
+    dict(GRID_CFG, command="certify", params={"h": 0.7}),
+], ids=["quadratic-0.6", "disk-0.6", "disk-0.7"])
+def test_certify_with_nothing_to_audit_fails(tmp_path, capsys, cfg):
+    """On grids this coarse no Hopf sample keeps its discrete interior disk
+    and no node carries a Laplacian: each audit reports a null minimum and
+    fails, so the certificate fails (exit 1) with no traceback."""
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    cert = read_json(out / "certificate.json")
+    hopf, lap = cert["boundary"]["hopf"], cert["boundary"]["laplacian"]
+    assert hopf["min"] is None and not hopf["passed"]
+    assert all(e["min_normal_derivative"] is None for e in hopf["components"])
+    assert all(e["min_laplacian"] is None for e in lap["components"])
+    assert not lap["passed"] and not cert["passed"]
+
+
 @pytest.mark.parametrize("command, extra", [("certify", {}), ("linearize", {"lambda": -0.3})])
 def test_operator_overflow_is_a_divergence(tmp_path, capsys, command, extra):
     """The (2.01, 2) disk pair solves to amplitudes of about 1e175, whose

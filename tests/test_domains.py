@@ -66,6 +66,30 @@ def test_ellipse_slanted_direction_planes():
     assert abs(cpt.Lam2 + np.sqrt(0.9)) <= 1e-9
 
 
+ORACLE_ELLIPSES = [((0.0, 0.0), (2.0, 1.0)), ((0.3, -0.2), (1.0, 0.6)),
+                   ((5.0, -3.0), (1.0, 0.25))]
+ORACLE_ANGLES = [0.0, 0.3, np.pi / 4, 1.0, np.pi / 2, 2.0, 2.5, np.pi, 4.0, 5.5]
+
+
+@pytest.mark.parametrize("center, axes, theta", [
+    *[(c, a, th) for c, a in ORACLE_ELLIPSES for th in ORACLE_ANGLES],
+    *[((0.0, 0.0), (1.0, b), th) for b in (0.01, 0.001) for th in (0.0, np.pi / 2)],
+])
+def test_ellipse_planes_match_the_exact_formulas(center, axes, theta):
+    """The boundary-normal search gives an ellipse's planes to 1e-12 of its
+    diameter: the first touch c.nu - |a nu|, Lam2 from the distance of
+    w = a nu to the line of v = nu / a, and Lam0 = c.nu on a principal axis."""
+    c, a = np.asarray(center), np.asarray(axes)
+    nu = np.array([np.cos(theta), np.sin(theta)])
+    cp = critical_planes(Ellipse(center=center, semi_axes=axes), nu)
+    tol = 1e-12 * 2.0 * np.linalg.norm(a)
+    w, v = a * nu, nu / a
+    assert abs(cp.lam0 - (c @ nu - np.linalg.norm(w))) <= tol
+    assert abs(cp.Lam2 - (c @ nu - np.linalg.norm(w - (w @ v) / (v @ v) * v))) <= tol
+    if min(abs(nu)) < 1e-12:
+        assert abs(cp.Lam0 - c @ nu) <= tol
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 100.0])
 def test_slanted_ellipse_level_set_planes_do_not_depend_on_level_scale(scale):
     """The reflected-cap test allows the level's own round-off, so a level

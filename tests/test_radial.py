@@ -93,6 +93,14 @@ def test_scalar_residual_allowance_scales_with_the_source_once():
     solve_scalar_radial(lambda r, u, du: 1e3 * (1.0 + r ** 2), n=2, R=1.0, c=0.0)
 
 
+def test_scalar_radial_rejects_an_infinite_source():
+    """An infinite source is a divergence, not inf - inf in the quadrature
+    (the suite turns RuntimeWarning into an error)."""
+    with pytest.raises(SolverDivergence, match="non-positive or non-finite"):
+        solve_scalar_radial(lambda r, u, du: np.where(r > 0.5, np.inf, 1.0),
+                            n=2, R=1.0, c=0.0)
+
+
 @pytest.mark.parametrize("grid_size", [1, 2, 3])
 def test_scalar_radial_rejects_grids_too_small_for_the_residual_check(grid_size):
     with pytest.raises(ValueError, match="grid_size must be at least 4"):
