@@ -129,7 +129,10 @@ class Emitter:
         self.out = out_dir
         self.quiet = quiet
         self.files = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot make output directory {out_dir}: {err.strerror}") from None
         self.lock = os.path.join(out_dir, ".lock")
         try:
             fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

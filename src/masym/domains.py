@@ -331,7 +331,8 @@ class CriticalPlanes:
     """Critical positions of a hyperplane slid along direction ``nu``.
 
     lam0   first touch with the domain,
-    Lam0   sup of positions whose reflected cap stays inside,
+    Lam0   sup of positions whose reflected cap stays inside: on a domain
+           convex along nu, the least midpoint of the chords parallel to nu,
     Lam2   first boundary point where the outer normal is orthogonal to nu.
     """
 
@@ -371,58 +372,6 @@ def check_convex_in_direction(domain, nu):
             )
 
 
-def _chord_ends(domain, nu):
-    """Boundary points at both ends of 256 chords parallel to nu (2-D), sampled
-    once per direction and filtered per plane position by the cap tests, and
-    the level's round-off at a reflected boundary point: a few ulps of the
-    level's largest magnitude on the chord lines, and as much again per
-    diameter of the largest coordinate, for the coordinates' round-off."""
-    if domain.dimension != 2:
-        raise NotImplementedError("cap sampling is implemented for 2-D domains")
-    bb = domain.bounding_box()
-    diam = domain.bbox_diameter()
-    perp = np.array([-nu[1], nu[0]])
-    offs = np.linspace(-0.5 * diam, 0.5 * diam, 256)
-    ts = np.linspace(-0.5 * diam, 0.5 * diam, 512)
-    lines = 0.5 * (bb[:, 0] + bb[:, 1]) + offs[:, None, None] * perp + ts[:, None] * nu
-    level = domain.level(lines.reshape(-1, 2)).reshape(len(offs), len(ts))
-    inside = level < 0.0
-    hit = np.flatnonzero(inside.any(axis=1))
-    first = np.argmax(inside[hit], axis=1)
-    last = len(ts) - 1 - np.argmax(inside[hit, ::-1], axis=1)
-    origins = np.concatenate([lines[hit, first], lines[hit, last]])
-    dirs = np.repeat([-nu, nu], len(hit), axis=0)
-    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(level)) \
-        * (1.0 + np.max(np.abs(lines)) / diam)
-    return origins + domain.ray_exit(origins, dirs)[:, None] * dirs, slack
-
-
-def _cap_samples(domain, nu, lam, ends):
-    """Boundary points of the cap {x in bdry : x . nu < lam}.
-
-    The chord ends below the plane, plus the boundary points at
-    geometrically spaced depths below it, found by ray exits along the
-    plane from the segment joining the lowest and highest chord ends, so
-    containment flips are detected even when the plane sits within ~1e-9
-    of the critical position.
-    """
-    proj = ends @ nu
-    lo, hi = ends[np.argmin(proj)], ends[np.argmax(proj)]
-    depth = lam - domain.bbox_diameter() * np.geomspace(1e-14, 0.25, 48)
-    frac = (depth - lo @ nu) / ((hi - lo) @ nu)
-    q = lo + frac[(frac > 0) & (frac < 1), None] * (hi - lo)
-    perp = np.array([-nu[1], nu[0]])
-    q, d = np.concatenate([q, q]), np.repeat([perp, -perp], len(q), axis=0)
-    return np.vstack([ends[proj < lam], q + domain.ray_exit(q, d)[:, None] * d])
-
-
-def _reflected_cap_contained(domain, nu, lam, ends, slack):
-    # a sample on the plane reflects onto itself, where its level is
-    # round-off away from zero
-    refl = reflect_point(_cap_samples(domain, nu, lam, ends), nu, lam)
-    return bool(np.all(domain.level(refl) <= slack))
-
-
 def _bisect_sup(pred, lo, hi, tol):
     """sup of {t in [lo, hi] : pred true on [lo, t]}, assuming pred(lo).
 
@@ -437,14 +386,6 @@ def _bisect_sup(pred, lo, hi, tol):
         ok = pred(mid)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _ellipse_symmetric_along(domain, nu):
-    """True when nu is a principal direction, so the central plane normal to
-    nu is a plane of symmetry; a slanted nu has Lam0 <= Lam2 < center . nu."""
-    a2 = np.asarray(domain.semi_axes) ** 2
-    skew = a2 * nu - np.dot(a2 * nu, nu) * nu
-    return bool(np.linalg.norm(skew) <= 1e-12 * np.max(a2))
 
 
 def _boundary_points_normal_to(domain, w):
@@ -465,17 +406,42 @@ def _boundary_points_normal_to(domain, w):
                                              t[i] + 1.0 / len(t), np.finfo(float).eps))
 
 
+def _least_chord_midpoint(domain, nu, pts, tol):
+    """Least midpoint along nu of the chords parallel to nu (2-D).
+
+    The chords cross the segment from a to b, the points of ``pts`` with the
+    least and greatest coordinate across nu, which lies inside a convex
+    domain.  The least midpoint of the chords through 256 points of the
+    segment is refined in the bracket around it until the bracket is
+    within ``tol``.
+    """
+    across = pts @ np.array([-nu[1], nu[0]])
+    a, b = pts[int(np.argmin(across))], pts[int(np.argmax(across))]
+    dirs, span = np.stack([nu, -nu]), np.linalg.norm(b - a)
+    lo, hi, least = 0.0, 1.0, np.inf
+    while (hi - lo) * span > tol:
+        s = np.linspace(lo, hi, 258)[1:-1]
+        o = a + s[:, None] * (b - a)
+        exits = domain.ray_exit(o[:, None, :], dirs)
+        mid = o @ nu + 0.5 * (exits[:, 0] - exits[:, 1])
+        i = int(np.argmin(mid))
+        least = min(least, float(mid[i]))
+        lo, hi = (s[i - 1] if i > 0 else lo), (s[i + 1] if i + 1 < len(s) else hi)
+    return least
+
+
 def critical_planes(domain, nu):
     """Compute the critical plane positions along direction ``nu``.
 
     A ball of any dimension takes closed forms; any other domain must be
-    2-D, or a tube over a 2-D cross-section.  The bisections resolve plane
-    positions to 1e-9 of the bounding-box diameter.  Raises
+    2-D, or a tube over a 2-D cross-section.  There lam0 and Lam2 come from
+    the boundary points whose outer normal is -nu or orthogonal to nu, and
+    Lam0 from the chord midpoints, refined to 1e-9 of the bounding-box
+    diameter.  Raises
     :class:`ConvexityError` when the domain is not convex along ``nu``.
     """
     nu = _as_unit(nu, domain.dimension)
-    diam = domain.bbox_diameter()
-    tol = 1e-9 * diam
+    tol = 1e-9 * domain.bbox_diameter()
     check_convex_in_direction(domain, nu)
 
     if isinstance(domain, Tube):
@@ -492,23 +458,12 @@ def critical_planes(domain, nu):
 
     # the first touch is where the outer normal is -nu
     lam0 = float(np.min(_boundary_points_normal_to(domain, np.array([-nu[1], nu[0]])) @ nu))
-
-    if isinstance(domain, Ellipse) and _ellipse_symmetric_along(domain, nu):
-        # reflection about the central plane preserves the domain, and past
-        # it the reflected cap pokes outside
-        Lam0 = float(np.dot(domain.center, nu))
-    else:
-        ends, slack = _chord_ends(domain, nu)
-        Lam0 = float(_bisect_sup(
-            lambda lam: _reflected_cap_contained(domain, nu, lam, ends, slack),
-            lam0 + tol, lam0 + diam, tol,
-        ))
     pts = _boundary_points_normal_to(domain, nu)
     Lam2 = float(pts[int(np.argmin(pts @ nu))] @ nu)
-    # snap tiny bisection residue so the Lam0 <= Lam2 invariant is not
-    # tripped by one half-tolerance of slack
-    if Lam0 > Lam2 and Lam0 - Lam2 < 4 * tol:
-        Lam0 = Lam2
+    # the reflected cap stays inside while the plane is at most the midpoint
+    # of every chord parallel to nu; the chords shrink to points of pts at
+    # both ends of their range, so their midpoints tend to Lam2 or above
+    Lam0 = min(Lam2, _least_chord_midpoint(domain, nu, pts, tol))
     return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2)
 
 

@@ -561,6 +561,21 @@ def test_locked_output_directory_rejected(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_output_path_through_a_file_is_a_config_error(tmp_path, capsys, sub):
+    """An --out that names an existing file, or a path below one, exits 2
+    with a message naming it, and the file is left as it was."""
+    cfg = write_config(tmp_path, RADIAL_CFG)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = str(afile / sub) if sub else str(afile)
+    assert main(["--config", cfg, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot make output directory {out}" in err
+    assert "Traceback" not in err
+    assert afile.read_text() == "keep\n"
+
+
 def test_missing_config_flag_errors():
     with pytest.raises(SystemExit):
         main([])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from masym.domains import (Ball, CriticalPlanes, Ellipse, GeometryError,
                            SmoothLevelSet, Tube, critical_planes, domain_from_json,
@@ -51,7 +52,7 @@ def test_ellipse_critical_planes_exact():
 
 def test_ellipse_slanted_direction_planes():
     """Off the principal axes the central plane is no symmetry plane:
-    Lam0 is found by bisection and sits at Lam2 = -sqrt(0.9), below 0."""
+    Lam0, the least chord midpoint, sits at Lam2 = -sqrt(0.9), below 0."""
     e = Ellipse(center=(0.0, 0.0), semi_axes=(2.0, 1.0))
     s = 1.0 / np.sqrt(2.0)
     cp = critical_planes(e, [s, s])
@@ -69,31 +70,36 @@ def test_ellipse_slanted_direction_planes():
 ORACLE_ELLIPSES = [((0.0, 0.0), (2.0, 1.0)), ((0.3, -0.2), (1.0, 0.6)),
                    ((5.0, -3.0), (1.0, 0.25))]
 ORACLE_ANGLES = [0.0, 0.3, np.pi / 4, 1.0, np.pi / 2, 2.0, 2.5, np.pi, 4.0, 5.5]
+THIN_ELLIPSES = [(1.0, 0.01), (1.0, 0.001), (1000.0, 1.0), (3.0, 0.001)]
+THIN_ANGLES = [0.05, 0.3, np.pi / 4, 2.0, 5.5]
 
 
 @pytest.mark.parametrize("center, axes, theta", [
     *[(c, a, th) for c, a in ORACLE_ELLIPSES for th in ORACLE_ANGLES],
     *[((0.0, 0.0), (1.0, b), th) for b in (0.01, 0.001) for th in (0.0, np.pi / 2)],
+    *[((0.0, 0.0), a, th) for a in THIN_ELLIPSES for th in THIN_ANGLES],
 ])
 def test_ellipse_planes_match_the_exact_formulas(center, axes, theta):
     """The boundary-normal search gives an ellipse's planes to 1e-12 of its
     diameter: the first touch c.nu - |a nu|, Lam2 from the distance of
-    w = a nu to the line of v = nu / a, and Lam0 = c.nu on a principal axis."""
+    w = a nu to the line of v = nu / a, and Lam0 = c.nu on a principal axis.
+    Off the axes the chord midpoints lie on the diameter conjugate to nu,
+    whose lower end is the Lam2 point, so Lam0 = Lam2."""
     c, a = np.asarray(center), np.asarray(axes)
     nu = np.array([np.cos(theta), np.sin(theta)])
     cp = critical_planes(Ellipse(center=center, semi_axes=axes), nu)
     tol = 1e-12 * 2.0 * np.linalg.norm(a)
     w, v = a * nu, nu / a
     assert abs(cp.lam0 - (c @ nu - np.linalg.norm(w))) <= tol
-    assert abs(cp.Lam2 - (c @ nu - np.linalg.norm(w - (w @ v) / (v @ v) * v))) <= tol
-    if min(abs(nu)) < 1e-12:
-        assert abs(cp.Lam0 - c @ nu) <= tol
+    Lam2 = c @ nu - np.linalg.norm(w - (w @ v) / (v @ v) * v)
+    assert abs(cp.Lam2 - Lam2) <= tol
+    assert abs(cp.Lam0 - (c @ nu if min(abs(nu)) < 1e-12 else Lam2)) <= tol
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 100.0])
 def test_slanted_ellipse_level_set_planes_do_not_depend_on_level_scale(scale):
-    """The reflected-cap test allows the level's own round-off, so a level
-    set of the slanted ellipse finds Lam0 at -sqrt(0.9) whatever its scale."""
+    """Lam0 comes from ray exits, not from level values, so a level set of
+    the slanted ellipse finds Lam0 at -sqrt(0.9) whatever its scale."""
     d = SmoothLevelSet(
         phi=lambda x: scale * ((x[..., 0] / 2.0) ** 2 + x[..., 1] ** 2 - 1.0),
         grad_phi=lambda x: scale * np.stack([x[..., 0] / 2.0, 2.0 * x[..., 1]], axis=-1),
@@ -102,6 +108,28 @@ def test_slanted_ellipse_level_set_planes_do_not_depend_on_level_scale(scale):
     s = 1.0 / np.sqrt(2.0)
     cp = critical_planes(d, [s, s])
     assert abs(cp.Lam0 + np.sqrt(0.9)) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [0.2, 0.3, 0.4])
+def test_level_set_lam0_at_an_interior_tangency(c):
+    """On x^2 + y^2 + c e^x < 1 + c the chords along (1, 0) have their least
+    midpoint at y = 0, halfway between the roots of x^2 + c e^x = 1 + c, where
+    the reflected cap first touches the boundary inside; along (0, 1) the
+    domain is symmetric about y = 0."""
+    d = SmoothLevelSet(
+        phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + c * np.exp(x[..., 0]) - 1.0 - c,
+        grad_phi=lambda x: np.stack([2.0 * x[..., 0] + c * np.exp(x[..., 0]),
+                                     2.0 * x[..., 1]], axis=-1),
+        bbox=((-1.2, 1.0), (-1.1, 1.1)),
+    )
+    def g(x):
+        return x * x + c * np.exp(x) - 1.0 - c
+
+    x_star = brentq(lambda x: 2.0 * x + c * np.exp(x), -1.0, 0.0, xtol=1e-15)
+    x_lo, x_hi = brentq(g, -1.2, x_star, xtol=1e-15), brentq(g, x_star, 1.0, xtol=1e-15)
+    diam = d.bbox_diameter()
+    assert abs(critical_planes(d, [1.0, 0.0]).Lam0 - 0.5 * (x_lo + x_hi)) <= 1e-9 * diam
+    assert abs(critical_planes(d, [0.0, 1.0]).Lam0) <= 1e-12 * diam
 
 
 def test_offcenter_ball_planes():
