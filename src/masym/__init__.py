@@ -25,7 +25,6 @@ from .domains import (
 )
 from .expressions import Expr, ExpressionDomainError, ExpressionError, const, parse, var
 from .gridsolve import (
-    DivergenceError,
     FdParams,
     GridSolution,
     StencilGrid,

@@ -388,22 +388,26 @@ def _bisect_sup(pred, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def _boundary_points_normal_to(domain, w):
-    """Points of a 2-D boundary where the outer normal is orthogonal to w.
+def _boundary_points_normal_to(domain, ws):
+    """Points of a 2-D boundary where the outer normal is orthogonal to w,
+    one array for each row w of ``ws``.
 
-    Every sign change of n . w over 4096 samples of
-    :meth:`Domain.boundary_param` is refined by one joint bisection.
+    Every sign change of n . w over one sample of 4096 points of
+    :meth:`Domain.boundary_param` is refined by one joint bisection of
+    the brackets of all the rows.
     """
     def dots(t):
-        return domain.boundary_normal(domain.boundary_param(t)) @ w
+        n = domain.boundary_normal(domain.boundary_param(t))
+        return np.stack([n @ w for w in ws])
 
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
     s = dots(t)
-    i = np.flatnonzero((s == 0.0) | (s * np.roll(s, -1) < 0))
-    if len(i) == 0:
+    k, i = np.nonzero((s == 0.0) | (s * np.roll(s, -1, axis=1) < 0))
+    if len(np.unique(k)) < len(ws):
         raise GeometryError("no boundary normal orthogonal to the direction was found")
-    return domain.boundary_param(_bisect_sup(lambda m: dots(m) * s[i] > 0, t[i],
-                                             t[i] + 1.0 / len(t), np.finfo(float).eps))
+    pts = domain.boundary_param(_bisect_sup(lambda m: dots(m)[k, np.arange(len(m))] * s[k, i] > 0,
+                                            t[i], t[i] + 1.0 / len(t), np.finfo(float).eps))
+    return [pts[k == j] for j in range(len(ws))]
 
 
 def _least_chord_midpoint(domain, nu, pts, tol):
@@ -433,17 +437,16 @@ def _least_chord_midpoint(domain, nu, pts, tol):
 def critical_planes(domain, nu):
     """Compute the critical plane positions along direction ``nu``.
 
-    A ball of any dimension takes closed forms; any other domain must be
-    2-D, or a tube over a 2-D cross-section.  There lam0 and Lam2 come from
-    the boundary points whose outer normal is -nu or orthogonal to nu, and
-    Lam0 from the chord midpoints, refined to 1e-9 of the bounding-box
-    diameter.  Raises
+    A ball of any dimension takes closed forms, and a tube, whose ``nu``
+    must be orthogonal to its axis, takes its cross-section's planes;
+    neither is sampled for convexity.  Any other domain must be 2-D: it is
+    sampled by :func:`check_convex_in_direction`, lam0 and Lam2 come from
+    the boundary points whose outer normal is -nu or orthogonal to nu,
+    both read off one boundary sample, and Lam0 from the chord midpoints,
+    refined to 1e-9 of the bounding-box diameter.  Raises
     :class:`ConvexityError` when the domain is not convex along ``nu``.
     """
     nu = _as_unit(nu, domain.dimension)
-    tol = 1e-9 * domain.bbox_diameter()
-    check_convex_in_direction(domain, nu)
-
     if isinstance(domain, Tube):
         nuc = np.asarray(nu[:-1])
         nc = np.linalg.norm(nuc)
@@ -456,14 +459,16 @@ def critical_planes(domain, nu):
         c = float(np.dot(domain.center, nu))
         return CriticalPlanes(nu=tuple(nu), lam0=c - domain.radius, Lam0=c, Lam2=c)
 
+    # a ball is convex, and a tube is convex along nu when its cross-section is
+    check_convex_in_direction(domain, nu)
     # the first touch is where the outer normal is -nu
-    lam0 = float(np.min(_boundary_points_normal_to(domain, np.array([-nu[1], nu[0]])) @ nu))
-    pts = _boundary_points_normal_to(domain, nu)
+    touch, pts = _boundary_points_normal_to(domain, np.array([[-nu[1], nu[0]], nu]))
+    lam0 = float(np.min(touch @ nu))
     Lam2 = float(pts[int(np.argmin(pts @ nu))] @ nu)
     # the reflected cap stays inside while the plane is at most the midpoint
     # of every chord parallel to nu; the chords shrink to points of pts at
     # both ends of their range, so their midpoints tend to Lam2 or above
-    Lam0 = min(Lam2, _least_chord_midpoint(domain, nu, pts, tol))
+    Lam0 = min(Lam2, _least_chord_midpoint(domain, nu, pts, 1e-9 * domain.bbox_diameter()))
     return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2)
 
 

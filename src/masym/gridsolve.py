@@ -37,7 +37,6 @@ __all__ = [
     "FdParams",
     "StencilGrid",
     "GridSolution",
-    "DivergenceError",
     "stencil_directions",
     "ma_operator_discrete",
     "solve_scalar_fd",
@@ -46,10 +45,6 @@ __all__ = [
     "write_solution_binary",
     "read_solution_binary",
 ]
-
-
-# the grid's public name for the one divergence type
-DivergenceError = SolverDivergence
 
 
 @dataclass(frozen=True)
@@ -110,29 +105,6 @@ def stencil_directions(width):
     return dirs
 
 
-def _orthogonal_pairs(width):
-    """Unordered orthogonal pairs {v, v_perp} of stencil directions."""
-    dirs = stencil_directions(width)
-
-    def canon(v):
-        p, q = v
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        return (p, q)
-
-    seen, pairs = set(), []
-    for v in dirs:
-        w = canon((-v[1], v[0]))
-        if max(abs(w[0]), abs(w[1])) > width:
-            continue
-        key = frozenset((canon(v), w))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((canon(v), w))
-    return pairs
-
-
 class StencilGrid:
     """Uniform grid over the domain's bounding box with cut-cell arms.
 
@@ -183,7 +155,8 @@ class StencilGrid:
         self.n_nodes = len(ii)
         if self.n_nodes == 0:
             raise GeometryError(f"no node of the grid with h = {self.h} lies inside the domain")
-        self.pairs = _orthogonal_pairs(stencil_width)
+        # each direction with p <= 0 and its clockwise quarter turn, which has p > 0
+        self.pairs = [(v, (v[1], -v[0])) for v in stencil_directions(stencil_width) if v[0] <= 0]
         dirs = [v for pair in self.pairs for v in pair]
         rows = dirs + [(-p, -q) for p, q in dirs]
         self._row = {v: k for k, v in enumerate(rows)}
@@ -287,15 +260,15 @@ def _laplace_init(grid, rhs, c):
     return _factor_solve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
 
 
-def _newton_matrix(grid, u, c, active):
+def _newton_matrix(grid, u, c, active, floor=1e-8):
     """Linearization of the operator at the active pair per node.
 
     Where a factor is clamped the penalty contributes a unit gain, and a
-    positive factor's gain is at least 1e-8, so every row stays uniformly
-    elliptic.
+    positive factor's gain is at least ``floor``, so every row stays
+    uniformly elliptic.
     """
     sd = grid._second_differences(u, c)[active, :, np.arange(grid.n_nodes)].T
-    gains = np.where(sd > 0, np.maximum(np.maximum(sd[::-1], 0.0), 1e-8), 1.0)
+    gains = np.where(sd > 0, np.maximum(np.maximum(sd[::-1], 0.0), floor), 1.0)
     return _pair_rows(grid, active, gains)
 
 
@@ -320,19 +293,22 @@ def _factor_solve(A, b):
                      options={"SymmetricMode": True}).solve(b)
 
 
-def _newton_step(grid, gh, c, u, res, active, history):
-    """One damped Newton step for MA(u) = gh from ``u`` with residual ``res``.
+def _newton_step(grid, gh, c, u, res, active, floor, history):
+    """One damped Newton step for MA(u) = gh from ``u`` with residual ``res``,
+    the Newton gains floored at ``floor``.
 
-    Returns the new field and the number of line-search halvings; raises
-    DivergenceError, carrying ``history``, naming why the step failed.
+    Returns the new field and the number of line-search halvings.  Raises
+    :class:`masym.radial.SolverDivergence`, carrying ``history``, when the
+    Newton matrix is singular or the step is non-finite, and when 30
+    halvings find no decrease of the residual norm.
     """
     best = float(np.max(np.abs(res)))
     try:
-        delta = _factor_solve(_newton_matrix(grid, u, c, active), -res)
+        delta = _factor_solve(_newton_matrix(grid, u, c, active, floor), -res)
     except RuntimeError:  # SuperLU: factor is exactly singular
         delta = None
     if delta is None or not np.all(np.isfinite(delta)):
-        raise DivergenceError(
+        raise SolverDivergence(
             f"Newton step is singular or non-finite at residual {best:.3e}", history)
     merit = float(np.linalg.norm(res))
     step = 1.0
@@ -342,7 +318,7 @@ def _newton_step(grid, gh, c, u, res, active, history):
         if m_try < merit * (1.0 - 1e-4 * step):
             return u_try, halvings
         step *= 0.5
-    raise DivergenceError(f"Newton line search exhausted at residual {best:.3e}", history)
+    raise SolverDivergence(f"Newton line search exhausted at residual {best:.3e}", history)
 
 
 def _sweep_solve(grid, source, cs, params, shared_start=False):
@@ -354,7 +330,11 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     takes one damped Newton step.  The first sweep starts component i from
     the Laplace solve of Delta u = 2 sqrt(source), with u_i = c_i and the
     later components at c_j - 0.1; with ``shared_start`` every component
-    starts, before any step, from the first component's solve.  The loop
+    starts, before any step, from the first component's solve.  The start
+    floors the source at 1e-12 s_i and the Newton gains at 1e-8 sqrt(s_i),
+    where s_i is min(1, max source) at the start (1 when no value is
+    positive): the fields scale as the square root of the source, so a
+    small source solves as a scaled copy of a unit one.  The loop
     returns after the first sweep in which no component was initialized or
     stepped, so every returned component is within tol at the returned
     fields; ``params.max_newton`` caps the sweeps.
@@ -365,6 +345,7 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     """
     N = grid.n_nodes
     fields = [np.full(N, c - 0.1) for c in cs]
+    scale = [1.0] * len(cs)
     history = []
     for sweep in range(params.max_newton):
         record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
@@ -372,14 +353,17 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
             if sweep == 0 and (i == 0 or not shared_start):
                 fields[i] = np.full(N, c)
                 g0 = np.broadcast_to(source(i, fields), (N,))
-                fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12)), c)
+                top = float(np.max(g0))
+                if top > 0:
+                    scale[i] = min(1.0, top)
+                fields[i] = _laplace_init(grid, 2.0 * np.sqrt(np.maximum(g0, 1e-12 * scale[i])), c)
                 record["factorizations"] += 1
                 if shared_start:
-                    fields = [fields[0]] * len(cs)
+                    fields, scale = [fields[0]] * len(cs), [scale[0]] * len(cs)
             gh = np.broadcast_to(np.asarray(source(i, fields), dtype=float), (N,))
             bad = ~(gh > 0)
             if bad.any():
-                raise DivergenceError(
+                raise SolverDivergence(
                     f"source of component {i + 1} is non-positive or non-finite at "
                     f"{int(bad.sum())} nodes (ellipticity needs f > 0)", history)
             ma, active = _ma_and_active(grid, fields[i], c)
@@ -389,14 +373,14 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
             if best <= params.tol * float(np.max(gh)):
                 continue
             fields[i], halvings = _newton_step(grid, gh, c, fields[i], res, active,
-                                               history + [record])
+                                               1e-8 * math.sqrt(scale[i]), history + [record])
             record["halvings"] += halvings
             record["factorizations"] += 1
         history.append(record)
         if record["factorizations"] == 0:
             return fields, history
     worst = max(history[-1]["residuals"]) if history else math.nan
-    raise DivergenceError(
+    raise SolverDivergence(
         f"Newton reached max_newton = {params.max_newton} at residual {worst:.3e}", history)
 
 

@@ -30,7 +30,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .domains import reflect_point, _as_unit, Ball, Tube
-from .gridsolve import DivergenceError, _ma_and_active
+from .gridsolve import _ma_and_active
+from .radial import SolverDivergence
 from .rhs import d_ij as rhs_d_ij
 
 __all__ = [
@@ -141,7 +142,7 @@ class _SolutionData:
         extrapolated ghost value enters a derivative there.  One field per
         row keeps each gathered field contiguous; :func:`_bilinear` reads
         it between nodes and a column gather at ``node_rows`` at them.
-        A field that overflows raises :class:`masym.gridsolve.DivergenceError`
+        A field that overflows raises :class:`masym.radial.SolverDivergence`
         with the solve's sweep history.
         """
         sol = self.solution
@@ -163,8 +164,8 @@ class _SolutionData:
                 stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
                                                      for u, c in zip(sol.fields, sol.cs)]
         except FloatingPointError:
-            raise DivergenceError(f"the derivative fields of the solution overflow a float64 "
-                                  f"at amplitude {max(self.amplitude):.3e}", sol.history) from None
+            raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "
+                                   f"at amplitude {max(self.amplitude):.3e}", sol.history) from None
         return stack
 
 
@@ -639,13 +640,14 @@ class MovingPlaneReport:
         return asdict(self)
 
 
-def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
+def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
 
     Each position gets a frame, the cap bound U <= 10 h^2 max_i max |u_i - c_i|
-    and (when the system is supplied) a linearization with the
-    elliptic-inequality audit.  The final position is exactly Lam0, and
-    its frame doubles as the symmetry certificate's.
+    and, where the cap has a node with valid derivatives, a linearization
+    against ``system`` with the elliptic-inequality audit.  The final
+    position is exactly Lam0, and its frame doubles as the symmetry
+    certificate's.
 
     Everything that does not depend on the plane position is computed
     once per call and shared by every frame, the symmetry frame, the
@@ -678,7 +680,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, system=None):
             u_max = float(np.max(frame.U))
             entry["U_max"] = u_max
             entry["cap_nonpositive"] = u_max <= cap_tol
-            if system is not None and frame.deriv_ok.any():
+            if frame.deriv_ok.any():
                 lin = linearize(frame, system)
                 ei = verify_elliptic_inequality(lin, frame)
                 entry["ei_violations"] = ei["total_violations"]

@@ -47,12 +47,12 @@ class SolverDivergence(RuntimeError):
 
     The radial fixed points raise it when they do not converge or leave
     the float64 range, with one change per iterate.  The grid solver raises
-    it, as ``gridsolve.DivergenceError``, when a source is non-positive or
-    non-finite, when a Newton step is singular or non-finite, when the line
-    search is exhausted or when the sweeps reach ``max_newton``; the
-    moving-plane frames raise it, with the solve's history, when a
-    solution's derivative fields overflow.  A grid ``history`` holds one
-    record per sweep, as :attr:`masym.gridsolve.GridSolution.history` does.
+    it when a source is non-positive or non-finite, when a Newton step is
+    singular or non-finite, when the line search is exhausted or when the
+    sweeps reach ``max_newton``; the moving-plane frames raise it, with
+    the solve's history, when a solution's derivative fields overflow.  A
+    grid ``history`` holds one record per sweep, as
+    :attr:`masym.gridsolve.GridSolution.history` does.
     """
 
     def __init__(self, message, history):

@@ -579,3 +579,23 @@ def test_output_path_through_a_file_is_a_config_error(tmp_path, capsys, sub):
 def test_missing_config_flag_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("key, cfg", [
+    ("lambda", dict(LINEARIZE_CFG, **{"lambda": math.nan})),
+    ("lambda", dict(LINEARIZE_CFG, **{"lambda": -math.inf})),
+    ("cs", dict(GRID_CFG, cs=[0.0, math.nan])),
+    ("cs", dict(GRID_CFG, cs=[math.inf, 0.0])),
+], ids=["lambda-nan", "lambda-minus-inf", "cs-nan", "cs-inf"])
+def test_nonfinite_lambda_or_cs_entry_is_a_config_error(tmp_path, capsys, key, cfg):
+    """A NaN or infinite plane position or boundary constant exits 2 with
+    the file, the key's line and the rule, before the output directory
+    exists."""
+    path = write_config(tmp_path, cfg)
+    line = next(n for n, text in enumerate(open(path), 1) if f'"{key}"' in text)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    what = "a finite number" if key == "lambda" else "a list of finite numbers"
+    assert f"config.json:{line}: {key} must be {what}" in err and "Traceback" not in err
+    assert not out.exists()

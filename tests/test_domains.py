@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from masym.domains import (Ball, CriticalPlanes, Ellipse, GeometryError,
+from masym.domains import (Ball, ConvexityError, CriticalPlanes, Ellipse, GeometryError,
                            SmoothLevelSet, Tube, critical_planes, domain_from_json,
                            domain_to_json, reflect_point)
 
@@ -339,3 +339,57 @@ def test_ball_level_is_the_norm_to_the_bit():
         x = rng.uniform(-2.0, 2.0, (3200, len(center)))
         ref = np.linalg.norm(x - np.asarray(center), axis=-1) - 1.5
         assert ball.level(x).tobytes() == ref.tobytes()
+
+
+def _exp_level_set(c, grad_calls=None):
+    """x^2 + y^2 + c e^x < 1 + c; ``grad_calls`` collects the row count of
+    every gradient call."""
+    def grad_phi(x):
+        if grad_calls is not None:
+            grad_calls.append(len(x))
+        return np.stack([2.0 * x[..., 0] + c * np.exp(x[..., 0]), 2.0 * x[..., 1]], axis=-1)
+
+    return SmoothLevelSet(
+        phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + c * np.exp(x[..., 0]) - 1.0 - c,
+        grad_phi=grad_phi, bbox=((-1.2, 1.0), (-1.1, 1.1)))
+
+
+@pytest.mark.parametrize("c", [0.2, 0.3, 0.4])
+def test_level_set_lam0_and_Lam2_meet_the_root_references(c):
+    """Along (1, 0) the first touch is the left root x_lo of
+    g(x) = x^2 + c e^x - 1 - c and the tangency is at the minimizer x* of g;
+    along (0, 1) the first touch is at y = -sqrt(-g(x*)) and the tangencies
+    at y = 0."""
+    def g(x):
+        return x * x + c * np.exp(x) - 1.0 - c
+
+    d = _exp_level_set(c)
+    x_star = brentq(lambda x: 2.0 * x + c * np.exp(x), -1.0, 0.0, xtol=1e-15)
+    x_lo = brentq(g, -1.2, x_star, xtol=1e-15)
+    tol = 1e-12 * d.bbox_diameter()
+    along_x, along_y = critical_planes(d, [1.0, 0.0]), critical_planes(d, [0.0, 1.0])
+    assert abs(along_x.lam0 - x_lo) <= tol and abs(along_x.Lam2 - x_star) <= tol
+    assert abs(along_y.lam0 + np.sqrt(-g(x_star))) <= tol and abs(along_y.Lam2) <= tol
+
+
+@pytest.mark.parametrize("nu", [[1.0, 0.0], [0.6, 0.8]])
+def test_level_set_planes_take_one_boundary_sample(nu):
+    """lam0 and Lam2 read off one 4096-point sample of boundary normals."""
+    calls = []
+    critical_planes(_exp_level_set(0.3, calls), nu)
+    assert calls.count(4096) == 1
+
+
+def test_nonconvex_level_set_raises_with_a_witness_line():
+    """Two discs of radius 0.5 about (-0.6, 0) and (0.6, 0): a line along
+    (1, 0) at |y| < 0.5 meets both, so the convexity sample that level sets
+    still take finds a disconnected line."""
+    def phi(x):
+        return np.minimum(np.hypot(x[..., 0] + 0.6, x[..., 1]),
+                          np.hypot(x[..., 0] - 0.6, x[..., 1])) - 0.5
+
+    d = SmoothLevelSet(phi=phi, grad_phi=lambda x: x, bbox=((-1.1, 1.1), (-0.5, 0.5)))
+    with pytest.raises(ConvexityError) as err:
+        critical_planes(d, [1.0, 0.0])
+    assert err.value.direction == (1.0, 0.0)
+    assert len(err.value.witness_point) == 2 and abs(err.value.witness_point[1]) < 0.5

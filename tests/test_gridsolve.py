@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, GeometryError, SmoothLevelSet, Tube
-from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
+from masym.gridsolve import (FdParams, StencilGrid,
                              _factor_solve, _laplace_init, _ma_and_active,
                              _newton_matrix, _pair_rows,
                              gradient_at_nodes, ma_operator_discrete,
@@ -16,7 +17,7 @@ from masym.gridsolve import (DivergenceError, FdParams, StencilGrid,
                              stencil_directions, write_solution_binary,
                              write_solution_csv)
 from masym.expressions import parse
-from masym.radial import NoSolution, solve_coupled_radial, solve_scalar_radial
+from masym.radial import NoSolution, SolverDivergence, solve_coupled_radial, solve_scalar_radial
 from masym.rhs import RhsSystem, eval_f, power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
@@ -185,7 +186,7 @@ def test_small_source_is_solved_to_relative_tolerance():
 
 
 def test_divergence_reports_history():
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(SolverDivergence) as err:
         solve_scalar_fd(DISK, lambda xy, u, grad: 4.0 + np.sum(xy ** 2, axis=1), 0.0,
                         FdParams(h=1.0 / 32.0, max_newton=1))
     assert len(err.value.history) > 0
@@ -196,14 +197,14 @@ def test_nonfinite_source_rejected_before_any_newton_step():
     def g(xy, u, grad):
         return np.where(xy[:, 0] > 0.5, np.nan, 1.0 + 3.0 * xy[:, 0] ** 2)
 
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(SolverDivergence) as err:
         solve_scalar_fd(DISK, g, 0.0, P32)
     assert "non-finite" in str(err.value)
     assert err.value.history == []
 
 
 def test_nonpositive_source_rejected():
-    with pytest.raises(DivergenceError):
+    with pytest.raises(SolverDivergence):
         solve_scalar_fd(DISK, lambda xy, u, grad: 0.0 * u - 1.0, 0.0, P32)
 
 
@@ -444,3 +445,53 @@ def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
             rho = grid.arms(v)[1] + grid.arms((-v[0], -v[1]))[1]
             np.testing.assert_array_equal(grad[:, k], (gp - gm) / (rho * grid.h))
 
+
+
+@pytest.mark.parametrize("domain", [DISK, Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.6))],
+                         ids=["disk", "ellipse"])
+@pytest.mark.parametrize("s", [1e-20, 1e-40])
+def test_tiny_source_solves_as_a_scaled_unit_source(domain, s):
+    """det D^2 u = s (4 + x1) has the solution sqrt(s) u of the unit source:
+    the start and the Newton gain floors scale with the source, so the solve
+    takes the sweeps of s = 1 (fixed floors stalled it at a residual of
+    about 1e-19 until max_newton)."""
+    params = FdParams(h=1.0 / 16.0)
+
+    def solve(scale):
+        system = RhsSystem(components=(parse(f"{scale!r} * (4 + x1)"),), n=2)
+        return solve_system_fd(domain, system, (0.0,), params)
+
+    unit, small = solve(1.0), solve(s)
+    assert len(small.history) == len(unit.history)
+    ref = math.sqrt(s) * unit.fields[0]
+    assert np.max(np.abs(small.fields[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _paraboloid_step(field_of, res_sign):
+    """_newton_step on DISK at h = 1/16 for MA(u) = 8, from u = field_of(xy)
+    with the residual times ``res_sign``; returns the divergence it raises."""
+    grid = StencilGrid(DISK, 1.0 / 16.0, 2)
+    u = field_of(grid.node_xy)
+    gh = np.full(grid.n_nodes, 8.0)
+    ma, active = _ma_and_active(grid, u, 0.0)
+    history = [{"sweep": 0, "residuals": [4.0], "halvings": 0, "factorizations": 1}]
+    with pytest.raises(SolverDivergence) as err:
+        gridsolve._newton_step(grid, gh, 0.0, u, res_sign * (ma - gh), active, 1e-8, history)
+    assert err.value.history == history
+    return err.value
+
+
+def test_newton_step_with_a_nan_field_is_non_finite():
+    def u(xy):
+        out = np.sum(xy ** 2, axis=1) - 1.0
+        out[len(out) // 2] = np.nan
+        return out
+
+    assert "Newton step is singular or non-finite at residual" in str(_paraboloid_step(u, 1.0))
+
+
+def test_newton_step_against_the_residual_exhausts_the_line_search():
+    """u = |x|^2 - 1 has MA = 4 to rounding: a step solved for the negated
+    residual lowers MA further from 8 at every step length."""
+    err = _paraboloid_step(lambda xy: np.sum(xy ** 2, axis=1) - 1.0, -1.0)
+    assert "Newton line search exhausted at residual 4.000e+00" in str(err)

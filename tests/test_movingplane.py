@@ -260,7 +260,7 @@ def test_failed_boundary_checks_fail_the_certificate():
     grid = StencilGrid(DISK, 1.0 / 32.0, 2)
     u = -(1.0 - np.sum(grid.node_xy ** 2, axis=1)) ** 4
     sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
-    rep = lambda_sweep(sol, [1.0, 0.0], critical_planes(DISK, [1.0, 0.0]))
+    rep = lambda_sweep(sol, [1.0, 0.0], critical_planes(DISK, [1.0, 0.0]), system=QUAD_SYSTEM)
     assert not rep.boundary["hopf"]["passed"] and not rep.boundary["laplacian"]["passed"]
     assert rep.monotonicity["passed"] and rep.symmetry["passed"]
     assert not rep.passed
