@@ -303,7 +303,6 @@ def _quadratic_fixture(cfg):
     u = np.sum((grid.node_xy - np.asarray(domain.center)) ** 2, axis=1) \
         - domain.radius ** 2
     sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
-    sol.convex = sol.convexity_audit()
     system = RhsSystem(components=(parse_expr("4"),), n=2,
                        splits=((parse_expr("0"), parse_expr("4")),),
                        lipschitz_z=(0.0,), lipschitz_p=(0.0,))

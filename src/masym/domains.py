@@ -439,10 +439,11 @@ def critical_planes(domain, nu):
 
     A ball of any dimension takes closed forms, and a tube, whose ``nu``
     must be orthogonal to its axis, takes its cross-section's planes;
-    neither is sampled for convexity.  Any other domain must be 2-D: it is
-    sampled by :func:`check_convex_in_direction`, lam0 and Lam2 come from
-    the boundary points whose outer normal is -nu or orthogonal to nu,
-    both read off one boundary sample, and Lam0 from the chord midpoints,
+    neither is sampled for convexity.  Any other domain must be 2-D.  An
+    ellipse is convex by construction; any other is sampled by
+    :func:`check_convex_in_direction`.  lam0 and Lam2 come from the
+    boundary points whose outer normal is -nu or orthogonal to nu, both
+    read off one boundary sample, and Lam0 from the chord midpoints,
     refined to 1e-9 of the bounding-box diameter.  Raises
     :class:`ConvexityError` when the domain is not convex along ``nu``.
     """
@@ -459,8 +460,10 @@ def critical_planes(domain, nu):
         c = float(np.dot(domain.center, nu))
         return CriticalPlanes(nu=tuple(nu), lam0=c - domain.radius, Lam0=c, Lam2=c)
 
-    # a ball is convex, and a tube is convex along nu when its cross-section is
-    check_convex_in_direction(domain, nu)
+    # balls and ellipses are convex, and a tube is convex along nu when its
+    # cross-section is
+    if not isinstance(domain, Ellipse):
+        check_convex_in_direction(domain, nu)
     # the first touch is where the outer normal is -nu
     touch, pts = _boundary_points_normal_to(domain, np.array([[-nu[1], nu[0]], nu]))
     lam0 = float(np.min(touch @ nu))

@@ -24,6 +24,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -456,19 +457,45 @@ def _solve_power_pair(grid, mu, expo, params):
     return fields, history
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GridSolution:
-    """Solution fields for all components on a cut-cell grid."""
+    """Solution fields for all components on a cut-cell grid.
+
+    An immutable value, equal only to itself: ``fields`` holds read-only
+    copies of the given arrays, and every table derived from them is
+    built on first use and kept, so all sweeps and certificates of one
+    solution share it.
+    """
 
     grid: StencilGrid
-    fields: list                 # per component, values at interior nodes (N,)
+    fields: tuple                # per component, values at interior nodes (N,)
     cs: tuple                    # boundary constants
-    convex: tuple = ()           # per-field convexity audit outcome
     history: list = field(default_factory=list)  # per-sweep records of the solve
+
+    def __post_init__(self):
+        fields = tuple(np.array(f, dtype=float) for f in self.fields)
+        for f in fields:
+            f.flags.writeable = False
+        object.__setattr__(self, "fields", fields)
 
     @property
     def m(self):
         return len(self.fields)
+
+    @cached_property
+    def amplitude(self):
+        """max |u_i - c_i| of each component: the scale of its tolerances."""
+        return tuple(float(np.max(np.abs(u - c))) for u, c in zip(self.fields, self.cs))
+
+    @cached_property
+    def convex(self):
+        """Per component: every stencil second difference >= -1e-8 max |u_i - c_i| / h^2.
+
+        The tolerance scales with the field, so a scaled field keeps its flag.
+        """
+        g = self.grid
+        return tuple(bool(np.all(g._second_differences(u, c) >= -1e-8 * a / g.h ** 2))
+                     for u, c, a in zip(self.fields, self.cs, self.amplitude))
 
     def field_array(self, i, fill=np.nan):
         """Dense (nx, ny) array of component i, `fill` outside the domain."""
@@ -505,14 +532,74 @@ class GridSolution:
         out[np.isnan(out)] = c
         return out
 
-    def convexity_audit(self):
-        """Directional second differences >= -1e-8 / h^2 along every stencil direction."""
+    def _derivative_fields(self, i):
+        """Dense E, ux, uy, uxx, uyy, uxy of component i: the ghost-extended
+        array and its centered differences, trustworthy only at the valid
+        nodes of :attr:`stack`.
+        """
+        h = self.grid.h
+        E = self.extended_array(i)
+        nan = np.full_like(E, np.nan)
+        ux, uy = nan.copy(), nan.copy()
+        uxx, uyy, uxy = nan.copy(), nan.copy(), nan.copy()
+        ux[1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
+        uy[:, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
+        uxx[1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
+        uyy[:, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
+        uxy[1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4 * h ** 2)
+        return E, ux, uy, uxx, uyy, uxy
+
+    @cached_property
+    def node_rows(self):
+        """Column of :attr:`stack` holding each interior node."""
         g = self.grid
-        flags = []
-        for i in range(self.m):
-            sd = g._second_differences(self.fields[i], self.cs[i])
-            flags.append(not np.any(sd < -1e-8 / g.h ** 2))
-        return tuple(flags)
+        return g.node_ij[:, 0] * g.ny + g.node_ij[:, 1]
+
+    @property
+    def n_field(self):
+        """Rows of :attr:`stack` before the operator fields."""
+        return 6 * self.m + 1
+
+    @cached_property
+    def stack(self):
+        """(7m + 1, nx*ny) table of every field a moving-plane frame or
+        certificate reads.
+
+        Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
+        order of :meth:`_derivative_fields`), row 6m the validity mask
+        as 0/1 and the last m rows the discrete operator of the
+        unreflected fields, NaN off the interior nodes so that an
+        interpolant touching an exterior node is NaN.  A node is valid
+        when its full 3x3 neighborhood lies inside the domain, so that no
+        extrapolated ghost value enters a derivative there.  One field per
+        row keeps each gathered field contiguous; the moving-plane
+        bilinear kernel reads it between nodes and a column gather at
+        :attr:`node_rows` at them.  Every reader shares the table, so
+        none writes into it.  A field that overflows raises
+        :class:`masym.radial.SolverDivergence` with the solve's sweep
+        history.
+        """
+        g, m = self.grid, self.m
+        stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
+        ins = g.inside
+        valid = np.zeros_like(ins)
+        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
+                             & ins[1:-1, 2:] & ins[1:-1, :-2]
+                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
+        stack[6 * m] = valid.reshape(-1)
+        # the fields divide by h^2 and the operator multiplies two of them, so
+        # a solution that a float64 holds may still overflow here
+        try:
+            with np.errstate(over="raise"):
+                for i in range(m):
+                    for k, f in enumerate(self._derivative_fields(i)):
+                        stack[6 * i + k] = f.reshape(-1)
+                stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
+                                                     for u, c in zip(self.fields, self.cs)]
+        except FloatingPointError:
+            raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "
+                                   f"at amplitude {max(self.amplitude):.3e}", self.history) from None
+        return stack
 
 
 def solve_scalar_fd(domain, g, c, params=None):
@@ -565,9 +652,7 @@ def solve_system_fd(domain, system, cs, params=None):
             return eval_f(system, i + 1, grid.node_xy, np.stack(fields, axis=-1), grad)
 
         fields, history = _sweep_solve(grid, source, cs, params)
-    sol = GridSolution(grid=grid, fields=fields, cs=tuple(cs), history=history)
-    sol.convex = sol.convexity_audit()
-    return sol
+    return GridSolution(grid=grid, fields=fields, cs=tuple(cs), history=history)
 
 
 def _write_csv(path, names, cols):

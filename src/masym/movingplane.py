@@ -15,23 +15,22 @@ is flagged.  On top of the frames sit certificates: cap monotonicity,
 mirror symmetry, a Hopf boundary derivative check, tube corner
 cross-derivatives and an audit of the elliptic inequality satisfied by U.
 
-Every field a frame or certificate reads off the grid sits in one
-stacked table per solution, and one bilinear kernel reads them all at a
-set of points with a single gather of the cell corners.  The 2x2
-Hessian algebra of a frame (the reflection Q H Q, the mean-value matrix
-and its positivity flag) runs in closed form on per-entry arrays.
+Every field a frame or certificate reads off the grid sits in the one
+stacked table of the solution, :attr:`GridSolution.stack`, and one
+bilinear kernel reads them all at a set of points with a single gather
+of the cell corners.  The 2x2 Hessian algebra of a frame (the reflection
+Q H Q, the mean-value matrix and its positivity flag) runs in closed
+form on per-entry arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .domains import reflect_point, _as_unit, Ball, Tube
-from .gridsolve import _ma_and_active
-from .radial import SolverDivergence
 from .rhs import d_ij as rhs_d_ij
 
 __all__ = [
@@ -81,93 +80,7 @@ def _reflect_hessian(Q, H, out):
 
 
 # ---------------------------------------------------------------------------
-# discrete derivative fields
-
-def _derivative_fields(sol, i):
-    """Dense E, ux, uy, uxx, uyy, uxy of component i: the ghost-extended
-    array and its centered differences, trustworthy only at the valid
-    nodes of :attr:`_SolutionData.stack`.
-    """
-    h = sol.grid.h
-    E = sol.extended_array(i)
-    nan = np.full_like(E, np.nan)
-    ux, uy = nan.copy(), nan.copy()
-    uxx, uyy, uxy = nan.copy(), nan.copy(), nan.copy()
-    ux[1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
-    uy[:, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
-    uxx[1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
-    uyy[:, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
-    uxy[1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4 * h ** 2)
-    return E, ux, uy, uxx, uyy, uxy
-
-
-class _SolutionData:
-    """Plane-independent data of one solution, each piece built on first use.
-
-    A sweep makes one and hands it to every frame and certificate, so
-    :attr:`stack`, the one table that every field is read from, is built
-    once per solution instead of once per plane position.
-    """
-
-    def __init__(self, solution):
-        self.solution = solution
-
-    @cached_property
-    def node_rows(self):
-        """Column of :attr:`stack` holding each interior node."""
-        g = self.solution.grid
-        return g.node_ij[:, 0] * g.ny + g.node_ij[:, 1]
-
-    @cached_property
-    def amplitude(self):
-        """max |u_i - c_i| of each component: the scale of its tolerances."""
-        sol = self.solution
-        return [float(np.max(np.abs(u - c))) for u, c in zip(sol.fields, sol.cs)]
-
-    @property
-    def n_field(self):
-        """Rows of :attr:`stack` before the operator fields."""
-        return 6 * self.solution.m + 1
-
-    @cached_property
-    def stack(self):
-        """(7m + 1, nx*ny) table of every field a frame or certificate reads.
-
-        Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
-        order of :func:`_derivative_fields`), row 6m the validity mask
-        as 0/1 and the last m rows the discrete operator of the
-        unreflected fields, NaN off the interior nodes so that an
-        interpolant touching an exterior node is NaN.  A node is valid
-        when its full 3x3 neighborhood lies inside the domain, so that no
-        extrapolated ghost value enters a derivative there.  One field per
-        row keeps each gathered field contiguous; :func:`_bilinear` reads
-        it between nodes and a column gather at ``node_rows`` at them.
-        A field that overflows raises :class:`masym.radial.SolverDivergence`
-        with the solve's sweep history.
-        """
-        sol = self.solution
-        g, m = sol.grid, sol.m
-        stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
-        ins = g.inside
-        valid = np.zeros_like(ins)
-        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
-                             & ins[1:-1, 2:] & ins[1:-1, :-2]
-                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
-        stack[6 * m] = valid.reshape(-1)
-        # the fields divide by h^2 and the operator multiplies two of them, so
-        # a solution that a float64 holds may still overflow here
-        try:
-            with np.errstate(over="raise"):
-                for i in range(m):
-                    for k, field in enumerate(_derivative_fields(sol, i)):
-                        stack[6 * i + k] = field.reshape(-1)
-                stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
-                                                     for u, c in zip(sol.fields, sol.cs)]
-        except FloatingPointError:
-            raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "
-                                   f"at amplitude {max(self.amplitude):.3e}", sol.history) from None
-        return stack
-
+# interpolation
 
 def _bilinear(grid, stack, pts, n_field):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
@@ -248,14 +161,14 @@ class MovingPlaneFrame:
         return len(self.node_idx) == 0
 
 
-def build_frame(solution, nu, lam, *, _data=None):
+def build_frame(solution, nu, lam):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
     One :func:`_bilinear` gather reads every field at the reflected
     points: the values, the centered-difference derivatives, the
     validity mask and the discrete operator; when the reflection is grid
     aligned the weights collapse and the pairing is exact.  One column
-    gather of :attr:`_SolutionData.stack` reads the same fields at the
+    gather of :attr:`GridSolution.stack` reads the same fields at the
     cap nodes, those with x . nu < lam + 1e-9 h, so nodes on the plane
     are kept.  Reflected Hessians are conjugated with the reflection
     matrix, in closed form per entry, rather than re-differenced, so they
@@ -268,7 +181,6 @@ def build_frame(solution, nu, lam, *, _data=None):
     (3, m, 2, 2, K) array, so each entry of every node is one contiguous
     row for :func:`linearize` and :func:`verify_elliptic_inequality`.
     """
-    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     lam = float(lam)
@@ -284,8 +196,8 @@ def build_frame(solution, nu, lam, *, _data=None):
     inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
     idx, refl = idx[inside], refl[inside]
     m, K = solution.m, len(idx)
-    at_refl = _bilinear(g, data.stack, refl, data.n_field)
-    at_node = np.take(data.stack, data.node_rows[idx], axis=1)
+    at_refl = _bilinear(g, solution.stack, refl, solution.n_field)
+    at_node = np.take(solution.stack, solution.node_rows[idx], axis=1)
     # derivatives need the whole reflected cell and the node's own stencil valid
     deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
 
@@ -453,7 +365,7 @@ def verify_elliptic_inequality(lin, frame):
 # ---------------------------------------------------------------------------
 # certificates
 
-def certify_monotonicity(solution, nu, planes, *, _data=None):
+def certify_monotonicity(solution, nu, planes):
     """Directional derivative check: d_nu u < 0 strictly left of the plane.
 
     Certifies the strict inequality as <= -margin at every interior node
@@ -462,14 +374,13 @@ def certify_monotonicity(solution, nu, planes, *, _data=None):
     witness, not an error.  With no node to check the report carries
     ``"verdict": "not-applicable"`` instead of ``passed``.
     """
-    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     nu = _as_unit(nu, 2)
     h = g.h
     out = {"direction": [float(v) for v in nu], "Lam0": float(planes.Lam0),
            "components": []}
     m = solution.m
-    at_node = np.take(data.stack, data.node_rows, axis=1)
+    at_node = np.take(solution.stack, solution.node_rows, axis=1)
     ok = (at_node[6 * m] == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
     for i in range(m):
         ux, uy = at_node[6 * i + 1], at_node[6 * i + 2]
@@ -501,7 +412,7 @@ def _domain_symmetric(domain, nu, lam):
     return bool(np.all(np.abs(domain.ray_exit(c, q - c) - 1.0) < 1e-7))
 
 
-def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
+def certify_symmetry(solution, nu, Lam0, *, _frame=None):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
@@ -520,18 +431,17 @@ def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
         report["applicable"] = False
         report["verdict"] = "not-applicable"
         return report
-    data = _data if _data is not None else _SolutionData(solution)
-    frame = _frame if _frame is not None else build_frame(solution, nu, Lam0, _data=data)
+    frame = _frame if _frame is not None else build_frame(solution, nu, Lam0)
     resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
     report["mirror_residual"] = resid
-    report["tolerance"] = (20.0 * h ** 2) * max(data.amplitude)
+    report["tolerance"] = (20.0 * h ** 2) * max(solution.amplitude)
     if isinstance(g.domain, Ball):
         c = np.asarray(g.domain.center)
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         rings = np.concatenate([c + frac * g.domain.radius * ring
                                 for frac in (0.2, 0.4, 0.6, 0.8)])
-        vals = _bilinear(g, data.stack, rings, data.n_field)
+        vals = _bilinear(g, solution.stack, rings, solution.n_field)
         variations = []
         for i in range(solution.m):
             E = vals[6 * i].reshape(4, -1)
@@ -542,7 +452,7 @@ def certify_symmetry(solution, nu, Lam0, *, _data=None, _frame=None):
     return report
 
 
-def boundary_checks(solution, *, _data=None):
+def boundary_checks(solution):
     """Hopf outward derivative, interior Laplacian sign and tube corner checks.
 
     The normal derivative is a one-sided difference from just inside the
@@ -555,7 +465,6 @@ def boundary_checks(solution, *, _data=None):
     lateral plane meets the caps, where the cross derivative taken along
     the inward axis directions must be positive.
     """
-    data = _data if _data is not None else _SolutionData(solution)
     g = solution.grid
     domain = g.domain
     h = g.h
@@ -567,7 +476,7 @@ def boundary_checks(solution, *, _data=None):
     tangents = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
-    inner_vals = _bilinear(g, data.stack, inner, data.n_field)
+    inner_vals = _bilinear(g, solution.stack, inner, solution.n_field)
     entries = []
     for i in range(solution.m):
         innerv = inner_vals[6 * i]
@@ -576,7 +485,7 @@ def boundary_checks(solution, *, _data=None):
         entries.append({
             "component": i + 1,
             "min_normal_derivative": float(np.min(dn)) if keep.any() else None,
-            "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2 * data.amplitude[i]),
+            "passed": bool(keep.any() and np.min(dn) > 10.0 * h ** 2 * solution.amplitude[i]),
         })
     # an audit with nothing to check has a null minimum and does not pass
     mins = [e["min_normal_derivative"] for e in entries]
@@ -585,7 +494,7 @@ def boundary_checks(solution, *, _data=None):
                       "passed": all(e["passed"] for e in entries)}
     lap_entries = []
     m = solution.m
-    at_node = np.take(data.stack, data.node_rows, axis=1)
+    at_node = np.take(solution.stack, solution.node_rows, axis=1)
     ok = at_node[6 * m] == 1.0
     for i in range(m):
         lap = (at_node[6 * i + 3] + at_node[6 * i + 4])[ok]
@@ -597,8 +506,8 @@ def boundary_checks(solution, *, _data=None):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
-        corners = _bilinear(g, data.stack, [[x_min + s, H - s], [x_min + s, -H + s]],
-                            data.n_field)
+        corners = _bilinear(g, solution.stack, [[x_min + s, H - s], [x_min + s, -H + s]],
+                            solution.n_field)
         entries = []
         for i in range(solution.m):
             ci = solution.cs[i]
@@ -647,14 +556,8 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     and, where the cap has a node with valid derivatives, a linearization
     against ``system`` with the elliptic-inequality audit.  The final
     position is exactly Lam0, and its frame doubles as the symmetry
-    certificate's.
-
-    Everything that does not depend on the plane position is computed
-    once per call and shared by every frame, the symmetry frame, the
-    monotonicity certificate and the boundary checks: the stacked table
-    of the derivative fields of the ghost-extended arrays, the validity
-    mask and the discrete operator of the unreflected fields, which
-    gives every frame its reflected operator.
+    certificate's.  Every frame and certificate reads the solution's
+    :attr:`GridSolution.stack`, built on its first use.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -664,13 +567,12 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (
         np.arange(1, n_lambdas + 1) / n_lambdas)
     lams[-1] = planes.Lam0
-    data = _SolutionData(solution)
-    cap_tol = (10.0 * h ** 2) * max(data.amplitude)
+    cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
     entries = []
     total_viol = 0
     all_ok = True
     for lam in lams:
-        frame = build_frame(solution, nu, float(lam), _data=data)
+        frame = build_frame(solution, nu, float(lam))
         entry = {"lambda": float(lam), "n_nodes": int(len(frame.node_idx)),
                  "n_exited": frame.n_exited}
         if frame.empty:
@@ -689,9 +591,9 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
                 total_viol += ei["total_violations"]
         all_ok = all_ok and entry["cap_nonpositive"]
         entries.append(entry)
-    mono = certify_monotonicity(solution, nu, planes, _data=data)
-    sym = certify_symmetry(solution, nu, planes.Lam0, _data=data, _frame=frame)
-    bnd = boundary_checks(solution, _data=data)
+    mono = certify_monotonicity(solution, nu, planes)
+    sym = certify_symmetry(solution, nu, planes.Lam0, _frame=frame)
+    bnd = boundary_checks(solution)
     passed = (all_ok and total_viol == 0 and mono.get("passed", True)
               and sym.get("passed", True) and bnd["passed"])
     return MovingPlaneReport(

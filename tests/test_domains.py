@@ -393,3 +393,20 @@ def test_nonconvex_level_set_raises_with_a_witness_line():
         critical_planes(d, [1.0, 0.0])
     assert err.value.direction == (1.0, 0.0)
     assert len(err.value.witness_point) == 2 and abs(err.value.witness_point[1]) < 0.5
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4])
+def test_ellipse_planes_take_no_convexity_sample(monkeypatch, theta):
+    """An ellipse is convex by construction: its planes compute with the
+    convexity sample made to raise, lam0 at its support value."""
+    import masym.domains as domains
+
+    def sample(domain, nu):
+        raise AssertionError("an ellipse was sampled for convexity")
+
+    monkeypatch.setattr(domains, "check_convex_in_direction", sample)
+    nu = np.array([np.cos(theta), np.sin(theta)])
+    planes = critical_planes(Ellipse(center=(0.2, -0.1), semi_axes=(1.0, 0.6)), nu)
+    support = np.hypot(1.0 * nu[0], 0.6 * nu[1])
+    assert abs(planes.lam0 - (np.dot((0.2, -0.1), nu) - support)) <= 1e-9
+    assert planes.lam0 < planes.Lam0 <= planes.Lam2 + 1e-9

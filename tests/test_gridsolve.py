@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, GeometryError, SmoothLevelSet, Tube
-from masym.gridsolve import (FdParams, StencilGrid,
+from masym.gridsolve import (FdParams, GridSolution, StencilGrid,
                              _factor_solve, _laplace_init, _ma_and_active,
                              _newton_matrix, _pair_rows,
                              gradient_at_nodes, ma_operator_discrete,
@@ -298,10 +299,46 @@ def test_mask_run_lengths_match_the_run_loop():
 
 def test_convexity_audit_flags_corruption():
     sol = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), P32)
-    assert all(sol.convexity_audit())
+    assert all(sol.convex)
     xy = sol.grid.node_xy
-    sol.fields[0] = sol.fields[0] + 0.05 * np.sin(8.0 * np.pi * xy[:, 0])
-    assert not all(sol.convexity_audit())
+    bad = GridSolution(grid=sol.grid,
+                       fields=[sol.fields[0] + 0.05 * np.sin(8.0 * np.pi * xy[:, 0]),
+                               sol.fields[1]],
+                       cs=sol.cs)
+    assert not all(bad.convex)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
+def test_convexity_audit_scales_with_the_field(s):
+    """-s x1^2 has second differences -2s along (1, 0) and is flagged at every
+    scale; s (|x|^2 - 1) is convex and is flagged at none."""
+    grid = StencilGrid(DISK, 1.0 / 32.0, 2)
+    x = grid.node_xy
+    concave = GridSolution(grid=grid, fields=[-s * x[:, 0] ** 2], cs=(0.0,))
+    convex = GridSolution(grid=grid, fields=[s * (np.sum(x * x, axis=1) - 1.0)], cs=(0.0,))
+    assert concave.convex == (False,)
+    assert convex.convex == (True,)
+
+
+def test_solution_is_frozen_and_holds_read_only_copies():
+    grid = StencilGrid(DISK, 1.0 / 8.0, 2)
+    u = np.sum(grid.node_xy ** 2, axis=1) - 1.0
+    sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
+    assert isinstance(sol.fields, tuple) and np.array_equal(sol.fields[0], u)
+    with pytest.raises(ValueError):
+        sol.fields[0][0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.fields = (u,)
+    u[0] = 2.0
+    assert u.flags.writeable and sol.fields[0][0] != 2.0
+    assert sol != GridSolution(grid=grid, fields=sol.fields, cs=(0.0,)) and sol == sol
+
+
+def test_read_back_solution_reports_the_solved_convexity(tmp_path):
+    sol = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), FdParams(h=0.0625))
+    path = tmp_path / "sol.bin"
+    write_solution_binary(sol, path)
+    assert read_solution_binary(path, DISK).convex == sol.convex == (True, True)
 
 
 def _reference_arm(grid, v):

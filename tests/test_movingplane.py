@@ -6,7 +6,7 @@ import pytest
 from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes, reflect_point
 from masym.expressions import parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
-from masym.movingplane import (MovingPlaneFrame, _SolutionData, _bilinear, boundary_checks,
+from masym.movingplane import (MovingPlaneFrame, _bilinear, boundary_checks,
                                build_frame, certify_monotonicity, certify_symmetry,
                                lambda_sweep, linearize, verify_elliptic_inequality,
                                write_heatmap_svg)
@@ -31,9 +31,7 @@ def coupled():
 def quadratic():
     grid = StencilGrid(DISK, 1.0 / 32.0, 2)
     u = np.sum(grid.node_xy ** 2, axis=1) - 1.0
-    sol = GridSolution(grid=grid, fields=[u], cs=(0.0,))
-    sol.convex = sol.convexity_audit()
-    return sol
+    return GridSolution(grid=grid, fields=[u], cs=(0.0,))
 
 
 QUAD_SYSTEM = RhsSystem(components=(parse("4"),), n=2,
@@ -317,16 +315,17 @@ FRAME_ARRAYS = ("node_idx", "xy", "reflected_xy", "deriv_ok", "u", "u_lam", "U",
 
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))])
 def test_shared_sweep_data_changes_nothing(coupled16, nu):
-    """Frames and sweep entries built from shared data equal standalone ones."""
+    """Frames and sweep entries of a swept solution, whose stack the sweep
+    built, equal those of a fresh solution of the same fields."""
     system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)
     n = 6
     rep = lambda_sweep(coupled16, nu, planes, n_lambdas=n, system=system)
     lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
-    data = _SolutionData(coupled16)
+    fresh = GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
     for lam, entry in zip(lams, rep.entries):
-        frame = build_frame(coupled16, nu, float(lam))
-        shared = build_frame(coupled16, nu, float(lam), _data=data)
+        frame = build_frame(fresh, nu, float(lam))
+        shared = build_frame(coupled16, nu, float(lam))
         assert shared.n_exited == frame.n_exited
         for name in FRAME_ARRAYS:
             np.testing.assert_array_equal(getattr(shared, name), getattr(frame, name))
@@ -339,6 +338,23 @@ def test_shared_sweep_data_changes_nothing(coupled16, nu):
         assert entry["ei_worst_margin"] == ei["worst_margin"]
         assert entry["flagged_nonpd"] == list(lin.n_flagged)
 
+
+def test_sweeps_of_one_solution_share_its_stack(coupled16, monkeypatch):
+    """Four sweeps of one solution difference each component once in all."""
+    calls = []
+    derivative_fields = GridSolution._derivative_fields
+
+    def counted(sol, i):
+        calls.append(i)
+        return derivative_fields(sol, i)
+
+    monkeypatch.setattr(GridSolution, "_derivative_fields", counted)
+    sol = GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
+    system = power_coupled_system(1.0, 1.0)
+    s = 1.0 / np.sqrt(2.0)
+    for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.4), np.sin(0.4))]:
+        lambda_sweep(sol, nu, critical_planes(DISK, nu), n_lambdas=2, system=system)
+    assert sorted(calls) == [0, 1]
 
 def _kernel_solution(domain):
     """Two smooth fields on a h = 1/16 grid: enough to fill every stack row."""
@@ -362,8 +378,7 @@ def test_bilinear_kernel_matches_scipy(domain):
     from scipy.interpolate import RegularGridInterpolator
 
     sol = _kernel_solution(domain)
-    data = _SolutionData(sol)
-    g, stack, nf = sol.grid, data.stack, data.n_field
+    g, stack, nf = sol.grid, sol.stack, sol.n_field
     assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
     lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
     off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
