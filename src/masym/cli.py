@@ -200,6 +200,8 @@ def read_config(cfg, path):
         if cfg["command"] in ("certify", "linearize"):
             with _reading(path, "nu"):
                 nu = cfg["nu"] = _as_unit(cfg.get("nu", [1.0, 0.0]), cfg["domain"].dimension)
+                if cfg["command"] == "certify":
+                    cfg["planes"] = critical_planes(cfg["domain"], nu)
         if "lambda" in cfg:
             with _reading(path, "lambda"):
                 cfg["lambda"] = float(cfg["lambda"])
@@ -311,14 +313,12 @@ def _quadratic_fixture(cfg):
 
 def cmd_certify(cfg, emit, seed):
     if "fixture" in cfg:
-        domain, system, sol = _quadratic_fixture(cfg)
+        _, system, sol = _quadratic_fixture(cfg)
     else:
-        domain, system, sol = _grid_solution(cfg)
+        _, system, sol = _grid_solution(cfg)
         if isinstance(sol, NoSolution):
             return _no_grid_solution(sol, emit)
-    nu = cfg["nu"]
-    planes = critical_planes(domain, nu)
-    report = lambda_sweep(sol, nu, planes, int(cfg.get("n_lambdas", 16)),
+    report = lambda_sweep(sol, cfg["nu"], cfg["planes"], int(cfg.get("n_lambdas", 16)),
                           system=system)
     _json_dump(report.to_json(), emit.path("certificate.json"))
     emit.say(f"certificate: {'PASS' if report.passed else 'FAIL'} "
@@ -368,7 +368,7 @@ def cmd_linearize(cfg, emit, seed):
     lin = linearize(frame, system)
     ei = verify_elliptic_inequality(lin, frame)
     _json_dump({"lambda": frame.lam, "n_nodes": int(len(frame.node_idx)),
-                "quad_order": lin.quad_order, "flagged_nonpd": list(lin.n_flagged),
+                "flagged_nonpd": list(lin.n_flagged),
                 "elliptic_inequality": ei}, emit.path("linearization.json"))
     _write_csv(emit.path("linearization.csv"),
                ["x", "y"] + [f"U{i+1}" for i in range(frame.m)],

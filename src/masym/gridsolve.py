@@ -520,6 +520,8 @@ class GridSolution:
         for v in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nbr, rho = g.arms(v)
             cut = nbr < 0
+            # a level set may declare a box shorter than {phi < 0}, so an
+            # interior node can sit on the grid's edge with no neighbour past it
             ij2 = g.node_ij[cut] + np.array(v)
             ok = (ij2[:, 0] >= 0) & (ij2[:, 0] < g.nx) & (ij2[:, 1] >= 0) & (ij2[:, 1] < g.ny)
             vals = self.fields[i][cut][ok]
@@ -554,11 +556,6 @@ class GridSolution:
         """Column of :attr:`stack` holding each interior node."""
         g = self.grid
         return g.node_ij[:, 0] * g.ny + g.node_ij[:, 1]
-
-    @property
-    def n_field(self):
-        """Rows of :attr:`stack` before the operator fields."""
-        return 6 * self.m + 1
 
     @cached_property
     def stack(self):

@@ -9,9 +9,10 @@ determinant difference through the matrix mean value identity
     A = integral_0^1 adj((1-t) H_refl + t H) dt,
 
 whose integrand is linear in t for 2x2 Hessians, so A is the adjugate
-of (H_refl + H) / 2 in closed form.  A node whose integrand is not
-positive definite at one of the nodes of a 4-point Gauss-Legendre rule
-is flagged.  On top of the frames sit certificates: cap monotonicity,
+of (H_refl + H) / 2 in closed form.  The positive definite 2x2 matrices
+form a convex cone, so the integrand is positive definite for every t
+exactly when H_refl and H both are; a node where one of them is not is
+flagged.  On top of the frames sit certificates: cap monotonicity,
 mirror symmetry, a Hopf boundary derivative check, tube corner
 cross-derivatives and an audit of the elliptic inequality satisfied by U.
 
@@ -26,7 +27,6 @@ form on per-entry arrays.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,15 +51,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # matrix algebra helpers
 
-@lru_cache(maxsize=None)
-def _gauss_legendre01(order):
-    """Gauss-Legendre nodes mapped to [0, 1]."""
-    return 0.5 * (np.polynomial.legendre.leggauss(order)[0] + 1.0)
-
-
 def _det2(M):
     """Determinants of a stack of 2x2 matrices in closed form."""
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def _pd(M):
+    """Where each 2x2 matrix of a stack is positive definite: det > 0 and trace > 0."""
+    return (_det2(M) > 0) & (M[..., 0, 0] + M[..., 1, 1] > 0)
 
 
 def _mat2(a00, a01, a10, a11):
@@ -82,16 +81,15 @@ def _reflect_hessian(Q, H, out):
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _bilinear(grid, stack, pts, n_field):
+def _bilinear(grid, stack, pts):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
 
     Each point's cell comes from one ``searchsorted`` per axis and its
-    four corners are gathered once for every field.  The result is
-    scipy's ``RegularGridInterpolator(method="linear",
-    fill_value=nan)`` to the bit: NaN outside the grid, and NaN spreads
-    from every corner, zero weights included.  The first ``n_field``
-    rows multiply as its 2-D path, (v * wx) * wy; the rest as its N-D
-    path, v * (wx * wy).
+    four corners are gathered once for every field.  Every row is
+    scipy's 2-D ``RegularGridInterpolator(method="linear",
+    fill_value=nan)`` of that row to the bit, corner values multiplied
+    as (v * wx) * wy: NaN outside the grid, and NaN spreads from every
+    corner, zero weights included.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     xs, ys = grid.xs, grid.ys
@@ -107,9 +105,8 @@ def _bilinear(grid, stack, pts, n_field):
                 mode="clip")
     wx = np.stack([1 - tx, 1 - tx, tx, tx])
     wy = np.stack([1 - ty, ty, 1 - ty, ty])
-    v[:n_field] *= wx
-    v[:n_field] *= wy
-    v[n_field:] *= wx * wy
+    v *= wx
+    v *= wy
     out = 0.0 + v[:, 0]
     out += v[:, 1]
     out += v[:, 2]
@@ -196,7 +193,7 @@ def build_frame(solution, nu, lam):
     inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
     idx, refl = idx[inside], refl[inside]
     m, K = solution.m, len(idx)
-    at_refl = _bilinear(g, solution.stack, refl, solution.n_field)
+    at_refl = _bilinear(g, solution.stack, refl)
     at_node = np.take(solution.stack, solution.node_rows[idx], axis=1)
     # derivatives need the whole reflected cell and the node's own stencil valid
     deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
@@ -237,18 +234,11 @@ def build_frame(solution, nu, lam):
 class LinearizationFields:
     """Coefficients of the elliptic inequality satisfied by U on the cap."""
 
-    A: np.ndarray                 # (m, K, 2, 2) mean-value matrices
+    A: np.ndarray                 # (m, K, 2, 2) mean-value matrices adj((H_lam + H) / 2)
     B: np.ndarray                 # (m, K, 2) gradient coefficient
     c: np.ndarray                 # (m,) own-component Lipschitz constant
     d: np.ndarray                 # (m, m, K) coupling difference quotients
-    quad_order: int               # Gauss-Legendre nodes of the positivity check
-    n_flagged: tuple = ()         # per component: nodes with a non-PD integrand
-
-
-# Gauss-Legendre nodes at which the mean-value integrand must be positive
-# definite; the integrand is linear in t for 2x2 Hessians, so this rule
-# would integrate it exactly
-_QUAD_ORDER = 4
+    n_flagged: tuple = ()         # per component: deriv_ok nodes where H_lam or H is not PD
 
 
 def linearize(frame, system):
@@ -256,10 +246,11 @@ def linearize(frame, system):
 
     A^i is the integral of adj((1 - t) H_lam + t H) over t in [0, 1].
     The adjugate of a 2x2 matrix is linear in its entries, so the
-    integral is adj((H_lam + H) / 2) in closed form.  A node whose
-    integrand is not positive definite at one of the
-    :data:`_QUAD_ORDER` Gauss-Legendre nodes is flagged, and its A^i is
-    symmetrized and lifted to a positive definite matrix.  B^i points
+    integral is adj((H_lam + H) / 2) in closed form, at every node.  The
+    integrand runs along the segment from H_lam to H, and the positive
+    definite 2x2 matrices form a convex cone, so it is positive definite
+    for every t exactly when both ends are; a node with derivatives
+    where one end is not is flagged and counted.  B^i points
     along grad U with the declared gradient Lipschitz constant as length
     (zero where grad U vanishes); c^i is the declared own-component
     constant; d_ij is the difference quotient of f^i along unknown j,
@@ -270,20 +261,7 @@ def linearize(frame, system):
     Ha, Hb = frame.hess_u_lam, frame.hess_u
     M = 0.5 * (Ha + Hb)
     A = _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
-    # (order, m, K) entries of the integrand at every quadrature node
-    t_nodes = _gauss_legendre01(_QUAD_ORDER)[:, None, None]
-    m00, m01, m10, m11 = ((1.0 - t_nodes) * Ha[..., r, s] + t_nodes * Hb[..., r, s]
-                          for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    bad = ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
-    bad = np.any(bad, axis=0) & frame.deriv_ok
-    for i in np.nonzero(bad.any(axis=1))[0]:
-        # symmetrize and push eigenvalues up to a tiny floor
-        Ab = A[i][bad[i]]
-        Ab = 0.5 * (Ab + np.swapaxes(Ab, -1, -2))
-        lam_min = np.linalg.eigvalsh(Ab)[:, 0]
-        shift = np.maximum(0.0, -lam_min) + 1e-12
-        Ab += shift[:, None, None] * np.eye(2)
-        A[i][bad[i]] = Ab
+    bad = ~(_pd(Ha) & _pd(Hb)) & frame.deriv_ok
 
     hp = np.array([0.0 if v is None else float(v) for v in system.lipschitz_p])
     c = np.array([0.0 if v is None else float(v) for v in system.lipschitz_z])
@@ -303,7 +281,7 @@ def linearize(frame, system):
         for j in range(m):
             d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, zs[j], frame.grad_u_lam[i],
                                frame.U[j])
-    return LinearizationFields(A=A, B=B, c=c, d=d, quad_order=_QUAD_ORDER,
+    return LinearizationFields(A=A, B=B, c=c, d=d,
                                n_flagged=tuple(int(n) for n in bad.sum(axis=1)))
 
 
@@ -441,7 +419,7 @@ def certify_symmetry(solution, nu, Lam0, *, _frame=None):
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         rings = np.concatenate([c + frac * g.domain.radius * ring
                                 for frac in (0.2, 0.4, 0.6, 0.8)])
-        vals = _bilinear(g, solution.stack, rings, solution.n_field)
+        vals = _bilinear(g, solution.stack, rings)
         variations = []
         for i in range(solution.m):
             E = vals[6 * i].reshape(4, -1)
@@ -476,7 +454,7 @@ def boundary_checks(solution):
     tangents = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
-    inner_vals = _bilinear(g, solution.stack, inner, solution.n_field)
+    inner_vals = _bilinear(g, solution.stack, inner)
     entries = []
     for i in range(solution.m):
         innerv = inner_vals[6 * i]
@@ -506,8 +484,7 @@ def boundary_checks(solution):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
-        corners = _bilinear(g, solution.stack, [[x_min + s, H - s], [x_min + s, -H + s]],
-                            solution.n_field)
+        corners = _bilinear(g, solution.stack, [[x_min + s, H - s], [x_min + s, -H + s]])
         entries = []
         for i in range(solution.m):
             ci = solution.cs[i]

@@ -52,11 +52,9 @@ def coupled64_linearized(coupled64):
 
 def _unflagged(frame, lin, i):
     """deriv_ok nodes of component i whose mean-value integrand is positive
-    definite at every quadrature node, so linearize kept its A unshifted."""
-    H_lam, H_u = frame.hess_u_lam[i], frame.hess_u[i]
+    definite at both ends, H_lam and H, and so on all of [0, 1]."""
     ok = frame.deriv_ok.copy()
-    for tk in 0.5 * (np.polynomial.legendre.leggauss(lin.quad_order)[0] + 1.0):
-        M = (1.0 - tk) * H_lam + tk * H_u
+    for M in (frame.hess_u_lam[i], frame.hess_u[i]):
         ok &= ((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0)
                & (M[:, 0, 0] + M[:, 1, 1] > 0))
     assert int(np.sum(frame.deriv_ok & ~ok)) == lin.n_flagged[i]

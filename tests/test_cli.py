@@ -86,6 +86,35 @@ def test_invalid_json_rejected(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp_path: str(tmp_path), "cannot read config"),
+    (lambda tmp_path: write_config(tmp_path, [1, 2]), "config must be a JSON object"),
+], ids=["directory", "list"])
+def test_unreadable_config_rejected_before_the_output_dir(tmp_path, capsys, make, message):
+    out = tmp_path / "out"
+    assert main(["--config", make(tmp_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tube_axis_direction_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    """A tube's planes need nu orthogonal to its axis: along the axis,
+    certify exits 2, naming nu, before the solve and the output dir."""
+    monkeypatch.setattr("masym.cli.solve_system_fd",
+                        lambda *args: pytest.fail("the grid was solved"))
+    tube = {"shape": "tube", "cross_section": {"shape": "ball", "center": [0.0],
+                                               "radius": 1.0}, "half_height": 1.0}
+    cfg = write_config(tmp_path, dict(GRID_CFG, command="certify", domain=tube,
+                                      params={"h": 0.0625}, nu=[0.0, 1.0]))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "nu: tube critical planes require a direction orthogonal to the axis" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg = write_config(tmp_path, {"command": "frobnicate"})
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -181,6 +181,12 @@ def test_tube_planes_cross_direction():
     assert abs(cp.Lam0) <= 1e-9
 
 
+def test_tube_planes_refuse_the_axis_direction():
+    t = Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.0)
+    with pytest.raises(GeometryError, match="orthogonal to the axis"):
+        critical_planes(t, (0.0, 1.0))
+
+
 def test_smooth_level_set_matches_ball():
     """A level-set description of the unit disk yields the same planes."""
     d = _unit_disk_level_set()

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, GeometryError, SmoothLevelSet, Tube
 from masym.gridsolve import (FdParams, GridSolution, StencilGrid,
-                             _factor_solve, _laplace_init, _ma_and_active,
+                             _factor_solve, _power_pair, _laplace_init, _ma_and_active,
                              _newton_matrix, _pair_rows,
                              gradient_at_nodes, ma_operator_discrete,
                              read_solution_binary,
@@ -33,6 +33,21 @@ OPERATOR_DOMAINS = {
                                      2.0 * x[..., 1]], axis=-1),
         bbox=((-1.2, 1.0), (-1.1, 1.1))),
 }
+
+
+def test_extended_array_of_a_node_on_the_grid_edge():
+    """A level set may declare a box shorter than {phi < 0}, which puts
+    interior nodes on the grid's first column with no axis neighbour past
+    it.  Their ghosts land nowhere, so the far column, outside the domain,
+    keeps the boundary constant."""
+    domain = SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                            grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                            bbox=((-0.7, 1.0), (-1.0, 1.0)))
+    grid = StencilGrid(domain, 1.0 / 16.0, 2)
+    assert grid.node_ij[:, 0].min() == 0
+    x, y = grid.node_xy.T
+    E = GridSolution(grid=grid, fields=[x * x + 2.0 * y * y - 3.0], cs=(0.0,)).extended_array(0)
+    assert np.all(E[-1] == 0.0)
 
 
 def test_stencil_directions_primitive():
@@ -162,6 +177,23 @@ def test_power_pair_center_matches_the_radial_solution(alpha, beta):
     radial = solve_coupled_radial(alpha, beta, 2)
     for i in range(2):
         assert abs(_center(sol, i) / radial[i].u[0] - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("components, expected", [
+    (("(0 - z2) + 1", "(0 - z1) + 1"), None),
+    (("(0 - z1) ^ 2", "(0 - z1)"), None),
+    (("(0 - z2) ^ 0", "(0 - z1)"), None),
+    (("3 * (0 - z2) ^ 1.5", "(-z1) * 0.5"), ((3.0, 0.5), (1.5, 1.0))),
+], ids=["sum", "own-unknown", "zero-exponent", "scaled-powers"])
+def test_power_pair_reads_only_mu_times_a_power_of_the_other_unknown(components, expected):
+    """mu_i (-z_j)^e_i with j != i and mu, e > 0 is a power pair; a sum, a
+    component of its own unknown or a zero exponent is not."""
+    system = RhsSystem(components=tuple(parse(c) for c in components), n=2)
+    assert _power_pair(system, (0.0, 0.0)) == expected
+
+
+def test_power_pair_needs_zero_boundary_data():
+    assert _power_pair(power_coupled_system(1.0, 2.0), (0.0, 0.5)) is None
 
 
 def test_scaled_power_pair_is_the_scaled_solution():

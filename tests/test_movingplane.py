@@ -93,6 +93,24 @@ def test_mean_value_identity_exact():
     assert np.max(rel) <= 1e-10
 
 
+def test_linearize_flags_a_node_by_the_ends_of_its_segment():
+    """The integrand (1 - t) H_lam + t H is positive definite on all of [0, 1]
+    exactly when both ends are.  Toward H = 2 I, H_lam = diag(2, -0.01) turns
+    positive definite at t = 0.005, before any Gauss-Legendre node of [0, 1],
+    yet its node is flagged, as is the node whose H is the indefinite end.
+    A stays adj((H_lam + H) / 2) at every node, flagged or not."""
+    H = np.tile(2.0 * np.eye(2), (3, 1, 1))
+    H_lam = H.copy()
+    H_lam[1] = np.diag([2.0, -0.01])
+    H[2] = np.diag([-0.01, 2.0])
+    lin = linearize(_hessian_frame(H_lam, H), QUAD_SYSTEM)
+    assert lin.n_flagged == (2,)
+    M = 0.5 * (H_lam + H)
+    adj = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], -1),
+                    np.stack([-M[:, 1, 0], M[:, 0, 0]], -1)], -2)
+    np.testing.assert_array_equal(lin.A[0], adj)
+
+
 def test_frame_reflection_of_quadratic(quadratic):
     """u = |x|^2 - 1 reflects to U(x) = 4 lam (lam - x1) for nu = e1."""
     lam = -0.4
@@ -373,12 +391,14 @@ def _kernel_solution(domain):
                    bbox=((-1.0, 1.0), (-1.0, 1.0))),
 ], ids=["ball", "ellipse", "tube", "levelset"])
 def test_bilinear_kernel_matches_scipy(domain):
-    """Every stack row equals scipy's linear RegularGridInterpolator to the
-    bit: field rows as its 2-D path, operator rows as its N-D path."""
+    """Every stack row, the operator rows included, equals scipy's linear 2-D
+    RegularGridInterpolator of that row to the bit."""
     from scipy.interpolate import RegularGridInterpolator
 
     sol = _kernel_solution(domain)
-    g, stack, nf = sol.grid, sol.stack, sol.n_field
+    g, stack = sol.grid, sol.stack
+    # rows before the operator rows: six per component and the validity mask
+    nf = 6 * sol.m + 1
     assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
     lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
     off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
@@ -393,38 +413,36 @@ def test_bilinear_kernel_matches_scipy(domain):
     assert rim.any()
     rim_pts = np.stack([g.xs[i[rim]], g.ys[j[rim]]], axis=-1)
 
-    field_rgi = [RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny),
-                                         bounds_error=False, fill_value=np.nan)
-                 for row in stack[:nf]]
-    op_rgi = RegularGridInterpolator((g.xs, g.ys), stack[nf:].T.reshape(g.nx, g.ny, sol.m),
-                                     bounds_error=False, fill_value=np.nan)
+    row_rgi = [RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny),
+                                       bounds_error=False, fill_value=np.nan)
+               for row in stack]
     for pts in (off_grid, aligned, outside, rim_pts):
-        got = _bilinear(g, stack, pts, nf)
+        got = _bilinear(g, stack, pts)
         assert got.shape == (len(stack), len(pts))
-        expected = np.vstack([f(pts) for f in field_rgi] + [op_rgi(pts).T])
+        expected = np.vstack([f(pts) for f in row_rgi])
         np.testing.assert_array_equal(got, expected)
-    assert np.all(np.isnan(_bilinear(g, stack, outside, nf)))
-    rim_vals = _bilinear(g, stack, rim_pts, nf)
+    assert np.all(np.isnan(_bilinear(g, stack, outside)))
+    rim_vals = _bilinear(g, stack, rim_pts)
     assert np.all(np.isnan(rim_vals[nf:]))
     assert np.all(np.isfinite(rim_vals[:nf]))
 
 
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (np.cos(0.4), np.sin(0.4))], ids=["axis", "oblique"])
 def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
-    """The quadrature in linearize gives adj((H_lam + H) / 2), which is the
+    """linearize gives adj((H_lam + H) / 2) at every node, which is the
     mean-value matrix exactly because the integrand is linear in t, and it
-    flags the nodes the stacked integrand test flags."""
+    flags the nodes where the integrand fails to be positive definite at one
+    of 33 points of [0, 1], both ends included."""
     system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)
     lam = 0.5 * (planes.lam0 + planes.Lam0)
     for sol in (coupled, _perturbed(coupled)):
         frame = build_frame(sol, nu, lam)
         lin = linearize(frame, system)
-        t = 0.5 * (np.polynomial.legendre.leggauss(lin.quad_order)[0] + 1.0)
         for i in range(frame.m):
             Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
             bad = np.zeros(len(frame.node_idx), dtype=bool)
-            for tk in t:
+            for tk in np.linspace(0.0, 1.0, 33):
                 Mt = (1.0 - tk) * Ha + tk * Hb
                 det = Mt[:, 0, 0] * Mt[:, 1, 1] - Mt[:, 0, 1] * Mt[:, 1, 0]
                 bad |= ~((det > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
@@ -434,17 +452,17 @@ def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
             expected = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], axis=-1),
                                  np.stack([-M[:, 1, 0], M[:, 0, 0]], axis=-1)], axis=-2)
             # four weighted sums round each entry: a few ulps of the largest
-            np.testing.assert_allclose(lin.A[i][~bad], expected[~bad], rtol=0.0,
+            np.testing.assert_allclose(lin.A[i], expected, rtol=0.0,
                                        atol=4 * np.finfo(float).eps * np.max(np.abs(M)))
-            assert np.all(np.linalg.eigvalsh(lin.A[i][bad]) > 0.0)
     assert sum(lin.n_flagged) > 0
 
 
 def _reference_linearization(frame, system):
     """A, B, d and the flag counts by the entry-wise formulas: A^i accumulates
     w_k adj((1 - t_k) H_lam + t_k H) over the 4-node Gauss-Legendre rule, one
-    entry array at a time, and lifts the flagged nodes; B^i is written on the
-    boolean mask where grad U^i is nonzero; d_ij is one call per (i, j)."""
+    entry array at a time; a node is flagged where the integrand at t = 0 or
+    t = 1 is not positive definite; B^i is written on the boolean mask where
+    grad U^i is nonzero; d_ij is one call per (i, j)."""
     m, K = frame.m, len(frame.node_idx)
     A, B, d = np.zeros((m, K, 2, 2)), np.zeros((m, K, 2)), np.zeros((m, m, K))
     t_nodes, t_weights = np.polynomial.legendre.leggauss(4)
@@ -453,19 +471,17 @@ def _reference_linearization(frame, system):
     for i in range(m):
         Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
         a00 = a01 = a10 = a11 = 0.0
-        bad = np.zeros(K, dtype=bool)
         for tk, wk in zip(t_nodes, t_weights):
             m00, m01, m10, m11 = ((1.0 - tk) * Ha[:, r, s] + tk * Hb[:, r, s]
                                   for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
             a00, a01 = a00 + wk * m11, a01 + wk * -m01
             a10, a11 = a10 + wk * -m10, a11 + wk * m00
-            bad |= ~((m00 * m11 - m01 * m10 > 0) & (m00 + m11 > 0))
         A[i] = np.stack([np.stack([a00, a01], -1), np.stack([a10, a11], -1)], -2)
+        bad = np.zeros(K, dtype=bool)
+        for H in (Ha, Hb):
+            bad |= ~((H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0] > 0)
+                     & (H[:, 0, 0] + H[:, 1, 1] > 0))
         bad &= frame.deriv_ok
-        if bad.any():
-            Ab = 0.5 * (A[i][bad] + np.swapaxes(A[i][bad], -1, -2))
-            shift = np.maximum(0.0, -np.linalg.eigvalsh(Ab)[:, 0]) + 1e-12
-            A[i][bad] = Ab + shift[:, None, None] * np.eye(2)
         flagged.append(int(bad.sum()))
         gU = frame.grad_U[i]
         norm = np.linalg.norm(gU, axis=-1)
@@ -484,7 +500,7 @@ def _reference_linearization(frame, system):
 def test_linearize_matches_the_entrywise_reference(coupled, nu, control):
     """B, d and the flag counts equal the entry-wise reference to the bit,
     and the closed-form A is within 4 ulps of the node's Hessian scale of
-    the accumulated quadrature, flagged and lifted nodes included."""
+    the accumulated quadrature, flagged nodes included."""
     sol = _perturbed(coupled) if control else coupled
     system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)

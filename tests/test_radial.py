@@ -257,6 +257,15 @@ def test_uniqueness_probe_subcritical():
     assert all(o == "converged" for o in rep.outcomes)
 
 
+def test_uniqueness_probe_at_the_threshold_finds_no_solution():
+    """At alpha * beta = n^2 every start ends in no solution, so no limits
+    are compared and uniqueness is not claimed."""
+    rep = uniqueness_probe(2.0, 2.0, 2, n_starts=3)
+    assert rep.outcomes == ("no-solution",) * 3
+    assert not rep.uniqueness_claimed
+    assert rep.max_pairwise_distance == 0.0
+
+
 # outcome class, reason kind and NoSolution drift sign of each pair as the
 # half-and-half damped iteration decided them; the full step must keep them.
 # (300, 1) and (1000, 1) keep a source positive near the center, and
