@@ -22,11 +22,21 @@ bilinear kernel reads them all at a set of points with a single gather
 of the cell corners.  The 2x2 Hessian algebra of a frame (the reflection
 Q H Q, the mean-value matrix and its positivity flag) runs in closed
 form on per-entry arrays.
+
+A sweep groups its consecutive plane positions into batches of at most
+as many cap nodes as the last, largest cap, at Lam0, and builds one
+frame and one linearization per batch; the batches run on a thread pool
+with one worker per available core.  Every per-node operation is the
+one a single position gets, so the reports do not depend on the batches
+or on the number of workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -125,7 +135,9 @@ class MovingPlaneFrame:
     Arrays are indexed by the kept cap nodes; ``deriv_ok`` marks the
     subset where both the node's own derivative stencil and the
     reflected interpolation cell stay clear of the boundary, which is
-    where gradients and Hessians are trustworthy.
+    where gradients and Hessians are trustworthy.  A sweep's frame of
+    several plane positions concatenates their caps' nodes in position
+    order and holds one ``lam`` and ``n_exited`` per position.
     """
 
     nu: np.ndarray
@@ -158,6 +170,94 @@ class MovingPlaneFrame:
         return len(self.node_idx) == 0
 
 
+_NODE_AXIS_0 = ("node_idx", "xy", "reflected_xy", "deriv_ok", "op_ok")
+_NODE_AXIS_1 = ("u", "u_lam", "U", "grad_u", "grad_u_lam", "grad_U", "hess_u", "hess_u_lam",
+                "hess_U", "det_op", "det_op_lam")
+
+
+def _nodes(frame, sel, **changes):
+    """``frame`` cut to the nodes ``sel`` selects, a slice giving views."""
+    changes.update({name: getattr(frame, name)[sel] for name in _NODE_AXIS_0})
+    changes.update({name: getattr(frame, name)[:, sel] for name in _NODE_AXIS_1})
+    return replace(frame, **changes)
+
+
+def _caps(grid, nu, lams):
+    """Each plane position's cap: the nodes with x . nu < lam + 1e-9 h, so
+    nodes on the plane are kept."""
+    s = grid.node_xy @ nu
+    return [np.nonzero(s < lam + grid.h * 1e-9)[0] for lam in lams]
+
+
+def _frames(solution, nu, lams, caps):
+    """One frame of the ``caps`` of the plane positions ``lams``.
+
+    Its arrays hold the caps' kept nodes concatenated in position order,
+    its ``lam`` and ``n_exited`` one value per position; also returns the
+    (P + 1,) node bounds, position k holding nodes bounds[k]:bounds[k + 1].
+    See :func:`build_frame`, the frame of one position.
+    """
+    g = solution.grid
+    idxs, refls, n_exited = [], [], []
+    for lam, idx in zip(lams, caps):
+        refl = reflect_point(g.node_xy[idx], nu, lam)
+        # a reflection inside the domain lies in the padded box unless a level
+        # set declares a box shorter than {phi < 0}; off the grid box the
+        # interpolant is NaN, so those points are dropped before the gather
+        inside = g.domain.contains(refl)
+        n_exited.append(int(np.count_nonzero(~inside)))
+        x, y = refl[:, 0], refl[:, 1]
+        inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
+        idxs.append(idx[inside])
+        refls.append(refl[inside])
+    bounds = np.cumsum([0] + [len(idx) for idx in idxs])
+    idx, refl = np.concatenate(idxs), np.concatenate(refls)
+    m, K = solution.m, len(idx)
+    at_refl = _bilinear(g, solution.stack, refl)
+    at_node = np.take(solution.stack, solution.node_rows[idx], axis=1)
+    # derivatives need the whole reflected cell and the node's own stencil valid
+    deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
+
+    # (m, 6, K): E, ux, uy, uxx, uyy, uxy of every component
+    f_node = at_node[:6 * m].reshape(m, 6, K)
+    f_refl = at_refl[:6 * m].reshape(m, 6, K)
+    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
+    u, u_lam = f_node[:, 0], f_refl[:, 0]
+    grad_u = np.stack([f_node[:, 1], f_node[:, 2]], axis=-1)
+    grad_refl = np.stack([f_refl[:, 1], f_refl[:, 2]], axis=-1)
+    # BLAS may round a row by the length of the array it sits in (a one-row
+    # product does), so each position's gradients get a product of their own,
+    # as in a frame of that position alone
+    grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
+                                 for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+    hess = np.empty((3, m, 2, 2, K))
+    hess[0] = f_node[:, [3, 5, 5, 4]].reshape(m, 2, 2, K)
+    _reflect_hessian(Q, f_refl[:, [3, 5, 5, 4]].reshape(m, 2, 2, K).transpose(1, 2, 0, 3),
+                     hess[1].transpose(1, 2, 0, 3))
+    np.subtract(hess[1], hess[0], out=hess[2])
+    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
+
+    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
+    det_op = at_node[6 * m + 1:]
+    det_op_lam = at_refl[6 * m + 1:]
+    op_ok = np.all(np.isfinite(det_op_lam), axis=0)
+
+    return MovingPlaneFrame(
+        nu=nu, lam=lams, grid=g, node_idx=idx, xy=g.node_xy[idx], reflected_xy=refl,
+        deriv_ok=deriv_ok, n_exited=n_exited,
+        u=u, u_lam=u_lam, U=u_lam - u,
+        grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
+        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
+        det_op=det_op, det_op_lam=det_op_lam, op_ok=op_ok,
+    ), bounds
+
+
+def _position(frame, bounds, k):
+    """Position k's frame out of a frame of several positions, as views."""
+    return _nodes(frame, slice(bounds[k], bounds[k + 1]), lam=float(frame.lam[k]),
+                  n_exited=frame.n_exited[k])
+
+
 def build_frame(solution, nu, lam):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
@@ -177,54 +277,12 @@ def build_frame(solution, nu, lam):
     The three Hessian stacks are (m, K, 2, 2) views of one entry-major
     (3, m, 2, 2, K) array, so each entry of every node is one contiguous
     row for :func:`linearize` and :func:`verify_elliptic_inequality`.
+    :func:`lambda_sweep` builds the frames of several positions at once
+    with the same code, and this is the frame of one.
     """
-    g = solution.grid
     nu = _as_unit(nu, 2)
-    lam = float(lam)
-    idx = np.nonzero(g.node_xy @ nu < lam + g.h * 1e-9)[0]
-    refl = reflect_point(g.node_xy[idx], nu, lam)
-
-    # a reflection inside the domain lies in the padded box unless a level
-    # set declares a box shorter than {phi < 0}; off the grid box the
-    # interpolant is NaN, so those points are dropped before the gather
-    inside = g.domain.contains(refl)
-    n_exited = int(np.count_nonzero(~inside))
-    x, y = refl[:, 0], refl[:, 1]
-    inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
-    idx, refl = idx[inside], refl[inside]
-    m, K = solution.m, len(idx)
-    at_refl = _bilinear(g, solution.stack, refl)
-    at_node = np.take(solution.stack, solution.node_rows[idx], axis=1)
-    # derivatives need the whole reflected cell and the node's own stencil valid
-    deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
-
-    # (m, 6, K): E, ux, uy, uxx, uyy, uxy of every component
-    f_node = at_node[:6 * m].reshape(m, 6, K)
-    f_refl = at_refl[:6 * m].reshape(m, 6, K)
-    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    u, u_lam = f_node[:, 0], f_refl[:, 0]
-    grad_u = np.stack([f_node[:, 1], f_node[:, 2]], axis=-1)
-    grad_u_lam = np.stack([f_refl[:, 1], f_refl[:, 2]], axis=-1) @ Q.T
-    hess = np.empty((3, m, 2, 2, K))
-    hess[0] = f_node[:, [3, 5, 5, 4]].reshape(m, 2, 2, K)
-    _reflect_hessian(Q, f_refl[:, [3, 5, 5, 4]].reshape(m, 2, 2, K).transpose(1, 2, 0, 3),
-                     hess[1].transpose(1, 2, 0, 3))
-    np.subtract(hess[1], hess[0], out=hess[2])
-    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
-
-    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
-    det_op = at_node[6 * m + 1:]
-    det_op_lam = at_refl[6 * m + 1:]
-    op_ok = np.all(np.isfinite(det_op_lam), axis=0)
-
-    return MovingPlaneFrame(
-        nu=nu, lam=lam, grid=g, node_idx=idx, xy=g.node_xy[idx], reflected_xy=refl,
-        deriv_ok=deriv_ok, n_exited=n_exited,
-        u=u, u_lam=u_lam, U=u_lam - u,
-        grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
-        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
-        det_op=det_op, det_op_lam=det_op_lam, op_ok=op_ok,
-    )
+    lams = [float(lam)]
+    return _position(*_frames(solution, nu, lams, _caps(solution.grid, nu, lams)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +296,12 @@ class LinearizationFields:
     B: np.ndarray                 # (m, K, 2) gradient coefficient
     c: np.ndarray                 # (m,) own-component Lipschitz constant
     d: np.ndarray                 # (m, m, K) coupling difference quotients
-    n_flagged: tuple = ()         # per component: deriv_ok nodes where H_lam or H is not PD
+    nonpd: np.ndarray             # (m, K) deriv_ok nodes where H_lam or H is not PD
+
+    @property
+    def n_flagged(self):
+        """Per component, the number of flagged (``nonpd``) nodes."""
+        return tuple(int(n) for n in self.nonpd.sum(axis=1))
 
 
 def linearize(frame, system):
@@ -281,8 +344,7 @@ def linearize(frame, system):
         for j in range(m):
             d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, zs[j], frame.grad_u_lam[i],
                                frame.U[j])
-    return LinearizationFields(A=A, B=B, c=c, d=d,
-                               n_flagged=tuple(int(n) for n in bad.sum(axis=1)))
+    return LinearizationFields(A=A, B=B, c=c, d=d, nonpd=bad)
 
 
 def verify_elliptic_inequality(lin, frame):
@@ -302,20 +364,32 @@ def verify_elliptic_inequality(lin, frame):
     directional resolution bias cancels between a node and its
     reflection, unlike that of raw Hessian determinants.
     """
+    return _ei_report(frame, lin.d, *_ei_margins(lin, frame))
+
+
+def _ei_margins(lin, frame):
+    """(m, K) margins tr(A dD2U) + B . dU + c U - sum_j d_ij U_j and their
+    tolerances 10 h^2 max(|det H|, |det H_lam|), node by node."""
+    scale = np.maximum(np.abs(_det2(frame.hess_u)), np.abs(_det2(frame.hess_u_lam)))
+    tol_node = (10.0 * frame.grid.h ** 2) * scale
+    margin = frame.det_op_lam - frame.det_op
+    for i in range(frame.m):
+        margin[i] += np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
+        margin[i] += lin.c[i] * frame.U[i]
+        margin[i] -= np.einsum("jk,jk->k", lin.d[i], frame.U)
+    return margin, tol_node
+
+
+def _ei_report(frame, d, margin, tol_node):
+    """The audit report of one plane position from its nodes' quotients
+    ``d`` and :func:`_ei_margins`."""
     g = frame.grid
     ok = frame.deriv_ok & frame.op_ok
     any_ok = bool(ok.any())
     report = {"tolerance_rule": "10*h^2*scale", "h": g.h, "components": [],
               "n_nodes": int(np.count_nonzero(ok)), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
-              "d_nonpositive": bool(np.all((lin.d <= 1e-12) | ~ok))}
-    scale = np.maximum(np.abs(_det2(frame.hess_u)), np.abs(_det2(frame.hess_u_lam)))
-    tol_node = (10.0 * g.h ** 2) * scale
-    margin = frame.det_op_lam - frame.det_op
-    for i in range(frame.m):
-        margin[i] += np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
-        margin[i] += lin.c[i] * frame.U[i]
-        margin[i] -= np.einsum("jk,jk->k", lin.d[i], frame.U)
+              "d_nonpositive": bool(np.all((d <= 1e-12) | ~ok))}
     bad = ok & (margin < -tol_node)
     if any_ok:
         worst = np.argmin(np.where(ok, margin, np.inf), axis=1)
@@ -358,10 +432,11 @@ def certify_monotonicity(solution, nu, planes):
     out = {"direction": [float(v) for v in nu], "Lam0": float(planes.Lam0),
            "components": []}
     m = solution.m
-    at_node = np.take(solution.stack, solution.node_rows, axis=1)
-    ok = (at_node[6 * m] == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
+    # gather only the rows read: the validity mask, ux and uy
+    stack, cols = solution.stack, solution.node_rows
+    ok = (np.take(stack[6 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
     for i in range(m):
-        ux, uy = at_node[6 * i + 1], at_node[6 * i + 2]
+        ux, uy = np.take(stack[6 * i + 1], cols), np.take(stack[6 * i + 2], cols)
         dnu = ux * nu[0] + uy * nu[1]
         viol = ok & (dnu >= -(10.0 * h ** 2) * np.hypot(ux, uy))
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
@@ -472,10 +547,11 @@ def boundary_checks(solution):
                       "passed": all(e["passed"] for e in entries)}
     lap_entries = []
     m = solution.m
-    at_node = np.take(solution.stack, solution.node_rows, axis=1)
-    ok = at_node[6 * m] == 1.0
+    # gather only the rows read: the validity mask, uxx and uyy
+    stack, cols = solution.stack, solution.node_rows
+    ok = np.take(stack[6 * m], cols) == 1.0
     for i in range(m):
-        lap = (at_node[6 * i + 3] + at_node[6 * i + 4])[ok]
+        lap = (np.take(stack[6 * i + 3], cols) + np.take(stack[6 * i + 4], cols))[ok]
         lap_entries.append({"component": i + 1,
                             "min_laplacian": float(np.min(lap)) if ok.any() else None,
                             "passed": bool(ok.any() and np.min(lap) > 0.0)})
@@ -526,6 +602,67 @@ class MovingPlaneReport:
         return asdict(self)
 
 
+def _available_cores():
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _batches(sizes):
+    """(start, stop) ranges of consecutive positions, each holding at most as
+    many cap nodes as the last cap, the largest of nested caps; a cap larger
+    than that is a batch of its own."""
+    out, start, total = [], 0, 0
+    for k, n in enumerate(sizes):
+        if k > start and total + n > sizes[-1]:
+            out.append((start, k))
+            start, total = k, 0
+        total += n
+    out.append((start, len(sizes)))
+    return out
+
+
+def _sweep_batch(solution, nu, lams, caps, system, cap_tol, keep_frame):
+    """The sweep entries of consecutive plane positions from one frame.
+
+    One linearization and one set of elliptic-inequality margins serve
+    every position whose cap has a node with valid derivatives, and each
+    entry reads its position's slice of them.  Returns the entries and,
+    with ``keep_frame``, the last position's frame.
+    """
+    frame, bounds = _frames(solution, nu, lams, caps)
+    positions = [_position(frame, bounds, k) for k in range(len(lams))]
+    audited = [bool(f.deriv_ok.any()) for f in positions]
+    if any(audited):
+        # the sources are evaluated on the audited caps only, as one position
+        # at a time evaluates them
+        sub = frame if all(audited) else _nodes(frame, np.concatenate(
+            [np.arange(bounds[k], bounds[k + 1]) for k, a in enumerate(audited) if a]))
+        lin = linearize(sub, system)
+        margin, tol_node = _ei_margins(lin, sub)
+    entries, start = [], 0
+    for f, audit in zip(positions, audited):
+        entry = {"lambda": f.lam, "n_nodes": len(f.node_idx), "n_exited": f.n_exited}
+        if f.empty:
+            entry["U_max"] = None
+            entry["cap_nonpositive"] = True
+        else:
+            u_max = float(np.max(f.U))
+            entry["U_max"] = u_max
+            entry["cap_nonpositive"] = u_max <= cap_tol
+            if audit:
+                r = slice(start, start + len(f.node_idx))
+                start = r.stop
+                ei = _ei_report(f, lin.d[..., r], margin[:, r], tol_node[:, r])
+                entry["ei_violations"] = ei["total_violations"]
+                entry["ei_worst_margin"] = ei["worst_margin"]
+                entry["flagged_nonpd"] = [int(n) for n in lin.nonpd[:, r].sum(axis=1)]
+        entries.append(entry)
+    return entries, positions[-1] if keep_frame else None
+
+
 def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
 
@@ -535,6 +672,15 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     position is exactly Lam0, and its frame doubles as the symmetry
     certificate's.  Every frame and certificate reads the solution's
     :attr:`GridSolution.stack`, built on its first use.
+
+    Consecutive positions run in batches of at most as many cap nodes as
+    the Lam0 cap, one frame and one linearization per batch, on a thread
+    pool with one worker per available core; so at most that many
+    Lam0-sized frames are in memory at once.  The report does not depend
+    on the batches or on the number of workers: every per-node operation
+    is the one a single position gets.  An error in a batch reaches the
+    caller as it was raised, the first in position order, and each batch
+    runs in a copy of the caller's context, so its ``np.errstate`` holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -545,29 +691,24 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
         np.arange(1, n_lambdas + 1) / n_lambdas)
     lams[-1] = planes.Lam0
     cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
-    entries = []
-    total_viol = 0
-    all_ok = True
-    for lam in lams:
-        frame = build_frame(solution, nu, float(lam))
-        entry = {"lambda": float(lam), "n_nodes": int(len(frame.node_idx)),
-                 "n_exited": frame.n_exited}
-        if frame.empty:
-            entry["U_max"] = None
-            entry["cap_nonpositive"] = True
-        else:
-            u_max = float(np.max(frame.U))
-            entry["U_max"] = u_max
-            entry["cap_nonpositive"] = u_max <= cap_tol
-            if frame.deriv_ok.any():
-                lin = linearize(frame, system)
-                ei = verify_elliptic_inequality(lin, frame)
-                entry["ei_violations"] = ei["total_violations"]
-                entry["ei_worst_margin"] = ei["worst_margin"]
-                entry["flagged_nonpd"] = list(lin.n_flagged)
-                total_viol += ei["total_violations"]
-        all_ok = all_ok and entry["cap_nonpositive"]
-        entries.append(entry)
+    caps = _caps(g, nu, lams)
+    batches = _batches([len(cap) for cap in caps])
+    # built before the workers share them: a cached_property takes no lock,
+    # and an overflowing stack raises here
+    solution.stack, solution.node_rows
+    with ThreadPoolExecutor(min(_available_cores(), len(batches))) as pool:
+        jobs = [pool.submit(contextvars.copy_context().run, _sweep_batch, solution, nu,
+                            lams[a:b], caps[a:b], system, cap_tol, b == n_lambdas)
+                for a, b in batches]
+        try:
+            results = [job.result() for job in jobs]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    entries = [entry for batch_entries, _ in results for entry in batch_entries]
+    frame = results[-1][1]
+    total_viol = sum(entry.get("ei_violations", 0) for entry in entries)
+    all_ok = all(entry["cap_nonpositive"] for entry in entries)
     mono = certify_monotonicity(solution, nu, planes)
     sym = certify_symmetry(solution, nu, planes.Lam0, _frame=frame)
     bnd = boundary_checks(solution)

@@ -389,6 +389,22 @@ def test_expression_domain_error_is_a_divergence(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
+def test_expression_domain_error_in_the_sweep_is_a_divergence(tmp_path, capsys):
+    """A split that leaves its domain on the first caps raises in a sweep
+    worker: certify exits 3 with the error in divergence.json."""
+    system = {"n": 2, "components": ["(0 - z2) + 1", "(0 - z1) + 1"],
+              "splits": [[0, "log(x1 + 0.5) + 1"], [0, "(0 - z1) + 1"]]}
+    cfg = write_config(tmp_path, dict(GRID_CFG, command="certify", system=system,
+                                      params={"h": 0.0625}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert read_json(out / "divergence.json")["error"] == (
+        "log of a non-positive argument in subexpression 'log((x1 + 0.5))'")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    assert not (out / "certificate.json").exists()
+
+
 def test_certify_quadratic_fixture(tmp_path):
     cfg = write_config(tmp_path, {"command": "certify", "fixture": "quadratic",
                                   "params": {"h": 0.03125}, "n_lambdas": 6})

@@ -1,15 +1,20 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from masym import movingplane
 from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes, reflect_point
-from masym.expressions import parse
+from masym.expressions import ExpressionDomainError, parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
 from masym.movingplane import (MovingPlaneFrame, _bilinear, boundary_checks,
                                build_frame, certify_monotonicity, certify_symmetry,
                                lambda_sweep, linearize, verify_elliptic_inequality,
                                write_heatmap_svg)
+from masym.radial import SolverDivergence
 from masym.rhs import RhsSystem, d_ij as rhs_d_ij, power_coupled_system
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
@@ -331,30 +336,170 @@ FRAME_ARRAYS = ("node_idx", "xy", "reflected_xy", "deriv_ok", "u", "u_lam", "U",
                 "det_op", "det_op_lam", "op_ok")
 
 
-@pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))])
-def test_shared_sweep_data_changes_nothing(coupled16, nu):
-    """Frames and sweep entries of a swept solution, whose stack the sweep
-    built, equal those of a fresh solution of the same fields."""
-    system = power_coupled_system(1.0, 1.0)
-    planes = critical_planes(DISK, nu)
-    n = 6
-    rep = lambda_sweep(coupled16, nu, planes, n_lambdas=n, system=system)
-    lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
-    fresh = GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
-    for lam, entry in zip(lams, rep.entries):
-        frame = build_frame(fresh, nu, float(lam))
-        shared = build_frame(coupled16, nu, float(lam))
-        assert shared.n_exited == frame.n_exited
-        for name in FRAME_ARRAYS:
-            np.testing.assert_array_equal(getattr(shared, name), getattr(frame, name))
-        assert entry["n_nodes"] == len(frame.node_idx)
-        assert entry["n_exited"] == frame.n_exited
-        assert entry["U_max"] == float(np.max(frame.U))
+ELLIPSE = Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.6))
+
+
+@pytest.fixture(scope="module")
+def ellipse16():
+    return solve_system_fd(ELLIPSE, power_coupled_system(1.0, 1.0), (0.0, 0.0),
+                           FdParams(h=1.0 / 16.0))
+
+
+def _gradient_system():
+    """A non-power pair whose sources read p, with a declared gradient
+    Lipschitz constant, so the linearization's B is not zero."""
+    comps = tuple(parse(f) for f in ("(0 - z2) + 0.1 * p1 * p2 + 1",
+                                     "(0 - z1) + exp(0.1 * p1)"))
+    return RhsSystem(components=comps, n=2, splits=tuple((parse("0"), f) for f in comps),
+                     lipschitz_z=(0.0, 0.0), lipschitz_p=(0.5, 0.5))
+
+
+def _one_position_entry(sol, nu, lam, system, cap_tol):
+    """A sweep entry from the one-position frame, linearization and audit."""
+    frame = build_frame(sol, nu, lam)
+    entry = {"lambda": lam, "n_nodes": len(frame.node_idx), "n_exited": frame.n_exited}
+    if frame.empty:
+        return dict(entry, U_max=None, cap_nonpositive=True)
+    u_max = float(np.max(frame.U))
+    entry.update(U_max=u_max, cap_nonpositive=u_max <= cap_tol)
+    if frame.deriv_ok.any():
         lin = linearize(frame, system)
         ei = verify_elliptic_inequality(lin, frame)
-        assert entry["ei_violations"] == ei["total_violations"]
-        assert entry["ei_worst_margin"] == ei["worst_margin"]
-        assert entry["flagged_nonpd"] == list(lin.n_flagged)
+        entry.update(ei_violations=ei["total_violations"], ei_worst_margin=ei["worst_margin"],
+                     flagged_nonpd=list(lin.n_flagged))
+    return entry
+
+
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)),
+                                (0.0, 1.0), (np.cos(0.4), np.sin(0.4))])
+def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch):
+    """Every entry of a 16-position sweep, whose positions run in batches on
+    worker threads, equals the one from a frame, linearization and audit of
+    that position alone, to the bit; so does the whole report with one
+    worker.  Frames of a swept solution, whose stack the sweep built, equal
+    those of a fresh solution of the same fields."""
+    n = 16
+    for domain, sol in ((DISK, coupled16), (ELLIPSE, ellipse16)):
+        planes = critical_planes(domain, nu)
+        lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
+        lams[-1] = planes.Lam0
+        cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
+        reports = {}
+        for system in (power_coupled_system(1.0, 1.0), _gradient_system()):
+            rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
+            assert [json.dumps(e) for e in rep.entries] == [
+                json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
+                for lam in lams]
+            reports[system] = json.dumps(rep.to_json())
+        monkeypatch.setattr(movingplane, "_available_cores", lambda: 1)
+        for system, text in reports.items():
+            assert json.dumps(lambda_sweep(sol, nu, planes, n_lambdas=n,
+                                           system=system).to_json()) == text
+        monkeypatch.undo()
+        fresh = GridSolution(grid=sol.grid, fields=sol.fields, cs=sol.cs)
+        for lam in lams:
+            frame = build_frame(fresh, nu, float(lam))
+            shared = build_frame(sol, nu, float(lam))
+            assert shared.n_exited == frame.n_exited
+            for name in FRAME_ARRAYS:
+                np.testing.assert_array_equal(getattr(shared, name), getattr(frame, name))
+
+
+def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
+    """No batch holds more cap nodes than the Lam0 cap, the pool starts one
+    worker per available core, or per batch when there are fewer, and the
+    report does not depend on the number of workers."""
+    sizes = [138, 362, 642, 966, 1326, 1716, 2130, 2566, 3020, 3490, 3972, 4464, 4964,
+             5472, 5980, 6488]
+    batches = movingplane._batches(sizes)
+    assert len(batches) == 10
+    assert [k for a, b in batches for k in range(a, b)] == list(range(16))
+    assert all(sum(sizes[a:b]) <= sizes[-1] for a, b in batches)
+    # a cap past the bound is a batch of its own
+    assert movingplane._batches([5, 1, 9, 3, 2]) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+    batch_nodes, workers = [], []
+    frames = movingplane._frames
+
+    def recorded_frames(solution, nu, lams, caps):
+        batch_nodes.append(sum(len(cap) for cap in caps))
+        return frames(solution, nu, lams, caps)
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(movingplane, "_frames", recorded_frames)
+    monkeypatch.setattr(movingplane, "ThreadPoolExecutor", RecordedPool)
+    planes = critical_planes(DISK, [1.0, 0.0])
+    last_cap = int(np.count_nonzero(coupled.grid.node_xy[:, 0] < planes.Lam0
+                                    + coupled.grid.h * 1e-9))
+    reports = []
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: the report stays the one-worker report
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(movingplane, "_available_cores", lambda: cores)
+            batch_nodes.clear()
+            rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=16,
+                               system=power_coupled_system(1.0, 1.0))
+            reports.append(json.dumps(rep.to_json()))
+            assert 1 < len(batch_nodes) < 16 and max(batch_nodes) <= last_cap
+            assert workers[-1] == min(cores, len(batch_nodes))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[1:] == reports[:1] * 2
+
+
+def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
+    """An expression error on a cap node reaches the caller with its message,
+    and the caller's np.errstate holds in the worker threads."""
+    system = RhsSystem(components=("(0 - z2) + 1", "(0 - z1) + 1"), n=2,
+                       splits=((0, "log(x1 + 0.5) + 1"), (0, "(0 - z1) + 1")))
+    with pytest.raises(ExpressionDomainError) as direct:
+        system.splits[0][1](coupled.grid.node_xy, np.zeros((len(coupled.grid.node_xy), 2)),
+                            np.zeros((len(coupled.grid.node_xy), 2)))
+    planes = critical_planes(DISK, [1.0, 0.0])
+    with pytest.raises(ExpressionDomainError) as swept:
+        lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
+    assert str(swept.value) == str(direct.value)
+    assert "log of a non-positive argument" in str(swept.value)
+
+    seen = []
+    original = movingplane.linearize
+
+    def recorded(frame, system):
+        seen.append((np.geterr(), threading.current_thread() is threading.main_thread(),
+                     len(frame.node_idx)))
+        return original(frame, system)
+
+    monkeypatch.setattr(movingplane, "linearize", recorded)
+    with np.errstate(over="raise", under="warn"):
+        expected = np.geterr()
+        rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=64,
+                           system=power_coupled_system(1.0, 1.0))
+    assert len(seen) > 1
+    assert all(err == expected and not on_main for err, on_main, _ in seen)
+    # the sources are evaluated on the audited caps only, as one position at a
+    # time evaluates them, though the sweep has caps with no node to audit
+    assert any(e["n_nodes"] and "ei_violations" not in e for e in rep.entries)
+    assert sum(n for _, _, n in seen) == sum(e["n_nodes"] for e in rep.entries
+                                            if "ei_violations" in e)
+
+
+def test_stack_overflow_stops_the_sweep_before_its_workers(coupled, monkeypatch):
+    """Fields at the (2.01, 2) pair's 1e175 amplitude overflow the stack: the
+    sweep raises the solve's divergence and starts no worker."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(movingplane, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(SolverDivergence, match="overflow a float64"):
+        lambda_sweep(_scaled(coupled, 1e175), [1.0, 0.0], critical_planes(DISK, [1.0, 0.0]),
+                     system=power_coupled_system(2.01, 2.0))
 
 
 def test_sweeps_of_one_solution_share_its_stack(coupled16, monkeypatch):
