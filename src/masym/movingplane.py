@@ -25,10 +25,13 @@ form on per-entry arrays.
 
 A sweep groups its consecutive plane positions into batches of at most
 as many cap nodes as the last, largest cap, at Lam0, and builds one
-frame and one linearization per batch; the batches run on a thread pool
-with one worker per available core.  Every per-node operation is the
-one a single position gets, so the reports do not depend on the batches
-or on the number of workers.
+frame and one audit per batch; the batches run on a thread pool with
+one worker per available core.  The audit forms no mean-value matrices,
+which no sweep entry reads, and each position's figures (cap bound,
+violations, least margin, flag counts) are reductions over its segment
+of the batch's nodes, one ``reduceat`` call per figure for every position
+at once.  Every per-node operation is the one a single position gets, so
+the reports do not depend on the batches or on the number of workers.
 """
 
 from __future__ import annotations
@@ -80,12 +83,14 @@ def _mat2(a00, a01, a10, a11):
 
 
 def _reflect_hessian(Q, H, out):
-    """Q H Q into ``out``, as (Q H) Q, for a (2, 2, m, K) stack H of entry arrays."""
-    # P[r, c] = Q[r, 0] H[0, c] + Q[r, 1] H[1, c]
-    P = Q[:, 0, None, None, None] * H[0] + Q[:, 1, None, None, None] * H[1]
-    # out[r, c] = P[r, 0] Q[0, c] + P[r, 1] Q[1, c]
-    np.add(P[:, 0, None] * Q[0, :, None, None], P[:, 1, None] * Q[1, :, None, None],
-           out=out)
+    """Q H Q into ``out``, as (Q H) Q, entry by entry: ``H[r][c]`` and
+    ``out[:, r, c]`` are the (m, K) arrays of entry (r, c)."""
+    # P[r][c] = Q[r, 0] H[0][c] + Q[r, 1] H[1][c]
+    P = [[Q[r, 0] * H[0][c] + Q[r, 1] * H[1][c] for c in (0, 1)] for r in (0, 1)]
+    # out[r, c] = P[r][0] Q[0, c] + P[r][1] Q[1, c]
+    for r in (0, 1):
+        for c in (0, 1):
+            np.add(P[r][0] * Q[0, c], P[r][1] * Q[1, c], out=out[:, r, c])
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +236,10 @@ def _frames(solution, nu, lams, caps):
     grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
                                  for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
     hess = np.empty((3, m, 2, 2, K))
-    hess[0] = f_node[:, [3, 5, 5, 4]].reshape(m, 2, 2, K)
-    _reflect_hessian(Q, f_refl[:, [3, 5, 5, 4]].reshape(m, 2, 2, K).transpose(1, 2, 0, 3),
-                     hess[1].transpose(1, 2, 0, 3))
+    # entries (0, 0), (0, 1), (1, 0), (1, 1) are the rows uxx, uxy, uxy, uyy
+    hess[0, :, 0, 0], hess[0, :, 1, 1] = f_node[:, 3], f_node[:, 4]
+    hess[0, :, 0, 1] = hess[0, :, 1, 0] = f_node[:, 5]
+    _reflect_hessian(Q, [[f_refl[:, 3], f_refl[:, 5]], [f_refl[:, 5], f_refl[:, 4]]], hess[1])
     np.subtract(hess[1], hess[0], out=hess[2])
     hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
 
@@ -320,31 +326,48 @@ def linearize(frame, system):
     evaluated at the telescoped argument (components before j reflected,
     j and later unreflected) with step U^j.
     """
-    m, K = frame.m, len(frame.node_idx)
     Ha, Hb = frame.hess_u_lam, frame.hess_u
     M = 0.5 * (Ha + Hb)
     A = _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
-    bad = ~(_pd(Ha) & _pd(Hb)) & frame.deriv_ok
+    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
+    return LinearizationFields(A=A, B=_gradient_coefficient(frame, hp), c=c,
+                               d=_quotients(frame, system), nonpd=_nonpd(frame))
 
-    hp = np.array([0.0 if v is None else float(v) for v in system.lipschitz_p])
-    c = np.array([0.0 if v is None else float(v) for v in system.lipschitz_z])
+
+def _constants(values):
+    """Declared Lipschitz constants as an (m,) array, 0 for a null entry."""
+    return np.array([0.0 if v is None else float(v) for v in values])
+
+
+def _nonpd(frame):
+    """(m, K) deriv_ok nodes where H_lam or H is not positive definite."""
+    return ~(_pd(frame.hess_u_lam) & _pd(frame.hess_u)) & frame.deriv_ok
+
+
+def _gradient_coefficient(frame, hp):
+    """(m, K, 2) B: grad U scaled to length ``hp``, zero where grad U vanishes."""
     # |grad U| in the operations of np.linalg.norm along the last axis
     sq = frame.grad_U * frame.grad_U
     norm = np.sqrt(sq[..., 0] + sq[..., 1])
-    B = np.zeros((m, K, 2))
+    B = np.zeros(frame.grad_U.shape)
     np.divide(hp[:, None, None] * frame.grad_U, norm[..., None], out=B,
               where=norm[..., None] > 0)
+    return B
 
+
+def _quotients(frame, system):
+    """(m, m, K) coupling quotients d_ij, one source evaluation per (i, j)."""
+    m = frame.m
     # along unknown j, components before j see the reflected values, j and
     # later the originals
     zs = [np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)], axis=-1)
           for j in range(m)]
-    d = np.zeros((m, m, K))
+    d = np.zeros((m, m, len(frame.node_idx)))
     for i in range(m):
         for j in range(m):
             d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, zs[j], frame.grad_u_lam[i],
                                frame.U[j])
-    return LinearizationFields(A=A, B=B, c=c, d=d, nonpd=bad)
+    return d
 
 
 def verify_elliptic_inequality(lin, frame):
@@ -364,20 +387,42 @@ def verify_elliptic_inequality(lin, frame):
     directional resolution bias cancels between a node and its
     reflection, unlike that of raw Hessian determinants.
     """
-    return _ei_report(frame, lin.d, *_ei_margins(lin, frame))
+    return _ei_report(frame, lin.d, *_ei_margins(frame, lin.d, lin.B, lin.c))
 
 
-def _ei_margins(lin, frame):
+def _ei_margins(frame, d, B, c):
     """(m, K) margins tr(A dD2U) + B . dU + c U - sum_j d_ij U_j and their
-    tolerances 10 h^2 max(|det H|, |det H_lam|), node by node."""
+    tolerances 10 h^2 max(|det H|, |det H_lam|), node by node.  A component
+    whose ``B[i]`` or ``c[i]`` is None leaves that term out."""
     scale = np.maximum(np.abs(_det2(frame.hess_u)), np.abs(_det2(frame.hess_u_lam)))
     tol_node = (10.0 * frame.grid.h ** 2) * scale
     margin = frame.det_op_lam - frame.det_op
     for i in range(frame.m):
-        margin[i] += np.einsum("ka,ka->k", lin.B[i], frame.grad_U[i])
-        margin[i] += lin.c[i] * frame.U[i]
-        margin[i] -= np.einsum("jk,jk->k", lin.d[i], frame.U)
+        if B[i] is not None:
+            margin[i] += np.einsum("ka,ka->k", B[i], frame.grad_U[i])
+        if c[i] is not None:
+            margin[i] += c[i] * frame.U[i]
+        margin[i] -= np.einsum("jk,jk->k", d[i], frame.U)
     return margin, tol_node
+
+
+def _sweep_margins(frame, system):
+    """The sweep's audit of ``frame``: :func:`_ei_margins` and the flags of
+    :func:`linearize`, less what the sweep's report never reads.
+
+    It forms no mean-value matrix A, and it leaves out the B . grad U and
+    c U terms of a component whose declared constant is 0.  With finite
+    grad U and U such a term is a signed zero, and adding it leaves the
+    margin as it was, since the margin is not -0.0 there: det_op_lam is a
+    bilinear sum started at +0.0, so det_op_lam - det_op is not -0.0, and
+    neither is its sum with a term.
+    """
+    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
+    B = _gradient_coefficient(frame, hp) if hp.any() else None
+    margin, tol_node = _ei_margins(frame, _quotients(frame, system),
+                                   [B[i] if hp[i] else None for i in range(frame.m)],
+                                   [c[i] if c[i] else None for i in range(frame.m)])
+    return margin, tol_node, _nonpd(frame)
 
 
 def _ei_report(frame, d, margin, tol_node):
@@ -494,10 +539,11 @@ def certify_symmetry(solution, nu, Lam0, *, _frame=None):
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         rings = np.concatenate([c + frac * g.domain.radius * ring
                                 for frac in (0.2, 0.4, 0.6, 0.8)])
-        vals = _bilinear(g, solution.stack, rings)
+        # the E rows only
+        vals = _bilinear(g, solution.stack[:6 * solution.m:6], rings)
         variations = []
         for i in range(solution.m):
-            E = vals[6 * i].reshape(4, -1)
+            E = vals[i].reshape(4, -1)
             variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
@@ -529,10 +575,12 @@ def boundary_checks(solution):
     tangents = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
-    inner_vals = _bilinear(g, solution.stack, inner)
+    # the E rows only, here and at the tube corners
+    E_rows = solution.stack[:6 * solution.m:6]
+    inner_vals = _bilinear(g, E_rows, inner)
     entries = []
     for i in range(solution.m):
-        innerv = inner_vals[6 * i]
+        innerv = inner_vals[i]
         keep = disk & np.isfinite(innerv)
         dn = (solution.cs[i] - innerv[keep]) / s
         entries.append({
@@ -560,13 +608,13 @@ def boundary_checks(solution):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
-        corners = _bilinear(g, solution.stack, [[x_min + s, H - s], [x_min + s, -H + s]])
+        corners = _bilinear(g, E_rows, [[x_min + s, H - s], [x_min + s, -H + s]])
         entries = []
         for i in range(solution.m):
             ci = solution.cs[i]
             # inward one-sided cross differences; boundary faces carry c
-            top = float((ci - corners[6 * i, 0]) / s ** 2)
-            bot = float((ci - corners[6 * i, 1]) / s ** 2)
+            top = float((ci - corners[i, 0]) / s ** 2)
+            bot = float((ci - corners[i, 1]) / s ** 2)
             entries.append({"component": i + 1,
                             "corner_top": top, "corner_bottom": bot,
                             "passed": bool(top > 0.0 and bot > 0.0)})
@@ -627,40 +675,54 @@ def _batches(sizes):
 def _sweep_batch(solution, nu, lams, caps, system, cap_tol, keep_frame):
     """The sweep entries of consecutive plane positions from one frame.
 
-    One linearization and one set of elliptic-inequality margins serve
-    every position whose cap has a node with valid derivatives, and each
-    entry reads its position's slice of them.  Returns the entries and,
-    with ``keep_frame``, the last position's frame.
+    One :func:`_sweep_margins` serves every position whose cap has a node
+    with valid derivatives, and each position's figures are reductions
+    over its segment of the frame's nodes, one ``reduceat`` per figure
+    for all positions.  Returns the entries and, with ``keep_frame``, the
+    last position's frame.
     """
     frame, bounds = _frames(solution, nu, lams, caps)
-    positions = [_position(frame, bounds, k) for k in range(len(lams))]
-    audited = [bool(f.deriv_ok.any()) for f in positions]
-    if any(audited):
+    n_nodes = np.diff(bounds)
+    # reduceat reads an empty segment as the element at its start, so only
+    # the positions with nodes take part: their starts increase strictly
+    full = n_nodes > 0
+    u_max, audited = np.zeros(len(lams)), np.zeros(len(lams), dtype=bool)
+    u_max[full] = np.maximum.reduceat(np.max(frame.U, axis=0), bounds[:-1][full])
+    audited[full] = np.logical_or.reduceat(frame.deriv_ok, bounds[:-1][full])
+    if audited.any():
         # the sources are evaluated on the audited caps only, as one position
         # at a time evaluates them
-        sub = frame if all(audited) else _nodes(frame, np.concatenate(
-            [np.arange(bounds[k], bounds[k + 1]) for k, a in enumerate(audited) if a]))
-        lin = linearize(sub, system)
-        margin, tol_node = _ei_margins(lin, sub)
-    entries, start = [], 0
-    for f, audit in zip(positions, audited):
-        entry = {"lambda": f.lam, "n_nodes": len(f.node_idx), "n_exited": f.n_exited}
-        if f.empty:
+        sub = frame if audited.all() else _nodes(frame, np.repeat(audited, n_nodes))
+        margin, tol_node, nonpd = _sweep_margins(sub, system)
+        starts = (np.cumsum(n_nodes * audited) - n_nodes)[audited]
+        ok = sub.deriv_ok & sub.op_ok
+        violations, worst = np.zeros(len(lams), dtype=int), np.zeros(len(lams))
+        flagged = np.zeros((frame.m, len(lams)), dtype=int)
+        violations[audited] = np.add.reduceat(ok & (margin < -tol_node), starts,
+                                              axis=1).sum(axis=0)
+        # as _ei_report finds it: per component the least margin of the
+        # nodes audited, NaN if one is NaN; across components a NaN is passed
+        # over, and a position with no finite least margin reports 0
+        least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
+        worst[audited] = np.fmin.reduce(least, axis=0, initial=np.inf)
+        worst[~np.isfinite(worst)] = 0.0
+        flagged[:, audited] = np.add.reduceat(nonpd, starts, axis=1)
+    entries = []
+    for k, lam in enumerate(lams):
+        entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]),
+                 "n_exited": frame.n_exited[k]}
+        if not full[k]:
             entry["U_max"] = None
             entry["cap_nonpositive"] = True
         else:
-            u_max = float(np.max(f.U))
-            entry["U_max"] = u_max
-            entry["cap_nonpositive"] = u_max <= cap_tol
-            if audit:
-                r = slice(start, start + len(f.node_idx))
-                start = r.stop
-                ei = _ei_report(f, lin.d[..., r], margin[:, r], tol_node[:, r])
-                entry["ei_violations"] = ei["total_violations"]
-                entry["ei_worst_margin"] = ei["worst_margin"]
-                entry["flagged_nonpd"] = [int(n) for n in lin.nonpd[:, r].sum(axis=1)]
+            entry["U_max"] = float(u_max[k])
+            entry["cap_nonpositive"] = entry["U_max"] <= cap_tol
+            if audited[k]:
+                entry["ei_violations"] = int(violations[k])
+                entry["ei_worst_margin"] = float(worst[k])
+                entry["flagged_nonpd"] = [int(n) for n in flagged[:, k]]
         entries.append(entry)
-    return entries, positions[-1] if keep_frame else None
+    return entries, _position(frame, bounds, len(lams) - 1) if keep_frame else None
 
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
@@ -674,9 +736,9 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     :attr:`GridSolution.stack`, built on its first use.
 
     Consecutive positions run in batches of at most as many cap nodes as
-    the Lam0 cap, one frame and one linearization per batch, on a thread
-    pool with one worker per available core; so at most that many
-    Lam0-sized frames are in memory at once.  The report does not depend
+    the Lam0 cap, one frame and one audit per batch (see
+    :func:`_sweep_batch`), on a thread pool with one worker per available
+    core; so at most that many Lam0-sized frames are in memory at once.  The report does not depend
     on the batches or on the number of workers: every per-node operation
     is the one a single position gets.  An error in a batch reaches the
     caller as it was raised, the first in position order, and each batch

@@ -354,6 +354,24 @@ def _gradient_system():
                      lipschitz_z=(0.0, 0.0), lipschitz_p=(0.5, 0.5))
 
 
+def _lipschitz_system():
+    """A pair that declares a nonzero own-component constant for component 1
+    and a nonzero gradient constant for component 2 only, so the sweep keeps
+    the c U term of one component and the B . grad U term of the other."""
+    comps = tuple(parse(f) for f in ("(0 - z2) + 0.2 * z1 + 1", "(0 - z1) + 0.1 * p2 + 1"))
+    splits = ((parse("0.2 * z1"), parse("(0 - z2) + 1")),
+              (parse("0.1 * p2"), parse("(0 - z1) + 1")))
+    return RhsSystem(components=comps, n=2, splits=splits,
+                     lipschitz_z=(0.2, 0.0), lipschitz_p=(0.0, 0.1))
+
+
+def _positions(planes, n):
+    """The n plane positions of a sweep, the last exactly Lam0."""
+    lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
+    lams[-1] = planes.Lam0
+    return lams
+
+
 def _one_position_entry(sol, nu, lam, system, cap_tol):
     """A sweep entry from the one-position frame, linearization and audit."""
     frame = build_frame(sol, nu, lam)
@@ -376,16 +394,18 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
     """Every entry of a 16-position sweep, whose positions run in batches on
     worker threads, equals the one from a frame, linearization and audit of
     that position alone, to the bit; so does the whole report with one
-    worker.  Frames of a swept solution, whose stack the sweep built, equal
-    those of a fresh solution of the same fields."""
+    worker.  The sweep leaves out the B . grad U and c U terms whose
+    declared constants are 0, and the systems here declare both, one or
+    neither of them nonzero.  Frames of a swept solution, whose stack the
+    sweep built, equal those of a fresh solution of the same fields."""
     n = 16
     for domain, sol in ((DISK, coupled16), (ELLIPSE, ellipse16)):
         planes = critical_planes(domain, nu)
-        lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
-        lams[-1] = planes.Lam0
+        lams = _positions(planes, n)
         cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
         reports = {}
-        for system in (power_coupled_system(1.0, 1.0), _gradient_system()):
+        for system in (power_coupled_system(1.0, 1.0), _gradient_system(),
+                       _lipschitz_system()):
             rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
@@ -403,6 +423,28 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
             assert shared.n_exited == frame.n_exited
             for name in FRAME_ARRAYS:
                 np.testing.assert_array_equal(getattr(shared, name), getattr(frame, name))
+
+
+@pytest.mark.parametrize("domain", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain):
+    """At 64 positions the first caps have no node, or nodes but none with
+    valid derivatives to audit.  The sweep reduces each position's segment of
+    the batch's nodes, and reduceat reads an empty segment as the element at
+    its start: every entry still equals the one of that position alone."""
+    sol = coupled16 if domain is DISK else ellipse16
+    system = power_coupled_system(1.0, 1.0)
+    cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
+    s = 1.0 / np.sqrt(2.0)
+    kinds = set()
+    for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.4), np.sin(0.4))]:
+        planes = critical_planes(domain, nu)
+        rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
+        assert [json.dumps(e) for e in rep.entries] == [
+            json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
+            for lam in _positions(planes, 64)]
+        kinds.update("empty" if not e["n_nodes"] else
+                     "audited" if "ei_violations" in e else "unaudited" for e in rep.entries)
+    assert kinds == {"empty", "unaudited", "audited"}
 
 
 def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
@@ -469,14 +511,14 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     assert "log of a non-positive argument" in str(swept.value)
 
     seen = []
-    original = movingplane.linearize
+    original = movingplane._sweep_margins
 
     def recorded(frame, system):
         seen.append((np.geterr(), threading.current_thread() is threading.main_thread(),
                      len(frame.node_idx)))
         return original(frame, system)
 
-    monkeypatch.setattr(movingplane, "linearize", recorded)
+    monkeypatch.setattr(movingplane, "_sweep_margins", recorded)
     with np.errstate(over="raise", under="warn"):
         expected = np.geterr()
         rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=64,
