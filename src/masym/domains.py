@@ -92,7 +92,13 @@ def reflect_point(x, nu, lam):
     """
     x = np.asarray(x, dtype=float)
     nu = _as_unit(nu, x.shape[-1])
-    return x + 2.0 * (lam - x @ nu)[..., None] * nu
+    step = 2.0 * (lam - x @ nu)
+    # a coordinate at a time: a product broadcast along the short last axis
+    # runs numpy's inner loop once per point
+    out = np.empty(step.shape + nu.shape)
+    for k in range(len(nu)):
+        np.add(x[..., k], step * nu[k], out=out[..., k])
+    return out
 
 
 def _slab_exit(o, d, lo, hi):
@@ -237,9 +243,10 @@ class Ball(_Quadric):
         return np.full(len(self.center), self.radius)
 
     def level(self, x):
-        # a sum over the coordinates: a reduction along a short last axis is slow
-        d = np.asarray(x, dtype=float) - np.asarray(self.center)
-        return np.sqrt(sum(d[..., k] ** 2 for k in range(d.shape[-1]))) - self.radius
+        # a sum over the coordinates: a reduction or a broadcast along a short
+        # last axis is slow
+        x = np.asarray(x, dtype=float)
+        return np.sqrt(sum((x[..., k] - c) ** 2 for k, c in enumerate(self.center))) - self.radius
 
 
 @dataclass(frozen=True)
@@ -257,9 +264,10 @@ class Ellipse(_Quadric):
         return np.asarray(self.semi_axes)
 
     def level(self, x):
+        # a sum over the coordinates, as on a ball
         x = np.asarray(x, dtype=float)
-        t = (x - np.asarray(self.center)) / np.asarray(self.semi_axes)
-        return np.sum(t * t, axis=-1) - 1.0
+        return sum(((x[..., k] - c) / a) ** 2
+                   for k, (c, a) in enumerate(zip(self.center, self.semi_axes))) - 1.0
 
 
 @dataclass(frozen=True)

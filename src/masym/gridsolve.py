@@ -562,13 +562,15 @@ class GridSolution:
         """(7m + 1, nx*ny) table of every field a moving-plane frame or
         certificate reads.
 
-        Rows 6i..6i+5 hold component i's E, ux, uy, uxx, uyy, uxy (the
-        order of :meth:`_derivative_fields`), row 6m the validity mask
-        as 0/1 and the last m rows the discrete operator of the
+        Rows 4i..4i+3 hold component i's E, uxx, uyy, uxy, row 4m the
+        validity mask as 0/1, rows 4m+1..5m the discrete operator of the
         unreflected fields, NaN off the interior nodes so that an
-        interpolant touching an exterior node is NaN.  A node is valid
-        when its full 3x3 neighborhood lies inside the domain, so that no
-        extrapolated ghost value enters a derivative there.  One field per
+        interpolant touching an exterior node is NaN, and rows 5m+1+2i,
+        5m+2+2i component i's ux, uy.  The sweep's audit reads the 5m + 1
+        rows before the gradients, and the gradients only when the system
+        reads them.  A node is valid when its full 3x3 neighborhood lies
+        inside the domain, so that no extrapolated ghost value enters a
+        derivative there.  One field per
         row keeps each gathered field contiguous; the moving-plane
         bilinear kernel reads it between nodes and a column gather at
         :attr:`node_rows` at them.  Every reader shares the table, so
@@ -583,16 +585,19 @@ class GridSolution:
         valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
                              & ins[1:-1, 2:] & ins[1:-1, :-2]
                              & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
-        stack[6 * m] = valid.reshape(-1)
+        stack[4 * m] = valid.reshape(-1)
         # the fields divide by h^2 and the operator multiplies two of them, so
         # a solution that a float64 holds may still overflow here
         try:
             with np.errstate(over="raise"):
                 for i in range(m):
-                    for k, f in enumerate(self._derivative_fields(i)):
-                        stack[6 * i + k] = f.reshape(-1)
-                stack[6 * m + 1:, self.node_rows] = [_ma_and_active(g, u, c)[0]
-                                                     for u, c in zip(self.fields, self.cs)]
+                    # E, ux, uy, uxx, uyy, uxy
+                    rows = (4 * i, 5 * m + 1 + 2 * i, 5 * m + 2 + 2 * i,
+                            4 * i + 1, 4 * i + 2, 4 * i + 3)
+                    for row, f in zip(rows, self._derivative_fields(i)):
+                        stack[row] = f.reshape(-1)
+                stack[4 * m + 1:5 * m + 1, self.node_rows] = [
+                    _ma_and_active(g, u, c)[0] for u, c in zip(self.fields, self.cs)]
         except FloatingPointError:
             raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "
                                    f"at amplitude {max(self.amplitude):.3e}", self.history) from None

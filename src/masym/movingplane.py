@@ -19,19 +19,23 @@ cross-derivatives and an audit of the elliptic inequality satisfied by U.
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points with a single gather
-of the cell corners.  The 2x2 Hessian algebra of a frame (the reflection
-Q H Q, the mean-value matrix and its positivity flag) runs in closed
-form on per-entry arrays.
+of the cell corners.  The 2x2 Hessian algebra (the reflection Q H Q,
+determinants and positivity flags) runs in closed form on per-entry
+arrays.
 
 A sweep groups its consecutive plane positions into batches of at most
-as many cap nodes as the last, largest cap, at Lam0, and builds one
-frame and one audit per batch; the batches run on a thread pool with
-one worker per available core.  The audit forms no mean-value matrices,
-which no sweep entry reads, and each position's figures (cap bound,
-violations, least margin, flag counts) are reductions over its segment
-of the batch's nodes, one ``reduceat`` call per figure for every position
-at once.  Every per-node operation is the one a single position gets, so
-the reports do not depend on the batches or on the number of workers.
+as many cap nodes as the last, largest cap, at Lam0, and audits each
+batch straight from the stack rows it reads, building no frame: the
+values, Hessians, mask and operator rows, and the gradient rows only
+when the system reads p or declares a gradient Lipschitz constant.  The
+audit forms no mean-value matrices, which no sweep entry reads, and
+each position's figures (cap bound, violations, least margin, flag
+counts) are reductions over its segment of the batch's nodes, one
+``reduceat`` call per figure for every position at once.  The batches,
+and the certificates that do not depend on them, run on a thread pool
+with one worker per available core.  Every per-node operation is the one
+a single position gets, so the reports do not depend on the batches or
+on the number of workers.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,15 +67,24 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # matrix algebra helpers
+#
+# A stack of 2x2 matrices is handled through its entries: ``M[r][c]`` is the
+# array of entry (r, c) over the stack.
+
+def _entries(M):
+    """The entries of a (..., 2, 2) stack, as views."""
+    return np.moveaxis(M, (-2, -1), (0, 1))
+
 
 def _det2(M):
-    """Determinants of a stack of 2x2 matrices in closed form."""
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    """Determinants of a stack of 2x2 matrices, given by its entries."""
+    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
-def _pd(M):
-    """Where each 2x2 matrix of a stack is positive definite: det > 0 and trace > 0."""
-    return (_det2(M) > 0) & (M[..., 0, 0] + M[..., 1, 1] > 0)
+def _pd(M, det):
+    """Where each matrix of an entry stack with determinants ``det`` is
+    positive definite: det > 0 and trace > 0."""
+    return (det > 0) & (M[0][0] + M[1][1] > 0)
 
 
 def _mat2(a00, a01, a10, a11):
@@ -82,19 +95,20 @@ def _mat2(a00, a01, a10, a11):
     return out
 
 
-def _reflect_hessian(Q, H, out):
-    """Q H Q into ``out``, as (Q H) Q, entry by entry: ``H[r][c]`` and
-    ``out[:, r, c]`` are the (m, K) arrays of entry (r, c)."""
+def _reflect_hessian(Q, H):
+    """The entries of Q H Q, as (Q H) Q, from the entries of H."""
     # P[r][c] = Q[r, 0] H[0][c] + Q[r, 1] H[1][c]
     P = [[Q[r, 0] * H[0][c] + Q[r, 1] * H[1][c] for c in (0, 1)] for r in (0, 1)]
-    # out[r, c] = P[r][0] Q[0, c] + P[r][1] Q[1, c]
-    for r in (0, 1):
-        for c in (0, 1):
-            np.add(P[r][0] * Q[0, c], P[r][1] * Q[1, c], out=out[:, r, c])
+    # out[r][c] = P[r][0] Q[0, c] + P[r][1] Q[1, c]
+    return [[P[r][0] * Q[0, c] + P[r][1] * Q[1, c] for c in (0, 1)] for r in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
-# interpolation
+# interpolation and the stack's rows
+#
+# GridSolution.stack holds, for m components, rows 4i..4i+3 = E, uxx, uyy,
+# uxy of component i, row 4m the validity mask, rows 4m+1..5m the operator
+# and rows 5m+1+2i, 5m+2+2i = ux, uy of component i.
 
 def _bilinear(grid, stack, pts):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
@@ -126,8 +140,52 @@ def _bilinear(grid, stack, pts):
     out += v[:, 1]
     out += v[:, 2]
     out += v[:, 3]
-    out[:, ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))] = np.nan
+    off = ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))
+    if off.any():
+        out[:, off] = np.nan
     return out
+
+
+def _hessians(rows, m):
+    """The entries of the Hessians in the (rows, K) values of the stack's rows."""
+    # entries (0, 0), (0, 1), (1, 0), (1, 1) are the rows uxx, uxy, uxy, uyy
+    uxx, uyy, uxy = rows[1:4 * m:4], rows[2:4 * m:4], rows[3:4 * m:4]
+    return [[uxx, uxy], [uxy, uyy]]
+
+
+def _gradients(rows, m):
+    """(m, K, 2) gradients in the (7m + 1, K) values of the stack's rows."""
+    return np.stack([rows[5 * m + 1::2], rows[5 * m + 2::2]], axis=-1)
+
+
+def _kept_reflections(grid, nu, lam, cap):
+    """The cap nodes whose reflection stays in the domain and on the grid box,
+    their reflections, and the number of cap nodes whose reflection leaves
+    the domain."""
+    refl = reflect_point(np.take(grid.node_xy, cap, axis=0), nu, lam)
+    # a reflection inside the domain lies in the padded box unless a level
+    # set declares a box shorter than {phi < 0}; off the grid box the
+    # interpolant is NaN, so those points are dropped before the gather
+    inside = grid.domain.contains(refl)
+    n_exited = len(cap) - int(np.count_nonzero(inside))
+    x, y = refl[:, 0], refl[:, 1]
+    inside &= (grid.xs[0] <= x) & (x <= grid.xs[-1]) & (grid.ys[0] <= y) & (y <= grid.ys[-1])
+    if inside.all():
+        return cap, refl, n_exited
+    return np.compress(inside, cap), np.compress(inside, refl, axis=0), n_exited
+
+
+def _read(solution, rows, idx, refl):
+    """The stack ``rows`` at the nodes ``idx`` and interpolated at ``refl``."""
+    at_node = np.take(rows, np.take(solution.node_rows, idx), axis=1)
+    return at_node, _bilinear(solution.grid, rows, refl)
+
+
+def _caps(grid, nu, lams):
+    """Each plane position's cap: the nodes with x . nu < lam + 1e-9 h, so
+    nodes on the plane are kept."""
+    s = grid.node_xy @ nu
+    return [np.nonzero(s < lam + grid.h * 1e-9)[0] for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +198,7 @@ class MovingPlaneFrame:
     Arrays are indexed by the kept cap nodes; ``deriv_ok`` marks the
     subset where both the node's own derivative stencil and the
     reflected interpolation cell stay clear of the boundary, which is
-    where gradients and Hessians are trustworthy.  A sweep's frame of
-    several plane positions concatenates their caps' nodes in position
-    order and holds one ``lam`` and ``n_exited`` per position.
+    where gradients and Hessians are trustworthy.
     """
 
     nu: np.ndarray
@@ -175,95 +231,6 @@ class MovingPlaneFrame:
         return len(self.node_idx) == 0
 
 
-_NODE_AXIS_0 = ("node_idx", "xy", "reflected_xy", "deriv_ok", "op_ok")
-_NODE_AXIS_1 = ("u", "u_lam", "U", "grad_u", "grad_u_lam", "grad_U", "hess_u", "hess_u_lam",
-                "hess_U", "det_op", "det_op_lam")
-
-
-def _nodes(frame, sel, **changes):
-    """``frame`` cut to the nodes ``sel`` selects, a slice giving views."""
-    changes.update({name: getattr(frame, name)[sel] for name in _NODE_AXIS_0})
-    changes.update({name: getattr(frame, name)[:, sel] for name in _NODE_AXIS_1})
-    return replace(frame, **changes)
-
-
-def _caps(grid, nu, lams):
-    """Each plane position's cap: the nodes with x . nu < lam + 1e-9 h, so
-    nodes on the plane are kept."""
-    s = grid.node_xy @ nu
-    return [np.nonzero(s < lam + grid.h * 1e-9)[0] for lam in lams]
-
-
-def _frames(solution, nu, lams, caps):
-    """One frame of the ``caps`` of the plane positions ``lams``.
-
-    Its arrays hold the caps' kept nodes concatenated in position order,
-    its ``lam`` and ``n_exited`` one value per position; also returns the
-    (P + 1,) node bounds, position k holding nodes bounds[k]:bounds[k + 1].
-    See :func:`build_frame`, the frame of one position.
-    """
-    g = solution.grid
-    idxs, refls, n_exited = [], [], []
-    for lam, idx in zip(lams, caps):
-        refl = reflect_point(g.node_xy[idx], nu, lam)
-        # a reflection inside the domain lies in the padded box unless a level
-        # set declares a box shorter than {phi < 0}; off the grid box the
-        # interpolant is NaN, so those points are dropped before the gather
-        inside = g.domain.contains(refl)
-        n_exited.append(int(np.count_nonzero(~inside)))
-        x, y = refl[:, 0], refl[:, 1]
-        inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
-        idxs.append(idx[inside])
-        refls.append(refl[inside])
-    bounds = np.cumsum([0] + [len(idx) for idx in idxs])
-    idx, refl = np.concatenate(idxs), np.concatenate(refls)
-    m, K = solution.m, len(idx)
-    at_refl = _bilinear(g, solution.stack, refl)
-    at_node = np.take(solution.stack, solution.node_rows[idx], axis=1)
-    # derivatives need the whole reflected cell and the node's own stencil valid
-    deriv_ok = (at_node[6 * m] == 1.0) & (at_refl[6 * m] > 1.0 - 1e-12)
-
-    # (m, 6, K): E, ux, uy, uxx, uyy, uxy of every component
-    f_node = at_node[:6 * m].reshape(m, 6, K)
-    f_refl = at_refl[:6 * m].reshape(m, 6, K)
-    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    u, u_lam = f_node[:, 0], f_refl[:, 0]
-    grad_u = np.stack([f_node[:, 1], f_node[:, 2]], axis=-1)
-    grad_refl = np.stack([f_refl[:, 1], f_refl[:, 2]], axis=-1)
-    # BLAS may round a row by the length of the array it sits in (a one-row
-    # product does), so each position's gradients get a product of their own,
-    # as in a frame of that position alone
-    grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
-                                 for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
-    hess = np.empty((3, m, 2, 2, K))
-    # entries (0, 0), (0, 1), (1, 0), (1, 1) are the rows uxx, uxy, uxy, uyy
-    hess[0, :, 0, 0], hess[0, :, 1, 1] = f_node[:, 3], f_node[:, 4]
-    hess[0, :, 0, 1] = hess[0, :, 1, 0] = f_node[:, 5]
-    _reflect_hessian(Q, [[f_refl[:, 3], f_refl[:, 5]], [f_refl[:, 5], f_refl[:, 4]]], hess[1])
-    np.subtract(hess[1], hess[0], out=hess[2])
-    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
-
-    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
-    det_op = at_node[6 * m + 1:]
-    det_op_lam = at_refl[6 * m + 1:]
-    op_ok = np.all(np.isfinite(det_op_lam), axis=0)
-
-    return MovingPlaneFrame(
-        nu=nu, lam=lams, grid=g, node_idx=idx, xy=g.node_xy[idx], reflected_xy=refl,
-        deriv_ok=deriv_ok, n_exited=n_exited,
-        u=u, u_lam=u_lam, U=u_lam - u,
-        grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
-        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
-        det_op=det_op, det_op_lam=det_op_lam, op_ok=op_ok,
-    ), bounds
-
-
-def _position(frame, bounds, k):
-    """Position k's frame out of a frame of several positions, as views."""
-    return _nodes(frame, slice(bounds[k], bounds[k + 1]), lam=float(frame.lam[k]),
-                  n_exited=frame.n_exited[k])
-
-
 def build_frame(solution, nu, lam):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
@@ -283,12 +250,38 @@ def build_frame(solution, nu, lam):
     The three Hessian stacks are (m, K, 2, 2) views of one entry-major
     (3, m, 2, 2, K) array, so each entry of every node is one contiguous
     row for :func:`linearize` and :func:`verify_elliptic_inequality`.
-    :func:`lambda_sweep` builds the frames of several positions at once
-    with the same code, and this is the frame of one.
+    :func:`lambda_sweep` computes its entries from the same per-node
+    operations without building frames.
     """
     nu = _as_unit(nu, 2)
-    lams = [float(lam)]
-    return _position(*_frames(solution, nu, lams, _caps(solution.grid, nu, lams)), 0)
+    lam = float(lam)
+    g, m = solution.grid, solution.m
+    idx, refl, n_exited = _kept_reflections(g, nu, lam, _caps(g, nu, [lam])[0])
+    at_node, at_refl = _read(solution, solution.stack, idx, refl)
+    deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
+    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
+    u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
+    grad_u = _gradients(at_node, m)
+    grad_u_lam = _gradients(at_refl, m) @ Q.T
+    hess = np.empty((3, m, 2, 2, len(idx)))
+    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
+    for r in (0, 1):
+        for c in (0, 1):
+            hess[0, :, r, c], hess[1, :, r, c] = H[r][c], H_lam[r][c]
+    np.subtract(hess[1], hess[0], out=hess[2])
+    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
+
+    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
+    det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
+    return MovingPlaneFrame(
+        nu=nu, lam=lam, grid=g, node_idx=idx, xy=np.take(g.node_xy, idx, axis=0),
+        reflected_xy=refl, deriv_ok=deriv_ok, n_exited=n_exited,
+        u=u, u_lam=u_lam, U=u_lam - u,
+        grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
+        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
+        det_op=det_op, det_op_lam=det_op_lam,
+        op_ok=np.all(np.isfinite(det_op_lam), axis=0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +323,11 @@ def linearize(frame, system):
     M = 0.5 * (Ha + Hb)
     A = _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
     hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
-    return LinearizationFields(A=A, B=_gradient_coefficient(frame, hp), c=c,
-                               d=_quotients(frame, system), nonpd=_nonpd(frame))
+    H, H_lam = _entries(Hb), _entries(Ha)
+    d = _quotients(system, frame.xy, frame.u, frame.u_lam, frame.U, frame.grad_u_lam)
+    return LinearizationFields(
+        A=A, B=_gradient_coefficient(frame.grad_U, hp), c=c, d=d,
+        nonpd=_nonpd(H, H_lam, _det2(H), _det2(H_lam), frame.deriv_ok))
 
 
 def _constants(values):
@@ -339,34 +335,36 @@ def _constants(values):
     return np.array([0.0 if v is None else float(v) for v in values])
 
 
-def _nonpd(frame):
-    """(m, K) deriv_ok nodes where H_lam or H is not positive definite."""
-    return ~(_pd(frame.hess_u_lam) & _pd(frame.hess_u)) & frame.deriv_ok
+def _nonpd(H, H_lam, det_H, det_H_lam, deriv_ok):
+    """(m, K) deriv_ok nodes where H_lam or H, given by their entries and
+    determinants, is not positive definite."""
+    return ~(_pd(H_lam, det_H_lam) & _pd(H, det_H)) & deriv_ok
 
 
-def _gradient_coefficient(frame, hp):
+def _gradient_coefficient(grad_U, hp):
     """(m, K, 2) B: grad U scaled to length ``hp``, zero where grad U vanishes."""
     # |grad U| in the operations of np.linalg.norm along the last axis
-    sq = frame.grad_U * frame.grad_U
+    sq = grad_U * grad_U
     norm = np.sqrt(sq[..., 0] + sq[..., 1])
-    B = np.zeros(frame.grad_U.shape)
-    np.divide(hp[:, None, None] * frame.grad_U, norm[..., None], out=B,
-              where=norm[..., None] > 0)
+    B = np.zeros(grad_U.shape)
+    np.divide(hp[:, None, None] * grad_U, norm[..., None], out=B, where=norm[..., None] > 0)
     return B
 
 
-def _quotients(frame, system):
-    """(m, m, K) coupling quotients d_ij, one source evaluation per (i, j)."""
-    m = frame.m
+def _quotients(system, xy, u, u_lam, U, grad_u_lam):
+    """(m, m, K) coupling quotients d_ij, one source evaluation per (i, j).
+
+    ``grad_u_lam`` is the sources' p, None when no source reads it."""
+    m = len(u)
     # along unknown j, components before j see the reflected values, j and
     # later the originals
-    zs = [np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)], axis=-1)
+    zs = [np.stack([u_lam[k] if k < j else u[k] for k in range(m)], axis=-1)
           for j in range(m)]
-    d = np.zeros((m, m, len(frame.node_idx)))
+    d = np.zeros((m, m, len(xy)))
     for i in range(m):
+        p = None if grad_u_lam is None else grad_u_lam[i]
         for j in range(m):
-            d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, zs[j], frame.grad_u_lam[i],
-                               frame.U[j])
+            d[i, j] = rhs_d_ij(system, i + 1, j + 1, xy, zs[j], p, U[j])
     return d
 
 
@@ -387,42 +385,25 @@ def verify_elliptic_inequality(lin, frame):
     directional resolution bias cancels between a node and its
     reflection, unlike that of raw Hessian determinants.
     """
-    return _ei_report(frame, lin.d, *_ei_margins(frame, lin.d, lin.B, lin.c))
+    margin, tol_node = _ei_margins(
+        frame.grid.h, _det2(_entries(frame.hess_u)), _det2(_entries(frame.hess_u_lam)),
+        frame.det_op, frame.det_op_lam, frame.U, lin.d, lin.B, frame.grad_U, lin.c)
+    return _ei_report(frame, lin.d, margin, tol_node)
 
 
-def _ei_margins(frame, d, B, c):
+def _ei_margins(h, det_H, det_H_lam, det_op, det_op_lam, U, d, B, grad_U, c):
     """(m, K) margins tr(A dD2U) + B . dU + c U - sum_j d_ij U_j and their
     tolerances 10 h^2 max(|det H|, |det H_lam|), node by node.  A component
     whose ``B[i]`` or ``c[i]`` is None leaves that term out."""
-    scale = np.maximum(np.abs(_det2(frame.hess_u)), np.abs(_det2(frame.hess_u_lam)))
-    tol_node = (10.0 * frame.grid.h ** 2) * scale
-    margin = frame.det_op_lam - frame.det_op
-    for i in range(frame.m):
+    tol_node = (10.0 * h ** 2) * np.maximum(np.abs(det_H), np.abs(det_H_lam))
+    margin = det_op_lam - det_op
+    for i in range(len(U)):
         if B[i] is not None:
-            margin[i] += np.einsum("ka,ka->k", B[i], frame.grad_U[i])
+            margin[i] += np.einsum("ka,ka->k", B[i], grad_U[i])
         if c[i] is not None:
-            margin[i] += c[i] * frame.U[i]
-        margin[i] -= np.einsum("jk,jk->k", d[i], frame.U)
+            margin[i] += c[i] * U[i]
+        margin[i] -= np.einsum("jk,jk->k", d[i], U)
     return margin, tol_node
-
-
-def _sweep_margins(frame, system):
-    """The sweep's audit of ``frame``: :func:`_ei_margins` and the flags of
-    :func:`linearize`, less what the sweep's report never reads.
-
-    It forms no mean-value matrix A, and it leaves out the B . grad U and
-    c U terms of a component whose declared constant is 0.  With finite
-    grad U and U such a term is a signed zero, and adding it leaves the
-    margin as it was, since the margin is not -0.0 there: det_op_lam is a
-    bilinear sum started at +0.0, so det_op_lam - det_op is not -0.0, and
-    neither is its sum with a term.
-    """
-    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
-    B = _gradient_coefficient(frame, hp) if hp.any() else None
-    margin, tol_node = _ei_margins(frame, _quotients(frame, system),
-                                   [B[i] if hp[i] else None for i in range(frame.m)],
-                                   [c[i] if c[i] else None for i in range(frame.m)])
-    return margin, tol_node, _nonpd(frame)
 
 
 def _ei_report(frame, d, margin, tol_node):
@@ -479,9 +460,9 @@ def certify_monotonicity(solution, nu, planes):
     m = solution.m
     # gather only the rows read: the validity mask, ux and uy
     stack, cols = solution.stack, solution.node_rows
-    ok = (np.take(stack[6 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
+    ok = (np.take(stack[4 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
     for i in range(m):
-        ux, uy = np.take(stack[6 * i + 1], cols), np.take(stack[6 * i + 2], cols)
+        ux, uy = np.take(stack[5 * m + 1 + 2 * i], cols), np.take(stack[5 * m + 2 + 2 * i], cols)
         dnu = ux * nu[0] + uy * nu[1]
         viol = ok & (dnu >= -(10.0 * h ** 2) * np.hypot(ux, uy))
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
@@ -510,41 +491,59 @@ def _domain_symmetric(domain, nu, lam):
     return bool(np.all(np.abs(domain.ray_exit(c, q - c) - 1.0) < 1e-7))
 
 
-def certify_symmetry(solution, nu, Lam0, *, _frame=None):
+def certify_symmetry(solution, nu, Lam0):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
     about the plane.  The residual floor is the bilinear interpolation
     error, order h^2, and is stated in the report; the tolerance is
     20 h^2 times the largest |u_i - c_i|.  On a disk the variation
-    over 720 angles on four rings counts as residual too.  ``_frame`` is
-    the frame at Lam0 when the caller has already built it.
+    over 720 angles on four rings counts as residual too.
     """
-    g = solution.grid
     nu = _as_unit(nu, 2)
+    report, variations = _symmetry_samples(solution, nu, Lam0)
+    if not report["applicable"]:
+        return report
+    frame = build_frame(solution, nu, Lam0)
+    resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
+    return _symmetry_verdict(solution, report, variations, resid)
+
+
+def _symmetry_samples(solution, nu, Lam0):
+    """The part of :func:`certify_symmetry` that reads no cap: its report up to
+    the mirror residual, not applicable when the domain is not symmetric
+    about the plane, and on a disk the angular variation of each component
+    (None elsewhere)."""
+    g = solution.grid
     h = g.h
     report = {"applicable": True, "Lam0": float(Lam0), "h": h,
               "floor": 2.0 * h ** 2}
     if not _domain_symmetric(g.domain, nu, Lam0):
         report["applicable"] = False
         report["verdict"] = "not-applicable"
-        return report
-    frame = _frame if _frame is not None else build_frame(solution, nu, Lam0)
-    resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
+        return report, None
+    if not isinstance(g.domain, Ball):
+        return report, None
+    c = np.asarray(g.domain.center)
+    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    rings = np.concatenate([c + frac * g.domain.radius * ring
+                            for frac in (0.2, 0.4, 0.6, 0.8)])
+    # the E rows only
+    vals = _bilinear(g, solution.stack[:4 * solution.m:4], rings)
+    variations = []
+    for i in range(solution.m):
+        E = vals[i].reshape(4, -1)
+        variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
+    return report, variations
+
+
+def _symmetry_verdict(solution, report, variations, resid):
+    """An applicable report of :func:`_symmetry_samples` completed with the
+    mirror residual ``resid``, the largest |U| on the Lam0 cap."""
     report["mirror_residual"] = resid
-    report["tolerance"] = (20.0 * h ** 2) * max(solution.amplitude)
-    if isinstance(g.domain, Ball):
-        c = np.asarray(g.domain.center)
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        rings = np.concatenate([c + frac * g.domain.radius * ring
-                                for frac in (0.2, 0.4, 0.6, 0.8)])
-        # the E rows only
-        vals = _bilinear(g, solution.stack[:6 * solution.m:6], rings)
-        variations = []
-        for i in range(solution.m):
-            E = vals[i].reshape(4, -1)
-            variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
+    report["tolerance"] = (20.0 * solution.grid.h ** 2) * max(solution.amplitude)
+    if variations is not None:
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
     report["passed"] = resid <= report["tolerance"]
@@ -576,7 +575,7 @@ def boundary_checks(solution):
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
     # the E rows only, here and at the tube corners
-    E_rows = solution.stack[:6 * solution.m:6]
+    E_rows = solution.stack[:4 * solution.m:4]
     inner_vals = _bilinear(g, E_rows, inner)
     entries = []
     for i in range(solution.m):
@@ -597,9 +596,9 @@ def boundary_checks(solution):
     m = solution.m
     # gather only the rows read: the validity mask, uxx and uyy
     stack, cols = solution.stack, solution.node_rows
-    ok = np.take(stack[6 * m], cols) == 1.0
+    ok = np.take(stack[4 * m], cols) == 1.0
     for i in range(m):
-        lap = (np.take(stack[6 * i + 3], cols) + np.take(stack[6 * i + 4], cols))[ok]
+        lap = np.compress(ok, np.take(stack[4 * i + 1], cols) + np.take(stack[4 * i + 2], cols))
         lap_entries.append({"component": i + 1,
                             "min_laplacian": float(np.min(lap)) if ok.any() else None,
                             "passed": bool(ok.any() and np.min(lap) > 0.0)})
@@ -672,45 +671,60 @@ def _batches(sizes):
     return out
 
 
-def _sweep_batch(solution, nu, lams, caps, system, cap_tol, keep_frame):
-    """The sweep entries of consecutive plane positions from one frame.
+def _reads_gradients(system):
+    """Whether a sweep of ``system`` reads the gradient rows: a source or a
+    split part reads p, or a gradient Lipschitz constant is nonzero."""
+    parts = [e for split in system.splits if split is not None for e in split]
+    return (any(e.depends_on("p") for e in (*system.components, *parts))
+            or bool(_constants(system.lipschitz_p).any()))
 
-    One :func:`_sweep_margins` serves every position whose cap has a node
-    with valid derivatives, and each position's figures are reductions
-    over its segment of the frame's nodes, one ``reduceat`` per figure
-    for all positions.  Returns the entries and, with ``keep_frame``, the
-    last position's frame.
+
+def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
+    """The sweep entries of consecutive plane positions, and the largest |U|
+    on the last position's cap (0 for an empty cap).
+
+    One gather reads the stack's rows at the batch's nodes and one
+    :func:`_bilinear` call at their reflections: the 5m + 1 rows of the
+    values, Hessians, mask and operator, and with ``grads`` the gradient
+    rows too.  One :func:`_sweep_audit` serves every position whose cap
+    has a node with valid derivatives, and each position's figures are
+    reductions over its segment of the batch's nodes, one ``reduceat``
+    per figure for all positions.
     """
-    frame, bounds = _frames(solution, nu, lams, caps)
-    n_nodes = np.diff(bounds)
+    g, m = solution.grid, solution.m
+    kept = [_kept_reflections(g, nu, lam, cap) for lam, cap in zip(lams, caps)]
+    n_nodes = np.array([len(idx) for idx, _, _ in kept])
+    bounds = np.zeros(len(lams) + 1, dtype=int)
+    np.cumsum(n_nodes, out=bounds[1:])
+    idx = np.concatenate([idx for idx, _, _ in kept])
+    at_node, at_refl = _read(solution, solution.stack if grads else solution.stack[:5 * m + 1],
+                             idx, np.concatenate([refl for _, refl, _ in kept]))
+    U = at_refl[:4 * m:4] - at_node[:4 * m:4]
+    deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
     # reduceat reads an empty segment as the element at its start, so only
     # the positions with nodes take part: their starts increase strictly
     full = n_nodes > 0
     u_max, audited = np.zeros(len(lams)), np.zeros(len(lams), dtype=bool)
-    u_max[full] = np.maximum.reduceat(np.max(frame.U, axis=0), bounds[:-1][full])
-    audited[full] = np.logical_or.reduceat(frame.deriv_ok, bounds[:-1][full])
+    u_max[full] = np.maximum.reduceat(np.max(U, axis=0), bounds[:-1][full])
+    audited[full] = np.logical_or.reduceat(deriv_ok, bounds[:-1][full])
+    last = np.abs(U[:, bounds[-2]:])
+    resid = float(np.max(last)) if last.size else 0.0
     if audited.any():
-        # the sources are evaluated on the audited caps only, as one position
-        # at a time evaluates them
-        sub = frame if audited.all() else _nodes(frame, np.repeat(audited, n_nodes))
-        margin, tol_node, nonpd = _sweep_margins(sub, system)
-        starts = (np.cumsum(n_nodes * audited) - n_nodes)[audited]
-        ok = sub.deriv_ok & sub.op_ok
+        if not audited.all():
+            # the sources are evaluated on the audited caps only, as one
+            # position at a time evaluates them
+            sel = np.repeat(audited, n_nodes)
+            idx, U, deriv_ok, at_node, at_refl = (np.compress(sel, a, axis=-1)
+                                                  for a in (idx, U, deriv_ok, at_node, at_refl))
+        sub = np.zeros(np.count_nonzero(audited) + 1, dtype=int)
+        np.cumsum(n_nodes[audited], out=sub[1:])
         violations, worst = np.zeros(len(lams), dtype=int), np.zeros(len(lams))
-        flagged = np.zeros((frame.m, len(lams)), dtype=int)
-        violations[audited] = np.add.reduceat(ok & (margin < -tol_node), starts,
-                                              axis=1).sum(axis=0)
-        # as _ei_report finds it: per component the least margin of the
-        # nodes audited, NaN if one is NaN; across components a NaN is passed
-        # over, and a position with no finite least margin reports 0
-        least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
-        worst[audited] = np.fmin.reduce(least, axis=0, initial=np.inf)
-        worst[~np.isfinite(worst)] = 0.0
-        flagged[:, audited] = np.add.reduceat(nonpd, starts, axis=1)
+        flagged = np.zeros((m, len(lams)), dtype=int)
+        violations[audited], worst[audited], flagged[:, audited] = _sweep_audit(
+            solution, nu, system, idx, at_node, at_refl, U, deriv_ok, sub, grads)
     entries = []
     for k, lam in enumerate(lams):
-        entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]),
-                 "n_exited": frame.n_exited[k]}
+        entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]), "n_exited": kept[k][2]}
         if not full[k]:
             entry["U_max"] = None
             entry["cap_nonpositive"] = True
@@ -722,27 +736,86 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, keep_frame):
                 entry["ei_worst_margin"] = float(worst[k])
                 entry["flagged_nonpd"] = [int(n) for n in flagged[:, k]]
         entries.append(entry)
-    return entries, _position(frame, bounds, len(lams) - 1) if keep_frame else None
+    return entries, resid
+
+
+def _sweep_audit(solution, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grads):
+    """The elliptic-inequality audit of the plane positions whose nodes are
+    bounds[k]:bounds[k + 1]: per position the violations, the least margin
+    and the (m,) counts of flagged nodes, as :func:`verify_elliptic_inequality`
+    and :func:`linearize` find them.
+
+    It forms no mean-value matrix A, and it leaves out the B . grad U and
+    c U terms of a component whose declared constant is 0.  With finite
+    grad U and U such a term is a signed zero, and adding it leaves the
+    margin as it was, since the margin is not -0.0 there: det_op_lam is a
+    bilinear sum started at +0.0, so det_op_lam - det_op is not -0.0, and
+    neither is its sum with a term.
+    """
+    g, m = solution.grid, solution.m
+    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
+    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
+    det_H, det_H_lam = _det2(H), _det2(H_lam)
+    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
+    grad_u_lam = grad_U = B = None
+    if grads:
+        # BLAS may round a row by the length of the array it sits in (a
+        # one-row product does), so each position's gradients get a product
+        # of their own, as in a frame of that position alone
+        grad_refl = _gradients(at_refl, m)
+        grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
+                                     for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+    if hp.any():
+        grad_U = grad_u_lam - _gradients(at_node, m)
+        B = _gradient_coefficient(grad_U, hp)
+    d = _quotients(system, np.take(g.node_xy, idx, axis=0), at_node[:4 * m:4],
+                   at_refl[:4 * m:4], U, grad_u_lam)
+    det_op_lam = at_refl[4 * m + 1:5 * m + 1]
+    margin, tol_node = _ei_margins(
+        g.h, det_H, det_H_lam, at_node[4 * m + 1:5 * m + 1], det_op_lam, U, d,
+        [B[i] if hp[i] else None for i in range(m)], grad_U,
+        [c[i] if c[i] else None for i in range(m)])
+    ok = deriv_ok & np.all(np.isfinite(det_op_lam), axis=0)
+    starts = bounds[:-1]
+    violations = np.add.reduceat(ok & (margin < -tol_node), starts, axis=1).sum(axis=0)
+    # as _ei_report finds it: per component the least margin of the nodes
+    # audited, NaN if one is NaN; across components a NaN is passed over, and
+    # a position with no finite least margin reports 0
+    least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
+    worst = np.fmin.reduce(least, axis=0, initial=np.inf)
+    worst[~np.isfinite(worst)] = 0.0
+    nonpd = _nonpd(H, H_lam, det_H, det_H_lam, deriv_ok)
+    return violations, worst, np.add.reduceat(nonpd, starts, axis=1)
+
+
+def _certificates(solution, nu, planes):
+    """The certificates that read no batch, in the order a serial sweep runs
+    them: monotonicity, the frame-free part of symmetry, the boundary."""
+    return (certify_monotonicity(solution, nu, planes),
+            _symmetry_samples(solution, nu, planes.Lam0), boundary_checks(solution))
 
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     """Sweep plane positions over (lam0, Lam0] and aggregate all certificates.
 
-    Each position gets a frame, the cap bound U <= 10 h^2 max_i max |u_i - c_i|
-    and, where the cap has a node with valid derivatives, a linearization
-    against ``system`` with the elliptic-inequality audit.  The final
-    position is exactly Lam0, and its frame doubles as the symmetry
-    certificate's.  Every frame and certificate reads the solution's
-    :attr:`GridSolution.stack`, built on its first use.
+    Each position gets the cap bound U <= 10 h^2 max_i max |u_i - c_i|
+    and, where the cap has a node with valid derivatives, the
+    elliptic-inequality audit against ``system`` of :func:`linearize` and
+    :func:`verify_elliptic_inequality`, without a frame.  The final
+    position is exactly Lam0, and its largest |U| is the symmetry
+    certificate's mirror residual.  Every position and certificate reads
+    the solution's :attr:`GridSolution.stack`, built on its first use.
 
     Consecutive positions run in batches of at most as many cap nodes as
-    the Lam0 cap, one frame and one audit per batch (see
-    :func:`_sweep_batch`), on a thread pool with one worker per available
-    core; so at most that many Lam0-sized frames are in memory at once.  The report does not depend
-    on the batches or on the number of workers: every per-node operation
-    is the one a single position gets.  An error in a batch reaches the
-    caller as it was raised, the first in position order, and each batch
-    runs in a copy of the caller's context, so its ``np.errstate`` holds.
+    the Lam0 cap (see :func:`_sweep_batch`), and the certificates that do
+    not depend on them in one more task, on a thread pool with one worker
+    per available core; so at most that many Lam0-sized batches are in
+    memory at once.  The report does not depend on the batches or on the
+    number of workers: every per-node operation is the one a single
+    position gets.  An error reaches the caller as it was raised, the
+    first in serial order: the batches in position order, then
+    monotonicity, symmetry and the boundary checks.  Each task runs in a
+    copy of the caller's context, so its ``np.errstate`` holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -755,25 +828,27 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
     caps = _caps(g, nu, lams)
     batches = _batches([len(cap) for cap in caps])
+    grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here
-    solution.stack, solution.node_rows
-    with ThreadPoolExecutor(min(_available_cores(), len(batches))) as pool:
+    solution.stack, solution.node_rows, g.domain.interior_point
+    with ThreadPoolExecutor(min(_available_cores(), len(batches) + 1)) as pool:
         jobs = [pool.submit(contextvars.copy_context().run, _sweep_batch, solution, nu,
-                            lams[a:b], caps[a:b], system, cap_tol, b == n_lambdas)
+                            lams[a:b], caps[a:b], system, cap_tol, grads)
                 for a, b in batches]
+        jobs.append(pool.submit(contextvars.copy_context().run, _certificates, solution,
+                                nu, planes))
         try:
             results = [job.result() for job in jobs]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+    mono, (sym, variations), bnd = results.pop()
     entries = [entry for batch_entries, _ in results for entry in batch_entries]
-    frame = results[-1][1]
+    if sym["applicable"]:
+        sym = _symmetry_verdict(solution, sym, variations, results[-1][1])
     total_viol = sum(entry.get("ei_violations", 0) for entry in entries)
     all_ok = all(entry["cap_nonpositive"] for entry in entries)
-    mono = certify_monotonicity(solution, nu, planes)
-    sym = certify_symmetry(solution, nu, planes.Lam0, _frame=frame)
-    bnd = boundary_checks(solution)
     passed = (all_ok and total_viol == 0 and mono.get("passed", True)
               and sym.get("passed", True) and bnd["passed"])
     return MovingPlaneReport(

@@ -27,11 +27,14 @@ RADIAL_CFG = {"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "n": 2,
 
 
 def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
-    """Importing the CLI loads no scipy.stats (only hypothesis screening
-    draws Sobol points, and imports it then), scipy.interpolate or
-    scipy.integrate."""
-    heavy = ("scipy.stats", "scipy.interpolate", "scipy.integrate")
-    code = f"import sys, masym.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    """Importing the package and the CLI loads no scipy.stats (only
+    hypothesis screening draws Sobol points, and imports it then),
+    scipy.optimize, scipy.interpolate, scipy.integrate, scipy.ndimage or
+    scipy.spatial: the program needs scipy.linalg and scipy.sparse alone,
+    and every CLI run pays for what the import loads."""
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.integrate",
+             "scipy.ndimage", "scipy.spatial")
+    code = f"import sys, masym, masym.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(masym.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -365,6 +365,27 @@ def _lipschitz_system():
                      lipschitz_z=(0.2, 0.0), lipschitz_p=(0.0, 0.1))
 
 
+def _p1_system():
+    """A pair whose first source reads p1, with no gradient Lipschitz
+    constant: the sweep reads the gradient rows for the sources alone."""
+    comps = tuple(parse(f) for f in ("(0 - z2) + 0.1 * p1 + 1", "(0 - z1) + 1"))
+    return RhsSystem(components=comps, n=2, splits=tuple((parse("0"), f) for f in comps),
+                     lipschitz_z=(0.0, 0.0), lipschitz_p=(0.0, 0.0))
+
+
+def _lipschitz_p_system():
+    """A pair whose sources read no p but that declares the gradient constant
+    (0.5, 0): the sweep reads the gradient rows for B alone."""
+    comps = tuple(parse(f) for f in ("(0 - z2) + 1", "(0 - z1) + 1"))
+    return RhsSystem(components=comps, n=2, splits=tuple((parse("0"), f) for f in comps),
+                     lipschitz_z=(0.0, 0.0), lipschitz_p=(0.5, 0.0))
+
+
+# the systems of the sweep-entry tests and whether the sweep reads the gradient rows
+SWEEP_SYSTEMS = ((power_coupled_system(1.0, 1.0), False), (_p1_system(), True),
+                 (_lipschitz_p_system(), True))
+
+
 def _positions(planes, n):
     """The n plane positions of a sweep, the last exactly Lam0."""
     lams = planes.lam0 + (planes.Lam0 - planes.lam0) * (np.arange(1, n + 1) / n)
@@ -389,22 +410,24 @@ def _one_position_entry(sol, nu, lam, system, cap_tol):
 
 
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)),
-                                (0.0, 1.0), (np.cos(0.4), np.sin(0.4))])
+                                (0.0, 1.0), (np.cos(0.5), np.sin(0.5))])
 def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch):
     """Every entry of a 16-position sweep, whose positions run in batches on
     worker threads, equals the one from a frame, linearization and audit of
     that position alone, to the bit; so does the whole report with one
     worker.  The sweep leaves out the B . grad U and c U terms whose
     declared constants are 0, and the systems here declare both, one or
-    neither of them nonzero.  Frames of a swept solution, whose stack the
-    sweep built, equal those of a fresh solution of the same fields."""
+    neither of them nonzero; it reads the gradient rows only for systems
+    whose sources read p or that declare a gradient constant.  Frames of a
+    swept solution, whose stack the sweep built, equal those of a fresh
+    solution of the same fields."""
     n = 16
     for domain, sol in ((DISK, coupled16), (ELLIPSE, ellipse16)):
         planes = critical_planes(domain, nu)
         lams = _positions(planes, n)
         cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
         reports = {}
-        for system in (power_coupled_system(1.0, 1.0), _gradient_system(),
+        for system in (*(system for system, _ in SWEEP_SYSTEMS), _gradient_system(),
                        _lipschitz_system()):
             rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
             assert [json.dumps(e) for e in rep.entries] == [
@@ -426,31 +449,45 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
 
 
 @pytest.mark.parametrize("domain", [DISK, ELLIPSE], ids=["disk", "ellipse"])
-def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain):
+def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain, monkeypatch):
     """At 64 positions the first caps have no node, or nodes but none with
     valid derivatives to audit.  The sweep reduces each position's segment of
     the batch's nodes, and reduceat reads an empty segment as the element at
-    its start: every entry still equals the one of that position alone."""
+    its start: every entry still equals the one of that position alone.  The
+    sweep reads the stack's gradient rows exactly when the system reads p or
+    declares a gradient constant, and the 5m + 1 rows before them else."""
     sol = coupled16 if domain is DISK else ellipse16
-    system = power_coupled_system(1.0, 1.0)
     cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
     s = 1.0 / np.sqrt(2.0)
     kinds = set()
-    for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.4), np.sin(0.4))]:
-        planes = critical_planes(domain, nu)
-        rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
-        assert [json.dumps(e) for e in rep.entries] == [
-            json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
-            for lam in _positions(planes, 64)]
-        kinds.update("empty" if not e["n_nodes"] else
-                     "audited" if "ei_violations" in e else "unaudited" for e in rep.entries)
+    rows_read = []
+    read = movingplane._read
+
+    def recorded(solution, rows, *args):
+        rows_read.append(len(rows))
+        return read(solution, rows, *args)
+
+    monkeypatch.setattr(movingplane, "_read", recorded)
+    for system, grads in SWEEP_SYSTEMS:
+        for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.5), np.sin(0.5))]:
+            planes = critical_planes(domain, nu)
+            rows_read.clear()
+            rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
+            assert rows_read and set(rows_read) == {7 * sol.m + 1 if grads else 5 * sol.m + 1}
+            assert [json.dumps(e) for e in rep.entries] == [
+                json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
+                for lam in _positions(planes, 64)]
+            kinds.update("empty" if not e["n_nodes"] else
+                         "audited" if "ei_violations" in e else "unaudited"
+                         for e in rep.entries)
     assert kinds == {"empty", "unaudited", "audited"}
 
 
 def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
     """No batch holds more cap nodes than the Lam0 cap, the pool starts one
-    worker per available core, or per batch when there are fewer, and the
-    report does not depend on the number of workers."""
+    worker per available core, or per task (the batches and the
+    certificates) when there are fewer, and the report does not depend on
+    the number of workers."""
     sizes = [138, 362, 642, 966, 1326, 1716, 2130, 2566, 3020, 3490, 3972, 4464, 4964,
              5472, 5980, 6488]
     batches = movingplane._batches(sizes)
@@ -461,18 +498,18 @@ def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
     assert movingplane._batches([5, 1, 9, 3, 2]) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     batch_nodes, workers = [], []
-    frames = movingplane._frames
+    sweep_batch = movingplane._sweep_batch
 
-    def recorded_frames(solution, nu, lams, caps):
+    def recorded_batch(solution, nu, lams, caps, *args):
         batch_nodes.append(sum(len(cap) for cap in caps))
-        return frames(solution, nu, lams, caps)
+        return sweep_batch(solution, nu, lams, caps, *args)
 
     class RecordedPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(movingplane, "_frames", recorded_frames)
+    monkeypatch.setattr(movingplane, "_sweep_batch", recorded_batch)
     monkeypatch.setattr(movingplane, "ThreadPoolExecutor", RecordedPool)
     planes = critical_planes(DISK, [1.0, 0.0])
     last_cap = int(np.count_nonzero(coupled.grid.node_xy[:, 0] < planes.Lam0
@@ -490,15 +527,21 @@ def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
                                system=power_coupled_system(1.0, 1.0))
             reports.append(json.dumps(rep.to_json()))
             assert 1 < len(batch_nodes) < 16 and max(batch_nodes) <= last_cap
-            assert workers[-1] == min(cores, len(batch_nodes))
+            assert workers[-1] == min(cores, len(batch_nodes) + 1)
     finally:
         sys.setswitchinterval(interval)
     assert reports[1:] == reports[:1] * 2
 
 
+class _Raised(Exception):
+    """An error that only a patched certificate raises."""
+
+
 def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     """An expression error on a cap node reaches the caller with its message,
-    and the caller's np.errstate holds in the worker threads."""
+    and the caller's np.errstate holds in the worker threads.  So do an
+    error raised in the monotonicity or boundary certificate, which run on
+    the pool beside the batches, and a batch's error comes first."""
     system = RhsSystem(components=("(0 - z2) + 1", "(0 - z1) + 1"), n=2,
                        splits=((0, "log(x1 + 0.5) + 1"), (0, "(0 - z1) + 1")))
     with pytest.raises(ExpressionDomainError) as direct:
@@ -511,14 +554,14 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     assert "log of a non-positive argument" in str(swept.value)
 
     seen = []
-    original = movingplane._sweep_margins
+    original = movingplane._quotients
 
-    def recorded(frame, system):
+    def recorded(system, xy, *args):
         seen.append((np.geterr(), threading.current_thread() is threading.main_thread(),
-                     len(frame.node_idx)))
-        return original(frame, system)
+                     len(xy)))
+        return original(system, xy, *args)
 
-    monkeypatch.setattr(movingplane, "_sweep_margins", recorded)
+    monkeypatch.setattr(movingplane, "_quotients", recorded)
     with np.errstate(over="raise", under="warn"):
         expected = np.geterr()
         rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=64,
@@ -530,6 +573,39 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     assert any(e["n_nodes"] and "ei_violations" not in e for e in rep.entries)
     assert sum(n for _, _, n in seen) == sum(e["n_nodes"] for e in rep.entries
                                             if "ei_violations" in e)
+
+    # the certificates beside the batches: raised as they were, each in the
+    # caller's errstate, a batch's error first
+    certificates = {name: getattr(movingplane, name)
+                    for name in ("certify_monotonicity", "boundary_checks")}
+    calls, raised = [], []
+
+    def failing(name):
+        def certificate(*args):
+            calls.append((np.geterr(), threading.current_thread() is threading.main_thread()))
+            certificates[name](*args)
+            raised.append(_Raised(name))
+            raise raised[-1]
+        return certificate
+
+    for name in certificates:
+        monkeypatch.setattr(movingplane, name, failing(name))
+        calls.clear()
+        with np.errstate(over="raise", under="warn"):
+            with pytest.raises(_Raised, match=name) as err:
+                lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
+                             system=power_coupled_system(1.0, 1.0))
+        assert err.value is raised[-1]
+        assert calls == [(expected, False)]
+        with pytest.raises(ExpressionDomainError):
+            lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
+        monkeypatch.setattr(movingplane, name, certificates[name])
+    # both fail: monotonicity's error, as a serial sweep would raise it
+    for name in certificates:
+        monkeypatch.setattr(movingplane, name, failing(name))
+    with pytest.raises(_Raised, match="certify_monotonicity"):
+        lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
+                     system=power_coupled_system(1.0, 1.0))
 
 
 def test_stack_overflow_stops_the_sweep_before_its_workers(coupled, monkeypatch):
@@ -584,8 +660,10 @@ def test_bilinear_kernel_matches_scipy(domain):
 
     sol = _kernel_solution(domain)
     g, stack = sol.grid, sol.stack
-    # rows before the operator rows: six per component and the validity mask
-    nf = 6 * sol.m + 1
+    # rows 4m + 1..5m are the operator rows; E, uxx, uyy, uxy of each
+    # component, the validity mask and the gradient rows are the others
+    op_rows = np.arange(4 * sol.m + 1, 5 * sol.m + 1)
+    field_rows = np.setdiff1d(np.arange(len(stack)), op_rows)
     assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
     lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
     off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
@@ -610,8 +688,8 @@ def test_bilinear_kernel_matches_scipy(domain):
         np.testing.assert_array_equal(got, expected)
     assert np.all(np.isnan(_bilinear(g, stack, outside)))
     rim_vals = _bilinear(g, stack, rim_pts)
-    assert np.all(np.isnan(rim_vals[nf:]))
-    assert np.all(np.isfinite(rim_vals[:nf]))
+    assert np.all(np.isnan(rim_vals[op_rows]))
+    assert np.all(np.isfinite(rim_vals[field_rows]))
 
 
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (np.cos(0.4), np.sin(0.4))], ids=["axis", "oblique"])
