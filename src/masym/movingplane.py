@@ -18,24 +18,24 @@ cross-derivatives and an audit of the elliptic inequality satisfied by U.
 
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
-bilinear kernel reads them all at a set of points with a single gather
-of the cell corners.  The 2x2 Hessian algebra (the reflection Q H Q,
+bilinear kernel reads them all at a set of points, one gather of every
+field per cell corner.  The 2x2 Hessian algebra (the reflection Q H Q,
 determinants and positivity flags) runs in closed form on per-entry
 arrays.
 
-A sweep groups its consecutive plane positions into batches of at most
-as many cap nodes as the last, largest cap, at Lam0, and audits each
-batch straight from the stack rows it reads, building no frame: the
-values, Hessians, mask and operator rows, and the gradient rows only
-when the system reads p or declares a gradient Lipschitz constant.  The
-audit forms no mean-value matrices, which no sweep entry reads, and
-each position's figures (cap bound, violations, least margin, flag
-counts) are reductions over its segment of the batch's nodes, one
-``reduceat`` call per figure for every position at once.  The batches,
-and the certificates that do not depend on them, run on a thread pool
-with one worker per available core.  Every per-node operation is the one
-a single position gets, so the reports do not depend on the batches or
-on the number of workers.
+A sweep packs its consecutive plane positions greedily into batches of
+at most as many cap nodes as the grid has nodes, which no cap exceeds,
+and audits each batch straight from the stack rows it reads, building
+no frame: the values, Hessians, mask and operator rows, and the
+gradient rows only when the system reads p or declares a gradient
+Lipschitz constant.  The audit forms no mean-value matrices, which no
+sweep entry reads, and each position's figures (cap bound, violations,
+least margin, flag counts) are reductions over its segment of the
+batch's nodes, one ``reduceat`` call per figure for every position at
+once.  The batches, and the certificates that do not depend on them, run
+on a thread pool with one worker per available core.  Every per-node
+operation is the one a single position gets, so the reports do not
+depend on the batches or on the number of workers.
 """
 
 from __future__ import annotations
@@ -113,12 +113,15 @@ def _reflect_hessian(Q, H):
 def _bilinear(grid, stack, pts):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
 
-    Each point's cell comes from one ``searchsorted`` per axis and its
-    four corners are gathered once for every field.  Every row is
-    scipy's 2-D ``RegularGridInterpolator(method="linear",
-    fill_value=nan)`` of that row to the bit, corner values multiplied
-    as (v * wx) * wy: NaN outside the grid, and NaN spreads from every
-    corner, zero weights included.
+    Each point's cell comes from one ``searchsorted`` per axis, and the
+    cell's corners are read one at a time, each a (rows, P) gather of
+    every field into one reused buffer that is weighted and added to the
+    output; so the working set is two (rows, P) arrays, not one per
+    corner.  Every row is scipy's 2-D ``RegularGridInterpolator(
+    method="linear", fill_value=nan)`` of that row to the bit, corner
+    values multiplied as (v * wx) * wy and summed from +0.0 in corner
+    order: NaN outside the grid, and NaN spreads from every corner, zero
+    weights included.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     xs, ys = grid.xs, grid.ys
@@ -127,19 +130,21 @@ def _bilinear(grid, stack, pts):
     j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
     tx = (x - xs[i]) / (xs[i + 1] - xs[i])
     ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-    # (rows, 4, P): corners (i, j), (i, j+1), (i+1, j), (i+1, j+1)
+    sx, sy = 1 - tx, 1 - ty
     ny = len(ys)
-    # the clipped cells keep every corner index in range
-    v = np.take(stack, i * ny + j + np.array([[0], [1], [ny], [ny + 1]]), axis=1,
-                mode="clip")
-    wx = np.stack([1 - tx, 1 - tx, tx, tx])
-    wy = np.stack([1 - ty, ty, 1 - ty, ty])
-    v *= wx
-    v *= wy
-    out = 0.0 + v[:, 0]
-    out += v[:, 1]
-    out += v[:, 2]
-    out += v[:, 3]
+    # corners (i, j), (i, j+1), (i+1, j), (i+1, j+1); the clipped cells keep
+    # every corner index in range
+    base = i * ny + j
+    out = np.take(stack, base, axis=1, mode="clip")
+    out *= sx
+    out *= sy
+    out += 0.0
+    v = np.empty_like(out)
+    for offset, wx, wy in ((1, sx, ty), (ny, tx, sy), (ny + 1, tx, ty)):
+        np.take(stack, base + offset, axis=1, out=v, mode="clip")
+        v *= wx
+        v *= wy
+        out += v
     off = ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))
     if off.any():
         out[:, off] = np.nan
@@ -234,7 +239,7 @@ class MovingPlaneFrame:
 def build_frame(solution, nu, lam):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
-    One :func:`_bilinear` gather reads every field at the reflected
+    One :func:`_bilinear` call reads every field at the reflected
     points: the values, the centered-difference derivatives, the
     validity mask and the discrete operator; when the reflection is grid
     aligned the weights collapse and the pairing is exact.  One column
@@ -657,13 +662,13 @@ def _available_cores():
         return os.cpu_count() or 1
 
 
-def _batches(sizes):
-    """(start, stop) ranges of consecutive positions, each holding at most as
-    many cap nodes as the last cap, the largest of nested caps; a cap larger
-    than that is a batch of its own."""
+def _batches(sizes, limit):
+    """(start, stop) ranges of consecutive positions, packed greedily so that
+    each holds at most ``limit`` cap nodes, the grid's node count, which no
+    cap exceeds."""
     out, start, total = [], 0, 0
     for k, n in enumerate(sizes):
-        if k > start and total + n > sizes[-1]:
+        if k > start and total + n > limit:
             out.append((start, k))
             start, total = k, 0
         total += n
@@ -686,10 +691,13 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
     One gather reads the stack's rows at the batch's nodes and one
     :func:`_bilinear` call at their reflections: the 5m + 1 rows of the
     values, Hessians, mask and operator, and with ``grads`` the gradient
-    rows too.  One :func:`_sweep_audit` serves every position whose cap
-    has a node with valid derivatives, and each position's figures are
-    reductions over its segment of the batch's nodes, one ``reduceat``
-    per figure for all positions.
+    rows too.  A batch holds at most the grid's node count, and the
+    bilinear read gathers one cell corner at a time, so the batch's
+    arrays stay within a small multiple of the solution's stack.  One
+    :func:`_sweep_audit` serves every position whose cap has a node with
+    valid derivatives, and each position's figures are reductions over
+    its segment of the batch's nodes, one ``reduceat`` per figure for all
+    positions.
     """
     g, m = solution.grid, solution.m
     kept = [_kept_reflections(g, nu, lam, cap) for lam, cap in zip(lams, caps)]
@@ -807,15 +815,16 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     the solution's :attr:`GridSolution.stack`, built on its first use.
 
     Consecutive positions run in batches of at most as many cap nodes as
-    the Lam0 cap (see :func:`_sweep_batch`), and the certificates that do
-    not depend on them in one more task, on a thread pool with one worker
-    per available core; so at most that many Lam0-sized batches are in
-    memory at once.  The report does not depend on the batches or on the
-    number of workers: every per-node operation is the one a single
-    position gets.  An error reaches the caller as it was raised, the
-    first in serial order: the batches in position order, then
-    monotonicity, symmetry and the boundary checks.  Each task runs in a
-    copy of the caller's context, so its ``np.errstate`` holds.
+    the grid has nodes (see :func:`_batches` and :func:`_sweep_batch`),
+    and the certificates that do not depend on them in one more task, on
+    a thread pool with one worker per available core; so at most that
+    many grid-sized batches are in memory at once.  The report does not
+    depend on the batches or on the number of workers: every per-node
+    operation is the one a single position gets.  An error reaches the
+    caller as it was raised, the first in serial order: the batches in
+    position order, then monotonicity, symmetry and the boundary checks.
+    Each task runs in a copy of the caller's context, so its
+    ``np.errstate`` holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -827,7 +836,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     lams[-1] = planes.Lam0
     cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
     caps = _caps(g, nu, lams)
-    batches = _batches([len(cap) for cap in caps])
+    batches = _batches([len(cap) for cap in caps], g.n_nodes)
     grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -409,19 +410,35 @@ def _one_position_entry(sol, nu, lam, system, cap_tol):
     return entry
 
 
+def _recorded_batches(monkeypatch):
+    """A list to which each :func:`movingplane._sweep_batch` call appends
+    its caps, one node-index array per plane position."""
+    batches = []
+    sweep_batch = movingplane._sweep_batch
+
+    def recorded(solution, nu, lams, caps, *args):
+        batches.append(caps)
+        return sweep_batch(solution, nu, lams, caps, *args)
+
+    monkeypatch.setattr(movingplane, "_sweep_batch", recorded)
+    return batches
+
+
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)),
                                 (0.0, 1.0), (np.cos(0.5), np.sin(0.5))])
 def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch):
     """Every entry of a 16-position sweep, whose positions run in batches on
     worker threads, equals the one from a frame, linearization and audit of
     that position alone, to the bit; so does the whole report with one
-    worker.  The sweep leaves out the B . grad U and c U terms whose
-    declared constants are 0, and the systems here declare both, one or
-    neither of them nonzero; it reads the gradient rows only for systems
-    whose sources read p or that declare a gradient constant.  Frames of a
-    swept solution, whose stack the sweep built, equal those of a fresh
-    solution of the same fields."""
+    worker.  Every sweep here runs at least two batches, so the entries
+    cover the seams between them.  The sweep leaves out the B . grad U and
+    c U terms whose declared constants are 0, and the systems here declare
+    both, one or neither of them nonzero; it reads the gradient rows only
+    for systems whose sources read p or that declare a gradient constant.
+    Frames of a swept solution, whose stack the sweep built, equal those
+    of a fresh solution of the same fields."""
     n = 16
+    batches = _recorded_batches(monkeypatch)
     for domain, sol in ((DISK, coupled16), (ELLIPSE, ellipse16)):
         planes = critical_planes(domain, nu)
         lams = _positions(planes, n)
@@ -429,16 +446,18 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
         reports = {}
         for system in (*(system for system, _ in SWEEP_SYSTEMS), _gradient_system(),
                        _lipschitz_system()):
+            batches.clear()
             rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
+            assert len(batches) >= 2
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
                 for lam in lams]
             reports[system] = json.dumps(rep.to_json())
-        monkeypatch.setattr(movingplane, "_available_cores", lambda: 1)
-        for system, text in reports.items():
-            assert json.dumps(lambda_sweep(sol, nu, planes, n_lambdas=n,
-                                           system=system).to_json()) == text
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(movingplane, "_available_cores", lambda: 1)
+            for system, text in reports.items():
+                assert json.dumps(lambda_sweep(sol, nu, planes, n_lambdas=n,
+                                               system=system).to_json()) == text
         fresh = GridSolution(grid=sol.grid, fields=sol.fields, cs=sol.cs)
         for lam in lams:
             frame = build_frame(fresh, nu, float(lam))
@@ -453,9 +472,11 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
     """At 64 positions the first caps have no node, or nodes but none with
     valid derivatives to audit.  The sweep reduces each position's segment of
     the batch's nodes, and reduceat reads an empty segment as the element at
-    its start: every entry still equals the one of that position alone.  The
-    sweep reads the stack's gradient rows exactly when the system reads p or
-    declares a gradient constant, and the 5m + 1 rows before them else."""
+    its start: every entry still equals the one of that position alone, and
+    every sweep here runs at least two batches, so the entries cover the
+    seams between them.  The sweep reads the stack's gradient rows exactly
+    when the system reads p or declares a gradient constant, and the
+    5m + 1 rows before them else."""
     sol = coupled16 if domain is DISK else ellipse16
     cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
     s = 1.0 / np.sqrt(2.0)
@@ -468,11 +489,14 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
         return read(solution, rows, *args)
 
     monkeypatch.setattr(movingplane, "_read", recorded)
+    batches = _recorded_batches(monkeypatch)
     for system, grads in SWEEP_SYSTEMS:
         for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.5), np.sin(0.5))]:
             planes = critical_planes(domain, nu)
             rows_read.clear()
+            batches.clear()
             rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
+            assert len(batches) >= 2
             assert rows_read and set(rows_read) == {7 * sol.m + 1 if grads else 5 * sol.m + 1}
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
@@ -483,37 +507,32 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
     assert kinds == {"empty", "unaudited", "audited"}
 
 
-def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
-    """No batch holds more cap nodes than the Lam0 cap, the pool starts one
-    worker per available core, or per task (the batches and the
-    certificates) when there are fewer, and the report does not depend on
-    the number of workers."""
+def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
+    """Consecutive positions are packed greedily into batches of at most the
+    grid's node count, which no cap exceeds; the pool starts one worker per
+    available core, or per task (the batches and the certificates) when
+    there are fewer, and the report does not depend on the number of
+    workers."""
+    # the 16 caps of the h = 1/64 disk along (1, 0), whose grid has 12,849 nodes
     sizes = [138, 362, 642, 966, 1326, 1716, 2130, 2566, 3020, 3490, 3972, 4464, 4964,
              5472, 5980, 6488]
-    batches = movingplane._batches(sizes)
-    assert len(batches) == 10
+    batches = movingplane._batches(sizes, 12849)
+    assert batches == [(0, 8), (8, 11), (11, 13), (13, 15), (15, 16)]
     assert [k for a, b in batches for k in range(a, b)] == list(range(16))
-    assert all(sum(sizes[a:b]) <= sizes[-1] for a, b in batches)
-    # a cap past the bound is a batch of its own
-    assert movingplane._batches([5, 1, 9, 3, 2]) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert all(sum(sizes[a:b]) <= 12849 for a, b in batches)
+    # a cap at the bound fills a batch of its own
+    assert movingplane._batches([5, 1, 9, 3, 2], 9) == [(0, 2), (2, 3), (3, 5)]
 
-    batch_nodes, workers = [], []
-    sweep_batch = movingplane._sweep_batch
-
-    def recorded_batch(solution, nu, lams, caps, *args):
-        batch_nodes.append(sum(len(cap) for cap in caps))
-        return sweep_batch(solution, nu, lams, caps, *args)
+    workers = []
 
     class RecordedPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(movingplane, "_sweep_batch", recorded_batch)
+    batches = _recorded_batches(monkeypatch)
     monkeypatch.setattr(movingplane, "ThreadPoolExecutor", RecordedPool)
     planes = critical_planes(DISK, [1.0, 0.0])
-    last_cap = int(np.count_nonzero(coupled.grid.node_xy[:, 0] < planes.Lam0
-                                    + coupled.grid.h * 1e-9))
     reports = []
     # more workers than cores, switching threads as often as the interpreter
     # allows: the report stays the one-worker report
@@ -522,15 +541,40 @@ def test_sweep_batches_are_bounded_by_the_last_cap(coupled, monkeypatch):
     try:
         for cores in (1, 2, 64):
             monkeypatch.setattr(movingplane, "_available_cores", lambda: cores)
-            batch_nodes.clear()
+            batches.clear()
             rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=16,
                                system=power_coupled_system(1.0, 1.0))
             reports.append(json.dumps(rep.to_json()))
-            assert 1 < len(batch_nodes) < 16 and max(batch_nodes) <= last_cap
+            batch_nodes = [sum(len(cap) for cap in caps) for caps in batches]
+            assert 1 < len(batch_nodes) < 16
+            assert max(batch_nodes) <= coupled.grid.n_nodes
+            assert sum(batch_nodes) == sum(e["n_nodes"] + e["n_exited"] for e in rep.entries)
             assert workers[-1] == min(cores, len(batch_nodes) + 1)
     finally:
         sys.setswitchinterval(interval)
     assert reports[1:] == reports[:1] * 2
+
+
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))],
+                         ids=["axis", "diagonal"])
+def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, monkeypatch):
+    """With one worker, a sweep's traced peak stays within 3.25 times the
+    solution's stack: a batch holds at most the grid's node count, and the
+    bilinear read gathers one cell corner at a time.  Gathering all four
+    corners at once reads about 3.7 to 3.9 times the stack here."""
+    monkeypatch.setattr(movingplane, "_available_cores", lambda: 1)
+    planes = critical_planes(DISK, nu)
+    system = power_coupled_system(1.0, 1.0)
+    # built before tracing: the sweep reads them, and they outlive it
+    coupled.stack, coupled.node_rows, coupled.grid.domain.interior_point
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        lambda_sweep(coupled, nu, planes, system=system)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * coupled.stack.nbytes
 
 
 class _Raised(Exception):
