@@ -709,7 +709,9 @@ def write_solution_binary(sol, path):
 
 
 def read_solution_binary(path, domain):
-    """Read fields written by :func:`write_solution_binary`."""
+    """Read fields written by :func:`write_solution_binary` onto the grid of
+    ``domain`` at the stored h; a file whose grid is not that one (another
+    size, mask, spacing or origin) raises ``ValueError``."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a grid-solution file")
@@ -719,6 +721,10 @@ def read_solution_binary(path, domain):
         mask = _mask_from_rle(header["mask"], (header["nx"], header["ny"]))
         if g.nx != header["nx"] or g.ny != header["ny"] or not np.array_equal(mask, g.inside):
             raise ValueError("stored mask does not match the domain discretization")
+        # the JSON floats round-trip exactly, and one domain rebuilds one grid
+        if (g.h, g.x0, g.y0) != (header["h"], header["x0"], header["y0"]):
+            raise ValueError("stored grid spacing or origin does not match the domain "
+                             "discretization")
         fields = []
         for _ in range(header["m"]):
             arr = np.frombuffer(fh.read(8 * g.nx * g.ny), dtype="<f8").reshape(g.nx, g.ny)

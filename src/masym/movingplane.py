@@ -19,23 +19,26 @@ cross-derivatives and an audit of the elliptic inequality satisfied by U.
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points, one gather of every
-field per cell corner.  The 2x2 Hessian algebra (the reflection Q H Q,
-determinants and positivity flags) runs in closed form on per-entry
-arrays.
+field per cell corner.  One cap reader serves a frame, a sweep batch and
+the symmetry certificate: it finds the caps of some plane positions,
+keeps the nodes whose reflection stays in the domain, and reads the
+stack rows it is given at the nodes and at their reflections.  The 2x2
+Hessian algebra (the reflection Q H Q, determinants and positivity
+flags) runs in closed form on per-entry arrays.
 
 A sweep packs its consecutive plane positions greedily into batches of
-at most as many cap nodes as the grid has nodes, which no cap exceeds,
-and audits each batch straight from the stack rows it reads, building
-no frame: the values, Hessians, mask and operator rows, and the
-gradient rows only when the system reads p or declares a gradient
-Lipschitz constant.  The audit forms no mean-value matrices, which no
-sweep entry reads, and each position's figures (cap bound, violations,
-least margin, flag counts) are reductions over its segment of the
-batch's nodes, one ``reduceat`` call per figure for every position at
-once.  The batches, and the certificates that do not depend on them, run
-on a thread pool with one worker per available core.  Every per-node
-operation is the one a single position gets, so the reports do not
-depend on the batches or on the number of workers.
+at most as many cap nodes as the grid has nodes, which no cap exceeds;
+each batch finds its own caps and is audited straight from the stack
+rows it reads, building no frame: the values, Hessians, mask and
+operator rows, and the gradient rows only when the system reads p or
+declares a gradient Lipschitz constant.  The audit forms no mean-value
+matrices, which no sweep entry reads, and each position's figures (cap
+bound, violations, least margin, flag counts) are reductions over its
+segment of the batch's nodes, one ``reduceat`` call per figure for every
+position at once.  The batches, and one more task that calls the public
+certificates, run on a thread pool with one worker per available core.
+Every per-node operation is the one a single position gets, so the
+reports do not depend on the batches or on the number of workers.
 """
 
 from __future__ import annotations
@@ -163,34 +166,47 @@ def _gradients(rows, m):
     return np.stack([rows[5 * m + 1::2], rows[5 * m + 2::2]], axis=-1)
 
 
-def _kept_reflections(grid, nu, lam, cap):
-    """The cap nodes whose reflection stays in the domain and on the grid box,
-    their reflections, and the number of cap nodes whose reflection leaves
-    the domain."""
-    refl = reflect_point(np.take(grid.node_xy, cap, axis=0), nu, lam)
-    # a reflection inside the domain lies in the padded box unless a level
-    # set declares a box shorter than {phi < 0}; off the grid box the
-    # interpolant is NaN, so those points are dropped before the gather
-    inside = grid.domain.contains(refl)
-    n_exited = len(cap) - int(np.count_nonzero(inside))
-    x, y = refl[:, 0], refl[:, 1]
-    inside &= (grid.xs[0] <= x) & (x <= grid.xs[-1]) & (grid.ys[0] <= y) & (y <= grid.ys[-1])
-    if inside.all():
-        return cap, refl, n_exited
-    return np.compress(inside, cap), np.compress(inside, refl, axis=0), n_exited
+def _in_cap(s, lam, h):
+    """Which nodes, given by their projections s = x . nu, lie in the cap of
+    the plane position lam: x . nu < lam + 1e-9 h, so nodes on the plane
+    are kept."""
+    return s < lam + h * 1e-9
 
 
-def _read(solution, rows, idx, refl):
-    """The stack ``rows`` at the nodes ``idx`` and interpolated at ``refl``."""
+def _read_caps(solution, nu, lams, rows):
+    """The stack ``rows`` on the caps of the plane positions ``lams``, one
+    position after another.
+
+    Returns the kept cap nodes, their reflections, the rows at the nodes
+    and interpolated at the reflections (one :func:`_bilinear` call), the
+    (len(lams) + 1,) bounds of each position's nodes, and per position the
+    number of cap nodes whose reflection leaves the domain.  A cap node is
+    kept when its reflection stays in the domain and on the grid box.  The
+    projections x . nu are one product over all nodes, and each position's
+    cap is reflected in one :func:`reflect_point` call, so a position's
+    nodes and reflections do not depend on the positions read with it.
+    """
+    g = solution.grid
+    s = g.node_xy @ nu
+    nodes, refls, n_exited = [], [], []
+    for lam in lams:
+        cap = np.nonzero(_in_cap(s, lam, g.h))[0]
+        refl = reflect_point(np.take(g.node_xy, cap, axis=0), nu, lam)
+        # a reflection inside the domain lies in the padded box unless a level
+        # set declares a box shorter than {phi < 0}; off the grid box the
+        # interpolant is NaN, so those points are dropped before the gather
+        inside = g.domain.contains(refl)
+        n_exited.append(len(cap) - int(np.count_nonzero(inside)))
+        x, y = refl[:, 0], refl[:, 1]
+        inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
+        if not inside.all():
+            cap, refl = np.compress(inside, cap), np.compress(inside, refl, axis=0)
+        nodes.append(cap)
+        refls.append(refl)
+    bounds = np.cumsum([0] + [len(idx) for idx in nodes])
+    idx, refl = np.concatenate(nodes), np.concatenate(refls)
     at_node = np.take(rows, np.take(solution.node_rows, idx), axis=1)
-    return at_node, _bilinear(solution.grid, rows, refl)
-
-
-def _caps(grid, nu, lams):
-    """Each plane position's cap: the nodes with x . nu < lam + 1e-9 h, so
-    nodes on the plane are kept."""
-    s = grid.node_xy @ nu
-    return [np.nonzero(s < lam + grid.h * 1e-9)[0] for lam in lams]
+    return idx, refl, at_node, _bilinear(g, rows, refl), bounds, n_exited
 
 
 # ---------------------------------------------------------------------------
@@ -239,42 +255,31 @@ class MovingPlaneFrame:
 def build_frame(solution, nu, lam):
     """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
 
-    One :func:`_bilinear` call reads every field at the reflected
-    points: the values, the centered-difference derivatives, the
-    validity mask and the discrete operator; when the reflection is grid
-    aligned the weights collapse and the pairing is exact.  One column
-    gather of :attr:`GridSolution.stack` reads the same fields at the
-    cap nodes, those with x . nu < lam + 1e-9 h, so nodes on the plane
-    are kept.  Reflected Hessians are conjugated with the reflection
-    matrix, in closed form per entry, rather than re-differenced, so they
-    inherit the interior accuracy of the unreflected fields.  By
-    reflection invariance of the determinant, the reflected discrete
-    operator is the unreflected one interpolated at the reflected
-    points, where ``op_ok`` finds it finite.
-
-    The three Hessian stacks are (m, K, 2, 2) views of one entry-major
-    (3, m, 2, 2, K) array, so each entry of every node is one contiguous
-    row for :func:`linearize` and :func:`verify_elliptic_inequality`.
+    :func:`_read_caps` reads every field of the stack at the cap nodes,
+    those with x . nu < lam + 1e-9 h, so nodes on the plane are kept,
+    and at their reflections: the values, the centered-difference
+    derivatives, the validity mask and the discrete operator; when the
+    reflection is grid aligned the bilinear weights collapse and the
+    pairing is exact.  Reflected Hessians are conjugated with the
+    reflection matrix, in closed form per entry, rather than
+    re-differenced, so they inherit the interior accuracy of the
+    unreflected fields.  By reflection invariance of the determinant, the
+    reflected discrete operator is the unreflected one interpolated at
+    the reflected points, where ``op_ok`` finds it finite.
     :func:`lambda_sweep` computes its entries from the same per-node
     operations without building frames.
     """
     nu = _as_unit(nu, 2)
     lam = float(lam)
     g, m = solution.grid, solution.m
-    idx, refl, n_exited = _kept_reflections(g, nu, lam, _caps(g, nu, [lam])[0])
-    at_node, at_refl = _read(solution, solution.stack, idx, refl)
+    idx, refl, at_node, at_refl, _, (n_exited,) = _read_caps(solution, nu, [lam], solution.stack)
     deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
     Q = np.eye(2) - 2.0 * np.outer(nu, nu)
     u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
     grad_u = _gradients(at_node, m)
     grad_u_lam = _gradients(at_refl, m) @ Q.T
-    hess = np.empty((3, m, 2, 2, len(idx)))
     H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
-    for r in (0, 1):
-        for c in (0, 1):
-            hess[0, :, r, c], hess[1, :, r, c] = H[r][c], H_lam[r][c]
-    np.subtract(hess[1], hess[0], out=hess[2])
-    hess_u, hess_u_lam, hess_U = hess.transpose(0, 1, 4, 2, 3)
+    hess_u, hess_u_lam = _mat2(*H[0], *H[1]), _mat2(*H_lam[0], *H_lam[1])
 
     # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
     det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
@@ -283,7 +288,7 @@ def build_frame(solution, nu, lam):
         reflected_xy=refl, deriv_ok=deriv_ok, n_exited=n_exited,
         u=u, u_lam=u_lam, U=u_lam - u,
         grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
-        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_U,
+        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_u_lam - hess_u,
         det_op=det_op, det_op_lam=det_op_lam,
         op_ok=np.all(np.isfinite(det_op_lam), axis=0),
     )
@@ -500,25 +505,14 @@ def certify_symmetry(solution, nu, Lam0):
     """Mirror residual across the critical plane, plus disk angular variation.
 
     Returns a not-applicable verdict when the domain is not symmetric
-    about the plane.  The residual floor is the bilinear interpolation
-    error, order h^2, and is stated in the report; the tolerance is
-    20 h^2 times the largest |u_i - c_i|.  On a disk the variation
-    over 720 angles on four rings counts as residual too.
+    about the plane.  The mirror residual is the largest |U| = |u_lam - u|
+    on the cap of Lam0, read from the stack's E rows by :func:`_read_caps`
+    (0 for an empty cap).  Its floor is the bilinear interpolation error,
+    order h^2, and is stated in the report; the tolerance is 20 h^2 times
+    the largest |u_i - c_i|.  On a disk the variation over 720 angles on
+    four rings counts as residual too.
     """
     nu = _as_unit(nu, 2)
-    report, variations = _symmetry_samples(solution, nu, Lam0)
-    if not report["applicable"]:
-        return report
-    frame = build_frame(solution, nu, Lam0)
-    resid = float(np.max(np.abs(frame.U))) if not frame.empty else 0.0
-    return _symmetry_verdict(solution, report, variations, resid)
-
-
-def _symmetry_samples(solution, nu, Lam0):
-    """The part of :func:`certify_symmetry` that reads no cap: its report up to
-    the mirror residual, not applicable when the domain is not symmetric
-    about the plane, and on a disk the angular variation of each component
-    (None elsewhere)."""
     g = solution.grid
     h = g.h
     report = {"applicable": True, "Lam0": float(Lam0), "h": h,
@@ -526,29 +520,21 @@ def _symmetry_samples(solution, nu, Lam0):
     if not _domain_symmetric(g.domain, nu, Lam0):
         report["applicable"] = False
         report["verdict"] = "not-applicable"
-        return report, None
-    if not isinstance(g.domain, Ball):
-        return report, None
-    c = np.asarray(g.domain.center)
-    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    rings = np.concatenate([c + frac * g.domain.radius * ring
-                            for frac in (0.2, 0.4, 0.6, 0.8)])
-    # the E rows only
-    vals = _bilinear(g, solution.stack[:4 * solution.m:4], rings)
-    variations = []
-    for i in range(solution.m):
-        E = vals[i].reshape(4, -1)
-        variations.append(float(np.max(np.max(E, axis=1) - np.min(E, axis=1))))
-    return report, variations
-
-
-def _symmetry_verdict(solution, report, variations, resid):
-    """An applicable report of :func:`_symmetry_samples` completed with the
-    mirror residual ``resid``, the largest |U| on the Lam0 cap."""
+        return report
+    # the E rows only, on the cap and on the rings
+    E_rows = solution.stack[:4 * solution.m:4]
+    _, _, at_node, at_refl, _, _ = _read_caps(solution, nu, [float(Lam0)], E_rows)
+    resid = float(np.max(np.abs(at_refl - at_node))) if at_node.size else 0.0
     report["mirror_residual"] = resid
-    report["tolerance"] = (20.0 * solution.grid.h ** 2) * max(solution.amplitude)
-    if variations is not None:
+    report["tolerance"] = (20.0 * h ** 2) * max(solution.amplitude)
+    if isinstance(g.domain, Ball):
+        c = np.asarray(g.domain.center)
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        rings = np.concatenate([c + frac * g.domain.radius * ring
+                                for frac in (0.2, 0.4, 0.6, 0.8)])
+        E = _bilinear(g, E_rows, rings).reshape(solution.m, 4, -1)
+        variations = [float(v) for v in np.max(np.max(E, axis=2) - np.min(E, axis=2), axis=1)]
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
     report["passed"] = resid <= report["tolerance"]
@@ -684,12 +670,11 @@ def _reads_gradients(system):
             or bool(_constants(system.lipschitz_p).any()))
 
 
-def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
-    """The sweep entries of consecutive plane positions, and the largest |U|
-    on the last position's cap (0 for an empty cap).
+def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
+    """The sweep entries of consecutive plane positions.
 
-    One gather reads the stack's rows at the batch's nodes and one
-    :func:`_bilinear` call at their reflections: the 5m + 1 rows of the
+    One :func:`_read_caps` call finds the positions' caps and reads the
+    stack's rows at their nodes and reflections: the 5m + 1 rows of the
     values, Hessians, mask and operator, and with ``grads`` the gradient
     rows too.  A batch holds at most the grid's node count, and the
     bilinear read gathers one cell corner at a time, so the batch's
@@ -699,14 +684,10 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
     its segment of the batch's nodes, one ``reduceat`` per figure for all
     positions.
     """
-    g, m = solution.grid, solution.m
-    kept = [_kept_reflections(g, nu, lam, cap) for lam, cap in zip(lams, caps)]
-    n_nodes = np.array([len(idx) for idx, _, _ in kept])
-    bounds = np.zeros(len(lams) + 1, dtype=int)
-    np.cumsum(n_nodes, out=bounds[1:])
-    idx = np.concatenate([idx for idx, _, _ in kept])
-    at_node, at_refl = _read(solution, solution.stack if grads else solution.stack[:5 * m + 1],
-                             idx, np.concatenate([refl for _, refl, _ in kept]))
+    m = solution.m
+    idx, _, at_node, at_refl, bounds, n_exited = _read_caps(
+        solution, nu, lams, solution.stack if grads else solution.stack[:5 * m + 1])
+    n_nodes = np.diff(bounds)
     U = at_refl[:4 * m:4] - at_node[:4 * m:4]
     deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
     # reduceat reads an empty segment as the element at its start, so only
@@ -715,8 +696,6 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
     u_max, audited = np.zeros(len(lams)), np.zeros(len(lams), dtype=bool)
     u_max[full] = np.maximum.reduceat(np.max(U, axis=0), bounds[:-1][full])
     audited[full] = np.logical_or.reduceat(deriv_ok, bounds[:-1][full])
-    last = np.abs(U[:, bounds[-2]:])
-    resid = float(np.max(last)) if last.size else 0.0
     if audited.any():
         if not audited.all():
             # the sources are evaluated on the audited caps only, as one
@@ -732,7 +711,7 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
             solution, nu, system, idx, at_node, at_refl, U, deriv_ok, sub, grads)
     entries = []
     for k, lam in enumerate(lams):
-        entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]), "n_exited": kept[k][2]}
+        entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]), "n_exited": n_exited[k]}
         if not full[k]:
             entry["U_max"] = None
             entry["cap_nonpositive"] = True
@@ -744,7 +723,7 @@ def _sweep_batch(solution, nu, lams, caps, system, cap_tol, grads):
                 entry["ei_worst_margin"] = float(worst[k])
                 entry["flagged_nonpd"] = [int(n) for n in flagged[:, k]]
         entries.append(entry)
-    return entries, resid
+    return entries
 
 
 def _sweep_audit(solution, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grads):
@@ -797,10 +776,10 @@ def _sweep_audit(solution, nu, system, idx, at_node, at_refl, U, deriv_ok, bound
 
 
 def _certificates(solution, nu, planes):
-    """The certificates that read no batch, in the order a serial sweep runs
-    them: monotonicity, the frame-free part of symmetry, the boundary."""
+    """The certificates of a sweep, in the order a serial sweep runs them:
+    monotonicity, symmetry at Lam0, the boundary checks."""
     return (certify_monotonicity(solution, nu, planes),
-            _symmetry_samples(solution, nu, planes.Lam0), boundary_checks(solution))
+            certify_symmetry(solution, nu, planes.Lam0), boundary_checks(solution))
 
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
@@ -810,21 +789,22 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     and, where the cap has a node with valid derivatives, the
     elliptic-inequality audit against ``system`` of :func:`linearize` and
     :func:`verify_elliptic_inequality`, without a frame.  The final
-    position is exactly Lam0, and its largest |U| is the symmetry
-    certificate's mirror residual.  Every position and certificate reads
-    the solution's :attr:`GridSolution.stack`, built on its first use.
+    position is exactly Lam0.  The certificates are those of
+    :func:`certify_monotonicity`, :func:`certify_symmetry` at Lam0 and
+    :func:`boundary_checks`.  Every position and certificate reads the
+    solution's :attr:`GridSolution.stack`, built on its first use.
 
     Consecutive positions run in batches of at most as many cap nodes as
     the grid has nodes (see :func:`_batches` and :func:`_sweep_batch`),
-    and the certificates that do not depend on them in one more task, on
-    a thread pool with one worker per available core; so at most that
-    many grid-sized batches are in memory at once.  The report does not
-    depend on the batches or on the number of workers: every per-node
-    operation is the one a single position gets.  An error reaches the
-    caller as it was raised, the first in serial order: the batches in
-    position order, then monotonicity, symmetry and the boundary checks.
-    Each task runs in a copy of the caller's context, so its
-    ``np.errstate`` holds.
+    each finding its own caps, and the certificates in one more task,
+    submitted first, on a thread pool with one worker per available core;
+    so at most that many grid-sized batches are in memory at once, and no
+    cap is held outside its batch.  The report does not depend on the
+    batches or on the number of workers: every per-node operation is the
+    one a single position gets.  An error reaches the caller as it was
+    raised, the first in serial order: the batches in position order,
+    then monotonicity, symmetry and the boundary checks.  Each task runs
+    in a copy of the caller's context, so its ``np.errstate`` holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -835,27 +815,26 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
         np.arange(1, n_lambdas + 1) / n_lambdas)
     lams[-1] = planes.Lam0
     cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
-    caps = _caps(g, nu, lams)
-    batches = _batches([len(cap) for cap in caps], g.n_nodes)
+    s = g.node_xy @ nu
+    batches = _batches([np.count_nonzero(_in_cap(s, lam, h)) for lam in lams], g.n_nodes)
     grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here
     solution.stack, solution.node_rows, g.domain.interior_point
     with ThreadPoolExecutor(min(_available_cores(), len(batches) + 1)) as pool:
+        # the certificates, the largest task, start first and are collected last
+        certificates = pool.submit(contextvars.copy_context().run, _certificates,
+                                   solution, nu, planes)
         jobs = [pool.submit(contextvars.copy_context().run, _sweep_batch, solution, nu,
-                            lams[a:b], caps[a:b], system, cap_tol, grads)
-                for a, b in batches]
-        jobs.append(pool.submit(contextvars.copy_context().run, _certificates, solution,
-                                nu, planes))
+                            lams[a:b], system, cap_tol, grads)
+                for a, b in batches] + [certificates]
         try:
             results = [job.result() for job in jobs]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    mono, (sym, variations), bnd = results.pop()
-    entries = [entry for batch_entries, _ in results for entry in batch_entries]
-    if sym["applicable"]:
-        sym = _symmetry_verdict(solution, sym, variations, results[-1][1])
+    mono, sym, bnd = results.pop()
+    entries = [entry for batch_entries in results for entry in batch_entries]
     total_viol = sum(entry.get("ei_violations", 0) for entry in entries)
     all_ok = all(entry["cap_nonpositive"] for entry in entries)
     passed = (all_ok and total_viol == 0 and mono.get("passed", True)

@@ -298,6 +298,19 @@ def test_binary_read_rejects_a_foreign_file_or_another_mask(tmp_path):
         read_solution_binary(path, DISK)
 
 
+@pytest.mark.parametrize("center", [(0.5, 0.0), (0.03, -0.01), (0.0625, 0.0)])
+def test_binary_read_rejects_a_shifted_grid(tmp_path, center):
+    """A unit disk moved by whole or partial steps of h = 1/16 has the stored
+    grid's size and mask, but not its origin: the file is refused, not read
+    onto the shifted grid."""
+    sol = solve_system_fd(DISK, RhsSystem(components=("4",), n=2), (0.0,), FdParams(h=0.0625))
+    path = tmp_path / "sol.bin"
+    write_solution_binary(sol, path)
+    with pytest.raises(ValueError, match="spacing or origin does not match"):
+        read_solution_binary(path, Ball(center=center, radius=1.0))
+    assert np.array_equal(read_solution_binary(path, DISK).fields[0], sol.fields[0])
+
+
 @pytest.mark.parametrize("obj, key, message", [
     ({"h": 0.0625, "max_euler": 3}, "max_euler",
      "unknown params key 'max_euler'; allowed: h, tol, stencil_width, max_newton"),

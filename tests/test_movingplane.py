@@ -412,13 +412,16 @@ def _one_position_entry(sol, nu, lam, system, cap_tol):
 
 def _recorded_batches(monkeypatch):
     """A list to which each :func:`movingplane._sweep_batch` call appends
-    its caps, one node-index array per plane position."""
+    its cap sizes, one per plane position: the nodes x with
+    x . nu < lam + 1e-9 h."""
     batches = []
     sweep_batch = movingplane._sweep_batch
 
-    def recorded(solution, nu, lams, caps, *args):
-        batches.append(caps)
-        return sweep_batch(solution, nu, lams, caps, *args)
+    def recorded(solution, nu, lams, *args):
+        s = solution.grid.node_xy @ np.asarray(nu)
+        batches.append([int(np.count_nonzero(s < lam + solution.grid.h * 1e-9))
+                        for lam in lams])
+        return sweep_batch(solution, nu, lams, *args)
 
     monkeypatch.setattr(movingplane, "_sweep_batch", recorded)
     return batches
@@ -474,21 +477,22 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
     the batch's nodes, and reduceat reads an empty segment as the element at
     its start: every entry still equals the one of that position alone, and
     every sweep here runs at least two batches, so the entries cover the
-    seams between them.  The sweep reads the stack's gradient rows exactly
+    seams between them.  The batches read the stack's gradient rows exactly
     when the system reads p or declares a gradient constant, and the
-    5m + 1 rows before them else."""
+    5m + 1 rows before them else; the symmetry certificate reads the m E
+    rows once when the plane is a symmetry plane, and not at all else."""
     sol = coupled16 if domain is DISK else ellipse16
     cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
     s = 1.0 / np.sqrt(2.0)
     kinds = set()
     rows_read = []
-    read = movingplane._read
+    read = movingplane._read_caps
 
-    def recorded(solution, rows, *args):
+    def recorded(solution, nu, lams, rows):
         rows_read.append(len(rows))
-        return read(solution, rows, *args)
+        return read(solution, nu, lams, rows)
 
-    monkeypatch.setattr(movingplane, "_read", recorded)
+    monkeypatch.setattr(movingplane, "_read_caps", recorded)
     batches = _recorded_batches(monkeypatch)
     for system, grads in SWEEP_SYSTEMS:
         for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.5), np.sin(0.5))]:
@@ -497,7 +501,8 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
             batches.clear()
             rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
             assert len(batches) >= 2
-            assert rows_read and set(rows_read) == {7 * sol.m + 1 if grads else 5 * sol.m + 1}
+            assert rows_read.count(sol.m) == int(rep.symmetry["applicable"])
+            assert set(rows_read) - {sol.m} == {7 * sol.m + 1 if grads else 5 * sol.m + 1}
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
                 for lam in _positions(planes, 64)]
@@ -505,6 +510,38 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
                          "audited" if "ei_violations" in e else "unaudited"
                          for e in rep.entries)
     assert kinds == {"empty", "unaudited", "audited"}
+
+
+SQUARE_TUBE = Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.0)
+
+
+@pytest.fixture(scope="module")
+def tube16():
+    return solve_system_fd(SQUARE_TUBE, power_coupled_system(1.0, 1.0), (0.0, 0.0),
+                           FdParams(h=1.0 / 16.0))
+
+
+@pytest.mark.parametrize("case, nu, applicable", [
+    ("disk", (1.0, 0.0), True), ("disk", (0.0, 1.0), True),
+    ("disk", (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), True),
+    ("disk", (np.cos(0.5), np.sin(0.5)), True),
+    ("ellipse", (1.0, 0.0), True), ("ellipse", (np.cos(0.5), np.sin(0.5)), False),
+    ("tube", (1.0, 0.0), True),
+], ids=["disk-x", "disk-y", "disk-diagonal", "disk-0.5", "ellipse-x", "ellipse-0.5", "tube-x"])
+def test_sweep_certificates_are_the_public_ones(coupled16, ellipse16, tube16, case, nu,
+                                                applicable):
+    """A sweep's monotonicity, symmetry and boundary reports are, byte for
+    byte, those of certify_monotonicity, certify_symmetry at Lam0 and
+    boundary_checks called on their own."""
+    domain, sol = {"disk": (DISK, coupled16), "ellipse": (ELLIPSE, ellipse16),
+                   "tube": (SQUARE_TUBE, tube16)}[case]
+    planes = critical_planes(domain, nu)
+    rep = lambda_sweep(sol, nu, planes, system=power_coupled_system(1.0, 1.0))
+    symmetry = certify_symmetry(sol, nu, planes.Lam0)
+    assert symmetry["applicable"] is applicable
+    assert json.dumps(rep.monotonicity) == json.dumps(certify_monotonicity(sol, nu, planes))
+    assert json.dumps(rep.symmetry) == json.dumps(symmetry)
+    assert json.dumps(rep.boundary) == json.dumps(boundary_checks(sol))
 
 
 def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
@@ -545,7 +582,7 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
             rep = lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=16,
                                system=power_coupled_system(1.0, 1.0))
             reports.append(json.dumps(rep.to_json()))
-            batch_nodes = [sum(len(cap) for cap in caps) for caps in batches]
+            batch_nodes = [sum(sizes) for sizes in batches]
             assert 1 < len(batch_nodes) < 16
             assert max(batch_nodes) <= coupled.grid.n_nodes
             assert sum(batch_nodes) == sum(e["n_nodes"] + e["n_exited"] for e in rep.entries)
@@ -555,13 +592,17 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
     assert reports[1:] == reports[:1] * 2
 
 
-@pytest.mark.parametrize("nu", [(1.0, 0.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))],
-                         ids=["axis", "diagonal"])
-def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, monkeypatch):
+@pytest.mark.parametrize("nu, n_lambdas", [((1.0, 0.0), 16),
+                                            ((1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 16),
+                                            ((1.0, 0.0), 256)],
+                         ids=["axis", "diagonal", "axis-256"])
+def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, n_lambdas, monkeypatch):
     """With one worker, a sweep's traced peak stays within 3.25 times the
-    solution's stack: a batch holds at most the grid's node count, and the
-    bilinear read gathers one cell corner at a time.  Gathering all four
-    corners at once reads about 3.7 to 3.9 times the stack here."""
+    solution's stack: a batch holds at most the grid's node count, finds
+    its own caps, and the bilinear read gathers one cell corner at a time.
+    Gathering all four corners at once reads about 3.7 to 3.9 times the
+    stack at 16 positions; holding every position's cap through the sweep
+    reads about 5.5 times it at 256."""
     monkeypatch.setattr(movingplane, "_available_cores", lambda: 1)
     planes = critical_planes(DISK, nu)
     system = power_coupled_system(1.0, 1.0)
@@ -570,7 +611,7 @@ def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, monkeypatch):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        lambda_sweep(coupled, nu, planes, system=system)
+        lambda_sweep(coupled, nu, planes, n_lambdas=n_lambdas, system=system)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -583,9 +624,10 @@ class _Raised(Exception):
 
 def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     """An expression error on a cap node reaches the caller with its message,
-    and the caller's np.errstate holds in the worker threads.  So do an
-    error raised in the monotonicity or boundary certificate, which run on
-    the pool beside the batches, and a batch's error comes first."""
+    and the caller's np.errstate holds in the worker threads.  So does an
+    error raised in the monotonicity, symmetry or boundary certificate,
+    which run on the pool beside the batches; errors come in serial order,
+    a batch's first, then monotonicity, symmetry and the boundary checks."""
     system = RhsSystem(components=("(0 - z2) + 1", "(0 - z1) + 1"), n=2,
                        splits=((0, "log(x1 + 0.5) + 1"), (0, "(0 - z1) + 1")))
     with pytest.raises(ExpressionDomainError) as direct:
@@ -621,7 +663,8 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
     # the certificates beside the batches: raised as they were, each in the
     # caller's errstate, a batch's error first
     certificates = {name: getattr(movingplane, name)
-                    for name in ("certify_monotonicity", "boundary_checks")}
+                    for name in ("certify_monotonicity", "certify_symmetry",
+                                 "boundary_checks")}
     calls, raised = [], []
 
     def failing(name):
@@ -644,12 +687,16 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
         with pytest.raises(ExpressionDomainError):
             lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
         monkeypatch.setattr(movingplane, name, certificates[name])
-    # both fail: monotonicity's error, as a serial sweep would raise it
+    # several fail: the error a serial sweep would raise first
     for name in certificates:
         monkeypatch.setattr(movingplane, name, failing(name))
-    with pytest.raises(_Raised, match="certify_monotonicity"):
-        lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
-                     system=power_coupled_system(1.0, 1.0))
+    with pytest.raises(ExpressionDomainError):
+        lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
+    for name in certificates:
+        with pytest.raises(_Raised, match=name):
+            lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
+                         system=power_coupled_system(1.0, 1.0))
+        monkeypatch.setattr(movingplane, name, certificates[name])
 
 
 def test_stack_overflow_stops_the_sweep_before_its_workers(coupled, monkeypatch):
