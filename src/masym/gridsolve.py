@@ -661,10 +661,12 @@ def _write_csv(path, names, cols):
     """CSV with a header of ``names`` and one row per entry of the columns
     ``cols``, each value as the shortest ``repr`` that reads back as the same
     float64."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in cols))
+    table = np.column_stack([np.asarray(col, dtype=float) for col in cols])
+    # one row template per row, filled in one pass over the flattened table
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_solution_csv(sol, path):

@@ -141,15 +141,27 @@ class _Quadrature:
         self.mom1 = n / (n + 1.0) * (rk1 ** (n + 1) - rk ** (n + 1)) - rk * self.dsn
 
     def cumint(self, G):
-        slope = (G[1:] - G[:-1]) / self.dr
-        inc = G[:-1] * self.dsn + slope * self.mom1
-        return np.concatenate([[0.0], np.cumsum(inc)])
+        out = np.empty(len(self.r))
+        out[0] = 0.0
+        inc = out[1:]
+        np.subtract(G[1:], G[:-1], out=inc)
+        inc /= self.dr
+        inc *= self.mom1
+        inc += G[:-1] * self.dsn
+        np.cumsum(inc, out=inc)
+        return out
 
-
-def _cumtrapz(y, r):
-    """Cumulative trapezoid integral of y over r from r[0], in the operations
-    of ``scipy.integrate.cumulative_trapezoid(y, r, initial=0)``."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)])
+    def cumtrapz(self, y):
+        """Cumulative trapezoid integral of y over r from r[0], in the operations
+        of ``scipy.integrate.cumulative_trapezoid(y, r, initial=0)``."""
+        out = np.empty(len(self.r))
+        out[0] = 0.0
+        inc = out[1:]
+        np.add(y[1:], y[:-1], out=inc)
+        inc *= self.dr
+        inc /= 2.0
+        np.cumsum(inc, out=inc)
+        return out
 
 
 def radial_ma_operator(profile):
@@ -199,7 +211,7 @@ def solve_scalar_radial(g, n, R, c, grid_size=2048):
                 "source became non-positive or non-finite during the radial fixed point",
                 history)
         du_new = quad.cumint(G) ** (1.0 / n)
-        total = _cumtrapz(du_new, r)
+        total = quad.cumtrapz(du_new)
         u_new = c - (total[-1] - total)
         change = float(np.max(np.abs(u_new - u)) / max(1.0, float(np.max(np.abs(u_new)))))
         history.append(change)
@@ -229,7 +241,7 @@ def _power_solve(source_u, expo, quad):
     with the :class:`_Quadrature` of source_u's grid."""
     G = np.maximum(-source_u.u, 0.0) ** expo
     du = quad.cumint(G) ** (1.0 / quad.n)
-    total = _cumtrapz(du, quad.r)
+    total = quad.cumtrapz(du)
     u = -(total[-1] - total)
     return RadialProfile(r=quad.r, u=u, du=du, n=quad.n, c=0.0)
 

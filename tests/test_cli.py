@@ -55,13 +55,26 @@ def test_solve_radial_artifacts(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+HYP_CFG = {"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0}, "samples": 256,
+           "box": {"x": [[-1.0, 1.0], [-1.0, 1.0]], "z": [[-2.0, -0.1], [-2.0, -0.1]],
+                   "p": [[-1.0, 1.0], [-1.0, 1.0]]}}
+
+
 def test_reruns_are_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, RADIAL_CFG)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
-    assert main(["--config", cfg, "--out", str(b), "--quiet"]) == 0
-    for name in ("profile.csv", "summary.json", "manifest.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    """Two runs of a config write the same files, byte for byte: a radial
+    solve, a hypotheses screen and the trichotomy sweep."""
+    expected = {"solve-radial": {"profile.csv", "summary.json", "manifest.json"},
+                "hypotheses": {"hypotheses.json", "manifest.json"},
+                "sweep-trichotomy": {"trichotomy.json", "trichotomy.csv", "manifest.json"}}
+    for obj in (RADIAL_CFG, HYP_CFG, {"command": "sweep-trichotomy"}):
+        cfg = write_config(tmp_path, obj, name=f"{obj['command']}.json")
+        a, b = tmp_path / f"{obj['command']}-a", tmp_path / f"{obj['command']}-b"
+        assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
+        assert main(["--config", cfg, "--out", str(b), "--quiet"]) == 0
+        names = set(os.listdir(a))
+        assert names == set(os.listdir(b)) == expected[obj["command"]]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_no_solution_is_an_outcome_not_an_error(tmp_path):

@@ -274,6 +274,31 @@ def test_csv_values_are_shortest_round_trip_repr(tmp_path):
     assert back[:, 0].tobytes() == np.array(values).tobytes()
 
 
+def _rowwise_csv(names, cols):
+    """The CSV the writer must give: each row joined from the values' repr."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in cols))
+    return (",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                             for row in rows)).encode()
+
+
+@pytest.mark.parametrize("width, rows", [(5, 2049), (1, 300), (3, 0)],
+                         ids=["profile", "one-column", "no-rows"])
+def test_csv_writer_matches_the_rowwise_repr(tmp_path, width, rows):
+    """The one-pass writer gives the bytes of joining each row's reprs: on
+    random finite bit patterns across every exponent, and on nan, inf, -inf,
+    -0.0, 0.0 and the subnormals 5e-324 and -5e-324."""
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2 ** 64, size=4 * width * rows + 1, dtype=np.uint64)
+    finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324])
+    values = np.resize(np.concatenate([special, finite]), width * rows) if rows else finite[:0]
+    cols = list(values.reshape(width, rows))
+    names = [f"c{k}" for k in range(width)]
+    path = tmp_path / "table.csv"
+    gridsolve._write_csv(path, names, cols)
+    assert path.read_bytes() == _rowwise_csv(names, cols)
+
+
 def test_binary_roundtrip(tmp_path):
     sol = solve_system_fd(DISK, power_coupled_system(1.0, 1.0), (0.0, 0.0), P32)
     path = tmp_path / "sol.bin"

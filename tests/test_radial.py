@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from masym.radial import (NoSolution, RadialProfile, SolverDivergence, _cumtrapz,
+from masym.radial import (NoSolution, RadialProfile, SolverDivergence,
                           _power_solve, _Quadrature, log_amplitudes,
                           radial_ma_operator, solve_coupled_radial, solve_scalar_radial, uniqueness_probe)
 
@@ -121,7 +121,21 @@ def test_cumulative_trapezoid_matches_scipy():
     for size in (2, 3, 50, 2048):
         r = np.sort(rng.uniform(0.0, 1.0, size))
         y = rng.normal(size=size)
-        np.testing.assert_array_equal(_cumtrapz(y, r), cumulative_trapezoid(y, r, initial=0.0))
+        np.testing.assert_array_equal(_Quadrature(r, 2).cumtrapz(y),
+                                      cumulative_trapezoid(y, r, initial=0.0))
+
+
+def test_quadrature_cumint_is_the_piecewise_linear_formula():
+    """cumint writes into one array what the per-interval formula gives, bit
+    for bit: the weights of G's left value plus the slope's, summed in order."""
+    rng = np.random.default_rng(12)
+    for n, size in ((1, 2), (2, 50), (3, 2049)):
+        r = np.sort(rng.uniform(0.0, 1.0, size))
+        G = rng.uniform(0.0, 3.0, size)
+        quad = _Quadrature(r, n)
+        slope = (G[1:] - G[:-1]) / np.diff(r)
+        ref = np.concatenate([[0.0], np.cumsum(G[:-1] * quad.dsn + slope * quad.mom1)])
+        assert quad.cumint(G).tobytes() == ref.tobytes()
 
 
 def validate(prof):

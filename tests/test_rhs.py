@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from masym.expressions import parse
+from masym import rhs
+from masym.expressions import Expr, ExpressionDomainError, parse
 from masym.rhs import (HYPOTHESES, ConfigurationError, RhsSystem,
                        check_hypotheses, d_ij, eval_f, power_coupled_system)
 
@@ -294,3 +295,94 @@ def test_failing_check_reports_its_witness(component, split, name, keys):
     rep = check_hypotheses(system, UNIT_BOX, samples=256, seed=0)
     assert rep.statuses[name] == "fail"
     assert set(rep.witnesses[name]) == {"x", "z", "p"} | keys
+
+
+def _forced(system):
+    """``system`` with a term that is exactly 0 and reads x1 and every unknown
+    added to each component and split part, so that no check can skip one
+    of their evaluations."""
+    zero = parse(" + ".join(["(x1 - x1)"] + [f"(z{j} - z{j})" for j in range(1, system.m + 1)]))
+
+    def add(e):
+        return Expr("+", (e, zero))
+
+    return RhsSystem(components=tuple(map(add, system.components)), n=system.n,
+                     splits=tuple(None if sp is None else (add(sp[0]), add(sp[1]))
+                                  for sp in system.splits),
+                     lipschitz_z=system.lipschitz_z, lipschitz_p=system.lipschitz_p)
+
+
+# the split part 0.5 exp(0.1 z1) reads its own unknown, 0 - z2 and 0 do not,
+# and component 2 does not read z1
+SPLIT_SYSTEM = RhsSystem(components=("0.5 * exp(0.1 * z1) - z2", "1 - 0.5 * z2"), n=2,
+                         splits=(("0.5 * exp(0.1 * z1)", "0 - z2"), ("0", "1 - 0.5 * z2")))
+
+
+@pytest.mark.parametrize("samples", [64, 10_000])
+@pytest.mark.parametrize("system", [
+    power_coupled_system(1.0, 1.0),
+    RhsSystem(components=("z2", "(0 - z1) ^ 1"), n=2),
+    SPLIT_SYSTEM,
+], ids=["pair", "planted", "split"])
+def test_skipped_evaluations_leave_the_report_and_the_stream_unchanged(
+        monkeypatch, system, samples):
+    """A source is exactly constant along a variable it does not read, so the
+    screen skips those evaluations: its report, and the state of every
+    generator it draws from, equal those of the same system with a zero term
+    that reads x1 and every unknown, where every evaluation is made."""
+    from scipy.stats import qmc  # noqa: F401  imported before the generators are recorded
+
+    default_rng = np.random.default_rng
+
+    def screen(sys_):
+        made, calls = [], []
+
+        def recording(*args, **kwargs):
+            made.append(default_rng(*args, **kwargs))
+            return made[-1]
+
+        def counting(e, *args, **kwargs):
+            calls.append(e)
+            return evaluate(e, *args, **kwargs)
+
+        evaluate = Expr.__call__
+        monkeypatch.setattr(rhs.np.random, "default_rng", recording)
+        monkeypatch.setattr(Expr, "__call__", counting)
+        rep = check_hypotheses(sys_, BOX, samples=samples, seed=7)
+        monkeypatch.undo()
+        return rep.to_json(), [g.bit_generator.state for g in made], len(calls)
+
+    fast, fast_states, fast_calls = screen(system)
+    full, full_states, full_calls = screen(_forced(system))
+    assert fast == full
+    assert fast_states == full_states and len(fast_states) >= 1
+    assert fast_calls < full_calls
+    assert not any("domain_error" in w for w in fast["witnesses"].values())
+
+
+def test_d_ij_of_a_source_that_does_not_read_z_j_is_the_two_evaluation_quotient():
+    """One evaluation gives the two-evaluation quotient bit for bit: -0.0 at
+    a negative step, 0.0 at a zero or positive one, and outside the source's
+    domain the same error."""
+    rng = np.random.default_rng(30)
+    x, p = rng.uniform(-1.0, 1.0, (9, 2)), rng.uniform(-1.0, 1.0, (9, 2))
+    z = rng.uniform(-2.0, -0.1, (9, 2))
+    h = np.array([-0.3, -1e-300, -0.0, 0.0, 0.0, 1e-300, 0.2, -5e-324, 1.0])
+    sys_ = RhsSystem(components=("1 + x1 * x1 - z1", "(0 - z1) ^ 0.5 + p2"), n=2,
+                     splits=(("0", "1 + x1 * x1 - z1"), ("p2", "(0 - z1) ^ 0.5")))
+    for i, j, f in ((1, 2, sys_.components[0]), (2, 2, sys_.splits[1][1])):
+        zh = z.copy()
+        zh[:, j - 1] += h
+        ref = np.divide(f(x, zh, p) - f(x, z, p), h, out=np.zeros(9), where=h != 0.0)
+        q = d_ij(sys_, i, j, x, z, p, h)
+        assert q.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(q), h < 0)
+    outside = z.copy()
+    outside[4, 0] = 0.5  # (0 - z1) ^ 0.5 of a positive z1
+    zh = outside.copy()
+    zh[:, 1] += h
+    with pytest.raises(ExpressionDomainError) as want:
+        f(x, zh, p) - f(x, outside, p)
+    with pytest.raises(ExpressionDomainError) as got:
+        d_ij(sys_, 2, 2, x, outside, p, h)
+    assert str(got.value) == str(want.value)
