@@ -1,20 +1,22 @@
 """Moving-plane diagnostics on solved determinant-equation fields.
 
 Given a grid solution, a direction nu and a plane position lambda, the
-frame machinery reflects the fields across the plane, forms the
-difference U = u_reflected - u on the cap, and linearizes the
-determinant difference through the matrix mean value identity
+fields are reflected across the plane and U = u_reflected - u is formed
+on the cap.  Through the matrix mean value identity
 
     det(H_refl) - det(H) = tr(A (H_refl - H)),
     A = integral_0^1 adj((1-t) H_refl + t H) dt,
 
-whose integrand is linear in t for 2x2 Hessians, so A is the adjugate
-of (H_refl + H) / 2 in closed form.  The positive definite 2x2 matrices
-form a convex cone, so the integrand is positive definite for every t
-exactly when H_refl and H both are; a node where one of them is not is
-flagged.  On top of the frames sit certificates: cap monotonicity,
-mirror symmetry, a Hopf boundary derivative check, tube corner
-cross-derivatives and an audit of the elliptic inequality satisfied by U.
+U satisfies a linear elliptic inequality, which one per-node audit,
+:func:`_ei_nodes`, checks.  It reads the trace term as the difference of
+the discrete operator at a node's reflection and at the node,
+``det_op_lam - det_op``, and forms no A; the tests check the identity on
+A = adj((H_refl + H) / 2), its closed form, as the integrand is linear
+in t for 2x2 Hessians.  The positive definite 2x2 matrices form a convex
+cone, so the integrand is positive definite for every t exactly when
+H_refl and H both are; a node where one of them is not is flagged.  On
+top of the audit sit certificates: cap monotonicity, mirror symmetry, a
+Hopf boundary derivative check and tube corner cross-derivatives.
 
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
@@ -26,13 +28,14 @@ stack rows it is given at the nodes and at their reflections.  The 2x2
 Hessian algebra (the reflection Q H Q, determinants and positivity
 flags) runs in closed form on per-entry arrays.
 
-A sweep packs its consecutive plane positions greedily into batches of
-at most as many cap nodes as the grid has nodes, which no cap exceeds;
-each batch finds its own caps and is audited straight from the stack
-rows it reads, building no frame: the values, Hessians, mask and
-operator rows, and the gradient rows only when the system reads p or
-declares a gradient Lipschitz constant.  The audit forms no mean-value
-matrices, which no sweep entry reads, and each position's figures (cap
+One plane position is read into a frame, the stack rows at its cap
+nodes and their reflections, and :func:`linearize` runs the audit on
+them.  A sweep packs its consecutive plane positions greedily into
+batches of at most as many cap nodes as the grid has nodes, which no cap
+exceeds; each batch finds its own caps and runs the audit straight on
+the stack rows it reads, building no frame: the values, Hessians, mask
+and operator rows, and the gradient rows only when the system reads p or
+declares a gradient Lipschitz constant.  Each position's figures (cap
 bound, violations, least margin, flag counts) are reductions over its
 segment of the batch's nodes, one ``reduceat`` call per figure for every
 position at once.  The batches, and one more task that calls the public
@@ -74,11 +77,6 @@ __all__ = [
 # A stack of 2x2 matrices is handled through its entries: ``M[r][c]`` is the
 # array of entry (r, c) over the stack.
 
-def _entries(M):
-    """The entries of a (..., 2, 2) stack, as views."""
-    return np.moveaxis(M, (-2, -1), (0, 1))
-
-
 def _det2(M):
     """Determinants of a stack of 2x2 matrices, given by its entries."""
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
@@ -88,14 +86,6 @@ def _pd(M, det):
     """Where each matrix of an entry stack with determinants ``det`` is
     positive definite: det > 0 and trace > 0."""
     return (det > 0) & (M[0][0] + M[1][1] > 0)
-
-
-def _mat2(a00, a01, a10, a11):
-    """Stack entry arrays of equal shape into (..., 2, 2) matrices."""
-    out = np.empty(np.shape(a00) + (2, 2))
-    out[..., 0, 0], out[..., 0, 1] = a00, a01
-    out[..., 1, 0], out[..., 1, 1] = a10, a11
-    return out
 
 
 def _reflect_hessian(Q, H):
@@ -212,9 +202,18 @@ def _read_caps(solution, nu, lams, rows):
 # ---------------------------------------------------------------------------
 # frames
 
+def _difference(at_node, at_refl, m):
+    """U = u_lam - u and the nodes with valid derivatives, from the stack
+    rows at cap nodes and at their reflections: those whose own derivative
+    stencil and reflected interpolation cell stay clear of the boundary."""
+    return (at_refl[:4 * m:4] - at_node[:4 * m:4],
+            (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12))
+
+
 @dataclass
 class MovingPlaneFrame:
-    """Reflected-difference data on the cap {x . nu <= lam}.
+    """The solution's stack rows on the cap {x . nu <= lam} and at its
+    reflection, as :func:`_read_caps` reads them for one plane position.
 
     Arrays are indexed by the kept cap nodes; ``deriv_ok`` marks the
     subset where both the node's own derivative stencil and the
@@ -226,72 +225,52 @@ class MovingPlaneFrame:
     lam: float
     grid: object
     node_idx: np.ndarray          # (K,) indices into the solution's nodes
-    xy: np.ndarray                # (K, 2)
     reflected_xy: np.ndarray      # (K, 2)
-    deriv_ok: np.ndarray          # (K,) bool
     n_exited: int                 # cap nodes dropped: reflection left the domain
-    u: np.ndarray                 # (m, K)
-    u_lam: np.ndarray             # (m, K)
-    U: np.ndarray                 # (m, K)
-    grad_u: np.ndarray            # (m, K, 2)
-    grad_u_lam: np.ndarray        # (m, K, 2)
-    grad_U: np.ndarray            # (m, K, 2)
-    hess_u: np.ndarray            # (m, K, 2, 2)
-    hess_u_lam: np.ndarray        # (m, K, 2, 2)
-    hess_U: np.ndarray            # (m, K, 2, 2)
-    det_op: np.ndarray            # (m, K) discrete operator of u at the nodes
-    det_op_lam: np.ndarray        # (m, K) det_op interpolated at the reflected points
-    op_ok: np.ndarray             # (K,) where det_op_lam is finite
+    at_node: np.ndarray           # (7m + 1, K) stack rows at the nodes
+    at_refl: np.ndarray           # (7m + 1, K) stack rows interpolated at the reflections
 
     @property
     def m(self):
-        return self.u.shape[0]
+        return (len(self.at_node) - 1) // 7
 
     @property
     def empty(self):
         return len(self.node_idx) == 0
 
+    @property
+    def xy(self):
+        """(K, 2) the cap nodes."""
+        return np.take(self.grid.node_xy, self.node_idx, axis=0)
+
+    @property
+    def U(self):
+        """(m, K) U = u_lam - u."""
+        return _difference(self.at_node, self.at_refl, self.m)[0]
+
+    @property
+    def deriv_ok(self):
+        """(K,) where gradients and Hessians are trustworthy."""
+        return _difference(self.at_node, self.at_refl, self.m)[1]
+
 
 def build_frame(solution, nu, lam):
-    """Reflect the solution across {x . nu = lam} and assemble U = u_lam - u.
+    """Reflect the solution across {x . nu = lam}.
 
-    :func:`_read_caps` reads every field of the stack at the cap nodes,
+    :func:`_read_caps` reads every row of the stack at the cap nodes,
     those with x . nu < lam + 1e-9 h, so nodes on the plane are kept,
     and at their reflections: the values, the centered-difference
     derivatives, the validity mask and the discrete operator; when the
     reflection is grid aligned the bilinear weights collapse and the
-    pairing is exact.  Reflected Hessians are conjugated with the
-    reflection matrix, in closed form per entry, rather than
-    re-differenced, so they inherit the interior accuracy of the
-    unreflected fields.  By reflection invariance of the determinant, the
-    reflected discrete operator is the unreflected one interpolated at
-    the reflected points, where ``op_ok`` finds it finite.
-    :func:`lambda_sweep` computes its entries from the same per-node
-    operations without building frames.
+    pairing is exact.  :func:`lambda_sweep` reads the same rows for
+    many positions at once without building frames.
     """
     nu = _as_unit(nu, 2)
     lam = float(lam)
-    g, m = solution.grid, solution.m
     idx, refl, at_node, at_refl, _, (n_exited,) = _read_caps(solution, nu, [lam], solution.stack)
-    deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
-    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
-    grad_u = _gradients(at_node, m)
-    grad_u_lam = _gradients(at_refl, m) @ Q.T
-    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
-    hess_u, hess_u_lam = _mat2(*H[0], *H[1]), _mat2(*H_lam[0], *H_lam[1])
-
-    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam)
-    det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
-    return MovingPlaneFrame(
-        nu=nu, lam=lam, grid=g, node_idx=idx, xy=np.take(g.node_xy, idx, axis=0),
-        reflected_xy=refl, deriv_ok=deriv_ok, n_exited=n_exited,
-        u=u, u_lam=u_lam, U=u_lam - u,
-        grad_u=grad_u, grad_u_lam=grad_u_lam, grad_U=grad_u_lam - grad_u,
-        hess_u=hess_u, hess_u_lam=hess_u_lam, hess_U=hess_u_lam - hess_u,
-        det_op=det_op, det_op_lam=det_op_lam,
-        op_ok=np.all(np.isfinite(det_op_lam), axis=0),
-    )
+    return MovingPlaneFrame(nu=nu, lam=lam, grid=solution.grid, node_idx=idx,
+                            reflected_xy=refl, n_exited=n_exited,
+                            at_node=at_node, at_refl=at_refl)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +278,11 @@ def build_frame(solution, nu, lam):
 
 @dataclass
 class LinearizationFields:
-    """Coefficients of the elliptic inequality satisfied by U on the cap."""
+    """The elliptic inequality satisfied by U, node by node on the cap."""
 
-    A: np.ndarray                 # (m, K, 2, 2) mean-value matrices adj((H_lam + H) / 2)
-    B: np.ndarray                 # (m, K, 2) gradient coefficient
-    c: np.ndarray                 # (m,) own-component Lipschitz constant
+    margin: np.ndarray            # (m, K) tr(A dD2U) + B . dU + c U - sum_j d_ij U_j
+    tolerance: np.ndarray         # (m, K) 10 h^2 max(|det H|, |det H_lam|)
+    ok: np.ndarray                # (K,) audited: valid derivatives, finite det_op_lam
     d: np.ndarray                 # (m, m, K) coupling difference quotients
     nonpd: np.ndarray             # (m, K) deriv_ok nodes where H_lam or H is not PD
 
@@ -314,41 +293,17 @@ class LinearizationFields:
 
 
 def linearize(frame, system):
-    """Mean-value matrices, Lipschitz coefficients and coupling quotients.
-
-    A^i is the integral of adj((1 - t) H_lam + t H) over t in [0, 1].
-    The adjugate of a 2x2 matrix is linear in its entries, so the
-    integral is adj((H_lam + H) / 2) in closed form, at every node.  The
-    integrand runs along the segment from H_lam to H, and the positive
-    definite 2x2 matrices form a convex cone, so it is positive definite
-    for every t exactly when both ends are; a node with derivatives
-    where one end is not is flagged and counted.  B^i points
-    along grad U with the declared gradient Lipschitz constant as length
-    (zero where grad U vanishes); c^i is the declared own-component
-    constant; d_ij is the difference quotient of f^i along unknown j,
-    evaluated at the telescoped argument (components before j reflected,
-    j and later unreflected) with step U^j.
-    """
-    Ha, Hb = frame.hess_u_lam, frame.hess_u
-    M = 0.5 * (Ha + Hb)
-    A = _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
-    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
-    H, H_lam = _entries(Hb), _entries(Ha)
-    d = _quotients(system, frame.xy, frame.u, frame.u_lam, frame.U, frame.grad_u_lam)
-    return LinearizationFields(
-        A=A, B=_gradient_coefficient(frame.grad_U, hp), c=c, d=d,
-        nonpd=_nonpd(H, H_lam, _det2(H), _det2(H_lam), frame.deriv_ok))
+    """The elliptic-inequality audit of :func:`_ei_nodes` on a frame's cap,
+    as a sweep runs it on that plane position."""
+    U, deriv_ok = _difference(frame.at_node, frame.at_refl, frame.m)
+    return LinearizationFields(*_ei_nodes(
+        frame.grid, frame.nu, system, frame.node_idx, frame.at_node, frame.at_refl, U,
+        deriv_ok, [0, len(frame.node_idx)], _reads_gradients(system)))
 
 
 def _constants(values):
     """Declared Lipschitz constants as an (m,) array, 0 for a null entry."""
     return np.array([0.0 if v is None else float(v) for v in values])
-
-
-def _nonpd(H, H_lam, det_H, det_H_lam, deriv_ok):
-    """(m, K) deriv_ok nodes where H_lam or H, given by their entries and
-    determinants, is not positive definite."""
-    return ~(_pd(H_lam, det_H_lam) & _pd(H, det_H)) & deriv_ok
 
 
 def _gradient_coefficient(grad_U, hp):
@@ -378,63 +333,91 @@ def _quotients(system, xy, u, u_lam, U, grad_u_lam):
     return d
 
 
-def verify_elliptic_inequality(lin, frame):
-    """Audit tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j on the cap.
+def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grads):
+    """The elliptic inequality tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j at
+    the cap nodes ``idx`` of the plane positions whose nodes are
+    bounds[k]:bounds[k + 1], from the stack rows at the nodes and at their
+    reflections, with the gradient rows when ``grads``.
 
-    Checked at cap nodes with trustworthy derivatives and a finite
-    reflected operator (``frame.op_ok``).  The tolerance is 10 h^2 times
-    a local determinant scale; nodes breaking the inequality beyond it
-    are counted and the worst one is reported.  With no such node the
-    report carries ``"verdict": "not-applicable"`` instead of ``passed``.
+    Returns the (m, K) margins, lhs - rhs, and their tolerances 10 h^2
+    max(|det H|, |det H_lam|); the (K,) audited nodes, those with valid
+    derivatives and a finite reflected operator; the (m, m, K) quotients
+    d; and the (m, K) ``deriv_ok`` nodes where H_lam or H is not positive
+    definite.  The trace term tr(A dD2U) is read as the operator
+    difference ``det_op_lam - det_op``, which the mean value identity
+    equates with it; both operator values come from the one operator field
+    of the solution, so its directional resolution bias cancels between a
+    node and its reflection, unlike that of raw Hessian determinants.  B^i points along grad U with the declared gradient
+    Lipschitz constant as length (zero where grad U vanishes); c^i is the
+    declared own-component constant; d_ij is the difference quotient of
+    f^i along unknown j, at the telescoped argument (components before j
+    reflected, j and later unreflected) with step U^j.
 
-    The trace term is the determinant difference of the discrete
-    wide-stencil operator, ``det_op_lam - det_op``; the two are equal by
-    the mean value identity, which acceptance criterion 06 audits on the
-    ``lin.A`` of :func:`linearize` to a relative 1e-10.  Both operator
-    values come from the one operator field of the solution, so its
-    directional resolution bias cancels between a node and its
-    reflection, unlike that of raw Hessian determinants.
+    The B . grad U and c U terms of a component whose declared constant is
+    0 are left out.  With finite grad U and U such a term is a signed
+    zero, and adding it leaves the margin as it was, since the margin is
+    not -0.0 there: det_op_lam is a bilinear sum started at +0.0, so
+    det_op_lam - det_op is not -0.0, and neither is its sum with a term.
     """
-    margin, tol_node = _ei_margins(
-        frame.grid.h, _det2(_entries(frame.hess_u)), _det2(_entries(frame.hess_u_lam)),
-        frame.det_op, frame.det_op_lam, frame.U, lin.d, lin.B, frame.grad_U, lin.c)
-    return _ei_report(frame, lin.d, margin, tol_node)
-
-
-def _ei_margins(h, det_H, det_H_lam, det_op, det_op_lam, U, d, B, grad_U, c):
-    """(m, K) margins tr(A dD2U) + B . dU + c U - sum_j d_ij U_j and their
-    tolerances 10 h^2 max(|det H|, |det H_lam|), node by node.  A component
-    whose ``B[i]`` or ``c[i]`` is None leaves that term out."""
-    tol_node = (10.0 * h ** 2) * np.maximum(np.abs(det_H), np.abs(det_H_lam))
+    m = len(U)
+    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
+    # reflected Hessians are conjugated with Q rather than re-differenced, so
+    # they inherit the interior accuracy of the unreflected fields
+    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
+    det_H, det_H_lam = _det2(H), _det2(H_lam)
+    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
+    grad_u_lam = grad_U = B = None
+    if grads:
+        # BLAS may round a row by the length of the array it sits in (a
+        # one-row product does), so each position's gradients get a product
+        # of their own, as :func:`linearize` forms them for that position alone
+        grad_refl = _gradients(at_refl, m)
+        grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
+                                     for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+    if hp.any():
+        grad_U = grad_u_lam - _gradients(at_node, m)
+        B = _gradient_coefficient(grad_U, hp)
+    d = _quotients(system, np.take(grid.node_xy, idx, axis=0), at_node[:4 * m:4],
+                   at_refl[:4 * m:4], U, grad_u_lam)
+    # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam): the
+    # reflected operator is the unreflected one at the reflected points
+    det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
+    tolerance = (10.0 * grid.h ** 2) * np.maximum(np.abs(det_H), np.abs(det_H_lam))
     margin = det_op_lam - det_op
-    for i in range(len(U)):
-        if B[i] is not None:
+    for i in range(m):
+        if hp[i]:
             margin[i] += np.einsum("ka,ka->k", B[i], grad_U[i])
-        if c[i] is not None:
+        if c[i]:
             margin[i] += c[i] * U[i]
         margin[i] -= np.einsum("jk,jk->k", d[i], U)
-    return margin, tol_node
+    ok = deriv_ok & np.all(np.isfinite(det_op_lam), axis=0)
+    nonpd = ~(_pd(H_lam, det_H_lam) & _pd(H, det_H)) & deriv_ok
+    return margin, tolerance, ok, d, nonpd
 
 
-def _ei_report(frame, d, margin, tol_node):
-    """The audit report of one plane position from its nodes' quotients
-    ``d`` and :func:`_ei_margins`."""
-    g = frame.grid
-    ok = frame.deriv_ok & frame.op_ok
+def verify_elliptic_inequality(lin, frame):
+    """Audit report of :func:`linearize` on one plane position.
+
+    Checked at the audited cap nodes (``lin.ok``).  The tolerance is 10 h^2
+    times a local determinant scale; nodes breaking the inequality beyond
+    it are counted and the worst one is reported.  With no such node the
+    report carries ``"verdict": "not-applicable"`` instead of ``passed``.
+    """
+    ok, margin, xy = lin.ok, lin.margin, frame.xy
     any_ok = bool(ok.any())
-    report = {"tolerance_rule": "10*h^2*scale", "h": g.h, "components": [],
+    report = {"tolerance_rule": "10*h^2*scale", "h": frame.grid.h, "components": [],
               "n_nodes": int(np.count_nonzero(ok)), "total_violations": 0,
               "worst_margin": float("inf"), "worst_xy": None,
-              "d_nonpositive": bool(np.all((d <= 1e-12) | ~ok))}
-    bad = ok & (margin < -tol_node)
+              "d_nonpositive": bool(np.all((lin.d <= 1e-12) | ~ok))}
+    bad = ok & (margin < -lin.tolerance)
     if any_ok:
         worst = np.argmin(np.where(ok, margin, np.inf), axis=1)
-    for i in range(frame.m):
+    for i in range(len(margin)):
         entry = {"component": i + 1, "violations": int(np.count_nonzero(bad[i]))}
         if any_ok:
             k = int(worst[i])
             entry["worst_margin"] = float(margin[i, k])
-            entry["worst_xy"] = [float(v) for v in frame.xy[k]]
+            entry["worst_xy"] = [float(v) for v in xy[k]]
             if margin[i, k] < report["worst_margin"]:
                 report["worst_margin"] = float(margin[i, k])
                 report["worst_xy"] = entry["worst_xy"]
@@ -679,7 +662,7 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
     rows too.  A batch holds at most the grid's node count, and the
     bilinear read gathers one cell corner at a time, so the batch's
     arrays stay within a small multiple of the solution's stack.  One
-    :func:`_sweep_audit` serves every position whose cap has a node with
+    :func:`_ei_nodes` call serves every position whose cap has a node with
     valid derivatives, and each position's figures are reductions over
     its segment of the batch's nodes, one ``reduceat`` per figure for all
     positions.
@@ -688,8 +671,7 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
     idx, _, at_node, at_refl, bounds, n_exited = _read_caps(
         solution, nu, lams, solution.stack if grads else solution.stack[:5 * m + 1])
     n_nodes = np.diff(bounds)
-    U = at_refl[:4 * m:4] - at_node[:4 * m:4]
-    deriv_ok = (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12)
+    U, deriv_ok = _difference(at_node, at_refl, m)
     # reduceat reads an empty segment as the element at its start, so only
     # the positions with nodes take part: their starts increase strictly
     full = n_nodes > 0
@@ -705,10 +687,21 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
                                                   for a in (idx, U, deriv_ok, at_node, at_refl))
         sub = np.zeros(np.count_nonzero(audited) + 1, dtype=int)
         np.cumsum(n_nodes[audited], out=sub[1:])
+        margin, tolerance, ok, _, nonpd = _ei_nodes(
+            solution.grid, nu, system, idx, at_node, at_refl, U, deriv_ok, sub, grads)
+        starts = sub[:-1]
         violations, worst = np.zeros(len(lams), dtype=int), np.zeros(len(lams))
         flagged = np.zeros((m, len(lams)), dtype=int)
-        violations[audited], worst[audited], flagged[:, audited] = _sweep_audit(
-            solution, nu, system, idx, at_node, at_refl, U, deriv_ok, sub, grads)
+        violations[audited] = np.add.reduceat(ok & (margin < -tolerance), starts,
+                                              axis=1).sum(axis=0)
+        # as verify_elliptic_inequality finds it: per component the least
+        # margin of the nodes audited, NaN if one is NaN; across components a
+        # NaN is passed over, and a position with no finite least margin
+        # reports 0
+        least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
+        worst[audited] = np.fmin.reduce(least, axis=0, initial=np.inf)
+        worst[~np.isfinite(worst)] = 0.0
+        flagged[:, audited] = np.add.reduceat(nonpd, starts, axis=1)
     entries = []
     for k, lam in enumerate(lams):
         entry = {"lambda": float(lam), "n_nodes": int(n_nodes[k]), "n_exited": n_exited[k]}
@@ -724,55 +717,6 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
                 entry["flagged_nonpd"] = [int(n) for n in flagged[:, k]]
         entries.append(entry)
     return entries
-
-
-def _sweep_audit(solution, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grads):
-    """The elliptic-inequality audit of the plane positions whose nodes are
-    bounds[k]:bounds[k + 1]: per position the violations, the least margin
-    and the (m,) counts of flagged nodes, as :func:`verify_elliptic_inequality`
-    and :func:`linearize` find them.
-
-    It forms no mean-value matrix A, and it leaves out the B . grad U and
-    c U terms of a component whose declared constant is 0.  With finite
-    grad U and U such a term is a signed zero, and adding it leaves the
-    margin as it was, since the margin is not -0.0 there: det_op_lam is a
-    bilinear sum started at +0.0, so det_op_lam - det_op is not -0.0, and
-    neither is its sum with a term.
-    """
-    g, m = solution.grid, solution.m
-    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
-    det_H, det_H_lam = _det2(H), _det2(H_lam)
-    hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
-    grad_u_lam = grad_U = B = None
-    if grads:
-        # BLAS may round a row by the length of the array it sits in (a
-        # one-row product does), so each position's gradients get a product
-        # of their own, as in a frame of that position alone
-        grad_refl = _gradients(at_refl, m)
-        grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
-                                     for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
-    if hp.any():
-        grad_U = grad_u_lam - _gradients(at_node, m)
-        B = _gradient_coefficient(grad_U, hp)
-    d = _quotients(system, np.take(g.node_xy, idx, axis=0), at_node[:4 * m:4],
-                   at_refl[:4 * m:4], U, grad_u_lam)
-    det_op_lam = at_refl[4 * m + 1:5 * m + 1]
-    margin, tol_node = _ei_margins(
-        g.h, det_H, det_H_lam, at_node[4 * m + 1:5 * m + 1], det_op_lam, U, d,
-        [B[i] if hp[i] else None for i in range(m)], grad_U,
-        [c[i] if c[i] else None for i in range(m)])
-    ok = deriv_ok & np.all(np.isfinite(det_op_lam), axis=0)
-    starts = bounds[:-1]
-    violations = np.add.reduceat(ok & (margin < -tol_node), starts, axis=1).sum(axis=0)
-    # as _ei_report finds it: per component the least margin of the nodes
-    # audited, NaN if one is NaN; across components a NaN is passed over, and
-    # a position with no finite least margin reports 0
-    least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
-    worst = np.fmin.reduce(least, axis=0, initial=np.inf)
-    worst[~np.isfinite(worst)] = 0.0
-    nonpd = _nonpd(H, H_lam, det_H, det_H_lam, deriv_ok)
-    return violations, worst, np.add.reduceat(nonpd, starts, axis=1)
 
 
 def _certificates(solution, nu, planes):

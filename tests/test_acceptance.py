@@ -22,6 +22,7 @@ from masym.movingplane import (build_frame, certify_monotonicity,
 from masym.radial import (NoSolution, solve_coupled_radial, solve_scalar_radial,
                           uniqueness_probe)
 from masym.rhs import RhsSystem, check_hypotheses, d_ij, power_coupled_system
+from mean_value import frame_hessians, mean_value_matrix
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 H = 1.0 / 64.0
@@ -43,18 +44,24 @@ def coupled64():
 
 @pytest.fixture(scope="module")
 def coupled64_linearized(coupled64):
-    """(frame, linearization) of the coupled solution at five planes along e1."""
+    """(frame, linearization, H_lam, H, A) of the coupled solution at five
+    planes along e1: the Hessian pairs and mean-value matrices of the test
+    oracle beside the audit of linearize."""
     sol, _ = coupled64
     system = power_coupled_system(1.0, 1.0)
     frames = [build_frame(sol, [1.0, 0.0], lam) for lam in (-0.9, -0.6, -0.3, -0.1, 0.0)]
-    return [(frame, linearize(frame, system)) for frame in frames]
+    out = []
+    for frame in frames:
+        H_lam, H = frame_hessians(frame)
+        out.append((frame, linearize(frame, system), H_lam, H, mean_value_matrix(H_lam, H)))
+    return out
 
 
-def _unflagged(frame, lin, i):
+def _unflagged(frame, lin, H_lam, H, i):
     """deriv_ok nodes of component i whose mean-value integrand is positive
     definite at both ends, H_lam and H, and so on all of [0, 1]."""
     ok = frame.deriv_ok.copy()
-    for M in (frame.hess_u_lam[i], frame.hess_u[i]):
+    for M in (H_lam[i], H[i]):
         ok &= ((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] > 0)
                & (M[:, 0, 0] + M[:, 1, 1] > 0))
     assert int(np.sum(frame.deriv_ok & ~ok)) == lin.n_flagged[i]
@@ -121,23 +128,23 @@ def test_criterion_05_symmetry_certification():
 
 
 def test_criterion_06_mean_value_identity(coupled64_linearized):
-    """tr(A (H_u - H_lam)) = det H_u - det H_lam on the A of linearize."""
+    """tr(A (H_u - H_lam)) = det H_u - det H_lam on the mean-value matrix
+    A = adj((H_u + H_lam) / 2) of the frames that linearize audits."""
     worst, n_nodes, n_flagged = 0.0, 0, 0
-    for frame, lin in coupled64_linearized:
+    for frame, lin, H_lams, Hs, A in coupled64_linearized:
         for i in range(frame.m):
-            ok = _unflagged(frame, lin, i)
+            ok = _unflagged(frame, lin, H_lams, Hs, i)
             n_nodes += int(ok.sum())
             n_flagged += lin.n_flagged[i]
-            H_lam, H_u = frame.hess_u_lam[i][ok], frame.hess_u[i][ok]
-            lhs = np.einsum("kab,kab->k", lin.A[i][ok], H_u - H_lam)
+            H_lam, H_u = H_lams[i][ok], Hs[i][ok]
+            lhs = np.einsum("kab,kab->k", A[i][ok], H_u - H_lam)
             rhs = np.linalg.det(H_u) - np.linalg.det(H_lam)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)
                                             / np.maximum(1.0, np.abs(rhs)))))
-    frame, lin = coupled64_linearized[2]
-    okn = _unflagged(frame, lin, 0)
-    lhs = np.einsum("kab,kab->k", lin.A[0][okn], frame.hess_U[0][okn])
-    rhs = (np.linalg.det(frame.hess_u_lam[0][okn])
-           - np.linalg.det(frame.hess_u[0][okn]))
+    frame, lin, H_lams, Hs, A = coupled64_linearized[2]
+    okn = _unflagged(frame, lin, H_lams, Hs, 0)
+    lhs = np.einsum("kab,kab->k", A[0][okn], (H_lams - Hs)[0][okn])
+    rhs = np.linalg.det(H_lams[0][okn]) - np.linalg.det(Hs[0][okn])
     field_worst = float(np.max(np.abs(lhs - rhs)))
     ok = n_nodes > 0 and worst <= 1e-10 and field_worst <= 10.0 * H ** 2
     report(6, ok, f"rel err {worst:.2e} on {n_nodes} nodes ({n_flagged} flagged), "
@@ -145,16 +152,17 @@ def test_criterion_06_mean_value_identity(coupled64_linearized):
 
 
 def test_criterion_07_determinant_derivative(coupled64_linearized):
-    """d det / dM at M = (H_u + H_lam) / 2 is the transpose of the A of
-    linearize: the integrand is linear in t, so A = adj M."""
+    """d det / dM at M = (H_u + H_lam) / 2 is the transpose of the
+    mean-value matrix A of the frames that linearize audits: the integrand
+    is linear in t, so A = adj M."""
     eps = 1e-6
     worst, n_nodes = 0.0, 0
-    for frame, lin in coupled64_linearized:
+    for frame, lin, H_lams, Hs, A in coupled64_linearized:
         for i in range(frame.m):
-            ok = _unflagged(frame, lin, i)
+            ok = _unflagged(frame, lin, H_lams, Hs, i)
             n_nodes += int(ok.sum())
-            M = 0.5 * (frame.hess_u[i][ok] + frame.hess_u_lam[i][ok])
-            G = np.swapaxes(lin.A[i][ok], -1, -2)
+            M = 0.5 * (Hs[i][ok] + H_lams[i][ok])
+            G = np.swapaxes(A[i][ok], -1, -2)
             for a in range(2):
                 for b in range(2):
                     E = np.zeros((2, 2))

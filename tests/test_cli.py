@@ -594,6 +594,29 @@ def test_linearize_command(tmp_path):
     assert (out / "linearization.csv").exists()
 
 
+@pytest.mark.parametrize("nu", [[1.0, 0.0], [math.cos(0.5), math.sin(0.5)]],
+                         ids=["axis", "0.5rad"])
+def test_linearize_at_Lam0_is_the_last_sweep_entry(tmp_path, nu):
+    """linearize at the disk's critical plane Lam0 = 0 runs the audit that
+    certify's sweep runs on its last position: the same cap size,
+    violations, least margin and flag counts."""
+    base = {"domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "system": {"alpha": 1.0, "beta": 2.0}, "params": {"h": 0.03125}, "nu": nu}
+    runs = {}
+    for command, extra in (("certify", {}), ("linearize", {"lambda": 0.0})):
+        cfg = write_config(tmp_path, dict(base, command=command, **extra), f"{command}.json")
+        runs[command] = tmp_path / command
+        assert main(["--config", cfg, "--out", str(runs[command]), "--quiet"]) == 0
+    last = read_json(runs["certify"] / "certificate.json")["entries"][-1]
+    lin = read_json(runs["linearize"] / "linearization.json")
+    ei = lin["elliptic_inequality"]
+    assert last["lambda"] == lin["lambda"] == 0.0
+    assert lin["n_nodes"] > 0
+    assert ((lin["n_nodes"], ei["total_violations"], ei["worst_margin"], lin["flagged_nonpd"])
+            == (last["n_nodes"], last["ei_violations"], last["ei_worst_margin"],
+                last["flagged_nonpd"]))
+
+
 LINEARIZE_CFG = {
     "command": "linearize",
     "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from masym.movingplane import (MovingPlaneFrame, _bilinear, boundary_checks,
                                write_heatmap_svg)
 from masym.radial import SolverDivergence
 from masym.rhs import RhsSystem, d_ij as rhs_d_ij, power_coupled_system
+from mean_value import frame_hessians, mean_value_matrix
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
@@ -46,34 +48,40 @@ QUAD_SYSTEM = RhsSystem(components=(parse("4"),), n=2,
 
 
 def _hessian_frame(H_lam, H):
-    """A one-component frame that carries only a Hessian pair per node,
-    reflected ``H_lam`` and original ``H``, so :func:`linearize` builds
-    A = integral_0^1 adj((1-t) H_lam + t H) dt for it."""
+    """A one-component frame along e1 whose stack rows carry only a pair of
+    symmetric Hessians per node, reflected ``H_lam`` and original ``H``: the
+    rows at the reflections hold Q H_lam Q, which the frame reflects back
+    exactly, as Q = diag(-1, 1).  Values, gradients and operator rows are
+    zero, and every node has valid derivatives."""
     K = len(H)
-    zero, zero2 = np.zeros((1, K)), np.zeros((1, K, 2))
+
+    def rows(M):
+        out = np.zeros((8, K))
+        out[1], out[2], out[3], out[4] = M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], 1.0
+        return out
+
+    Q = np.diag([-1.0, 1.0])
     return MovingPlaneFrame(
-        nu=np.array([1.0, 0.0]), lam=0.0, grid=None, node_idx=np.arange(K),
-        xy=np.zeros((K, 2)), reflected_xy=np.zeros((K, 2)), deriv_ok=np.ones(K, bool),
-        n_exited=0, u=zero, u_lam=zero, U=zero, grad_u=zero2, grad_u_lam=zero2,
-        grad_U=zero2, hess_u=H[None], hess_u_lam=H_lam[None], hess_U=(H_lam - H)[None],
-        det_op=zero, det_op_lam=zero, op_ok=np.ones(K, bool))
+        nu=np.array([1.0, 0.0]), lam=0.0,
+        grid=SimpleNamespace(h=1.0 / 32.0, node_xy=np.zeros((K, 2))), node_idx=np.arange(K),
+        reflected_xy=np.zeros((K, 2)), n_exited=0, at_node=rows(H), at_refl=rows(Q @ H_lam @ Q))
 
 
 def test_adjugate_matches_det_times_inverse():
-    """For H_lam = H = M the mean-value matrix of linearize is adj M."""
+    """For H_lam = H = M the mean-value matrix of a frame is adj M."""
     rng = np.random.default_rng(0)
     M = random_spd(rng, 2, 20)
-    lin = linearize(_hessian_frame(M, M), QUAD_SYSTEM)
+    A = mean_value_matrix(*frame_hessians(_hessian_frame(M, M)))
     expected = np.linalg.det(M)[:, None, None] * np.linalg.inv(M)
-    assert np.allclose(lin.A[0], expected, atol=1e-10)
+    assert np.allclose(A[0], expected, atol=1e-10)
 
 
 def test_det_gradient_finite_difference():
     """d det / dM = adj(M)^T, checked entrywise against central differences
-    of det at M on the A that linearize builds for H_lam = H = M."""
+    of det at M on the mean-value matrix of a frame with H_lam = H = M."""
     rng = np.random.default_rng(1)
     M = random_spd(rng, 2, 1000)
-    G = np.swapaxes(linearize(_hessian_frame(M, M), QUAD_SYSTEM).A[0], -1, -2)
+    G = np.swapaxes(mean_value_matrix(*frame_hessians(_hessian_frame(M, M)))[0], -1, -2)
     eps = 1e-6
     worst = 0.0
     for a in range(2):
@@ -88,12 +96,12 @@ def test_det_gradient_finite_difference():
 
 def test_mean_value_identity_exact():
     """tr(A (H - H_lam)) equals det H - det H_lam to quadrature precision
-    on the A that linearize builds."""
+    on the mean-value matrix of a frame, none of whose nodes linearize flags."""
     rng = np.random.default_rng(2)
     H_lam, H = random_spd(rng, 2, 100), random_spd(rng, 2, 100)
-    lin = linearize(_hessian_frame(H_lam, H), QUAD_SYSTEM)
-    assert lin.n_flagged == (0,)
-    lhs = np.einsum("kab,kab->k", lin.A[0], H - H_lam)
+    frame = _hessian_frame(H_lam, H)
+    assert linearize(frame, QUAD_SYSTEM).n_flagged == (0,)
+    lhs = np.einsum("kab,kab->k", mean_value_matrix(*frame_hessians(frame))[0], H - H_lam)
     rhs = np.linalg.det(H) - np.linalg.det(H_lam)
     rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     assert np.max(rel) <= 1e-10
@@ -104,17 +112,19 @@ def test_linearize_flags_a_node_by_the_ends_of_its_segment():
     exactly when both ends are.  Toward H = 2 I, H_lam = diag(2, -0.01) turns
     positive definite at t = 0.005, before any Gauss-Legendre node of [0, 1],
     yet its node is flagged, as is the node whose H is the indefinite end.
-    A stays adj((H_lam + H) / 2) at every node, flagged or not."""
+    The frame's A stays adj((H_lam + H) / 2) at every node, flagged or not."""
     H = np.tile(2.0 * np.eye(2), (3, 1, 1))
     H_lam = H.copy()
     H_lam[1] = np.diag([2.0, -0.01])
     H[2] = np.diag([-0.01, 2.0])
-    lin = linearize(_hessian_frame(H_lam, H), QUAD_SYSTEM)
+    frame = _hessian_frame(H_lam, H)
+    lin = linearize(frame, QUAD_SYSTEM)
     assert lin.n_flagged == (2,)
+    np.testing.assert_array_equal(lin.nonpd, [[False, True, True]])
     M = 0.5 * (H_lam + H)
     adj = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], -1),
                     np.stack([-M[:, 1, 0], M[:, 0, 0]], -1)], -2)
-    np.testing.assert_array_equal(lin.A[0], adj)
+    np.testing.assert_array_equal(mean_value_matrix(*frame_hessians(frame))[0], adj)
 
 
 def test_frame_reflection_of_quadratic(quadratic):
@@ -127,7 +137,8 @@ def test_frame_reflection_of_quadratic(quadratic):
     expected = 4.0 * lam * (lam - x1)
     assert np.max(np.abs(frame.U[0, ok] - expected)) <= 5e-3
     # Hessians are constant 2 I on both sides, so the difference vanishes
-    assert np.max(np.abs(frame.hess_U[0, ok])) <= 5e-2
+    H_lam, H = frame_hessians(frame)
+    assert np.max(np.abs((H_lam - H)[0, ok])) <= 5e-2
 
 
 def test_frame_on_plane_difference_vanishes(quadratic):
@@ -167,11 +178,12 @@ def test_linearization_matrices_positive(quadratic):
     frame = build_frame(quadratic, [1.0, 0.0], -0.5)
     lin = linearize(frame, QUAD_SYSTEM)
     ok = frame.deriv_ok
-    eig = np.linalg.eigvalsh(lin.A[0][ok])
+    eig = np.linalg.eigvalsh(mean_value_matrix(*frame_hessians(frame))[0][ok])
     assert np.min(eig) > 0.0
-    # constant source: no z or p dependence in the bound fields
-    assert float(np.max(np.abs(lin.c[0]))) == 0.0
+    # constant source: no z or p dependence in the bound fields, so the
+    # margin is the operator difference det_op_lam - det_op alone
     assert float(np.max(np.abs(lin.d[0]))) == 0.0
+    np.testing.assert_array_equal(lin.margin, frame.at_refl[5:6] - frame.at_node[5:6])
 
 
 def test_monotonicity_certificate(quadratic):
@@ -332,9 +344,7 @@ def coupled16():
                            FdParams(h=1.0 / 16.0))
 
 
-FRAME_ARRAYS = ("node_idx", "xy", "reflected_xy", "deriv_ok", "u", "u_lam", "U",
-                "grad_u", "grad_u_lam", "grad_U", "hess_u", "hess_u_lam", "hess_U",
-                "det_op", "det_op_lam", "op_ok")
+FRAME_ARRAYS = ("node_idx", "xy", "reflected_xy", "deriv_ok", "U", "at_node", "at_refl")
 
 
 ELLIPSE = Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.6))
@@ -783,20 +793,37 @@ def test_bilinear_kernel_matches_scipy(domain):
     assert np.all(np.isfinite(rim_vals[field_rows]))
 
 
+def _quadrature_mean_value_matrix(H_lam, H):
+    """A = integral_0^1 adj((1 - t) H_lam + t H) dt accumulated over the
+    4-node Gauss-Legendre rule, one entry array at a time."""
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(4)
+    t_nodes, t_weights = 0.5 * (t_nodes + 1.0), 0.5 * t_weights
+    a00 = a01 = a10 = a11 = 0.0
+    for tk, wk in zip(t_nodes, t_weights):
+        m00, m01, m10, m11 = ((1.0 - tk) * H_lam[..., r, s] + tk * H[..., r, s]
+                              for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        a00, a01 = a00 + wk * m11, a01 + wk * -m01
+        a10, a11 = a10 + wk * -m10, a11 + wk * m00
+    return np.stack([np.stack([a00, a01], -1), np.stack([a10, a11], -1)], -2)
+
+
 @pytest.mark.parametrize("nu", [(1.0, 0.0), (np.cos(0.4), np.sin(0.4))], ids=["axis", "oblique"])
 def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
-    """linearize gives adj((H_lam + H) / 2) at every node, which is the
-    mean-value matrix exactly because the integrand is linear in t, and it
-    flags the nodes where the integrand fails to be positive definite at one
-    of 33 points of [0, 1], both ends included."""
+    """linearize flags the nodes where the mean-value integrand fails to be
+    positive definite at one of 33 points of [0, 1], both ends included;
+    and adj((H_lam + H) / 2), the mean-value matrix in closed form, is
+    within 4 ulps of the node's Hessian scale of the accumulated
+    quadrature at every node, flagged nodes included, as the integrand is
+    linear in t."""
     system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)
     lam = 0.5 * (planes.lam0 + planes.Lam0)
     for sol in (coupled, _perturbed(coupled)):
         frame = build_frame(sol, nu, lam)
         lin = linearize(frame, system)
+        H_lam, H = frame_hessians(frame)
         for i in range(frame.m):
-            Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
+            Ha, Hb = H_lam[i], H[i]
             bad = np.zeros(len(frame.node_idx), dtype=bool)
             for tk in np.linspace(0.0, 1.0, 33):
                 Mt = (1.0 - tk) * Ha + tk * Hb
@@ -804,73 +831,75 @@ def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
                 bad |= ~((det > 0) & (np.trace(Mt, axis1=-2, axis2=-1) > 0))
             bad &= frame.deriv_ok
             assert lin.n_flagged[i] == int(bad.sum())
-            M = 0.5 * (Ha + Hb)
-            expected = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], axis=-1),
-                                 np.stack([-M[:, 1, 0], M[:, 0, 0]], axis=-1)], axis=-2)
-            # four weighted sums round each entry: a few ulps of the largest
-            np.testing.assert_allclose(lin.A[i], expected, rtol=0.0,
-                                       atol=4 * np.finfo(float).eps * np.max(np.abs(M)))
+        scale = np.maximum(np.max(np.abs(H), axis=(-2, -1)), np.max(np.abs(H_lam), axis=(-2, -1)))
+        A = mean_value_matrix(H_lam, H)
+        assert np.all(np.max(np.abs(A - _quadrature_mean_value_matrix(H_lam, H)), axis=(-2, -1))
+                      <= 4 * np.spacing(scale))
     assert sum(lin.n_flagged) > 0
 
 
 def _reference_linearization(frame, system):
-    """A, B, d and the flag counts by the entry-wise formulas: A^i accumulates
-    w_k adj((1 - t_k) H_lam + t_k H) over the 4-node Gauss-Legendre rule, one
-    entry array at a time; a node is flagged where the integrand at t = 0 or
-    t = 1 is not positive definite; B^i is written on the boolean mask where
-    grad U^i is nonzero; d_ij is one call per (i, j)."""
+    """Margins, tolerances, d and the flag counts by the entry-wise formulas
+    on the frame's rows.  The margin is the operator difference det_op_lam
+    - det_op, plus B^i . grad U^i, with B^i written on the boolean mask
+    where grad U^i is nonzero, plus c^i U^i, minus d_ij U^j added up over
+    j, every term added whatever its constant; d_ij is one call per (i,
+    j); a node is flagged where H_lam or H is not positive definite."""
     m, K = frame.m, len(frame.node_idx)
-    A, B, d = np.zeros((m, K, 2, 2)), np.zeros((m, K, 2)), np.zeros((m, m, K))
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(4)
-    t_nodes, t_weights = 0.5 * (t_nodes + 1.0), 0.5 * t_weights
+    at_node, at_refl, U = frame.at_node, frame.at_refl, frame.U
+    Q = np.eye(2) - 2.0 * np.outer(frame.nu, frame.nu)
+    u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
+    grad_u = np.stack([at_node[5 * m + 1::2], at_node[5 * m + 2::2]], axis=-1)
+    grad_u_lam = np.stack([at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]], axis=-1) @ Q.T
+    H_lam, H = frame_hessians(frame)
+    margin, tolerance, d = np.zeros((m, K)), np.zeros((m, K)), np.zeros((m, m, K))
     flagged = []
     for i in range(m):
-        Ha, Hb = frame.hess_u_lam[i], frame.hess_u[i]
-        a00 = a01 = a10 = a11 = 0.0
-        for tk, wk in zip(t_nodes, t_weights):
-            m00, m01, m10, m11 = ((1.0 - tk) * Ha[:, r, s] + tk * Hb[:, r, s]
-                                  for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-            a00, a01 = a00 + wk * m11, a01 + wk * -m01
-            a10, a11 = a10 + wk * -m10, a11 + wk * m00
-        A[i] = np.stack([np.stack([a00, a01], -1), np.stack([a10, a11], -1)], -2)
+        dets = [M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] for M in (H[i], H_lam[i])]
         bad = np.zeros(K, dtype=bool)
-        for H in (Ha, Hb):
-            bad |= ~((H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0] > 0)
-                     & (H[:, 0, 0] + H[:, 1, 1] > 0))
-        bad &= frame.deriv_ok
-        flagged.append(int(bad.sum()))
-        gU = frame.grad_U[i]
+        for M, det in zip((H[i], H_lam[i]), dets):
+            bad |= ~((det > 0) & (M[:, 0, 0] + M[:, 1, 1] > 0))
+        flagged.append(int(np.sum(bad & frame.deriv_ok)))
+        tolerance[i] = (10.0 * frame.grid.h ** 2) * np.maximum(np.abs(dets[0]), np.abs(dets[1]))
+        gU = grad_u_lam[i] - grad_u[i]
         norm = np.linalg.norm(gU, axis=-1)
         nz = norm > 0
-        B[i][nz] = float(system.lipschitz_p[i]) * gU[nz] / norm[nz, None]
+        B = np.zeros((K, 2))
+        B[nz] = float(system.lipschitz_p[i]) * gU[nz] / norm[nz, None]
+        c = float(system.lipschitz_z[i] or 0.0)
+        margin[i] = at_refl[4 * m + 1 + i] - at_node[4 * m + 1 + i]
+        margin[i] += B[:, 0] * gU[:, 0] + B[:, 1] * gU[:, 1]
+        margin[i] += c * U[i]
+        coupling = 0.0
         for j in range(m):
-            z = np.stack([frame.u_lam[k] if k < j else frame.u[k] for k in range(m)], axis=-1)
-            d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, z, frame.grad_u_lam[i],
-                               frame.U[j])
-    return A, B, d, tuple(flagged)
+            z = np.stack([u_lam[k] if k < j else u[k] for k in range(m)], axis=-1)
+            d[i, j] = rhs_d_ij(system, i + 1, j + 1, frame.xy, z, grad_u_lam[i], U[j])
+            coupling = coupling + d[i, j] * U[j]
+        margin[i] -= coupling
+    return margin, tolerance, d, tuple(flagged)
 
 
 @pytest.mark.parametrize("nu, control", [
     ((1.0, 0.0), False), ((np.cos(0.4), np.sin(0.4)), False), ((1.0, 0.0), True),
 ], ids=["axis", "oblique", "control"])
 def test_linearize_matches_the_entrywise_reference(coupled, nu, control):
-    """B, d and the flag counts equal the entry-wise reference to the bit,
-    and the closed-form A is within 4 ulps of the node's Hessian scale of
-    the accumulated quadrature, flagged nodes included."""
+    """The margins, tolerances, d and the flag counts of linearize equal the
+    entry-wise reference to the bit, at six plane positions, for the power
+    pair and for pairs that declare nonzero Lipschitz constants, one of
+    them with sources that read p; the control, a perturbed solution, has
+    flagged nodes."""
     sol = _perturbed(coupled) if control else coupled
-    system = power_coupled_system(1.0, 1.0)
     planes = critical_planes(DISK, nu)
     n_flagged = 0
     for lam in planes.lam0 + (planes.Lam0 - planes.lam0) * np.arange(1, 7) / 6:
         frame = build_frame(sol, nu, float(lam))
-        lin = linearize(frame, system)
-        A, B, d, flagged = _reference_linearization(frame, system)
-        assert lin.B.shape == B.shape and lin.B.tobytes() == B.tobytes()
-        assert lin.d.shape == d.shape and lin.d.tobytes() == d.tobytes()
-        assert lin.n_flagged == flagged
-        scale = np.maximum(np.max(np.abs(frame.hess_u), axis=(-2, -1)),
-                           np.max(np.abs(frame.hess_u_lam), axis=(-2, -1)))
-        assert np.all(np.max(np.abs(lin.A - A), axis=(-2, -1)) <= 4 * np.spacing(scale))
+        for system in (power_coupled_system(1.0, 1.0), _lipschitz_system(),
+                       _gradient_system()):
+            lin = linearize(frame, system)
+            margin, tolerance, d, flagged = _reference_linearization(frame, system)
+            for got, want in ((lin.margin, margin), (lin.tolerance, tolerance), (lin.d, d)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert lin.n_flagged == flagged
         n_flagged += sum(flagged)
     assert (n_flagged > 0) == control
 
@@ -894,7 +923,7 @@ def test_reflections_off_the_grid_box_are_dropped():
     assert len(frame.node_idx) == 115
     assert frame.n_exited == int((~contained).sum())
     np.testing.assert_array_equal(frame.reflected_xy, refl[contained & in_box])
-    assert np.all(np.isfinite(frame.u_lam))
+    assert np.all(np.isfinite(frame.at_refl[:4 * frame.m:4]))
 
 
 

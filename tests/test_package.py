@@ -17,3 +17,21 @@ def test_every_name_in_all_resolves():
     for mod in exporting:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ lists undefined names {missing}"
+
+
+def test_every_benchmark_trace_target_resolves():
+    """Each (module, attribute) that ``bench/run.py --trace 1`` wraps exists,
+    so trace mode does not stop on an AttributeError when the program drops
+    or renames a traced name.  The script is imported by path, as it is no
+    package."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    targets = run._trace_targets()
+    assert any(module == "masym.movingplane" for _, module, _, _ in targets)
+    missing = [f"{module}.{attr}" for _, module, attr, _ in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"trace targets name undefined attributes {missing}"
