@@ -113,6 +113,11 @@ def load_config(path):
         raise _must(path, "which", f"a list of names from {', '.join(HYPOTHESES)}")
     if cfg.get("fixture", "quadratic") != "quadratic":
         raise _must(path, "fixture", '"quadratic"')
+    # the fixture brings its own source and boundary constant
+    for key in ("system", "cs"):
+        if "fixture" in cfg and key in cfg:
+            raise ConfigError(f"{path}:{_key_line(path, key)}: {key}: the quadratic fixture "
+                              f"takes no {key}")
     return cfg
 
 

@@ -534,23 +534,6 @@ class GridSolution:
         out[np.isnan(out)] = c
         return out
 
-    def _derivative_fields(self, i):
-        """Dense E, ux, uy, uxx, uyy, uxy of component i: the ghost-extended
-        array and its centered differences, trustworthy only at the valid
-        nodes of :attr:`stack`.
-        """
-        h = self.grid.h
-        E = self.extended_array(i)
-        nan = np.full_like(E, np.nan)
-        ux, uy = nan.copy(), nan.copy()
-        uxx, uyy, uxy = nan.copy(), nan.copy(), nan.copy()
-        ux[1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
-        uy[:, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
-        uxx[1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
-        uyy[:, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
-        uxy[1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4 * h ** 2)
-        return E, ux, uy, uxx, uyy, uxy
-
     @cached_property
     def node_rows(self):
         """Column of :attr:`stack` holding each interior node."""
@@ -570,7 +553,9 @@ class GridSolution:
         rows before the gradients, and the gradients only when the system
         reads them.  A node is valid when its full 3x3 neighborhood lies
         inside the domain, so that no extrapolated ghost value enters a
-        derivative there.  One field per
+        derivative there.  Each component's :meth:`extended_array` and its
+        five centred differences are written straight into their rows,
+        through a (7m + 1, nx, ny) view of the table.  One field per
         row keeps each gathered field contiguous; the moving-plane
         bilinear kernel reads it between nodes and a column gather at
         :attr:`node_rows` at them.  Every reader shares the table, so
@@ -578,24 +563,27 @@ class GridSolution:
         :class:`masym.radial.SolverDivergence` with the solve's sweep
         history.
         """
-        g, m = self.grid, self.m
+        g, m, h = self.grid, self.m, self.grid.h
         stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
+        rows = stack.reshape(7 * m + 1, g.nx, g.ny)
         ins = g.inside
-        valid = np.zeros_like(ins)
-        valid[1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
-                             & ins[1:-1, 2:] & ins[1:-1, :-2]
-                             & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
-        stack[4 * m] = valid.reshape(-1)
+        rows[4 * m] = 0.0
+        rows[4 * m, 1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
+                                   & ins[1:-1, 2:] & ins[1:-1, :-2]
+                                   & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
         # the fields divide by h^2 and the operator multiplies two of them, so
         # a solution that a float64 holds may still overflow here
         try:
             with np.errstate(over="raise"):
                 for i in range(m):
-                    # E, ux, uy, uxx, uyy, uxy
-                    rows = (4 * i, 5 * m + 1 + 2 * i, 5 * m + 2 + 2 * i,
-                            4 * i + 1, 4 * i + 2, 4 * i + 3)
-                    for row, f in zip(rows, self._derivative_fields(i)):
-                        stack[row] = f.reshape(-1)
+                    E = rows[4 * i]
+                    E[...] = self.extended_array(i)
+                    rows[5 * m + 1 + 2 * i, 1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
+                    rows[5 * m + 2 + 2 * i, :, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
+                    rows[4 * i + 1, 1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
+                    rows[4 * i + 2, :, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
+                    rows[4 * i + 3, 1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:]
+                                                   + E[:-2, :-2]) / (4 * h ** 2)
                 stack[4 * m + 1:5 * m + 1, self.node_rows] = [
                     _ma_and_active(g, u, c)[0] for u, c in zip(self.fields, self.cs)]
         except FloatingPointError:

@@ -24,9 +24,9 @@ bilinear kernel reads them all at a set of points, one gather of every
 field per cell corner.  One cap reader serves a frame, a sweep batch and
 the symmetry certificate: it finds the caps of some plane positions,
 keeps the nodes whose reflection stays in the domain, and reads the
-stack rows it is given at the nodes and at their reflections.  The 2x2
-Hessian algebra (the reflection Q H Q, determinants and positivity
-flags) runs in closed form on per-entry arrays.
+stack rows it is given at the nodes and at their reflections.  A
+reflection Q changes neither the determinant nor the trace of a Hessian,
+so the audit reads both off the interpolated Hessian, forming no Q H Q.
 
 One plane position is read into a frame, the stack rows at its cap
 nodes and their reflections, and :func:`linearize` runs the audit on
@@ -69,31 +69,6 @@ __all__ = [
     "lambda_sweep",
     "write_heatmap_svg",
 ]
-
-
-# ---------------------------------------------------------------------------
-# matrix algebra helpers
-#
-# A stack of 2x2 matrices is handled through its entries: ``M[r][c]`` is the
-# array of entry (r, c) over the stack.
-
-def _det2(M):
-    """Determinants of a stack of 2x2 matrices, given by its entries."""
-    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-
-def _pd(M, det):
-    """Where each matrix of an entry stack with determinants ``det`` is
-    positive definite: det > 0 and trace > 0."""
-    return (det > 0) & (M[0][0] + M[1][1] > 0)
-
-
-def _reflect_hessian(Q, H):
-    """The entries of Q H Q, as (Q H) Q, from the entries of H."""
-    # P[r][c] = Q[r, 0] H[0][c] + Q[r, 1] H[1][c]
-    P = [[Q[r, 0] * H[0][c] + Q[r, 1] * H[1][c] for c in (0, 1)] for r in (0, 1)]
-    # out[r][c] = P[r][0] Q[0, c] + P[r][1] Q[1, c]
-    return [[P[r][0] * Q[0, c] + P[r][1] * Q[1, c] for c in (0, 1)] for r in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +119,12 @@ def _bilinear(grid, stack, pts):
     return out
 
 
-def _hessians(rows, m):
-    """The entries of the Hessians in the (rows, K) values of the stack's rows."""
-    # entries (0, 0), (0, 1), (1, 0), (1, 1) are the rows uxx, uxy, uxy, uyy
+def _det_posdef(rows, m):
+    """(m, K) determinants of the Hessians in the (rows, K) values of the
+    stack's rows, and where they are positive definite: det, trace > 0."""
     uxx, uyy, uxy = rows[1:4 * m:4], rows[2:4 * m:4], rows[3:4 * m:4]
-    return [[uxx, uxy], [uxy, uyy]]
+    det = uxx * uyy - uxy * uxy
+    return det, (det > 0) & (uxx + uyy > 0)
 
 
 def _gradients(rows, m):
@@ -343,14 +319,16 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
     max(|det H|, |det H_lam|); the (K,) audited nodes, those with valid
     derivatives and a finite reflected operator; the (m, m, K) quotients
     d; and the (m, K) ``deriv_ok`` nodes where H_lam or H is not positive
-    definite.  The trace term tr(A dD2U) is read as the operator
-    difference ``det_op_lam - det_op``, which the mean value identity
-    equates with it; both operator values come from the one operator field
-    of the solution, so its directional resolution bias cancels between a
-    node and its reflection, unlike that of raw Hessian determinants.  B^i points along grad U with the declared gradient
-    Lipschitz constant as length (zero where grad U vanishes); c^i is the
-    declared own-component constant; d_ij is the difference quotient of
-    f^i along unknown j, at the telescoped argument (components before j
+    definite; both read det and trace of H_lam = Q D^2 u(x_lam) Q off the
+    interpolated D^2 u(x_lam), as Q changes neither.  The trace term
+    tr(A dD2U) is read as the operator difference ``det_op_lam - det_op``,
+    which the mean value identity equates with it; both operator values
+    come from the one operator field of the solution, so its directional
+    resolution bias cancels between a node and its reflection, unlike that
+    of raw Hessian determinants.  B^i points along grad U with the declared
+    gradient Lipschitz constant as length (zero where grad U vanishes); c^i
+    is the declared own-component constant; d_ij is the difference quotient
+    of f^i along unknown j, at the telescoped argument (components before j
     reflected, j and later unreflected) with step U^j.
 
     The B . grad U and c U terms of a component whose declared constant is
@@ -360,17 +338,15 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
     det_op_lam - det_op is not -0.0, and neither is its sum with a term.
     """
     m = len(U)
-    Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-    # reflected Hessians are conjugated with Q rather than re-differenced, so
-    # they inherit the interior accuracy of the unreflected fields
-    H, H_lam = _hessians(at_node, m), _reflect_hessian(Q, _hessians(at_refl, m))
-    det_H, det_H_lam = _det2(H), _det2(H_lam)
+    # det(Q M Q) = det M and tr(Q M Q) = tr M, so H_lam is never formed
+    (det_H, pd_H), (det_H_lam, pd_H_lam) = _det_posdef(at_node, m), _det_posdef(at_refl, m)
     hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
     grad_u_lam = grad_U = B = None
     if grads:
         # BLAS may round a row by the length of the array it sits in (a
         # one-row product does), so each position's gradients get a product
         # of their own, as :func:`linearize` forms them for that position alone
+        Q = np.eye(2) - 2.0 * np.outer(nu, nu)
         grad_refl = _gradients(at_refl, m)
         grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
                                      for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
@@ -391,7 +367,7 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
             margin[i] += c[i] * U[i]
         margin[i] -= np.einsum("jk,jk->k", d[i], U)
     ok = deriv_ok & np.all(np.isfinite(det_op_lam), axis=0)
-    nonpd = ~(_pd(H_lam, det_H_lam) & _pd(H, det_H)) & deriv_ok
+    nonpd = ~(pd_H_lam & pd_H) & deriv_ok
     return margin, tolerance, ok, d, nonpd
 
 

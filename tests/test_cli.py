@@ -297,6 +297,11 @@ CERTIFY_CFG = dict(GRID_CFG, command="certify", params={"h": 0.0625})
     ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 1.0},
       "box": dict(HYP_BOX, p=[[1.0, -1.0], [-1.0, 1.0]])}, "lo <= hi"),
     ({"command": "certify", "fixture": "cubic"}, 'fixture must be "quadratic"'),
+    # the fixture brings its own source and boundary constant
+    ({"command": "certify", "fixture": "quadratic", "system": {"alpha": 1.0, "beta": 1.0},
+      "params": {"h": 0.125}}, "config.json:4: system: the quadratic fixture takes no system"),
+    ({"command": "certify", "fixture": "quadratic", "cs": [5.0], "params": {"h": 0.125}},
+     "config.json:4: cs: the quadratic fixture takes no cs"),
     # an error raised while a key's value is read names the file, line and key
     ({"command": "hypotheses", "system": {"components": ["z2", "z1"]}, "box": HYP_BOX},
      "config.json:3: system: missing key 'n'"),
@@ -316,14 +321,15 @@ CERTIFY_CFG = dict(GRID_CFG, command="certify", params={"h": 0.0625})
      "config.json:3: system: 'z2 ** 2'"),
 ], ids=["lipschitz-nan", "lipschitz-not-numbers", "lipschitz-1e400", "lipschitz-10^400",
         "x3-system", "x3-list", "z3-one-component", "n-not-the-domain's", "n-float",
-        "which-string", "which-unknown", "box-lo-above-hi", "fixture-cubic", "system-without-n",
+        "which-string", "which-unknown", "box-lo-above-hi", "fixture-cubic", "fixture-system",
+        "fixture-cs", "system-without-n",
         "box-without-p", "box-one-x-row", "cs-short", "linearize-nu-not-unit",
         "certify-nu-not-unit", "ellipse-dimension-mismatch", "component-double-star"])
 def test_malformed_config_rejected_before_the_output_dir(tmp_path, capsys, cfg, message):
     """A declared constant that is not a finite number >= 0, a variable out
     of range, a system whose n is not the domain's dimension, a bad which,
-    box or fixture: each exits 2, naming the fault, before the output
-    directory exists."""
+    box or fixture, a system or cs beside the fixture: each exits 2, naming
+    the fault, before the output directory exists."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=1).replace('"1e400"', "1e400") + "\n")
     out = tmp_path / "out"

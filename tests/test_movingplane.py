@@ -18,7 +18,7 @@ from masym.movingplane import (MovingPlaneFrame, _bilinear, boundary_checks,
                                write_heatmap_svg)
 from masym.radial import SolverDivergence
 from masym.rhs import RhsSystem, d_ij as rhs_d_ij, power_coupled_system
-from mean_value import frame_hessians, mean_value_matrix
+from mean_value import frame_hessians, mean_value_matrix, stack_hessians
 
 DISK = Ball(center=(0.0, 0.0), radius=1.0)
 P32 = FdParams(h=1.0 / 32.0)
@@ -722,15 +722,16 @@ def test_stack_overflow_stops_the_sweep_before_its_workers(coupled, monkeypatch)
 
 
 def test_sweeps_of_one_solution_share_its_stack(coupled16, monkeypatch):
-    """Four sweeps of one solution difference each component once in all."""
+    """Four sweeps of one solution extend and difference each component once
+    in all."""
     calls = []
-    derivative_fields = GridSolution._derivative_fields
+    extended_array = GridSolution.extended_array
 
     def counted(sol, i):
         calls.append(i)
-        return derivative_fields(sol, i)
+        return extended_array(sol, i)
 
-    monkeypatch.setattr(GridSolution, "_derivative_fields", counted)
+    monkeypatch.setattr(GridSolution, "extended_array", counted)
     sol = GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
     system = power_coupled_system(1.0, 1.0)
     s = 1.0 / np.sqrt(2.0)
@@ -844,20 +845,22 @@ def _reference_linearization(frame, system):
     - det_op, plus B^i . grad U^i, with B^i written on the boolean mask
     where grad U^i is nonzero, plus c^i U^i, minus d_ij U^j added up over
     j, every term added whatever its constant; d_ij is one call per (i,
-    j); a node is flagged where H_lam or H is not positive definite."""
+    j); a node is flagged where H_lam or H is not positive definite.  The
+    determinant and positivity of H_lam = Q D^2 u(x_lam) Q are read off the
+    interpolated D^2 u(x_lam), as Q changes neither det nor trace."""
     m, K = frame.m, len(frame.node_idx)
     at_node, at_refl, U = frame.at_node, frame.at_refl, frame.U
     Q = np.eye(2) - 2.0 * np.outer(frame.nu, frame.nu)
     u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
     grad_u = np.stack([at_node[5 * m + 1::2], at_node[5 * m + 2::2]], axis=-1)
     grad_u_lam = np.stack([at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]], axis=-1) @ Q.T
-    H_lam, H = frame_hessians(frame)
+    H_refl, H = stack_hessians(at_refl, m), stack_hessians(at_node, m)
     margin, tolerance, d = np.zeros((m, K)), np.zeros((m, K)), np.zeros((m, m, K))
     flagged = []
     for i in range(m):
-        dets = [M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] for M in (H[i], H_lam[i])]
+        dets = [M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] for M in (H[i], H_refl[i])]
         bad = np.zeros(K, dtype=bool)
-        for M, det in zip((H[i], H_lam[i]), dets):
+        for M, det in zip((H[i], H_refl[i]), dets):
             bad |= ~((det > 0) & (M[:, 0, 0] + M[:, 1, 1] > 0))
         flagged.append(int(np.sum(bad & frame.deriv_ok)))
         tolerance[i] = (10.0 * frame.grid.h ** 2) * np.maximum(np.abs(dets[0]), np.abs(dets[1]))
@@ -902,6 +905,43 @@ def test_linearize_matches_the_entrywise_reference(coupled, nu, control):
             assert lin.n_flagged == flagged
         n_flagged += sum(flagged)
     assert (n_flagged > 0) == control
+
+
+@pytest.fixture(scope="module")
+def one_two():
+    return solve_system_fd(DISK, power_coupled_system(1.0, 2.0), (0.0, 0.0), P32)
+
+
+def test_reflection_keeps_the_determinant_and_trace_of_the_hessian(one_two):
+    """The audit reads det and trace of H_lam = Q D^2 u(x_lam) Q off the
+    interpolated D^2 u(x_lam), forming no Q H Q.  On the (1, 2) disk along
+    five directions, at five plane positions each, the oracle's Q H Q has
+    the determinant and trace of D^2 u(x_lam) within 32 eps of their
+    scales, |uxx uyy| + uxy^2 and |uxx| + |uyy| + |uxy|, at every node with
+    valid derivatives, and no audited node sees its determinant change
+    sign."""
+    eps = np.finfo(float).eps
+    system = power_coupled_system(1.0, 2.0)
+    n_audited = 0
+    for theta in (0.4, np.pi / 4, 0.5, 1.3, 2.0):
+        nu = (np.cos(theta), np.sin(theta))
+        planes = critical_planes(DISK, nu)
+        for lam in planes.lam0 + (planes.Lam0 - planes.lam0) * np.arange(1, 6) / 5:
+            frame = build_frame(one_two, nu, float(lam))
+            ok = frame.deriv_ok
+            H_lam = frame_hessians(frame)[0][:, ok]
+            D = stack_hessians(frame.at_refl, frame.m)[:, ok]
+            uxx, uyy, uxy = D[..., 0, 0], D[..., 1, 1], D[..., 0, 1]
+            det = uxx * uyy - uxy * uxy
+            det_lam = H_lam[..., 0, 0] * H_lam[..., 1, 1] - H_lam[..., 0, 1] * H_lam[..., 1, 0]
+            assert np.all(np.abs(det_lam - det) <= 32 * eps * (np.abs(uxx * uyy) + uxy * uxy))
+            trace_lam = H_lam[..., 0, 0] + H_lam[..., 1, 1]
+            assert np.all(np.abs(trace_lam - (uxx + uyy))
+                          <= 32 * eps * (np.abs(uxx) + np.abs(uyy) + np.abs(uxy)))
+            audited = linearize(frame, system).ok[ok]
+            assert np.array_equal(np.sign(det_lam[:, audited]), np.sign(det[:, audited]))
+            n_audited += int(np.count_nonzero(audited))
+    assert n_audited > 0
 
 
 def test_reflections_off_the_grid_box_are_dropped():
