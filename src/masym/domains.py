@@ -87,14 +87,17 @@ def _as_unit(nu, n=None):
 def reflect_point(x, nu, lam):
     """Reflect ``x`` through the hyperplane {y : y . nu = lam}.
 
-    Vectorized over leading axes of ``x``; the last axis is the spatial
-    dimension.  The map is an involutive isometry.
+    Vectorized over leading axes of ``x``, the last axis being the spatial
+    dimension; ``lam`` is a number or one position per point.  The map is
+    an involutive isometry, formed entry-wise with x . nu summed from its
+    first term (from 0, -0.0 would turn +0.0), so a point's reflection
+    does not depend on the points reflected with it.
     """
     x = np.asarray(x, dtype=float)
     nu = _as_unit(nu, x.shape[-1])
-    step = 2.0 * (lam - x @ nu)
-    # a coordinate at a time: a product broadcast along the short last axis
-    # runs numpy's inner loop once per point
+    # a coordinate at a time: a broadcast along the short last axis is slow
+    proj = sum((x[..., k] * nu[k] for k in range(1, len(nu))), x[..., 0] * nu[0])
+    step = 2.0 * (lam - proj)
     out = np.empty(step.shape + nu.shape)
     for k in range(len(nu)):
         np.add(x[..., k], step * nu[k], out=out[..., k])

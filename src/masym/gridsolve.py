@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -261,7 +260,7 @@ def _laplace_init(grid, rhs, c):
     return _factor_solve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
 
 
-def _newton_matrix(grid, u, c, active, floor=1e-8):
+def _newton_matrix(grid, u, c, active, floor):
     """Linearization of the operator at the active pair per node.
 
     Where a factor is clamped the penalty contributes a unit gain, and a
@@ -691,7 +690,7 @@ def write_solution_binary(sol, path):
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
+        fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
         for i in range(sol.m):
             arr = sol.field_array(i, fill=sol.cs[i]).astype("<f8")
@@ -701,22 +700,28 @@ def write_solution_binary(sol, path):
 def read_solution_binary(path, domain):
     """Read fields written by :func:`write_solution_binary` onto the grid of
     ``domain`` at the stored h; a file whose grid is not that one (another
-    size, mask, spacing or origin) raises ``ValueError``."""
+    size, mask, spacing or origin), or that is cut short or runs on past
+    its fields, raises ``ValueError``."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a grid-solution file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        g = StencilGrid(domain, header["h"], header["width"])
-        mask = _mask_from_rle(header["mask"], (header["nx"], header["ny"]))
-        if g.nx != header["nx"] or g.ny != header["ny"] or not np.array_equal(mask, g.inside):
-            raise ValueError("stored mask does not match the domain discretization")
-        # the JSON floats round-trip exactly, and one domain rebuilds one grid
-        if (g.h, g.x0, g.y0) != (header["h"], header["x0"], header["y0"]):
-            raise ValueError("stored grid spacing or origin does not match the domain "
-                             "discretization")
-        fields = []
-        for _ in range(header["m"]):
-            arr = np.frombuffer(fh.read(8 * g.nx * g.ny), dtype="<f8").reshape(g.nx, g.ny)
-            fields.append(arr[g.node_ij[:, 0], g.node_ij[:, 1]].copy())
-    return GridSolution(grid=g, fields=fields, cs=tuple(header["cs"]))
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ValueError("not a grid-solution file")
+    hlen = int.from_bytes(data[4:8], "little")
+    if len(data) < 8 + hlen:
+        raise ValueError("grid-solution file ends inside its header")
+    header = json.loads(data[8:8 + hlen].decode())
+    g = StencilGrid(domain, header["h"], header["width"])
+    mask = _mask_from_rle(header["mask"], (header["nx"], header["ny"]))
+    if g.nx != header["nx"] or g.ny != header["ny"] or not np.array_equal(mask, g.inside):
+        raise ValueError("stored mask does not match the domain discretization")
+    # the JSON floats round-trip exactly, and one domain rebuilds one grid
+    if (g.h, g.x0, g.y0) != (header["h"], header["x0"], header["y0"]):
+        raise ValueError("stored grid spacing or origin does not match the domain "
+                         "discretization")
+    size = 8 * header["m"] * g.nx * g.ny
+    if len(data) != 8 + hlen + size:
+        raise ValueError(f"grid-solution file holds {len(data) - 8 - hlen} field bytes, "
+                         f"not the {size} of {header['m']} fields")
+    fields = np.frombuffer(data, dtype="<f8", offset=8 + hlen).reshape(-1, g.nx, g.ny)
+    return GridSolution(grid=g, fields=[f[g.node_ij[:, 0], g.node_ij[:, 1]] for f in fields],
+                        cs=tuple(header["cs"]))

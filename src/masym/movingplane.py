@@ -23,10 +23,11 @@ stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points, one gather of every
 field per cell corner.  One cap reader serves a frame, a sweep batch and
 the symmetry certificate: it finds the caps of some plane positions,
-keeps the nodes whose reflection stays in the domain, and reads the
-stack rows it is given at the nodes and at their reflections.  A
-reflection Q changes neither the determinant nor the trace of a Hessian,
-so the audit reads both off the interpolated Hessian, forming no Q H Q.
+reflects them in one pass, keeps the nodes whose reflection stays in the
+domain, and reads the stack rows it is given at the nodes and at their
+reflections.  A reflection Q changes neither the determinant nor the
+trace of a Hessian, so the audit reads both off the interpolated
+Hessian, and forms no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
 
 One plane position is read into a frame, the stack rows at its cap
 nodes and their reflections, and :func:`linearize` runs the audit on
@@ -40,8 +41,9 @@ bound, violations, least margin, flag counts) are reductions over its
 segment of the batch's nodes, one ``reduceat`` call per figure for every
 position at once.  The batches, and one more task that calls the public
 certificates, run on a thread pool with one worker per available core.
-Every per-node operation is the one a single position gets, so the
-reports do not depend on the batches or on the number of workers.
+Reflections are entry-wise, not matrix products whose rounding may
+depend on the array's length, so the reports do not depend on the
+batches or on the number of workers.
 """
 
 from __future__ import annotations
@@ -127,11 +129,6 @@ def _det_posdef(rows, m):
     return det, (det > 0) & (uxx + uyy > 0)
 
 
-def _gradients(rows, m):
-    """(m, K, 2) gradients in the (7m + 1, K) values of the stack's rows."""
-    return np.stack([rows[5 * m + 1::2], rows[5 * m + 2::2]], axis=-1)
-
-
 def _in_cap(s, lam, h):
     """Which nodes, given by their projections s = x . nu, lie in the cap of
     the plane position lam: x . nu < lam + 1e-9 h, so nodes on the plane
@@ -147,30 +144,27 @@ def _read_caps(solution, nu, lams, rows):
     and interpolated at the reflections (one :func:`_bilinear` call), the
     (len(lams) + 1,) bounds of each position's nodes, and per position the
     number of cap nodes whose reflection leaves the domain.  A cap node is
-    kept when its reflection stays in the domain and on the grid box.  The
-    projections x . nu are one product over all nodes, and each position's
-    cap is reflected in one :func:`reflect_point` call, so a position's
-    nodes and reflections do not depend on the positions read with it.
+    kept when its reflection stays in the domain and on the grid box.  All
+    caps are reflected in one entry-wise :func:`reflect_point` call, each
+    node across its own position's plane, so a position's nodes and
+    reflections do not depend on the positions read with it.
     """
     g = solution.grid
     s = g.node_xy @ nu
-    nodes, refls, n_exited = [], [], []
-    for lam in lams:
-        cap = np.nonzero(_in_cap(s, lam, g.h))[0]
-        refl = reflect_point(np.take(g.node_xy, cap, axis=0), nu, lam)
-        # a reflection inside the domain lies in the padded box unless a level
-        # set declares a box shorter than {phi < 0}; off the grid box the
-        # interpolant is NaN, so those points are dropped before the gather
-        inside = g.domain.contains(refl)
-        n_exited.append(len(cap) - int(np.count_nonzero(inside)))
-        x, y = refl[:, 0], refl[:, 1]
-        inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
-        if not inside.all():
-            cap, refl = np.compress(inside, cap), np.compress(inside, refl, axis=0)
-        nodes.append(cap)
-        refls.append(refl)
-    bounds = np.cumsum([0] + [len(idx) for idx in nodes])
-    idx, refl = np.concatenate(nodes), np.concatenate(refls)
+    caps = [np.nonzero(_in_cap(s, lam, g.h))[0] for lam in lams]
+    pos = np.repeat(np.arange(len(lams)), [len(cap) for cap in caps])
+    idx = np.concatenate(caps)
+    refl = reflect_point(np.take(g.node_xy, idx, axis=0), nu, np.take(lams, pos))
+    # a reflection inside the domain lies in the padded box unless a level
+    # set declares a box shorter than {phi < 0}; off the grid box the
+    # interpolant is NaN, so those points are dropped before the gather
+    inside = g.domain.contains(refl)
+    n_exited = np.bincount(np.compress(~inside, pos), minlength=len(lams)).tolist()
+    x, y = refl[:, 0], refl[:, 1]
+    inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
+    if not inside.all():
+        idx, pos, refl = (np.compress(inside, a, axis=0) for a in (idx, pos, refl))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(lams)))))
     at_node = np.take(rows, np.take(solution.node_rows, idx), axis=1)
     return idx, refl, at_node, _bilinear(g, rows, refl), bounds, n_exited
 
@@ -256,7 +250,7 @@ def build_frame(solution, nu, lam):
 class LinearizationFields:
     """The elliptic inequality satisfied by U, node by node on the cap."""
 
-    margin: np.ndarray            # (m, K) tr(A dD2U) + B . dU + c U - sum_j d_ij U_j
+    margin: np.ndarray            # (m, K) tr(A dD2U) + h_p |dU| + c U - sum_j d_ij U_j
     tolerance: np.ndarray         # (m, K) 10 h^2 max(|det H|, |det H_lam|)
     ok: np.ndarray                # (K,) audited: valid derivatives, finite det_op_lam
     d: np.ndarray                 # (m, m, K) coupling difference quotients
@@ -271,25 +265,14 @@ class LinearizationFields:
 def linearize(frame, system):
     """The elliptic-inequality audit of :func:`_ei_nodes` on a frame's cap,
     as a sweep runs it on that plane position."""
-    U, deriv_ok = _difference(frame.at_node, frame.at_refl, frame.m)
     return LinearizationFields(*_ei_nodes(
-        frame.grid, frame.nu, system, frame.node_idx, frame.at_node, frame.at_refl, U,
-        deriv_ok, [0, len(frame.node_idx)], _reads_gradients(system)))
+        frame.grid, frame.nu, system, frame.node_idx, frame.at_node, frame.at_refl,
+        *_difference(frame.at_node, frame.at_refl, frame.m), _reads_gradients(system)))
 
 
 def _constants(values):
     """Declared Lipschitz constants as an (m,) array, 0 for a null entry."""
     return np.array([0.0 if v is None else float(v) for v in values])
-
-
-def _gradient_coefficient(grad_U, hp):
-    """(m, K, 2) B: grad U scaled to length ``hp``, zero where grad U vanishes."""
-    # |grad U| in the operations of np.linalg.norm along the last axis
-    sq = grad_U * grad_U
-    norm = np.sqrt(sq[..., 0] + sq[..., 1])
-    B = np.zeros(grad_U.shape)
-    np.divide(hp[:, None, None] * grad_U, norm[..., None], out=B, where=norm[..., None] > 0)
-    return B
 
 
 def _quotients(system, xy, u, u_lam, U, grad_u_lam):
@@ -309,10 +292,9 @@ def _quotients(system, xy, u, u_lam, U, grad_u_lam):
     return d
 
 
-def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grads):
+def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads):
     """The elliptic inequality tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j at
-    the cap nodes ``idx`` of the plane positions whose nodes are
-    bounds[k]:bounds[k + 1], from the stack rows at the nodes and at their
+    the cap nodes ``idx``, from the stack rows at the nodes and at their
     reflections, with the gradient rows when ``grads``.
 
     Returns the (m, K) margins, lhs - rhs, and their tolerances 10 h^2
@@ -326,12 +308,14 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
     come from the one operator field of the solution, so its directional
     resolution bias cancels between a node and its reflection, unlike that
     of raw Hessian determinants.  B^i points along grad U with the declared
-    gradient Lipschitz constant as length (zero where grad U vanishes); c^i
-    is the declared own-component constant; d_ij is the difference quotient
-    of f^i along unknown j, at the telescoped argument (components before j
-    reflected, j and later unreflected) with step U^j.
+    gradient Lipschitz constant h_p^i as length, so B . grad U is read as
+    h_p^i |grad U^i| and no B is formed; grad u_lam = Q grad u(x_lam) is
+    p - 2 (p . nu) nu for p = grad u(x_lam); c^i is the declared
+    own-component constant; d_ij is the difference quotient of f^i along
+    unknown j, at the telescoped argument (components before j reflected,
+    j and later unreflected) with step U^j.
 
-    The B . grad U and c U terms of a component whose declared constant is
+    The gradient and c U terms of a component whose declared constant is
     0 are left out.  With finite grad U and U such a term is a signed
     zero, and adding it leaves the margin as it was, since the margin is
     not -0.0 there: det_op_lam is a bilinear sum started at +0.0, so
@@ -341,20 +325,12 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
     # det(Q M Q) = det M and tr(Q M Q) = tr M, so H_lam is never formed
     (det_H, pd_H), (det_H_lam, pd_H_lam) = _det_posdef(at_node, m), _det_posdef(at_refl, m)
     hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
-    grad_u_lam = grad_U = B = None
     if grads:
-        # BLAS may round a row by the length of the array it sits in (a
-        # one-row product does), so each position's gradients get a product
-        # of their own, as :func:`linearize` forms them for that position alone
-        Q = np.eye(2) - 2.0 * np.outer(nu, nu)
-        grad_refl = _gradients(at_refl, m)
-        grad_u_lam = np.concatenate([grad_refl[:, a:b] @ Q.T
-                                     for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
-    if hp.any():
-        grad_U = grad_u_lam - _gradients(at_node, m)
-        B = _gradient_coefficient(grad_U, hp)
+        px, py = at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]
+        twice = 2.0 * (px * nu[0] + py * nu[1])
+        qx, qy = px - twice * nu[0], py - twice * nu[1]
     d = _quotients(system, np.take(grid.node_xy, idx, axis=0), at_node[:4 * m:4],
-                   at_refl[:4 * m:4], U, grad_u_lam)
+                   at_refl[:4 * m:4], U, np.stack([qx, qy], axis=-1) if grads else None)
     # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam): the
     # reflected operator is the unreflected one at the reflected points
     det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
@@ -362,7 +338,8 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, bounds, grad
     margin = det_op_lam - det_op
     for i in range(m):
         if hp[i]:
-            margin[i] += np.einsum("ka,ka->k", B[i], grad_U[i])
+            dx, dy = qx[i] - at_node[5 * m + 1 + 2 * i], qy[i] - at_node[5 * m + 2 + 2 * i]
+            margin[i] += hp[i] * np.sqrt(dx * dx + dy * dy)
         if c[i]:
             margin[i] += c[i] * U[i]
         margin[i] -= np.einsum("jk,jk->k", d[i], U)
@@ -661,11 +638,9 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
             sel = np.repeat(audited, n_nodes)
             idx, U, deriv_ok, at_node, at_refl = (np.compress(sel, a, axis=-1)
                                                   for a in (idx, U, deriv_ok, at_node, at_refl))
-        sub = np.zeros(np.count_nonzero(audited) + 1, dtype=int)
-        np.cumsum(n_nodes[audited], out=sub[1:])
         margin, tolerance, ok, _, nonpd = _ei_nodes(
-            solution.grid, nu, system, idx, at_node, at_refl, U, deriv_ok, sub, grads)
-        starts = sub[:-1]
+            solution.grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads)
+        starts = np.cumsum(n_nodes[audited]) - n_nodes[audited]
         violations, worst = np.zeros(len(lams), dtype=int), np.zeros(len(lams))
         flagged = np.zeros((m, len(lams)), dtype=int)
         violations[audited] = np.add.reduceat(ok & (margin < -tolerance), starts,
@@ -720,11 +695,12 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     submitted first, on a thread pool with one worker per available core;
     so at most that many grid-sized batches are in memory at once, and no
     cap is held outside its batch.  The report does not depend on the
-    batches or on the number of workers: every per-node operation is the
-    one a single position gets.  An error reaches the caller as it was
-    raised, the first in serial order: the batches in position order,
-    then monotonicity, symmetry and the boundary checks.  Each task runs
-    in a copy of the caller's context, so its ``np.errstate`` holds.
+    batches or on the number of workers: the reflections are entry-wise,
+    so no node's figures depend on the nodes read with it.  An error
+    reaches the caller as it was raised, the first in serial order: the
+    batches in position order, then monotonicity, symmetry and the
+    boundary checks.  Each task runs in a copy of the caller's context, so
+    its ``np.errstate`` holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")

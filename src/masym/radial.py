@@ -49,8 +49,8 @@ class SolverDivergence(RuntimeError):
     the float64 range, with one change per iterate.  The grid solver raises
     it when a source is non-positive or non-finite, when a Newton step is
     singular or non-finite, when the line search is exhausted or when the
-    sweeps reach ``max_newton``; the moving-plane frames raise it, with
-    the solve's history, when a solution's derivative fields overflow.  A
+    sweeps reach ``max_newton``; ``GridSolution.stack`` raises it, with the
+    solve's history, when a solution's derivative fields overflow.  A
     grid ``history`` holds one record per sweep, as
     :attr:`masym.gridsolve.GridSolution.history` does.
     """

@@ -20,6 +20,37 @@ def test_reflect_point_involution():
         assert abs(mid @ nu - lam) < 1e-13
 
 
+def _scalar_reflection(x, nu, lam):
+    """The reflection of one point in Python floats, x . nu from its first term."""
+    step = 2.0 * (lam - (x[0] * nu[0] + x[1] * nu[1]))
+    return [x[0] + step * nu[0], x[1] + step * nu[1]]
+
+
+def test_reflect_point_of_a_slice_is_the_slice_of_the_reflection():
+    """Along nu at 0.5 rad, the reflection of a slice of 6,400 points, each
+    point alone and three longer runs, is that slice of the reflection of
+    all of them to the bit, at one plane position and at one position per
+    point, and every point's reflection is the scalar formula's.  Points
+    and positions hold signed zeros: a -0.0 projection is kept, as a sum
+    started at 0 would make it +0.0, and at lam = -0.0 that sign reaches
+    the reflection."""
+    rng = np.random.default_rng(33)
+    nu = np.array([np.cos(0.5), np.sin(0.5)])
+    x = rng.uniform(-1.0, 1.0, size=(6400, 2))
+    x[:4] = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]
+    lams = rng.uniform(-0.5, 0.5, size=6400)
+    lams[:8] = [-0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0]
+    x[4:8] = x[:4]
+    whole, per_point = reflect_point(x, nu, 0.3), reflect_point(x, nu, lams)
+    slices = [(k, k + 1) for k in range(6400)] + [(0, 8), (100, 1123), (2048, 6400)]
+    for a, b in slices:
+        assert reflect_point(x[a:b], nu, 0.3).tobytes() == whole[a:b].tobytes()
+        assert reflect_point(x[a:b], nu, lams[a:b]).tobytes() == per_point[a:b].tobytes()
+    expected = [_scalar_reflection(p, nu, lam) for p, lam in zip(x.tolist(), lams.tolist())]
+    assert per_point.tobytes() == np.array(expected).tobytes()
+    assert reflect_point(x[0], nu, -0.0).tobytes() == np.array([0.0, 0.0]).tobytes()
+
+
 def test_ball_basics():
     b = Ball(center=(0.0, 0.0), radius=1.0)
     assert b.dimension == 2

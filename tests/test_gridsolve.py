@@ -323,6 +323,26 @@ def test_binary_read_rejects_a_foreign_file_or_another_mask(tmp_path):
         read_solution_binary(path, DISK)
 
 
+def test_binary_read_rejects_a_cut_or_padded_file(tmp_path):
+    """A file cut inside its header length, its header or its fields, or one
+    with bytes after its fields, is refused with a ValueError that names
+    the fault; the intact file still reads back."""
+    sol = solve_system_fd(DISK, RhsSystem(components=("4",), n=2), (0.0,), FdParams(h=0.125))
+    path = tmp_path / "sol.bin"
+    write_solution_binary(sol, path)
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    for bad, message in ((data[:6], "ends inside its header"),
+                         (data[:8 + hlen // 2], "ends inside its header"),
+                         (data[:-4], f"holds {len(data) - 12 - hlen} field bytes"),
+                         (data + b"\0" * 8, f"holds {len(data) - hlen} field bytes")):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=message):
+            read_solution_binary(path, DISK)
+    path.write_bytes(data)
+    assert np.array_equal(read_solution_binary(path, DISK).fields[0], sol.fields[0])
+
+
 @pytest.mark.parametrize("center", [(0.5, 0.0), (0.03, -0.01), (0.0625, 0.0)])
 def test_binary_read_rejects_a_shifted_grid(tmp_path, center):
     """A unit disk moved by whole or partial steps of h = 1/16 has the stored
@@ -502,7 +522,7 @@ def test_pivot_free_solve_matches_pivoted_spsolve(name, width):
     for u, c in ((np.sum(xy ** 2, axis=1) - 1.0, 0.0),
                  (np.sin(3.0 * xy[:, 0]) * np.cos(2.0 * xy[:, 1]), 0.5),
                  (rng.normal(size=N), -1.0)):
-        mats.append(_newton_matrix(grid, u, c, _ma_and_active(grid, u, c)[1]))
+        mats.append(_newton_matrix(grid, u, c, _ma_and_active(grid, u, c)[1], 1e-8))
     for A in mats:
         b = rng.normal(size=N)
         ref = spla.spsolve(A.tocsc(), b)
@@ -543,7 +563,7 @@ def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
         ref_vals, ref_active = _reference_operator(grid, u, c)
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(active, ref_active)
-        _assert_same_csc(_newton_matrix(grid, u, c, active),
+        _assert_same_csc(_newton_matrix(grid, u, c, active, 1e-8),
                          _reference_newton_matrix(grid, u, c, active))
         grad = gradient_at_nodes(grid, u, c)
         for k, v in enumerate(((1, 0), (0, 1))):

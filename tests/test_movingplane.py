@@ -842,18 +842,21 @@ def test_linearize_matches_stacked_mean_value_matrix(coupled, nu):
 def _reference_linearization(frame, system):
     """Margins, tolerances, d and the flag counts by the entry-wise formulas
     on the frame's rows.  The margin is the operator difference det_op_lam
-    - det_op, plus B^i . grad U^i, with B^i written on the boolean mask
-    where grad U^i is nonzero, plus c^i U^i, minus d_ij U^j added up over
-    j, every term added whatever its constant; d_ij is one call per (i,
+    - det_op, plus h_p^i |grad U^i| (B^i . grad U^i, as B^i is grad U^i
+    scaled to length h_p^i), plus c^i U^i, minus d_ij U^j added up over j,
+    every term added whatever its constant; grad u_lam = Q p is p - 2 (p .
+    nu) nu for p = grad u(x_lam), entry by entry; d_ij is one call per (i,
     j); a node is flagged where H_lam or H is not positive definite.  The
     determinant and positivity of H_lam = Q D^2 u(x_lam) Q are read off the
     interpolated D^2 u(x_lam), as Q changes neither det nor trace."""
     m, K = frame.m, len(frame.node_idx)
     at_node, at_refl, U = frame.at_node, frame.at_refl, frame.U
-    Q = np.eye(2) - 2.0 * np.outer(frame.nu, frame.nu)
+    nu = frame.nu
     u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
     grad_u = np.stack([at_node[5 * m + 1::2], at_node[5 * m + 2::2]], axis=-1)
-    grad_u_lam = np.stack([at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]], axis=-1) @ Q.T
+    p = np.stack([at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]], axis=-1)
+    p_nu = p[..., 0] * nu[0] + p[..., 1] * nu[1]
+    grad_u_lam = np.stack([p[..., k] - 2.0 * p_nu * nu[k] for k in range(2)], axis=-1)
     H_refl, H = stack_hessians(at_refl, m), stack_hessians(at_node, m)
     margin, tolerance, d = np.zeros((m, K)), np.zeros((m, K)), np.zeros((m, m, K))
     flagged = []
@@ -864,14 +867,10 @@ def _reference_linearization(frame, system):
             bad |= ~((det > 0) & (M[:, 0, 0] + M[:, 1, 1] > 0))
         flagged.append(int(np.sum(bad & frame.deriv_ok)))
         tolerance[i] = (10.0 * frame.grid.h ** 2) * np.maximum(np.abs(dets[0]), np.abs(dets[1]))
-        gU = grad_u_lam[i] - grad_u[i]
-        norm = np.linalg.norm(gU, axis=-1)
-        nz = norm > 0
-        B = np.zeros((K, 2))
-        B[nz] = float(system.lipschitz_p[i]) * gU[nz] / norm[nz, None]
+        grad_U_norm = np.linalg.norm(grad_u_lam[i] - grad_u[i], axis=-1)
         c = float(system.lipschitz_z[i] or 0.0)
         margin[i] = at_refl[4 * m + 1 + i] - at_node[4 * m + 1 + i]
-        margin[i] += B[:, 0] * gU[:, 0] + B[:, 1] * gU[:, 1]
+        margin[i] += float(system.lipschitz_p[i]) * grad_U_norm
         margin[i] += c * U[i]
         coupling = 0.0
         for j in range(m):
