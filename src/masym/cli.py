@@ -241,13 +241,25 @@ def read_config(cfg, path):
     return cfg
 
 
+def _given(cfg, *keys):
+    """The ``keys`` the config gives, as keywords; the others keep the library's defaults."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
+def _no_solution(res, emit, solver, **counts):
+    """Write the summary of a solve that found no solution; exit status 0."""
+    _json_dump({"outcome": "no-solution", "reason": res.reason,
+                "drift_sign": res.drift_sign, **counts}, emit.path("summary.json"))
+    emit.say(f"no {solver} solution: {res.reason}")
+    return 0
+
+
 def _solve_pairs(cfg, pairs):
     """The dimension n and the coupled radial solve of each (alpha, beta) pair,
     at the config's n, R, tol and grid_size or their defaults."""
-    n = int(cfg.get("n", 2))
-    return n, [solve_coupled_radial(float(alpha), float(beta), n, R=float(cfg.get("R", 1.0)),
-                                    tol=float(cfg.get("tol", 1e-9)),
-                                    grid_size=int(cfg.get("grid_size", 2048)))
+    n = cfg.get("n", 2)
+    return n, [solve_coupled_radial(float(alpha), float(beta), n,
+                                    **_given(cfg, "R", "tol", "grid_size"))
                for alpha, beta in pairs]
 
 
@@ -255,10 +267,7 @@ def cmd_solve_radial(cfg, emit, seed):
     alpha, beta = float(cfg["alpha"]), float(cfg["beta"])
     n, (res,) = _solve_pairs(cfg, [(alpha, beta)])
     if isinstance(res, NoSolution):
-        _json_dump({"outcome": "no-solution", "reason": res.reason,
-                    "drift_sign": res.drift_sign}, emit.path("summary.json"))
-        emit.say(f"no radial solution: {res.reason}")
-        return 0
+        return _no_solution(res, emit, "radial")
     u1, u2 = res
     _profile_csv(emit, "profile.csv", [u1, u2])
     _json_dump({"outcome": "solution", "alpha": alpha, "beta": beta, "n": n,
@@ -269,8 +278,7 @@ def cmd_solve_radial(cfg, emit, seed):
 
 
 def _grid_solution(cfg):
-    domain, system = cfg["domain"], cfg["system"]
-    return domain, system, solve_system_fd(domain, system, cfg["cs"], cfg["params"])
+    return solve_system_fd(cfg["domain"], cfg["system"], cfg["cs"], cfg["params"])
 
 
 def _sweep_counts(history):
@@ -278,23 +286,14 @@ def _sweep_counts(history):
             "factorizations": sum(r["factorizations"] for r in history)}
 
 
-def _no_grid_solution(res, emit):
-    """Write the summary of a grid solve that found no solution; exit status 0."""
-    _json_dump({"outcome": "no-solution", "reason": res.reason,
-                "drift_sign": res.drift_sign, **_sweep_counts(res.history)},
-               emit.path("summary.json"))
-    emit.say(f"no grid solution: {res.reason}")
-    return 0
-
-
 def cmd_solve_grid(cfg, emit, seed):
-    domain, system, sol = _grid_solution(cfg)
+    sol = _grid_solution(cfg)
     if isinstance(sol, NoSolution):
-        return _no_grid_solution(sol, emit)
+        return _no_solution(sol, emit, "grid", **_sweep_counts(sol.history))
     write_solution_csv(sol, emit.path("solution.csv"))
     write_solution_binary(sol, emit.path("solution.bin"))
-    _json_dump({"outcome": "solution", "domain": domain_to_json(domain),
-                "system": system.to_json(), "h": sol.grid.h, "n_nodes": sol.grid.n_nodes,
+    _json_dump({"outcome": "solution", "domain": domain_to_json(cfg["domain"]),
+                "system": cfg["system"].to_json(), "h": sol.grid.h, "n_nodes": sol.grid.n_nodes,
                 "min": [float(np.min(f)) for f in sol.fields],
                 "convex": list(sol.convex), **_sweep_counts(sol.history)},
                emit.path("summary.json"))
@@ -313,18 +312,18 @@ def _quadratic_fixture(cfg):
     system = RhsSystem(components=(parse_expr("4"),), n=2,
                        splits=((parse_expr("0"), parse_expr("4")),),
                        lipschitz_z=(0.0,), lipschitz_p=(0.0,))
-    return domain, system, sol
+    return system, sol
 
 
 def cmd_certify(cfg, emit, seed):
     if "fixture" in cfg:
-        _, system, sol = _quadratic_fixture(cfg)
+        system, sol = _quadratic_fixture(cfg)
     else:
-        _, system, sol = _grid_solution(cfg)
+        system, sol = cfg["system"], _grid_solution(cfg)
         if isinstance(sol, NoSolution):
-            return _no_grid_solution(sol, emit)
-    report = lambda_sweep(sol, cfg["nu"], cfg["planes"], int(cfg.get("n_lambdas", 16)),
-                          system=system)
+            return _no_solution(sol, emit, "grid", **_sweep_counts(sol.history))
+    report = lambda_sweep(sol, cfg["nu"], cfg["planes"], system=system,
+                          **_given(cfg, "n_lambdas"))
     _json_dump(report.to_json(), emit.path("certificate.json"))
     emit.say(f"certificate: {'PASS' if report.passed else 'FAIL'} "
              f"({report.total_ei_violations} elliptic-inequality violations)")
@@ -332,9 +331,8 @@ def cmd_certify(cfg, emit, seed):
 
 
 def cmd_hypotheses(cfg, emit, seed):
-    report = check_hypotheses(cfg["system"], cfg["box"],
-                              samples=int(cfg.get("samples", 1024)),
-                              which=cfg.get("which"), seed=seed)
+    report = check_hypotheses(cfg["system"], cfg["box"], which=cfg.get("which"), seed=seed,
+                              **_given(cfg, "samples"))
     _json_dump(report.to_json(), emit.path("hypotheses.json"))
     statuses = list(report.statuses.values())
     emit.say(f"hypotheses: {statuses.count('fail')} failed, {statuses.count('pass')} passed")
@@ -344,16 +342,13 @@ def cmd_hypotheses(cfg, emit, seed):
 def cmd_sweep_trichotomy(cfg, emit, seed):
     pairs = cfg.get("pairs", [[1, 1], [1, 2], [2, 2], [3, 3]])
     n, results = _solve_pairs(cfg, pairs)
-    rows = []
-    for (alpha, beta), res in zip(pairs, results):
+    rows = [{"alpha": alpha, "beta": beta, "product": alpha * beta} for alpha, beta in pairs]
+    for row, res in zip(rows, results):
         if isinstance(res, NoSolution):
-            rows.append({"alpha": alpha, "beta": beta, "product": alpha * beta,
-                         "outcome": "no-solution", "reason": res.reason})
+            row.update(outcome="no-solution", reason=res.reason)
         else:
-            rows.append({"alpha": alpha, "beta": beta, "product": alpha * beta,
-                         "outcome": "solution",
-                         "u1_center": float(res[0].u[0]),
-                         "u2_center": float(res[1].u[0])})
+            row.update(outcome="solution", u1_center=float(res[0].u[0]),
+                       u2_center=float(res[1].u[0]))
     _json_dump({"n": n, "threshold": n * n, "rows": rows}, emit.path("trichotomy.json"))
     path = emit.path("trichotomy.csv")
     with open(path, "w") as fh:
@@ -366,11 +361,11 @@ def cmd_sweep_trichotomy(cfg, emit, seed):
 
 
 def cmd_linearize(cfg, emit, seed):
-    domain, system, sol = _grid_solution(cfg)
+    sol = _grid_solution(cfg)
     if isinstance(sol, NoSolution):
-        return _no_grid_solution(sol, emit)
+        return _no_solution(sol, emit, "grid", **_sweep_counts(sol.history))
     frame = build_frame(sol, cfg["nu"], cfg["lambda"])
-    lin = linearize(frame, system)
+    lin = linearize(frame, cfg["system"])
     ei = verify_elliptic_inequality(lin, frame)
     _json_dump({"lambda": frame.lam, "n_nodes": int(len(frame.node_idx)),
                 "flagged_nonpd": list(lin.n_flagged),

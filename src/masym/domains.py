@@ -74,6 +74,13 @@ def _store_floats(obj, key, positive=False, many=False):
     object.__setattr__(obj, key, tuple(map(float, values)) if many else float(value))
 
 
+def _known_keys(obj, allowed, what, error):
+    """Raise ``error``, its ``key`` naming it, for the first key of ``obj`` not in ``allowed``."""
+    for key in obj:
+        if key not in allowed:
+            raise error(f"unknown {what} key {key!r}; allowed: {', '.join(allowed)}", key=key)
+
+
 def _as_unit(nu, n=None):
     nu = np.asarray(nu, dtype=float)
     if n is not None and nu.shape != (n,):
@@ -515,10 +522,7 @@ def domain_from_json(obj, *, _key="domain"):
         raise GeometryError(f"{_key} must be a JSON object with shape one of "
                             f"{', '.join(_SHAPES)}", key=_key)
     cls, keys = _SHAPES[shape]
-    for key in obj:
-        if key not in ("shape", *keys):
-            raise GeometryError(f"unknown {_key} key {key!r}; allowed: shape, {', '.join(keys)}",
-                                key=key)
+    _known_keys(obj, ("shape", *keys), _key, GeometryError)
     args = {key: obj[key] for key in keys}
     if shape == "tube":
         args["cross_section"] = domain_from_json(obj["cross_section"], _key="cross_section")

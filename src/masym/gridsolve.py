@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domains import GeometryError, _finite
+from .domains import GeometryError, _finite, _known_keys
 from .radial import NoSolution, SolverDivergence, log_amplitudes, out_of_range
 from .rhs import ConfigurationError, eval_f
 
@@ -79,10 +79,7 @@ class FdParams:
         fault, for a non-object, an unknown key or a value out of range."""
         if not isinstance(obj, dict):
             raise ConfigurationError("params must be a JSON object", key="params")
-        for key in obj:
-            if key not in FdParams.__dataclass_fields__:
-                raise ConfigurationError(f"unknown params key {key!r}; allowed: "
-                                         f"{', '.join(FdParams.__dataclass_fields__)}", key=key)
+        _known_keys(obj, FdParams.__dataclass_fields__, "params", ConfigurationError)
         return FdParams(**obj)
 
 

@@ -392,10 +392,10 @@ def verify_elliptic_inequality(lin, frame):
 def certify_monotonicity(solution, nu, planes):
     """Directional derivative check: d_nu u < 0 strictly left of the plane.
 
-    Certifies the strict inequality as <= -margin at every interior node
-    with x . nu < Lam0 - h, the margin being 10 h^2 |grad u| at the node,
-    so a node where d_nu u = 0 fails.  Failure is a verdict with a
-    witness, not an error.  With no node to check the report carries
+    Certifies it as <= -10 h^2 |grad u| at every interior node with
+    x . nu < Lam0 - h - 1e-9 h (none on the line x . nu = Lam0 - h, however
+    x . nu rounds), so a node where d_nu u = 0 fails.  Failure is a verdict
+    with a witness, not an error.  With no node to check the report carries
     ``"verdict": "not-applicable"`` instead of ``passed``.
     """
     g = solution.grid
@@ -406,7 +406,7 @@ def certify_monotonicity(solution, nu, planes):
     m = solution.m
     # gather only the rows read: the validity mask, ux and uy
     stack, cols = solution.stack, solution.node_rows
-    ok = (np.take(stack[4 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h)
+    ok = (np.take(stack[4 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h * (1 + 1e-9))
     for i in range(m):
         ux, uy = np.take(stack[5 * m + 1 + 2 * i], cols), np.take(stack[5 * m + 2 + 2 * i], cols)
         dnu = ux * nu[0] + uy * nu[1]

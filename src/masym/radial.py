@@ -268,6 +268,8 @@ def _unit(profile, history):
 def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2048):
     """Radial solutions of the power-coupled pair on the ball of radius R.
 
+    The iteration starts from the values of the :class:`RadialProfile`
+    ``init`` on the solver's grid, by default from (r^2 - R^2) / 2.
     Returns a pair of profiles (u1, u2), both negative inside with zero
     boundary values, or :class:`NoSolution` when alpha*beta is the square
     of the dimension or the amplitudes overflow or underflow a float.
@@ -287,18 +289,14 @@ def solve_coupled_radial(alpha, beta, n, R=1.0, tol=1e-9, init=None, grid_size=2
     # a half-step integrates n s^(n-1) (s - r_k) ds up to R, which reaches
     # R^(n+1); below that bound the start profile and every unit half-step fit
     if (n + 1) * math.log(R) >= math.log(sys.float_info.max):
-        raise SolverDivergence(f"R^(n+1) for R = {R!r}, n = {n} leaves the float64 range",
+        raise SolverDivergence(f"R^(n+1) for R = {float(R)!r}, n = {n} leaves the float64 range",
                                history)
     r = np.linspace(0.0, R, grid_size + 1)
-    if init is None:
-        start = RadialProfile(r=r, u=0.5 * (r ** 2 - r[-1] ** 2), du=r.copy(), n=n, c=0.0)
-    else:
-        start = RadialProfile(r=r, u=np.interp(r, init[0].r, init[0].u),
-                              du=np.interp(r, init[0].r, init[0].du), n=n, c=0.0)
-        if not (np.all(np.isfinite(start.u)) and np.all(np.isfinite(start.du))
-                and np.max(-start.u) > 0):
-            raise ValueError("init[0] must be finite and negative somewhere")
-    v1, _ = _unit(start, history)
+    u = 0.5 * (r ** 2 - r[-1] ** 2) if init is None else init(r)
+    if init is not None and not (np.all(np.isfinite(u)) and np.max(-u) > 0):
+        raise ValueError("init must be finite and negative somewhere")
+    # a half-step reads its source's values only, so the start's du stays 0
+    v1, _ = _unit(RadialProfile(r=r, u=u, du=np.zeros_like(r), n=n, c=0.0), history)
     quad = _Quadrature(r, n)
 
     # the half-steps are homogeneous, T(s*u) = s^(e/n) T(u), so only the
@@ -390,7 +388,7 @@ def uniqueness_probe(alpha, beta, n, R=1.0, n_starts=10):
     for p in powers:
         base = RadialProfile(r=r, u=r ** p - R ** p, du=p * r ** (p - 1), n=n, c=0.0)
         try:
-            res = solve_coupled_radial(alpha, beta, n, R, init=(base, base))
+            res = solve_coupled_radial(alpha, beta, n, R, init=base)
         except SolverDivergence:
             outcomes.append("diverged")
             continue

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import _finite
+from .domains import _finite, _known_keys
 from .expressions import Expr, ExpressionDomainError, const, parse
 
 __all__ = [
@@ -136,11 +136,8 @@ class RhsSystem:
             return RhsSystem(components=tuple(obj), n=2)
         if not isinstance(obj, dict):
             raise ConfigurationError(f"cannot interpret system description {obj!r}")
-        allowed = ("alpha", "beta") if "alpha" in obj else tuple(RhsSystem.__dataclass_fields__)
-        for key in obj:
-            if key not in allowed:
-                raise ConfigurationError(f"unknown system key {key!r}; allowed: "
-                                         f"{', '.join(allowed)}", key=key)
+        _known_keys(obj, ("alpha", "beta") if "alpha" in obj else RhsSystem.__dataclass_fields__,
+                    "system", ConfigurationError)
         if "alpha" in obj:
             return power_coupled_system(obj["alpha"], obj["beta"])
         return RhsSystem(components=tuple(obj["components"]), n=obj["n"],

@@ -583,6 +583,37 @@ def test_trichotomy_command(tmp_path):
     assert [r["outcome"] for r in rows] == ["solution", "no-solution"]
 
 
+def _artifacts(tmp_path, obj, name):
+    """The exit code and the bytes of each file that one run of ``obj`` writes."""
+    out = tmp_path / name
+    code = main(["--config", write_config(tmp_path, obj, name=f"{name}.json"),
+                 "--out", str(out), "--quiet"])
+    return code, {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+
+RADIAL_DEFAULTS = {"n": 2, "R": 1.0, "tol": 1e-9, "grid_size": 2048}
+
+
+@pytest.mark.parametrize("bare, given", [
+    ({"command": "solve-radial", "alpha": 1.0, "beta": 2.0}, RADIAL_DEFAULTS),
+    ({"command": "sweep-trichotomy"}, RADIAL_DEFAULTS),
+    ({"command": "hypotheses", "system": {"alpha": 1.0, "beta": 2.0}, "box": HYP_BOX},
+     {"samples": 1024}),
+    ({"command": "certify", "fixture": "quadratic"}, {"n_lambdas": 16}),
+    ({"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "R": 2.0, "tol": 1.0,
+      "grid_size": 512}, {"R": 2, "tol": 1}),
+    ({"command": "sweep-trichotomy", "R": 2.0, "tol": 1.0, "grid_size": 512},
+     {"R": 2, "tol": 1}),
+], ids=["solve-radial", "sweep-trichotomy", "hypotheses", "certify-fixture",
+        "solve-radial-integers", "sweep-trichotomy-integers"])
+def test_optional_keys_left_out_run_at_the_library_defaults(tmp_path, bare, given):
+    """A config that leaves out n, R, tol, grid_size, samples or n_lambdas
+    writes the bytes of one that gives the library's default, and integer
+    spellings of R and tol write the bytes of their float spellings."""
+    assert _artifacts(tmp_path, bare, "bare") == _artifacts(tmp_path, dict(bare, **given),
+                                                            "given")
+
+
 def test_linearize_command(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "linearize",

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from masym import movingplane
-from masym.domains import Ball, Ellipse, SmoothLevelSet, Tube, critical_planes, reflect_point
+from masym.domains import (Ball, Ellipse, SmoothLevelSet, Tube, _as_unit, critical_planes,
+                           reflect_point)
 from masym.expressions import ExpressionDomainError, parse
 from masym.gridsolve import FdParams, GridSolution, StencilGrid, solve_system_fd
 from masym.movingplane import (MovingPlaneFrame, _bilinear, boundary_checks,
@@ -202,6 +204,27 @@ def test_monotonicity_catches_corruption(quadratic):
     rep = certify_monotonicity(bad, [1.0, 0.0], planes)
     assert not rep["passed"]
     assert "worst_xy" in rep["components"][0]
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (0.6, 0.8), (np.sqrt(0.5), np.sqrt(0.5)),
+                                (np.cos(0.5), np.sin(0.5))])
+def test_monotonicity_checks_the_valid_nodes_left_of_the_band(h, nu):
+    """The check reads the valid nodes with x . nu < Lam0 - h - 1e-9 h, counted
+    here with x . nu exact in rationals.  On the disk along (0.6, 0.8) the
+    nodes on the line x . nu = Lam0 - h, such as (21/32, -17/32), are left out
+    however the float product x . nu rounds."""
+    grid = StencilGrid(DISK, h, 2)
+    sol = GridSolution(grid=grid, fields=[np.sum(grid.node_xy ** 2, axis=1) - 1.0], cs=(0.0,))
+    nu = _as_unit(nu, 2)
+    planes = critical_planes(DISK, nu)
+    valid = np.take(sol.stack[4], sol.node_rows) == 1.0
+    bound = Fraction(planes.Lam0) - Fraction(h) * (1 + Fraction(1e-9))
+    nu_q = [Fraction(v) for v in nu]
+    want = sum(Fraction(x) * nu_q[0] + Fraction(y) * nu_q[1] < bound
+               for (x, y), ok in zip(grid.node_xy.tolist(), valid) if ok)
+    rep = certify_monotonicity(sol, nu, planes)
+    assert rep["components"][0]["n_checked"] == want
 
 
 def test_symmetry_certificate(quadratic):

@@ -258,8 +258,7 @@ def test_coupled_scaling_invariance_of_limit():
     """Different starting scales land on the same subcritical limit."""
     base = solve_coupled_radial(1.0, 2.0, 2)
     r = base[0].r
-    init = (RadialProfile(r=r, u=5.0 * base[0].u, du=5.0 * base[0].du, n=2, c=0.0),
-            RadialProfile(r=r, u=5.0 * base[1].u, du=5.0 * base[1].du, n=2, c=0.0))
+    init = RadialProfile(r=r, u=5.0 * base[0].u, du=5.0 * base[0].du, n=2, c=0.0)
     again = solve_coupled_radial(1.0, 2.0, 2, init=init)
     assert np.max(np.abs(again[0].u - base[0].u)) <= 1e-6
 
