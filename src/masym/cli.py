@@ -29,19 +29,22 @@ from .gridsolve import (FdParams, GridSolution, StencilGrid, _write_csv, solve_s
                         write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, check_hypotheses
+from .rhs import (HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, _check_samples,
+                  check_hypotheses)
 
 
 class ConfigError(ValueError):
     """Config file failed validation; message carries file and line."""
 
 
-def _key_line(path, key):
-    """Best-effort line number of a key's first occurrence in the file."""
+def _key_line(path, key, section=None):
+    """Best-effort line number of a key's first occurrence in the file, at or
+    after the line of the key ``section``, when given, that holds it."""
+    start = _key_line(path, section) if section else 0
     try:
         with open(path) as fh:
             for ln, line in enumerate(fh, start=1):
-                if f'"{key}"' in line:
+                if ln >= start and f'"{key}"' in line:
                     return ln
     except OSError:
         pass
@@ -178,12 +181,13 @@ def _profile_csv(emit, name, profiles):
 @contextlib.contextmanager
 def _reading(path, key):
     """Report an error raised while reading ``key`` as ``path:line: key: message``,
-    or as ``path:line: message`` at the line of the key the error names itself."""
+    or as ``path:line: message`` at the line of the key the error names itself,
+    searched for from ``key``'s line."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         if getattr(err, "key", None) is not None:
-            raise ConfigError(f"{path}:{_key_line(path, err.key)}: {err}") from None
+            raise ConfigError(f"{path}:{_key_line(path, err.key, key)}: {err}") from None
         what = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ConfigError(f"{path}:{_key_line(path, key)}: {key}: {what}") from None
 
@@ -234,6 +238,9 @@ def read_config(cfg, path):
         if "box" in cfg:
             with _reading(path, "box"):
                 cfg["box"] = dict(zip("xzp", _box_arrays(cfg["box"], system.n, system.m)))
+    if "samples" in cfg:
+        with _reading(path, "samples"):
+            _check_samples(cfg["samples"])
     cmd = cfg["command"]
     for key in () if fixture else _COMMANDS[cmd][1]:
         if key not in cfg:

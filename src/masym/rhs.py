@@ -10,11 +10,14 @@ bounds, and the reflection/orthogonal invariances of the source term.
 
 from __future__ import annotations
 
+import functools
 import numbers
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from .domains import _finite, _known_keys
 from .expressions import Expr, ExpressionDomainError, const, parse
@@ -234,16 +237,74 @@ def _box_arrays(box, n, m):
     return rows
 
 
-def _sobol_samples(xb, zb, pb, samples, seed):
-    # scipy.stats takes about half a second to import and only screening needs it
-    from scipy.stats import qmc
+_BITS = 30  # digits of a Sobol' coordinate: at most 2 ** 30 points
+_HIGH = np.uint64(1) << np.arange(_BITS - 1, -1, -1, dtype=np.uint64)  # 2 ** 29, ..., 1
 
-    dim = len(xb) + len(zb) + len(pb)
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    # the leading `samples` points of the smallest power-of-2 block: the
-    # points random(samples) gives, without its warning that only
-    # power-of-2 counts keep the balance properties
-    u = eng.random_base2(int(samples - 1).bit_length())[:samples]
+
+def _parity(x):
+    """The parity of each entry's 32 low bits, by an XOR-fold."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d):
+    """The (d, 30) direction numbers of Joe & Kuo's table that scipy ships,
+    each a 30-bit fraction, by scipy's recurrence (Bratley & Fox)."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    rows = [[1] * _BITS]
+    for p, row in zip(poly[1:], vinit[1:]):
+        deg = p.bit_length() - 1
+        del row[deg:]
+        for j in range(deg, _BITS):
+            new = row[j - deg]
+            for k in range(deg):
+                if p >> (deg - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint64) * _HIGH
+
+
+def _check_samples(samples):
+    """Raise a :class:`ConfigurationError` naming ``samples`` unless it is a
+    count from 1 to 2 ** 30, the points the Sobol' sequence holds."""
+    if not 1 <= samples <= 2 ** _BITS:
+        raise ConfigurationError(f"samples must be from 1 to 2**{_BITS}, the points a Sobol' "
+                                 f"sequence holds, got {samples}", key="samples")
+
+
+def _sobol_samples(xb, zb, pb, samples, seed):
+    """The first ``samples`` points of a scrambled Sobol' sequence, scaled to the box.
+
+    The sequence takes Joe & Kuo's direction numbers ("Constructing Sobol
+    sequences with better two-dimensional projections", SIAM J. Sci.
+    Comput. 30, 2008) and scrambles them with a random linear matrix
+    scramble plus a digital shift (Matousek, "On the L2-discrepancy for
+    anchored boxes", J. Complexity 14, 1998), drawn from
+    ``np.random.default_rng(seed)``.  The unit-cube points equal those of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(k)``,
+    bit for bit, for the smallest power-of-2 block 2 ** k that holds them.
+    """
+    d = len(xb) + len(zb) + len(pb)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, _BITS), dtype=np.uint32) @ _HIGH[::-1]
+    ltm = np.tril(rng.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32))
+    ltm[:, range(_BITS), range(_BITS)] = 1
+    # bit 29 - r of a scrambled direction number is the parity of the
+    # number and row r of its dimension's matrix, read as 30 bits
+    rows = ltm @ _HIGH
+    v = _HIGH @ _parity(rows[:, :, None] & _sobol_directions(d)[:, None, :])
+    table = np.vstack([shift, v.T]).astype(np.uint32)
+    # point i is the shift XOR the direction numbers of i's Gray code: point
+    # i - 1 XOR the number at the count of trailing zero bits of i, table
+    # row ctz(i) + 1, the binary exponent of i & -i
+    i = np.arange(1, samples)
+    at = np.concatenate([[0], np.frexp(i & -i)[1]])
+    u = np.bitwise_xor.accumulate(table[at], axis=0) * 2.0 ** -_BITS
     lo = np.concatenate([xb[:, 0], zb[:, 0], pb[:, 0]])
     hi = np.concatenate([xb[:, 1], zb[:, 1], pb[:, 1]])
     pts = lo + u * (hi - lo)
@@ -292,12 +353,13 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     """Screen the structural conditions by quasi-random sampling.
 
     ``box`` declares admissible ranges: {"x": [[lo,hi]]*n, "z": ..., "p": ...}.
-    ``which`` selects a subset of :data:`HYPOTHESES`; the others stay
-    ``not-applicable``.  A selected check passes unless a sample fails it,
-    and then reports a witness sample.  An evaluation domain error makes
-    the check ``not-applicable`` with the error as witness, and
-    ``own_component_split`` is ``not-applicable`` when no split is
-    declared.
+    ``samples`` runs from 1 to 2 ** 30, the points of a scrambled Sobol'
+    sequence (:func:`_sobol_samples`).  ``which`` selects a subset of
+    :data:`HYPOTHESES`; the others stay ``not-applicable``.  A selected
+    check passes unless a sample fails it, and then reports a witness
+    sample.  An evaluation domain error makes the check ``not-applicable``
+    with the error as witness, and ``own_component_split`` is
+    ``not-applicable`` when no split is declared.
 
     A Lipschitz bound (``gradient_lipschitz``, and the Lipschitz part of
     a declared split) is the largest symmetric difference quotient at the
@@ -317,8 +379,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     evaluation at the samples raises whatever the skipped ones would, so
     the report is the one every evaluation gives.
     """
-    if samples < 1:
-        raise ConfigurationError("samples must be >= 1")
+    _check_samples(samples)
     which = tuple(which) if which is not None else HYPOTHESES
     unknown = set(which) - set(HYPOTHESES)
     if unknown:

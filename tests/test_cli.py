@@ -27,8 +27,7 @@ RADIAL_CFG = {"command": "solve-radial", "alpha": 1.0, "beta": 2.0, "n": 2,
 
 
 def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
-    """Importing the package and the CLI loads no scipy.stats (only
-    hypothesis screening draws Sobol points, and imports it then),
+    """Importing the package and the CLI loads no scipy.stats,
     scipy.optimize, scipy.interpolate, scipy.integrate, scipy.ndimage or
     scipy.spatial: the program needs scipy.linalg and scipy.sparse alone,
     and every CLI run pays for what the import loads."""
@@ -39,6 +38,21 @@ def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_hypotheses_screen_leaves_scipy_stats_unloaded(tmp_path):
+    """A hypotheses screen draws its Sobol' points without scipy.stats: a
+    fresh interpreter that runs one has not imported it."""
+    cfg = write_config(tmp_path, HYP_CFG)
+    out = str(tmp_path / "out")
+    code = ("import sys; from masym.cli import main; "
+            f"status = main(['--config', {cfg!r}, '--out', {out!r}, '--quiet']); "
+            "print(status, 'scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(masym.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "0 False"
+    assert os.path.exists(os.path.join(out, "hypotheses.json"))
 
 
 def test_solve_radial_artifacts(tmp_path):
@@ -398,6 +412,37 @@ def test_unknown_nested_key_rejected_without_lock(tmp_path, capsys, text, key, l
     assert "Traceback" not in err
     assert not (out / ".lock").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_nested_key_error_names_the_line_in_its_section(tmp_path, capsys):
+    """An unknown domain key that shares its name with a top-level key is
+    reported at its own line, inside domain, not at the top-level one."""
+    path = tmp_path / "keyline.json"
+    path.write_text('{"command": "certify",\n "nu": [1.0, 0.0],\n'
+                    ' "system": {"alpha": 1.0, "beta": 2.0},\n'
+                    ' "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0,\n'
+                    '  "nu": [1.0, 0.0]}}\n')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "keyline.json:5: unknown domain key 'nu'" in err
+    assert not out.exists()
+
+
+def test_samples_past_the_sequence_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """More samples than the 2 ** 30 points of the Sobol' sequence exit 2 at
+    the samples line, before the output directory exists or a point is drawn."""
+    monkeypatch.setattr(masym.rhs, "_sobol_samples",
+                        lambda *args: pytest.fail("the sampler was called"))
+    path = tmp_path / "config.json"
+    path.write_text('{"command": "hypotheses",\n "system": {"alpha": 1.0, "beta": 1.0},\n'
+                    f' "box": {json.dumps(HYP_CFG["box"])},\n "samples": {2**30 + 1}}}\n')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config.json:4: samples must be from 1 to 2**30" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_expression_domain_error_is_a_divergence(tmp_path, capsys):

@@ -101,6 +101,31 @@ def test_non_power_of_two_samples_draw_balanced_sobol_points():
     assert rep.samples == 100
 
 
+@pytest.mark.parametrize("d", [*range(1, 13), 20])
+def test_sobol_points_equal_scipy_bit_for_bit(d):
+    """The screen's numpy Sobol' points are scipy's scrambled ones, bit for
+    bit, for every power-of-2 block up to 2 ** 14 points."""
+    from scipy.stats import qmc
+
+    unit, none = np.array([[0.0, 1.0]] * d), np.zeros((0, 2))
+    for seed in (0, 7, 2**31 - 2):
+        for k in range(15):
+            want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(k)
+            got = np.hstack(rhs._sobol_samples(unit, none, none, 2**k, seed))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, k)
+
+
+@pytest.mark.parametrize("samples", [0, 2**30 + 1, 2**62])
+def test_samples_outside_the_sequence_raise_before_sampling(monkeypatch, samples):
+    """The sequence holds 1 to 2 ** 30 points: any other count raises a
+    configuration error naming samples, and no point is drawn."""
+    monkeypatch.setattr(rhs, "_sobol_samples",
+                        lambda *args: pytest.fail("the sampler was called"))
+    with pytest.raises(ConfigurationError, match=r"samples must be from 1 to 2\*\*30") as err:
+        check_hypotheses(power_coupled_system(1.0, 1.0), BOX, samples=samples)
+    assert err.value.key == "samples"
+
+
 def test_planted_sign_violation_caught_with_witness():
     bad = RhsSystem(components=(parse("z2"), parse("(0 - z1) ^ 1")), n=2)
     rep = check_hypotheses(bad, BOX, samples=512, seed=0)
@@ -330,8 +355,6 @@ def test_skipped_evaluations_leave_the_report_and_the_stream_unchanged(
     screen skips those evaluations: its report, and the state of every
     generator it draws from, equal those of the same system with a zero term
     that reads x1 and every unknown, where every evaluation is made."""
-    from scipy.stats import qmc  # noqa: F401  imported before the generators are recorded
-
     default_rng = np.random.default_rng
 
     def screen(sys_):
