@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,25 +30,40 @@ from .gridsolve import (FdParams, GridSolution, StencilGrid, _write_csv, solve_s
                         write_solution_binary, write_solution_csv)
 from .movingplane import build_frame, lambda_sweep, linearize, verify_elliptic_inequality
 from .radial import NoSolution, SolverDivergence, solve_coupled_radial
-from .rhs import (HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, _check_samples,
-                  check_hypotheses)
+from .rhs import (HYPOTHESES, ConfigurationError, RhsSystem, _box_arrays, _check_coordinates,
+                  _check_samples, check_hypotheses)
 
 
 class ConfigError(ValueError):
     """Config file failed validation; message carries file and line."""
 
 
+# a JSON string, with the colon that makes it a key, or a bracket
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|[][{}]')
+
+
 def _key_line(path, key, section=None):
-    """Best-effort line number of a key's first occurrence in the file, at or
-    after the line of the key ``section``, when given, that holds it."""
-    start = _key_line(path, section) if section else 0
+    """Best-effort line number of a key's first occurrence in the file: as a
+    key of the top-level object, or, with ``section``, at or after the line
+    of that top-level key, which holds it."""
     try:
         with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                if ln >= start and f'"{key}"' in line:
-                    return ln
+            text = fh.read()
     except OSError:
-        pass
+        return 0
+    if section:
+        start = _key_line(path, section)
+        return next((ln for ln, line in enumerate(text.split("\n"), start=1)
+                     if ln >= start and f'"{key}"' in line), 0)
+    depth = 0
+    for token in _JSON_TOKEN.finditer(text):
+        t = token.group()
+        if t in ("{", "["):
+            depth += 1
+        elif t in ("}", "]"):
+            depth -= 1
+        elif depth == 1 and token.group(1) and t.startswith(f'"{key}"'):
+            return text.count("\n", 0, token.start()) + 1
     return 0
 
 
@@ -228,6 +244,8 @@ def read_config(cfg, path):
                     if split is None:
                         raise ConfigError(f"{cfg['command']} needs a declared split of "
                                           f"component {i} (d_{i}{i})")
+            if cfg["command"] == "hypotheses":
+                _check_coordinates(system)
             if "domain" in cfg and system.n != cfg["domain"].dimension:
                 raise ConfigError(f"system.n = {system.n} differs from the domain's "
                                   f"dimension {cfg['domain'].dimension}")

@@ -587,6 +587,23 @@ class GridSolution:
                                    f"at amplitude {max(self.amplitude):.3e}", self.history) from None
         return stack
 
+    @cached_property
+    def nan_spread(self):
+        """(7m + 1, nx*ny) booleans: where a bilinear read of :attr:`stack`
+        exactly at the node of a column is NaN because one of the other
+        corners of the cell that node starts, (i, j+1), (i+1, j) or
+        (i+1, j+1), is not finite in that row; its zero weight spreads it.
+        The moving-plane kernel reads a node's row values through it, so it
+        gathers one corner, not four, where reflections land on nodes.  A
+        column on the grid's last row or column starts no cell and is never
+        read."""
+        ny = self.grid.ny
+        bad = ~np.isfinite(self.stack)
+        spread = np.zeros_like(bad)
+        for offset in (1, ny, ny + 1):
+            spread[:, :-offset] |= bad[:, offset:]
+        return spread
+
 
 def solve_scalar_fd(domain, g, c, params=None):
     """Solve det D^2 u = g(x, u, grad u) with constant Dirichlet data.

@@ -21,12 +21,15 @@ Hopf boundary derivative check and tube corner cross-derivatives.
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points, one gather of every
-field per cell corner.  One cap reader serves a frame, a sweep batch and
-the symmetry certificate: it finds the caps of some plane positions,
-reflects them in one pass, keeps the nodes whose reflection stays in the
-domain, and reads the stack rows it is given at the nodes and at their
-reflections.  A reflection Q changes neither the determinant nor the
-trace of a Hessian, so the audit reads both off the interpolated
+field per cell corner; where every point is a node, as reflections across
+an axis plane at a grid line are, one gather of the nodes gives the same
+bits, with NaN where the solution's :attr:`GridSolution.nan_spread` table
+says the four-corner sum spreads one.  One cap reader serves a frame, a
+sweep batch and the symmetry certificate: it finds the caps of some plane
+positions, reflects them in one pass, keeps the nodes whose reflection
+stays in the domain, and reads the stack rows it is given at the nodes
+and at their reflections.  A reflection Q changes neither the determinant
+nor the trace of a Hessian, so the audit reads both off the interpolated
 Hessian, and forms no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
 
 One plane position is read into a frame, the stack rows at its cap
@@ -40,17 +43,21 @@ declares a gradient Lipschitz constant.  Each position's figures (cap
 bound, violations, least margin, flag counts) are reductions over its
 segment of the batch's nodes, one ``reduceat`` call per figure for every
 position at once.  The batches, and one more task that calls the public
-certificates, run on a thread pool with one worker per available core.
-Reflections are entry-wise, not matrix products whose rounding may
-depend on the array's length, so the reports do not depend on the
-batches or on the number of workers.
+certificates, run on a long-lived thread pool with one worker per
+available core.  The boundary checks and the disk rings of the symmetry
+certificate depend on neither nu nor lambda, so they run once per
+solution and are kept, weakly, with it.  Reflections are entry-wise, not
+matrix products whose rounding may depend on the array's length, so the
+reports do not depend on the batches or on the number of workers.
 """
 
 from __future__ import annotations
 
 import contextvars
+import copy
 import os
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -80,7 +87,7 @@ __all__ = [
 # uxy of component i, row 4m the validity mask, rows 4m+1..5m the operator
 # and rows 5m+1+2i, 5m+2+2i = ux, uy of component i.
 
-def _bilinear(grid, stack, pts):
+def _bilinear(grid, stack, pts, nan_spread=None):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
 
     Each point's cell comes from one ``searchsorted`` per axis, and the
@@ -92,19 +99,33 @@ def _bilinear(grid, stack, pts):
     values multiplied as (v * wx) * wy and summed from +0.0 in corner
     order: NaN outside the grid, and NaN spreads from every corner, zero
     weights included.
+
+    When every point is the lower-left corner (i, j) of its cell, as
+    reflections across an axis plane at a grid line are, the weights are
+    1, 0, 0 and 0, and that sum is the corner's value plus +0.0, or NaN
+    where a zero weight meets a non-finite corner.  Given ``nan_spread``,
+    the rows of :attr:`GridSolution.nan_spread` that match ``stack``'s,
+    the kernel then reads that sum as one gather of the corners and
+    NaN where ``nan_spread`` holds, the same bits.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     xs, ys = grid.xs, grid.ys
     x, y = pts[:, 0], pts[:, 1]
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
-    tx = (x - xs[i]) / (xs[i + 1] - xs[i])
-    ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-    sx, sy = 1 - tx, 1 - ty
+    xi, yj = xs[i], ys[j]
     ny = len(ys)
     # corners (i, j), (i, j+1), (i+1, j), (i+1, j+1); the clipped cells keep
     # every corner index in range
     base = i * ny + j
+    if nan_spread is not None and np.array_equal(x, xi) and np.array_equal(y, yj):
+        out = np.take(stack, base, axis=1, mode="clip")
+        out += 0.0
+        np.copyto(out, np.nan, where=np.take(nan_spread, base, axis=1, mode="clip"))
+        return out
+    tx = (x - xi) / (xs[i + 1] - xi)
+    ty = (y - yj) / (ys[j + 1] - yj)
+    sx, sy = 1 - tx, 1 - ty
     out = np.take(stack, base, axis=1, mode="clip")
     out *= sx
     out *= sy
@@ -137,16 +158,17 @@ def _in_cap(s, lam, h):
 
 
 def _read_caps(solution, nu, lams, rows):
-    """The stack ``rows`` on the caps of the plane positions ``lams``, one
-    position after another.
+    """The stack rows numbered by the range ``rows`` on the caps of the
+    plane positions ``lams``, one position after another.
 
     Returns the kept cap nodes, their reflections, the rows at the nodes
-    and interpolated at the reflections (one :func:`_bilinear` call), the
-    (len(lams) + 1,) bounds of each position's nodes, and per position the
-    number of cap nodes whose reflection leaves the domain.  A cap node is
-    kept when its reflection stays in the domain and on the grid box.  All
-    caps are reflected in one entry-wise :func:`reflect_point` call, each
-    node across its own position's plane, so a position's nodes and
+    and interpolated at the reflections (one :func:`_bilinear` call, a
+    gather when every reflection is a node), the (len(lams) + 1,) bounds
+    of each position's nodes, and per position the number of cap nodes
+    whose reflection leaves the domain.  A cap node is kept when its
+    reflection stays in the domain and on the grid box.  All caps are
+    reflected in one entry-wise :func:`reflect_point` call, each node
+    across its own position's plane, so a position's nodes and
     reflections do not depend on the positions read with it.
     """
     g = solution.grid
@@ -165,8 +187,11 @@ def _read_caps(solution, nu, lams, rows):
     if not inside.all():
         idx, pos, refl = (np.compress(inside, a, axis=0) for a in (idx, pos, refl))
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(lams)))))
-    at_node = np.take(rows, np.take(solution.node_rows, idx), axis=1)
-    return idx, refl, at_node, _bilinear(g, rows, refl), bounds, n_exited
+    sel = slice(rows.start, rows.stop, rows.step)
+    stack = solution.stack[sel]
+    at_node = np.take(stack, np.take(solution.node_rows, idx), axis=1)
+    return (idx, refl, at_node, _bilinear(g, stack, refl, solution.nan_spread[sel]), bounds,
+            n_exited)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +262,8 @@ def build_frame(solution, nu, lam):
     """
     nu = _as_unit(nu, 2)
     lam = float(lam)
-    idx, refl, at_node, at_refl, _, (n_exited,) = _read_caps(solution, nu, [lam], solution.stack)
+    idx, refl, at_node, at_refl, _, (n_exited,) = _read_caps(
+        solution, nu, [lam], range(7 * solution.m + 1))
     return MovingPlaneFrame(nu=nu, lam=lam, grid=solution.grid, node_idx=idx,
                             reflected_xy=refl, n_exited=n_exited,
                             at_node=at_node, at_refl=at_refl)
@@ -446,7 +472,8 @@ def certify_symmetry(solution, nu, Lam0):
     (0 for an empty cap).  Its floor is the bilinear interpolation error,
     order h^2, and is stated in the report; the tolerance is 20 h^2 times
     the largest |u_i - c_i|.  On a disk the variation over 720 angles on
-    four rings counts as residual too.
+    four rings counts as residual too; it depends on no plane, so it is
+    read once per solution (:func:`_once`).
     """
     nu = _as_unit(nu, 2)
     g = solution.grid
@@ -457,24 +484,30 @@ def certify_symmetry(solution, nu, Lam0):
         report["applicable"] = False
         report["verdict"] = "not-applicable"
         return report
-    # the E rows only, on the cap and on the rings
-    E_rows = solution.stack[:4 * solution.m:4]
-    _, _, at_node, at_refl, _, _ = _read_caps(solution, nu, [float(Lam0)], E_rows)
+    # the E rows only
+    _, _, at_node, at_refl, _, _ = _read_caps(solution, nu, [float(Lam0)],
+                                              range(0, 4 * solution.m, 4))
     resid = float(np.max(np.abs(at_refl - at_node))) if at_node.size else 0.0
     report["mirror_residual"] = resid
     report["tolerance"] = (20.0 * h ** 2) * max(solution.amplitude)
     if isinstance(g.domain, Ball):
-        c = np.asarray(g.domain.center)
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        rings = np.concatenate([c + frac * g.domain.radius * ring
-                                for frac in (0.2, 0.4, 0.6, 0.8)])
-        E = _bilinear(g, E_rows, rings).reshape(solution.m, 4, -1)
-        variations = [float(v) for v in np.max(np.max(E, axis=2) - np.min(E, axis=2), axis=1)]
+        variations = _once(solution, "rings", _ring_variations)
         report["angular_variation"] = variations
         resid = max(resid, max(variations))
     report["passed"] = resid <= report["tolerance"]
     return report
+
+
+def _ring_variations(solution):
+    """Per component, the largest variation of E over the 720 angles of each
+    of four rings about a disk's centre, at 0.2 to 0.8 of its radius."""
+    g = solution.grid
+    c = np.asarray(g.domain.center)
+    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    rings = np.concatenate([c + frac * g.domain.radius * ring for frac in (0.2, 0.4, 0.6, 0.8)])
+    E = _bilinear(g, solution.stack[:4 * solution.m:4], rings).reshape(solution.m, 4, -1)
+    return [float(v) for v in np.max(np.max(E, axis=2) - np.min(E, axis=2), axis=1)]
 
 
 def boundary_checks(solution):
@@ -584,6 +617,40 @@ def _available_cores():
         return os.cpu_count() or 1
 
 
+# per solution, the figures that depend on neither nu nor lambda, each
+# computed on first use; a solution's entry goes with it
+_PER_SOLUTION = weakref.WeakKeyDictionary()
+
+
+def _once(solution, name, compute):
+    """A copy of ``compute(solution)``, which runs once per solution object
+    and ``name``; each caller gets its own copy.  Sweeps that race on a
+    solution's first use may each compute it, and store equal values."""
+    memo = _PER_SOLUTION.setdefault(solution, {})
+    if name not in memo:
+        memo[name] = compute(solution)
+    return copy.deepcopy(memo[name])
+
+
+# the sweeps' thread pools, one per worker count, each started on first use
+# and kept for the process's later sweeps
+_POOLS = {}
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's worker threads
+    os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def _pool(workers):
+    """The long-lived thread pool of ``workers`` workers.  Callers that race
+    on its first use keep the one ``setdefault`` stored; the others start no
+    thread."""
+    pool = _POOLS.get(workers)
+    if pool is None:
+        pool = _POOLS.setdefault(workers, ThreadPoolExecutor(
+            workers, thread_name_prefix=f"masym-sweep-{workers}"))
+    return pool
+
+
 def _batches(sizes, limit):
     """(start, stop) ranges of consecutive positions, packed greedily so that
     each holds at most ``limit`` cap nodes, the grid's node count, which no
@@ -622,7 +689,7 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
     """
     m = solution.m
     idx, _, at_node, at_refl, bounds, n_exited = _read_caps(
-        solution, nu, lams, solution.stack if grads else solution.stack[:5 * m + 1])
+        solution, nu, lams, range(7 * m + 1 if grads else 5 * m + 1))
     n_nodes = np.diff(bounds)
     U, deriv_ok = _difference(at_node, at_refl, m)
     # reduceat reads an empty segment as the element at its start, so only
@@ -672,9 +739,11 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
 
 def _certificates(solution, nu, planes):
     """The certificates of a sweep, in the order a serial sweep runs them:
-    monotonicity, symmetry at Lam0, the boundary checks."""
+    monotonicity, symmetry at Lam0, the boundary checks, which depend on no
+    plane and so run once per solution."""
     return (certify_monotonicity(solution, nu, planes),
-            certify_symmetry(solution, nu, planes.Lam0), boundary_checks(solution))
+            certify_symmetry(solution, nu, planes.Lam0),
+            _once(solution, "boundary", boundary_checks))
 
 
 def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
@@ -686,21 +755,24 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     :func:`verify_elliptic_inequality`, without a frame.  The final
     position is exactly Lam0.  The certificates are those of
     :func:`certify_monotonicity`, :func:`certify_symmetry` at Lam0 and
-    :func:`boundary_checks`.  Every position and certificate reads the
-    solution's :attr:`GridSolution.stack`, built on its first use.
+    :func:`boundary_checks`, which runs once per solution.  Every position
+    and certificate reads the solution's :attr:`GridSolution.stack`, built
+    on its first use.
 
     Consecutive positions run in batches of at most as many cap nodes as
     the grid has nodes (see :func:`_batches` and :func:`_sweep_batch`),
     each finding its own caps, and the certificates in one more task,
-    submitted first, on a thread pool with one worker per available core;
-    so at most that many grid-sized batches are in memory at once, and no
-    cap is held outside its batch.  The report does not depend on the
-    batches or on the number of workers: the reflections are entry-wise,
-    so no node's figures depend on the nodes read with it.  An error
-    reaches the caller as it was raised, the first in serial order: the
-    batches in position order, then monotonicity, symmetry and the
-    boundary checks.  Each task runs in a copy of the caller's context, so
-    its ``np.errstate`` holds.
+    submitted first, on the long-lived thread pool (:func:`_pool`) of one
+    worker per available core, or per task when there are fewer; so at
+    most that many grid-sized batches are in memory at once, and no cap is
+    held outside its batch.  The report does not depend on the batches or
+    on the number of workers: the reflections are entry-wise, so no node's
+    figures depend on the nodes read with it.  An error reaches the caller
+    as it was raised, the first in serial order: the batches in position
+    order, then monotonicity, symmetry and the boundary checks; the tasks
+    not yet started are dropped, and the running ones finish first.  Each
+    task runs in a copy of the caller's context, so its ``np.errstate``
+    holds.
     """
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
@@ -716,19 +788,21 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here
-    solution.stack, solution.node_rows, g.domain.interior_point
-    with ThreadPoolExecutor(min(_available_cores(), len(batches) + 1)) as pool:
-        # the certificates, the largest task, start first and are collected last
-        certificates = pool.submit(contextvars.copy_context().run, _certificates,
-                                   solution, nu, planes)
-        jobs = [pool.submit(contextvars.copy_context().run, _sweep_batch, solution, nu,
-                            lams[a:b], system, cap_tol, grads)
-                for a, b in batches] + [certificates]
-        try:
-            results = [job.result() for job in jobs]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    solution.stack, solution.nan_spread, solution.node_rows, g.domain.interior_point
+    pool = _pool(min(_available_cores(), len(batches) + 1))
+    # the certificates, the largest task, start first and are collected last
+    certificates = pool.submit(contextvars.copy_context().run, _certificates,
+                               solution, nu, planes)
+    jobs = [pool.submit(contextvars.copy_context().run, _sweep_batch, solution, nu,
+                        lams[a:b], system, cap_tol, grads)
+            for a, b in batches] + [certificates]
+    try:
+        results = [job.result() for job in jobs]
+    except BaseException:
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
+        raise
     mono, sym, bnd = results.pop()
     entries = [entry for batch_entries in results for entry in batch_entries]
     total_viol = sum(entry.get("ei_violations", 0) for entry in entries)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 import numbers
-import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .domains import _finite, _known_keys
 from .expressions import Expr, ExpressionDomainError, const, parse
@@ -248,17 +246,32 @@ def _parity(x):
     return x & 1
 
 
+# Joe & Kuo's primitive polynomials and initial direction numbers, the
+# first 32 rows of the table that scipy ships, whose vinit rows pad these
+# with zeros to 18 entries; row r > 0 holds one number per degree of its
+# polynomial.  The screen draws 2n + m coordinates, one row each, so 32
+# rows hold a plane system of up to 28 components.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115,
+               131, 137, 143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213)
+_SOBOL_VINIT = (
+    (1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17),
+    (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11), (1, 3, 5, 5, 31),
+    (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63), (1, 3, 5, 9, 1, 25, 53),
+    (1, 3, 1, 13, 9, 35, 107), (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61),
+    (1, 3, 5, 3, 3, 13, 69), (1, 1, 7, 13, 1, 19, 1), (1, 3, 7, 5, 13, 19, 59),
+    (1, 1, 3, 9, 25, 29, 41), (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17))
+
+
 @functools.lru_cache(maxsize=None)
 def _sobol_directions(d):
-    """The (d, 30) direction numbers of Joe & Kuo's table that scipy ships,
-    each a 30-bit fraction, by scipy's recurrence (Bratley & Fox)."""
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    """The (d, 30) direction numbers of the first d rows of Joe & Kuo's
+    table, each a 30-bit fraction, by scipy's recurrence (Bratley & Fox)."""
     rows = [[1] * _BITS]
-    for p, row in zip(poly[1:], vinit[1:]):
+    for p, init in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
         deg = p.bit_length() - 1
-        del row[deg:]
+        row = list(init)
         for j in range(deg, _BITS):
             new = row[j - deg]
             for k in range(deg):
@@ -267,6 +280,15 @@ def _sobol_directions(d):
             row.append(new)
         rows.append(row)
     return np.array(rows, dtype=np.uint64) * _HIGH
+
+
+def _check_coordinates(system):
+    """Raise a :class:`ConfigurationError` unless the screen's 2n + m
+    coordinates fit the rows of the committed Sobol' table."""
+    d = 2 * system.n + system.m
+    if d > len(_SOBOL_POLY):
+        raise ConfigurationError(f"the hypotheses screen samples 2n + m = {d} coordinates; "
+                                 f"its Sobol' table holds {len(_SOBOL_POLY)}")
 
 
 def _check_samples(samples):
@@ -354,8 +376,10 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
 
     ``box`` declares admissible ranges: {"x": [[lo,hi]]*n, "z": ..., "p": ...}.
     ``samples`` runs from 1 to 2 ** 30, the points of a scrambled Sobol'
-    sequence (:func:`_sobol_samples`).  ``which`` selects a subset of
-    :data:`HYPOTHESES`; the others stay ``not-applicable``.  A selected
+    sequence (:func:`_sobol_samples`) in the system's 2n + m coordinates,
+    at most 32, the rows of the committed direction table.  ``which``
+    selects a subset of :data:`HYPOTHESES`; the others stay
+    ``not-applicable``.  A selected
     check passes unless a sample fails it, and then reports a witness
     sample.  An evaluation domain error makes the check ``not-applicable``
     with the error as witness, and ``own_component_split`` is
@@ -380,6 +404,7 @@ def check_hypotheses(system, box, samples=1024, which=None, seed=0):
     the report is the one every evaluation gives.
     """
     _check_samples(samples)
+    _check_coordinates(system)
     which = tuple(which) if which is not None else HYPOTHESES
     unknown = set(which) - set(HYPOTHESES)
     if unknown:

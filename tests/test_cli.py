@@ -429,6 +429,42 @@ def test_nested_key_error_names_the_line_in_its_section(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("second", [' "nu": [1.0, 0.0],\n', ' "nu": "\\"radius\\": [{",\n'],
+                         ids=["plain", "string-with-brackets"])
+def test_unknown_top_level_key_is_named_at_its_own_line(tmp_path, capsys, second):
+    """An unknown top-level key that shares its name with a key nested in an
+    earlier section, or with the text of a string value, is reported at its
+    own line, not at the nested one."""
+    path = tmp_path / "keyline.json"
+    path.write_text('{"command": "certify",\n' + second
+                    + ' "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},\n'
+                    ' "system": {"alpha": 1.0, "beta": 2.0},\n "radius": 1.0}\n')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "keyline.json:5: unknown key 'radius' for command 'certify'" in err
+    assert not out.exists()
+
+
+def test_screen_coordinates_past_the_table_are_a_config_error(tmp_path, capsys, monkeypatch):
+    """A hypotheses system whose 2n + m coordinates outnumber the committed
+    Sobol' rows exits 2 at the system line, before the output directory
+    exists or a point is drawn."""
+    monkeypatch.setattr(masym.rhs, "_sobol_samples",
+                        lambda *args: pytest.fail("the sampler was called"))
+    m = 29
+    box = {"x": [[-1.0, 1.0]] * 2, "z": [[-2.0, -0.1]] * m, "p": [[-1.0, 1.0]] * 2}
+    path = tmp_path / "config.json"
+    path.write_text('{"command": "hypotheses",\n "samples": 16,\n'
+                    f' "system": {json.dumps(["0 - z1"] * m)},\n "box": {json.dumps(box)}}}\n')
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config.json:3: system: the hypotheses screen samples 2n + m = 33 coordinates" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_samples_past_the_sequence_is_a_config_error(tmp_path, capsys, monkeypatch):
     """More samples than the 2 ** 30 points of the Sobol' sequence exit 2 at
     the samples line, before the output directory exists or a point is drawn."""

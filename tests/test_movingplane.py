@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import sys
 from fractions import Fraction
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -579,10 +581,11 @@ def test_sweep_certificates_are_the_public_ones(coupled16, ellipse16, tube16, ca
 
 def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
     """Consecutive positions are packed greedily into batches of at most the
-    grid's node count, which no cap exceeds; the pool starts one worker per
-    available core, or per task (the batches and the certificates) when
-    there are fewer, and the report does not depend on the number of
-    workers."""
+    grid's node count, which no cap exceeds; the sweep runs on the
+    long-lived pool of one worker per available core, or per task (the
+    batches and the certificates) when there are fewer, which the next
+    sweep with as many workers shares, and the report does not depend on
+    the number of workers."""
     # the 16 caps of the h = 1/64 disk along (1, 0), whose grid has 12,849 nodes
     sizes = [138, 362, 642, 966, 1326, 1716, 2130, 2566, 3020, 3490, 3972, 4464, 4964,
              5472, 5980, 6488]
@@ -593,15 +596,15 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
     # a cap at the bound fills a batch of its own
     assert movingplane._batches([5, 1, 9, 3, 2], 9) == [(0, 2), (2, 3), (3, 5)]
 
-    workers = []
+    pools = []
+    pool = movingplane._pool
 
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+    def recorded_pool(workers):
+        pools.append((workers, pool(workers)))
+        return pools[-1][1]
 
     batches = _recorded_batches(monkeypatch)
-    monkeypatch.setattr(movingplane, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(movingplane, "_pool", recorded_pool)
     planes = critical_planes(DISK, [1.0, 0.0])
     reports = []
     # more workers than cores, switching threads as often as the interpreter
@@ -619,7 +622,12 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
             assert 1 < len(batch_nodes) < 16
             assert max(batch_nodes) <= coupled.grid.n_nodes
             assert sum(batch_nodes) == sum(e["n_nodes"] + e["n_exited"] for e in rep.entries)
-            assert workers[-1] == min(cores, len(batch_nodes) + 1)
+            workers, used = pools[-1]
+            assert isinstance(used, ThreadPoolExecutor)
+            assert workers == used._max_workers == min(cores, len(batch_nodes) + 1)
+            lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=16,
+                         system=power_coupled_system(1.0, 1.0))
+            assert pools[-1] == (workers, used)
     finally:
         sys.setswitchinterval(interval)
     assert reports[1:] == reports[:1] * 2
@@ -694,7 +702,11 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
                                             if "ei_violations" in e)
 
     # the certificates beside the batches: raised as they were, each in the
-    # caller's errstate, a batch's error first
+    # caller's errstate, a batch's error first; every sweep reads a fresh
+    # solution, whose boundary report no earlier sweep has kept
+    def fresh():
+        return GridSolution(grid=coupled.grid, fields=coupled.fields, cs=coupled.cs)
+
     certificates = {name: getattr(movingplane, name)
                     for name in ("certify_monotonicity", "certify_symmetry",
                                  "boundary_checks")}
@@ -713,32 +725,32 @@ def test_sweep_errors_and_errstate_reach_the_workers(coupled, monkeypatch):
         calls.clear()
         with np.errstate(over="raise", under="warn"):
             with pytest.raises(_Raised, match=name) as err:
-                lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
+                lambda_sweep(fresh(), [1.0, 0.0], planes, n_lambdas=8,
                              system=power_coupled_system(1.0, 1.0))
         assert err.value is raised[-1]
         assert calls == [(expected, False)]
         with pytest.raises(ExpressionDomainError):
-            lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
+            lambda_sweep(fresh(), [1.0, 0.0], planes, system=system)
         monkeypatch.setattr(movingplane, name, certificates[name])
     # several fail: the error a serial sweep would raise first
     for name in certificates:
         monkeypatch.setattr(movingplane, name, failing(name))
     with pytest.raises(ExpressionDomainError):
-        lambda_sweep(coupled, [1.0, 0.0], planes, system=system)
+        lambda_sweep(fresh(), [1.0, 0.0], planes, system=system)
     for name in certificates:
         with pytest.raises(_Raised, match=name):
-            lambda_sweep(coupled, [1.0, 0.0], planes, n_lambdas=8,
+            lambda_sweep(fresh(), [1.0, 0.0], planes, n_lambdas=8,
                          system=power_coupled_system(1.0, 1.0))
         monkeypatch.setattr(movingplane, name, certificates[name])
 
 
 def test_stack_overflow_stops_the_sweep_before_its_workers(coupled, monkeypatch):
     """Fields at the (2.01, 2) pair's 1e175 amplitude overflow the stack: the
-    sweep raises the solve's divergence and starts no worker."""
+    sweep raises the solve's divergence and submits no task."""
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started")
+        raise AssertionError("a worker pool was asked for")
 
-    monkeypatch.setattr(movingplane, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(movingplane, "_pool", no_pool)
     with pytest.raises(SolverDivergence, match="overflow a float64"):
         lambda_sweep(_scaled(coupled, 1e175), [1.0, 0.0], critical_planes(DISK, [1.0, 0.0]),
                      system=power_coupled_system(2.01, 2.0))
@@ -762,6 +774,110 @@ def test_sweeps_of_one_solution_share_its_stack(coupled16, monkeypatch):
         lambda_sweep(sol, nu, critical_planes(DISK, nu), n_lambdas=2, system=system)
     assert sorted(calls) == [0, 1]
 
+def test_sweeps_of_one_solution_audit_its_boundary_and_rings_once(coupled16, monkeypatch):
+    """Four sweeps of one solution run the boundary checks and read the disk
+    rings once in all, and each report is the one a fresh solution of the
+    same fields gives; every report holds its own copy of them."""
+    calls = []
+    for name in ("boundary_checks", "_ring_variations"):
+        def counted(solution, name=name, original=getattr(movingplane, name)):
+            calls.append(name)
+            return original(solution)
+        monkeypatch.setattr(movingplane, name, counted)
+
+    def fresh():
+        return GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
+
+    sol, system = fresh(), power_coupled_system(1.0, 1.0)
+    s = 1.0 / np.sqrt(2.0)
+    nus = [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.4), np.sin(0.4))]
+    reports = [lambda_sweep(sol, nu, critical_planes(DISK, nu), system=system) for nu in nus]
+    assert sorted(calls) == ["_ring_variations", "boundary_checks"]
+    texts = [json.dumps(lambda_sweep(fresh(), nu, critical_planes(DISK, nu),
+                                     system=system).to_json()) for nu in nus]
+    assert [json.dumps(rep.to_json()) for rep in reports] == texts
+    reports[0].boundary["hopf"]["components"][0]["passed"] = None
+    reports[0].symmetry["angular_variation"][0] = None
+    assert json.dumps(lambda_sweep(sol, nus[0], critical_planes(DISK, nus[0]),
+                                   system=system).to_json()) == texts[0]
+
+
+def test_concurrent_sweeps_of_one_solution_share_its_figures(coupled16):
+    """Eight callers sweeping one new solution at once, on more workers than
+    cores and switching threads as often as the interpreter allows, each
+    get the report that one caller gets alone; callers that race on the
+    solution's first boundary report and rings store equal values."""
+    system = power_coupled_system(1.0, 1.0)
+    s = 1.0 / np.sqrt(2.0)
+    nus = [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.4), np.sin(0.4))] * 2
+
+    def fresh():
+        return GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
+
+    expected = [json.dumps(lambda_sweep(fresh(), nu, critical_planes(DISK, nu),
+                                        system=system).to_json()) for nu in nus]
+    sol = fresh()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(nus)) as callers:
+            jobs = [callers.submit(lambda_sweep, sol, nu, critical_planes(DISK, nu),
+                                   system=system) for nu in nus]
+            got = [json.dumps(job.result(timeout=120).to_json()) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_per_solution_figures_belong_to_the_solution_object(coupled16):
+    """The figures a sweep keeps per solution are keyed by the solution object,
+    not by its address or its arrays': solutions of scaled fields, each made
+    after the last is released, get their own boundary report, ring
+    variations and NaN-spread table, and the kept figures do not keep a
+    solution alive."""
+    nu = (1.0, 0.0)
+    planes = critical_planes(DISK, nu)
+    system = power_coupled_system(1.0, 1.0)
+    seen = set()
+    for t in (1.0, 0.5, 2.0, 1e-200):
+        sol = _scaled(coupled16, t)
+        rep = lambda_sweep(sol, nu, planes, n_lambdas=4, system=system)
+        assert json.dumps(rep.boundary) == json.dumps(boundary_checks(sol))
+        assert rep.symmetry["angular_variation"] == movingplane._ring_variations(sol)
+        np.testing.assert_array_equal(sol.nan_spread, GridSolution(
+            grid=sol.grid, fields=sol.fields, cs=sol.cs).nan_spread)
+        seen.add(json.dumps(rep.boundary))
+        released = weakref.ref(sol)
+        del sol, rep
+        assert released() is None
+    assert len(seen) == 4
+
+
+def _sweep_in_child(sol, nu, expected):
+    rep = lambda_sweep(sol, nu, critical_planes(DISK, nu), system=power_coupled_system(1.0, 1.0))
+    assert json.dumps(rep.to_json()) == expected
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_a_forked_child_sweeps_on_a_pool_of_its_own(coupled16):
+    """The long-lived pool's threads do not survive a fork: a child forked
+    after its parent swept starts its own workers, and its sweep gives the
+    parent's report rather than waiting on workers it does not have."""
+    nu = (1.0, 0.0)
+    sol = GridSolution(grid=coupled16.grid, fields=coupled16.fields, cs=coupled16.cs)
+    expected = json.dumps(lambda_sweep(sol, nu, critical_planes(DISK, nu),
+                                       system=power_coupled_system(1.0, 1.0)).to_json())
+    child = multiprocessing.get_context("fork").Process(
+        target=_sweep_in_child, args=(sol, nu, expected))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
 def _kernel_solution(domain):
     """Two smooth fields on a h = 1/16 grid: enough to fill every stack row."""
     grid = StencilGrid(domain, 1.0 / 16.0, 2)
@@ -770,7 +886,7 @@ def _kernel_solution(domain):
     return GridSolution(grid=grid, fields=fields, cs=(0.0, 0.0))
 
 
-@pytest.mark.parametrize("domain", [
+KERNEL_DOMAINS = pytest.mark.parametrize("domain", [
     DISK,
     Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.6)),
     Tube(cross_section=Ball(center=(0.0,), radius=1.0), half_height=1.5),
@@ -778,6 +894,9 @@ def _kernel_solution(domain):
                    grad_phi=lambda x: 2.0 * np.asarray(x, float),
                    bbox=((-1.0, 1.0), (-1.0, 1.0))),
 ], ids=["ball", "ellipse", "tube", "levelset"])
+
+
+@KERNEL_DOMAINS
 def test_bilinear_kernel_matches_scipy(domain):
     """Every stack row, the operator rows included, equals scipy's linear 2-D
     RegularGridInterpolator of that row to the bit."""
@@ -815,6 +934,63 @@ def test_bilinear_kernel_matches_scipy(domain):
     rim_vals = _bilinear(g, stack, rim_pts)
     assert np.all(np.isnan(rim_vals[op_rows]))
     assert np.all(np.isfinite(rim_vals[field_rows]))
+
+
+def _bits(a):
+    """The float64 entries of ``a`` as integers, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@KERNEL_DOMAINS
+def test_node_reads_gather_the_bilinear_sum(domain):
+    """Where every point is a node, the kernel given the solution's NaN-spread
+    table gathers one corner per point, and each read equals the four-corner
+    sum to the bit, and scipy's interpolant: +0.0 for a -0.0 value, and NaN
+    where a zero-weight corner is not finite, as in the operator rows next
+    to exterior nodes.  A read with a point off the nodes, or with a NaN or
+    infinite coordinate, is the four-corner sum; the check that chooses the
+    gather casts no coordinate, so a NaN one raises no warning."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = StencilGrid(domain, 1.0 / 16.0, 2)
+    x, y = grid.node_xy.T
+    u = x * x + 2.0 * y * y - 3.0
+    u[::5] = -0.0
+    # a boundary constant of -0.0 puts -0.0 on the exterior E rows too
+    sol = GridSolution(grid=grid, fields=[u, np.exp(0.5 * x) + y * y - 4.0], cs=(0.0, -0.0))
+    g, stack, spread = sol.grid, sol.stack, sol.nan_spread
+    assert spread.shape == stack.shape and spread.dtype == bool
+    # every node that starts a cell, exterior nodes included
+    X, Y = np.meshgrid(g.xs[:-1], g.ys[:-1], indexing="ij")
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    cols = (np.arange(g.nx - 1)[:, None] * g.ny + np.arange(g.ny - 1)).ravel()
+    at_nodes = np.take(stack, cols, axis=1)
+    four = _bilinear(g, stack, nodes)
+    read = _bilinear(g, stack, nodes, spread)
+    # a table that spreads NaN everywhere shows which path a read takes
+    everywhere = np.ones_like(spread)
+    assert np.all(np.isnan(_bilinear(g, stack, nodes, everywhere)))
+    np.testing.assert_array_equal(_bits(read), _bits(four))
+    np.testing.assert_array_equal(read, np.vstack([
+        RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny), bounds_error=False,
+                                fill_value=np.nan)(nodes) for row in stack]))
+    assert np.any((at_nodes == 0.0) & np.signbit(at_nodes))
+    assert not np.any((read == 0.0) & np.signbit(read))
+    op_rows = slice(4 * sol.m + 1, 5 * sol.m + 1)
+    assert np.any(np.isnan(read[op_rows]) & np.isfinite(at_nodes[op_rows]))
+    assert np.array_equal(np.isnan(read), np.isnan(at_nodes) | np.take(spread, cols, axis=1))
+    # one point off the nodes, or a non-finite coordinate: the four-corner sum
+    between = [0.5 * (g.xs[3] + g.xs[4]), g.ys[5]]
+    for odd in ([between], [[np.nan, g.ys[3]], [g.xs[3], np.nan]]):
+        pts = np.vstack([nodes, odd])
+        np.testing.assert_array_equal(_bits(_bilinear(g, stack, pts, everywhere)),
+                                      _bits(_bilinear(g, stack, pts)))
+    # the four-corner sum itself meets inf * 0 at an infinite coordinate
+    with np.errstate(invalid="ignore"):
+        for odd in ([np.inf, g.ys[3]], [g.xs[3], -np.inf]):
+            pts = np.vstack([nodes, [odd]])
+            np.testing.assert_array_equal(_bits(_bilinear(g, stack, pts, everywhere)),
+                                          _bits(_bilinear(g, stack, pts)))
 
 
 def _quadrature_mean_value_matrix(H_lam, H):

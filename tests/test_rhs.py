@@ -101,7 +101,7 @@ def test_non_power_of_two_samples_draw_balanced_sobol_points():
     assert rep.samples == 100
 
 
-@pytest.mark.parametrize("d", [*range(1, 13), 20])
+@pytest.mark.parametrize("d", [*range(1, 13), 20, 32])
 def test_sobol_points_equal_scipy_bit_for_bit(d):
     """The screen's numpy Sobol' points are scipy's scrambled ones, bit for
     bit, for every power-of-2 block up to 2 ** 14 points."""
@@ -113,6 +113,43 @@ def test_sobol_points_equal_scipy_bit_for_bit(d):
             want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(k)
             got = np.hstack(rhs._sobol_samples(unit, none, none, 2**k, seed))
             assert got.dtype == want.dtype and np.array_equal(got, want), (seed, k)
+
+
+def test_committed_sobol_rows_are_the_installed_scipy_rows():
+    """The screen's 32 committed rows of Joe & Kuo's table are the first rows
+    of the file scipy installs, whose vinit rows pad them with zeros."""
+    import os
+    import scipy
+
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    if not os.path.exists(path):
+        pytest.skip(f"this scipy ships no {path}; the bit-for-bit test compares the points")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    d = len(rhs._SOBOL_POLY)
+    assert d == len(rhs._SOBOL_VINIT) == 32
+    assert poly[:d].tolist() == list(rhs._SOBOL_POLY)
+    assert vinit[:d].tolist() == [list(row) + [0] * (vinit.shape[1] - len(row))
+                                  for row in rhs._SOBOL_VINIT]
+
+
+@pytest.mark.parametrize("n, m, allowed", [(2, 28, True), (2, 29, False), (15, 2, True),
+                                           (16, 1, False)])
+def test_screen_coordinates_past_the_table_raise_before_sampling(monkeypatch, n, m, allowed):
+    """The screen samples 2n + m coordinates, one committed table row each:
+    up to 32 pass, more raise a configuration error before any point is
+    drawn."""
+    comps = tuple("0 - z1" for _ in range(m))
+    system = RhsSystem(components=comps, n=n)
+    box = {"x": [[-1.0, 1.0]] * n, "z": [[-2.0, -0.1]] * m, "p": [[-1.0, 1.0]] * n}
+    if allowed:
+        rep = check_hypotheses(system, box, samples=4, which=["positivity"])
+        assert rep.statuses["positivity"] == "pass"
+        return
+    monkeypatch.setattr(rhs, "_sobol_samples",
+                        lambda *args: pytest.fail("the sampler was called"))
+    with pytest.raises(ConfigurationError, match=f"2n \\+ m = {2 * n + m} coordinates"):
+        check_hypotheses(system, box, samples=4)
 
 
 @pytest.mark.parametrize("samples", [0, 2**30 + 1, 2**62])
