@@ -277,8 +277,8 @@ def gradient_at_nodes(grid, u, c):
     return ((g[:2] - g[2:]) / ((grid._rho[plus] + grid._rho[minus]) * grid.h)).T
 
 
-def _factor_solve(A, b):
-    """Solve A x = b by a sparse LU factored without pivoting, then drop it.
+def _factor(A):
+    """The sparse LU of A, factored without pivoting.
 
     The Newton and Laplace matrices are negated M-matrices (a Z-pattern
     with weak row dominance, strict at cut arms), for which Gaussian
@@ -287,21 +287,30 @@ def _factor_solve(A, b):
     ``RuntimeError`` when the factor is exactly singular.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).solve(b)
+                     options={"SymmetricMode": True})
 
 
-def _newton_step(grid, gh, c, u, res, active, floor, history):
+def _factor_solve(A, b):
+    """Solve A x = b by the LU of :func:`_factor`, then drop it."""
+    return _factor(A).solve(b)
+
+
+def _newton_step(grid, gh, c, u, res, active, floor, history, lu=None):
     """One damped Newton step for MA(u) = gh from ``u`` with residual ``res``,
     the Newton gains floored at ``floor``.
 
-    Returns the new field and the number of line-search halvings.  Raises
+    ``lu`` is the LU of that Newton matrix when the caller holds it; else
+    the step factors the matrix.  Returns the new field, the number of
+    line-search halvings and the LU.  Raises
     :class:`masym.radial.SolverDivergence`, carrying ``history``, when the
     Newton matrix is singular or the step is non-finite, and when 30
     halvings find no decrease of the residual norm.
     """
     best = float(np.max(np.abs(res)))
     try:
-        delta = _factor_solve(_newton_matrix(grid, u, c, active, floor), -res)
+        if lu is None:
+            lu = _factor(_newton_matrix(grid, u, c, active, floor))
+        delta = lu.solve(-res)
     except RuntimeError:  # SuperLU: factor is exactly singular
         delta = None
     if delta is None or not np.all(np.isfinite(delta)):
@@ -313,7 +322,7 @@ def _newton_step(grid, gh, c, u, res, active, floor, history):
         u_try = u + step * delta
         m_try = float(np.linalg.norm(_ma_and_active(grid, u_try, c)[0] - gh))
         if m_try < merit * (1.0 - 1e-4 * step):
-            return u_try, halvings
+            return u_try, halvings, lu
         step *= 0.5
     raise SolverDivergence(f"Newton line search exhausted at residual {best:.3e}", history)
 
@@ -334,7 +343,12 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     small source solves as a scaled copy of a unit one.  The loop
     returns after the first sweep in which no component was initialized or
     stepped, so every returned component is within tol at the returned
-    fields; ``params.max_newton`` caps the sweeps.
+    fields; ``params.max_newton`` caps the sweeps.  A component whose
+    field is still the very array that an earlier component of the sweep
+    stepped from, with the same c and floor, has that step's Newton
+    matrix, so it steps with that step's LU: under ``shared_start`` the
+    first sweep factors one Newton matrix fewer.  At most one LU is live
+    at a time, and none outlives the sweep that made it.
 
     Returns the fields and the history: one record per sweep with the
     residual of each component before its step, the line-search halvings
@@ -344,6 +358,9 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     fields = [np.full(N, c - 0.1) for c in cs]
     scale = [1.0] * len(cs)
     history = []
+    # (field, c, floor, LU) of the last Newton step while another component's
+    # field is still that array: its Newton matrix is then the same
+    kept = None
     for sweep in range(params.max_newton):
         record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
         for i, c in enumerate(cs):
@@ -369,11 +386,21 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
             record["residuals"].append(best)
             if best <= params.tol * float(np.max(gh)):
                 continue
-            fields[i], halvings = _newton_step(grid, gh, c, fields[i], res, active,
-                                               1e-8 * math.sqrt(scale[i]), history + [record])
+            u, floor = fields[i], 1e-8 * math.sqrt(scale[i])
+            shared = kept[3] if kept and kept[0] is u and kept[1:3] == (c, floor) else None
+            # one LU is live at a time: the kept one goes before a new one is made
+            kept = None
+            fields[i], halvings, lu = _newton_step(grid, gh, c, u, res, active, floor,
+                                                   history + [record], shared)
             record["halvings"] += halvings
-            record["factorizations"] += 1
+            record["factorizations"] += int(shared is None)
+            if any(f is u for f in fields):
+                kept = (u, c, floor, lu)
+            del lu, shared
+        kept = None
         history.append(record)
+        # an LU is reused only in the sweep that factored it, so a sweep
+        # without a factorization initialized and stepped no component
         if record["factorizations"] == 0:
             return fields, history
     worst = max(history[-1]["residuals"]) if history else math.nan
@@ -430,7 +457,8 @@ def _solve_power_pair(grid, mu, expo, params):
     2 log max(-w_i) + log mu_i).  The unit sources are bounded by 1
     whatever the amplitudes, so the acceptance rule cannot settle near
     u = 0, and the amplitudes cost no sweeps.  Both components start
-    from the unit source 1, so they share one Laplace solve.
+    from the unit source 1, so they share one Laplace solve and the LU of
+    their first Newton step.
 
     Returns the fields and the history, or :class:`NoSolution` when
     e_1 e_2 = 4 or the amplitudes leave the float64 range.
@@ -593,8 +621,8 @@ class GridSolution:
         exactly at the node of a column is NaN because one of the other
         corners of the cell that node starts, (i, j+1), (i+1, j) or
         (i+1, j+1), is not finite in that row; its zero weight spreads it.
-        The moving-plane kernel reads a node's row values through it, so it
-        gathers one corner, not four, where reflections land on nodes.  A
+        The moving-plane cap reader reads a node's row values through it, so
+        it gathers one corner, not four, where reflections land on nodes.  A
         column on the grid's last row or column starts no cell and is never
         read."""
         ny = self.grid.ny

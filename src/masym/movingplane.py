@@ -21,16 +21,22 @@ Hopf boundary derivative check and tube corner cross-derivatives.
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points, one gather of every
-field per cell corner; where every point is a node, as reflections across
-an axis plane at a grid line are, one gather of the nodes gives the same
-bits, with NaN where the solution's :attr:`GridSolution.nan_spread` table
-says the four-corner sum spreads one.  One cap reader serves a frame, a
-sweep batch and the symmetry certificate: it finds the caps of some plane
-positions, reflects them in one pass, keeps the nodes whose reflection
+field per cell corner.  One cap reader serves a frame, a sweep batch and
+the symmetry certificate: it finds the caps of some plane positions,
+pairs each cap node with its reflection, keeps the nodes whose reflection
 stays in the domain, and reads the stack rows it is given at the nodes
-and at their reflections.  A reflection Q changes neither the determinant
-nor the trace of a Hessian, so the audit reads both off the interpolated
-Hessian, and forms no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
+and at their reflections.  Along an axis direction, one with an entry
+exactly 0, at plane positions that map the grid lines of the caps onto
+grid lines, every reflection is a node.  The reader then reflects only
+the grid's coordinates, once per position, pairs each cap node with its
+mirror node by index, tests the mirror against the domain by a lookup in
+:attr:`StencilGrid.inside`, and reads its rows by one gather, with NaN
+where the solution's :attr:`GridSolution.nan_spread` table says the
+four-corner sum spreads one: the bits of the bilinear read.  Any other
+batch reflects every cap node in one pass and reads the bilinear kernel.
+A reflection Q changes neither the determinant nor the trace of a
+Hessian, so the audit reads both off the interpolated Hessian, and forms
+no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
 
 One plane position is read into a frame, the stack rows at its cap
 nodes and their reflections, and :func:`linearize` runs the audit on
@@ -62,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domains import reflect_point, _as_unit, Ball, Tube
+from .domains import reflect_point, _as_unit, Ball, Ellipse, Tube
 from .rhs import d_ij as rhs_d_ij
 
 __all__ = [
@@ -87,7 +93,7 @@ __all__ = [
 # uxy of component i, row 4m the validity mask, rows 4m+1..5m the operator
 # and rows 5m+1+2i, 5m+2+2i = ux, uy of component i.
 
-def _bilinear(grid, stack, pts, nan_spread=None):
+def _bilinear(grid, stack, pts):
     """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
 
     Each point's cell comes from one ``searchsorted`` per axis, and the
@@ -98,34 +104,26 @@ def _bilinear(grid, stack, pts, nan_spread=None):
     method="linear", fill_value=nan)`` of that row to the bit, corner
     values multiplied as (v * wx) * wy and summed from +0.0 in corner
     order: NaN outside the grid, and NaN spreads from every corner, zero
-    weights included.
-
-    When every point is the lower-left corner (i, j) of its cell, as
-    reflections across an axis plane at a grid line are, the weights are
-    1, 0, 0 and 0, and that sum is the corner's value plus +0.0, or NaN
-    where a zero weight meets a non-finite corner.  Given ``nan_spread``,
-    the rows of :attr:`GridSolution.nan_spread` that match ``stack``'s,
-    the kernel then reads that sum as one gather of the corners and
-    NaN where ``nan_spread`` holds, the same bits.
+    weights included.  A point off the grid, a NaN or infinite
+    coordinate included, is read at the grid's first node and then set
+    to NaN, so no infinite weight meets a zero.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     xs, ys = grid.xs, grid.ys
     x, y = pts[:, 0], pts[:, 1]
+    off = ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))
+    if off.any():
+        x, y = np.where(off, xs[0], x), np.where(off, ys[0], y)
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
     xi, yj = xs[i], ys[j]
     ny = len(ys)
-    # corners (i, j), (i, j+1), (i+1, j), (i+1, j+1); the clipped cells keep
-    # every corner index in range
-    base = i * ny + j
-    if nan_spread is not None and np.array_equal(x, xi) and np.array_equal(y, yj):
-        out = np.take(stack, base, axis=1, mode="clip")
-        out += 0.0
-        np.copyto(out, np.nan, where=np.take(nan_spread, base, axis=1, mode="clip"))
-        return out
     tx = (x - xi) / (xs[i + 1] - xi)
     ty = (y - yj) / (ys[j + 1] - yj)
     sx, sy = 1 - tx, 1 - ty
+    # corners (i, j), (i, j+1), (i+1, j), (i+1, j+1); the clipped cells keep
+    # every corner index in range
+    base = i * ny + j
     out = np.take(stack, base, axis=1, mode="clip")
     out *= sx
     out *= sy
@@ -136,9 +134,21 @@ def _bilinear(grid, stack, pts, nan_spread=None):
         v *= wx
         v *= wy
         out += v
-    off = ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))
     if off.any():
         out[:, off] = np.nan
+    return out
+
+
+def _node_read(stack, spread, cols):
+    """The rows of ``stack`` at the nodes of the columns ``cols`` as
+    :func:`_bilinear` reads them there, from one gather: a node that
+    starts a cell has the weights 1, 0, 0 and 0, and their sum is the
+    node's value plus +0.0, or NaN where ``spread``, the matching rows of
+    :attr:`GridSolution.nan_spread`, says a zero weight meets a
+    non-finite corner."""
+    out = np.take(stack, cols, axis=1)
+    out += 0.0
+    np.copyto(out, np.nan, where=np.take(spread, cols, axis=1))
     return out
 
 
@@ -157,41 +167,93 @@ def _in_cap(s, lam, h):
     return s < lam + h * 1e-9
 
 
+def _node_test_is_entrywise(domain):
+    """Whether ``domain.contains`` is a built-in level computed entry by
+    entry, so that :attr:`StencilGrid.inside` answers it at every node.  A
+    :class:`SmoothLevelSet` runs user code, which may not be."""
+    if type(domain) is Tube:
+        return _node_test_is_entrywise(domain.cross_section)
+    return type(domain) in (Ball, Ellipse)
+
+
+def _mirror_columns(grid, nu, lams, idx, pos):
+    """The stack columns of the nodes that the cap nodes ``idx`` reflect
+    to, each across the plane of its position ``lams[pos]``, or None when
+    one of them does not reflect onto a node that starts a grid cell.
+
+    Only an axis direction, one with an entry exactly 0, maps nodes to
+    nodes.  :func:`reflect_point` then adds the zero entry times a node's
+    other coordinate, a signed zero, to its projection, so a node's
+    reflection keeps that coordinate and moves along the axis by an
+    amount its own axis coordinate and lambda fix.  So the grid's
+    coordinates along the axis are reflected once per position, by
+    :func:`reflect_point` itself, and looked up among the grid's; each
+    cap node's mirror is then index arithmetic.
+    """
+    axis = 0 if nu[1] == 0.0 else 1 if nu[0] == 0.0 else None
+    if axis is None:
+        return None
+    coords = (grid.xs, grid.ys)[axis]
+    line = grid.points[:, 0] if axis == 0 else grid.points[0]
+    mirror = reflect_point(line, nu, np.reshape(lams, (-1, 1)))[..., axis]
+    # a node on the last grid line starts no cell; NaN sorts past the end
+    k = np.minimum(np.searchsorted(coords, mirror), len(coords) - 2)
+    table = np.where(coords[k] == mirror, k, -1)
+    ij = np.take(grid.node_ij, idx, axis=0)
+    ij[:, axis] = table[pos, ij[:, axis]]
+    if (ij[:, axis] < 0).any() or (ij[:, 1 - axis] > (grid.nx, grid.ny)[1 - axis] - 2).any():
+        return None
+    return ij[:, 0] * grid.ny + ij[:, 1]
+
+
 def _read_caps(solution, nu, lams, rows):
     """The stack rows numbered by the range ``rows`` on the caps of the
     plane positions ``lams``, one position after another.
 
     Returns the kept cap nodes, their reflections, the rows at the nodes
-    and interpolated at the reflections (one :func:`_bilinear` call, a
-    gather when every reflection is a node), the (len(lams) + 1,) bounds
-    of each position's nodes, and per position the number of cap nodes
-    whose reflection leaves the domain.  A cap node is kept when its
-    reflection stays in the domain and on the grid box.  All caps are
-    reflected in one entry-wise :func:`reflect_point` call, each node
-    across its own position's plane, so a position's nodes and
-    reflections do not depend on the positions read with it.
+    and read at the reflections, the (len(lams) + 1,) bounds of each
+    position's nodes, and per position the number of cap nodes whose
+    reflection leaves the domain.  A cap node is kept when its reflection
+    stays in the domain and on the grid box.  Where every cap node
+    reflects onto a node that starts a cell (:func:`_mirror_columns`),
+    the reflections are those nodes, the domain test reads
+    :attr:`StencilGrid.inside` at them when the domain's test is
+    entry-wise, and the rows are read there by one gather
+    (:func:`_node_read`).  Else all caps are reflected in one entry-wise
+    :func:`reflect_point` call, each node across its own position's
+    plane, tested against the domain and the grid box, and read by one
+    :func:`_bilinear` call.  Both give the same bits, and a position's
+    nodes and reflections do not depend on the positions read with it.
     """
     g = solution.grid
     s = g.node_xy @ nu
     caps = [np.nonzero(_in_cap(s, lam, g.h))[0] for lam in lams]
     pos = np.repeat(np.arange(len(lams)), [len(cap) for cap in caps])
     idx = np.concatenate(caps)
-    refl = reflect_point(np.take(g.node_xy, idx, axis=0), nu, np.take(lams, pos))
-    # a reflection inside the domain lies in the padded box unless a level
-    # set declares a box shorter than {phi < 0}; off the grid box the
-    # interpolant is NaN, so those points are dropped before the gather
-    inside = g.domain.contains(refl)
+    cols = _mirror_columns(g, nu, lams, idx, pos)
+    if cols is None:
+        refl = reflect_point(np.take(g.node_xy, idx, axis=0), nu, np.take(lams, pos))
+        inside = g.domain.contains(refl)
+        # a reflection inside the domain lies in the padded box unless a
+        # level set declares a box shorter than {phi < 0}; off the grid box
+        # the interpolant is NaN, so those points are dropped before the read
+        x, y = refl[:, 0], refl[:, 1]
+        keep = inside & (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
+    else:
+        refl = np.take(g.points.reshape(-1, 2), cols, axis=0)
+        inside = keep = (np.take(g.inside, cols) if _node_test_is_entrywise(g.domain)
+                         else g.domain.contains(refl))
     n_exited = np.bincount(np.compress(~inside, pos), minlength=len(lams)).tolist()
-    x, y = refl[:, 0], refl[:, 1]
-    inside &= (g.xs[0] <= x) & (x <= g.xs[-1]) & (g.ys[0] <= y) & (y <= g.ys[-1])
-    if not inside.all():
-        idx, pos, refl = (np.compress(inside, a, axis=0) for a in (idx, pos, refl))
+    if not keep.all():
+        idx, pos, refl = (np.compress(keep, a, axis=0) for a in (idx, pos, refl))
+        cols = None if cols is None else np.compress(keep, cols)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(lams)))))
     sel = slice(rows.start, rows.stop, rows.step)
     stack = solution.stack[sel]
     at_node = np.take(stack, np.take(solution.node_rows, idx), axis=1)
-    return (idx, refl, at_node, _bilinear(g, stack, refl, solution.nan_spread[sel]), bounds,
-            n_exited)
+    at_refl = (_bilinear(g, stack, refl) if cols is None
+               else _node_read(stack, solution.nan_spread[sel], cols))
+    return idx, refl, at_node, at_refl, bounds, n_exited
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +317,11 @@ def build_frame(solution, nu, lam):
     :func:`_read_caps` reads every row of the stack at the cap nodes,
     those with x . nu < lam + 1e-9 h, so nodes on the plane are kept,
     and at their reflections: the values, the centered-difference
-    derivatives, the validity mask and the discrete operator; when the
-    reflection is grid aligned the bilinear weights collapse and the
-    pairing is exact.  :func:`lambda_sweep` reads the same rows for
-    many positions at once without building frames.
+    derivatives, the validity mask and the discrete operator; along an
+    axis, at a plane position that maps grid lines onto grid lines, the
+    reflections are nodes and the pairing is exact.  :func:`lambda_sweep`
+    reads the same rows for many positions at once without building
+    frames.
     """
     nu = _as_unit(nu, 2)
     lam = float(lam)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -592,6 +593,60 @@ def test_tiny_source_solves_as_a_scaled_unit_source(domain, s):
     assert len(small.history) == len(unit.history)
     ref = math.sqrt(s) * unit.fields[0]
     assert np.max(np.abs(small.fields[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class _CountedLU:
+    """An LU that a weak reference can follow, so a test sees when it is freed."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+def test_power_pair_factors_its_shared_first_newton_matrix_once(alpha, beta, monkeypatch):
+    """Both components of a power pair step first from the shared Laplace
+    start, so their first Newton matrices are the same: the solve factors
+    it once and steps the second component with that LU.  Every ``splu``
+    call then factors a different matrix, the calls are the Laplace solve
+    plus every Newton step but the second, the history counts them, no
+    factorization starts while another LU is alive, and none outlives the
+    solve.  Refactoring the matrix instead gives the same fields to the
+    bit and one more factorization."""
+    factored, alive, reused = [], [], []
+    splu, step = spla.splu, gridsolve._newton_step
+
+    def counted(A, **kwargs):
+        assert all(ref() is None for ref in alive)
+        factored.append(A.copy())
+        lu = _CountedLU(splu(A, **kwargs))
+        alive.append(weakref.ref(lu))
+        return lu
+
+    def solve():
+        factored.clear(), alive.clear(), reused.clear()
+        sol = solve_system_fd(DISK, power_coupled_system(alpha, beta), (0.0, 0.0),
+                              FdParams(h=1.0 / 16.0))
+        assert all(ref() is None for ref in alive)
+        return sol
+
+    monkeypatch.setattr(gridsolve.spla, "splu", counted)
+    monkeypatch.setattr(gridsolve, "_newton_step",
+                        lambda *args: reused.append(args[-1] is not None) or step(*args))
+    sol = solve()
+    assert len(factored) == sum(r["factorizations"] for r in sol.history) == len(reused)
+    assert reused.index(True) == 1 and reused.count(True) == 1
+    for A, B in itertools.combinations(factored, 2):
+        assert not (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+                    and np.array_equal(A.data, B.data))
+    # the caller still holds the LU it passes while the step factors anew
+    monkeypatch.setattr(gridsolve.spla, "splu", lambda A, **kwargs: factored.append(A) or splu(
+        A, **kwargs))
+    monkeypatch.setattr(gridsolve, "_newton_step",
+                        lambda *args: reused.append(False) or step(*args[:-1], None))
+    again = solve()
+    assert len(factored) == len(reused) + 1 == sum(r["factorizations"] for r in sol.history) + 1
+    for u, v in zip(sol.fields, again.fields):
+        np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
 
 
 def _paraboloid_step(field_of, res_sign):

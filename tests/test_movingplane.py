@@ -878,9 +878,9 @@ def test_a_forked_child_sweeps_on_a_pool_of_its_own(coupled16):
     assert child.exitcode == 0
 
 
-def _kernel_solution(domain):
-    """Two smooth fields on a h = 1/16 grid: enough to fill every stack row."""
-    grid = StencilGrid(domain, 1.0 / 16.0, 2)
+def _kernel_solution(domain, h=1.0 / 16.0):
+    """Two smooth fields on a grid of step h: enough to fill every stack row."""
+    grid = StencilGrid(domain, h, 2)
     x, y = grid.node_xy.T
     fields = [x * x + 2.0 * y * y - 3.0, np.exp(0.5 * x) + y * y - 4.0]
     return GridSolution(grid=grid, fields=fields, cs=(0.0, 0.0))
@@ -899,7 +899,8 @@ KERNEL_DOMAINS = pytest.mark.parametrize("domain", [
 @KERNEL_DOMAINS
 def test_bilinear_kernel_matches_scipy(domain):
     """Every stack row, the operator rows included, equals scipy's linear 2-D
-    RegularGridInterpolator of that row to the bit."""
+    RegularGridInterpolator of that row to the bit; a point off the grid, a
+    NaN or infinite coordinate included, reads NaN with no warning."""
     from scipy.interpolate import RegularGridInterpolator
 
     sol = _kernel_solution(domain)
@@ -914,8 +915,12 @@ def test_bilinear_kernel_matches_scipy(domain):
     line = g.xs[int(np.searchsorted(g.xs, 0.5 * (lo[0] + hi[0])))]
     aligned = reflect_point(g.node_xy, (1.0, 0.0), line)
     aligned = aligned[domain.contains(aligned)]
+    # non-finite coordinates too: under the error policy for RuntimeWarning,
+    # an infinite weight times a zero one would fail the read
     outside = np.array([[lo[0] - 1e-9, 0.0], [hi[0] + 0.5 * g.h, 0.0],
-                        [lo[0], hi[1] * 1.01 + 1e-3], [np.nan, 0.0]])
+                        [lo[0], hi[1] * 1.01 + 1e-3], [np.nan, 0.0], [0.0, np.nan],
+                        [np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf], [0.0, -np.inf],
+                        [np.inf, -np.inf], [1e308, 0.0]])
     # interior nodes with an exterior node among their zero-weight corners
     i, j = g.node_ij.T
     rim = ~(g.inside[i + 1, j] & g.inside[i, j + 1] & g.inside[i + 1, j + 1])
@@ -943,13 +948,13 @@ def _bits(a):
 
 @KERNEL_DOMAINS
 def test_node_reads_gather_the_bilinear_sum(domain):
-    """Where every point is a node, the kernel given the solution's NaN-spread
-    table gathers one corner per point, and each read equals the four-corner
-    sum to the bit, and scipy's interpolant: +0.0 for a -0.0 value, and NaN
-    where a zero-weight corner is not finite, as in the operator rows next
-    to exterior nodes.  A read with a point off the nodes, or with a NaN or
-    infinite coordinate, is the four-corner sum; the check that chooses the
-    gather casts no coordinate, so a NaN one raises no warning."""
+    """At nodes that start a cell the node read, one gather through the
+    solution's NaN-spread table, equals the four-corner sum to the bit,
+    and scipy's interpolant: +0.0 for a -0.0 value, and NaN where a
+    zero-weight corner is not finite, as in the operator rows next to
+    exterior nodes.  The cap reader takes the node read exactly when
+    every reflection of a batch is such a node: a batch with one position
+    off the grid lines, or an oblique direction, is the four-corner sum."""
     from scipy.interpolate import RegularGridInterpolator
 
     grid = StencilGrid(domain, 1.0 / 16.0, 2)
@@ -966,10 +971,7 @@ def test_node_reads_gather_the_bilinear_sum(domain):
     cols = (np.arange(g.nx - 1)[:, None] * g.ny + np.arange(g.ny - 1)).ravel()
     at_nodes = np.take(stack, cols, axis=1)
     four = _bilinear(g, stack, nodes)
-    read = _bilinear(g, stack, nodes, spread)
-    # a table that spreads NaN everywhere shows which path a read takes
-    everywhere = np.ones_like(spread)
-    assert np.all(np.isnan(_bilinear(g, stack, nodes, everywhere)))
+    read = movingplane._node_read(stack, spread, cols)
     np.testing.assert_array_equal(_bits(read), _bits(four))
     np.testing.assert_array_equal(read, np.vstack([
         RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny), bounds_error=False,
@@ -979,18 +981,145 @@ def test_node_reads_gather_the_bilinear_sum(domain):
     op_rows = slice(4 * sol.m + 1, 5 * sol.m + 1)
     assert np.any(np.isnan(read[op_rows]) & np.isfinite(at_nodes[op_rows]))
     assert np.array_equal(np.isnan(read), np.isnan(at_nodes) | np.take(spread, cols, axis=1))
-    # one point off the nodes, or a non-finite coordinate: the four-corner sum
-    between = [0.5 * (g.xs[3] + g.xs[4]), g.ys[5]]
-    for odd in ([between], [[np.nan, g.ys[3]], [g.xs[3], np.nan]]):
-        pts = np.vstack([nodes, odd])
-        np.testing.assert_array_equal(_bits(_bilinear(g, stack, pts, everywhere)),
-                                      _bits(_bilinear(g, stack, pts)))
-    # the four-corner sum itself meets inf * 0 at an infinite coordinate
-    with np.errstate(invalid="ignore"):
-        for odd in ([np.inf, g.ys[3]], [g.xs[3], -np.inf]):
-            pts = np.vstack([nodes, [odd]])
-            np.testing.assert_array_equal(_bits(_bilinear(g, stack, pts, everywhere)),
-                                          _bits(_bilinear(g, stack, pts)))
+    # a table that spreads NaN everywhere shows which read the cap reader takes
+    marked = GridSolution(grid=grid, fields=sol.fields, cs=sol.cs)
+    marked.__dict__["nan_spread"] = np.ones_like(spread)
+    rows = range(len(stack))
+    centre = g.xs[int(np.searchsorted(g.xs, 0.5 * (g.xs[0] + g.xs[-1])))]
+    on_lines = [centre - 2 * g.h, centre]
+    between = [centre - 0.25 * g.h]
+    nodal = movingplane._read_caps(marked, np.array([1.0, 0.0]), on_lines, rows)[3]
+    assert nodal.size and np.all(np.isnan(nodal))
+    for nu, lams in (((1.0, 0.0), on_lines + between), ((0.6, 0.8), [0.0, 0.25])):
+        nu = np.array(nu)
+        got = movingplane._read_caps(marked, nu, lams, rows)[3]
+        np.testing.assert_array_equal(_bits(got),
+                                      _bits(movingplane._read_caps(sol, nu, lams, rows)[3]))
+        assert np.all(np.isfinite(got[:4 * sol.m:4]))
+
+
+def _bench_level_set(c=0.3):
+    """The level-set domain of the bench's level-set workload."""
+    return SmoothLevelSet(
+        phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + c * np.exp(x[..., 0]) - 1.0 - c,
+        grad_phi=lambda x: np.stack([2.0 * x[..., 0] + c * np.exp(x[..., 0]), 2.0 * x[..., 1]],
+                                    axis=-1),
+        bbox=((-1.2, 1.0), (-1.1, 1.1)))
+
+
+def _general_read(monkeypatch, solution, nu, lams, rows):
+    """What :func:`_read_caps` returns with the lattice reader switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(movingplane, "_mirror_columns", lambda *args: None)
+        return movingplane._read_caps(solution, nu, lams, rows)
+
+
+LATTICE_CASES = [(name, domain, h) for name, domain in (
+    ("disk", DISK), ("square", SQUARE_TUBE), ("levelset", _bench_level_set()),
+    ("unit-levelset", SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                                     grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                                     bbox=((-1.0, 1.0), (-1.0, 1.0)))))
+                 for h in (1.0 / 16.0, 1.0 / 32.0, 0.05)] + [("ellipse", ELLIPSE, 1.0 / 32.0)]
+
+
+@pytest.mark.parametrize("name, domain, h", LATTICE_CASES,
+                         ids=[f"{name}-{h:g}" for name, _, h in LATTICE_CASES])
+def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
+    """Along (+-1, 0) and (0, +-1), at 16 and 64 positions from -1 to 0 and
+    for the critical planes where the domain has them, the cap reader
+    gives the kept nodes, bounds, exits, reflections and rows of the
+    general path, which reflects every cap node and interpolates: the
+    same bits, NaN operator rows next to the boundary included.  At
+    h = 1/16 and 1/32 the disk, the square and the unit level set take
+    the lattice reader along every such direction, and the (1, 0.6)
+    ellipse along (+-1, 0) only, as its grid is not symmetric about
+    y = 0.  At h = 0.05, and on the bench level set, whose grid starts
+    off the binary fractions, no batch maps."""
+    sol = _kernel_solution(domain, h)
+    rows = range(7 * sol.m + 1)
+    taken, nan_refl = set(), False
+    chosen = movingplane._mirror_columns
+
+    def spy(*args):
+        cols = chosen(*args)
+        taken.add((tuple(args[1]), cols is not None))
+        return cols
+
+    monkeypatch.setattr(movingplane, "_mirror_columns", spy)
+    for nu in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        nu = np.array(nu)
+        positions = [_positions(SimpleNamespace(lam0=-1.0, Lam0=0.0), n) for n in (16, 64)]
+        try:
+            planes = critical_planes(domain, nu)
+        except Exception:  # a tube has no planes along its axis
+            pass
+        else:
+            positions += [_positions(planes, n) for n in (16, 64)]
+        for lams in positions:
+            got = movingplane._read_caps(sol, nu, lams, rows)
+            expected = _general_read(monkeypatch, sol, nu, lams, rows)
+            idx, refl, at_node, at_refl, bounds, n_exited = got
+            np.testing.assert_array_equal(idx, expected[0])
+            np.testing.assert_array_equal(refl, expected[1])
+            np.testing.assert_array_equal(_bits(at_node), _bits(expected[2]))
+            np.testing.assert_array_equal(_bits(at_refl), _bits(expected[3]))
+            np.testing.assert_array_equal(bounds, expected[4])
+            assert n_exited == expected[5]
+            nan_refl |= bool(np.isnan(at_refl[4 * sol.m + 1:5 * sol.m + 1]).any())
+    assert nan_refl
+    along_x, along_y = {(1.0, 0.0), (-1.0, 0.0)}, {(0.0, 1.0), (0.0, -1.0)}
+    expected = (set() if h == 0.05 or name == "levelset" else
+                along_x if name == "ellipse" else along_x | along_y)
+    assert {nu for nu, ok in taken if ok} == expected
+
+
+def test_axis_sweep_reads_caps_without_per_node_geometry(monkeypatch):
+    """On the h = 1/64 disk along (1, 0) the cap reader reflects only the
+    grid's columns, once per position, and never tests a point against the
+    domain; along an oblique direction it reflects and tests every cap
+    node.  On a level set along (1, 0) it asks the domain at the mirror
+    nodes, once per cap node, and reflects no cap node."""
+    sol = _kernel_solution(DISK, 1.0 / 64.0)
+    g = sol.grid
+    calls = {"reflect": [], "contains": []}
+    reflect, contains = movingplane.reflect_point, Ball.contains
+
+    def reflect_spy(x, nu, lam):
+        calls["reflect"].append(np.shape(x)[:-1] + np.shape(lam))
+        return reflect(x, nu, lam)
+
+    def contains_spy(self, x):
+        calls["contains"].append(np.shape(x)[:-1])
+        return contains(self, x)
+
+    monkeypatch.setattr(movingplane, "reflect_point", reflect_spy)
+    monkeypatch.setattr(Ball, "contains", contains_spy)
+    for nu in ((1.0, 0.0), (0.6, 0.8)):
+        nu = np.array(nu)
+        lams = _positions(critical_planes(DISK, nu), 16)
+        calls["reflect"].clear(), calls["contains"].clear()
+        idx = movingplane._read_caps(sol, nu, lams, range(5 * sol.m + 1))[0]
+        frame = build_frame(sol, nu, float(lams[-1]))
+        assert len(idx) > 0 and not frame.empty
+        if nu[1] == 0.0:
+            assert calls == {"reflect": [(g.nx, 16, 1), (g.nx, 1, 1)], "contains": []}
+        else:
+            n_caps = sum(int(np.count_nonzero(g.node_xy @ nu < lam + g.h * 1e-9))
+                         for lam in lams)
+            assert calls["reflect"] == [(n_caps, n_caps), (len(frame.node_idx) + frame.n_exited,) * 2]
+            assert calls["contains"] == [(n_caps,), (len(frame.node_idx) + frame.n_exited,)]
+    # a level set runs user code, so its test is asked at the mirror nodes
+    level = SmoothLevelSet(phi=lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1) - 1.0,
+                           grad_phi=lambda x: 2.0 * np.asarray(x, float),
+                           bbox=((-1.0, 1.0), (-1.0, 1.0)))
+    sol = _kernel_solution(level, 1.0 / 64.0)
+    g, nu = sol.grid, np.array([1.0, 0.0])
+    monkeypatch.setattr(SmoothLevelSet, "contains", contains_spy)
+    lams = _positions(critical_planes(DISK, nu), 16)
+    calls["reflect"].clear(), calls["contains"].clear()
+    movingplane._read_caps(sol, nu, lams, range(5 * sol.m + 1))
+    n_caps = sum(int(np.count_nonzero(g.node_xy @ nu < lam + g.h * 1e-9)) for lam in lams)
+    assert calls == {"reflect": [(g.nx, 16, 1)], "contains": [(n_caps,)]}
 
 
 def _quadrature_mean_value_matrix(H_lam, H):
