@@ -455,10 +455,13 @@ def _least_chord_midpoint(domain, nu, pts, tol):
 def critical_planes(domain, nu):
     """Compute the critical plane positions along direction ``nu``.
 
-    A ball of any dimension takes closed forms, and a tube, whose ``nu``
-    must be orthogonal to its axis, takes its cross-section's planes;
-    neither is sampled for convexity.  Any other domain must be 2-D.  An
-    ellipse is convex by construction; any other is sampled by
+    A ball along any ``nu`` and an ellipse along a principal axis, ``nu``
+    with one nonzero entry, are symmetric about the plane through their
+    centre: lam0 = c . nu - a_k, with a_k the semi-axis along nu (a ball's
+    radius), and Lam0 = Lam2 = c . nu.  A tube, whose ``nu`` must be
+    orthogonal to its axis, takes its cross-section's planes; none of these
+    is sampled for convexity.  Any other domain must be 2-D.  An ellipse is
+    convex by construction; any other is sampled by
     :func:`check_convex_in_direction`.  lam0 and Lam2 come from the
     boundary points whose outer normal is -nu or orthogonal to nu, both
     read off one boundary sample, and Lam0 from the chord midpoints,
@@ -474,9 +477,10 @@ def critical_planes(domain, nu):
         sub = critical_planes(domain.cross_section, nuc / nc)
         return CriticalPlanes(nu=tuple(nu), lam0=sub.lam0, Lam0=sub.Lam0, Lam2=sub.Lam2)
 
-    if isinstance(domain, Ball):
+    if isinstance(domain, Ball) or (isinstance(domain, Ellipse) and np.count_nonzero(nu) == 1):
         c = float(np.dot(domain.center, nu))
-        return CriticalPlanes(nu=tuple(nu), lam0=c - domain.radius, Lam0=c, Lam2=c)
+        a = float(domain._axes()[np.argmax(np.abs(nu))])
+        return CriticalPlanes(nu=tuple(nu), lam0=c - a, Lam0=c, Lam2=c)
 
     # balls and ellipses are convex, and a tube is convex along nu when its
     # cross-section is

@@ -488,7 +488,8 @@ class GridSolution:
     An immutable value, equal only to itself: ``fields`` holds read-only
     copies of the given arrays, and every table derived from them is
     built on first use and kept, so all sweeps and certificates of one
-    solution share it.
+    solution share it.  A field or boundary constant holding a NaN or an
+    infinity raises ``ValueError`` naming its component.
     """
 
     grid: StencilGrid
@@ -498,7 +499,9 @@ class GridSolution:
 
     def __post_init__(self):
         fields = tuple(np.array(f, dtype=float) for f in self.fields)
-        for f in fields:
+        for i, (f, c) in enumerate(zip(fields, self.cs), 1):
+            if not (np.isfinite(f).all() and math.isfinite(c)):
+                raise ValueError(f"component {i} of the solution is not finite")
             f.flags.writeable = False
         object.__setattr__(self, "fields", fields)
 
@@ -566,32 +569,35 @@ class GridSolution:
 
     @cached_property
     def stack(self):
-        """(7m + 1, nx*ny) table of every field a moving-plane frame or
-        certificate reads.
+        """(7m + 1, nx*ny) finite table of every field a moving-plane frame
+        or certificate reads.
 
         Rows 4i..4i+3 hold component i's E, uxx, uyy, uxy, row 4m the
         validity mask as 0/1, rows 4m+1..5m the discrete operator of the
-        unreflected fields, NaN off the interior nodes so that an
-        interpolant touching an exterior node is NaN, and rows 5m+1+2i,
-        5m+2+2i component i's ux, uy.  The sweep's audit reads the 5m + 1
-        rows before the gradients, and the gradients only when the system
-        reads them.  A node is valid when its full 3x3 neighborhood lies
-        inside the domain, so that no extrapolated ghost value enters a
-        derivative there.  Each component's :meth:`extended_array` and its
-        five centred differences are written straight into their rows,
-        through a (7m + 1, nx, ny) view of the table.  One field per
-        row keeps each gathered field contiguous; the moving-plane
-        bilinear kernel reads it between nodes and a column gather at
-        :attr:`node_rows` at them.  Every reader shares the table, so
-        none writes into it.  A field that overflows raises
+        unreflected fields and rows 5m+1+2i, 5m+2+2i component i's ux, uy.
+        The sweep's audit reads the 5m + 1 rows before the gradients, and
+        the gradients only when the system reads them.  A node is valid
+        when its full 3x3 neighborhood lies inside the domain, so that no
+        extrapolated ghost value enters a derivative there.  The mask row
+        alone marks where a value is trusted: the table starts as zeros,
+        so the operator rows hold 0 off the interior nodes and the
+        derivative rows 0 on the grid's outer ring, and no entry is NaN or
+        infinite.  An interpolant whose mask reads above 1 - 1e-12 has a
+        valid corner of weight at least 1/4, whose neighborhood holds the
+        cell's other corners, so it reads no such 0.  Each component's
+        :meth:`extended_array` and its five centred differences are
+        written straight into their rows, through a (7m + 1, nx, ny) view
+        of the table.  One field per row keeps each gathered field
+        contiguous; the moving-plane bilinear kernel reads it between
+        nodes and a column gather at :attr:`node_rows` at them.  Every
+        reader shares the table, so none writes into it.  A field that overflows raises
         :class:`masym.radial.SolverDivergence` with the solve's sweep
         history.
         """
         g, m, h = self.grid, self.m, self.grid.h
-        stack = np.full((7 * m + 1, g.nx * g.ny), np.nan)
+        stack = np.zeros((7 * m + 1, g.nx * g.ny))
         rows = stack.reshape(7 * m + 1, g.nx, g.ny)
         ins = g.inside
-        rows[4 * m] = 0.0
         rows[4 * m, 1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
                                    & ins[1:-1, 2:] & ins[1:-1, :-2]
                                    & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
@@ -614,23 +620,6 @@ class GridSolution:
             raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "
                                    f"at amplitude {max(self.amplitude):.3e}", self.history) from None
         return stack
-
-    @cached_property
-    def nan_spread(self):
-        """(7m + 1, nx*ny) booleans: where a bilinear read of :attr:`stack`
-        exactly at the node of a column is NaN because one of the other
-        corners of the cell that node starts, (i, j+1), (i+1, j) or
-        (i+1, j+1), is not finite in that row; its zero weight spreads it.
-        The moving-plane cap reader reads a node's row values through it, so
-        it gathers one corner, not four, where reflections land on nodes.  A
-        column on the grid's last row or column starts no cell and is never
-        read."""
-        ny = self.grid.ny
-        bad = ~np.isfinite(self.stack)
-        spread = np.zeros_like(bad)
-        for offset in (1, ny, ny + 1):
-            spread[:, :-offset] |= bad[:, offset:]
-        return spread
 
 
 def solve_scalar_fd(domain, g, c, params=None):
@@ -742,8 +731,9 @@ def write_solution_binary(sol, path):
 def read_solution_binary(path, domain):
     """Read fields written by :func:`write_solution_binary` onto the grid of
     ``domain`` at the stored h; a file whose grid is not that one (another
-    size, mask, spacing or origin), or that is cut short or runs on past
-    its fields, raises ``ValueError``."""
+    size, mask, spacing or origin), that is cut short or runs on past its
+    fields, or whose fields or boundary constants are not finite at the
+    domain's nodes, raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:

@@ -21,22 +21,25 @@ Hopf boundary derivative check and tube corner cross-derivatives.
 Every field a frame or certificate reads off the grid sits in the one
 stacked table of the solution, :attr:`GridSolution.stack`, and one
 bilinear kernel reads them all at a set of points, one gather of every
-field per cell corner.  One cap reader serves a frame, a sweep batch and
-the symmetry certificate: it finds the caps of some plane positions,
-pairs each cap node with its reflection, keeps the nodes whose reflection
-stays in the domain, and reads the stack rows it is given at the nodes
-and at their reflections.  Along an axis direction, one with an entry
-exactly 0, at plane positions that map the grid lines of the caps onto
-grid lines, every reflection is a node.  The reader then reflects only
-the grid's coordinates, once per position, pairs each cap node with its
-mirror node by index, tests the mirror against the domain by a lookup in
-:attr:`StencilGrid.inside`, and reads its rows by one gather, with NaN
-where the solution's :attr:`GridSolution.nan_spread` table says the
-four-corner sum spreads one: the bits of the bilinear read.  Any other
-batch reflects every cap node in one pass and reads the bilinear kernel.
-A reflection Q changes neither the determinant nor the trace of a
-Hessian, so the audit reads both off the interpolated Hessian, and forms
-no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
+field per cell corner.  The table is finite, and its mask row alone marks
+where a value is trusted: the audit takes a cap node whose own mask is 1
+and whose reflection reads a mask above 1 - 1e-12, and every corner of
+such a reflection's cell is an interior node.  One cap reader serves a
+frame, a sweep batch and the symmetry certificate: it finds the caps of
+some plane positions, pairs each cap node with its reflection, keeps the
+nodes whose reflection stays in the domain, and reads the stack rows it
+is given at the nodes and at their reflections.  Along an axis direction,
+one with an entry exactly 0, at plane positions that map the grid lines
+of the caps onto grid lines, every reflection is a node.  The reader then
+reflects only the grid's coordinates, once per position, pairs each cap
+node with its mirror node by index, tests the mirror against the domain
+by a lookup in :attr:`StencilGrid.inside`, and reads its rows by one
+gather plus +0.0: the bits of the bilinear read, whose other three
+corners weigh 0.  Any other batch reflects every cap node in one pass and
+reads the bilinear kernel.  A reflection Q changes neither the
+determinant nor the trace of a Hessian, so the audit reads both off the
+interpolated Hessian, and forms no Q: Q p = p - 2 (p . nu) nu is written
+entry-wise.
 
 One plane position is read into a frame, the stack rows at its cap
 nodes and their reflections, and :func:`linearize` runs the audit on
@@ -139,19 +142,6 @@ def _bilinear(grid, stack, pts):
     return out
 
 
-def _node_read(stack, spread, cols):
-    """The rows of ``stack`` at the nodes of the columns ``cols`` as
-    :func:`_bilinear` reads them there, from one gather: a node that
-    starts a cell has the weights 1, 0, 0 and 0, and their sum is the
-    node's value plus +0.0, or NaN where ``spread``, the matching rows of
-    :attr:`GridSolution.nan_spread`, says a zero weight meets a
-    non-finite corner."""
-    out = np.take(stack, cols, axis=1)
-    out += 0.0
-    np.copyto(out, np.nan, where=np.take(spread, cols, axis=1))
-    return out
-
-
 def _det_posdef(rows, m):
     """(m, K) determinants of the Hessians in the (rows, K) values of the
     stack's rows, and where they are positive definite: det, trace > 0."""
@@ -218,12 +208,14 @@ def _read_caps(solution, nu, lams, rows):
     reflects onto a node that starts a cell (:func:`_mirror_columns`),
     the reflections are those nodes, the domain test reads
     :attr:`StencilGrid.inside` at them when the domain's test is
-    entry-wise, and the rows are read there by one gather
-    (:func:`_node_read`).  Else all caps are reflected in one entry-wise
-    :func:`reflect_point` call, each node across its own position's
-    plane, tested against the domain and the grid box, and read by one
-    :func:`_bilinear` call.  Both give the same bits, and a position's
-    nodes and reflections do not depend on the positions read with it.
+    entry-wise, and the rows are read there by one gather plus +0.0.
+    Else all caps are reflected in one entry-wise :func:`reflect_point`
+    call, each node across its own position's plane, tested against the
+    domain and the grid box, and read by one :func:`_bilinear` call.
+    Both give the same bits: the stack is finite, so the zero weights of
+    a node's other three corners add signed zeros.  A position's nodes
+    and reflections do not depend on the positions read with it.  Which
+    rows are trusted is the mask row's to say (:func:`_difference`).
     """
     g = solution.grid
     s = g.node_xy @ nu
@@ -248,11 +240,14 @@ def _read_caps(solution, nu, lams, rows):
         idx, pos, refl = (np.compress(keep, a, axis=0) for a in (idx, pos, refl))
         cols = None if cols is None else np.compress(keep, cols)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(lams)))))
-    sel = slice(rows.start, rows.stop, rows.step)
-    stack = solution.stack[sel]
+    stack = solution.stack[rows.start:rows.stop:rows.step]
     at_node = np.take(stack, np.take(solution.node_rows, idx), axis=1)
-    at_refl = (_bilinear(g, stack, refl) if cols is None
-               else _node_read(stack, solution.nan_spread[sel], cols))
+    if cols is None:
+        at_refl = _bilinear(g, stack, refl)
+    else:
+        # the four-corner sum at a node that starts a cell, weights 1, 0, 0, 0
+        at_refl = np.take(stack, cols, axis=1)
+        at_refl += 0.0
     return idx, refl, at_node, at_refl, bounds, n_exited
 
 
@@ -262,7 +257,8 @@ def _read_caps(solution, nu, lams, rows):
 def _difference(at_node, at_refl, m):
     """U = u_lam - u and the nodes with valid derivatives, from the stack
     rows at cap nodes and at their reflections: those whose own derivative
-    stencil and reflected interpolation cell stay clear of the boundary."""
+    stencil and reflected interpolation cell stay clear of the boundary,
+    read off the mask row alone."""
     return (at_refl[:4 * m:4] - at_node[:4 * m:4],
             (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12))
 
@@ -341,7 +337,7 @@ class LinearizationFields:
 
     margin: np.ndarray            # (m, K) tr(A dD2U) + h_p |dU| + c U - sum_j d_ij U_j
     tolerance: np.ndarray         # (m, K) 10 h^2 max(|det H|, |det H_lam|)
-    ok: np.ndarray                # (K,) audited: valid derivatives, finite det_op_lam
+    ok: np.ndarray                # (K,) audited: deriv_ok, which the mask row alone decides
     d: np.ndarray                 # (m, m, K) coupling difference quotients
     nonpd: np.ndarray             # (m, K) deriv_ok nodes where H_lam or H is not PD
 
@@ -387,8 +383,8 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads):
     reflections, with the gradient rows when ``grads``.
 
     Returns the (m, K) margins, lhs - rhs, and their tolerances 10 h^2
-    max(|det H|, |det H_lam|); the (K,) audited nodes, those with valid
-    derivatives and a finite reflected operator; the (m, m, K) quotients
+    max(|det H|, |det H_lam|); the (K,) audited nodes, ``deriv_ok``, as the
+    stack's mask row alone marks the rows it trusts; the (m, m, K) quotients
     d; and the (m, K) ``deriv_ok`` nodes where H_lam or H is not positive
     definite; both read det and trace of H_lam = Q D^2 u(x_lam) Q off the
     interpolated D^2 u(x_lam), as Q changes neither.  The trace term
@@ -432,9 +428,8 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads):
         if c[i]:
             margin[i] += c[i] * U[i]
         margin[i] -= np.einsum("jk,jk->k", d[i], U)
-    ok = deriv_ok & np.all(np.isfinite(det_op_lam), axis=0)
     nonpd = ~(pd_H_lam & pd_H) & deriv_ok
-    return margin, tolerance, ok, d, nonpd
+    return margin, tolerance, deriv_ok, d, nonpd
 
 
 def verify_elliptic_inequality(lin, frame):
@@ -851,7 +846,7 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here
-    solution.stack, solution.nan_spread, solution.node_rows, g.domain.interior_point
+    solution.stack, solution.node_rows, g.domain.interior_point
     pool = _pool(min(_available_cores(), len(batches) + 1))
     # the certificates, the largest task, start first and are collected last
     certificates = pool.submit(contextvars.copy_context().run, _certificates,

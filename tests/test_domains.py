@@ -81,6 +81,26 @@ def test_ellipse_critical_planes_exact():
     assert abs(cp.Lam0) <= 1e-9
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.2)], ids=["centred", "off-centre"])
+@pytest.mark.parametrize("nu", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+                         ids=["+e1", "-e1", "+e2", "-e2"])
+def test_ellipse_planes_along_a_principal_axis_are_exact(monkeypatch, center, nu):
+    """Along a principal axis an ellipse is symmetric about the plane through
+    its centre, so its planes are a ball's closed forms, with no boundary
+    search: lam0 = c . nu - a_k and Lam0 = Lam2 = c . nu to the bit."""
+    import masym.domains as domains
+
+    def search(*args):
+        raise AssertionError("an axis direction searched the boundary")
+
+    monkeypatch.setattr(domains, "_boundary_points_normal_to", search)
+    axes = (1.0, 0.6)
+    cp = critical_planes(Ellipse(center=center, semi_axes=axes), nu)
+    k = 0 if nu[1] == 0.0 else 1
+    c = center[k] * nu[k]
+    assert (cp.lam0, cp.Lam0, cp.Lam2) == (c - axes[k], c, c)
+
+
 def test_ellipse_slanted_direction_planes():
     """Off the principal axes the central plane is no symmetry plane:
     Lam0, the least chord midpoint, sits at Lam2 = -sqrt(0.9), below 0."""

@@ -344,6 +344,45 @@ def test_binary_read_rejects_a_cut_or_padded_file(tmp_path):
     assert np.array_equal(read_solution_binary(path, DISK).fields[0], sol.fields[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_field_is_rejected(bad):
+    """A NaN or infinite field value, or boundary constant, raises ValueError
+    naming its component, rather than reading as the boundary constant in
+    the solution's stack."""
+    grid = StencilGrid(DISK, 1.0 / 16.0, 2)
+    u = np.sum(grid.node_xy ** 2, axis=1) - 1.0
+    v = u.copy()
+    v[int(np.argmin(u))] = bad
+    with pytest.raises(ValueError, match="component 2 of the solution is not finite"):
+        GridSolution(grid=grid, fields=[u, v], cs=(0.0, 0.0))
+    with pytest.raises(ValueError, match="component 1 of the solution is not finite"):
+        GridSolution(grid=grid, fields=[u, u], cs=(bad, 0.0))
+
+
+def test_binary_read_rejects_a_non_finite_field(tmp_path):
+    """A file whose field bytes hold a NaN or an infinity at a node of the
+    domain, or whose header's boundary constant is NaN, is refused with a
+    ValueError, as every other malformed file is."""
+    sol = solve_system_fd(DISK, RhsSystem(components=("4",), n=2), (0.0,), FdParams(h=0.125))
+    path = tmp_path / "sol.bin"
+    write_solution_binary(sol, path)
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    g = sol.grid
+    i, j = g.node_ij[int(np.argmin(np.sum(g.node_xy ** 2, axis=1)))]
+    at = 8 + hlen + 8 * (i * g.ny + j)
+    for bad in (np.nan, np.inf, -np.inf):
+        path.write_bytes(data[:at] + np.array(bad, dtype="<f8").tobytes() + data[at + 8:])
+        with pytest.raises(ValueError, match="component 1 of the solution is not finite"):
+            read_solution_binary(path, DISK)
+    assert data.count(b'"cs": [0.0]') == 1
+    path.write_bytes(data.replace(b'"cs": [0.0]', b'"cs": [NaN]'))
+    with pytest.raises(ValueError, match="component 1 of the solution is not finite"):
+        read_solution_binary(path, DISK)
+    path.write_bytes(data)
+    assert np.array_equal(read_solution_binary(path, DISK).fields[0], sol.fields[0])
+
+
 @pytest.mark.parametrize("center", [(0.5, 0.0), (0.03, -0.01), (0.0625, 0.0)])
 def test_binary_read_rejects_a_shifted_grid(tmp_path, center):
     """A unit disk moved by whole or partial steps of h = 1/16 has the stored

@@ -832,9 +832,8 @@ def test_concurrent_sweeps_of_one_solution_share_its_figures(coupled16):
 def test_per_solution_figures_belong_to_the_solution_object(coupled16):
     """The figures a sweep keeps per solution are keyed by the solution object,
     not by its address or its arrays': solutions of scaled fields, each made
-    after the last is released, get their own boundary report, ring
-    variations and NaN-spread table, and the kept figures do not keep a
-    solution alive."""
+    after the last is released, get their own boundary report and ring
+    variations, and the kept figures do not keep a solution alive."""
     nu = (1.0, 0.0)
     planes = critical_planes(DISK, nu)
     system = power_coupled_system(1.0, 1.0)
@@ -844,8 +843,6 @@ def test_per_solution_figures_belong_to_the_solution_object(coupled16):
         rep = lambda_sweep(sol, nu, planes, n_lambdas=4, system=system)
         assert json.dumps(rep.boundary) == json.dumps(boundary_checks(sol))
         assert rep.symmetry["angular_variation"] == movingplane._ring_variations(sol)
-        np.testing.assert_array_equal(sol.nan_spread, GridSolution(
-            grid=sol.grid, fields=sol.fields, cs=sol.cs).nan_spread)
         seen.add(json.dumps(rep.boundary))
         released = weakref.ref(sol)
         del sol, rep
@@ -896,19 +893,43 @@ KERNEL_DOMAINS = pytest.mark.parametrize("domain", [
 ], ids=["ball", "ellipse", "tube", "levelset"])
 
 
+def _rim(g, pts):
+    """Which of the points ``pts`` lie in a grid cell with an exterior corner,
+    the cell :func:`_bilinear` reads them in."""
+    x, y = np.asarray(pts, dtype=float).reshape(-1, 2).T
+    i = np.clip(np.searchsorted(g.xs, x, side="right") - 1, 0, g.nx - 2)
+    j = np.clip(np.searchsorted(g.ys, y, side="right") - 1, 0, g.ny - 2)
+    ins = g.inside
+    return ~(ins[i, j] & ins[i + 1, j] & ins[i, j + 1] & ins[i + 1, j + 1])
+
+
+@KERNEL_DOMAINS
+def test_stack_is_finite(domain):
+    """The stack holds no NaN or infinity: the operator rows hold 0 off the
+    interior nodes, and the mask row is 0 or 1."""
+    sol = _kernel_solution(domain)
+    stack = sol.stack
+    assert np.isfinite(stack).all()
+    off = np.ones(stack.shape[1], dtype=bool)
+    off[sol.node_rows] = False
+    assert off.any() and np.all(stack[4 * sol.m + 1:5 * sol.m + 1, off] == 0.0)
+    assert set(np.unique(stack[4 * sol.m])) == {0.0, 1.0}
+
+
 @KERNEL_DOMAINS
 def test_bilinear_kernel_matches_scipy(domain):
     """Every stack row, the operator rows included, equals scipy's linear 2-D
     RegularGridInterpolator of that row to the bit; a point off the grid, a
-    NaN or infinite coordinate included, reads NaN with no warning."""
+    NaN or infinite coordinate included, reads NaN with no warning.  No
+    point of a cell with an exterior corner reads a mask above 1 - 1e-12, so
+    none is ``deriv_ok`` as a reflection, and a row that holds NaN spreads
+    it through zero weights, as scipy's interpolant does."""
     from scipy.interpolate import RegularGridInterpolator
 
     sol = _kernel_solution(domain)
     g, stack = sol.grid, sol.stack
-    # rows 4m + 1..5m are the operator rows; E, uxx, uyy, uxy of each
-    # component, the validity mask and the gradient rows are the others
+    # rows 4m + 1..5m are the operator rows
     op_rows = np.arange(4 * sol.m + 1, 5 * sol.m + 1)
-    field_rows = np.setdiff1d(np.arange(len(stack)), op_rows)
     assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
     lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
     off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
@@ -927,18 +948,27 @@ def test_bilinear_kernel_matches_scipy(domain):
     assert rim.any()
     rim_pts = np.stack([g.xs[i[rim]], g.ys[j[rim]]], axis=-1)
 
-    row_rgi = [RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny),
-                                       bounds_error=False, fill_value=np.nan)
-               for row in stack]
+    def rgi(rows, pts):
+        return np.vstack([RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny),
+                                                  bounds_error=False, fill_value=np.nan)(pts)
+                          for row in rows])
+
     for pts in (off_grid, aligned, outside, rim_pts):
         got = _bilinear(g, stack, pts)
         assert got.shape == (len(stack), len(pts))
-        expected = np.vstack([f(pts) for f in row_rgi])
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, rgi(stack, pts))
     assert np.all(np.isnan(_bilinear(g, stack, outside)))
-    rim_vals = _bilinear(g, stack, rim_pts)
-    assert np.all(np.isnan(rim_vals[op_rows]))
-    assert np.all(np.isfinite(rim_vals[field_rows]))
+    assert np.all(np.isfinite(_bilinear(g, stack, rim_pts)))
+    # the mask row alone marks the cells an audit trusts
+    assert _rim(g, rim_pts).all()
+    for pts in (off_grid, aligned, rim_pts):
+        mask = _bilinear(g, stack, pts)[4 * sol.m]
+        assert not np.any((mask > 1.0 - 1e-12) & _rim(g, pts))
+    # a NaN spreads from every corner, zero weights included
+    nan_rows = np.where(g.inside.ravel(), stack[op_rows], np.nan)
+    spread = _bilinear(g, nan_rows, rim_pts)
+    assert np.all(np.isnan(spread))
+    np.testing.assert_array_equal(spread, rgi(nan_rows, rim_pts))
 
 
 def _bits(a):
@@ -947,14 +977,13 @@ def _bits(a):
 
 
 @KERNEL_DOMAINS
-def test_node_reads_gather_the_bilinear_sum(domain):
-    """At nodes that start a cell the node read, one gather through the
-    solution's NaN-spread table, equals the four-corner sum to the bit,
-    and scipy's interpolant: +0.0 for a -0.0 value, and NaN where a
-    zero-weight corner is not finite, as in the operator rows next to
-    exterior nodes.  The cap reader takes the node read exactly when
-    every reflection of a batch is such a node: a batch with one position
-    off the grid lines, or an oblique direction, is the four-corner sum."""
+def test_node_reads_gather_the_bilinear_sum(domain, monkeypatch):
+    """At nodes that start a cell one gather of the finite stack plus +0.0
+    equals the four-corner sum to the bit, and scipy's interpolant: +0.0
+    for a -0.0 value.  The cap reader takes that gather, and calls no
+    :func:`_bilinear`, exactly when every reflection of a batch is such a
+    node: a batch with one position off the grid lines, or an oblique
+    direction, is the four-corner sum."""
     from scipy.interpolate import RegularGridInterpolator
 
     grid = StencilGrid(domain, 1.0 / 16.0, 2)
@@ -963,39 +992,39 @@ def test_node_reads_gather_the_bilinear_sum(domain):
     u[::5] = -0.0
     # a boundary constant of -0.0 puts -0.0 on the exterior E rows too
     sol = GridSolution(grid=grid, fields=[u, np.exp(0.5 * x) + y * y - 4.0], cs=(0.0, -0.0))
-    g, stack, spread = sol.grid, sol.stack, sol.nan_spread
-    assert spread.shape == stack.shape and spread.dtype == bool
+    g, stack = sol.grid, sol.stack
     # every node that starts a cell, exterior nodes included
     X, Y = np.meshgrid(g.xs[:-1], g.ys[:-1], indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
     cols = (np.arange(g.nx - 1)[:, None] * g.ny + np.arange(g.ny - 1)).ravel()
     at_nodes = np.take(stack, cols, axis=1)
-    four = _bilinear(g, stack, nodes)
-    read = movingplane._node_read(stack, spread, cols)
-    np.testing.assert_array_equal(_bits(read), _bits(four))
+    read = at_nodes + 0.0
+    np.testing.assert_array_equal(_bits(read), _bits(_bilinear(g, stack, nodes)))
     np.testing.assert_array_equal(read, np.vstack([
         RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny), bounds_error=False,
                                 fill_value=np.nan)(nodes) for row in stack]))
     assert np.any((at_nodes == 0.0) & np.signbit(at_nodes))
     assert not np.any((read == 0.0) & np.signbit(read))
-    op_rows = slice(4 * sol.m + 1, 5 * sol.m + 1)
-    assert np.any(np.isnan(read[op_rows]) & np.isfinite(at_nodes[op_rows]))
-    assert np.array_equal(np.isnan(read), np.isnan(at_nodes) | np.take(spread, cols, axis=1))
-    # a table that spreads NaN everywhere shows which read the cap reader takes
-    marked = GridSolution(grid=grid, fields=sol.fields, cs=sol.cs)
-    marked.__dict__["nan_spread"] = np.ones_like(spread)
+    # a spy on the bilinear kernel shows which read the cap reader takes
+    kernel_reads = []
+
+    def spy(grid, rows, pts):
+        kernel_reads.append(len(pts))
+        return _bilinear(grid, rows, pts)
+
+    monkeypatch.setattr(movingplane, "_bilinear", spy)
     rows = range(len(stack))
     centre = g.xs[int(np.searchsorted(g.xs, 0.5 * (g.xs[0] + g.xs[-1])))]
     on_lines = [centre - 2 * g.h, centre]
     between = [centre - 0.25 * g.h]
-    nodal = movingplane._read_caps(marked, np.array([1.0, 0.0]), on_lines, rows)[3]
-    assert nodal.size and np.all(np.isnan(nodal))
+    _, refl, _, nodal, _, _ = movingplane._read_caps(sol, np.array([1.0, 0.0]), on_lines, rows)
+    assert nodal.size and kernel_reads == []
+    np.testing.assert_array_equal(_bits(nodal), _bits(_bilinear(g, stack, refl)))
     for nu, lams in (((1.0, 0.0), on_lines + between), ((0.6, 0.8), [0.0, 0.25])):
-        nu = np.array(nu)
-        got = movingplane._read_caps(marked, nu, lams, rows)[3]
-        np.testing.assert_array_equal(_bits(got),
-                                      _bits(movingplane._read_caps(sol, nu, lams, rows)[3]))
-        assert np.all(np.isfinite(got[:4 * sol.m:4]))
+        kernel_reads.clear()
+        _, refl, _, got, _, _ = movingplane._read_caps(sol, np.array(nu), lams, rows)
+        assert len(refl) and kernel_reads == [len(refl)]
+        np.testing.assert_array_equal(_bits(got), _bits(_bilinear(g, stack, refl)))
 
 
 def _bench_level_set(c=0.3):
@@ -1029,7 +1058,8 @@ def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
     for the critical planes where the domain has them, the cap reader
     gives the kept nodes, bounds, exits, reflections and rows of the
     general path, which reflects every cap node and interpolates: the
-    same bits, NaN operator rows next to the boundary included.  At
+    same bits, reflections whose cell has an exterior corner included, and
+    none of those is ``deriv_ok``.  At
     h = 1/16 and 1/32 the disk, the square and the unit level set take
     the lattice reader along every such direction, and the (1, 0.6)
     ellipse along (+-1, 0) only, as its grid is not symmetric about
@@ -1037,7 +1067,7 @@ def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
     off the binary fractions, no batch maps."""
     sol = _kernel_solution(domain, h)
     rows = range(7 * sol.m + 1)
-    taken, nan_refl = set(), False
+    taken, rim_refl = set(), False
     chosen = movingplane._mirror_columns
 
     def spy(*args):
@@ -1065,12 +1095,38 @@ def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
             np.testing.assert_array_equal(_bits(at_refl), _bits(expected[3]))
             np.testing.assert_array_equal(bounds, expected[4])
             assert n_exited == expected[5]
-            nan_refl |= bool(np.isnan(at_refl[4 * sol.m + 1:5 * sol.m + 1]).any())
-    assert nan_refl
+            rim = _rim(sol.grid, refl)
+            assert not np.any(movingplane._difference(at_node, at_refl, sol.m)[1] & rim)
+            rim_refl |= bool(rim.any())
+    assert rim_refl
     along_x, along_y = {(1.0, 0.0), (-1.0, 0.0)}, {(0.0, 1.0), (0.0, -1.0)}
     expected = (set() if h == 0.05 or name == "levelset" else
                 along_x if name == "ellipse" else along_x | along_y)
     assert {nu for nu, ok in taken if ok} == expected
+
+
+def test_ellipse_sweep_along_an_axis_reads_the_lattice(monkeypatch):
+    """Along (1, 0) the (1, 0.6) ellipse's planes are closed forms, Lam0 = 0
+    a grid line at h = 1/32, so every read of its sweep pairs each cap node
+    with its mirror node by index, the batch at Lam0 and the symmetry
+    certificate's included; the certificate passes."""
+    system = power_coupled_system(1.0, 1.0)
+    sol = solve_system_fd(ELLIPSE, system, (0.0, 0.0), P32)
+    taken = []
+    chosen = movingplane._mirror_columns
+
+    def spy(*args):
+        cols = chosen(*args)
+        taken.append(cols is not None)
+        return cols
+
+    monkeypatch.setattr(movingplane, "_mirror_columns", spy)
+    planes = critical_planes(ELLIPSE, (1.0, 0.0))
+    assert (planes.lam0, planes.Lam0, planes.Lam2) == (-1.0, 0.0, 0.0)
+    rep = lambda_sweep(sol, (1.0, 0.0), planes, system=system)
+    assert rep.passed and rep.total_ei_violations == 0
+    # the batches and the symmetry certificate's read
+    assert len(taken) >= 2 and all(taken)
 
 
 def test_axis_sweep_reads_caps_without_per_node_geometry(monkeypatch):
