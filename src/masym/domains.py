@@ -360,8 +360,9 @@ class CriticalPlanes:
     Lam2: float
 
     def __post_init__(self):
-        if not self.lam0 < self.Lam0:
-            raise GeometryError(f"expected lam0 < Lam0, got {self.lam0} >= {self.Lam0}")
+        # on a very thin domain lam0 and Lam0 may round to one float
+        if not self.lam0 <= self.Lam0:
+            raise GeometryError(f"expected lam0 <= Lam0, got {self.lam0} > {self.Lam0}")
         if self.Lam0 > self.Lam2 + 1e-9:
             raise GeometryError(f"expected Lam0 <= Lam2, got {self.Lam0} > {self.Lam2}")
 
@@ -494,7 +495,10 @@ def critical_planes(domain, nu):
     # of every chord parallel to nu; the chords shrink to points of pts at
     # both ends of their range, so their midpoints tend to Lam2 or above
     Lam0 = min(Lam2, _least_chord_midpoint(domain, nu, pts, 1e-9 * domain.bbox_diameter()))
-    return CriticalPlanes(nu=tuple(nu), lam0=lam0, Lam0=Lam0, Lam2=Lam2)
+    # lam0 is the least projection of the domain, so no chord midpoint lies
+    # below it; on a domain thinner than rounding, such as the (1, 1e-9)
+    # ellipse off its axes, the computed two may cross by an ulp
+    return CriticalPlanes(nu=tuple(nu), lam0=min(lam0, Lam0), Lam0=Lam0, Lam2=Lam2)
 
 
 def domain_to_json(domain):

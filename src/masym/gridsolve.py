@@ -572,49 +572,53 @@ class GridSolution:
         """(7m + 1, nx*ny) finite table of every field a moving-plane frame
         or certificate reads.
 
-        Rows 4i..4i+3 hold component i's E, uxx, uyy, uxy, row 4m the
-        validity mask as 0/1, rows 4m+1..5m the discrete operator of the
-        unreflected fields and rows 5m+1+2i, 5m+2+2i component i's ux, uy.
-        The sweep's audit reads the 5m + 1 rows before the gradients, and
-        the gradients only when the system reads them.  A node is valid
-        when its full 3x3 neighborhood lies inside the domain, so that no
-        extrapolated ghost value enters a derivative there.  The mask row
-        alone marks where a value is trusted: the table starts as zeros,
-        so the operator rows hold 0 off the interior nodes and the
-        derivative rows 0 on the grid's outer ring, and no entry is NaN or
-        infinite.  An interpolant whose mask reads above 1 - 1e-12 has a
-        valid corner of weight at least 1/4, whose neighborhood holds the
-        cell's other corners, so it reads no such 0.  Each component's
-        :meth:`extended_array` and its five centred differences are
-        written straight into their rows, through a (7m + 1, nx, ny) view
-        of the table.  One field per row keeps each gathered field
-        contiguous; the moving-plane bilinear kernel reads it between
-        nodes and a column gather at :attr:`node_rows` at them.  Every
-        reader shares the table, so none writes into it.  A field that overflows raises
-        :class:`masym.radial.SolverDivergence` with the solve's sweep
-        history.
+        Rows 0..m-1 hold the components' E, row m the validity mask as 0/1,
+        rows m+1..2m the discrete operator of the unreflected fields, rows
+        2m+1..3m and 3m+1..4m the components' ux and uy, and rows 4m+1..5m,
+        5m+1..6m and 6m+1..7m their uxx, uyy and uxy.  So the rows a sweep
+        keeps through its audit, the values, mask and operator and, when
+        the system reads them, the gradients, are the one block before row
+        2m + 1 or 4m + 1, and the Hessian rows it reduces at once to
+        determinants and flags are the one block after row 4m; each block
+        is read by one gather per cell corner, with no copy of the table.
+        A node is valid when its full 3x3 neighborhood lies inside the
+        domain, so that no extrapolated ghost value enters a derivative
+        there.  The mask row alone marks where a value is trusted: the
+        table starts as zeros, so the operator rows hold 0 off the
+        interior nodes and the derivative rows 0 on the grid's outer ring,
+        and no entry is NaN or infinite.  An interpolant whose mask reads
+        above 1 - 1e-12 has a valid corner of weight at least 1/4, whose
+        neighborhood holds the cell's other corners, so it reads no such 0.
+        Each component's :meth:`extended_array` and its five centred
+        differences are written straight into their rows, through a
+        (7m + 1, nx, ny) view of the table.  One field per row keeps each
+        gathered field contiguous; the moving-plane bilinear kernel reads
+        it between nodes and a column gather at :attr:`node_rows` at them.
+        Every reader shares the table, so none writes into it.  A field
+        that overflows raises :class:`masym.radial.SolverDivergence` with
+        the solve's sweep history.
         """
         g, m, h = self.grid, self.m, self.grid.h
         stack = np.zeros((7 * m + 1, g.nx * g.ny))
         rows = stack.reshape(7 * m + 1, g.nx, g.ny)
         ins = g.inside
-        rows[4 * m, 1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
-                                   & ins[1:-1, 2:] & ins[1:-1, :-2]
-                                   & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
+        rows[m, 1:-1, 1:-1] = (ins[1:-1, 1:-1] & ins[2:, 1:-1] & ins[:-2, 1:-1]
+                               & ins[1:-1, 2:] & ins[1:-1, :-2]
+                               & ins[2:, 2:] & ins[2:, :-2] & ins[:-2, 2:] & ins[:-2, :-2])
         # the fields divide by h^2 and the operator multiplies two of them, so
         # a solution that a float64 holds may still overflow here
         try:
             with np.errstate(over="raise"):
                 for i in range(m):
-                    E = rows[4 * i]
+                    E = rows[i]
                     E[...] = self.extended_array(i)
-                    rows[5 * m + 1 + 2 * i, 1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
-                    rows[5 * m + 2 + 2 * i, :, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
-                    rows[4 * i + 1, 1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
-                    rows[4 * i + 2, :, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
-                    rows[4 * i + 3, 1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:]
-                                                   + E[:-2, :-2]) / (4 * h ** 2)
-                stack[4 * m + 1:5 * m + 1, self.node_rows] = [
+                    rows[2 * m + 1 + i, 1:-1, :] = (E[2:, :] - E[:-2, :]) / (2 * h)
+                    rows[3 * m + 1 + i, :, 1:-1] = (E[:, 2:] - E[:, :-2]) / (2 * h)
+                    rows[4 * m + 1 + i, 1:-1, :] = (E[2:, :] - 2 * E[1:-1, :] + E[:-2, :]) / h ** 2
+                    rows[5 * m + 1 + i, :, 1:-1] = (E[:, 2:] - 2 * E[:, 1:-1] + E[:, :-2]) / h ** 2
+                    rows[6 * m + 1 + i, 1:-1, 1:-1] = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:]
+                                                       + E[:-2, :-2]) / (4 * h ** 2)
+                stack[m + 1:2 * m + 1, self.node_rows] = [
                     _ma_and_active(g, u, c)[0] for u, c in zip(self.fields, self.cs)]
         except FloatingPointError:
             raise SolverDivergence(f"the derivative fields of the solution overflow a float64 "

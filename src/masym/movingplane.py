@@ -19,51 +19,59 @@ top of the audit sit certificates: cap monotonicity, mirror symmetry, a
 Hopf boundary derivative check and tube corner cross-derivatives.
 
 Every field a frame or certificate reads off the grid sits in the one
-stacked table of the solution, :attr:`GridSolution.stack`, and one
-bilinear kernel reads them all at a set of points, one gather of every
-field per cell corner.  The table is finite, and its mask row alone marks
-where a value is trusted: the audit takes a cap node whose own mask is 1
-and whose reflection reads a mask above 1 - 1e-12, and every corner of
-such a reflection's cell is an interior node.  One cap reader serves a
-frame, a sweep batch and the symmetry certificate: it finds the caps of
-some plane positions, pairs each cap node with its reflection, keeps the
-nodes whose reflection stays in the domain, and reads the stack rows it
-is given at the nodes and at their reflections.  Along an axis direction,
-one with an entry exactly 0, at plane positions that map the grid lines
-of the caps onto grid lines, every reflection is a node.  The reader then
-reflects only the grid's coordinates, once per position, pairs each cap
-node with its mirror node by index, tests the mirror against the domain
-by a lookup in :attr:`StencilGrid.inside`, and reads its rows by one
-gather plus +0.0: the bits of the bilinear read, whose other three
-corners weigh 0.  Any other batch reflects every cap node in one pass and
-reads the bilinear kernel.  A reflection Q changes neither the
-determinant nor the trace of a Hessian, so the audit reads both off the
-interpolated Hessian, and forms no Q: Q p = p - 2 (p . nu) nu is written
-entry-wise.
+stacked table of the solution, :attr:`GridSolution.stack`, one field per
+row, ordered so that the values, mask, operator and gradients form one
+block and the Hessian entries another.  One bilinear kernel reads them
+all: it finds the cells and weights of a set of points once and reads
+each block it is handed by one gather per cell corner.  The table is
+finite, and its mask row alone marks where a value is trusted: the audit
+takes a cap node whose own mask is 1 and whose reflection reads a mask
+above 1 - 1e-12, and every corner of such a reflection's cell is an
+interior node.  One cap reader serves a frame, a sweep batch and the
+symmetry certificate: it finds the caps of some plane positions, pairs
+each cap node with its reflection, keeps the nodes whose reflection stays
+in the domain, and reads the row blocks it is given at the nodes and at
+their reflections.  Along an axis direction, one with an entry exactly 0,
+at plane positions that map the grid lines of the caps onto grid lines,
+every reflection is a node.  The reader then reflects only the grid's
+coordinates, once per position, pairs each cap node with its mirror node
+by index, tests the mirror against the domain by a lookup in
+:attr:`StencilGrid.inside`, and reads its rows by one gather plus +0.0:
+the bits of the bilinear read, whose other three corners weigh 0.  Any
+other batch reflects every cap node in one pass and reads the bilinear
+kernel.  A reflection Q changes neither the determinant nor the trace of
+a Hessian, so the audit reads both off the interpolated Hessian, and
+forms no Q: Q p = p - 2 (p . nu) nu is written entry-wise.
 
-One plane position is read into a frame, the stack rows at its cap
+One plane position is read into a frame, every stack row at its cap
 nodes and their reflections, and :func:`linearize` runs the audit on
 them.  A sweep packs its consecutive plane positions greedily into
-batches of at most as many cap nodes as the grid has nodes, which no cap
-exceeds; each batch finds its own caps and runs the audit straight on
-the stack rows it reads, building no frame: the values, Hessians, mask
-and operator rows, and the gradient rows only when the system reads p or
-declares a gradient Lipschitz constant.  Each position's figures (cap
-bound, violations, least margin, flag counts) are reductions over its
-segment of the batch's nodes, one ``reduceat`` call per figure for every
-position at once.  The batches, and one more task that calls the public
-certificates, run on a long-lived thread pool with one worker per
-available core.  The boundary checks and the disk rings of the symmetry
-certificate depend on neither nu nor lambda, so they run once per
-solution and are kept, weakly, with it.  Reflections are entry-wise, not
-matrix products whose rounding may depend on the array's length, so the
-reports do not depend on the batches or on the number of workers.
+batches of at most 1.5 times as many cap nodes as the grid has nodes
+(:data:`_BATCH_BOUND`); each batch finds its own caps and runs the audit
+straight on the stack rows it reads, building no frame.  It holds per
+cap node only what the audit reads: the values, mask and operator rows,
+the gradient rows only when the system reads p or declares a gradient
+Lipschitz constant, and the Hessians, read as one block a side at a
+time and reduced at once to the tolerance and a positive-definite flag.
+The coupling quotients are used one component at a time and not kept.
+Each position's figures (cap bound, violations, least margin, flag
+counts) are reductions over its segment of the batch's nodes, one
+``reduceat`` call per figure for every position at once.  The batches,
+and one more task that calls the public certificates, run on a
+long-lived thread pool with one worker per available core.  The boundary
+checks and the disk rings of the symmetry certificate depend on neither
+nu nor lambda, so they run once per solution and are kept, weakly, with
+it.
+Reflections are entry-wise, not matrix products whose rounding may
+depend on the array's length, so the reports do not depend on the
+batches or on the number of workers.
 """
 
 from __future__ import annotations
 
 import contextvars
 import copy
+import numbers
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -92,24 +100,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # interpolation and the stack's rows
 #
-# GridSolution.stack holds, for m components, rows 4i..4i+3 = E, uxx, uyy,
-# uxy of component i, row 4m the validity mask, rows 4m+1..5m the operator
-# and rows 5m+1+2i, 5m+2+2i = ux, uy of component i.
+# GridSolution.stack holds, for m components, rows 0..m-1 = E, row m the
+# validity mask, rows m+1..2m the operator, rows 2m+1..3m and 3m+1..4m = ux
+# and uy, and rows 4m+1..5m, 5m+1..6m and 6m+1..7m = uxx, uyy and uxy.  A
+# sweep reads it in two contiguous blocks: the rows it keeps through the
+# audit and the Hessian rows, which it reduces at once.
 
-def _bilinear(grid, stack, pts):
-    """(rows of ``stack``, len(pts)) bilinear interpolants at ``pts``.
+def _bilinear(grid, pts):
+    """A reader of bilinear interpolants at ``pts``: ``read(rows)`` gives
+    the (len(rows), len(pts)) interpolants of the (rows, nx*ny) block
+    ``rows`` of a stacked table.
 
-    Each point's cell comes from one ``searchsorted`` per axis, and the
-    cell's corners are read one at a time, each a (rows, P) gather of
-    every field into one reused buffer that is weighted and added to the
-    output; so the working set is two (rows, P) arrays, not one per
-    corner.  Every row is scipy's 2-D ``RegularGridInterpolator(
-    method="linear", fill_value=nan)`` of that row to the bit, corner
-    values multiplied as (v * wx) * wy and summed from +0.0 in corner
-    order: NaN outside the grid, and NaN spreads from every corner, zero
-    weights included.  A point off the grid, a NaN or infinite
-    coordinate included, is read at the grid's first node and then set
-    to NaN, so no infinite weight meets a zero.
+    Each point's cell and weights are found once, by one ``searchsorted``
+    per axis, and serve every block read.  A read takes the cell's corners
+    one at a time, each a (rows, P) gather of every row of the block into
+    one reused buffer that is weighted and added to the output; so its
+    working set is two (rows, P) arrays, not one per corner, and a
+    contiguous block is gathered with no copy.  Every row is scipy's 2-D
+    ``RegularGridInterpolator(method="linear", fill_value=nan)`` of that
+    row to the bit, corner values multiplied as (v * wx) * wy and summed
+    from +0.0 in corner order: NaN outside the grid, and NaN spreads from
+    every corner, zero weights included.  A point off the grid, a NaN or
+    infinite coordinate included, is read at the grid's first node and
+    then set to NaN, so no infinite weight meets a zero.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     xs, ys = grid.xs, grid.ys
@@ -117,6 +130,8 @@ def _bilinear(grid, stack, pts):
     off = ~((xs[0] <= x) & (x <= xs[-1]) & (ys[0] <= y) & (y <= ys[-1]))
     if off.any():
         x, y = np.where(off, xs[0], x), np.where(off, ys[0], y)
+    else:
+        off = None
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     j = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
     xi, yj = xs[i], ys[j]
@@ -127,27 +142,46 @@ def _bilinear(grid, stack, pts):
     # corners (i, j), (i, j+1), (i+1, j), (i+1, j+1); the clipped cells keep
     # every corner index in range
     base = i * ny + j
-    out = np.take(stack, base, axis=1, mode="clip")
-    out *= sx
-    out *= sy
-    out += 0.0
-    v = np.empty_like(out)
-    for offset, wx, wy in ((1, sx, ty), (ny, tx, sy), (ny + 1, tx, ty)):
-        np.take(stack, base + offset, axis=1, out=v, mode="clip")
-        v *= wx
-        v *= wy
-        out += v
-    if off.any():
-        out[:, off] = np.nan
-    return out
+
+    def read(rows):
+        out = np.take(rows, base, axis=1, mode="clip")
+        out *= sx
+        out *= sy
+        out += 0.0
+        v = np.empty_like(out)
+        for offset, wx, wy in ((1, sx, ty), (ny, tx, sy), (ny + 1, tx, ty)):
+            np.take(rows, base + offset, axis=1, out=v, mode="clip")
+            v *= wx
+            v *= wy
+            out += v
+        if off is not None:
+            out[:, off] = np.nan
+        return out
+
+    return read
 
 
-def _det_posdef(rows, m):
-    """(m, K) determinants of the Hessians in the (rows, K) values of the
-    stack's rows, and where they are positive definite: det, trace > 0."""
-    uxx, uyy, uxy = rows[1:4 * m:4], rows[2:4 * m:4], rows[3:4 * m:4]
+def _det_posdef(H, m):
+    """(m, K) determinants of the Hessians in the (3m, K) values of the
+    stack's Hessian rows, and where they are positive definite: det,
+    trace > 0."""
+    uxx, uyy, uxy = H[:m], H[m:2 * m], H[2 * m:]
     det = uxx * uyy - uxy * uxy
     return det, (det > 0) & (uxx + uyy > 0)
+
+
+def _hessian_checks(h, m, at_node, at_refl):
+    """The audit's (m, K) tolerances 10 h^2 max(|det H|, |det H_lam|) and
+    where H and H_lam are both positive definite, from the readers
+    ``at_node`` and ``at_refl`` of stack rows at the nodes and at their
+    reflections.  Each side's Hessian rows are read as one block and
+    reduced to determinant and flag before the other side's are read.
+    det(Q M Q) = det M and tr(Q M Q) = tr M, so H_lam = Q D^2 u(x_lam) Q is
+    read off the interpolated D^2 u(x_lam) and never formed."""
+    rows = slice(4 * m + 1, 7 * m + 1)
+    det_H, pd_H = _det_posdef(at_node(rows), m)
+    det_H_lam, pd_H_lam = _det_posdef(at_refl(rows), m)
+    return (10.0 * h ** 2) * np.maximum(np.abs(det_H), np.abs(det_H_lam)), pd_H_lam & pd_H
 
 
 def _in_cap(s, lam, h):
@@ -196,26 +230,28 @@ def _mirror_columns(grid, nu, lams, idx, pos):
     return ij[:, 0] * grid.ny + ij[:, 1]
 
 
-def _read_caps(solution, nu, lams, rows):
-    """The stack rows numbered by the range ``rows`` on the caps of the
-    plane positions ``lams``, one position after another.
+def _read_caps(solution, nu, lams):
+    """The caps of the plane positions ``lams``, one position after
+    another, and readers of the stack's rows on them.
 
-    Returns the kept cap nodes, their reflections, the rows at the nodes
-    and read at the reflections, the (len(lams) + 1,) bounds of each
-    position's nodes, and per position the number of cap nodes whose
-    reflection leaves the domain.  A cap node is kept when its reflection
-    stays in the domain and on the grid box.  Where every cap node
-    reflects onto a node that starts a cell (:func:`_mirror_columns`),
-    the reflections are those nodes, the domain test reads
-    :attr:`StencilGrid.inside` at them when the domain's test is
-    entry-wise, and the rows are read there by one gather plus +0.0.
-    Else all caps are reflected in one entry-wise :func:`reflect_point`
-    call, each node across its own position's plane, tested against the
-    domain and the grid box, and read by one :func:`_bilinear` call.
-    Both give the same bits: the stack is finite, so the zero weights of
-    a node's other three corners add signed zeros.  A position's nodes
-    and reflections do not depend on the positions read with it.  Which
-    rows are trusted is the mask row's to say (:func:`_difference`).
+    Returns the kept cap nodes, their reflections, the (len(lams) + 1,)
+    bounds of each position's nodes, per position the number of cap nodes
+    whose reflection leaves the domain, and two readers, ``at_node(rows)``
+    and ``at_refl(rows)``, of the (len(rows), K) values of the block
+    ``rows``, a slice of the stack's rows, at the nodes and at their
+    reflections.  A cap node is kept when its reflection stays in the
+    domain and on the grid box.  Where every cap node reflects onto a node that starts a cell
+    (:func:`_mirror_columns`), the reflections are those nodes, the domain
+    test reads :attr:`StencilGrid.inside` at them when the domain's test is
+    entry-wise, and a block is read there by one gather plus +0.0.  Else
+    all caps are reflected in one entry-wise :func:`reflect_point` call,
+    each node across its own position's plane, tested against the domain
+    and the grid box, and their cells found by one :func:`_bilinear` call,
+    which reads every block.  Both give the same bits: the stack is
+    finite, so the zero weights of a node's other three corners add signed
+    zeros.  A position's nodes and reflections do not depend on the
+    positions read with it.  Which rows are trusted is the mask row's to
+    say (:func:`_difference`).
     """
     g = solution.grid
     s = g.node_xy @ nu
@@ -240,15 +276,23 @@ def _read_caps(solution, nu, lams, rows):
         idx, pos, refl = (np.compress(keep, a, axis=0) for a in (idx, pos, refl))
         cols = None if cols is None else np.compress(keep, cols)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(lams)))))
-    stack = solution.stack[rows.start:rows.stop:rows.step]
-    at_node = np.take(stack, np.take(solution.node_rows, idx), axis=1)
+    stack, node_cols = solution.stack, np.take(solution.node_rows, idx)
+
+    def at_node(rows):
+        return np.take(stack[rows], node_cols, axis=1)
+
     if cols is None:
-        at_refl = _bilinear(g, stack, refl)
+        cells = _bilinear(g, refl)
+
+        def at_refl(rows):
+            return cells(stack[rows])
     else:
-        # the four-corner sum at a node that starts a cell, weights 1, 0, 0, 0
-        at_refl = np.take(stack, cols, axis=1)
-        at_refl += 0.0
-    return idx, refl, at_node, at_refl, bounds, n_exited
+        def at_refl(rows):
+            # the four-corner sum at a node that starts a cell, weights 1, 0, 0, 0
+            out = np.take(stack[rows], cols, axis=1)
+            out += 0.0
+            return out
+    return idx, refl, bounds, n_exited, at_node, at_refl
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +303,8 @@ def _difference(at_node, at_refl, m):
     rows at cap nodes and at their reflections: those whose own derivative
     stencil and reflected interpolation cell stay clear of the boundary,
     read off the mask row alone."""
-    return (at_refl[:4 * m:4] - at_node[:4 * m:4],
-            (at_node[4 * m] == 1.0) & (at_refl[4 * m] > 1.0 - 1e-12))
+    return (at_refl[:m] - at_node[:m],
+            (at_node[m] == 1.0) & (at_refl[m] > 1.0 - 1e-12))
 
 
 @dataclass
@@ -308,7 +352,7 @@ class MovingPlaneFrame:
 
 
 def build_frame(solution, nu, lam):
-    """Reflect the solution across {x . nu = lam}.
+    """Reflect the solution across {x . nu = lam}, for a finite ``lam``.
 
     :func:`_read_caps` reads every row of the stack at the cap nodes,
     those with x . nu < lam + 1e-9 h, so nodes on the plane are kept,
@@ -321,11 +365,13 @@ def build_frame(solution, nu, lam):
     """
     nu = _as_unit(nu, 2)
     lam = float(lam)
-    idx, refl, at_node, at_refl, _, (n_exited,) = _read_caps(
-        solution, nu, [lam], range(7 * solution.m + 1))
+    if not np.isfinite(lam):
+        raise ValueError(f"the plane position must be finite, got {lam}")
+    idx, refl, _, (n_exited,), at_node, at_refl = _read_caps(solution, nu, [lam])
+    every = slice(None)
     return MovingPlaneFrame(nu=nu, lam=lam, grid=solution.grid, node_idx=idx,
                             reflected_xy=refl, n_exited=n_exited,
-                            at_node=at_node, at_refl=at_refl)
+                            at_node=at_node(every), at_refl=at_refl(every))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +393,25 @@ class LinearizationFields:
         return tuple(int(n) for n in self.nonpd.sum(axis=1))
 
 
+def _check_components(system, m):
+    """Refuse a system whose component count is not the solution's m."""
+    if system.m != m:
+        raise ValueError(f"the system has {system.m} components, the solution {m}")
+
+
 def linearize(frame, system):
     """The elliptic-inequality audit of :func:`_ei_nodes` on a frame's cap,
-    as a sweep runs it on that plane position."""
-    return LinearizationFields(*_ei_nodes(
-        frame.grid, frame.nu, system, frame.node_idx, frame.at_node, frame.at_refl,
-        *_difference(frame.at_node, frame.at_refl, frame.m), _reads_gradients(system)))
+    as a sweep runs it on that plane position, with the (m, m, K) coupling
+    quotients d that a sweep does not keep."""
+    m = frame.m
+    _check_components(system, m)
+    tolerance, pd = _hessian_checks(frame.grid.h, m, frame.at_node.__getitem__,
+                                    frame.at_refl.__getitem__)
+    U, deriv_ok = _difference(frame.at_node, frame.at_refl, m)
+    margin, nonpd, d = _ei_nodes(frame.grid, frame.nu, system, frame.node_idx, frame.at_node,
+                                 frame.at_refl, U, deriv_ok, pd, _reads_gradients(system),
+                                 quotients=True)
+    return LinearizationFields(margin, tolerance, deriv_ok, d, nonpd)
 
 
 def _constants(values):
@@ -361,7 +420,8 @@ def _constants(values):
 
 
 def _quotients(system, xy, u, u_lam, U, grad_u_lam):
-    """(m, m, K) coupling quotients d_ij, one source evaluation per (i, j).
+    """Per component i, the (m, K) coupling quotients d_ij, one source
+    evaluation per j, one i at a time, so no (m, m, K) tensor is held.
 
     ``grad_u_lam`` is the sources' p, None when no source reads it."""
     m = len(u)
@@ -369,36 +429,37 @@ def _quotients(system, xy, u, u_lam, U, grad_u_lam):
     # later the originals
     zs = [np.stack([u_lam[k] if k < j else u[k] for k in range(m)], axis=-1)
           for j in range(m)]
-    d = np.zeros((m, m, len(xy)))
     for i in range(m):
         p = None if grad_u_lam is None else grad_u_lam[i]
+        d_i = np.empty((m, len(xy)))
         for j in range(m):
-            d[i, j] = rhs_d_ij(system, i + 1, j + 1, xy, zs[j], p, U[j])
-    return d
+            d_i[j] = rhs_d_ij(system, i + 1, j + 1, xy, zs[j], p, U[j])
+        yield d_i
 
 
-def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads):
+def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, pd, grads,
+              quotients=False):
     """The elliptic inequality tr(A dD2U) + B . dU + c U >= sum_j d_ij U_j at
     the cap nodes ``idx``, from the stack rows at the nodes and at their
-    reflections, with the gradient rows when ``grads``.
+    reflections, the rows before the Hessians', with the gradient rows
+    when ``grads``; ``pd`` marks where H_lam and H are both positive
+    definite (:func:`_hessian_checks`).
 
-    Returns the (m, K) margins, lhs - rhs, and their tolerances 10 h^2
-    max(|det H|, |det H_lam|); the (K,) audited nodes, ``deriv_ok``, as the
-    stack's mask row alone marks the rows it trusts; the (m, m, K) quotients
-    d; and the (m, K) ``deriv_ok`` nodes where H_lam or H is not positive
-    definite; both read det and trace of H_lam = Q D^2 u(x_lam) Q off the
-    interpolated D^2 u(x_lam), as Q changes neither.  The trace term
-    tr(A dD2U) is read as the operator difference ``det_op_lam - det_op``,
-    which the mean value identity equates with it; both operator values
-    come from the one operator field of the solution, so its directional
-    resolution bias cancels between a node and its reflection, unlike that
-    of raw Hessian determinants.  B^i points along grad U with the declared
-    gradient Lipschitz constant h_p^i as length, so B . grad U is read as
-    h_p^i |grad U^i| and no B is formed; grad u_lam = Q grad u(x_lam) is
-    p - 2 (p . nu) nu for p = grad u(x_lam); c^i is the declared
-    own-component constant; d_ij is the difference quotient of f^i along
-    unknown j, at the telescoped argument (components before j reflected,
-    j and later unreflected) with step U^j.
+    Returns the (m, K) margins, lhs - rhs; the (m, K) ``deriv_ok`` nodes
+    where H_lam or H is not positive definite, ``deriv_ok`` being where the
+    stack's mask row alone trusts the rows; and with ``quotients`` the
+    (m, m, K) quotients d, else None.  The trace term tr(A dD2U) is read as
+    the operator difference ``det_op_lam - det_op``, which the mean value
+    identity equates with it; both operator values come from the one
+    operator field of the solution, so its directional resolution bias
+    cancels between a node and its reflection, unlike that of raw Hessian
+    determinants.  B^i points along grad U with the declared gradient
+    Lipschitz constant h_p^i as length, so B . grad U is read as h_p^i
+    |grad U^i| and no B is formed; grad u_lam = Q grad u(x_lam) is p - 2
+    (p . nu) nu for p = grad u(x_lam); c^i is the declared own-component
+    constant; d_ij is the difference quotient of f^i along unknown j, at
+    the telescoped argument (components before j reflected, j and later
+    unreflected) with step U^j.
 
     The gradient and c U terms of a component whose declared constant is
     0 are left out.  With finite grad U and U such a term is a signed
@@ -407,29 +468,27 @@ def _ei_nodes(grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads):
     det_op_lam - det_op is not -0.0, and neither is its sum with a term.
     """
     m = len(U)
-    # det(Q M Q) = det M and tr(Q M Q) = tr M, so H_lam is never formed
-    (det_H, pd_H), (det_H_lam, pd_H_lam) = _det_posdef(at_node, m), _det_posdef(at_refl, m)
     hp, c = _constants(system.lipschitz_p), _constants(system.lipschitz_z)
     if grads:
-        px, py = at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]
+        px, py = at_refl[2 * m + 1:3 * m + 1], at_refl[3 * m + 1:4 * m + 1]
         twice = 2.0 * (px * nu[0] + py * nu[1])
         qx, qy = px - twice * nu[0], py - twice * nu[1]
-    d = _quotients(system, np.take(grid.node_xy, idx, axis=0), at_node[:4 * m:4],
-                   at_refl[:4 * m:4], U, np.stack([qx, qy], axis=-1) if grads else None)
     # det D^2 u_lam(x) = det(Q D^2 u(x_lam) Q) = det D^2 u(x_lam): the
     # reflected operator is the unreflected one at the reflected points
-    det_op, det_op_lam = at_node[4 * m + 1:5 * m + 1], at_refl[4 * m + 1:5 * m + 1]
-    tolerance = (10.0 * grid.h ** 2) * np.maximum(np.abs(det_H), np.abs(det_H_lam))
-    margin = det_op_lam - det_op
-    for i in range(m):
+    margin = at_refl[m + 1:2 * m + 1] - at_node[m + 1:2 * m + 1]
+    d = np.empty((m, m, len(idx))) if quotients else None
+    rows = _quotients(system, np.take(grid.node_xy, idx, axis=0), at_node[:m], at_refl[:m], U,
+                      np.stack([qx, qy], axis=-1) if grads else None)
+    for i, d_i in enumerate(rows):
         if hp[i]:
-            dx, dy = qx[i] - at_node[5 * m + 1 + 2 * i], qy[i] - at_node[5 * m + 2 + 2 * i]
+            dx, dy = qx[i] - at_node[2 * m + 1 + i], qy[i] - at_node[3 * m + 1 + i]
             margin[i] += hp[i] * np.sqrt(dx * dx + dy * dy)
         if c[i]:
             margin[i] += c[i] * U[i]
-        margin[i] -= np.einsum("jk,jk->k", d[i], U)
-    nonpd = ~(pd_H_lam & pd_H) & deriv_ok
-    return margin, tolerance, deriv_ok, d, nonpd
+        margin[i] -= np.einsum("jk,jk->k", d_i, U)
+        if quotients:
+            d[i] = d_i
+    return margin, ~pd & deriv_ok, d
 
 
 def verify_elliptic_inequality(lin, frame):
@@ -490,9 +549,9 @@ def certify_monotonicity(solution, nu, planes):
     m = solution.m
     # gather only the rows read: the validity mask, ux and uy
     stack, cols = solution.stack, solution.node_rows
-    ok = (np.take(stack[4 * m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h * (1 + 1e-9))
+    ok = (np.take(stack[m], cols) == 1.0) & (g.node_xy @ nu < planes.Lam0 - h * (1 + 1e-9))
     for i in range(m):
-        ux, uy = np.take(stack[5 * m + 1 + 2 * i], cols), np.take(stack[5 * m + 2 + 2 * i], cols)
+        ux, uy = np.take(stack[2 * m + 1 + i], cols), np.take(stack[3 * m + 1 + i], cols)
         dnu = ux * nu[0] + uy * nu[1]
         viol = ok & (dnu >= -(10.0 * h ** 2) * np.hypot(ux, uy))
         entry = {"component": i + 1, "n_checked": int(ok.sum()),
@@ -543,9 +602,10 @@ def certify_symmetry(solution, nu, Lam0):
         report["verdict"] = "not-applicable"
         return report
     # the E rows only
-    _, _, at_node, at_refl, _, _ = _read_caps(solution, nu, [float(Lam0)],
-                                              range(0, 4 * solution.m, 4))
-    resid = float(np.max(np.abs(at_refl - at_node))) if at_node.size else 0.0
+    *_, at_node, at_refl = _read_caps(solution, nu, [float(Lam0)])
+    E = slice(0, solution.m)
+    U = at_refl(E) - at_node(E)
+    resid = float(np.max(np.abs(U))) if U.size else 0.0
     report["mirror_residual"] = resid
     report["tolerance"] = (20.0 * h ** 2) * max(solution.amplitude)
     if isinstance(g.domain, Ball):
@@ -564,7 +624,7 @@ def _ring_variations(solution):
     th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
     rings = np.concatenate([c + frac * g.domain.radius * ring for frac in (0.2, 0.4, 0.6, 0.8)])
-    E = _bilinear(g, solution.stack[:4 * solution.m:4], rings).reshape(solution.m, 4, -1)
+    E = _bilinear(g, rings)(solution.stack[:solution.m]).reshape(solution.m, 4, -1)
     return [float(v) for v in np.max(np.max(E, axis=2) - np.min(E, axis=2), axis=1)]
 
 
@@ -593,8 +653,8 @@ def boundary_checks(solution):
     disk = np.all(domain.contains(np.stack([inner, inner + s * tangents,
                                             inner - s * tangents])), axis=0)
     # the E rows only, here and at the tube corners
-    E_rows = solution.stack[:4 * solution.m:4]
-    inner_vals = _bilinear(g, E_rows, inner)
+    E_rows = solution.stack[:solution.m]
+    inner_vals = _bilinear(g, inner)(E_rows)
     entries = []
     for i in range(solution.m):
         innerv = inner_vals[i]
@@ -614,9 +674,10 @@ def boundary_checks(solution):
     m = solution.m
     # gather only the rows read: the validity mask, uxx and uyy
     stack, cols = solution.stack, solution.node_rows
-    ok = np.take(stack[4 * m], cols) == 1.0
+    ok = np.take(stack[m], cols) == 1.0
     for i in range(m):
-        lap = np.compress(ok, np.take(stack[4 * i + 1], cols) + np.take(stack[4 * i + 2], cols))
+        lap = np.compress(ok, np.take(stack[4 * m + 1 + i], cols)
+                          + np.take(stack[5 * m + 1 + i], cols))
         lap_entries.append({"component": i + 1,
                             "min_laplacian": float(np.min(lap)) if ok.any() else None,
                             "passed": bool(ok.any() and np.min(lap) > 0.0)})
@@ -625,7 +686,7 @@ def boundary_checks(solution):
     if isinstance(domain, Tube) and domain.dimension == 2:
         bb = domain.bounding_box()
         x_min, H = bb[0, 0], domain.half_height
-        corners = _bilinear(g, E_rows, [[x_min + s, H - s], [x_min + s, -H + s]])
+        corners = _bilinear(g, [[x_min + s, H - s], [x_min + s, -H + s]])(E_rows)
         entries = []
         for i in range(solution.m):
             ci = solution.cs[i]
@@ -709,10 +770,25 @@ def _pool(workers):
     return pool
 
 
+# A sweep batch holds at most this many times the grid's node count of cap
+# nodes.  Each batch pays a fixed share of Python whatever its size, so
+# fewer batches pay; what a batch holds per cap node bounds them.  It keeps
+# the 2m + 1 rows of values, mask and operator (4m + 1 with the gradients)
+# at its nodes and reflections, and the Hessians only as tolerance and
+# flag.  At 1.5 a one-worker sweep of the h = 1/32 disk traces a peak of
+# 2.3x, 2.2x and 2.5x the solution's stack along (1, 0), the diagonal and
+# (1, 0) at 256 positions.  Reading all 5m + 1 rows at both sides and
+# keeping the reflections and the (m, m, K) quotients, as the sweep did
+# before, peaked at 3.2x, 3.3x and 3.7x at 1.5 (2.0x, 2.3x and 2.7x at 1).
+# The h = 1/64 bench disk sweeps 16 positions along (1, 0), (0, 1) and the
+# diagonal in 3 batches, where a bound of 1 took 5, 5 and 4.
+_BATCH_BOUND = 1.5
+
+
 def _batches(sizes, limit):
     """(start, stop) ranges of consecutive positions, packed greedily so that
-    each holds at most ``limit`` cap nodes, the grid's node count, which no
-    cap exceeds."""
+    each holds at most ``limit`` cap nodes; a cap larger than the limit
+    fills a batch of its own."""
     out, start, total = [], 0, 0
     for k, n in enumerate(sizes):
         if k > start and total + n > limit:
@@ -731,23 +807,41 @@ def _reads_gradients(system):
             or bool(_constants(system.lipschitz_p).any()))
 
 
+def _batch_rows(solution, nu, lams, grads):
+    """What a sweep batch audits of its positions' caps, read by
+    :func:`_read_caps`: the kept nodes, the bounds of each position's
+    nodes, the exits, the tolerances and positive-definite flags that
+    :func:`_hessian_checks` reduces the Hessian rows to, a side at a time,
+    and the stack rows before the Hessians' at the nodes and at their
+    reflections.  The reflections and the cells of the bilinear read are
+    let go before the audit."""
+    idx, refl, bounds, n_exited, at_node, at_refl = _read_caps(solution, nu, lams)
+    del refl  # the sweep reports no reflection
+    m = solution.m
+    tolerance, pd = _hessian_checks(solution.grid.h, m, at_node, at_refl)
+    # the values, mask and operator, and the gradients when the system reads them
+    rows = slice(0, 4 * m + 1 if grads else 2 * m + 1)
+    return idx, bounds, n_exited, tolerance, pd, at_node(rows), at_refl(rows)
+
+
 def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
     """The sweep entries of consecutive plane positions.
 
-    One :func:`_read_caps` call finds the positions' caps and reads the
-    stack's rows at their nodes and reflections: the 5m + 1 rows of the
-    values, Hessians, mask and operator, and with ``grads`` the gradient
-    rows too.  A batch holds at most the grid's node count, and the
-    bilinear read gathers one cell corner at a time, so the batch's
-    arrays stay within a small multiple of the solution's stack.  One
-    :func:`_ei_nodes` call serves every position whose cap has a node with
-    valid derivatives, and each position's figures are reductions over
-    its segment of the batch's nodes, one ``reduceat`` per figure for all
-    positions.
+    :func:`_batch_rows` finds the positions' caps and reads the stack's
+    rows at their nodes and reflections: the Hessian rows, a side at a
+    time, reduced at once to tolerances and flags, then the 2m + 1 rows of
+    the values, mask and operator, and with ``grads`` the gradient rows
+    too.  A batch holds at most :data:`_BATCH_BOUND` times the grid's node
+    count, and the bilinear read gathers one cell corner at a time, so the
+    batch's arrays stay within a small multiple of the solution's stack.
+    One :func:`_ei_nodes` call serves every position whose cap has a node
+    with valid derivatives, and keeps no coupling quotient; each
+    position's figures are reductions over its segment of the batch's
+    nodes, one ``reduceat`` per figure for all positions.
     """
     m = solution.m
-    idx, _, at_node, at_refl, bounds, n_exited = _read_caps(
-        solution, nu, lams, range(7 * m + 1 if grads else 5 * m + 1))
+    idx, bounds, n_exited, tolerance, pd, at_node, at_refl = _batch_rows(solution, nu, lams,
+                                                                         grads)
     n_nodes = np.diff(bounds)
     U, deriv_ok = _difference(at_node, at_refl, m)
     # reduceat reads an empty segment as the element at its start, so only
@@ -761,20 +855,21 @@ def _sweep_batch(solution, nu, lams, system, cap_tol, grads):
             # the sources are evaluated on the audited caps only, as one
             # position at a time evaluates them
             sel = np.repeat(audited, n_nodes)
-            idx, U, deriv_ok, at_node, at_refl = (np.compress(sel, a, axis=-1)
-                                                  for a in (idx, U, deriv_ok, at_node, at_refl))
-        margin, tolerance, ok, _, nonpd = _ei_nodes(
-            solution.grid, nu, system, idx, at_node, at_refl, U, deriv_ok, grads)
+            idx, U, deriv_ok, at_node, at_refl, tolerance, pd = (
+                np.compress(sel, a, axis=-1)
+                for a in (idx, U, deriv_ok, at_node, at_refl, tolerance, pd))
+        margin, nonpd, _ = _ei_nodes(solution.grid, nu, system, idx, at_node, at_refl,
+                                     U, deriv_ok, pd, grads)
         starts = np.cumsum(n_nodes[audited]) - n_nodes[audited]
         violations, worst = np.zeros(len(lams), dtype=int), np.zeros(len(lams))
         flagged = np.zeros((m, len(lams)), dtype=int)
-        violations[audited] = np.add.reduceat(ok & (margin < -tolerance), starts,
+        violations[audited] = np.add.reduceat(deriv_ok & (margin < -tolerance), starts,
                                               axis=1).sum(axis=0)
         # as verify_elliptic_inequality finds it: per component the least
         # margin of the nodes audited, NaN if one is NaN; across components a
         # NaN is passed over, and a position with no finite least margin
         # reports 0
-        least = np.minimum.reduceat(np.where(ok, margin, np.inf), starts, axis=1)
+        least = np.minimum.reduceat(np.where(deriv_ok, margin, np.inf), starts, axis=1)
         worst[audited] = np.fmin.reduce(least, axis=0, initial=np.inf)
         worst[~np.isfinite(worst)] = 0.0
         flagged[:, audited] = np.add.reduceat(nonpd, starts, axis=1)
@@ -817,23 +912,28 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     and certificate reads the solution's :attr:`GridSolution.stack`, built
     on its first use.
 
-    Consecutive positions run in batches of at most as many cap nodes as
-    the grid has nodes (see :func:`_batches` and :func:`_sweep_batch`),
-    each finding its own caps, and the certificates in one more task,
-    submitted first, on the long-lived thread pool (:func:`_pool`) of one
-    worker per available core, or per task when there are fewer; so at
-    most that many grid-sized batches are in memory at once, and no cap is
-    held outside its batch.  The report does not depend on the batches or
-    on the number of workers: the reflections are entry-wise, so no node's
-    figures depend on the nodes read with it.  An error reaches the caller
-    as it was raised, the first in serial order: the batches in position
-    order, then monotonicity, symmetry and the boundary checks; the tasks
-    not yet started are dropped, and the running ones finish first.  Each
-    task runs in a copy of the caller's context, so its ``np.errstate``
-    holds.
+    Consecutive positions run in batches of at most :data:`_BATCH_BOUND`
+    times as many cap nodes as the grid has nodes (see :func:`_batches`
+    and :func:`_sweep_batch`), each finding its own caps, and the
+    certificates in one more task, submitted first, on the long-lived
+    thread pool (:func:`_pool`) of one worker per available core, or per
+    task when there are fewer; so at most that many batches are in memory
+    at once, and no cap is held outside its batch.  The report does not
+    depend on the batches or on the number of workers: the reflections are
+    entry-wise, so no node's figures depend on the nodes read with it.  An
+    error reaches the caller as it was raised, the first in serial order:
+    the batches in position order, then monotonicity, symmetry and the
+    boundary checks; the tasks not yet started are dropped, and the
+    running ones finish first.  Each task runs in a copy of the caller's
+    context, so its ``np.errstate`` holds.  ``n_lambdas`` must be an
+    integer of at least 2, and ``system`` must have the solution's number
+    of components; else ``ValueError``.
     """
+    if isinstance(n_lambdas, bool) or not isinstance(n_lambdas, numbers.Integral):
+        raise ValueError(f"n_lambdas must be an integer, got {n_lambdas!r}")
     if n_lambdas < 2:
         raise ValueError("need at least two plane positions")
+    _check_components(system, solution.m)
     g = solution.grid
     nu = _as_unit(nu, 2)
     h = g.h
@@ -842,7 +942,8 @@ def lambda_sweep(solution, nu, planes, n_lambdas=16, *, system):
     lams[-1] = planes.Lam0
     cap_tol = (10.0 * h ** 2) * max(solution.amplitude)
     s = g.node_xy @ nu
-    batches = _batches([np.count_nonzero(_in_cap(s, lam, h)) for lam in lams], g.n_nodes)
+    batches = _batches([np.count_nonzero(_in_cap(s, lam, h)) for lam in lams],
+                       _BATCH_BOUND * g.n_nodes)
     grads = _reads_gradients(system)
     # built before the workers share them: a cached_property takes no lock,
     # and an overflowing stack raises here

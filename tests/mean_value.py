@@ -22,7 +22,7 @@ import numpy as np
 def _hessians(rows, m):
     """The entries of the Hessians in the (rows, K) values of the stack's rows."""
     # entries (0, 0), (0, 1), (1, 0), (1, 1) are the rows uxx, uxy, uxy, uyy
-    uxx, uyy, uxy = rows[1:4 * m:4], rows[2:4 * m:4], rows[3:4 * m:4]
+    uxx, uyy, uxy = rows[4 * m + 1:5 * m + 1], rows[5 * m + 1:6 * m + 1], rows[6 * m + 1:7 * m + 1]
     return [[uxx, uxy], [uxy, uyy]]
 
 

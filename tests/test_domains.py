@@ -255,6 +255,23 @@ def test_critical_planes_invariant_lam0_below_lam2():
         CriticalPlanes(nu=(1.0, 0.0), lam0=-1.0, Lam0=-0.1 + 1e-8, Lam2=-0.1)
 
 
+@pytest.mark.parametrize("theta", [0.4, np.pi / 4, 1.0])
+def test_critical_planes_of_a_very_thin_ellipse(theta):
+    """On the (1, 1e-9) ellipse off its axes lam0 and Lam0 = Lam2 lie about
+    nu1^3 b^2 / (2 nu2^2), some 1e-18, apart, below an ulp: they are found
+    equal, or lam0 below, and accepted; lam0 is -nu1 to 1e-12.  A lam0 past
+    Lam0, or a Lam0 past Lam2 + 1e-9, is still refused."""
+    nu = (np.cos(theta), np.sin(theta))
+    cp = critical_planes(Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 1e-9)), nu)
+    assert cp.lam0 <= cp.Lam0 <= cp.Lam2
+    assert abs(cp.lam0 + nu[0]) <= 1e-12 and cp.Lam2 - cp.lam0 <= 1e-12
+    CriticalPlanes(nu=cp.nu, lam0=cp.Lam0, Lam0=cp.Lam0, Lam2=cp.Lam0)
+    with pytest.raises(GeometryError, match="expected lam0 <= Lam0"):
+        CriticalPlanes(nu=cp.nu, lam0=np.nextafter(cp.Lam0, 0.0), Lam0=cp.Lam0, Lam2=cp.Lam2)
+    with pytest.raises(GeometryError, match="expected Lam0 <= Lam2"):
+        CriticalPlanes(nu=cp.nu, lam0=cp.lam0, Lam0=cp.Lam2 + 1e-8, Lam2=cp.Lam2)
+
+
 def _bisected_exit(domain, o, d):
     """Largest t with o + t d inside, by bisection on contains from a far bracket."""
     lo, hi = 0.0, 1e3

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -61,7 +62,7 @@ def _hessian_frame(H_lam, H):
 
     def rows(M):
         out = np.zeros((8, K))
-        out[1], out[2], out[3], out[4] = M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], 1.0
+        out[5], out[6], out[7], out[1] = M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], 1.0
         return out
 
     Q = np.diag([-1.0, 1.0])
@@ -187,7 +188,7 @@ def test_linearization_matrices_positive(quadratic):
     # constant source: no z or p dependence in the bound fields, so the
     # margin is the operator difference det_op_lam - det_op alone
     assert float(np.max(np.abs(lin.d[0]))) == 0.0
-    np.testing.assert_array_equal(lin.margin, frame.at_refl[5:6] - frame.at_node[5:6])
+    np.testing.assert_array_equal(lin.margin, frame.at_refl[2:3] - frame.at_node[2:3])
 
 
 def test_monotonicity_certificate(quadratic):
@@ -220,7 +221,7 @@ def test_monotonicity_checks_the_valid_nodes_left_of_the_band(h, nu):
     sol = GridSolution(grid=grid, fields=[np.sum(grid.node_xy ** 2, axis=1) - 1.0], cs=(0.0,))
     nu = _as_unit(nu, 2)
     planes = critical_planes(DISK, nu)
-    valid = np.take(sol.stack[4], sol.node_rows) == 1.0
+    valid = np.take(sol.stack[sol.m], sol.node_rows) == 1.0
     bound = Fraction(planes.Lam0) - Fraction(h) * (1 + Fraction(1e-9))
     nu_q = [Fraction(v) for v in nu]
     want = sum(Fraction(x) * nu_q[0] + Fraction(y) * nu_q[1] < bound
@@ -468,8 +469,9 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
     """Every entry of a 16-position sweep, whose positions run in batches on
     worker threads, equals the one from a frame, linearization and audit of
     that position alone, to the bit; so does the whole report with one
-    worker.  Every sweep here runs at least two batches, so the entries
-    cover the seams between them.  The sweep leaves out the B . grad U and
+    worker, and the report of the sweep packed at the grid's node count,
+    where every sweep here runs at least two batches, so the entries cover
+    the seams between them.  The sweep leaves out the B . grad U and
     c U terms whose declared constants are 0, and the systems here declare
     both, one or neither of them nonzero; it reads the gradient rows only
     for systems whose sources read p or that declare a gradient constant.
@@ -485,8 +487,12 @@ def test_shared_sweep_data_changes_nothing(coupled16, ellipse16, nu, monkeypatch
         for system in (*(system for system, _ in SWEEP_SYSTEMS), _gradient_system(),
                        _lipschitz_system()):
             batches.clear()
-            rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
+            with monkeypatch.context() as patch:
+                patch.setattr(movingplane, "_BATCH_BOUND", 1.0)
+                seams = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
             assert len(batches) >= 2
+            rep = lambda_sweep(sol, nu, planes, n_lambdas=n, system=system)
+            assert json.dumps(rep.to_json()) == json.dumps(seams.to_json())
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
                 for lam in lams]
@@ -512,32 +518,47 @@ def test_sweep_entries_of_empty_and_unaudited_caps(coupled16, ellipse16, domain,
     the batch's nodes, and reduceat reads an empty segment as the element at
     its start: every entry still equals the one of that position alone, and
     every sweep here runs at least two batches, so the entries cover the
-    seams between them.  The batches read the stack's gradient rows exactly
-    when the system reads p or declares a gradient constant, and the
-    5m + 1 rows before them else; the symmetry certificate reads the m E
-    rows once when the plane is a symmetry plane, and not at all else."""
+    seams between them.  Each batch reads the stack's 3m Hessian rows at
+    its nodes, then at their reflections, and then the rows before them
+    at both: the gradient rows exactly when the system reads p or declares
+    a gradient constant, and the 2m + 1 rows of values, mask and operator
+    else.  The symmetry certificate reads the m E rows once when the
+    plane is a symmetry plane, and not at all else."""
     sol = coupled16 if domain is DISK else ellipse16
     cap_tol = (10.0 * sol.grid.h ** 2) * max(sol.amplitude)
+    m = sol.m
     s = 1.0 / np.sqrt(2.0)
     kinds = set()
     rows_read = []
     read = movingplane._read_caps
 
-    def recorded(solution, nu, lams, rows):
-        rows_read.append(len(rows))
-        return read(solution, nu, lams, rows)
+    def recorded(solution, nu, lams):
+        *caps, at_node, at_refl = read(solution, nu, lams)
+        reads = []
+        rows_read.append(reads)
+
+        def spy(side, reader):
+            def rows_of(rows):
+                reads.append((side, rows.start, rows.stop))
+                return reader(rows)
+            return rows_of
+
+        return (*caps, spy("node", at_node), spy("refl", at_refl))
 
     monkeypatch.setattr(movingplane, "_read_caps", recorded)
     batches = _recorded_batches(monkeypatch)
+    symmetry = [("refl", 0, m), ("node", 0, m)]
     for system, grads in SWEEP_SYSTEMS:
+        kept, hessians = (0, 4 * m + 1 if grads else 2 * m + 1), (4 * m + 1, 7 * m + 1)
+        batch = [("node", *hessians), ("refl", *hessians), ("node", *kept), ("refl", *kept)]
         for nu in [(1.0, 0.0), (0.0, 1.0), (s, s), (np.cos(0.5), np.sin(0.5))]:
             planes = critical_planes(domain, nu)
             rows_read.clear()
             batches.clear()
             rep = lambda_sweep(sol, nu, planes, n_lambdas=64, system=system)
             assert len(batches) >= 2
-            assert rows_read.count(sol.m) == int(rep.symmetry["applicable"])
-            assert set(rows_read) - {sol.m} == {7 * sol.m + 1 if grads else 5 * sol.m + 1}
+            assert rows_read.count(symmetry) == int(rep.symmetry["applicable"])
+            assert [reads for reads in rows_read if reads != symmetry] == [batch] * len(batches)
             assert [json.dumps(e) for e in rep.entries] == [
                 json.dumps(_one_position_entry(sol, nu, float(lam), system, cap_tol))
                 for lam in _positions(planes, 64)]
@@ -580,21 +601,26 @@ def test_sweep_certificates_are_the_public_ones(coupled16, ellipse16, tube16, ca
 
 
 def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
-    """Consecutive positions are packed greedily into batches of at most the
-    grid's node count, which no cap exceeds; the sweep runs on the
-    long-lived pool of one worker per available core, or per task (the
-    batches and the certificates) when there are fewer, which the next
-    sweep with as many workers shares, and the report does not depend on
-    the number of workers."""
+    """Consecutive positions are packed greedily into batches of at most 1.5
+    times the grid's node count; the sweep runs on the long-lived pool of
+    one worker per available core, or per task (the batches and the
+    certificates) when there are fewer, which the next sweep with as many
+    workers shares, and the report does not depend on the number of
+    workers."""
     # the 16 caps of the h = 1/64 disk along (1, 0), whose grid has 12,849 nodes
     sizes = [138, 362, 642, 966, 1326, 1716, 2130, 2566, 3020, 3490, 3972, 4464, 4964,
              5472, 5980, 6488]
-    batches = movingplane._batches(sizes, 12849)
-    assert batches == [(0, 8), (8, 11), (11, 13), (13, 15), (15, 16)]
+    limit = movingplane._BATCH_BOUND * 12849
+    assert limit == 1.5 * 12849
+    batches = movingplane._batches(sizes, limit)
+    assert batches == [(0, 10), (10, 14), (14, 16)]
     assert [k for a, b in batches for k in range(a, b)] == list(range(16))
-    assert all(sum(sizes[a:b]) <= 12849 for a, b in batches)
-    # a cap at the bound fills a batch of its own
+    assert all(sum(sizes[a:b]) <= limit for a, b in batches)
+    # at the grid's node count they took 5 batches
+    assert len(movingplane._batches(sizes, 12849)) == 5
+    # a cap at the bound fills a batch of its own, and so does one past it
     assert movingplane._batches([5, 1, 9, 3, 2], 9) == [(0, 2), (2, 3), (3, 5)]
+    assert movingplane._batches([5, 12, 3], 9) == [(0, 1), (1, 2), (2, 3)]
 
     pools = []
     pool = movingplane._pool
@@ -620,7 +646,7 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
             reports.append(json.dumps(rep.to_json()))
             batch_nodes = [sum(sizes) for sizes in batches]
             assert 1 < len(batch_nodes) < 16
-            assert max(batch_nodes) <= coupled.grid.n_nodes
+            assert coupled.grid.n_nodes < max(batch_nodes) <= 1.5 * coupled.grid.n_nodes
             assert sum(batch_nodes) == sum(e["n_nodes"] + e["n_exited"] for e in rep.entries)
             workers, used = pools[-1]
             assert isinstance(used, ThreadPoolExecutor)
@@ -657,6 +683,100 @@ def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, n_lambdas, monke
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * coupled.stack.nbytes
+
+
+def test_sweeps_packed_at_the_grid_and_at_the_bound_agree(coupled, monkeypatch):
+    """A sweep packed into batches of at most the grid's node count and one
+    packed at 1.5 times it give the same report as JSON, with one worker
+    and with two, along an axis and the diagonal and at 16, 64 and 256
+    positions; the larger bound runs fewer batches."""
+    batches = _recorded_batches(monkeypatch)
+    system = power_coupled_system(1.0, 1.0)
+    s = 1.0 / np.sqrt(2.0)
+    for nu, n in (((1.0, 0.0), 16), ((s, s), 16), ((1.0, 0.0), 64), ((s, s), 256)):
+        planes = critical_planes(DISK, nu)
+        for cores in (1, 2):
+            monkeypatch.setattr(movingplane, "_available_cores", lambda: cores)
+            reports, counts = [], []
+            for bound in (1.0, 1.5):
+                monkeypatch.setattr(movingplane, "_BATCH_BOUND", bound)
+                batches.clear()
+                reports.append(json.dumps(lambda_sweep(coupled, nu, planes, n_lambdas=n,
+                                                       system=system).to_json()))
+                counts.append(len(batches))
+            assert reports[0] == reports[1]
+            assert counts[0] > counts[1] >= 2
+
+
+def test_bench_disk_sweeps_run_in_three_batches(monkeypatch):
+    """On the h = 1/64 disk, 16 positions along (1, 0), (0, 1) and the
+    diagonal pack into 3 batches, each of at most 1.5 times the grid's node
+    count; at the grid's node count they took 5, 5 and 4."""
+    sol = _kernel_solution(DISK, 1.0 / 64.0)
+    g = sol.grid
+    assert g.n_nodes == 12849
+    s = 1.0 / np.sqrt(2.0)
+    for nu, before in (((1.0, 0.0), 5), ((0.0, 1.0), 5), ((s, s), 4)):
+        lams = _positions(critical_planes(DISK, nu), 16)
+        sizes = [int(np.count_nonzero(g.node_xy @ np.array(nu) < lam + g.h * 1e-9))
+                 for lam in lams]
+        assert len(movingplane._batches(sizes, g.n_nodes)) == before
+        batches = movingplane._batches(sizes, movingplane._BATCH_BOUND * g.n_nodes)
+        assert len(batches) == 3
+        assert max(sum(sizes[a:b]) for a, b in batches) <= 1.5 * g.n_nodes
+    recorded = _recorded_batches(monkeypatch)
+    for nu in ((1.0, 0.0), (s, s)):
+        recorded.clear()
+        lambda_sweep(sol, nu, critical_planes(DISK, nu), system=power_coupled_system(1.0, 1.0))
+        assert len(recorded) == 3
+
+
+@pytest.mark.parametrize("n_lambdas", [2.5, 16.0, "16", None, True])
+def test_lambda_sweep_refuses_a_non_integer_count(coupled16, n_lambdas):
+    """A count of plane positions that is not an integer raises ValueError,
+    where 2.5 ran three positions and reported n_lambdas 2; an integer of
+    numpy's is taken."""
+    planes = critical_planes(DISK, (1.0, 0.0))
+    with pytest.raises(ValueError, match="n_lambdas must be an integer"):
+        lambda_sweep(coupled16, (1.0, 0.0), planes, n_lambdas=n_lambdas,
+                     system=power_coupled_system(1.0, 1.0))
+    rep = lambda_sweep(coupled16, (1.0, 0.0), planes, n_lambdas=np.int64(3),
+                       system=power_coupled_system(1.0, 1.0))
+    assert rep.n_lambdas == 3 and len(rep.entries) == 3
+
+
+def _cycle_system(m):
+    """f_i = -z_(i+1) + 1 around the cycle of m components, split as (0, f_i)."""
+    comps = tuple(parse(f"(0 - z{i % m + 1}) + 1") for i in range(1, m + 1))
+    return RhsSystem(components=comps, n=2, splits=tuple((parse("0"), f) for f in comps),
+                     lipschitz_z=(0.0,) * m, lipschitz_p=(0.0,) * m)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_system_of_another_component_count_is_refused(one_two, m):
+    """On the (1, 2) pair's solution a system of 1 or 3 components raises
+    ValueError naming both counts, in the sweep and in linearize, where a
+    3-component system gave a report and a 1-component one an index
+    error."""
+    planes = critical_planes(DISK, (1.0, 0.0))
+    frame = build_frame(one_two, (1.0, 0.0), 0.5 * (planes.lam0 + planes.Lam0))
+    message = f"the system has {m} components, the solution 2"
+    with pytest.raises(ValueError, match=message):
+        lambda_sweep(one_two, (1.0, 0.0), planes, system=_cycle_system(m))
+    with pytest.raises(ValueError, match=message):
+        linearize(frame, _cycle_system(m))
+    assert linearize(frame, _cycle_system(2)).margin.shape == (2, len(frame.node_idx))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_build_frame_refuses_a_non_finite_position(coupled16, lam):
+    """A NaN or infinite plane position raises ValueError, with no numpy
+    warning: NaN gave an empty frame, and inf warned of an invalid value
+    in a product."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="plane position must be finite"):
+            build_frame(coupled16, (1.0, 0.0), lam)
 
 
 class _Raised(Exception):
@@ -912,8 +1032,8 @@ def test_stack_is_finite(domain):
     assert np.isfinite(stack).all()
     off = np.ones(stack.shape[1], dtype=bool)
     off[sol.node_rows] = False
-    assert off.any() and np.all(stack[4 * sol.m + 1:5 * sol.m + 1, off] == 0.0)
-    assert set(np.unique(stack[4 * sol.m])) == {0.0, 1.0}
+    assert off.any() and np.all(stack[sol.m + 1:2 * sol.m + 1, off] == 0.0)
+    assert set(np.unique(stack[sol.m])) == {0.0, 1.0}
 
 
 @KERNEL_DOMAINS
@@ -928,8 +1048,8 @@ def test_bilinear_kernel_matches_scipy(domain):
 
     sol = _kernel_solution(domain)
     g, stack = sol.grid, sol.stack
-    # rows 4m + 1..5m are the operator rows
-    op_rows = np.arange(4 * sol.m + 1, 5 * sol.m + 1)
+    # rows m + 1..2m are the operator rows
+    op_rows = np.arange(sol.m + 1, 2 * sol.m + 1)
     assert stack.shape == (7 * sol.m + 1, g.nx * g.ny)
     lo, hi = np.array([g.xs[0], g.ys[0]]), np.array([g.xs[-1], g.ys[-1]])
     off_grid = np.random.default_rng(7).uniform(lo, hi, size=(400, 2))
@@ -954,19 +1074,23 @@ def test_bilinear_kernel_matches_scipy(domain):
                           for row in rows])
 
     for pts in (off_grid, aligned, outside, rim_pts):
-        got = _bilinear(g, stack, pts)
+        read = _bilinear(g, pts)
+        got = read(stack)
         assert got.shape == (len(stack), len(pts))
         np.testing.assert_array_equal(got, rgi(stack, pts))
-    assert np.all(np.isnan(_bilinear(g, stack, outside)))
-    assert np.all(np.isfinite(_bilinear(g, stack, rim_pts)))
+        # one reader serves every block of rows, each the rows of the whole
+        for rows in (slice(0, sol.m), slice(sol.m, 4 * sol.m + 1), slice(4 * sol.m + 1, None)):
+            np.testing.assert_array_equal(_bits(read(stack[rows])), _bits(got[rows]))
+    assert np.all(np.isnan(_bilinear(g, outside)(stack)))
+    assert np.all(np.isfinite(_bilinear(g, rim_pts)(stack)))
     # the mask row alone marks the cells an audit trusts
     assert _rim(g, rim_pts).all()
     for pts in (off_grid, aligned, rim_pts):
-        mask = _bilinear(g, stack, pts)[4 * sol.m]
+        mask = _bilinear(g, pts)(stack)[sol.m]
         assert not np.any((mask > 1.0 - 1e-12) & _rim(g, pts))
     # a NaN spreads from every corner, zero weights included
     nan_rows = np.where(g.inside.ravel(), stack[op_rows], np.nan)
-    spread = _bilinear(g, nan_rows, rim_pts)
+    spread = _bilinear(g, rim_pts)(nan_rows)
     assert np.all(np.isnan(spread))
     np.testing.assert_array_equal(spread, rgi(nan_rows, rim_pts))
 
@@ -999,7 +1123,7 @@ def test_node_reads_gather_the_bilinear_sum(domain, monkeypatch):
     cols = (np.arange(g.nx - 1)[:, None] * g.ny + np.arange(g.ny - 1)).ravel()
     at_nodes = np.take(stack, cols, axis=1)
     read = at_nodes + 0.0
-    np.testing.assert_array_equal(_bits(read), _bits(_bilinear(g, stack, nodes)))
+    np.testing.assert_array_equal(_bits(read), _bits(_bilinear(g, nodes)(stack)))
     np.testing.assert_array_equal(read, np.vstack([
         RegularGridInterpolator((g.xs, g.ys), row.reshape(g.nx, g.ny), bounds_error=False,
                                 fill_value=np.nan)(nodes) for row in stack]))
@@ -1008,23 +1132,25 @@ def test_node_reads_gather_the_bilinear_sum(domain, monkeypatch):
     # a spy on the bilinear kernel shows which read the cap reader takes
     kernel_reads = []
 
-    def spy(grid, rows, pts):
+    def spy(grid, pts):
         kernel_reads.append(len(pts))
-        return _bilinear(grid, rows, pts)
+        return _bilinear(grid, pts)
 
     monkeypatch.setattr(movingplane, "_bilinear", spy)
-    rows = range(len(stack))
+    every = slice(None)
     centre = g.xs[int(np.searchsorted(g.xs, 0.5 * (g.xs[0] + g.xs[-1])))]
     on_lines = [centre - 2 * g.h, centre]
     between = [centre - 0.25 * g.h]
-    _, refl, _, nodal, _, _ = movingplane._read_caps(sol, np.array([1.0, 0.0]), on_lines, rows)
+    _, refl, _, _, _, at_refl = movingplane._read_caps(sol, np.array([1.0, 0.0]), on_lines)
+    nodal = at_refl(every)
     assert nodal.size and kernel_reads == []
-    np.testing.assert_array_equal(_bits(nodal), _bits(_bilinear(g, stack, refl)))
+    np.testing.assert_array_equal(_bits(nodal), _bits(_bilinear(g, refl)(stack)))
     for nu, lams in (((1.0, 0.0), on_lines + between), ((0.6, 0.8), [0.0, 0.25])):
         kernel_reads.clear()
-        _, refl, _, got, _, _ = movingplane._read_caps(sol, np.array(nu), lams, rows)
+        _, refl, _, _, _, at_refl = movingplane._read_caps(sol, np.array(nu), lams)
+        got = at_refl(every)
         assert len(refl) and kernel_reads == [len(refl)]
-        np.testing.assert_array_equal(_bits(got), _bits(_bilinear(g, stack, refl)))
+        np.testing.assert_array_equal(_bits(got), _bits(_bilinear(g, refl)(stack)))
 
 
 def _bench_level_set(c=0.3):
@@ -1036,11 +1162,18 @@ def _bench_level_set(c=0.3):
         bbox=((-1.2, 1.0), (-1.1, 1.1)))
 
 
-def _general_read(monkeypatch, solution, nu, lams, rows):
-    """What :func:`_read_caps` returns with the lattice reader switched off."""
+def _read_all(solution, nu, lams):
+    """What :func:`_read_caps` returns, with every row of the stack read at
+    the nodes and at their reflections."""
+    idx, refl, bounds, n_exited, at_node, at_refl = movingplane._read_caps(solution, nu, lams)
+    return idx, refl, at_node(slice(None)), at_refl(slice(None)), bounds, n_exited
+
+
+def _general_read(monkeypatch, solution, nu, lams):
+    """What :func:`_read_all` returns with the lattice reader switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(movingplane, "_mirror_columns", lambda *args: None)
-        return movingplane._read_caps(solution, nu, lams, rows)
+        return _read_all(solution, nu, lams)
 
 
 LATTICE_CASES = [(name, domain, h) for name, domain in (
@@ -1066,7 +1199,6 @@ def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
     y = 0.  At h = 0.05, and on the bench level set, whose grid starts
     off the binary fractions, no batch maps."""
     sol = _kernel_solution(domain, h)
-    rows = range(7 * sol.m + 1)
     taken, rim_refl = set(), False
     chosen = movingplane._mirror_columns
 
@@ -1086,8 +1218,8 @@ def test_lattice_reader_matches_the_general_path(name, domain, h, monkeypatch):
         else:
             positions += [_positions(planes, n) for n in (16, 64)]
         for lams in positions:
-            got = movingplane._read_caps(sol, nu, lams, rows)
-            expected = _general_read(monkeypatch, sol, nu, lams, rows)
+            got = _read_all(sol, nu, lams)
+            expected = _general_read(monkeypatch, sol, nu, lams)
             idx, refl, at_node, at_refl, bounds, n_exited = got
             np.testing.assert_array_equal(idx, expected[0])
             np.testing.assert_array_equal(refl, expected[1])
@@ -1154,7 +1286,7 @@ def test_axis_sweep_reads_caps_without_per_node_geometry(monkeypatch):
         nu = np.array(nu)
         lams = _positions(critical_planes(DISK, nu), 16)
         calls["reflect"].clear(), calls["contains"].clear()
-        idx = movingplane._read_caps(sol, nu, lams, range(5 * sol.m + 1))[0]
+        idx = movingplane._read_caps(sol, nu, lams)[0]
         frame = build_frame(sol, nu, float(lams[-1]))
         assert len(idx) > 0 and not frame.empty
         if nu[1] == 0.0:
@@ -1173,7 +1305,7 @@ def test_axis_sweep_reads_caps_without_per_node_geometry(monkeypatch):
     monkeypatch.setattr(SmoothLevelSet, "contains", contains_spy)
     lams = _positions(critical_planes(DISK, nu), 16)
     calls["reflect"].clear(), calls["contains"].clear()
-    movingplane._read_caps(sol, nu, lams, range(5 * sol.m + 1))
+    movingplane._read_caps(sol, nu, lams)
     n_caps = sum(int(np.count_nonzero(g.node_xy @ nu < lam + g.h * 1e-9)) for lam in lams)
     assert calls == {"reflect": [(g.nx, 16, 1)], "contains": [(n_caps,)]}
 
@@ -1236,9 +1368,9 @@ def _reference_linearization(frame, system):
     m, K = frame.m, len(frame.node_idx)
     at_node, at_refl, U = frame.at_node, frame.at_refl, frame.U
     nu = frame.nu
-    u, u_lam = at_node[:4 * m:4], at_refl[:4 * m:4]
-    grad_u = np.stack([at_node[5 * m + 1::2], at_node[5 * m + 2::2]], axis=-1)
-    p = np.stack([at_refl[5 * m + 1::2], at_refl[5 * m + 2::2]], axis=-1)
+    u, u_lam = at_node[:m], at_refl[:m]
+    grad_u = np.stack([at_node[2 * m + 1:3 * m + 1], at_node[3 * m + 1:4 * m + 1]], axis=-1)
+    p = np.stack([at_refl[2 * m + 1:3 * m + 1], at_refl[3 * m + 1:4 * m + 1]], axis=-1)
     p_nu = p[..., 0] * nu[0] + p[..., 1] * nu[1]
     grad_u_lam = np.stack([p[..., k] - 2.0 * p_nu * nu[k] for k in range(2)], axis=-1)
     H_refl, H = stack_hessians(at_refl, m), stack_hessians(at_node, m)
@@ -1253,7 +1385,7 @@ def _reference_linearization(frame, system):
         tolerance[i] = (10.0 * frame.grid.h ** 2) * np.maximum(np.abs(dets[0]), np.abs(dets[1]))
         grad_U_norm = np.linalg.norm(grad_u_lam[i] - grad_u[i], axis=-1)
         c = float(system.lipschitz_z[i] or 0.0)
-        margin[i] = at_refl[4 * m + 1 + i] - at_node[4 * m + 1 + i]
+        margin[i] = at_refl[m + 1 + i] - at_node[m + 1 + i]
         margin[i] += float(system.lipschitz_p[i]) * grad_U_norm
         margin[i] += c * U[i]
         coupling = 0.0
@@ -1346,7 +1478,7 @@ def test_reflections_off_the_grid_box_are_dropped():
     assert len(frame.node_idx) == 115
     assert frame.n_exited == int((~contained).sum())
     np.testing.assert_array_equal(frame.reflected_xy, refl[contained & in_box])
-    assert np.all(np.isfinite(frame.at_refl[:4 * frame.m:4]))
+    assert np.all(np.isfinite(frame.at_refl[:frame.m]))
 
 
 
