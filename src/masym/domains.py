@@ -501,21 +501,24 @@ def critical_planes(domain, nu):
     return CriticalPlanes(nu=tuple(nu), lam0=min(lam0, Lam0), Lam0=Lam0, Lam2=Lam2)
 
 
-def domain_to_json(domain):
-    if isinstance(domain, Ball):
-        return {"shape": "ball", "center": list(domain.center), "radius": domain.radius}
-    if isinstance(domain, Ellipse):
-        return {"shape": "ellipse", "center": list(domain.center),
-                "semi_axes": list(domain.semi_axes)}
-    if isinstance(domain, Tube):
-        return {"shape": "tube", "cross_section": domain_to_json(domain.cross_section),
-                "half_height": domain.half_height}
-    raise GeometryError(f"{type(domain).__name__} is not JSON-serializable")
-
-
 _SHAPES = {"ball": (Ball, ("center", "radius")),
            "ellipse": (Ellipse, ("center", "semi_axes")),
            "tube": (Tube, ("cross_section", "half_height"))}
+
+
+def domain_to_json(domain):
+    """The JSON object of a ball, an ellipse or a tube, in the form
+    :func:`domain_from_json` reads; raises :class:`GeometryError` for any
+    other domain."""
+    for shape, (cls, keys) in _SHAPES.items():
+        if isinstance(domain, cls):
+            obj = {"shape": shape}
+            for key in keys:
+                value = getattr(domain, key)
+                obj[key] = (domain_to_json(value) if isinstance(value, Domain)
+                            else list(value) if isinstance(value, tuple) else value)
+            return obj
+    raise GeometryError(f"{type(domain).__name__} is not JSON-serializable")
 
 
 def domain_from_json(obj, *, _key="domain"):

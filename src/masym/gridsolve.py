@@ -254,7 +254,7 @@ def _laplace_init(grid, rhs, c):
     """
     N = grid.n_nodes
     axes = np.full(N, grid._row[(1, 0)] // 2)
-    return _factor_solve(_pair_rows(grid, axes, np.ones((2, N))), rhs) + c
+    return _factor(_pair_rows(grid, axes, np.ones((2, N)))).solve(rhs) + c
 
 
 def _newton_matrix(grid, u, c, active, floor):
@@ -288,11 +288,6 @@ def _factor(A):
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
-
-
-def _factor_solve(A, b):
-    """Solve A x = b by the LU of :func:`_factor`, then drop it."""
-    return _factor(A).solve(b)
 
 
 def _newton_step(grid, gh, c, u, res, active, floor, history, lu=None):
@@ -343,12 +338,13 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     small source solves as a scaled copy of a unit one.  The loop
     returns after the first sweep in which no component was initialized or
     stepped, so every returned component is within tol at the returned
-    fields; ``params.max_newton`` caps the sweeps.  A component whose
-    field is still the very array that an earlier component of the sweep
-    stepped from, with the same c and floor, has that step's Newton
-    matrix, so it steps with that step's LU: under ``shared_start`` the
-    first sweep factors one Newton matrix fewer.  At most one LU is live
-    at a time, and none outlives the sweep that made it.
+    fields; ``params.max_newton`` caps the sweeps.  Every Newton step
+    factors its own matrix, with one exception: under ``shared_start``
+    (components with one boundary constant) the first sweep's components
+    all step from the one Laplace start, with one c and one floor, so they
+    share one Newton matrix, and every step of that sweep after the first
+    uses the first step's LU.  No LU outlives its sweep, so at most one is
+    live at a time.
 
     Returns the fields and the history: one record per sweep with the
     residual of each component before its step, the line-search halvings
@@ -358,12 +354,13 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
     fields = [np.full(N, c - 0.1) for c in cs]
     scale = [1.0] * len(cs)
     history = []
-    # (field, c, floor, LU) of the last Newton step while another component's
-    # field is still that array: its Newton matrix is then the same
-    kept = None
+    lu = None
     for sweep in range(params.max_newton):
         record = {"sweep": sweep, "residuals": [], "halvings": 0, "factorizations": 0}
+        changed = sweep == 0  # the first sweep initializes every component
         for i, c in enumerate(cs):
+            if sweep or not shared_start:
+                lu = None  # this step factors its own matrix, with no other LU live
             if sweep == 0 and (i == 0 or not shared_start):
                 fields[i] = np.full(N, c)
                 g0 = np.broadcast_to(source(i, fields), (N,))
@@ -386,22 +383,16 @@ def _sweep_solve(grid, source, cs, params, shared_start=False):
             record["residuals"].append(best)
             if best <= params.tol * float(np.max(gh)):
                 continue
-            u, floor = fields[i], 1e-8 * math.sqrt(scale[i])
-            shared = kept[3] if kept and kept[0] is u and kept[1:3] == (c, floor) else None
-            # one LU is live at a time: the kept one goes before a new one is made
-            kept = None
-            fields[i], halvings, lu = _newton_step(grid, gh, c, u, res, active, floor,
-                                                   history + [record], shared)
+            factors = lu is None
+            fields[i], halvings, lu = _newton_step(grid, gh, c, fields[i], res, active,
+                                                   1e-8 * math.sqrt(scale[i]),
+                                                   history + [record], lu)
             record["halvings"] += halvings
-            record["factorizations"] += int(shared is None)
-            if any(f is u for f in fields):
-                kept = (u, c, floor, lu)
-            del lu, shared
-        kept = None
+            record["factorizations"] += int(factors)
+            changed = True
+        lu = None  # no LU outlives its sweep
         history.append(record)
-        # an LU is reused only in the sweep that factored it, so a sweep
-        # without a factorization initialized and stepped no component
-        if record["factorizations"] == 0:
+        if not changed:
             return fields, history
     worst = max(history[-1]["residuals"]) if history else math.nan
     raise SolverDivergence(

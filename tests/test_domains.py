@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -348,6 +350,12 @@ def test_domain_json_roundtrip():
         d2 = domain_from_json(domain_to_json(d))
         assert type(d2) is type(d)
         assert np.allclose(d2.bounding_box(), d.bounding_box())
+    tube = Tube(cross_section=Ellipse(center=(0.5,), semi_axes=(1.0,)), half_height=2.0)
+    assert json.dumps(domain_to_json(tube)) == (
+        '{"shape": "tube", "cross_section": {"shape": "ellipse", "center": [0.5], '
+        '"semi_axes": [1.0]}, "half_height": 2.0}')
+    with pytest.raises(GeometryError, match="^SmoothLevelSet is not JSON-serializable$"):
+        domain_to_json(_unit_disk_level_set())
 
 
 @pytest.mark.parametrize("make, key", [

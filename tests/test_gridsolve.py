@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 import masym.gridsolve as gridsolve
 from masym.domains import Ball, Ellipse, GeometryError, SmoothLevelSet, Tube
 from masym.gridsolve import (FdParams, GridSolution, StencilGrid,
-                             _factor_solve, _power_pair, _laplace_init, _ma_and_active,
+                             _factor, _power_pair, _laplace_init, _ma_and_active,
                              _newton_matrix, _pair_rows,
                              gradient_at_nodes, ma_operator_discrete,
                              read_solution_binary,
@@ -566,7 +567,7 @@ def test_pivot_free_solve_matches_pivoted_spsolve(name, width):
     for A in mats:
         b = rng.normal(size=N)
         ref = spla.spsolve(A.tocsc(), b)
-        x = _factor_solve(A, b)
+        x = _factor(A).solve(b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -590,7 +591,8 @@ def test_stacked_operator_matches_per_pair_loop(name, width, monkeypatch):
             np.testing.assert_array_equal(rho, ref_rho)
     ones = np.ones(grid.n_nodes)
     solved = []
-    monkeypatch.setattr(gridsolve, "_factor_solve", lambda A, b: solved.append(A) or 0.0 * b)
+    zero_lu = types.SimpleNamespace(solve=lambda b: 0.0 * b)
+    monkeypatch.setattr(gridsolve, "_factor", lambda A: solved.append(A) or zero_lu)
     _laplace_init(grid, ones, 0.0)
     _assert_same_csc(solved[0], _reference_rows(
         grid, [(((1, 0), (0, 1)), ones > 0, ones, ones)]))
@@ -686,6 +688,33 @@ def test_power_pair_factors_its_shared_first_newton_matrix_once(alpha, beta, mon
     assert len(factored) == len(reused) + 1 == sum(r["factorizations"] for r in sol.history) + 1
     for u, v in zip(sol.fields, again.fields):
         np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
+
+
+def test_generic_pair_factors_every_newton_matrix(monkeypatch):
+    """A system that is not a power pair starts each component from its own
+    Laplace solve, so no two steps share a Newton matrix: the solve hands
+    no LU to ``_newton_step``, its ``splu`` calls are the two Laplace solves
+    plus one per step, the history counts them, no factorization starts
+    while another LU is alive, and none outlives the solve."""
+    factored, alive, handed = [], [], []
+    splu, step = spla.splu, gridsolve._newton_step
+
+    def counted(A, **kwargs):
+        assert all(ref() is None for ref in alive)
+        factored.append(A)
+        lu = _CountedLU(splu(A, **kwargs))
+        alive.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(gridsolve.spla, "splu", counted)
+    monkeypatch.setattr(gridsolve, "_newton_step",
+                        lambda *args: handed.append(args[-1] is not None) or step(*args))
+    system = RhsSystem(components=(parse("(0 - z2) + 1"), parse("(0 - z1) + 1")), n=2)
+    sol = solve_system_fd(Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.6)), system, (0.0, 0.0),
+                          FdParams(h=1.0 / 16.0))
+    assert all(ref() is None for ref in alive)
+    assert handed and not any(handed)
+    assert len(factored) == sum(r["factorizations"] for r in sol.history) == len(handed) + 2
 
 
 def _paraboloid_step(field_of, res_sign):

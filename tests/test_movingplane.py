@@ -665,11 +665,14 @@ def test_sweep_batches_are_bounded_by_the_grid(coupled, monkeypatch):
                          ids=["axis", "diagonal", "axis-256"])
 def test_sweep_working_set_is_bounded_by_the_stack(coupled, nu, n_lambdas, monkeypatch):
     """With one worker, a sweep's traced peak stays within 3.25 times the
-    solution's stack: a batch holds at most the grid's node count, finds
-    its own caps, and the bilinear read gathers one cell corner at a time.
-    Gathering all four corners at once reads about 3.7 to 3.9 times the
-    stack at 16 positions; holding every position's cap through the sweep
-    reads about 5.5 times it at 256."""
+    solution's stack: a batch holds at most 1.5 times the grid's node
+    count, finds its own caps, and the bilinear read gathers one cell
+    corner at a time.  The peaks read about 2.27, 2.17 and 2.53 times the
+    stack along (1, 0), along the diagonal and along (1, 0) at 256
+    positions.  With batches of the grid's node count, gathering all four
+    corners at once read about 3.7 to 3.9 times the stack at 16 positions,
+    and holding every position's cap through the sweep about 5.5 times it
+    at 256."""
     monkeypatch.setattr(movingplane, "_available_cores", lambda: 1)
     planes = critical_planes(DISK, nu)
     system = power_coupled_system(1.0, 1.0)
